@@ -1,43 +1,22 @@
-"""Hot numeric kernels: numba-jitted implementations with pure-numpy
-fallbacks.
+"""Hot numeric kernels in numpy: Young function evaluation, the batched
+Luxemburg bisection, and the reference Riesz apply.
 
-The fallback path is selected by setting the environment variable
-``RIESZW_NO_NUMBA`` to a nonempty value, or automatically when numba is not
-installed.  Both paths compute the same quantities; the jitted path avoids
-materializing O(cells^2) intermediates.
+The reference apply is an exact FFT matvec: its kernel depends only on the
+cell offset, so it costs O(N^n log N) for N cells per axis rather than the
+O(cells^2) of a dense matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 
 import numpy as np
 
-_DISABLED = bool(os.environ.get("RIESZW_NO_NUMBA"))
-
-if not _DISABLED:
-    try:
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-    prange = range
-
+# Kept for the benchmark harness: perfbench/child.py --setup-only records it
+# with the environment, and without the name every benchmark run stops with
+# "rieszw does not import".  There is one numpy backend, so it is False.
+NUMBA_ENABLED = False
 
 # Young function kind codes shared with rieszw.orlicz.
 KIND_POWER = 0
@@ -52,6 +31,10 @@ _EE = math.exp(math.e)  # e^e ~ 15.154; loglog(e^e + t) >= 1 at t = 0
 KERNEL_LOWER = 0
 KERNEL_MIDPOINT = 1
 KERNEL_UPPER = 2
+
+
+class LuxemburgError(RuntimeError):
+    """Bisection bracket for the Luxemburg norm could not be established."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,21 +63,6 @@ def young_eval_np(kind: int, a: float, b: float, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown Young kind {kind}")
 
 
-@njit(cache=True)
-def _young_eval_scalar(kind, a, b, t):
-    if kind == KIND_POWER:
-        return b * t**a
-    lg = math.log(_E + t)
-    if kind == KIND_LOG_BUMP:
-        return t**a * lg ** (a - 1.0 + b)
-    if kind == KIND_DUAL_LOG:
-        return t**a * lg ** (-1.0 - b)
-    llg = math.log(math.log(_EE + t))
-    if kind == KIND_LOGLOG_BUMP:
-        return t**a * lg ** (a - 1.0) * llg ** (a - 1.0 + b)
-    return t**a * lg ** (-1.0) * llg ** (-1.0 - b)
-
-
 # ---------------------------------------------------------------------------
 # Batched Luxemburg norms
 #
@@ -106,10 +74,17 @@ LUX_RTOL = 1e-12
 LUX_MAX_ITER = 200
 
 
-def luxemburg_batch_np(vals, wts, indptr, vols, kind, a, b):
+def luxemburg_batch(vals, wts, indptr, vols, kind, a, b):
+    """Solve the Luxemburg normalization per group; returns lambda per group.
+
+    Raises LuxemburgError when a bracket is not found in 200 doublings
+    (halvings) for some group."""
+    vals = np.asarray(vals, dtype=np.float64)
+    wts = np.asarray(wts, dtype=np.float64)
+    vols = np.asarray(vols, dtype=np.float64)
+    a, b = float(a), float(b)
     ngroups = len(vols)
     lam = np.zeros(ngroups)
-    starts = indptr[:-1]
     counts = np.diff(indptr)
     group_of = np.repeat(np.arange(ngroups), counts)
     mass = np.zeros(ngroups)
@@ -129,90 +104,32 @@ def luxemburg_batch_np(vals, wts, indptr, vols, kind, a, b):
     lo = np.where(active, gmax, 1.0)
     hi = lo.copy()
     for _ in range(200):
-        g = gval(hi)
-        need = active & (g > 1.0)
+        need = active & (gval(hi) > 1.0)
         if not need.any():
             break
         hi[need] *= 2.0
+    else:
+        raise LuxemburgError("upper bracket not found")
     for _ in range(200):
-        g = gval(lo)
-        need = active & (g < 1.0)
+        need = active & (gval(lo) < 1.0)
         if not need.any():
             break
         lo[need] *= 0.5
+    else:
+        raise LuxemburgError("lower bracket not found")
     for _ in range(LUX_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        g = gval(mid)
-        above = g > 1.0
+        above = gval(mid) > 1.0
         lo = np.where(active & above, mid, lo)
         hi = np.where(active & ~above, mid, hi)
         if np.all(hi - lo <= LUX_RTOL * hi):
             break
     lam[active] = 0.5 * (lo + hi)[active]
-    lam[~active] = 0.0
     return lam
-
-
-@njit(cache=True)
-def luxemburg_batch_nb(vals, wts, indptr, vols, kind, a, b):
-    ngroups = len(vols)
-    lam = np.zeros(ngroups)
-    for g in prange(ngroups):
-        s, e = indptr[g], indptr[g + 1]
-        vol = vols[g]
-        mass = 0.0
-        gmax = 0.0
-        for i in range(s, e):
-            mass += vals[i] * wts[i]
-            if vals[i] > gmax:
-                gmax = vals[i]
-        if mass <= 0.0:
-            lam[g] = 0.0
-            continue
-        lo = gmax
-        hi = gmax
-        for _ in range(200):
-            acc = 0.0
-            for i in range(s, e):
-                acc += wts[i] * _young_eval_scalar(kind, a, b, vals[i] / hi)
-            if acc / vol <= 1.0:
-                break
-            hi *= 2.0
-        for _ in range(200):
-            acc = 0.0
-            for i in range(s, e):
-                acc += wts[i] * _young_eval_scalar(kind, a, b, vals[i] / lo)
-            if acc / vol >= 1.0:
-                break
-            lo *= 0.5
-        for _ in range(LUX_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            acc = 0.0
-            for i in range(s, e):
-                acc += wts[i] * _young_eval_scalar(kind, a, b, vals[i] / mid)
-            if acc / vol > 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= LUX_RTOL * hi:
-                break
-        lam[g] = 0.5 * (lo + hi)
-    return lam
-
-
-def luxemburg_batch(vals, wts, indptr, vols, kind, a, b):
-    """Solve the Luxemburg normalization per group; returns lambda per group."""
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    wts = np.ascontiguousarray(wts, dtype=np.float64)
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    vols = np.ascontiguousarray(vols, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return luxemburg_batch_nb(vals, wts, indptr, vols, kind, float(a), float(b))
-    return luxemburg_batch_np(vals, wts, indptr, vols, kind, float(a), float(b))
 
 
 # ---------------------------------------------------------------------------
-# Dense Riesz reference kernel
+# Reference Riesz kernel
 #
 # Targets are cell centers; per source cell the kernel weight is a discrete
 # surrogate for the integral of |x - y|^{alpha - n} over the cell, selected
@@ -235,108 +152,29 @@ def _self_weight(n: int, h: float, alpha: float, mode: int) -> float:
     return _ball_weight(n, h, alpha)
 
 
-def riesz_apply_1d_np(values, h, alpha, mode, chunk=256):
-    N = values.shape[0]
-    centers = (np.arange(N) + 0.5) * h
-    out = np.empty(N)
-    wself = _self_weight(1, h, alpha, mode)
-    for s in range(0, N, chunk):
-        x = centers[s : s + chunk, None]
-        d = np.abs(x - centers[None, :])
-        if mode == KERNEL_LOWER:
-            d = d + 0.5 * h
-        elif mode == KERNEL_UPPER:
-            d = np.maximum(d - 0.5 * h, 0.0)
-        with np.errstate(divide="ignore"):
-            w = h * d ** (alpha - 1.0)
-        idx = np.arange(s, min(s + chunk, N))
-        w[np.arange(len(idx)), idx] = wself
-        out[s : s + chunk] = w @ values
-    return out
-
-
-@njit(cache=True, parallel=True)
-def riesz_apply_1d_nb(values, h, alpha, mode, wself):
-    N = values.shape[0]
-    out = np.zeros(N)
-    for i in prange(N):
-        acc = 0.0
-        for j in range(N):
-            if i == j:
-                acc += wself * values[j]
-            else:
-                d = abs(i - j) * h
-                if mode == KERNEL_LOWER:
-                    d = d + 0.5 * h
-                elif mode == KERNEL_UPPER:
-                    d = d - 0.5 * h
-                acc += h * d ** (alpha - 1.0) * values[j]
-        out[i] = acc
-    return out
-
-
-def riesz_apply_2d_np(values, h, alpha, mode, chunk=64):
-    N = values.shape[0]
-    ax = (np.arange(N) + 0.5) * h
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    flat = values.ravel()
-    M = pts.shape[0]
-    out = np.empty(M)
-    wself = _self_weight(2, h, alpha, mode)
-    cellv = h * h
-    for s in range(0, M, chunk):
-        dx = np.abs(pts[s : s + chunk, 0][:, None] - pts[None, :, 0])
-        dy = np.abs(pts[s : s + chunk, 1][:, None] - pts[None, :, 1])
-        if mode == KERNEL_LOWER:
-            dx, dy = dx + 0.5 * h, dy + 0.5 * h
-        elif mode == KERNEL_UPPER:
-            dx = np.maximum(dx - 0.5 * h, 0.0)
-            dy = np.maximum(dy - 0.5 * h, 0.0)
-        d = np.hypot(dx, dy)
-        with np.errstate(divide="ignore"):
-            w = cellv * d ** (alpha - 2.0)
-        idx = np.arange(s, min(s + chunk, M))
-        w[np.arange(len(idx)), idx] = wself
-        out[s : s + chunk] = w @ flat
-    return out.reshape(N, N)
-
-
-@njit(cache=True, parallel=True)
-def riesz_apply_2d_nb(values, h, alpha, mode, wself):
-    N = values.shape[0]
-    out = np.zeros((N, N))
-    cellv = h * h
-    for i1 in prange(N):
-        for i2 in range(N):
-            acc = 0.0
-            for j1 in range(N):
-                for j2 in range(N):
-                    if i1 == j1 and i2 == j2:
-                        acc += wself * values[j1, j2]
-                    else:
-                        dx = abs(i1 - j1) * h
-                        dy = abs(i2 - j2) * h
-                        if mode == KERNEL_LOWER:
-                            dx, dy = dx + 0.5 * h, dy + 0.5 * h
-                        elif mode == KERNEL_UPPER:
-                            dx = max(dx - 0.5 * h, 0.0)
-                            dy = max(dy - 0.5 * h, 0.0)
-                        d = math.hypot(dx, dy)
-                        acc += cellv * d ** (alpha - 2.0) * values[j1, j2]
-            out[i1, i2] = acc
-    return out
-
-
 def riesz_apply(values: np.ndarray, h: float, alpha: float, mode: int) -> np.ndarray:
-    """Dense reference Riesz potential at all cell centers."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    n = values.ndim
-    if NUMBA_ENABLED:
-        wself = _self_weight(n, h, alpha, mode)
-        if n == 1:
-            return riesz_apply_1d_nb(values, h, alpha, mode, wself)
-        return riesz_apply_2d_nb(values, h, alpha, mode, wself)
-    if n == 1:
-        return riesz_apply_1d_np(values, h, alpha, mode)
-    return riesz_apply_2d_np(values, h, alpha, mode)
+    """Reference Riesz potential at all cell centers of an N^n grid.
+
+    The weight of source cell j at target i depends only on |i - j| per
+    axis, so the operator is (block-)Toeplitz.  It is embedded in a circulant
+    of size 2N per axis and applied exactly by zero-padded real FFTs
+    (circulant embedding; Chan & Jin, Iterative Toeplitz Solvers, ch. 2)."""
+    from numpy import fft  # first use only: keeps numpy.fft out of the import
+
+    values = np.asarray(values, dtype=np.float64)
+    n, N = values.ndim, values.shape[0]
+    # circulant index m stands for the axis offset min(m, 2N - m); m = N is
+    # never reached by an offset between two cells
+    m = np.arange(2 * N)
+    dist = np.minimum(m, 2 * N - m) * h
+    if mode == KERNEL_LOWER:
+        dist = dist + 0.5 * h
+    elif mode == KERNEL_UPPER:
+        dist = np.maximum(dist - 0.5 * h, 0.0)
+    d = functools.reduce(np.hypot, np.meshgrid(*(dist,) * n, indexing="ij", sparse=True))
+    with np.errstate(divide="ignore"):
+        kernel = h**n * d ** (alpha - n)
+    kernel[(0,) * n] = _self_weight(n, h, alpha, mode)
+    shape, axes = (2 * N,) * n, tuple(range(n))
+    spectrum = fft.rfftn(values, shape, axes) * fft.rfftn(kernel, shape, axes)
+    return fft.irfftn(spectrum, shape, axes)[(slice(0, N),) * n]

@@ -3,8 +3,9 @@
 The suprema hidden in the comparison theorems carry constants the analysis
 does not trace, so the only honest contract is empirical: the envelopes in
 ``data/calibration.json`` were measured once on the frozen corpus below and
-are asserted thereafter with 10% slack.  Regenerate with
-``scripts/calibrate.py`` after any change to the operators or constructions.
+are asserted thereafter with 10% slack.  The file is frozen: it is never
+regenerated to absorb a change to the operators or constructions, which must
+keep passing against it.  ``scripts/calibrate.py`` shows how it was measured.
 """
 
 from __future__ import annotations

@@ -101,7 +101,31 @@ class ExperimentConfig:
                 if k not in ("n", "J", "L", "T") or not v:
                     raise ConfigError(f"bad --mesh component {part!r}")
                 setattr(cfg, k, int(v))
+        cfg.validate()
         return cfg
+
+    def validate(self) -> None:
+        """Raise ConfigError unless the mesh, the exponents, the seed, every
+        alpha and every weight spec are valid."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative; got {self.seed}")
+        try:
+            mesh = self.mesh()
+            self.exps()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for alpha in self.alphas:
+            if not 0.0 < alpha < self.n:
+                raise ConfigError(f"alphas entry {alpha} is outside (0, {self.n})")
+        if any(len(pair) != 2 for pair in self.pairs):
+            raise ConfigError("every pairs entry must be [uSpec, sigmaSpec]")
+        for spec in [*self.weights, *(s for pair in self.pairs for s in pair)]:
+            if not isinstance(spec, str):
+                raise ConfigError(f"weight spec {spec!r} is not a string")
+            try:
+                generate_weight(mesh, spec)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -37,7 +37,7 @@ __all__ = [
 #: 2^{(alpha-n)(T+1)} / (1 - 2^{alpha-n}) relative to the coarsest kept term.
 DEFAULT_COARSE_PADDING = 40
 
-#: Hard cap on finest cells; the dense reference operator is O(cells^2).
+#: Hard cap on finest cells; the FFT reference operator is O(cells log cells).
 DEFAULT_MAX_CELLS = 1 << 20
 
 
@@ -216,6 +216,20 @@ class Mesh:
         s = np.asarray(shift, dtype=np.int64)
         lo = (3 * coords + sgn * s) * scale
         return lo, lo + 3 * scale
+
+    def center_window(self, lo3, hi3):
+        """Index window [i0, i1) of the cells whose center lies in
+        [lo3, hi3), thirds units; on Python ints or elementwise on arrays."""
+        # cell i has center 6i + 3 in units of h/6; the bounds are 2*lo3, 2*hi3
+        i0 = -((3 - 2 * lo3) // 6)
+        i1 = (2 * hi3 - 4) // 6 + 1
+        if isinstance(i0, np.ndarray):
+            return np.maximum(i0, 0), np.minimum(i1, self.cells_per_axis)
+        return max(i0, 0), min(i1, self.cells_per_axis)
+
+    def center_slices(self, lo3, hi3) -> tuple[slice, ...]:
+        """Index of the cells whose center lies in the box [lo3, hi3)."""
+        return tuple(slice(*self.center_window(int(a), int(b))) for a, b in zip(lo3, hi3))
 
     def contains_cube(self, cube: DyadicCube) -> bool:
         """Whether the cube lies entirely inside the base box."""

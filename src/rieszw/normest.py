@@ -167,7 +167,7 @@ def sawyer_testing(
     exps: ExponentTuple,
     mode: KernelMode = KernelMode.MIDPOINT,
 ) -> TestingReport:
-    """Continuous-form testing constants with the dense reference operator.
+    """Continuous-form testing constants with the reference operator.
 
     Indicators chi_Q are realized by center membership (exact for aligned
     cubes); the scan runs over the in-box corpus of both shifts, matching

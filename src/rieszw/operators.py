@@ -55,35 +55,11 @@ def _check_alpha(mesh: Mesh, alpha: float):
 def riesz_reference(
     f: StepFunction, alpha: float, mode: KernelMode = KernelMode.MIDPOINT
 ) -> StepFunction:
-    """Dense O(cells^2) reference Riesz potential at cell centers."""
+    """Reference Riesz potential at cell centers, by an exact FFT Toeplitz
+    apply in O(cells log cells)."""
     _check_alpha(f.mesh, alpha)
     out = _kernels.riesz_apply(f.values, f.mesh.cell_width, alpha, int(mode))
     return StepFunction(f.mesh, out)
-
-
-def _axis_center_window(lo3: int, hi3: int, ncells: int) -> tuple[int, int]:
-    """Index window [i0, i1) of cells whose center lies in [lo3, hi3)."""
-    # cell i has center 6i + 3 in units of h/6; the bounds are 2*lo3, 2*hi3
-    i0 = max(-((3 - 2 * lo3) // 6), 0)
-    i1 = min((2 * hi3 - 4) // 6 + 1, ncells)
-    return i0, i1
-
-
-def _add_box3(out: np.ndarray, mesh: Mesh, lo3, hi3, value: float):
-    """Accumulate value onto the cells whose center lies in the box."""
-    N = mesh.cells_per_axis
-    if mesh.n == 1:
-        i0, i1 = _axis_center_window(int(lo3[0]), int(hi3[0]), N)
-        out[i0:i1] += value
-    else:
-        i0, i1 = _axis_center_window(int(lo3[0]), int(hi3[0]), N)
-        j0, j1 = _axis_center_window(int(lo3[1]), int(hi3[1]), N)
-        out[i0:i1, j0:j1] += value
-
-
-def _add_cube(out: np.ndarray, mesh: Mesh, cube: DyadicCube, value: float):
-    lo, hi = cube.bounds3(mesh.finest_exponent)
-    _add_box3(out, mesh, lo, hi, value)
 
 
 def _level_cubes_with_averages(f: StepFunction, shift, level):
@@ -118,7 +94,7 @@ def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFun
         for idx in range(lo.shape[0]):
             a = avgs[idx]
             if a > 0.0:
-                _add_box3(out, mesh, lo[idx], hi[idx], factor * a)
+                out[mesh.center_slices(lo[idx], hi[idx])] += factor * a
     return StepFunction(mesh, out)
 
 
@@ -142,17 +118,9 @@ def _sparse_sum(f: StepFunction, alpha: float, cubes: Iterable[DyadicCube]) -> S
     for q in cubes:
         avg = f.cube_average(q)
         if avg > 0.0:
-            _add_cube(out, mesh, q, 2.0 ** (-q.level * alpha) * avg)
+            box = mesh.center_slices(*q.bounds3(mesh.finest_exponent))
+            out[box] += 2.0 ** (-q.level * alpha) * avg
     return StepFunction(mesh, out)
-
-
-def _center_windows(mesh: Mesh, lo3: np.ndarray, hi3: np.ndarray):
-    """Per-axis index windows of cells whose center lies in [lo3, hi3)."""
-    # center of cell i sits at (6i + 3) in units of h/6; bounds are 2*lo3, 2*hi3
-    N = mesh.cells_per_axis
-    i0 = np.maximum(-((3 - 2 * lo3) // 6), 0)
-    i1 = np.minimum((2 * hi3 - 4) // 6 + 1, N)
-    return i0, i1
 
 
 def _pointwise_sup_over_levels(mesh: Mesh, shift, per_cube_value) -> np.ndarray:
@@ -163,7 +131,7 @@ def _pointwise_sup_over_levels(mesh: Mesh, shift, per_cube_value) -> np.ndarray:
     for k in mesh.levels():
         lo, hi = mesh.level_bounds3(shift, k)
         vals = per_cube_value(k, lo, hi)
-        i0, i1 = _center_windows(mesh, lo, hi)
+        i0, i1 = mesh.center_window(lo, hi)
         for idx in range(lo.shape[0]):
             v = vals[idx]
             if v <= 0.0:

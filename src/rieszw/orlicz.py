@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import DyadicCube, Mesh, StepFunction
+from ._kernels import LuxemburgError
+from .mesh import DyadicCube, StepFunction
 
 __all__ = [
     "YoungFunction",
@@ -35,9 +36,6 @@ __all__ = [
     "crv_gap_check",
 ]
 
-_E = math.e
-_EE = math.exp(math.e)
-
 _KIND_NAMES = {
     _kernels.KIND_POWER: "power",
     _kernels.KIND_LOG_BUMP: "log_bump",
@@ -46,10 +44,6 @@ _KIND_NAMES = {
     _kernels.KIND_DUAL_LOGLOG: "dual_loglog_bump",
 }
 _KIND_NUMERIC = -1
-
-
-class LuxemburgError(RuntimeError):
-    """Bisection bracket for the Luxemburg norm could not be established."""
 
 
 _CONJUGATE_CACHE: dict = {}
@@ -419,22 +413,9 @@ def orlicz_maximal(f: StepFunction, phi: YoungFunction) -> StepFunction:
             for cube, v in zip(cubes, norms):
                 if v <= 0.0:
                     continue
-                lo, hi = cube.bounds3(mesh.finest_exponent)
-                _paint_max(out, mesh, lo, hi, float(v))
+                s = out[mesh.center_slices(*cube.bounds3(mesh.finest_exponent))]
+                np.maximum(s, float(v), out=s)
     return StepFunction(mesh, out)
-
-
-def _paint_max(out: np.ndarray, mesh: Mesh, lo3, hi3, value: float):
-    N = mesh.cells_per_axis
-    i0 = max(-((3 - 2 * int(lo3[0])) // 6), 0)
-    i1 = min((2 * int(hi3[0]) - 4) // 6 + 1, N)
-    if mesh.n == 1:
-        s = out[i0:i1]
-    else:
-        j0 = max(-((3 - 2 * int(lo3[1])) // 6), 0)
-        j1 = min((2 * int(hi3[1]) - 4) // 6 + 1, N)
-        s = out[i0:i1, j0:j1]
-    np.maximum(s, value, out=s)
 
 
 def generalized_holder(
@@ -509,7 +490,7 @@ def crv_gap_check(
             g = np.full(len(n0), par)
         else:
             r = np.minimum(nq / n1, 1.0)
-            g = np.log(_E / r) ** (-par)
+            g = np.log(_kernels._E / r) ** (-par)
         ratio = float(np.max(n0 / (n1 ** (1.0 - g) * nq**g)))
         if ratio <= _GAP_CONSTANT:
             # largest parameter still admissible wins

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .mesh import DyadicCube, Mesh, StepFunction
-from .orlicz import YoungFunction, luxemburg_norms
+from .orlicz import YoungFunction, _conjugate, luxemburg_norms
 
 __all__ = [
     "ExponentTuple",
@@ -62,16 +62,16 @@ class ExponentTuple:
             sp_alt = self.p * (self.n - self.alpha) / (self.n - self.alpha * self.p)
             if abs(self.s_p - sp_alt) > 1e-12 * max(self.s_p, sp_alt):
                 raise AssertionError("Sobolev form of s(p) disagrees")
-            if abs(_conj(self.s_p) - self.s_qprime) > 1e-12 * self.s_qprime:
+            if abs(_conjugate(self.s_p) - self.s_qprime) > 1e-12 * self.s_qprime:
                 raise AssertionError("s(p)' != s(q')")
 
     @property
     def p_prime(self) -> float:
-        return _conj(self.p)
+        return _conjugate(self.p)
 
     @property
     def q_prime(self) -> float:
-        return _conj(self.q)
+        return _conjugate(self.q)
 
     @property
     def s_p(self) -> float:
@@ -92,10 +92,6 @@ class ExponentTuple:
         if inv_q <= 0.0:
             raise ValueError("Sobolev exponent q is not finite for this (p, alpha)")
         return ExponentTuple(n, alpha, p, 1.0 / inv_q)
-
-
-def _conj(p: float) -> float:
-    return p / (p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ def ap_constant(w: StepFunction, p: float) -> CharacteristicReport:
     Cubes where w vanishes on some cell but not all report +inf."""
     if p <= 1.0:
         raise ValueError("need p > 1")
-    pp = _conj(p)
+    pp = _conjugate(p)
     pos = w.values > 0.0
     dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (1.0 - pp) * pos)
     zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
@@ -199,7 +195,7 @@ def apq_constant(w: StepFunction, p: float, q: float) -> CharacteristicReport:
     """[w]_{A_{p,q}} = sup_Q (avg_Q w^q)^{1/q} (avg_Q w^{-p'})^{1/p'}."""
     if not 1.0 < p <= q:
         raise ValueError("need 1 < p <= q")
-    pp = _conj(p)
+    pp = _conjugate(p)
     pos = w.values > 0.0
     wq = w.map(lambda v: v**q)
     dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (-pp) * pos)
@@ -271,16 +267,8 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
 
 
 def _center_mask(mesh: Mesh, lo3, hi3) -> np.ndarray:
-    N = mesh.cells_per_axis
-    mask = np.zeros((N,) * mesh.n)
-    i0 = max(-((3 - 2 * int(lo3[0])) // 6), 0)
-    i1 = min((2 * int(hi3[0]) - 4) // 6 + 1, N)
-    if mesh.n == 1:
-        mask[i0:i1] = 1.0
-    else:
-        j0 = max(-((3 - 2 * int(lo3[1])) // 6), 0)
-        j1 = min((2 * int(hi3[1]) - 4) // 6 + 1, N)
-        mask[i0:i1, j0:j1] = 1.0
+    mask = np.zeros((mesh.cells_per_axis,) * mesh.n)
+    mask[mesh.center_slices(lo3, hi3)] = 1.0
     return mask
 
 

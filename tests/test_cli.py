@@ -56,6 +56,27 @@ class TestExitCodes:
         r = run_cli(tmp_path, "verify", SMALL, extra=["--mesh", "Z=3"])
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "overrides, mesh",
+        [
+            ({}, "n=1,J=0,L=30"),
+            ({}, "n=3"),
+            ({}, "T=-1"),
+            ({"alpha": 1.5}, None),
+            ({"alphas": [0.5, 1.0]}, None),
+            ({"weights": ["bogus:x=1"]}, None),
+            ({"seed": -1}, None),
+        ],
+        ids=["too-many-cells", "n=3", "negative-padding", "alpha", "alphas-entry", "weight-kind",
+             "negative-seed"],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, overrides, mesh):
+        extra = ["--mesh", mesh] if mesh else []
+        r = run_cli(tmp_path, "verify", dict(SMALL, **overrides), extra=extra)
+        assert r.returncode == 2
+        assert r.stderr.startswith("config error: ")
+        assert "Traceback" not in r.stderr
+
     def test_unknown_command(self, tmp_path):
         r = run_cli(tmp_path, "frobnicate")
         assert r.returncode == 2

@@ -1,4 +1,7 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,39 +202,57 @@ class TestMaximal:
         assert np.all(frac_maximal_weighted(one, zero, ALPHA, (0,)).values == 0.0)
 
 
-class TestKernelBackends:
-    """The jitted and numpy paths must agree regardless of which one the
-    package selected at import time."""
+def dense_riesz_oracle(values, h, alpha, mode):
+    """Reference apply summed cell pair by cell pair from the mode rules:
+    lower takes the farthest point of the source cell, midpoint its center,
+    upper its nearest point; the self cell takes the half-diagonal (lower)
+    or the equal-volume ball integral n*omega_n*rho^alpha/alpha."""
+    n, N = values.ndim, values.shape[0]
+    omega = 2.0 if n == 1 else math.pi
+    if mode == KernelMode.LOWER:
+        wself = h**n * (0.5 * h * math.sqrt(n)) ** (alpha - n)
+    else:
+        wself = n * omega * (h**n / omega) ** (alpha / n) / alpha
+    cells = list(itertools.product(range(N), repeat=n))
+    out = np.zeros(values.shape)
+    for i in cells:
+        acc = 0.0
+        for j in cells:
+            if i == j:
+                acc += wself * values[j]
+                continue
+            gaps = [abs(a - b) * h for a, b in zip(i, j)]
+            if mode == KernelMode.LOWER:
+                gaps = [g + 0.5 * h for g in gaps]
+            elif mode == KernelMode.UPPER:
+                gaps = [max(g - 0.5 * h, 0.0) for g in gaps]
+            acc += h**n * math.hypot(*gaps) ** (alpha - n) * values[j]
+        out[i] = acc
+    return out
 
-    def test_riesz_1d_agreement(self):
-        rng = np.random.default_rng(11)
-        v = np.exp(rng.standard_normal(128))
-        h = 1.0 / 128
-        for mode in (0, 1, 2):
-            a = _kernels.riesz_apply(v, h, ALPHA, mode)
-            b = _kernels.riesz_apply_1d_np(v, h, ALPHA, mode)
-            np.testing.assert_allclose(a, b, rtol=1e-11)
 
-    def test_riesz_2d_agreement(self):
-        rng = np.random.default_rng(12)
-        v = np.exp(rng.standard_normal((16, 16)))
-        h = 1.0 / 16
-        for mode in (0, 1, 2):
-            a = _kernels.riesz_apply(v, h, 1.3, mode)
-            b = _kernels.riesz_apply_2d_np(v, h, 1.3, mode)
-            np.testing.assert_allclose(a, b, rtol=1e-11)
+class TestRieszApply:
+    """The FFT Toeplitz apply against the dense pairwise sum."""
 
-    def test_luxemburg_agreement(self):
-        rng = np.random.default_rng(13)
-        vals = np.exp(rng.standard_normal(200))
-        wts = np.full(200, 1.0 / 50)
-        indptr = np.array([0, 50, 120, 200], dtype=np.int64)
-        vols = np.array([1.0, 1.4, 1.6])
-        for kind, a, b in [
-            (_kernels.KIND_POWER, 2.0, 1.0),
-            (_kernels.KIND_LOG_BUMP, 4.0, 1.0),
-            (_kernels.KIND_DUAL_LOGLOG, 1.5, 0.5),
-        ]:
-            got = _kernels.luxemburg_batch(vals, wts, indptr, vols, kind, a, b)
-            ref = _kernels.luxemburg_batch_np(vals, wts, indptr, vols, kind, a, b)
-            np.testing.assert_allclose(got, ref, rtol=1e-10)
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    @pytest.mark.parametrize("alpha_end", ["low", "high"])
+    @pytest.mark.parametrize("n, N", [(1, 1), (1, 2), (1, 128), (2, 1), (2, 2), (2, 16)])
+    def test_matches_dense_oracle(self, n, N, alpha_end, mode):
+        alpha = 0.05 if alpha_end == "low" else n - 0.05
+        rng = np.random.default_rng(100 * n + N)
+        v = np.exp(rng.standard_normal((N,) * n))
+        h = 1.0 / N
+        got = _kernels.riesz_apply(v, h, alpha, int(mode))
+        np.testing.assert_allclose(got, dense_riesz_oracle(v, h, alpha, mode), rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_masked_input_matches_dense_oracle(self, mode):
+        rng = np.random.default_rng(7)
+        v = np.exp(rng.standard_normal((16, 16))) * (rng.random((16, 16)) < 0.2)
+        got = _kernels.riesz_apply(v, 1.0 / 16, 1.3, int(mode))
+        np.testing.assert_allclose(got, dense_riesz_oracle(v, 1.0 / 16, 1.3, mode), rtol=1e-12)
+
+    def test_numpy_fft_is_not_loaded_at_import(self):
+        code = "import sys, rieszw, rieszw.cli; assert 'numpy.fft' not in sys.modules"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rieszw.mesh import DyadicCube, Mesh, StepFunction
 from rieszw.orlicz import (
+    LuxemburgError,
     YoungFunction,
     bp_check,
     crv_gap_check,
@@ -162,6 +163,12 @@ class TestLuxemburg:
         batch = luxemburg_norms(f, cubes, phi)
         for q, v in zip(cubes, batch):
             assert v == pytest.approx(luxemburg_norm(f, q, phi), rel=1e-12)
+
+    def test_failed_bracket_raises(self):
+        # the exact norm is 1e100, beyond 200 doublings of the start max f = 1
+        f = StepFunction.constant(Mesh(1, 0, 4), 1.0)
+        with pytest.raises(LuxemburgError, match="upper bracket"):
+            luxemburg_norm(f, ROOT, YoungFunction.power(2.0, 1e200))
 
     def test_numeric_table_agrees_with_closed_form(self, unit_mesh):
         f = lognormal(unit_mesh, 52)
