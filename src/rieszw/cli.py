@@ -127,6 +127,16 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
+    def validate_command(self, command: str) -> None:
+        """Raise ConfigError unless the config gives ``command`` what it
+        needs: sandwich, corona and norm build their family from the first
+        random function, and so does verify for the weight pairs."""
+        needs_function = command in ("sandwich", "corona", "norm") or (
+            command == "verify" and self.weight_pairs()
+        )
+        if needs_function and self.n_random_functions < 1:
+            raise ConfigError(f"{command} needs at least one random function (n_random_functions >= 1)")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -481,6 +491,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.from_args(args)
+        cfg.validate_command(args.command)
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

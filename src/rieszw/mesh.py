@@ -166,6 +166,19 @@ class Mesh:
         """All admissible levels, coarse to fine."""
         return range(self.coarsest_level, self.finest_exponent + 1)
 
+    def maximal_levels(self, shift: tuple[int, ...]) -> range:
+        """The levels a maximal sweep over the grid needs, coarse to fine.
+
+        It starts at the finest level at which one grid cube contains the
+        whole box.  Every coarser level also has one cube meeting the box,
+        with the same integrals over a larger volume, so it cannot raise a
+        maximum of averages.  If no level in range covers the box, all
+        levels are kept."""
+        for k in reversed(self.levels()):
+            if all(len(r) == 1 for r in self.coord_range(tuple(shift), k)):
+                return range(k, self.finest_exponent + 1)
+        return self.levels()
+
     def shifts(self) -> list[tuple[int, ...]]:
         """The 2^n grid shifts, all-zero first."""
         return [tuple(s) for s in itertools.product((0, 1), repeat=self.n)]

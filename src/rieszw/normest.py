@@ -16,7 +16,7 @@ import numpy as np
 
 from .mesh import DyadicCube, Mesh, StepFunction
 from .operators import KernelMode, restricted_sparse_riesz, riesz_reference, sparse_riesz
-from .sparse import SparseFamily, _ancestor_at, _contains3
+from .sparse import SparseFamily, _ancestor_at
 from .weights import (
     CharacteristicReport,
     ExponentTuple,
@@ -132,11 +132,8 @@ def _testing_sup(
     inside R, so the integral needs no explicit localization."""
     mesh = family.mesh
     best, witness, skipped = 0.0, None, 0
-    L = mesh.finest_exponent
-    member_bounds = [(q, q.bounds3(L)) for q in family.cubes]
     for R in _candidate_roots(family):
-        rb = R.bounds3(L)
-        if not any(_contains3(rb, b) for _, b in member_bounds):
+        if not family.contained_in(R).any():
             continue
         den = den_w.cube_integral(R)
         if den <= 0.0:

@@ -12,6 +12,16 @@ Discretization conventions:
   grids cubes never straddle cells, so this agrees with the function itself;
   it also makes the domination and upper-comparison inequalities hold at
   the same evaluation points as the reference operator.
+
+Cost:
+
+* A sparse apply is one batched ``integral_box3`` over the members and one
+  ``np.bincount`` over the member-to-cell incidence that the family caches
+  (``SparseFamily.arrays``): no Python loop over members, and the sum of
+  each cell is formed in member order, as a per-member loop forms it.
+* Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
+  coarser padding levels repeat the covering cube's integrals over a larger
+  volume, so they cannot raise the maximum.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,35 +110,44 @@ def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFun
 
 def sparse_riesz(f: StepFunction, alpha: float, family) -> StepFunction:
     """Sparse Riesz potential over a certified sparse family."""
-    return _sparse_sum(f, alpha, family.cubes)
+    return _sparse_sum(f, alpha, family)
 
 
 def restricted_sparse_riesz(
     f: StepFunction, alpha: float, family, root: DyadicCube
 ) -> StepFunction:
     """Sparse Riesz potential over the members contained in ``root``."""
-    members = [q for q in family.cubes if root.contains_cube(q)]
-    return _sparse_sum(f, alpha, members)
+    return _sparse_sum(f, alpha, family, family.contained_in(root))
 
 
-def _sparse_sum(f: StepFunction, alpha: float, cubes: Iterable[DyadicCube]) -> StepFunction:
+def _sparse_sum(f: StepFunction, alpha: float, family, keep=None) -> StepFunction:
+    """sum over the members Q (those set in ``keep``) of
+    2^(-level(Q) alpha) avg_Q f, painted on the cells whose centre lies in Q.
+
+    ``bincount`` adds each cell's terms in member order, starting from 0.0,
+    so the sum is the one a per-member loop forms, bit for bit."""
     mesh = f.mesh
     _check_alpha(mesh, alpha)
-    out = np.zeros_like(f.values)
-    for q in cubes:
-        avg = f.cube_average(q)
-        if avg > 0.0:
-            box = mesh.center_slices(*q.bounds3(mesh.finest_exponent))
-            out[box] += 2.0 ** (-q.level * alpha) * avg
-    return StepFunction(mesh, out)
+    level, lo3, hi3, volume, cells, counts = family.arrays
+    if keep is not None:
+        cells = cells[np.repeat(keep, counts)]
+        level, lo3, hi3, volume, counts = level[keep], lo3[keep], hi3[keep], volume[keep], counts[keep]
+    # Python pow per level, as a scalar loop computes it (np.power can differ in the last bit)
+    factor = np.array([2.0 ** (-k * alpha) for k in mesh.levels()])[level - mesh.coarsest_level]
+    w = factor * (f.integral_box3(lo3, hi3) / volume)
+    out = np.bincount(cells, weights=np.repeat(w, counts), minlength=mesh.total_cells)
+    return StepFunction(mesh, out.reshape(f.values.shape))
 
 
 def _pointwise_sup_over_levels(mesh: Mesh, shift, per_cube_value) -> np.ndarray:
     """Max over levels of the per-cube values painted onto cells whose
     center lies in each cube.  ``per_cube_value(level, lo, hi)`` returns the
-    value array for all level cubes."""
+    value array for all level cubes.  Only ``mesh.maximal_levels`` are
+    swept, so the value of the one cube containing the box must not grow
+    when the cube is replaced by its parent: an average shrinks, and a
+    weighted fractional average stays the same."""
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
-    for k in mesh.levels():
+    for k in mesh.maximal_levels(shift):
         lo, hi = mesh.level_bounds3(shift, k)
         vals = per_cube_value(k, lo, hi)
         i0, i1 = mesh.center_window(lo, hi)

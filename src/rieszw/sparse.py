@@ -9,9 +9,10 @@ over maximal members.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +55,17 @@ def _intersects3(b1, b2) -> bool:
     return all(a < d and c < b for a, b, c, d in zip(lo_a, hi_a, lo_b, hi_b))
 
 
+class MemberArrays(NamedTuple):
+    """Per-member arrays of a family, in its coarse-to-fine member order."""
+
+    level: np.ndarray  # (m,) int64
+    lo3: np.ndarray  # (m, n) int64 lower corners, thirds of the finest cell width
+    hi3: np.ndarray  # (m, n) int64 upper corners
+    volume: np.ndarray  # (m,) 2^(-level * n)
+    cells: np.ndarray  # flat indices of the cells whose centre lies in each member, member by member
+    counts: np.ndarray  # (m,) how many of ``cells`` belong to each member
+
+
 @dataclass(frozen=True)
 class SparseFamily:
     """A set of cubes from one shifted grid of the mesh.
@@ -87,9 +99,43 @@ class SparseFamily:
     def __len__(self) -> int:
         return len(self.cubes)
 
+    @functools.cached_property
+    def arrays(self) -> "MemberArrays":
+        """The members' integer geometry, computed once per family."""
+        mesh = self.mesh
+        level = np.array([q.level for q in self.cubes], dtype=np.int64)
+        bounds = [q.bounds3(mesh.finest_exponent) for q in self.cubes]
+        lo3, hi3 = np.array(bounds, dtype=np.int64).reshape(-1, 2, mesh.n).transpose(1, 0, 2)
+        volume = np.ldexp(1.0, -mesh.n * level)
+        i0, i1 = mesh.center_window(lo3, hi3)
+        width = np.maximum(i1 - i0, 0)
+        counts = width.prod(axis=1)
+        # unravel each member's window row-major into flat cell indices
+        owner = np.repeat(np.arange(len(level)), counts)
+        rest = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        cells = np.zeros_like(rest)
+        stride = 1
+        for axis in reversed(range(mesh.n)):
+            w = width[owner, axis]
+            cells += (i0[owner, axis] + rest % w) * stride
+            rest //= w
+            stride *= mesh.cells_per_axis
+        out = MemberArrays(level, lo3, hi3, volume, cells, counts)
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    def contained_in(self, root: DyadicCube) -> np.ndarray:
+        """Boolean mask over the members: those contained in the root cube."""
+        if root.shift != self.shift:
+            raise ValueError("containment is only defined within one grid")
+        lo, hi = root.bounds3(self.mesh.finest_exponent)
+        a = self.arrays
+        return np.all(a.lo3 >= lo, axis=1) & np.all(a.hi3 <= hi, axis=1)
+
     def members_in(self, root: DyadicCube) -> list[DyadicCube]:
         """Members contained in the root cube (the root included if present)."""
-        return [q for q in self.cubes if root.contains_cube(q)]
+        return [self.cubes[i] for i in np.flatnonzero(self.contained_in(root))]
 
     def to_jsonable(self) -> dict:
         return {

@@ -115,18 +115,13 @@ def in_box_cubes(
 ) -> Iterator[tuple[DyadicCube, tuple, tuple]]:
     """All enumerated cubes of both shifts contained in the base box,
     coarse to fine, aligned shift first."""
-    for shift in mesh.shifts():
-        for level in mesh.levels():
-            coords = mesh.level_cube_coords(shift, level)
-            lo, hi = mesh.level_bounds3(shift, level)
-            box3 = 3 * mesh.cells_per_axis
-            keep = np.all(lo >= 0, axis=1) & np.all(hi <= box3, axis=1)
-            for i in np.flatnonzero(keep):
-                cube = DyadicCube(shift, level, tuple(int(c) for c in coords[i]))
-                if with_bounds:
-                    yield cube, tuple(lo[i]), tuple(hi[i])
-                else:
-                    yield cube
+    for shift, level, coords, lo, hi in _scan_levels(mesh):
+        for i in range(len(coords)):
+            cube = DyadicCube(shift, level, tuple(int(c) for c in coords[i]))
+            if with_bounds:
+                yield cube, tuple(lo[i]), tuple(hi[i])
+            else:
+                yield cube
 
 
 def _scan_levels(mesh: Mesh):

@@ -81,6 +81,13 @@ class TestExitCodes:
         r = run_cli(tmp_path, "frobnicate")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("command", ["sandwich", "corona", "norm", "verify"])
+    def test_no_random_function_exits_2(self, tmp_path, command):
+        r = run_cli(tmp_path, command, dict(SMALL, n_random_functions=0))
+        assert r.returncode == 2
+        assert r.stderr.startswith("config error: ") and "random function" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_empty_weight_config_noop(self, tmp_path):
         cfg = dict(SMALL, weights=[], n_random_functions=0)
         r = run_cli(tmp_path, "verify", cfg)

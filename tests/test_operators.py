@@ -8,6 +8,7 @@ import pytest
 
 from rieszw import _kernels
 from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
+from rieszw.normest import _candidate_roots
 from rieszw.operators import (
     KernelMode,
     compare_pointwise,
@@ -171,6 +172,136 @@ class TestSparseOperator:
         lhs = float(np.sum(sparse_riesz(f, ALPHA, fam).values * g.values)) * vol
         rhs = float(np.sum(sparse_riesz(g, ALPHA, fam).values * f.values)) * vol
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def loop_sparse_sum(f, alpha, cubes):
+    """The sparse sum one member at a time, painting each term on the cells
+    whose centre lies in the member."""
+    mesh = f.mesh
+    out = np.zeros_like(f.values)
+    for q in cubes:
+        avg = f.cube_average(q)
+        if avg > 0.0:
+            box = mesh.center_slices(*q.bounds3(mesh.finest_exponent))
+            out[box] += 2.0 ** (-q.level * alpha) * avg
+    return out
+
+
+def half_zero(mesh, seed):
+    """A lognormal function that vanishes on the upper half of the first axis."""
+    f = lognormal(mesh, seed)
+    vals = f.values.copy()
+    vals[mesh.cells_per_axis // 2 :] = 0.0
+    return StepFunction(mesh, vals)
+
+
+def mesh_id(mesh):
+    return f"n{mesh.n}-J{mesh.base_exponent}-L{mesh.finest_exponent}-T{mesh.coarse_padding}"
+
+
+SPARSE_CASES = [
+    pytest.param(mesh, shift, id=f"{mesh_id(mesh)}-shift{''.join(map(str, shift))}")
+    for mesh in (Mesh(1, 0, 6), Mesh(1, 1, 4, coarse_padding=3), Mesh(2, 0, 3))
+    for shift in mesh.shifts()
+]
+
+
+class TestSparseOracle:
+    """The bincount apply against the per-member loop, with ==."""
+
+    @pytest.mark.parametrize("mesh, shift", SPARSE_CASES)
+    def test_sparse_riesz_equals_loop(self, mesh, shift):
+        alpha = 0.3  # np.power(2.0, -k * 0.3) differs from 2.0 ** (-k * 0.3) at some k
+        fam, _ = build_sparse(lognormal(mesh, 30), shift, alpha)
+        g = half_zero(mesh, 31)
+        assert any(g.cube_average(q) == 0.0 for q in fam.cubes)
+        for h in (lognormal(mesh, 32), g):
+            got = sparse_riesz(h, alpha, fam).values
+            assert np.array_equal(got, loop_sparse_sum(h, alpha, fam.cubes))
+
+    @pytest.mark.parametrize("mesh, shift", SPARSE_CASES)
+    def test_restricted_equals_loop_at_every_root(self, mesh, shift):
+        alpha = 0.3
+        fam, _ = build_sparse(lognormal(mesh, 33), shift, alpha)
+        g = half_zero(mesh, 34)
+        for root in _candidate_roots(fam):
+            members = [q for q in fam.cubes if root.contains_cube(q)]
+            assert fam.members_in(root) == members
+            got = restricted_sparse_riesz(g, alpha, fam, root).values
+            assert np.array_equal(got, loop_sparse_sum(g, alpha, members))
+
+    def test_empty_family(self):
+        for mesh in (Mesh(1, 0, 4), Mesh(2, 0, 2)):
+            fam = SparseFamily(mesh, mesh.shifts()[-1], ())
+            f = lognormal(mesh, 35)
+            assert np.array_equal(sparse_riesz(f, 0.5, fam).values, np.zeros_like(f.values))
+            root = DyadicCube(fam.shift, 0, (0,) * mesh.n)
+            assert fam.members_in(root) == []
+            assert np.all(restricted_sparse_riesz(f, 0.5, fam, root).values == 0.0)
+
+    def test_root_of_another_grid_rejected(self, unit_mesh):
+        fam = SparseFamily(unit_mesh, (0,), (DyadicCube((0,), 0, (0,)),))
+        with pytest.raises(ValueError):
+            fam.members_in(DyadicCube((1,), 0, (0,)))
+
+
+def all_levels_sup(mesh, shifts, value):
+    """Max over every level of every grid in ``shifts`` of the per-cube
+    values, painted on the cells whose centre lies in each cube."""
+    out = np.zeros((mesh.cells_per_axis,) * mesh.n)
+    for shift in shifts:
+        for k in mesh.levels():
+            lo, hi = mesh.level_bounds3(shift, k)
+            vals = value(k, lo, hi)
+            for idx in range(lo.shape[0]):
+                if vals[idx] > 0.0:
+                    s = out[mesh.center_slices(lo[idx], hi[idx])]
+                    np.maximum(s, vals[idx], out=s)
+    return out
+
+
+MAXIMAL_MESHES = [
+    Mesh(1, 0, 5),
+    Mesh(1, 1, 4),
+    Mesh(2, 0, 3),
+    Mesh(2, 1, 2),
+    Mesh(1, 0, 4, coarse_padding=0),
+    Mesh(2, 1, 2, coarse_padding=0),
+]
+
+
+class TestMaximalOracle:
+    """Sweeps that stop at the covering level against all-levels sweeps."""
+
+    def test_maximal_levels_start_at_covering_level(self):
+        padded = Mesh(1, 1, 4)
+        assert all(len(padded.maximal_levels(s)) < len(padded.levels()) for s in padded.shifts())
+        tight = Mesh(1, 0, 4, coarse_padding=0)
+        assert tight.maximal_levels((1,)) == tight.levels()
+
+    @pytest.mark.parametrize("mesh", MAXIMAL_MESHES, ids=mesh_id)
+    def test_hl_maximal_equals_all_levels(self, mesh):
+        for f in (lognormal(mesh, 40), half_zero(mesh, 41)):
+            def avg(k, lo, hi):
+                return f.integral_box3(lo, hi) / 2.0 ** (-k * mesh.n)
+
+            expect = all_levels_sup(mesh, mesh.shifts(), avg)
+            assert np.array_equal(hl_maximal(f).values, expect)
+
+    @pytest.mark.parametrize("mesh", MAXIMAL_MESHES, ids=mesh_id)
+    def test_frac_maximal_equals_all_levels(self, mesh):
+        f, mu = lognormal(mesh, 42), half_zero(mesh, 43)
+        alpha = 0.5 * mesh.n
+        fmu = StepFunction(mesh, f.values * mu.values)
+
+        def value(k, lo, hi):
+            muq = mu.integral_box3(lo, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(muq > 0.0, muq ** (alpha / mesh.n - 1.0) * fmu.integral_box3(lo, hi), 0.0)
+
+        for shift in mesh.shifts():
+            got = frac_maximal_weighted(f, mu, alpha, shift).values
+            assert np.array_equal(got, all_levels_sup(mesh, [shift], value))
 
 
 class TestMaximal:
