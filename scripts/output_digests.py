@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Run the CLI subcommands on fixed configs and print one SHA-256 digest per
+output file, so that two checkouts compare with one ``diff``.
+
+    python3 scripts/output_digests.py > digests.txt
+
+The runs are every subcommand at ``--mesh n=1,J=0,L=6`` and the 2-D
+``constants`` and ``verify`` at ``--mesh n=2,J=0,L=3``, all with the default
+config and seed.  Outputs go to a temporary directory that is removed
+afterwards; the subcommands' own messages go to stderr.  Exits 1 if a
+subcommand exits with 1 or 2 (3, success with a warning, counts as success).
+"""
+
+import contextlib
+import hashlib
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from rieszw import cli
+
+RUNS = [
+    *((cmd, "n=1,J=0,L=6") for cmd in
+      ("sandwich", "verify", "constants", "corona", "sparse", "norm", "exponent-fit")),
+    ("constants", "n=2,J=0,L=3"),
+    ("verify", "n=2,J=0,L=3"),
+]
+
+
+def main() -> int:
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        for cmd, mesh in RUNS:
+            out = root / f"{cmd}-{mesh.replace(',', '-').replace('=', '')}"
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli.main([cmd, "--mesh", mesh, "--jobs", "1", "--out", str(out)])
+            print(f"{cmd} --mesh {mesh}: exit {code}", file=sys.stderr)
+            if code in (1, 2):
+                failed.append(f"{cmd} --mesh {mesh}")
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root)}")
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,8 +3,10 @@ decomposition, and Carleson-sequence checks.
 
 All measure arithmetic on unions of grid cubes is exact: cubes of one grid
 are nested or disjoint, cube corners are integer multiples of h/3, and cube
-volumes are integers in units of (h/3)^n, so unions reduce to integer sums
-over maximal members.
+volumes are integers in units of (h/3)^n.  The members of a family form one
+containment forest (:attr:`SparseFamily.forest`), found level by level in
+O(|S| * levels); the certificates sum integer volumes over its children and
+generations instead of testing cubes pairwise.
 """
 
 from __future__ import annotations
@@ -35,24 +37,10 @@ __all__ = [
 ]
 
 
-def _vol3(cube: DyadicCube, L: int) -> int:
-    lo, hi = cube.bounds3(L)
-    v = 1
-    for a, b in zip(lo, hi):
-        v *= b - a
-    return v
-
-
-def _contains3(outer, inner) -> bool:
-    (lo_a, hi_a), (lo_b, hi_b) = outer, inner
-    return all(a <= b for a, b in zip(lo_a, lo_b)) and all(
-        b <= a for a, b in zip(hi_a, hi_b)
-    )
-
-
-def _intersects3(b1, b2) -> bool:
-    (lo_a, hi_a), (lo_b, hi_b) = b1, b2
-    return all(a < d and c < b for a, b, c, d in zip(lo_a, hi_a, lo_b, hi_b))
+def _vol3(n: int, L: int, level: int) -> int:
+    """Volume of a level cube in units of (2^-L / 3)^n, as a Python int
+    (it exceeds int64 for coarse padding levels in 2-D)."""
+    return (3 << (L - level)) ** n
 
 
 class MemberArrays(NamedTuple):
@@ -64,6 +52,13 @@ class MemberArrays(NamedTuple):
     volume: np.ndarray  # (m,) 2^(-level * n)
     cells: np.ndarray  # flat indices of the cells whose centre lies in each member, member by member
     counts: np.ndarray  # (m,) how many of ``cells`` belong to each member
+
+
+class Forest(NamedTuple):
+    """The containment forest of a family, in its member order."""
+
+    parent: np.ndarray  # (m,) int64 finest strictly containing member, -1 if maximal
+    depth: np.ndarray  # (m,) int64 members containing it, itself included
 
 
 @dataclass(frozen=True)
@@ -125,6 +120,31 @@ class SparseFamily:
             a.setflags(write=False)
         return out
 
+    @functools.cached_property
+    def forest(self) -> Forest:
+        """Parent pointers and depths, computed once per family.
+
+        Members are level-contiguous and coordinate-sorted, so for each
+        member level k the finer members' lower corners are floored to the
+        level-k lattice and looked up among the level-k members by binary
+        search; the finest level with a hit gives the parent."""
+        a = self.arrays
+        m = len(a.level)
+        parent = np.full(m, -1, dtype=np.int64)
+        depth = np.ones(m, dtype=np.int64)
+        levels, starts = np.unique(a.level, return_index=True)
+        for k, start, stop in zip(levels.tolist(), starts.tolist(), [*starts[1:].tolist(), m]):
+            here = _flat_index(self.mesh, self.shift, k, a.lo3[start:stop])
+            there = _flat_index(self.mesh, self.shift, k, a.lo3[stop:])
+            pos = np.minimum(np.searchsorted(here, there), len(here) - 1)
+            hit = here[pos] == there
+            parent[stop:][hit] = start + pos[hit]
+            depth[stop:] += hit
+        out = Forest(parent, depth)
+        for x in out:
+            x.setflags(write=False)
+        return out
+
     def contained_in(self, root: DyadicCube) -> np.ndarray:
         """Boolean mask over the members: those contained in the root cube."""
         if root.shift != self.shift:
@@ -153,22 +173,6 @@ class SparseFamily:
         return SparseFamily(mesh, shift, cubes)
 
 
-def _maximal_disjoint_vol3(bounds: list) -> int:
-    """Total thirds-volume of a union of nested-or-disjoint boxes, given as
-    (lo, hi) pairs sorted coarse to fine (containers first)."""
-    kept: list = []
-    total = 0
-    for b in bounds:
-        if any(_contains3(k, b) for k in kept):
-            continue
-        kept.append(b)
-        v = 1
-        for a, c in zip(b[0], b[1]):
-            v *= c - a
-        total += v
-    return total
-
-
 @dataclass(frozen=True)
 class SparsityCertificate:
     ok: bool
@@ -182,37 +186,34 @@ def verify_sparse(family: SparseFamily) -> SparsityCertificate:
     """Exact check that |union of strict S-subcubes| <= |Q|/2 for every
     member (equivalently |Q| <= 2|E(Q)|), in integer thirds units.
 
-    Pairwise disjointness of the sets E(Q) is structural: it follows from
-    the nesting trichotomy of a single grid, which is asserted here for
-    every intersecting pair."""
-    L = family.mesh.finest_exponent
-    bounds = [q.bounds3(L) for q in family.cubes]
-    worst = 0.0
-    worst_cube = None
-    violating = None
-    for i, q in enumerate(family.cubes):
-        vol = 1
-        for a, b in zip(*bounds[i]):
-            vol *= b - a
-        subs = []
-        for j, other in enumerate(family.cubes):
-            if j == i or not _intersects3(bounds[i], bounds[j]):
-                continue
-            inside = _contains3(bounds[i], bounds[j])
-            outside = _contains3(bounds[j], bounds[i])
-            if not inside and not outside:
-                raise AssertionError(
-                    f"nesting trichotomy violated for {q} and {other}"
-                )
-            if inside and other.level > q.level:
-                subs.append((other.level, bounds[j]))
-        subs.sort(key=lambda t: t[0])
-        union = _maximal_disjoint_vol3([b for _, b in subs])
-        ratio = union / vol
-        if ratio > worst:
-            worst, worst_cube = ratio, q
-        if 2 * union > vol and violating is None:
-            violating = q
+    The maximal strict subcubes of Q are its forest children, so the union
+    is the sum of their volumes, kept as Python ints.  Pairwise disjointness
+    of the sets E(Q) is structural (cubes of one grid are nested or
+    disjoint) and is checked in O(|S|): every forest parent contains its
+    child, and no member's children exceed its volume."""
+    mesh, a, parent = family.mesh, family.arrays, family.forest.parent
+    child = np.flatnonzero(parent >= 0)
+    up = parent[child]
+    if not (
+        np.all(a.level[up] < a.level[child])
+        and np.all(a.lo3[up] <= a.lo3[child])
+        and np.all(a.hi3[child] <= a.hi3[up])
+    ):
+        raise AssertionError("a forest parent does not contain its child")
+    levels, inverse = np.unique(a.level, return_inverse=True)
+    table = [_vol3(mesh.n, mesh.finest_exponent, k) for k in levels.tolist()]
+    vol = np.array(table, dtype=object)[inverse]
+    union = np.zeros(len(vol), dtype=object)
+    np.add.at(union, up, vol[child])
+    if np.any(union > vol):
+        raise AssertionError("the children of a member overlap")
+    ratio = union / vol
+    worst, worst_cube = 0.0, None
+    if len(ratio) and ratio.max() > 0.0:
+        i = int(np.argmax(ratio))  # the first maximum in member order
+        worst, worst_cube = ratio[i], family.cubes[i]
+    bad = np.flatnonzero(2 * union > vol)
+    violating = family.cubes[bad[0]] if len(bad) else None
     return SparsityCertificate(
         violating is None, worst, worst_cube, violating, len(family)
     )
@@ -228,13 +229,16 @@ def domination_constant(n: int, alpha: float) -> float:
 
 
 def _ilog_lt(x: np.ndarray, base: float) -> np.ndarray:
-    """Largest integer k with base^k < x, elementwise (x > 0), with exact
-    float boundary corrections."""
-    k = np.floor(np.log(x) / math.log(base)).astype(np.int64)
-    for _ in range(3):
-        k = np.where(np.power(base, k.astype(np.float64)) >= x, k - 1, k)
-        k = np.where(np.power(base, (k + 1).astype(np.float64)) < x, k + 1, k)
-    return k
+    """Largest integer k with base^k < x, elementwise (x > 0 finite), for a
+    base that is a power of two; exact, from the binary exponent of x.
+
+    With x = m * 2^e, m in [1/2, 1), the largest j with 2^j < x is e - 1,
+    or e - 2 when x is itself a power of two (m = 1/2)."""
+    bm, be = math.frexp(base)
+    if bm != 0.5 or be < 2:
+        raise ValueError("base must be a power of two >= 2")
+    m, e = np.frexp(x)
+    return (e.astype(np.int64) - 1 - (m == 0.5)) // (be - 1)
 
 
 def build_sparse(
@@ -256,7 +260,7 @@ def build_sparse(
         raise ValueError("f must not vanish identically")
     a = 2.0 ** (mesh.n + 1)
     cubes: list[DyadicCube] = []
-    prev = None  # (coords, avg, ancmax, coord_starts, shape)
+    prev = None  # the coarser level's averages and ancestor maxima
     for level in mesh.levels():
         coords = mesh.level_cube_coords(shift, level)
         lo, hi = mesh.level_bounds3(shift, level)
@@ -264,7 +268,7 @@ def build_sparse(
         if prev is None:
             anc = np.zeros(len(coords))
         else:
-            pidx = _parent_indices(mesh, shift, level, lo, prev)
+            pidx = _flat_index(mesh, shift, prev["level"], lo)
             anc = np.maximum(prev["anc"][pidx], prev["avg"][pidx])
         pos = avg > 0.0
         member = pos.copy()
@@ -275,53 +279,25 @@ def build_sparse(
             member[both] = ka[both] < kv[both]
         for i in np.flatnonzero(member):
             cubes.append(DyadicCube(shift, level, tuple(int(c) for c in coords[i])))
-        prev = {
-            "avg": avg,
-            "anc": anc,
-            "starts": [r.start for r in mesh.coord_range(shift, level)],
-            "shape": [len(r) for r in mesh.coord_range(shift, level)],
-            "level": level,
-        }
+        prev = {"avg": avg, "anc": anc, "level": level}
     family = SparseFamily(mesh, shift, tuple(cubes))
     return family, domination_constant(mesh.n, alpha)
 
 
-def _parent_indices(mesh: Mesh, shift, level: int, lo_child: np.ndarray, prev) -> np.ndarray:
-    """Flat indices into the previous (coarser) level's cube arrays of each
-    child cube's containing cube."""
-    scale_prev = 1 << (mesh.finest_exponent - prev["level"])
-    sgn_prev = 1 if prev["level"] % 2 == 0 else -1
-    s = np.asarray(shift, dtype=np.int64)
-    pc = (lo_child // scale_prev - sgn_prev * s) // 3
-    idx = np.zeros(len(pc), dtype=np.int64)
-    for axis in range(mesh.n):
-        idx = idx * prev["shape"][axis] + (pc[:, axis] - prev["starts"][axis])
+def _flat_index(mesh: Mesh, shift, level: int, lo3: np.ndarray) -> np.ndarray:
+    """Row-major index, in ``Mesh.level_cube_coords`` order, of the level
+    cube that contains each thirds-unit point of ``lo3`` (shape (m, n))."""
+    scale = 1 << (mesh.finest_exponent - level)
+    sgn = 1 if level % 2 == 0 else -1
+    coord = (lo3 // scale - sgn * np.asarray(shift, dtype=np.int64)) // 3
+    idx = np.zeros(len(coord), dtype=np.int64)
+    for axis, r in enumerate(mesh.coord_range(tuple(shift), level)):
+        idx = idx * len(r) + (coord[:, axis] - r.start)
     return idx
 
 
 # ---------------------------------------------------------------------------
 # Overlap level sets (exact)
-
-
-def _forest(members: list[DyadicCube], L: int):
-    """Parent links within a nested-or-disjoint cube list (coarse first).
-    Returns (parents, generations) with generation 1 for maximal cubes."""
-    members = sorted(members, key=lambda c: (c.level, c.coord))
-    bounds = [q.bounds3(L) for q in members]
-    parents = [-1] * len(members)
-    gens = [1] * len(members)
-    for i in range(len(members)):
-        best = -1
-        for j in range(i - 1, -1, -1):
-            if members[j].level < members[i].level and _contains3(bounds[j], bounds[i]):
-                if best == -1 or members[j].level > members[best].level:
-                    best = j
-        # same-level distinct cubes are disjoint, so only strictly coarser
-        # cubes can contain members[i]
-        parents[i] = best
-        if best >= 0:
-            gens[i] = gens[best] + 1
-    return members, parents, gens
 
 
 @dataclass(frozen=True)
@@ -336,17 +312,22 @@ def overlap_level_set(family: SparseFamily, root: DyadicCube, k: int) -> Overlap
     """Exact measure of the k-fold overlap set of the members inside root.
 
     The set {sum chi_Q > k} is the disjoint union of the generation-(k+1)
-    cubes of the containment forest, so its measure is an exact integer sum
-    in thirds units."""
+    cubes of the containment forest restricted to root, so its measure is an
+    exact integer sum in thirds units.  A member inside root has generation
+    depth - c there, where c counts the members strictly containing root."""
     if k < 1:
         raise ValueError("need k >= 1")
-    L = family.mesh.finest_exponent
-    members = family.members_in(root)
-    members, parents, gens = _forest(members, L)
-    gen_cubes = tuple(q for q, g in zip(members, gens) if g == k + 1)
-    total3 = sum(_vol3(q, L) for q in gen_cubes)
-    root3 = _vol3(root, L)
-    cell_vol = (family.mesh.cell_width / 3.0) ** family.mesh.n
+    mesh, a = family.mesh, family.arrays
+    n, L = mesh.n, mesh.finest_exponent
+    inside = family.contained_in(root)
+    lo, hi = root.bounds3(L)
+    above = (a.level < root.level) & np.all(a.lo3 <= lo, axis=1) & np.all(a.hi3 >= hi, axis=1)
+    idx = np.flatnonzero(inside & (family.forest.depth == np.count_nonzero(above) + k + 1))
+    gen_cubes = tuple(family.cubes[i] for i in idx)
+    levels, counts = np.unique(a.level[idx], return_counts=True)
+    total3 = sum(c * _vol3(n, L, j) for j, c in zip(levels.tolist(), counts.tolist()))
+    root3 = _vol3(n, L, root.level)
+    cell_vol = (mesh.cell_width / 3.0) ** n
     return OverlapReport(
         measure=total3 * cell_vol,
         bound=2.0**-k * root3 * cell_vol,
@@ -374,11 +355,21 @@ class CoronaDecomposition:
     sigma_avg: dict[DyadicCube, float]
     skipped: int
     gamma: float  # every slice index satisfies a <= gamma
+    forest_parent: dict[DyadicCube, DyadicCube]  # member -> its forest parent, both inside root
     certified: bool = False
+
+    @functools.cached_property
+    def _groups(self) -> dict[tuple[int, DyadicCube], list[DyadicCube]]:
+        """Every Q^a(P), keyed by (a, P), in slice order."""
+        out: dict[tuple[int, DyadicCube], list[DyadicCube]] = {}
+        for a, cubes in self.slices.items():
+            for q in cubes:
+                out.setdefault((a, self.pi[a][q]), []).append(q)
+        return out
 
     def group(self, a: int, P: DyadicCube) -> list[DyadicCube]:
         """Q^a(P): the cubes of slice a whose stopping parent is P."""
-        return [q for q in self.slices[a] if self.pi[a][q] == P]
+        return list(self._groups.get((a, P), ()))
 
     def bgroup(self, a: int, P: DyadicCube, b: int) -> list[DyadicCube]:
         """Q^a_b(P)."""
@@ -388,14 +379,12 @@ class CoronaDecomposition:
         return sorted({self.bindex[a][q] for q in self.group(a, P)})
 
 
-def _ilog2_lt_scalar(x: float) -> int:
-    """Largest integer k with 2^k < x (x > 0), exact at boundaries."""
-    k = math.floor(math.log2(x))
-    while 2.0**k >= x:
-        k -= 1
-    while 2.0 ** (k + 1) < x:
-        k += 1
-    return k
+def _nearest(up: Mapping[DyadicCube, DyadicCube], q: DyadicCube, keep) -> DyadicCube | None:
+    """The finest strict forest ancestor of q that lies in keep, or None."""
+    p = up.get(q)
+    while p is not None and p not in keep:
+        p = up.get(p)
+    return p
 
 
 def corona_decompose(
@@ -417,15 +406,20 @@ def corona_decompose(
     if mode not in ("classic", "fractional"):
         raise ValueError("mode must be 'classic' or 'fractional'")
     mesh = family.mesh
-    L = mesh.finest_exponent
-    members = family.members_in(root)
+    inside = family.contained_in(root)
+    members = [family.cubes[i] for i in np.flatnonzero(inside)]
+    up = {
+        family.cubes[i]: family.cubes[p]
+        for i, p in enumerate(family.forest.parent.tolist())
+        if p >= 0 and inside[i] and inside[p]
+    }
     e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
-    slices: dict[int, list[DyadicCube]] = {}
     fracavg: dict[DyadicCube, float] = {}
     u_avg: dict[DyadicCube, float] = {}
     s_avg: dict[DyadicCube, float] = {}
     skipped = 0
     vmax = 0.0
+    values: list[float] = []
     for q in members:
         ua = u.cube_average(q)
         sa = sigma.cube_average(q)
@@ -436,26 +430,22 @@ def corona_decompose(
         if mode == "fractional":
             v *= q.volume**e
         vmax = max(vmax, v)
-        a = _ilog2_lt_scalar(v)
-        slices.setdefault(a, []).append(q)
+        values.append(v)
         fracavg[q] = q.volume ** (exps.alpha / exps.n) * ua
         u_avg[q] = ua
         s_avg[q] = sa
+    # members come coarse to fine, so every slice is in (level, coord) order
+    slices: dict[int, list[DyadicCube]] = {}
+    for q, a in zip(fracavg, _ilog_lt(np.array(values), 2.0).tolist()):
+        slices.setdefault(a, []).append(q)
     stopping: dict[int, dict[DyadicCube, int]] = {}
     pi: dict[int, dict[DyadicCube, DyadicCube]] = {}
     bindex: dict[int, dict[DyadicCube, int]] = {}
     for a, cubes in slices.items():
-        cubes.sort(key=lambda c: (c.level, c.coord))
-        bounds = {q: q.bounds3(L) for q in cubes}
         stop_a: dict[DyadicCube, int] = {}
         pi_a: dict[DyadicCube, DyadicCube] = {}
-        b_a: dict[DyadicCube, int] = {}
         for q in cubes:
-            parent = None
-            for p in stop_a:
-                if p is not q and _contains3(bounds[p], bounds[q]) and p != q:
-                    if parent is None or p.level > parent.level:
-                        parent = p
+            parent = _nearest(up, q, stop_a)
             if parent is None:
                 stop_a[q] = 0
                 pi_a[q] = q
@@ -464,15 +454,12 @@ def corona_decompose(
                 pi_a[q] = q
             else:
                 pi_a[q] = parent
-        for q in cubes:
-            r = fracavg[q] / fracavg[pi_a[q]]
-            b = -_ilog2_lt_scalar(r)
-            if b < 0:
-                raise AssertionError("reverse inequality violated in b-slicing")
-            b_a[q] = b
+        b = -_ilog_lt(np.array([fracavg[q] / fracavg[pi_a[q]] for q in cubes]), 2.0)
+        if np.any(b < 0):
+            raise AssertionError("reverse inequality violated in b-slicing")
         stopping[a] = stop_a
         pi[a] = pi_a
-        bindex[a] = b_a
+        bindex[a] = dict(zip(cubes, b.tolist()))
     # v(Q)^q is the slicing product per cube, so log2 of its sup over the
     # decomposed cubes bounds every slice index a from above
     gamma = math.log2(vmax) if vmax > 0.0 else -math.inf
@@ -490,6 +477,7 @@ def corona_decompose(
         sigma_avg=s_avg,
         skipped=skipped,
         gamma=gamma,
+        forest_parent=up,
     )
     _certify_corona(cd, mode, exps)
     return cd
@@ -556,24 +544,20 @@ def carleson_check(
     if not support:
         return CarlesonReport(0.0, None, None if A is None else True)
     shift = support[0][0].shift
-    L = mesh.finest_exponent
-    candidates: set[DyadicCube] = set()
-    for q, _ in support:
+    # each candidate's total is summed in support order from 0, as sum() is
+    totals: dict[DyadicCube, float] = {}
+    for q, v in support:
         if q.shift != shift:
             raise ValueError("Carleson sequence must live on a single grid")
         for level in mesh.levels():
             if level > q.level:
                 break
-            candidates.add(_ancestor_at(mesh, q, level))
+            R = _ancestor_at(mesh, q, level)
+            totals[R] = totals.get(R, 0) + v
     best, witness = 0.0, None
-    bounds = {q: q.bounds3(L) for q, _ in support}
-    for R in sorted(candidates, key=lambda r: (r.level, r.coord)):
-        rb = R.bounds3(L)
-        total = sum(v for q, v in support if _contains3(rb, bounds[q]))
-        if total <= 0.0:
-            continue
+    for R in sorted(totals, key=lambda r: (r.level, r.coord)):
         muR = mu.cube_integral(R)
-        val = math.inf if muR <= 0.0 else total / muR
+        val = math.inf if muR <= 0.0 else totals[R] / muR
         if val > best:
             best, witness = val, R
     return CarlesonReport(best, witness, None if A is None else best <= A)
@@ -657,7 +641,6 @@ def sigma_decay_check(
     The decay exponent asserted downstream is c = 1 (provable from the
     overlap lemma plus the two-sided comparability of the frozen averages);
     the proof's composite exponent is reported, not asserted."""
-    L = cd.mesh.finest_exponent
     rows: list[DecayRow] = []
     worst = 0.0
     skipped = 0
@@ -668,11 +651,13 @@ def sigma_decay_check(
                 skipped += 1
                 continue
             for b in cd.bvalues(a, P):
-                sub = cd.bgroup(a, P, b)
-                members, parents, gens = _forest(sub, L)
+                # generations of Q^a_b(P); its cubes come coarse to fine
+                gen: dict[DyadicCube, int] = {}
+                for q in cd.bgroup(a, P, b):
+                    p = _nearest(cd.forest_parent, q, gen)
+                    gen[q] = 1 if p is None else gen[p] + 1
                 for k in range(0, kmax + 1):
-                    gk = [q for q, g in zip(members, gens) if g == k + 1]
-                    sf = sum(sigma.cube_integral(q) for q in gk)
+                    sf = sum(sigma.cube_integral(q) for q, g in gen.items() if g == k + 1)
                     ratio = sf / sp
                     rows.append(DecayRow(a, b, P, k, ratio))
                     if k >= 1:

@@ -1,15 +1,22 @@
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszw.mesh import DyadicCube, Mesh, StepFunction
+from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
+from rieszw.normest import _candidate_roots
 from rieszw.operators import compare_pointwise, dyadic_riesz, sparse_riesz
 from rieszw.sparse import (
+    CarlesonReport,
+    DecayRow,
+    OverlapReport,
     SparseFamily,
+    SparsityCertificate,
     build_sparse,
     carleson_check,
     carleson_embedding_check,
@@ -19,8 +26,8 @@ from rieszw.sparse import (
     sigma_decay_check,
     verify_sparse,
 )
-from rieszw.sparse import _ilog_lt
-from rieszw.weights import ExponentTuple, fujii_wilson
+from rieszw.sparse import _ancestor_at, _ilog_lt
+from rieszw.weights import ExponentTuple, fujii_wilson, generate_weight
 
 from conftest import lognormal
 
@@ -293,3 +300,309 @@ class TestSerialization:
         blob = json.dumps(fam.to_jsonable())
         back = SparseFamily.from_jsonable(unit_mesh, json.loads(blob))
         assert back.cubes == fam.cubes and back.shift == fam.shift
+
+
+class TestIlog:
+    @pytest.mark.parametrize("base", [2.0, 4.0, 8.0])
+    def test_exact_against_fraction_oracle(self, base):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            powers,
+            np.nextafter(powers, np.inf),
+            np.nextafter(powers[1:], 0.0),  # 2^-1074 has no positive neighbour below
+            np.arange(1, 200) * 5e-324,  # subnormals
+            rng.random(200) * 2.2e-308,
+            np.exp(rng.uniform(-700.0, 700.0, 500)),
+        ])
+        with np.errstate(all="raise"):
+            k = _ilog_lt(x, base)
+        b = Fraction(int(base))
+        for xi, ki in zip(x.tolist(), k.tolist()):
+            assert b**ki < Fraction(xi) <= b ** (ki + 1), (xi, ki)
+
+    def test_base_must_be_power_of_two(self):
+        with pytest.raises(ValueError):
+            _ilog_lt(np.array([1.0]), 3.0)
+
+
+# ---------------------------------------------------------------------------
+# The all-pairs certificate bodies the forest replaced, kept as oracles.
+
+
+def _contains3(outer, inner) -> bool:
+    (lo_a, hi_a), (lo_b, hi_b) = outer, inner
+    return all(a <= b for a, b in zip(lo_a, lo_b)) and all(
+        b <= a for a, b in zip(hi_a, hi_b)
+    )
+
+
+def _intersects3(b1, b2) -> bool:
+    (lo_a, hi_a), (lo_b, hi_b) = b1, b2
+    return all(a < d and c < b for a, b, c, d in zip(lo_a, hi_a, lo_b, hi_b))
+
+
+def _vol3(cube, L):
+    lo, hi = cube.bounds3(L)
+    v = 1
+    for a, b in zip(lo, hi):
+        v *= b - a
+    return v
+
+
+def _maximal_disjoint_vol3(bounds):
+    kept, total = [], 0
+    for b in bounds:
+        if any(_contains3(k, b) for k in kept):
+            continue
+        kept.append(b)
+        v = 1
+        for a, c in zip(b[0], b[1]):
+            v *= c - a
+        total += v
+    return total
+
+
+def _forest(members, L):
+    members = sorted(members, key=lambda c: (c.level, c.coord))
+    bounds = [q.bounds3(L) for q in members]
+    parents = [-1] * len(members)
+    gens = [1] * len(members)
+    for i in range(len(members)):
+        best = -1
+        for j in range(i - 1, -1, -1):
+            if members[j].level < members[i].level and _contains3(bounds[j], bounds[i]):
+                if best == -1 or members[j].level > members[best].level:
+                    best = j
+        parents[i] = best
+        if best >= 0:
+            gens[i] = gens[best] + 1
+    return members, parents, gens
+
+
+def oracle_verify(family):
+    L = family.mesh.finest_exponent
+    bounds = [q.bounds3(L) for q in family.cubes]
+    worst, worst_cube, violating = 0.0, None, None
+    for i, q in enumerate(family.cubes):
+        vol = _vol3(q, L)
+        subs = []
+        for j, other in enumerate(family.cubes):
+            if j == i or not _intersects3(bounds[i], bounds[j]):
+                continue
+            inside = _contains3(bounds[i], bounds[j])
+            assert inside or _contains3(bounds[j], bounds[i])
+            if inside and other.level > q.level:
+                subs.append((other.level, bounds[j]))
+        subs.sort(key=lambda t: t[0])
+        union = _maximal_disjoint_vol3([b for _, b in subs])
+        ratio = union / vol
+        if ratio > worst:
+            worst, worst_cube = ratio, q
+        if 2 * union > vol and violating is None:
+            violating = q
+    return SparsityCertificate(violating is None, worst, worst_cube, violating, len(family))
+
+
+def oracle_overlaps(family, root, ks):
+    L = family.mesh.finest_exponent
+    members, _, gens = _forest(family.members_in(root), L)
+    root3 = _vol3(root, L)
+    cell_vol = (family.mesh.cell_width / 3.0) ** family.mesh.n
+    out = []
+    for k in ks:
+        gen_cubes = tuple(q for q, g in zip(members, gens) if g == k + 1)
+        total3 = sum(_vol3(q, L) for q in gen_cubes)
+        out.append(OverlapReport(total3 * cell_vol, 2.0**-k * root3 * cell_vol,
+                                 gen_cubes, (total3 << k) <= root3))
+    return out
+
+
+def _ilog2_lt_scalar(x):
+    k = math.floor(math.log2(x))
+    while 2.0**k >= x:
+        k -= 1
+    while 2.0 ** (k + 1) < x:
+        k += 1
+    return k
+
+
+def oracle_corona(family, root, u, sigma, exps, mode):
+    """(slices, stopping, pi, bindex) by the stop_a scan."""
+    L = family.mesh.finest_exponent
+    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
+    slices, fracavg = {}, {}
+    for q in family.members_in(root):
+        ua, sa = u.cube_average(q), sigma.cube_average(q)
+        if ua <= 0.0 or sa <= 0.0:
+            continue
+        v = ua ** (1.0 / exps.q) * sa ** (1.0 / exps.p_prime)
+        if mode == "fractional":
+            v *= q.volume**e
+        slices.setdefault(_ilog2_lt_scalar(v), []).append(q)
+        fracavg[q] = q.volume ** (exps.alpha / exps.n) * ua
+    stopping, pi, bindex = {}, {}, {}
+    for a, cubes in slices.items():
+        cubes.sort(key=lambda c: (c.level, c.coord))
+        bounds = {q: q.bounds3(L) for q in cubes}
+        stop_a, pi_a = {}, {}
+        for q in cubes:
+            parent = None
+            for p in stop_a:
+                if p != q and _contains3(bounds[p], bounds[q]):
+                    if parent is None or p.level > parent.level:
+                        parent = p
+            if parent is None:
+                stop_a[q], pi_a[q] = 0, q
+            elif fracavg[q] > 2.0 * fracavg[parent]:
+                stop_a[q], pi_a[q] = stop_a[parent] + 1, q
+            else:
+                pi_a[q] = parent
+        stopping[a], pi[a] = stop_a, pi_a
+        bindex[a] = {q: -_ilog2_lt_scalar(fracavg[q] / fracavg[pi_a[q]]) for q in cubes}
+    return slices, stopping, pi, bindex
+
+
+def oracle_decay_rows(slices, stopping, pi, bindex, sigma, L, kmax=10):
+    rows = []
+    for a in sorted(slices):
+        for P in sorted(stopping[a], key=lambda c: (c.level, c.coord)):
+            sp = sigma.cube_integral(P)
+            if sp <= 0.0:
+                continue
+            group = [q for q in slices[a] if pi[a][q] == P]
+            for b in sorted({bindex[a][q] for q in group}):
+                members, _, gens = _forest([q for q in group if bindex[a][q] == b], L)
+                for k in range(kmax + 1):
+                    sf = sum(sigma.cube_integral(q) for q, g in zip(members, gens) if g == k + 1)
+                    rows.append(DecayRow(a, b, P, k, sf / sp))
+    return tuple(rows)
+
+
+def oracle_carleson(c, mu, mesh, A=None):
+    support = [(q, v) for q, v in c.items() if v > 0.0]
+    if not support:
+        return CarlesonReport(0.0, None, None if A is None else True)
+    L = mesh.finest_exponent
+    candidates = {
+        _ancestor_at(mesh, q, level)
+        for q, _ in support
+        for level in mesh.levels()
+        if level <= q.level
+    }
+    best, witness = 0.0, None
+    bounds = {q: q.bounds3(L) for q, _ in support}
+    for R in sorted(candidates, key=lambda r: (r.level, r.coord)):
+        total = sum(v for q, v in support if _contains3(R.bounds3(L), bounds[q]))
+        if total <= 0.0:
+            continue
+        muR = mu.cube_integral(R)
+        val = math.inf if muR <= 0.0 else total / muR
+        if val > best:
+            best, witness = val, R
+    return CarlesonReport(best, witness, None if A is None else best <= A)
+
+
+def _random_subset(mesh, shift, seed, frac=0.3):
+    rng = np.random.default_rng(seed)
+    cubes = enumerate_cubes(mesh, shift)
+    return SparseFamily(mesh, shift, tuple(q for q in cubes if rng.random() < frac))
+
+
+def _oracle_families():
+    """(id, family factory): built families on n = 1, 2 and J = 0, 1 at every
+    shift (the 2-D meshes keep the default padding, so their coarsest thirds
+    volumes exceed 2^63), random non-sparse subsets, every ancestor of one
+    cell, the nested chain, a singleton and the empty family."""
+    out = []
+    for n, J, L in ((1, 0, 6), (1, 1, 5), (2, 0, 3), (2, 1, 2)):
+        mesh = Mesh(n, J, L)
+        for shift in mesh.shifts():
+            out.append((f"built-n{n}-J{J}-s{''.join(map(str, shift))}",
+                        lambda m=mesh, s=shift, seed=40 + n + J:
+                        build_sparse(lognormal(m, seed), s, ALPHA)[0]))
+    for n, J, L, T in ((1, 0, 4, 3), (1, 1, 3, 2), (2, 0, 2, 2)):
+        mesh = Mesh(n, J, L, coarse_padding=T)
+        for shift in mesh.shifts():
+            out.append((f"subset-n{n}-J{J}-s{''.join(map(str, shift))}",
+                        lambda m=mesh, s=shift: _random_subset(m, s, 7)))
+    for n, L in ((1, 6), (2, 3)):
+        mesh = Mesh(n, 0, L)
+        cell = (int(0.3 * mesh.cells_per_axis),) * n
+        out.append((f"ancestors-n{n}", lambda m=mesh, c=cell: SparseFamily(
+            m, (0,) * m.n, tuple(m.cube_containing_cell((0,) * m.n, k, c) for k in m.levels()))))
+    out.append(("chain", lambda: nested_chain(Mesh(1, 0, 4))))
+    out.append(("singleton", lambda: SparseFamily(Mesh(1, 0, 4), (0,), (ROOT,))))
+    out.append(("empty", lambda: SparseFamily(Mesh(2, 0, 2), (1, 1), ())))
+    return out
+
+
+ORACLE_FAMILIES = _oracle_families()
+
+
+def _roots(family):
+    """Every candidate root, plus the level-0 cube at the origin."""
+    extra = DyadicCube(family.shift, 0, (0,) * family.mesh.n)
+    return sorted(set(_candidate_roots(family)) | {extra}, key=lambda c: (c.level, c.coord))
+
+
+def _corona_inputs(mesh):
+    """(exps, u, sigma) triples: lognormal weights with sigma vanishing on
+    the first half of the box, so that some members are skipped; a one-cell
+    spike in u at 0.3 with q = p' = 40, which puts nearly every cube in one
+    slice and makes the spike's ancestors stop generation after generation;
+    two cascades."""
+    exps = ExponentTuple(mesh.n, ALPHA, 4.0 / 3.0, 4.0)
+    wide = ExponentTuple(mesh.n, ALPHA, 40.0 / 39.0, 40.0)
+    u = lognormal(mesh, 11, scale=0.7)
+    s = lognormal(mesh, 12, scale=0.7).values.copy()
+    s[: mesh.cells_per_axis // 2] = 0.0
+    spike = np.ones((mesh.cells_per_axis,) * mesh.n)
+    spike[(int(0.3 * mesh.cells_per_axis),) * mesh.n] = float(mesh.total_cells)
+    return [
+        (exps, u, StepFunction(mesh, s)),
+        (wide, StepFunction(mesh, spike), StepFunction.constant(mesh, 1.0)),
+        (exps, generate_weight(mesh, "martingale:seed=5,vol=0.5"),
+         generate_weight(mesh, "martingale:seed=6,vol=0.5")),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES]
+)
+class TestCertificateOracle:
+    def test_verify_sparse(self, make):
+        fam = make()
+        assert verify_sparse(fam) == oracle_verify(fam)
+
+    def test_overlap_level_sets(self, make):
+        fam = make()
+        ks = range(1, 13)
+        for root in _roots(fam):
+            assert [overlap_level_set(fam, root, k) for k in ks] == oracle_overlaps(fam, root, ks)
+
+    def test_forest_against_all_pairs(self, make):
+        fam = make()
+        members, parents, gens = _forest(list(fam.cubes), fam.mesh.finest_exponent)
+        assert members == list(fam.cubes)
+        assert fam.forest.parent.tolist() == parents
+        assert fam.forest.depth.tolist() == gens
+
+    @pytest.mark.parametrize("mode", ["classic", "fractional"])
+    def test_corona_decay_and_carleson(self, make, mode):
+        fam = make()
+        mesh = fam.mesh
+        roots = _roots(fam)
+        for (exps, u, sigma), root in itertools.product(
+            _corona_inputs(mesh), {roots[0], roots[len(roots) // 2], roots[-1]}
+        ):
+            cd = corona_decompose(fam, root, u, sigma, exps, mode=mode)
+            slices, stopping, pi, bindex = oracle_corona(fam, root, u, sigma, exps, mode)
+            assert list(cd.slices) == list(slices)
+            assert (cd.slices, cd.stopping, cd.pi, cd.bindex) == (slices, stopping, pi, bindex)
+            rows = oracle_decay_rows(slices, stopping, pi, bindex, sigma, mesh.finest_exponent)
+            assert sigma_decay_check(cd, sigma).rows == rows
+            c = {q: u.cube_integral(q) for a in cd.stopping for q in cd.stopping[a]}
+            assert carleson_check(c, u, mesh, A=2.0) == oracle_carleson(c, u, mesh, A=2.0)
+        c = {q: float(i % 3) for i, q in enumerate(fam.cubes)}  # zeros leave the support
+        assert carleson_check(c, sigma, mesh) == oracle_carleson(c, sigma, mesh)
