@@ -5,9 +5,9 @@ output file, so that two checkouts compare with one ``diff``.
     python3 scripts/output_digests.py > digests.txt
 
 The runs are every subcommand at ``--mesh n=1,J=0,L=6`` and the 2-D
-``constants`` and ``verify`` at ``--mesh n=2,J=0,L=3``, all with the default
-config and seed.  Outputs go to a temporary directory that is removed
-afterwards; the subcommands' own messages go to stderr.  Exits 1 if a
+``constants``, ``verify`` and ``sandwich`` at ``--mesh n=2,J=0,L=3``, all
+with the default config and seed.  Outputs go to a temporary directory that
+is removed afterwards; the subcommands' own messages go to stderr.  Exits 1 if a
 subcommand exits with 1 or 2 (3, success with a warning, counts as success).
 """
 
@@ -26,6 +26,7 @@ RUNS = [
       ("sandwich", "verify", "constants", "corona", "sparse", "norm", "exponent-fit")),
     ("constants", "n=2,J=0,L=3"),
     ("verify", "n=2,J=0,L=3"),
+    ("sandwich", "n=2,J=0,L=3"),
 ]
 
 

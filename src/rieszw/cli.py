@@ -252,10 +252,14 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
         print("verify: nothing to do (empty config)")
         return 0
 
-    for fname, f in functions:
+    pair_key = ((0,) * mesh.n, cfg.alpha)
+    pair_family = None  # the weight pairs below use the first function's family at pair_key
+    for i, (fname, f) in enumerate(functions):
         for shift in mesh.shifts():
             for alpha in cfg.alphas:
                 S, C = build_sparse(f, shift, alpha)
+                if i == 0 and (shift, alpha) == pair_key:
+                    pair_family = S
                 cert = verify_sparse(S)
                 checks += 1
                 if not cert.ok:
@@ -277,11 +281,11 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
                                              "witness": root})
     for uspec, sspec in cfg.weight_pairs():
         u, s = generate_weight(mesh, uspec), generate_weight(mesh, sspec)
-        fname, f = functions[0]
-        S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
+        if pair_family is None:
+            pair_family = build_sparse(functions[0][1], *pair_key)[0]
         checks += 1
         try:
-            corona_decompose(S, S.cubes[0], u, s, exps)
+            corona_decompose(pair_family, pair_family.cubes[0], u, s, exps)
         except AssertionError as exc:
             failures.append({"check": "corona", "instance": [uspec, sspec], "witness": str(exc)})
     _write_json(outdir / "verify.json", {"config": cfg.echo(), "checks": checks,

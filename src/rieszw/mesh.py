@@ -13,16 +13,18 @@ units.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "DyadicCube",
+    "LevelGrid",
     "Mesh",
     "StepFunction",
     "CoveringError",
@@ -110,6 +112,24 @@ class DyadicCube:
         return all(a < d and c < b for a, b, c, d in zip(lo_a, hi_a, lo_b, hi_b))
 
 
+class LevelGrid(NamedTuple):
+    """The cubes of one level of a shifted grid that meet the base box, in
+    ``Mesh.level_cube_coords`` (row-major) order.  Arrays are read-only."""
+
+    level: int
+    coords: np.ndarray  # (count, n) int64 integer coordinates
+    lo3: np.ndarray  # (count, n) int64 lower corners, thirds of the finest cell width
+    hi3: np.ndarray  # (count, n) int64 upper corners
+    in_box: np.ndarray  # (count,) bool: the cube lies inside the base box
+    shape: tuple[int, ...]  # cubes per axis
+    cell_cube: tuple[np.ndarray, ...]  # per axis: the cube containing each cell centre
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Per-cube values painted on the cells: each cell takes the value
+        of the one cube of the level that contains its centre."""
+        return values.reshape(self.shape)[np.ix_(*self.cell_cube)]
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Truncated dyadic discretization of the box [0, 2^J)^n.
@@ -174,10 +194,49 @@ class Mesh:
         with the same integrals over a larger volume, so it cannot raise a
         maximum of averages.  If no level in range covers the box, all
         levels are kept."""
-        for k in reversed(self.levels()):
-            if all(len(r) == 1 for r in self.coord_range(tuple(shift), k)):
-                return range(k, self.finest_exponent + 1)
+        for g in reversed(self.grid(shift)):
+            if len(g.coords) == 1:
+                return range(g.level, self.finest_exponent + 1)
         return self.levels()
+
+    @functools.cached_property
+    def _grids(self) -> dict:
+        return {}
+
+    def grid(self, shift: Sequence[int]) -> tuple[LevelGrid, ...]:
+        """The level table of one shifted grid, coarse to fine (entry
+        ``k - coarsest_level`` is level k), built on first use and cached
+        on the mesh."""
+        shift = tuple(shift)
+        if shift not in self._grids:
+            self._grids[shift] = tuple(self._level_grid(shift, k) for k in self.levels())
+        return self._grids[shift]
+
+    def _level_grid(self, shift: tuple[int, ...], level: int) -> LevelGrid:
+        coords = self.level_cube_coords(shift, level)
+        lo3, hi3 = self.level_bounds3(shift, level)
+        box3 = 3 * self.cells_per_axis
+        in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
+        shape = tuple(len(r) for r in self.coord_range(shift, level))
+        cell_cube = []
+        for axis, count in enumerate(shape):
+            if count == 1:
+                cell_cube.append(self._cell_zeros)
+                continue
+            # the cubes along this axis and the cell-centre window of each;
+            # the windows tile the axis in order
+            line = np.arange(count) * math.prod(shape[axis + 1 :])
+            i0, i1 = self.center_window(lo3[line, axis], hi3[line, axis])
+            cell_cube.append(np.repeat(np.arange(count), np.maximum(i1 - i0, 0)))
+        out = LevelGrid(level, coords, lo3, hi3, in_box, shape, tuple(cell_cube))
+        for a in (coords, lo3, hi3, in_box, *cell_cube):
+            a.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def _cell_zeros(self) -> np.ndarray:
+        """The cell-to-cube index of every axis with one cube."""
+        return np.zeros(self.cells_per_axis, dtype=np.int64)
 
     def shifts(self) -> list[tuple[int, ...]]:
         """The 2^n grid shifts, all-zero first."""
@@ -196,9 +255,6 @@ class Mesh:
             m_lo = -((2 + c) // 3)
             out.append(range(m_lo, m_hi + 1))
         return out
-
-    def cube(self, shift: tuple[int, ...], level: int, coord: tuple[int, ...]) -> DyadicCube:
-        return DyadicCube(tuple(shift), level, tuple(coord))
 
     def cube_containing_cell(
         self, shift: tuple[int, ...], level: int, cell: tuple[int, ...]
@@ -330,18 +386,6 @@ class StepFunction:
     def constant(cls, mesh: Mesh, c: float) -> "StepFunction":
         return cls(mesh, np.full((mesh.cells_per_axis,) * mesh.n, float(c)))
 
-    @classmethod
-    def from_callable(cls, mesh: Mesh, fn) -> "StepFunction":
-        """Sample ``fn`` at cell centers."""
-        centers = cell_centers(mesh)
-        if mesh.n == 1:
-            vals = np.asarray([fn(x) for x in centers[:, 0]])
-        else:
-            vals = np.asarray([fn(*xy) for xy in centers]).reshape(
-                (mesh.cells_per_axis,) * 2
-            )
-        return cls(mesh, vals)
-
     def map(self, fn) -> "StepFunction":
         """New step function with cellwise-transformed values."""
         return StepFunction(self.mesh, fn(self.values))
@@ -439,13 +483,3 @@ def cube_average(f: StepFunction, cube: DyadicCube) -> float:
     """Integral divided by the full cube volume."""
     return f.cube_average(cube)
 
-
-def cell_centers(mesh: Mesh) -> np.ndarray:
-    """Cell centers as an array of shape (total_cells, n), C order."""
-    N = mesh.cells_per_axis
-    h = mesh.cell_width
-    axis = (np.arange(N) + 0.5) * h
-    if mesh.n == 1:
-        return axis[:, None]
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)

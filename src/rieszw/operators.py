@@ -15,6 +15,10 @@ Discretization conventions:
 
 Cost:
 
+* Per-level sweeps read the level table the mesh caches per shift
+  (``Mesh.grid``) and paint each level with one gather: every cell takes
+  the value of its level cube, so a sum gets one term per level in level
+  order, and a maximum maps values <= 0 to +0.0.
 * A sparse apply is one batched ``integral_box3`` over the members and one
   ``np.bincount`` over the member-to-cell incidence that the family caches
   (``SparseFamily.arrays``): no Python loop over members, and the sum of
@@ -72,39 +76,14 @@ def riesz_reference(
     return StepFunction(f.mesh, out)
 
 
-def _level_cubes_with_averages(f: StepFunction, shift, level):
-    mesh = f.mesh
-    lo, hi = mesh.level_bounds3(shift, level)
-    integrals = f.integral_box3(lo, hi)
-    vol = 2.0 ** (-level * mesh.n)
-    return lo, hi, integrals / vol
-
-
 def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFunction:
     """Truncated dyadic Riesz potential over one shifted grid."""
     mesh = f.mesh
     _check_alpha(mesh, alpha)
-    shift = tuple(shift)
-    aligned = not any(shift)
-    N = mesh.cells_per_axis
     out = np.zeros_like(f.values)
-    for k in mesh.levels():
-        lo, hi, avgs = _level_cubes_with_averages(f, shift, k)
-        factor = 2.0 ** (-k * alpha)
-        if aligned:
-            # aligned cubes tile the box exactly; paint by block repetition
-            cpc = min(1 << (mesh.finest_exponent - k), N)
-            if mesh.n == 1:
-                out += factor * np.repeat(avgs, cpc)[:N]
-            else:
-                q = max(N // cpc, 1)
-                block = avgs.reshape(q, q)
-                out += factor * np.repeat(np.repeat(block, cpc, axis=0), cpc, axis=1)[:N, :N]
-            continue
-        for idx in range(lo.shape[0]):
-            a = avgs[idx]
-            if a > 0.0:
-                out[mesh.center_slices(lo[idx], hi[idx])] += factor * a
+    for g in mesh.grid(shift):
+        avgs = f.integral_box3(g.lo3, g.hi3) / 2.0 ** (-g.level * mesh.n)
+        out += 2.0 ** (-g.level * alpha) * g.gather(avgs)
     return StepFunction(mesh, out)
 
 
@@ -147,20 +126,11 @@ def _pointwise_sup_over_levels(mesh: Mesh, shift, per_cube_value) -> np.ndarray:
     when the cube is replaced by its parent: an average shrinks, and a
     weighted fractional average stays the same."""
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
-    for k in mesh.maximal_levels(shift):
-        lo, hi = mesh.level_bounds3(shift, k)
-        vals = per_cube_value(k, lo, hi)
-        i0, i1 = mesh.center_window(lo, hi)
-        for idx in range(lo.shape[0]):
-            v = vals[idx]
-            if v <= 0.0:
-                continue
-            if mesh.n == 1:
-                s = out[i0[idx, 0] : i1[idx, 0]]
-                np.maximum(s, v, out=s)
-            else:
-                s = out[i0[idx, 0] : i1[idx, 0], i0[idx, 1] : i1[idx, 1]]
-                np.maximum(s, v, out=s)
+    levels = mesh.maximal_levels(shift)
+    for g in mesh.grid(shift)[levels.start - mesh.coarsest_level :]:
+        v = per_cube_value(g.level, g.lo3, g.hi3)
+        # values <= 0 paint +0.0, so a cell no positive value reaches stays +0.0
+        np.maximum(out, g.gather(np.where(v > 0.0, v, 0.0)), out=out)
     return out
 
 

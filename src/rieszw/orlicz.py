@@ -406,15 +406,10 @@ def orlicz_maximal(f: StepFunction, phi: YoungFunction) -> StepFunction:
     mesh = f.mesh
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
     for shift in mesh.shifts():
-        for k in mesh.levels():
-            coords = mesh.level_cube_coords(shift, k)
-            cubes = [DyadicCube(shift, k, tuple(int(x) for x in c)) for c in coords]
-            norms = luxemburg_norms(f, cubes, phi)
-            for cube, v in zip(cubes, norms):
-                if v <= 0.0:
-                    continue
-                s = out[mesh.center_slices(*cube.bounds3(mesh.finest_exponent))]
-                np.maximum(s, float(v), out=s)
+        for g in mesh.grid(shift):
+            cubes = [DyadicCube(shift, g.level, c) for c in map(tuple, g.coords.tolist())]
+            v = luxemburg_norms(f, cubes, phi)
+            np.maximum(out, g.gather(np.where(v > 0.0, v, 0.0)), out=out)
     return StepFunction(mesh, out)
 
 

@@ -261,14 +261,12 @@ def build_sparse(
     a = 2.0 ** (mesh.n + 1)
     cubes: list[DyadicCube] = []
     prev = None  # the coarser level's averages and ancestor maxima
-    for level in mesh.levels():
-        coords = mesh.level_cube_coords(shift, level)
-        lo, hi = mesh.level_bounds3(shift, level)
-        avg = f.integral_box3(lo, hi) / 2.0 ** (-level * mesh.n)
+    for g in mesh.grid(shift):
+        avg = f.integral_box3(g.lo3, g.hi3) / 2.0 ** (-g.level * mesh.n)
         if prev is None:
-            anc = np.zeros(len(coords))
+            anc = np.zeros(len(avg))
         else:
-            pidx = _flat_index(mesh, shift, prev["level"], lo)
+            pidx = _flat_index(mesh, shift, prev["level"], g.lo3)
             anc = np.maximum(prev["anc"][pidx], prev["avg"][pidx])
         pos = avg > 0.0
         member = pos.copy()
@@ -278,8 +276,8 @@ def build_sparse(
             kv = _ilog_lt(np.where(both, avg, 1.0), a)
             member[both] = ka[both] < kv[both]
         for i in np.flatnonzero(member):
-            cubes.append(DyadicCube(shift, level, tuple(int(c) for c in coords[i])))
-        prev = {"avg": avg, "anc": anc, "level": level}
+            cubes.append(DyadicCube(shift, g.level, tuple(int(c) for c in g.coords[i])))
+        prev = {"avg": avg, "anc": anc, "level": g.level}
     family = SparseFamily(mesh, shift, tuple(cubes))
     return family, domination_constant(mesh.n, alpha)
 

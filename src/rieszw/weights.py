@@ -126,15 +126,10 @@ def in_box_cubes(
 
 def _scan_levels(mesh: Mesh):
     """Per (shift, level): in-box cube coords and thirds-bounds arrays."""
-    box3 = 3 * mesh.cells_per_axis
     for shift in mesh.shifts():
-        for level in mesh.levels():
-            coords = mesh.level_cube_coords(shift, level)
-            lo, hi = mesh.level_bounds3(shift, level)
-            keep = np.all(lo >= 0, axis=1) & np.all(hi <= box3, axis=1)
-            if not keep.any():
-                continue
-            yield shift, level, coords[keep], lo[keep], hi[keep]
+        for g in mesh.grid(shift):
+            if g.in_box.any():
+                yield shift, g.level, g.coords[g.in_box], g.lo3[g.in_box], g.hi3[g.in_box]
 
 
 def _supremum_report(

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rieszw import cli
 from rieszw.cli import ExperimentConfig
 
 SMALL = {
@@ -92,6 +93,24 @@ class TestExitCodes:
         cfg = dict(SMALL, weights=[], n_random_functions=0)
         r = run_cli(tmp_path, "verify", cfg)
         assert r.returncode == 0
+
+
+class TestVerifyFamilies:
+    def test_weight_pairs_reuse_the_built_family(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_sparse
+
+        def counting(*args):
+            calls.append(args[1:])
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_sparse", counting)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        code = cli.main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        # one family per shift and alpha; the two weight pairs reuse the aligned one
+        assert calls == [((0,), 0.5), ((1,), 0.5)]
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -203,3 +204,56 @@ class TestCubeGeometry:
             Mesh(1, 0, -1)
         with pytest.raises(ValueError):
             Mesh(2, 0, 11)  # 2^22 cells exceeds the dense-operator budget
+
+
+TABLE_MESHES = [
+    Mesh(1, 0, 4),
+    Mesh(1, 1, 3),
+    Mesh(2, 0, 2),
+    Mesh(2, 1, 2),
+    Mesh(1, 0, 4, coarse_padding=0),
+    Mesh(1, 1, 3, coarse_padding=0),
+    Mesh(2, 0, 2, coarse_padding=0),
+    Mesh(2, 1, 2, coarse_padding=0),
+]
+
+
+class TestLevelTable:
+    """``Mesh.grid`` against the per-level arrays and the scalar
+    ``cube_containing_cell``, at every shift and level."""
+
+    @pytest.mark.parametrize(
+        "mesh",
+        TABLE_MESHES,
+        ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}",
+    )
+    def test_table_matches_scalar_geometry(self, mesh):
+        N = mesh.cells_per_axis
+        box3 = 3 * N
+        for shift in mesh.shifts():
+            table = mesh.grid(shift)
+            assert mesh.grid(list(shift)) is table
+            assert [g.level for g in table] == list(mesh.levels())
+            for g in table:
+                k = g.level
+                coords = mesh.level_cube_coords(shift, k)
+                lo3, hi3 = mesh.level_bounds3(shift, k)
+                assert np.array_equal(g.coords, coords)
+                assert np.array_equal(g.lo3, lo3) and np.array_equal(g.hi3, hi3)
+                assert g.shape == tuple(len(r) for r in mesh.coord_range(shift, k))
+                inside = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
+                assert np.array_equal(g.in_box, inside)
+                for a in (g.coords, g.lo3, g.hi3, g.in_box, *g.cell_cube):
+                    assert not a.flags.writeable
+                assert [len(ix) for ix in g.cell_cube] == [N] * mesh.n
+                painted = g.gather(np.arange(len(coords)))
+                for cell in itertools.product(range(N), repeat=mesh.n):
+                    cube = mesh.cube_containing_cell(shift, k, cell)
+                    assert tuple(coords[painted[cell]]) == cube.coord
+
+    def test_single_cube_axes_share_one_array(self):
+        mesh = Mesh(2, 0, 2)
+        single = [ix for s in mesh.shifts() for g in mesh.grid(s) for ix in g.cell_cube
+                  if g.shape == (1, 1)]
+        assert len(single) > 2 and all(ix is single[0] for ix in single)
+

@@ -11,6 +11,7 @@ from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
 from rieszw.normest import _candidate_roots
 from rieszw.operators import (
     KernelMode,
+    _pointwise_sup_over_levels,
     compare_pointwise,
     dyadic_riesz,
     dyadic_upper_constant,
@@ -20,6 +21,7 @@ from rieszw.operators import (
     restricted_sparse_riesz,
     sparse_riesz,
 )
+from rieszw.orlicz import YoungFunction, luxemburg_norms, orlicz_maximal
 from rieszw.sparse import SparseFamily, build_sparse
 
 from conftest import lognormal
@@ -245,6 +247,12 @@ class TestSparseOracle:
             fam.members_in(DyadicCube((1,), 0, (0,)))
 
 
+def assert_same_bits(got, expect):
+    """Equal values and equal sign bits, so -0.0 never stands in for +0.0."""
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
 def all_levels_sup(mesh, shifts, value):
     """Max over every level of every grid in ``shifts`` of the per-cube
     values, painted on the cells whose centre lies in each cube."""
@@ -286,7 +294,20 @@ class TestMaximalOracle:
                 return f.integral_box3(lo, hi) / 2.0 ** (-k * mesh.n)
 
             expect = all_levels_sup(mesh, mesh.shifts(), avg)
-            assert np.array_equal(hl_maximal(f).values, expect)
+            assert_same_bits(hl_maximal(f).values, expect)
+
+    @pytest.mark.parametrize("mesh", MAXIMAL_MESHES, ids=mesh_id)
+    def test_nonpositive_values_paint_plus_zero(self, mesh):
+        f = half_zero(mesh, 44)
+
+        def signed(k, lo, hi):
+            # negative where the average is at most 1, and -0.0 where it is 0
+            v = f.integral_box3(lo, hi) / 2.0 ** (-k * mesh.n)
+            return np.where(v > 1.0, v, -v)
+
+        for shift in mesh.shifts():
+            got = _pointwise_sup_over_levels(mesh, shift, signed)
+            assert_same_bits(got, all_levels_sup(mesh, [shift], signed))
 
     @pytest.mark.parametrize("mesh", MAXIMAL_MESHES, ids=mesh_id)
     def test_frac_maximal_equals_all_levels(self, mesh):
@@ -301,7 +322,74 @@ class TestMaximalOracle:
 
         for shift in mesh.shifts():
             got = frac_maximal_weighted(f, mu, alpha, shift).values
-            assert np.array_equal(got, all_levels_sup(mesh, [shift], value))
+            assert_same_bits(got, all_levels_sup(mesh, [shift], value))
+
+
+def loop_dyadic_riesz(f, alpha, shift):
+    """Per-cube reference for ``dyadic_riesz``: block repetition on the
+    aligned grid, a loop over the cubes of each level on the shifted ones."""
+    mesh = f.mesh
+    shift = tuple(shift)
+    aligned = not any(shift)
+    N = mesh.cells_per_axis
+    out = np.zeros_like(f.values)
+    for k in mesh.levels():
+        lo, hi = mesh.level_bounds3(shift, k)
+        avgs = f.integral_box3(lo, hi) / 2.0 ** (-k * mesh.n)
+        factor = 2.0 ** (-k * alpha)
+        if aligned:
+            # aligned cubes tile the box exactly; paint by block repetition
+            cpc = min(1 << (mesh.finest_exponent - k), N)
+            if mesh.n == 1:
+                out += factor * np.repeat(avgs, cpc)[:N]
+            else:
+                q = max(N // cpc, 1)
+                block = avgs.reshape(q, q)
+                out += factor * np.repeat(np.repeat(block, cpc, axis=0), cpc, axis=1)[:N, :N]
+            continue
+        for idx in range(lo.shape[0]):
+            a = avgs[idx]
+            if a > 0.0:
+                out[mesh.center_slices(lo[idx], hi[idx])] += factor * a
+    return out
+
+
+def loop_orlicz_maximal(f, phi):
+    """Per-cube reference for ``orlicz_maximal``: one Luxemburg batch per
+    level, painted cube by cube."""
+    mesh = f.mesh
+    out = np.zeros((mesh.cells_per_axis,) * mesh.n)
+    for shift in mesh.shifts():
+        for k in mesh.levels():
+            coords = mesh.level_cube_coords(shift, k)
+            cubes = [DyadicCube(shift, k, tuple(int(x) for x in c)) for c in coords]
+            norms = luxemburg_norms(f, cubes, phi)
+            for cube, v in zip(cubes, norms):
+                if v <= 0.0:
+                    continue
+                s = out[mesh.center_slices(*cube.bounds3(mesh.finest_exponent))]
+                np.maximum(s, float(v), out=s)
+    return out
+
+
+class TestPaintOracle:
+    """The gather paint against the per-cube loops, with == and equal sign
+    bits, on lognormal and half-zero inputs."""
+
+    @pytest.mark.parametrize("alpha_end", ["low", "high"])
+    @pytest.mark.parametrize("mesh", MAXIMAL_MESHES, ids=mesh_id)
+    def test_dyadic_riesz_equals_loop(self, mesh, alpha_end):
+        alpha = 0.3 if alpha_end == "low" else mesh.n - 0.05
+        for f in (lognormal(mesh, 50), half_zero(mesh, 51)):
+            for shift in mesh.shifts():
+                got = dyadic_riesz(f, alpha, shift).values
+                assert_same_bits(got, loop_dyadic_riesz(f, alpha, shift))
+
+    @pytest.mark.parametrize("mesh", MAXIMAL_MESHES, ids=mesh_id)
+    def test_orlicz_maximal_equals_loop(self, mesh):
+        phi = YoungFunction.log_bump(2.0, 1.0)
+        for f in (lognormal(mesh, 52), half_zero(mesh, 53)):
+            assert_same_bits(orlicz_maximal(f, phi).values, loop_orlicz_maximal(f, phi))
 
 
 class TestMaximal:
