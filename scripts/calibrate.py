@@ -50,10 +50,10 @@ def main():
         assert sw.testing_below_norm and sw.r1 is not None and sw.r1 <= 1.0 + 1e-8
         r2_values.append(sw.r2)
 
-        dual31, direct31 = thm31_bound_check(u, sigma, exps, S, fw_max_level=3)
+        dual31, direct31 = thm31_bound_check(u, sigma, exps, sw.testing, fw_max_level=3)
         thm31_max = max(thm31_max, dual31.ratio, direct31.ratio)
         for kind in ("log", "loglog"):
-            dual41, direct41 = thm41_bound_check(u, sigma, exps, S, kind, 1.0)
+            dual41, direct41 = thm41_bound_check(u, sigma, exps, sw.testing, kind, 1.0)
             worst = max(dual41.ratio, direct41.ratio if direct41 else 0.0)
             if kind == "log":
                 thm41_log_max = max(thm41_log_max, worst)

@@ -4,15 +4,19 @@ output file, so that two checkouts compare with one ``diff``.
 
     python3 scripts/output_digests.py > digests.txt
 
-The runs are every subcommand at ``--mesh n=1,J=0,L=6`` and the 2-D
-``constants``, ``verify`` and ``sandwich`` at ``--mesh n=2,J=0,L=3``, all
-with the default config and seed.  Outputs go to a temporary directory that
-is removed afterwards; the subcommands' own messages go to stderr.  Exits 1 if a
-subcommand exits with 1 or 2 (3, success with a warning, counts as success).
+The runs are every subcommand at ``--mesh n=1,J=0,L=6``, the 1-D
+``sandwich`` once more with ``{"bump_kind": "loglog"}`` (the only run whose
+bump constants use the loglog Young kinds), and the 2-D ``constants``,
+``verify`` and ``sandwich`` at ``--mesh n=2,J=0,L=3``; every other setting is
+the default config and seed.  Outputs and the run's config file go to a
+temporary directory that is removed afterwards; the subcommands' own
+messages go to stderr.  Exits 1 if a subcommand exits with 1 or 2 (3, success
+with a warning, counts as success).
 """
 
 import contextlib
 import hashlib
+import json
 import pathlib
 import sys
 import tempfile
@@ -21,12 +25,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rieszw import cli
 
+# (subcommand, --mesh value, config fields; a run with fields gets a config file)
 RUNS = [
-    *((cmd, "n=1,J=0,L=6") for cmd in
+    *((cmd, "n=1,J=0,L=6", {}) for cmd in
       ("sandwich", "verify", "constants", "corona", "sparse", "norm", "exponent-fit")),
-    ("constants", "n=2,J=0,L=3"),
-    ("verify", "n=2,J=0,L=3"),
-    ("sandwich", "n=2,J=0,L=3"),
+    ("sandwich", "n=1,J=0,L=6", {"bump_kind": "loglog"}),
+    ("constants", "n=2,J=0,L=3", {}),
+    ("verify", "n=2,J=0,L=3", {}),
+    ("sandwich", "n=2,J=0,L=3", {}),
 ]
 
 
@@ -34,14 +40,20 @@ def main() -> int:
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        for cmd, mesh in RUNS:
-            out = root / f"{cmd}-{mesh.replace(',', '-').replace('=', '')}"
+        for cmd, mesh, config in RUNS:
+            name = "-".join([cmd, mesh.replace(",", "-").replace("=", ""), *map(str, config.values())])
+            argv = [cmd, "--mesh", mesh, "--jobs", "1", "--out", str(root / name)]
+            if config:
+                cfg_path = root / f"{name}.config.json"
+                cfg_path.write_text(json.dumps(config))
+                argv += ["--config", str(cfg_path)]
+            label = " ".join([cmd, "--mesh", mesh, *(f"{k}={v}" for k, v in config.items())])
             with contextlib.redirect_stdout(sys.stderr):
-                code = cli.main([cmd, "--mesh", mesh, "--jobs", "1", "--out", str(out)])
-            print(f"{cmd} --mesh {mesh}: exit {code}", file=sys.stderr)
+                code = cli.main(argv)
+            print(f"{label}: exit {code}", file=sys.stderr)
             if code in (1, 2):
-                failed.append(f"{cmd} --mesh {mesh}")
-        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+                failed.append(label)
+        for path in sorted(p for p in root.rglob("*") if p.is_file() and p.parent != root):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root)}")
     if failed:

@@ -66,40 +66,36 @@ def young_eval_np(kind: int, a: float, b: float, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Batched Luxemburg norms
 #
-# Groups are given in CSR form: vals/wts are concatenated per-group cell
-# values and cell overlap volumes, indptr delimits groups, vols holds the
-# full cube volume of each group.
+# Groups are given in CSR form: vals/wts are the concatenated cell values
+# and cell overlap volumes of every group, indptr delimits the groups, and
+# vols holds the full cube volume of each group.  rieszw.orlicz builds the
+# groups of a whole batch of cubes at once, row-major within each cube.
 
 LUX_RTOL = 1e-12
 LUX_MAX_ITER = 200
 
 
-def luxemburg_batch(vals, wts, indptr, vols, kind, a, b):
-    """Solve the Luxemburg normalization per group; returns lambda per group.
+def luxemburg_batch(vals, wts, indptr, vols, phi):
+    """Solve avg Phi(vals / lambda) = 1 per group, for a Young function
+    ``phi`` evaluated elementwise on arrays; returns lambda per group, 0 for
+    a group with no mass.
 
     Raises LuxemburgError when a bracket is not found in 200 doublings
     (halvings) for some group."""
     vals = np.asarray(vals, dtype=np.float64)
     wts = np.asarray(wts, dtype=np.float64)
     vols = np.asarray(vols, dtype=np.float64)
-    a, b = float(a), float(b)
     ngroups = len(vols)
     lam = np.zeros(ngroups)
-    counts = np.diff(indptr)
-    group_of = np.repeat(np.arange(ngroups), counts)
-    mass = np.zeros(ngroups)
-    np.add.at(mass, group_of, vals * wts)
-    active = mass > 0.0
+    group_of = np.repeat(np.arange(ngroups), np.diff(indptr))
+    active = np.bincount(group_of, weights=vals * wts, minlength=ngroups) > 0.0
 
     gmax = np.zeros(ngroups)
     np.maximum.at(gmax, group_of, vals)
 
     def gval(lam_arr):
-        lam_cells = lam_arr[group_of]
-        phi = young_eval_np(kind, a, b, vals / lam_cells)
-        acc = np.zeros(ngroups)
-        np.add.at(acc, group_of, phi * wts)
-        return acc / vols
+        phi_wts = phi(vals / lam_arr[group_of]) * wts
+        return np.bincount(group_of, weights=phi_wts, minlength=ngroups) / vols
 
     lo = np.where(active, gmax, 1.0)
     hi = lo.copy()

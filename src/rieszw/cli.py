@@ -18,7 +18,6 @@ import json
 import math
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,7 @@ class ExperimentConfig:
     L: int = 6
     T: int = 40
     seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # reserved: accepted, has no effect
     alpha: float = 0.5
     p: float = 4.0 / 3.0
     q: float = 4.0
@@ -142,8 +141,8 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Config as embedded in output files: everything that affects the
-        results (output location and parallelism deliberately excluded, so
-        reruns stay byte-identical)."""
+        results (output location and the reserved ``jobs`` field
+        deliberately excluded, so reruns stay byte-identical)."""
         d = self.to_dict()
         d.pop("out")
         d.pop("jobs")
@@ -189,16 +188,6 @@ def _write_csv(path: pathlib.Path, header: list, rows: list) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def _run_indexed(jobs: int, tasks: list):
-    """Run tasks (callables) preserving order; parallel over threads when
-    jobs > 1, merged deterministically by index."""
-    if jobs <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 def _report(v: float):
@@ -310,14 +299,9 @@ def cmd_sparse(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
             "maxDominationRatio": rep.max_ratio, "family": S.to_jsonable(),
         }
 
-    tasks = []
-    idx = 0
-    for fname, f in functions:
-        for shift in mesh.shifts():
-            for alpha in cfg.alphas:
-                tasks.append((lambda i=idx, fn=fname, ff=f, sh=shift, al=alpha: one(i, fn, ff, sh, al)))
-                idx += 1
-    results = _run_indexed(cfg.jobs, tasks)
+    runs = [(fname, f, shift, alpha) for fname, f in functions
+            for shift in mesh.shifts() for alpha in cfg.alphas]
+    results = [one(idx, *run) for idx, run in enumerate(runs)]
     rows = [[r["index"], r["function"], r["alpha"], r["size"], r["sparsityOk"],
              r["worstUnionRatio"], r["maxDominationRatio"]] for r in results]
     for r in results:
@@ -376,9 +360,7 @@ def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
                 "testing": testing.to_jsonable(), "strong": strong.to_jsonable(),
                 "weak": weak.to_jsonable()}
 
-    tasks = [(lambda i=i, us=us, ss=ss: one(i, us, ss))
-             for i, (us, ss) in enumerate(cfg.weight_pairs())]
-    results = _run_indexed(cfg.jobs, tasks)
+    results = [one(i, us, ss) for i, (us, ss) in enumerate(cfg.weight_pairs())]
     for r in results:
         _write_json(outdir / f"norm-{r['index']:03d}.json", r)
     _write_csv(outdir / "norm-summary.csv",
@@ -407,14 +389,14 @@ def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
         if sw.r2 is not None:
             checks["r2Envelope"] = (cal["lsut_r2_min"] / SLACK <= sw.r2 <= cal["lsut_r2_max"] * SLACK)
         if exps.sobolev:
-            dual31, direct31 = thm31_bound_check(u, s, exps, S, fw_max_level=cfg.fw_max_level)
+            dual31, direct31 = thm31_bound_check(u, s, exps, sw.testing, fw_max_level=cfg.fw_max_level)
             rec["thm31"] = {"dual": dual31.to_jsonable(), "direct": direct31.to_jsonable()}
             for r in (dual31, direct31):
                 if r.ratio is not None:
                     checks.setdefault("thm31Envelope", True)
                     checks["thm31Envelope"] &= r.ratio <= cal["thm31_ratio_max"] * SLACK
         try:
-            dual41, direct41 = thm41_bound_check(u, s, exps, S, cfg.bump_kind, cfg.bump_delta)
+            dual41, direct41 = thm41_bound_check(u, s, exps, sw.testing, cfg.bump_kind, cfg.bump_delta)
             rec["thm41"] = {"dual": dual41.to_jsonable(),
                             "direct": None if direct41 is None else direct41.to_jsonable()}
             key = f"thm41_{cfg.bump_kind}_ratio_max"
@@ -489,7 +471,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     parser.add_argument("--seed", type=int, help="RNG seed for all corpora")
-    parser.add_argument("--jobs", type=int, help="experiment-level parallelism")
+    parser.add_argument("--jobs", type=int, help="reserved; accepted and has no effect")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--mesh", help="mesh override, e.g. n=1,J=0,L=8,T=40")
     args = parser.parse_args(argv)

@@ -286,6 +286,13 @@ class Mesh:
         lo = (3 * coords + sgn * s) * scale
         return lo, lo + 3 * scale
 
+    def bounds3(self, cubes: Sequence[DyadicCube]) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) thirds-corners of a cube sequence, as int64 arrays
+        of shape (len(cubes), n)."""
+        bounds = [q.bounds3(self.finest_exponent) for q in cubes]
+        lo3, hi3 = np.array(bounds, dtype=np.int64).reshape(-1, 2, self.n).transpose(1, 0, 2)
+        return lo3, hi3
+
     def center_window(self, lo3, hi3):
         """Index window [i0, i1) of the cells whose center lies in
         [lo3, hi3), thirds units; on Python ints or elementwise on arrays."""
@@ -295,6 +302,20 @@ class Mesh:
         if isinstance(i0, np.ndarray):
             return np.maximum(i0, 0), np.minimum(i1, self.cells_per_axis)
         return max(i0, 0), min(i1, self.cells_per_axis)
+
+    def window_cells(self, i0: np.ndarray, width: np.ndarray):
+        """The cells of per-box index windows [i0, i0 + width) (shape
+        (count, n)), box by box and row-major within a box: the box of each
+        cell and the cell's index along every axis."""
+        counts = width.prod(axis=1)
+        box = np.repeat(np.arange(len(counts)), counts)
+        rest = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        index = []
+        for axis in reversed(range(self.n)):
+            w = width[box, axis]
+            index.insert(0, i0[box, axis] + rest % w)
+            rest //= w
+        return box, tuple(index)
 
     def center_slices(self, lo3, hi3) -> tuple[slice, ...]:
         """Index of the cells whose center lies in the box [lo3, hi3)."""
@@ -416,7 +437,7 @@ class StepFunction:
         """Prefix integral over [0, x3/3 * h) in units of h (1-d)."""
         (S,) = self._prefixes()
         N = self.mesh.cells_per_axis
-        x3 = np.clip(x3, 0, 3 * N)
+        x3 = np.minimum(np.maximum(x3, 0), 3 * N)
         i = x3 // 3
         r = x3 - 3 * i
         iv = np.minimum(i, N - 1)
@@ -426,8 +447,8 @@ class StepFunction:
         P, RP, CP = self._prefixes()
         N = self.mesh.cells_per_axis
         v = self.values
-        x3 = np.clip(x3, 0, 3 * N)
-        y3 = np.clip(y3, 0, 3 * N)
+        x3 = np.minimum(np.maximum(x3, 0), 3 * N)
+        y3 = np.minimum(np.maximum(y3, 0), 3 * N)
         i, j = x3 // 3, y3 // 3
         fx = (x3 - 3 * i) / 3.0
         fy = (y3 - 3 * j) / 3.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .mesh import DyadicCube, Mesh, StepFunction
 from .operators import KernelMode, restricted_sparse_riesz, riesz_reference, sparse_riesz
-from .sparse import SparseFamily, _ancestor_at
+from .sparse import SparseFamily, _ancestor_levels
 from .weights import (
     CharacteristicReport,
     ExponentTuple,
@@ -105,16 +105,12 @@ class TestingReport:
 
 def _candidate_roots(family: SparseFamily) -> list[DyadicCube]:
     """Members and their enumerated ancestors: the only cubes R on which
-    the restricted operator is nonzero."""
-    mesh = family.mesh
-    out: set[DyadicCube] = set()
-    for q in family.cubes:
-        for level in mesh.levels():
-            if level > q.level:
-                break
-            out.add(_ancestor_at(mesh, q, level))
-        out.add(q)
-    return sorted(out, key=lambda c: (c.level, c.coord))
+    the restricted operator is nonzero; coarse to fine, then by coord."""
+    a, shift = family.arrays, family.shift
+    out: list[DyadicCube] = []
+    for g, _, idx, _ in _ancestor_levels(family.mesh, shift, a.level, a.lo3):
+        out.extend(DyadicCube(shift, g.level, tuple(c)) for c in g.coords[idx].tolist())
+    return out
 
 
 def _testing_sup(
@@ -435,17 +431,17 @@ def thm31_bound_check(
     u: StepFunction,
     sigma: StepFunction,
     exps: ExponentTuple,
-    family: SparseFamily,
+    testing: TestingReport,
     fw_max_level: int | None = None,
 ) -> tuple[BoundRatio, BoundRatio]:
     """Mixed-characteristic bound ratios at Sobolev exponents:
 
     dual testing / ([u,sigma]_{A_s(p)}^{1/q} [u]_{FW}^{1/p'}) and the
     symmetric form direct testing / ([sigma,u]_{A_s(q')}^{1/p'}
-    [sigma]_{FW}^{1/q}).  Infinite characteristics yield a None ratio."""
+    [sigma]_{FW}^{1/q}), with ``testing`` the ``dyadic_testing`` report of
+    (u, sigma).  Infinite characteristics yield a None ratio."""
     if not exps.sobolev:
         raise RangeConditionError("mixed bound requires the Sobolev exponent relation")
-    testing = dyadic_testing(u, sigma, exps, family)
 
     def one(test_val, tw: CharacteristicReport, fw: CharacteristicReport, e1, e2):
         comps = {"twoWeight": tw.value, "fujiiWilson": fw.value}
@@ -475,11 +471,12 @@ def thm41_bound_check(
     u: StepFunction,
     sigma: StepFunction,
     exps: ExponentTuple,
-    family: SparseFamily,
+    testing: TestingReport,
     bump_kind: str = "log",
     delta: float = 1.0,
 ) -> tuple[BoundRatio, BoundRatio | None]:
-    """Separated-bump bound ratios: dual testing / K with
+    """Separated-bump bound ratios, with ``testing`` the ``dyadic_testing``
+    report of (u, sigma): dual testing / K with
     K = sup |Q|^{alpha/n+1/q-1/p} ||u^{1/q}||_{Phi,Q} ||sigma^{1/p'}||_{p',Q},
     Phi a log or loglog bump of order q.  Requires p < q and the range
     condition (p'/q')(1 - alpha/n) >= 1; refuses otherwise.  The direct
@@ -494,7 +491,6 @@ def thm41_bound_check(
             f"got p={exps.p}, q={exps.q}, alpha={exps.alpha}"
         )
     make = YoungFunction.log_bump if bump_kind == "log" else YoungFunction.loglog_bump
-    testing = dyadic_testing(u, sigma, exps, family)
 
     phi = make(exps.q, delta)
     k1 = bump_constant(u, sigma, exps, phi, YoungFunction.power(exps.p_prime))

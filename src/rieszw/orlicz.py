@@ -8,14 +8,18 @@ a sampled monotone graph for validation work.
 
 Luxemburg norms solve avg_Q Phi(f/lambda) = 1 by bisection at relative
 tolerance 1e-12 with a 200-iteration cap; the average is over the full cube
-volume (functions vanish outside the base box).
+volume (functions vanish outside the base box).  Cubes come as thirds-unit
+corner arrays (``LevelGrid.lo3``/``hi3``, ``Mesh.bounds3``); the cells of a
+whole batch are gathered in one vectorised pass and every Young function,
+the numeric tables included, goes through the one batched bisection
+``_kernels.luxemburg_batch``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -250,95 +254,41 @@ class YoungFunction:
 # Luxemburg norms
 
 
-def _axis_coverage(lo3: int, hi3: int, ncells: int):
-    """Cells overlapping [lo3, hi3) (thirds units) with coverage fractions."""
-    a = max(lo3, 0)
-    b = min(hi3, 3 * ncells)
-    if a >= b:
-        return 0, 0, np.zeros(0)
-    i0 = a // 3
-    i1 = (b + 2) // 3
-    w = np.ones(i1 - i0)
-    w[0] = (min(b, 3 * (i0 + 1)) - a) / 3.0
-    if i1 - i0 > 1:
-        w[-1] = (b - 3 * (i1 - 1)) / 3.0
-    return i0, i1, w
-
-
-def _cube_cells(f: StepFunction, cube: DyadicCube):
-    """Values and overlap volumes of the cells meeting the cube."""
+def _box_cells(f: StepFunction, lo3: np.ndarray, hi3: np.ndarray):
+    """CSR groups of the cells meeting each box [lo3, hi3) (thirds units,
+    shape (count, n)): cell values, overlap volumes and group pointers,
+    row-major within each box."""
     mesh = f.mesh
-    lo, hi = cube.bounds3(mesh.finest_exponent)
-    N = mesh.cells_per_axis
-    if mesh.n == 1:
-        i0, i1, w = _axis_coverage(lo[0], hi[0], N)
-        return f.values[i0:i1], w * mesh.cell_volume
-    i0, i1, wx = _axis_coverage(lo[0], hi[0], N)
-    j0, j1, wy = _axis_coverage(lo[1], hi[1], N)
-    if i0 >= i1 or j0 >= j1:
-        return np.zeros(0), np.zeros(0)
-    vals = f.values[i0:i1, j0:j1].ravel()
-    wts = np.outer(wx, wy).ravel() * mesh.cell_volume
-    return vals, wts
+    a = np.maximum(lo3, 0)
+    b = np.minimum(hi3, 3 * mesh.cells_per_axis)
+    i0 = a // 3
+    width = np.where(a < b, (b + 2) // 3 - i0, 0)
+    box, index = mesh.window_cells(i0, width)
+    frac = np.ones(len(box))
+    for axis, cell in enumerate(index):
+        # the part of each cell inside its box, from the overlap in thirds
+        frac *= (np.minimum(b[box, axis], 3 * cell + 3) - np.maximum(a[box, axis], 3 * cell)) / 3.0
+    flat = np.ravel_multi_index(index, f.values.shape)
+    indptr = np.concatenate(([0], np.cumsum(width.prod(axis=1))))
+    return f.values.ravel()[flat], frac * mesh.cell_volume, indptr
 
 
 def luxemburg_norms(
-    f: StepFunction, cubes: Iterable[DyadicCube], phi: YoungFunction
+    f: StepFunction, lo3: np.ndarray, hi3: np.ndarray, phi: YoungFunction
 ) -> np.ndarray:
-    """Luxemburg norms ||f||_{Phi,Q} for a batch of cubes."""
-    cubes = list(cubes)
-    if phi.kind == _KIND_NUMERIC:
-        return np.array([_luxemburg_numeric(f, q, phi) for q in cubes])
-    vals_parts, wts_parts, indptr, vols = [], [], [0], []
-    for q in cubes:
-        v, w = _cube_cells(f, q)
-        vals_parts.append(v)
-        wts_parts.append(w)
-        indptr.append(indptr[-1] + len(v))
-        vols.append(q.volume)
-    vals = np.concatenate(vals_parts) if vals_parts else np.zeros(0)
-    wts = np.concatenate(wts_parts) if wts_parts else np.zeros(0)
-    return _kernels.luxemburg_batch(
-        vals, wts, np.asarray(indptr), np.asarray(vols), phi.kind, phi.a, phi.b
-    )
+    """Luxemburg norms ||f||_{Phi,Q} for a batch of grid cubes Q, given by
+    their thirds-unit corners ``lo3``/``hi3`` of shape (count, n)."""
+    lo3 = np.asarray(lo3, dtype=np.int64)
+    hi3 = np.asarray(hi3, dtype=np.int64)
+    vals, wts, indptr = _box_cells(f, lo3, hi3)
+    # the side 3 * 2^(L-k) thirds is 2^-k, so each volume is an exact power of two
+    vols = np.prod((hi3 - lo3) / 3.0 * f.mesh.cell_width, axis=1)
+    return _kernels.luxemburg_batch(vals, wts, indptr, vols, phi)
 
 
 def luxemburg_norm(f: StepFunction, cube: DyadicCube, phi: YoungFunction) -> float:
     """The unique lambda with avg_Q Phi(f/lambda) = 1, or 0 if f = 0 on Q."""
-    return float(luxemburg_norms(f, [cube], phi)[0])
-
-
-def _luxemburg_numeric(f: StepFunction, cube: DyadicCube, phi: YoungFunction) -> float:
-    vals, wts = _cube_cells(f, cube)
-    if len(vals) == 0 or float(vals @ wts) <= 0.0:
-        return 0.0
-    vol = cube.volume
-
-    def g(lam):
-        return float(np.sum(np.asarray(phi(vals / lam)) * wts)) / vol
-
-    lo = hi = float(vals.max())
-    for _ in range(200):
-        if g(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise LuxemburgError("upper bracket not found")
-    for _ in range(200):
-        if g(lo) >= 1.0:
-            break
-        lo *= 0.5
-    else:
-        raise LuxemburgError("lower bracket not found")
-    for _ in range(_kernels.LUX_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _kernels.LUX_RTOL * hi:
-            break
-    return 0.5 * (lo + hi)
+    return float(luxemburg_norms(f, *f.mesh.bounds3([cube]), phi)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +357,7 @@ def orlicz_maximal(f: StepFunction, phi: YoungFunction) -> StepFunction:
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
     for shift in mesh.shifts():
         for g in mesh.grid(shift):
-            cubes = [DyadicCube(shift, g.level, c) for c in map(tuple, g.coords.tolist())]
-            v = luxemburg_norms(f, cubes, phi)
+            v = luxemburg_norms(f, g.lo3, g.hi3, phi)
             np.maximum(out, g.gather(np.where(v > 0.0, v, 0.0)), out=out)
     return StepFunction(mesh, out)
 
@@ -469,10 +418,10 @@ def crv_gap_check(
     else:
         raise ValueError("mode must be 'log' or 'loglog'")
     root = u.map(lambda v: v ** (1.0 / q))
-    pq = YoungFunction.power(q)
-    n0 = luxemburg_norms(root, cubes, phi0)
-    n1 = luxemburg_norms(root, cubes, phi)
-    nq = luxemburg_norms(root, cubes, pq)
+    lo3, hi3 = u.mesh.bounds3(cubes)
+    n0 = luxemburg_norms(root, lo3, hi3, phi0)
+    n1 = luxemburg_norms(root, lo3, hi3, phi)
+    nq = luxemburg_norms(root, lo3, hi3, YoungFunction.power(q))
     keep = (n0 > 0.0) & (n1 > 0.0) & (nq > 0.0)
     skipped = int(np.count_nonzero(~keep))
     n0, n1, nq = n0[keep], n1[keep], nq[keep]

@@ -99,23 +99,13 @@ class SparseFamily:
         """The members' integer geometry, computed once per family."""
         mesh = self.mesh
         level = np.array([q.level for q in self.cubes], dtype=np.int64)
-        bounds = [q.bounds3(mesh.finest_exponent) for q in self.cubes]
-        lo3, hi3 = np.array(bounds, dtype=np.int64).reshape(-1, 2, mesh.n).transpose(1, 0, 2)
+        lo3, hi3 = mesh.bounds3(self.cubes)
         volume = np.ldexp(1.0, -mesh.n * level)
         i0, i1 = mesh.center_window(lo3, hi3)
         width = np.maximum(i1 - i0, 0)
-        counts = width.prod(axis=1)
-        # unravel each member's window row-major into flat cell indices
-        owner = np.repeat(np.arange(len(level)), counts)
-        rest = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        cells = np.zeros_like(rest)
-        stride = 1
-        for axis in reversed(range(mesh.n)):
-            w = width[owner, axis]
-            cells += (i0[owner, axis] + rest % w) * stride
-            rest //= w
-            stride *= mesh.cells_per_axis
-        out = MemberArrays(level, lo3, hi3, volume, cells, counts)
+        _, index = mesh.window_cells(i0, width)
+        cells = np.ravel_multi_index(index, (mesh.cells_per_axis,) * mesh.n)
+        out = MemberArrays(level, lo3, hi3, volume, cells, width.prod(axis=1))
         for a in out:
             a.setflags(write=False)
         return out
@@ -292,6 +282,19 @@ def _flat_index(mesh: Mesh, shift, level: int, lo3: np.ndarray) -> np.ndarray:
     for axis, r in enumerate(mesh.coord_range(tuple(shift), level)):
         idx = idx * len(r) + (coord[:, axis] - r.start)
     return idx
+
+
+def _ancestor_levels(mesh: Mesh, shift, level: np.ndarray, lo3: np.ndarray):
+    """For grid cubes with the given levels and lower corners: per grid
+    level k, coarse to fine while some cube has level >= k, yield the level
+    table, the mask of those cubes, the sorted flat indices of their level-k
+    ancestors, and each masked cube's position among them."""
+    for g in mesh.grid(shift):
+        below = level >= g.level
+        if not below.any():
+            return
+        idx, inv = np.unique(_flat_index(mesh, shift, g.level, lo3[below]), return_inverse=True)
+        yield g, below, idx, inv
 
 
 # ---------------------------------------------------------------------------
@@ -542,31 +545,23 @@ def carleson_check(
     if not support:
         return CarlesonReport(0.0, None, None if A is None else True)
     shift = support[0][0].shift
-    # each candidate's total is summed in support order from 0, as sum() is
-    totals: dict[DyadicCube, float] = {}
-    for q, v in support:
-        if q.shift != shift:
-            raise ValueError("Carleson sequence must live on a single grid")
-        for level in mesh.levels():
-            if level > q.level:
-                break
-            R = _ancestor_at(mesh, q, level)
-            totals[R] = totals.get(R, 0) + v
+    if any(q.shift != shift for q, _ in support):
+        raise ValueError("Carleson sequence must live on a single grid")
+    level = np.array([q.level for q, _ in support])
+    lo3, _ = mesh.bounds3([q for q, _ in support])
+    weight = np.array([v for _, v in support], dtype=np.float64)
     best, witness = 0.0, None
-    for R in sorted(totals, key=lambda r: (r.level, r.coord)):
-        muR = mu.cube_integral(R)
-        val = math.inf if muR <= 0.0 else totals[R] / muR
-        if val > best:
-            best, witness = val, R
+    for g, below, idx, inv in _ancestor_levels(mesh, shift, level, lo3):
+        # each ancestor's total is summed in support order from 0, as sum() is
+        totals = np.bincount(inv, weights=weight[below])
+        muR = mu.integral_box3(g.lo3[idx], g.hi3[idx])
+        with np.errstate(divide="ignore"):
+            vals = np.where(muR <= 0.0, math.inf, totals / muR)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            witness = DyadicCube(shift, g.level, tuple(g.coords[idx[i]].tolist()))
     return CarlesonReport(best, witness, None if A is None else best <= A)
-
-
-def _ancestor_at(mesh: Mesh, cube: DyadicCube, level: int) -> DyadicCube:
-    scale = 1 << (mesh.finest_exponent - level)
-    sgn = 1 if level % 2 == 0 else -1
-    lo, _ = cube.bounds3(mesh.finest_exponent)
-    coord = tuple((l // scale - sgn * s) // 3 for l, s in zip(lo, cube.shift))
-    return DyadicCube(cube.shift, level, coord)
 
 
 def carleson_embedding_check(

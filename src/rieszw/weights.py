@@ -290,20 +290,13 @@ def bump_constant(
     e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
     uroot = u.map(lambda v: v ** (1.0 / exps.q))
     sroot = sigma.map(lambda v: v ** (1.0 / exps.p_prime))
-    mesh = u.mesh
-    best, witness, count = -math.inf, None, 0
-    for shift, level, coords, lo, hi in _scan_levels(mesh):
-        cubes = [DyadicCube(shift, level, tuple(int(c) for c in coords[i])) for i in range(len(coords))]
-        nu = luxemburg_norms(uroot, cubes, phi)
-        ns = luxemburg_norms(sroot, cubes, psi)
-        vals = (2.0 ** (-level * exps.n)) ** e * nu * ns
-        count += len(vals)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, witness = float(vals[i]), cubes[i]
-    if count == 0:
-        return CharacteristicReport("bump", 0.0, None, 0)
-    return CharacteristicReport("bump", best, witness, count)
+
+    def per_level(shift, level, lo, hi):
+        nu = luxemburg_norms(uroot, lo, hi, phi)
+        ns = luxemburg_norms(sroot, lo, hi, psi)
+        return (2.0 ** (-level * exps.n)) ** e * nu * ns
+
+    return _supremum_report("bump", u.mesh, per_level)
 
 
 @dataclass(frozen=True)

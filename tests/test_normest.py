@@ -15,12 +15,14 @@ from rieszw.normest import (
     weak_lorentz_norm,
     weak_norm_lower,
 )
+from rieszw.normest import _candidate_roots
 from rieszw.operators import KernelMode
 from rieszw.orlicz import YoungFunction
 from rieszw.sparse import SparseFamily, build_sparse
 from rieszw.weights import ExponentTuple
 
 from conftest import lognormal
+from test_sparse import ORACLE_FAMILIES, _ancestor_at
 
 ROOT = DyadicCube((0,), 0, (0,))
 E22 = ExponentTuple(1, 0.5, 2.0, 2.0)
@@ -109,6 +111,26 @@ class TestTesting:
         assert num**0.25 == pytest.approx(oracle, rel=5e-3)
 
 
+def oracle_candidate_roots(family):
+    """Every member's ancestors found one cube and one level at a time."""
+    mesh = family.mesh
+    out = set()
+    for q in family.cubes:
+        for level in mesh.levels():
+            if level > q.level:
+                break
+            out.add(_ancestor_at(mesh, q, level))
+        out.add(q)
+    return sorted(out, key=lambda c: (c.level, c.coord))
+
+
+class TestCandidateRootsOracle:
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES])
+    def test_matches_per_cube_ancestors(self, make):
+        family = make()
+        assert _candidate_roots(family) == oracle_candidate_roots(family)
+
+
 class TestNormLower:
     def test_rank_one_norm(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
@@ -166,18 +188,19 @@ class TestSandwich:
 class TestTheoremRatios:
     def test_thm31_constant_weights(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
-        dual, direct = thm31_bound_check(one, one, SOB, single_cube(tight_mesh))
+        dual, direct = thm31_bound_check(one, one, SOB, dyadic_testing(one, one, SOB, single_cube(tight_mesh)))
         assert dual.ratio == pytest.approx(1.0, rel=1e-9)
         assert direct.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_thm31_needs_sobolev(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
         with pytest.raises(ValueError):
-            thm31_bound_check(one, one, ExponentTuple(1, 0.5, 2.0, 3.0), single_cube(tight_mesh))
+            e23 = ExponentTuple(1, 0.5, 2.0, 3.0)
+            thm31_bound_check(one, one, e23, dyadic_testing(one, one, e23, single_cube(tight_mesh)))
 
     def test_thm41_constant_weights_closed_form(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
-        dual, direct = thm41_bound_check(one, one, SOB, single_cube(tight_mesh))
+        dual, direct = thm41_bound_check(one, one, SOB, dyadic_testing(one, one, SOB, single_cube(tight_mesh)))
         phi = YoungFunction.log_bump(SOB.q, 1.0)
         # testing = 1 and K = 1/phi^{-1}(1), so the ratio is phi^{-1}(1)
         assert dual.ratio == pytest.approx(phi.inverse(1.0), rel=1e-9)
@@ -186,10 +209,11 @@ class TestTheoremRatios:
     def test_thm41_range_refusal(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
         with pytest.raises(RangeConditionError):
-            thm41_bound_check(one, one, E22, single_cube(tight_mesh))
+            thm41_bound_check(one, one, E22, dyadic_testing(one, one, E22, single_cube(tight_mesh)))
 
     def test_thm41_loglog_kind(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
-        dual, _ = thm41_bound_check(one, one, SOB, single_cube(tight_mesh), "loglog", 1.0)
+        testing = dyadic_testing(one, one, SOB, single_cube(tight_mesh))
+        dual, _ = thm41_bound_check(one, one, SOB, testing, "loglog", 1.0)
         phi = YoungFunction.loglog_bump(SOB.q, 1.0)
         assert dual.ratio == pytest.approx(phi.inverse(1.0), rel=1e-9)

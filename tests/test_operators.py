@@ -363,7 +363,7 @@ def loop_orlicz_maximal(f, phi):
         for k in mesh.levels():
             coords = mesh.level_cube_coords(shift, k)
             cubes = [DyadicCube(shift, k, tuple(int(x) for x in c)) for c in coords]
-            norms = luxemburg_norms(f, cubes, phi)
+            norms = luxemburg_norms(f, *mesh.bounds3(cubes), phi)
             for cube, v in zip(cubes, norms):
                 if v <= 0.0:
                     continue

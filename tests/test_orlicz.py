@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rieszw import _kernels
 from rieszw.mesh import DyadicCube, Mesh, StepFunction
 from rieszw.orlicz import (
     LuxemburgError,
     YoungFunction,
+    _box_cells,
     bp_check,
     crv_gap_check,
     generalized_holder,
@@ -19,6 +21,7 @@ from rieszw.orlicz import (
 from rieszw.weights import in_box_cubes
 
 from conftest import lognormal
+from test_mesh import TABLE_MESHES
 
 ROOT = DyadicCube((0,), 0, (0,))
 
@@ -160,7 +163,7 @@ class TestLuxemburg:
         f = lognormal(unit_mesh, 51)
         phi = YoungFunction.loglog_bump(2.0, 1.0)
         cubes = [DyadicCube((0,), 2, (m,)) for m in range(4)]
-        batch = luxemburg_norms(f, cubes, phi)
+        batch = luxemburg_norms(f, *unit_mesh.bounds3(cubes), phi)
         for q, v in zip(cubes, batch):
             assert v == pytest.approx(luxemburg_norm(f, q, phi), rel=1e-12)
 
@@ -177,6 +180,217 @@ class TestLuxemburg:
         tab = YoungFunction.numeric_table(ts, np.asarray(phi(ts)))
         got = luxemburg_norm(f, ROOT, tab)
         assert got == pytest.approx(luxemburg_norm(f, ROOT, phi), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The per-cube Luxemburg path that the batched arrays replaced, kept as the
+# oracle: cells cube by cube, the kind-coded bisection summed with
+# np.add.at, and a separate scalar bisection for numeric tables.
+
+
+def oracle_axis_coverage(lo3, hi3, ncells):
+    a = max(lo3, 0)
+    b = min(hi3, 3 * ncells)
+    if a >= b:
+        return 0, 0, np.zeros(0)
+    i0 = a // 3
+    i1 = (b + 2) // 3
+    w = np.ones(i1 - i0)
+    w[0] = (min(b, 3 * (i0 + 1)) - a) / 3.0
+    if i1 - i0 > 1:
+        w[-1] = (b - 3 * (i1 - 1)) / 3.0
+    return i0, i1, w
+
+
+def oracle_box_cells(f, lo, hi):
+    mesh = f.mesh
+    N = mesh.cells_per_axis
+    if mesh.n == 1:
+        i0, i1, w = oracle_axis_coverage(lo[0], hi[0], N)
+        return f.values[i0:i1], w * mesh.cell_volume
+    i0, i1, wx = oracle_axis_coverage(lo[0], hi[0], N)
+    j0, j1, wy = oracle_axis_coverage(lo[1], hi[1], N)
+    if i0 >= i1 or j0 >= j1:
+        return np.zeros(0), np.zeros(0)
+    vals = f.values[i0:i1, j0:j1].ravel()
+    wts = np.outer(wx, wy).ravel() * mesh.cell_volume
+    return vals, wts
+
+
+def oracle_csr(f, boxes):
+    """(vals, wts, indptr) of a list of (lo, hi) thirds-unit boxes."""
+    vals_parts, wts_parts, indptr = [], [], [0]
+    for lo, hi in boxes:
+        v, w = oracle_box_cells(f, lo, hi)
+        vals_parts.append(v)
+        wts_parts.append(w)
+        indptr.append(indptr[-1] + len(v))
+    vals = np.concatenate(vals_parts) if vals_parts else np.zeros(0)
+    wts = np.concatenate(wts_parts) if wts_parts else np.zeros(0)
+    return vals, wts, np.asarray(indptr)
+
+
+def oracle_luxemburg_batch(vals, wts, indptr, vols, kind, a, b):
+    ngroups = len(vols)
+    lam = np.zeros(ngroups)
+    group_of = np.repeat(np.arange(ngroups), np.diff(indptr))
+    mass = np.zeros(ngroups)
+    np.add.at(mass, group_of, vals * wts)
+    active = mass > 0.0
+    gmax = np.zeros(ngroups)
+    np.maximum.at(gmax, group_of, vals)
+
+    def gval(lam_arr):
+        phi = _kernels.young_eval_np(kind, a, b, vals / lam_arr[group_of])
+        acc = np.zeros(ngroups)
+        np.add.at(acc, group_of, phi * wts)
+        return acc / vols
+
+    lo = np.where(active, gmax, 1.0)
+    hi = lo.copy()
+    for _ in range(200):
+        need = active & (gval(hi) > 1.0)
+        if not need.any():
+            break
+        hi[need] *= 2.0
+    else:
+        raise LuxemburgError("upper bracket not found")
+    for _ in range(200):
+        need = active & (gval(lo) < 1.0)
+        if not need.any():
+            break
+        lo[need] *= 0.5
+    else:
+        raise LuxemburgError("lower bracket not found")
+    for _ in range(_kernels.LUX_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        above = gval(mid) > 1.0
+        lo = np.where(active & above, mid, lo)
+        hi = np.where(active & ~above, mid, hi)
+        if np.all(hi - lo <= _kernels.LUX_RTOL * hi):
+            break
+    lam[active] = 0.5 * (lo + hi)[active]
+    return lam
+
+
+def oracle_luxemburg_numeric(f, cube, phi):
+    vals, wts = oracle_box_cells(f, *cube.bounds3(f.mesh.finest_exponent))
+    if len(vals) == 0 or float(vals @ wts) <= 0.0:
+        return 0.0
+    vol = cube.volume
+
+    def g(lam):
+        return float(np.sum(np.asarray(phi(vals / lam)) * wts)) / vol
+
+    lo = hi = float(vals.max())
+    for _ in range(200):
+        if g(hi) <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise LuxemburgError("upper bracket not found")
+    for _ in range(200):
+        if g(lo) >= 1.0:
+            break
+        lo *= 0.5
+    else:
+        raise LuxemburgError("lower bracket not found")
+    for _ in range(_kernels.LUX_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _kernels.LUX_RTOL * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def oracle_luxemburg_norms(f, cubes, phi):
+    """Closed-form kinds only; numeric tables go through the scalar oracle."""
+    L = f.mesh.finest_exponent
+    vals, wts, indptr = oracle_csr(f, [q.bounds3(L) for q in cubes])
+    vols = np.asarray([q.volume for q in cubes])
+    return oracle_luxemburg_batch(vals, wts, indptr, vols, phi.kind, float(phi.a), float(phi.b))
+
+
+def level_cubes(shift, g):
+    return [DyadicCube(shift, g.level, tuple(c)) for c in g.coords.tolist()]
+
+
+def assert_csr_equal(got, expect):
+    for a, b in zip(got, expect):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+CLOSED_KINDS = [
+    YoungFunction.power(2.5, 0.7),
+    YoungFunction.log_bump(2.0, 1.0),
+    YoungFunction.loglog_bump(4.0, 0.5),
+    YoungFunction.dual_log_bump(4.0 / 3.0, 1.0),
+    YoungFunction.dual_loglog_bump(1.5, 0.5),
+]
+
+
+class TestBatchOracle:
+    """The integer-array batch against the per-cube path, with ``==``."""
+
+    @pytest.mark.parametrize(
+        "mesh",
+        TABLE_MESHES,
+        ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}",
+    )
+    def test_cells_match_every_level_table(self, mesh):
+        f = lognormal(mesh, 61)
+        L = mesh.finest_exponent
+        for shift in mesh.shifts():
+            for g in mesh.grid(shift):
+                expect = oracle_csr(f, [q.bounds3(L) for q in level_cubes(shift, g)])
+                assert_csr_equal(_box_cells(f, g.lo3, g.hi3), expect)
+
+    def test_cells_of_boxes_across_the_box_edge(self):
+        # 3N = 48 in 1-D and 12 in 2-D: boxes inside, straddling either
+        # edge, outside, empty, and within one cell
+        one_d = [(-5, 7), (40, 50), (47, 100), (-10, -1), (0, 48), (1, 2), (2, 4), (48, 60), (5, 5)]
+        two_d = [((-2, 7), (5, 14)), ((11, -3), (13, 1)), ((-6, -6), (18, 18)),
+                 ((4, 4), (5, 8)), ((12, 0), (15, 3)), ((3, 1), (3, 9)), ((1, 2), (2, 11))]
+        for mesh, boxes in ((Mesh(1, 0, 4), [((a,), (b,)) for a, b in one_d]), (Mesh(2, 0, 2), two_d)):
+            f = lognormal(mesh, 62)
+            lo3 = np.array([lo for lo, _ in boxes], dtype=np.int64)
+            hi3 = np.array([hi for _, hi in boxes], dtype=np.int64)
+            assert_csr_equal(_box_cells(f, lo3, hi3), oracle_csr(f, boxes))
+
+    @pytest.mark.parametrize("phi", CLOSED_KINDS, ids=lambda p: p.name)
+    def test_norms_match_per_cube_batch(self, phi):
+        for mesh in (Mesh(1, 0, 3), Mesh(1, 1, 4, coarse_padding=3), Mesh(2, 0, 3, coarse_padding=2)):
+            f = lognormal(mesh, 63)
+            for shift in mesh.shifts():
+                for g in mesh.grid(shift):
+                    got = luxemburg_norms(f, g.lo3, g.hi3, phi)
+                    assert np.array_equal(got, oracle_luxemburg_norms(f, level_cubes(shift, g), phi))
+
+    def test_numeric_table_matches_scalar_bisection(self):
+        ts = np.logspace(-8, 8, 400)
+        tab = YoungFunction.numeric_table(ts, np.asarray(YoungFunction.log_bump(2.0, 1.0)(ts)))
+        for mesh in (Mesh(1, 0, 5, coarse_padding=2), Mesh(2, 0, 2, coarse_padding=1)):
+            f = lognormal(mesh, 64)
+            for shift in mesh.shifts():
+                for g in mesh.grid(shift):
+                    got = luxemburg_norms(f, g.lo3, g.hi3, tab)
+                    expect = [oracle_luxemburg_numeric(f, q, tab) for q in level_cubes(shift, g)]
+                    for a, b in zip(got, expect):
+                        assert abs(a - b) <= 2.0 * _kernels.LUX_RTOL * b
+
+    def test_numeric_table_failed_bracket_raises(self):
+        # Phi(t) = 1e-200 t^1.5 stays below 1 for t up to 2^200, so 200
+        # halvings of the lower end never reach avg Phi(f/lambda) >= 1
+        ts = np.logspace(-3, 3, 50)
+        tab = YoungFunction.numeric_table(ts, 1e-200 * ts**1.5)
+        f = lognormal(Mesh(1, 0, 4), 65)
+        with pytest.raises(LuxemburgError, match="lower bracket"):
+            oracle_luxemburg_numeric(f, ROOT, tab)
+        with pytest.raises(LuxemburgError, match="lower bracket"):
+            luxemburg_norm(f, ROOT, tab)
 
 
 class TestBp:

@@ -26,7 +26,7 @@ from rieszw.sparse import (
     sigma_decay_check,
     verify_sparse,
 )
-from rieszw.sparse import _ancestor_at, _ilog_lt
+from rieszw.sparse import _ilog_lt
 from rieszw.weights import ExponentTuple, fujii_wilson, generate_weight
 
 from conftest import lognormal
@@ -477,6 +477,15 @@ def oracle_decay_rows(slices, stopping, pi, bindex, sigma, L, kmax=10):
                     sf = sum(sigma.cube_integral(q) for q, g in zip(members, gens) if g == k + 1)
                     rows.append(DecayRow(a, b, P, k, sf / sp))
     return tuple(rows)
+
+
+def _ancestor_at(mesh, cube, level):
+    """The level cube of the grid that contains the cube's lower corner."""
+    scale = 1 << (mesh.finest_exponent - level)
+    sgn = 1 if level % 2 == 0 else -1
+    lo, _ = cube.bounds3(mesh.finest_exponent)
+    coord = tuple((l // scale - sgn * s) // 3 for l, s in zip(lo, cube.shift))
+    return DyadicCube(cube.shift, level, coord)
 
 
 def oracle_carleson(c, mu, mesh, A=None):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszw.mesh import Mesh, StepFunction
+from rieszw.mesh import DyadicCube, Mesh, StepFunction
 from rieszw.orlicz import YoungFunction
 from rieszw.weights import (
+    CharacteristicReport,
     ExponentTuple,
     ainfty_exp,
     ap_constant,
@@ -22,6 +23,7 @@ from rieszw.weights import (
 )
 
 from conftest import lognormal
+from test_orlicz import oracle_luxemburg_norms
 
 
 def two_valued(mesh, a, b):
@@ -167,6 +169,48 @@ class TestMixedAndBump:
         phi = YoungFunction.log_bump(e.q, 1.0)
         k = bump_constant(one, one, e, phi, YoungFunction.power(e.p_prime))
         assert k.value == pytest.approx(1.0 / phi.inverse(1.0), rel=1e-10)
+
+
+def oracle_bump_constant(u, sigma, exps, phi, psi):
+    """The per-level loop over DyadicCube lists that ``bump_constant``
+    replaced, on the per-cube Luxemburg oracle."""
+    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
+    uroot = u.map(lambda v: v ** (1.0 / exps.q))
+    sroot = sigma.map(lambda v: v ** (1.0 / exps.p_prime))
+    mesh = u.mesh
+    best, witness, count = -math.inf, None, 0
+    for shift in mesh.shifts():
+        for g in mesh.grid(shift):
+            if not g.in_box.any():
+                continue
+            coords = g.coords[g.in_box]
+            cubes = [DyadicCube(shift, g.level, tuple(int(c) for c in row)) for row in coords]
+            nu = oracle_luxemburg_norms(uroot, cubes, phi)
+            ns = oracle_luxemburg_norms(sroot, cubes, psi)
+            vals = (2.0 ** (-g.level * exps.n)) ** e * nu * ns
+            count += len(vals)
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best, witness = float(vals[i]), cubes[i]
+    if count == 0:
+        return CharacteristicReport("bump", 0.0, None, 0)
+    return CharacteristicReport("bump", best, witness, count)
+
+
+class TestBumpOracle:
+    @pytest.mark.parametrize("kind", ["log", "loglog"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_per_cube_loop(self, n, kind):
+        mesh = Mesh(1, 0, 5) if n == 1 else Mesh(2, 1, 2, coarse_padding=3)
+        exps = ExponentTuple.sobolev_pair(n, 0.5 * n, 4.0 / 3.0)
+        make = YoungFunction.log_bump if kind == "log" else YoungFunction.loglog_bump
+        u, sigma = lognormal(mesh, 71, scale=0.7), lognormal(mesh, 72, scale=0.7)
+        for phi, psi in ((make(exps.q, 1.0), YoungFunction.power(exps.p_prime)),
+                         (YoungFunction.power(exps.q), make(exps.p_prime, 0.5))):
+            got = bump_constant(u, sigma, exps, phi, psi)
+            expect = oracle_bump_constant(u, sigma, exps, phi, psi)
+            assert (got.name, got.value, got.witness, got.corpus_size) == (
+                expect.name, expect.value, expect.witness, expect.corpus_size)
 
 
 class TestRangeConditions:
