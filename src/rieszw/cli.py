@@ -355,7 +355,7 @@ def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
         u, s = generate_weight(mesh, uspec), generate_weight(mesh, sspec)
         testing = dyadic_testing(u, s, exps, S)
         strong = strong_norm_lower(u, s, exps, S, rng_seed=cfg.seed)
-        weak = weak_norm_lower(u, s, exps, S, rng_seed=cfg.seed)
+        weak = weak_norm_lower(u, s, exps, S, strong, rng_seed=cfg.seed)
         return {"index": idx, "u": uspec, "sigma": sspec, "family": fname,
                 "testing": testing.to_jsonable(), "strong": strong.to_jsonable(),
                 "weak": weak.to_jsonable()}
@@ -434,7 +434,8 @@ def cmd_exponent_fit(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
             rows.append([beta, None, None])
             continue
         S, _ = build_sparse(s, (0,) * mesh.n, cfg.alpha)
-        est = weak_norm_lower(u, s, exps, S, rng_seed=cfg.seed)
+        strong = strong_norm_lower(u, s, exps, S, rng_seed=cfg.seed)
+        est = weak_norm_lower(u, s, exps, S, strong, rng_seed=cfg.seed)
         rows.append([beta, char, est.value])
         if est.value > 0.0:
             xs.append(math.log(char))

@@ -26,6 +26,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import LuxemburgError
 from .mesh import DyadicCube, StepFunction
+from .operators import _pointwise_sup_over_levels
 
 __all__ = [
     "YoungFunction",
@@ -352,13 +353,19 @@ def orlicz_maximal(f: StepFunction, phi: YoungFunction) -> StepFunction:
     """M_Phi f: per cell, the max of ||f||_{Phi,Q} over all enumerated cubes
     of both shifts containing the cell center.  The two-shift enumeration is
     the standard stand-in for the sup over arbitrary cubes (every cube sits
-    inside a shifted dyadic cube of comparable side)."""
+    inside a shifted dyadic cube of comparable side).
+
+    The sweep stops at the covering level: for Q' containing Q containing
+    the box, avg_{Q'} Phi(f/lambda) = (|Q|/|Q'|) avg_Q Phi(f/lambda), so
+    ||f||_{Phi,Q'} < ||f||_{Phi,Q}."""
     mesh = f.mesh
+
+    def value(k, lo, hi):
+        return luxemburg_norms(f, lo, hi, phi)
+
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
     for shift in mesh.shifts():
-        for g in mesh.grid(shift):
-            v = luxemburg_norms(f, g.lo3, g.hi3, phi)
-            np.maximum(out, g.gather(np.where(v > 0.0, v, 0.0)), out=out)
+        np.maximum(out, _pointwise_sup_over_levels(mesh, shift, value), out=out)
     return StepFunction(mesh, out)
 
 

@@ -43,7 +43,8 @@ class ExponentTuple:
     """Exponent bookkeeping: dimension, order alpha, and the Lebesgue pair.
 
     s(p) = 1 + q/p' and its dual s(q') = 1 + p'/q = s(p)'; under the
-    Sobolev relation 1/p - 1/q = alpha/n also s(p) = p(n-alpha)/(n-alpha*p).
+    Sobolev relation 1/p - 1/q = alpha/n also s(p) = p(n-alpha)/(n-alpha*p)
+    = q(n-alpha)/n.
     """
 
     n: int
@@ -59,7 +60,9 @@ class ExponentTuple:
         if not 1.0 < self.p <= self.q:
             raise ValueError("need 1 < p <= q")
         if self.sobolev:
-            sp_alt = self.p * (self.n - self.alpha) / (self.n - self.alpha * self.p)
+            # p(n-alpha)/(n-alpha*p) in the form q(n-alpha)/n (n - alpha*p = np/q),
+            # which does not cancel near the q = inf edge
+            sp_alt = self.q * (self.n - self.alpha) / self.n
             if abs(self.s_p - sp_alt) > 1e-12 * max(self.s_p, sp_alt):
                 raise AssertionError("Sobolev form of s(p) disagrees")
             if abs(_conjugate(self.s_p) - self.s_qprime) > 1e-12 * self.s_qprime:
@@ -110,18 +113,12 @@ class CharacteristicReport:
 # Cube corpus
 
 
-def in_box_cubes(
-    mesh: Mesh, with_bounds: bool = False
-) -> Iterator[tuple[DyadicCube, tuple, tuple]]:
+def in_box_cubes(mesh: Mesh) -> Iterator[DyadicCube]:
     """All enumerated cubes of both shifts contained in the base box,
     coarse to fine, aligned shift first."""
-    for shift, level, coords, lo, hi in _scan_levels(mesh):
-        for i in range(len(coords)):
-            cube = DyadicCube(shift, level, tuple(int(c) for c in coords[i]))
-            if with_bounds:
-                yield cube, tuple(lo[i]), tuple(hi[i])
-            else:
-                yield cube
+    for shift, level, coords, _, _ in _scan_levels(mesh):
+        for c in coords.tolist():
+            yield DyadicCube(shift, level, tuple(c))
 
 
 def _scan_levels(mesh: Mesh):
@@ -238,19 +235,18 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
 
     mesh = w.mesh
     best, witness, count = -math.inf, None, 0
-    for cube, lo, hi in in_box_cubes(mesh, with_bounds=True):
-        if max_level is not None and cube.level > max_level:
+    for shift, level, coords, lo, hi in _scan_levels(mesh):
+        if max_level is not None and level > max_level:
             continue
-        wq = w.cube_integral(cube)
-        if wq <= 0.0:
-            continue
-        count += 1
-        mask = _center_mask(mesh, lo, hi)
-        localized = StepFunction(mesh, w.values * mask)
-        mloc = hl_maximal(localized)
-        val = float(np.sum(mloc.values * mask)) * mesh.cell_volume / wq
-        if val > best:
-            best, witness = val, cube
+        for i, wq in enumerate(w.integral_box3(lo, hi).tolist()):
+            if wq <= 0.0:
+                continue
+            count += 1
+            mask = _center_mask(mesh, lo[i], hi[i])
+            mloc = hl_maximal(StepFunction(mesh, w.values * mask))
+            val = float(np.sum(mloc.values * mask)) * mesh.cell_volume / wq
+            if val > best:
+                best, witness = val, DyadicCube(shift, level, tuple(coords[i].tolist()))
     if count == 0:
         return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
     return CharacteristicReport("A_inf' (Fujii-Wilson)", best, witness, count)

@@ -15,14 +15,16 @@ from rieszw.normest import (
     weak_lorentz_norm,
     weak_norm_lower,
 )
-from rieszw.normest import _candidate_roots
-from rieszw.operators import KernelMode
+from rieszw import normest
+from rieszw.normest import NormEstimate, _candidate_roots
+from rieszw.operators import KernelMode, riesz_reference, sparse_riesz
 from rieszw.orlicz import YoungFunction
 from rieszw.sparse import SparseFamily, build_sparse
-from rieszw.weights import ExponentTuple
+from rieszw.weights import ExponentTuple, _center_mask
 
 from conftest import lognormal
 from test_sparse import ORACLE_FAMILIES, _ancestor_at
+from test_weights import in_box_cubes_with_bounds, zero_mass_weight
 
 ROOT = DyadicCube((0,), 0, (0,))
 E22 = ExponentTuple(1, 0.5, 2.0, 2.0)
@@ -56,6 +58,67 @@ class TestWeakLorentz:
     def test_zero(self, unit_mesh):
         z = StepFunction.constant(unit_mesh, 0.0)
         assert weak_lorentz_norm(z, z, 2.0) == 0.0
+
+
+def loop_weak_lorentz_norm(h, u, q):
+    """The run-by-run scan ``weak_lorentz_norm`` replaced."""
+    hv = h.values.ravel()
+    uv = u.values.ravel() * h.mesh.cell_volume
+    order = np.argsort(hv)[::-1]
+    hs, us = hv[order], uv[order]
+    cum = np.cumsum(us)
+    best = 0.0
+    i = 0
+    n = len(hs)
+    while i < n:
+        v = hs[i]
+        if v <= 0.0:
+            break
+        j = i
+        while j + 1 < n and hs[j + 1] == v:
+            j += 1
+        best = max(best, v * cum[j] ** (1.0 / q))
+        i = j + 1
+    return best
+
+
+def lorentz_cases(mesh):
+    """(h, u) pairs with ties, one value, zeros of both signs and h = 0."""
+    shape = (mesh.cells_per_axis,) * mesh.n
+    rng = np.random.default_rng(7)
+    u = lognormal(mesh, 8, scale=0.7)
+    ties = rng.integers(0, 4, shape) * 0.7
+    signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    mixed = np.where(rng.random(shape) < 0.4, signed_zeros, rng.integers(1, 3, shape) / 3.0)
+    for vals in (
+        ties,
+        np.full(shape, 1.3),
+        mixed,
+        signed_zeros,
+        np.zeros(shape),
+        np.exp(rng.standard_normal(shape)),
+    ):
+        yield StepFunction(mesh, vals), u
+
+
+class TestWeakLorentzOracle:
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 6), Mesh(2, 0, 3)], ids=["n1", "n2"])
+    @pytest.mark.parametrize("q", [1.5, 4.0, 33.0])
+    def test_equals_loop(self, mesh, q):
+        for h, u in lorentz_cases(mesh):
+            got = weak_lorentz_norm(h, u, q)
+            expect = loop_weak_lorentz_norm(h, u, q)
+            assert got == expect and math.copysign(1.0, got) == math.copysign(1.0, expect)
+
+    def test_many_draws_equal_loop(self):
+        # the max lands on a last-bit difference of an array pow now and then
+        mesh = Mesh(1, 0, 5)
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            h = StepFunction(mesh, np.exp(rng.standard_normal(mesh.cells_per_axis)))
+            u = StepFunction(mesh, np.exp(rng.standard_normal(mesh.cells_per_axis)))
+            q = float(rng.uniform(1.1, 40.0))
+            assert weak_lorentz_norm(h, u, q) == loop_weak_lorentz_norm(h, u, q)
 
 
 class TestTesting:
@@ -111,6 +174,44 @@ class TestTesting:
         assert num**0.25 == pytest.approx(oracle, rel=5e-3)
 
 
+def loop_sawyer_testing(u, sigma, exps, mode=KernelMode.MIDPOINT):
+    """``sawyer_testing`` as a loop over (cube, lower, upper) triples."""
+    mesh = u.mesh
+
+    def one_side(inner, outer, den_exp, out_exp):
+        best, witness, skipped = 0.0, None, 0
+        for cube, lo, hi in in_box_cubes_with_bounds(mesh):
+            mask = _center_mask(mesh, lo, hi)
+            den = float(np.sum(inner.values * mask)) * mesh.cell_volume
+            if den <= 0.0:
+                skipped += 1
+                continue
+            I = riesz_reference(StepFunction(mesh, inner.values * mask), exps.alpha, mode)
+            num = float(np.sum(I.values**out_exp * outer.values * mask)) * mesh.cell_volume
+            val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
+            if val > best:
+                best, witness = val, cube
+        return best, witness, skipped
+
+    direct, wd, sd = one_side(sigma, u, exps.p, exps.q)
+    dual, wu, su = one_side(u, sigma, exps.q_prime, exps.p_prime)
+    return normest.TestingReport(direct, dual, wd, wu, sd, su)
+
+
+class TestSawyerOracle:
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(1, 1, 4), Mesh(2, 0, 2)], ids=["n1", "n1J1", "n2"])
+    @pytest.mark.parametrize("zeros", ["positive", "zero-mass"])
+    def test_equals_loop(self, mesh, zeros):
+        exps = SOB if mesh.n == 1 else ExponentTuple.sobolev_pair(2, 0.5, 1.5)
+        u = lognormal(mesh, 60, scale=0.7)
+        s = lognormal(mesh, 61, scale=0.7) if zeros == "positive" else zero_mass_weight(mesh, 61)
+        for mode in (KernelMode.MIDPOINT, KernelMode.UPPER):
+            got = sawyer_testing(u, s, exps, mode)
+            assert got == loop_sawyer_testing(u, s, exps, mode)
+        if zeros == "zero-mass":
+            assert got.skipped_direct > 0
+
+
 def oracle_candidate_roots(family):
     """Every member's ancestors found one cube and one level at a time."""
     mesh = family.mesh
@@ -146,7 +247,8 @@ class TestNormLower:
 
     def test_weak_rank_one(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
-        est = weak_norm_lower(one, one, E22, single_cube(tight_mesh))
+        strong = strong_norm_lower(one, one, E22, single_cube(tight_mesh))
+        est = weak_norm_lower(one, one, E22, single_cube(tight_mesh), strong)
         assert est.value == pytest.approx(1.0, rel=1e-10)
 
     def test_value_reproducible_from_witness(self, unit_mesh):
@@ -164,6 +266,107 @@ class TestNormLower:
         norm = float(np.sum(h.values**SOB.q * u.values) * vol) ** (1.0 / SOB.q)
         nf = float(np.sum(est.witness_f.values**SOB.p * s.values) * vol) ** (1.0 / SOB.p)
         assert norm / nf == pytest.approx(est.value, rel=1e-10)
+
+
+def lp_norm_weighted(values, w, p, vol):
+    return float(np.sum(values**p * w) * vol) ** (1.0 / p)
+
+
+def seed_functions(mesh, sigma, exps, family, rng_seed, n_random, extra_seeds):
+    """The seed set of the norm estimates, with its count of random starts."""
+    for q in family.cubes:
+        lo, hi = q.bounds3(mesh.finest_exponent)
+        mask = _center_mask(mesh, lo, hi)
+        yield f"chi[{q.level},{q.coord}]", StepFunction(mesh, mask)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prof = np.where(sigma.values > 0.0, sigma.values ** (exps.p_prime - 1.0), 0.0)
+    yield "sigma-profile", StepFunction(mesh, prof)
+    rng = np.random.default_rng(rng_seed)
+    shape = (mesh.cells_per_axis,) * mesh.n
+    for i in range(n_random):
+        yield f"random-{i}", StepFunction(mesh, rng.random(shape))
+    for label, f in extra_seeds:
+        yield label, f
+
+
+def self_contained_weak_norm_lower(u, sigma, exps, family, rng_seed=0, n_random=8, extra_seeds=()):
+    """``weak_norm_lower`` running its own strong estimate for the witness."""
+    mesh = u.mesh
+    vol = mesh.cell_volume
+    strong = strong_norm_lower(u, sigma, exps, family, rng_seed, extra_seeds=extra_seeds)
+    seeds = list(seed_functions(mesh, sigma, exps, family, rng_seed, n_random, extra_seeds))
+    if strong.witness_f is not None:
+        seeds.append(("strong-witness", strong.witness_f))
+    best = NormEstimate(0.0, None, None, 0, "none", True, True)
+    for label, f0 in seeds:
+        fv = np.maximum(f0.values, 0.0)
+        nf = lp_norm_weighted(fv, sigma.values, exps.p, vol)
+        if nf <= 0.0:
+            continue
+        h = sparse_riesz(StepFunction(mesh, fv * sigma.values / nf), exps.alpha, family)
+        wk = weak_lorentz_norm(h, u, exps.q)
+        st = lp_norm_weighted(h.values, u.values, exps.q, vol)
+        if wk > st * (1.0 + 1e-12):
+            raise AssertionError("weak functional exceeded strong at the same witness")
+        if wk > best.value:
+            best = NormEstimate(wk, StepFunction(mesh, fv / nf), None, 1, label, True, False)
+    return best
+
+
+def witness_indicator_seeds(u, s, exps, family):
+    """The testing witnesses as indicator seeds, as ``lsut_sandwich`` adds them."""
+    mesh = u.mesh
+    testing = dyadic_testing(u, s, exps, family)
+    extra = []
+    for name, wit in (("direct-witness", testing.witness_direct), ("dual-witness", testing.witness_dual)):
+        if wit is not None:
+            lo, hi = wit.bounds3(mesh.finest_exponent)
+            extra.append((name, StepFunction(mesh, _center_mask(mesh, lo, hi))))
+    return extra
+
+
+def assert_same_estimate(got, expect):
+    assert (got.value, got.iterations, got.seed_label, got.converged, got.degenerate) == (
+        expect.value, expect.iterations, expect.seed_label, expect.converged, expect.degenerate)
+    for a, b in ((got.witness_f, expect.witness_f), (got.witness_g, expect.witness_g)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(np.signbit(a.values), np.signbit(b.values))
+
+
+class TestWeakNormOracle:
+    """The weak estimate from the caller's strong estimate against the one
+    that runs its own, on the ``TestSandwich`` instances."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("with_extra", [False, True], ids=["plain", "witness-seeds"])
+    def test_equals_self_contained(self, unit_mesh, seed, with_extra):
+        u = lognormal(unit_mesh, 20 + seed, scale=0.7)
+        s = lognormal(unit_mesh, 30 + seed, scale=0.7)
+        f = lognormal(unit_mesh, 40 + seed)
+        fam, _ = build_sparse(f, (0,), SOB.alpha)
+        extra = witness_indicator_seeds(u, s, SOB, fam) if with_extra else ()
+        strong = strong_norm_lower(u, s, SOB, fam, seed, extra_seeds=extra)
+        got = weak_norm_lower(u, s, SOB, fam, strong, seed, extra_seeds=extra)
+        assert_same_estimate(got, self_contained_weak_norm_lower(u, s, SOB, fam, seed, extra_seeds=extra))
+
+    def test_strong_witness_wins(self, unit_mesh):
+        # wide weights where the strong witness is the best weak seed
+        u = lognormal(unit_mesh, 22, scale=2.0)
+        s = lognormal(unit_mesh, 32, scale=2.0)
+        fam, _ = build_sparse(lognormal(unit_mesh, 42), (0,), SOB.alpha)
+        got = weak_norm_lower(u, s, SOB, fam, strong_norm_lower(u, s, SOB, fam, 2), 2)
+        assert got.seed_label == "strong-witness"
+        assert_same_estimate(got, self_contained_weak_norm_lower(u, s, SOB, fam, 2))
+
+    def test_single_cube_and_degenerate(self, tight_mesh):
+        one = StepFunction.constant(tight_mesh, 1.0)
+        zero = StepFunction.constant(tight_mesh, 0.0)
+        fam = single_cube(tight_mesh)
+        for u, s in ((one, one), (one, zero)):
+            got = weak_norm_lower(u, s, E22, fam, strong_norm_lower(u, s, E22, fam))
+            assert_same_estimate(got, self_contained_weak_norm_lower(u, s, E22, fam))
 
 
 class TestSandwich:

@@ -387,9 +387,16 @@ class TestPaintOracle:
 
     @pytest.mark.parametrize("mesh", MAXIMAL_MESHES, ids=mesh_id)
     def test_orlicz_maximal_equals_loop(self, mesh):
-        phi = YoungFunction.log_bump(2.0, 1.0)
-        for f in (lognormal(mesh, 52), half_zero(mesh, 53)):
-            assert_same_bits(orlicz_maximal(f, phi).values, loop_orlicz_maximal(f, phi))
+        # the sweep stops at the covering level; the loop sweeps every level
+        for phi in (
+            YoungFunction.log_bump(2.0, 1.0),
+            YoungFunction.power(2.0),
+            YoungFunction.power(40.0),
+            YoungFunction.loglog_bump(2.0, 1.0),
+            YoungFunction.dual_log_bump(2.0, 1.0),
+        ):
+            for f in (lognormal(mesh, 52), half_zero(mesh, 53)):
+                assert_same_bits(orlicz_maximal(f, phi).values, loop_orlicz_maximal(f, phi))
 
 
 class TestMaximal:

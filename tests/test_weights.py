@@ -21,6 +21,8 @@ from rieszw.weights import (
     range_conditions,
     two_weight_ap,
 )
+from rieszw.operators import hl_maximal
+from rieszw.weights import _center_mask, _scan_levels
 
 from conftest import lognormal
 from test_orlicz import oracle_luxemburg_norms
@@ -54,6 +56,29 @@ class TestExponentTuple:
         e = ExponentTuple(n, alpha, p, 1.0 / inv_q)
         sp = e.s_p
         assert sp / (sp - 1.0) == pytest.approx(e.s_qprime, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_near_infinite_q(self, n, eps):
+        # 1/q = eps: n - alpha*p is nearly 0, so the p(n-alpha)/(n-alpha*p)
+        # form of s(p) loses digits there
+        for frac in np.linspace(0.26, 0.9, 9).tolist():
+            p = 1.0 / (frac + eps)
+            e = ExponentTuple(n, frac * n, p, 1.0 / (1.0 / p - frac))
+            assert e.sobolev
+
+    def test_hypothesis_edge_example(self):
+        # the test_duality_identity draw n=1, frac=0.5551117655668327, p=1.801340671451161
+        frac, p = 0.5551117655668327, 1.801340671451161
+        e = ExponentTuple(1, frac, p, 1.0 / (1.0 / p - frac))
+        assert e.sobolev and e.q > 3e4
+
+    def test_sobolev_form_check_is_live(self, monkeypatch):
+        # an s(p) off by 1e-11 relative must still fail the 1e-12 check
+        s_p = ExponentTuple.s_p
+        monkeypatch.setattr(ExponentTuple, "s_p", property(lambda e: s_p.fget(e) * (1.0 + 1e-11)))
+        with pytest.raises(AssertionError, match="Sobolev form"):
+            ExponentTuple(1, 0.5, 4.0 / 3.0, 4.0)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -141,6 +166,62 @@ class TestAinftyAndFujiiWilson:
         vals = np.r_[np.ones(8), np.zeros(8)]
         rep = fujii_wilson(StepFunction(mesh, vals), max_level=2)
         assert rep.value >= 1.0 - 1e-12
+
+
+def in_box_cubes_with_bounds(mesh):
+    """The in-box corpus as (cube, lower, upper) triples, one cube at a time."""
+    for shift, level, coords, lo, hi in _scan_levels(mesh):
+        for i in range(len(coords)):
+            cube = DyadicCube(shift, level, tuple(int(c) for c in coords[i]))
+            yield cube, tuple(lo[i]), tuple(hi[i])
+
+
+def zero_mass_weight(mesh, seed):
+    """A lognormal weight that vanishes on the left half of the box."""
+    w = lognormal(mesh, seed, scale=0.7).values.copy()
+    w[: mesh.cells_per_axis // 2] = 0.0
+    return StepFunction(mesh, w)
+
+
+def loop_fujii_wilson(w, max_level=None):
+    """``fujii_wilson`` as a loop over (cube, lower, upper) triples with one
+    cube integral per cube."""
+    mesh = w.mesh
+    best, witness, count = -math.inf, None, 0
+    for cube, lo, hi in in_box_cubes_with_bounds(mesh):
+        if max_level is not None and cube.level > max_level:
+            continue
+        wq = w.cube_integral(cube)
+        if wq <= 0.0:
+            continue
+        count += 1
+        mask = _center_mask(mesh, lo, hi)
+        mloc = hl_maximal(StepFunction(mesh, w.values * mask))
+        val = float(np.sum(mloc.values * mask)) * mesh.cell_volume / wq
+        if val > best:
+            best, witness = val, cube
+    if count == 0:
+        return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
+    return CharacteristicReport("A_inf' (Fujii-Wilson)", best, witness, count)
+
+
+class TestFujiiWilsonOracle:
+    @pytest.mark.parametrize("max_level", [None, 1], ids=["all", "max1"])
+    @pytest.mark.parametrize("zeros", ["positive", "zero-mass"])
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(1, 1, 4, coarse_padding=0), Mesh(2, 0, 2)],
+                             ids=["n1", "n1J1-T0", "n2"])
+    def test_equals_loop(self, mesh, zeros, max_level):
+        w = lognormal(mesh, 73, scale=0.7) if zeros == "positive" else zero_mass_weight(mesh, 73)
+        got = fujii_wilson(w, max_level=max_level)
+        expect = loop_fujii_wilson(w, max_level=max_level)
+        assert (got.name, got.value, got.witness, got.corpus_size) == (
+            expect.name, expect.value, expect.witness, expect.corpus_size)
+        if zeros == "zero-mass":
+            assert got.corpus_size < sum(len(c) for _, _, c, _, _ in _scan_levels(mesh))
+
+    def test_all_zero_weight(self):
+        w = StepFunction.constant(Mesh(1, 0, 3), 0.0)
+        assert fujii_wilson(w) == loop_fujii_wilson(w)
 
 
 class TestMixedAndBump:
