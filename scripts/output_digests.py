@@ -6,9 +6,10 @@ output file, so that two checkouts compare with one ``diff``.
 
 The runs are every subcommand at ``--mesh n=1,J=0,L=6``, the 1-D
 ``sandwich`` once more with ``{"bump_kind": "loglog"}`` (the only run whose
-bump constants use the loglog Young kinds), and the 2-D ``constants``,
-``verify``, ``sandwich`` and ``norm`` at ``--mesh n=2,J=0,L=3``; every other
-setting is the default config and seed.  Outputs and the run's config file go to a
+bump constants use the loglog Young kinds) and at L=8 (its in-box corpus
+meets 4,599 cells, more than one ``bump_constant`` Luxemburg batch holds),
+and the 2-D ``constants``, ``verify``, ``sandwich`` and ``norm`` at ``--mesh
+n=2,J=0,L=3``; every other setting is the default config and seed.  Outputs and the run's config file go to a
 temporary directory that is removed afterwards; the subcommands' own
 messages go to stderr.  Exits 1 if a subcommand exits with 1 or 2 (3, success
 with a warning, counts as success).
@@ -30,6 +31,7 @@ RUNS = [
     *((cmd, "n=1,J=0,L=6", {}) for cmd in
       ("sandwich", "verify", "constants", "corona", "sparse", "norm", "exponent-fit")),
     ("sandwich", "n=1,J=0,L=6", {"bump_kind": "loglog"}),
+    ("sandwich", "n=1,J=0,L=8", {}),
     ("constants", "n=2,J=0,L=3", {}),
     ("verify", "n=2,J=0,L=3", {}),
     ("sandwich", "n=2,J=0,L=3", {}),

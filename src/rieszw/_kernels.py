@@ -3,7 +3,9 @@ Luxemburg bisection, and the reference Riesz apply.
 
 The reference apply is an exact FFT matvec: its kernel depends only on the
 cell offset, so it costs O(N^n log N) for N cells per axis rather than the
-O(cells^2) of a dense matrix.
+O(cells^2) of a dense matrix.  The kernel's spectrum is kept, one per
+kernel mode.  The bisection takes groups of several levels as segments that
+stop independently.
 """
 
 from __future__ import annotations
@@ -70,21 +72,31 @@ def young_eval_np(kind: int, a: float, b: float, t: np.ndarray) -> np.ndarray:
 # and cell overlap volumes of every group, indptr delimits the groups, and
 # vols holds the full cube volume of each group.  rieszw.orlicz builds the
 # groups of a whole batch of cubes at once, row-major within each cube.
+# Every step is elementwise or a per-group bincount sum in cell order, so a
+# group's lambda does not depend on which other groups share its batch, up
+# to when the bisection stops; segments fix that point.
 
 LUX_RTOL = 1e-12
 LUX_MAX_ITER = 200
 
 
-def luxemburg_batch(vals, wts, indptr, vols, phi):
+def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
     """Solve avg Phi(vals / lambda) = 1 per group, for a Young function
     ``phi`` evaluated elementwise on arrays; returns lambda per group, 0 for
     a group with no mass.
+
+    ``starts`` cuts the groups into consecutive non-empty segments (the
+    index of each segment's first group, increasing from 0).  A segment
+    stops bisecting once all of its groups are within ``LUX_RTOL``, which
+    is when a call on that segment alone stops, so each lambda equals that
+    call's bit for bit.  The default is one segment.
 
     Raises LuxemburgError when a bracket is not found in 200 doublings
     (halvings) for some group."""
     vals = np.asarray(vals, dtype=np.float64)
     wts = np.asarray(wts, dtype=np.float64)
     vols = np.asarray(vols, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.intp)
     ngroups = len(vols)
     lam = np.zeros(ngroups)
     group_of = np.repeat(np.arange(ngroups), np.diff(indptr))
@@ -113,13 +125,23 @@ def luxemburg_batch(vals, wts, indptr, vols, phi):
         lo[need] *= 0.5
     else:
         raise LuxemburgError("lower bracket not found")
+    segment_of = np.repeat(np.arange(len(starts)), np.diff(starts, append=ngroups))
+    moving = active
     for _ in range(LUX_MAX_ITER):
         mid = 0.5 * (lo + hi)
         above = gval(mid) > 1.0
-        lo = np.where(active & above, mid, lo)
-        hi = np.where(active & ~above, mid, hi)
-        if np.all(hi - lo <= LUX_RTOL * hi):
+        lo = np.where(moving & above, mid, lo)
+        hi = np.where(moving & ~above, mid, hi)
+        done = hi - lo <= LUX_RTOL * hi
+        if len(starts) == 1:
+            if np.all(done):
+                break
+            continue
+        # a stopped segment stays done, so this only ever stops more
+        live = ~np.logical_and.reduceat(done, starts)
+        if not live.any():
             break
+        moving = active & live[segment_of]
     lam[active] = 0.5 * (lo + hi)[active]
     return lam
 
@@ -148,17 +170,19 @@ def _self_weight(n: int, h: float, alpha: float, mode: int) -> float:
     return _ball_weight(n, h, alpha)
 
 
-def riesz_apply(values: np.ndarray, h: float, alpha: float, mode: int) -> np.ndarray:
-    """Reference Riesz potential at all cell centers of an N^n grid.
+#: One kernel spectrum per mode, for the last (n, N, h, alpha) that mode
+#: was applied with: at most three are held.
+_SPECTRA: dict[int, tuple[tuple, np.ndarray]] = {}
 
-    The weight of source cell j at target i depends only on |i - j| per
-    axis, so the operator is (block-)Toeplitz.  It is embedded in a circulant
-    of size 2N per axis and applied exactly by zero-padded real FFTs
-    (circulant embedding; Chan & Jin, Iterative Toeplitz Solvers, ch. 2)."""
+
+def _kernel_spectrum(n: int, N: int, h: float, alpha: float, mode: int) -> np.ndarray:
+    """rfftn of the circulant kernel table of size 2N per axis, read-only."""
+    key = (n, N, h, alpha)
+    hit = _SPECTRA.get(mode)
+    if hit is not None and hit[0] == key:
+        return hit[1]
     from numpy import fft  # first use only: keeps numpy.fft out of the import
 
-    values = np.asarray(values, dtype=np.float64)
-    n, N = values.ndim, values.shape[0]
     # circulant index m stands for the axis offset min(m, 2N - m); m = N is
     # never reached by an offset between two cells
     m = np.arange(2 * N)
@@ -171,6 +195,24 @@ def riesz_apply(values: np.ndarray, h: float, alpha: float, mode: int) -> np.nda
     with np.errstate(divide="ignore"):
         kernel = h**n * d ** (alpha - n)
     kernel[(0,) * n] = _self_weight(n, h, alpha, mode)
+    spectrum = fft.rfftn(kernel, (2 * N,) * n, tuple(range(n)))
+    spectrum.setflags(write=False)
+    _SPECTRA[mode] = (key, spectrum)
+    return spectrum
+
+
+def riesz_apply(values: np.ndarray, h: float, alpha: float, mode: int) -> np.ndarray:
+    """Reference Riesz potential at all cell centers of an N^n grid.
+
+    The weight of source cell j at target i depends only on |i - j| per
+    axis, so the operator is (block-)Toeplitz.  It is embedded in a circulant
+    of size 2N per axis and applied exactly by zero-padded real FFTs
+    (circulant embedding; Chan & Jin, Iterative Toeplitz Solvers, ch. 2).
+    The kernel's spectrum is kept per mode (``_kernel_spectrum``)."""
+    from numpy import fft
+
+    values = np.asarray(values, dtype=np.float64)
+    n, N = values.ndim, values.shape[0]
     shape, axes = (2 * N,) * n, tuple(range(n))
-    spectrum = fft.rfftn(values, shape, axes) * fft.rfftn(kernel, shape, axes)
+    spectrum = fft.rfftn(values, shape, axes) * _kernel_spectrum(n, N, h, alpha, mode)
     return fft.irfftn(spectrum, shape, axes)[(slice(0, N),) * n]

@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "Corpus",
     "DyadicCube",
     "LevelGrid",
     "Mesh",
@@ -130,6 +131,31 @@ class LevelGrid(NamedTuple):
         return values.reshape(self.shape)[np.ix_(*self.cell_cube)]
 
 
+class Corpus(NamedTuple):
+    """The cubes of both shifts that lie inside the base box, as one table.
+
+    Each (shift, level) with an in-box cube is one segment; segments run
+    shift by shift (``Mesh.shifts`` order) and coarse to fine, and the cubes
+    of a segment keep their ``LevelGrid`` order.  Arrays are read-only."""
+
+    coords: np.ndarray  # (count, n) int64 integer coordinates
+    lo3: np.ndarray  # (count, n) int64 lower corners, thirds of the finest cell width
+    hi3: np.ndarray  # (count, n) int64 upper corners
+    level: np.ndarray  # (count,) int64 level of each cube
+    starts: np.ndarray  # (segments,) int64 index of each segment's first cube
+    segments: tuple[tuple[tuple[int, ...], int], ...]  # (shift, level) per segment
+
+    @property
+    def ends(self) -> np.ndarray:
+        """The index one past each segment's last cube."""
+        return np.append(self.starts[1:], len(self.level))
+
+    def cube(self, i: int) -> DyadicCube:
+        """The ``DyadicCube`` of entry ``i``."""
+        shift, level = self.segments[int(np.searchsorted(self.starts, i, side="right")) - 1]
+        return DyadicCube(shift, level, tuple(self.coords[i].tolist()))
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Truncated dyadic discretization of the box [0, 2^J)^n.
@@ -232,6 +258,41 @@ class Mesh:
         for a in (coords, lo3, hi3, in_box, *cell_cube):
             a.setflags(write=False)
         return out
+
+    @functools.cached_property
+    def corpus(self) -> Corpus:
+        """The in-box cubes of both shifts, cut from the level tables on
+        first use and cached on the mesh."""
+        parts, segments = [], []
+        for shift in self.shifts():
+            for g in self.grid(shift):
+                if g.in_box.any():
+                    segments.append((shift, g.level))
+                    parts.append((g.coords[g.in_box], g.lo3[g.in_box], g.hi3[g.in_box]))
+        sizes = np.array([len(c) for c, _, _ in parts], dtype=np.int64)
+        levels = np.array([k for _, k in segments], dtype=np.int64)
+        # never empty: the box itself is the aligned cube of level -J
+        coords, lo3, hi3 = (np.concatenate(a) for a in zip(*parts))
+        out = Corpus(coords, lo3, hi3, np.repeat(levels, sizes),
+                     np.cumsum(sizes) - sizes, tuple(segments))
+        for a in out[:5]:
+            a.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def _factor_tables(self) -> dict:
+        return {}
+
+    def level_factors(self, alpha: float) -> np.ndarray:
+        """2^(-k alpha) for every level k, entry ``k - coarsest_level``,
+        read-only and cached per alpha.  Each entry is a Python pow, as a
+        per-level loop computes it: ``np.power`` can differ in the last bit."""
+        table = self._factor_tables.get(alpha)
+        if table is None:
+            table = np.array([2.0 ** (-k * alpha) for k in self.levels()])
+            table.setflags(write=False)
+            self._factor_tables[alpha] = table
+        return table
 
     @functools.cached_property
     def _cell_zeros(self) -> np.ndarray:

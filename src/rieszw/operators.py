@@ -111,8 +111,7 @@ def _sparse_sum(f: StepFunction, alpha: float, family, keep=None) -> StepFunctio
     if keep is not None:
         cells = cells[np.repeat(keep, counts)]
         level, lo3, hi3, volume, counts = level[keep], lo3[keep], hi3[keep], volume[keep], counts[keep]
-    # Python pow per level, as a scalar loop computes it (np.power can differ in the last bit)
-    factor = np.array([2.0 ** (-k * alpha) for k in mesh.levels()])[level - mesh.coarsest_level]
+    factor = mesh.level_factors(alpha)[level - mesh.coarsest_level]
     w = factor * (f.integral_box3(lo3, hi3) / volume)
     out = np.bincount(cells, weights=np.repeat(w, counts), minlength=mesh.total_cells)
     return StepFunction(mesh, out.reshape(f.values.shape))

@@ -9,10 +9,11 @@ a sampled monotone graph for validation work.
 Luxemburg norms solve avg_Q Phi(f/lambda) = 1 by bisection at relative
 tolerance 1e-12 with a 200-iteration cap; the average is over the full cube
 volume (functions vanish outside the base box).  Cubes come as thirds-unit
-corner arrays (``LevelGrid.lo3``/``hi3``, ``Mesh.bounds3``); the cells of a
-whole batch are gathered in one vectorised pass and every Young function,
-the numeric tables included, goes through the one batched bisection
-``_kernels.luxemburg_batch``.
+corner arrays (``LevelGrid.lo3``/``hi3``, ``Mesh.bounds3``, or a run of
+``Mesh.corpus``); the cells of a whole batch are gathered in one vectorised
+pass and every Young function, the numeric tables included, goes through
+the one batched bisection ``_kernels.luxemburg_batch``.  A batch may hold
+several levels as segments, each stopping as a call on it alone would.
 """
 
 from __future__ import annotations
@@ -258,7 +259,8 @@ class YoungFunction:
 def _box_cells(f: StepFunction, lo3: np.ndarray, hi3: np.ndarray):
     """CSR groups of the cells meeting each box [lo3, hi3) (thirds units,
     shape (count, n)): cell values, overlap volumes and group pointers,
-    row-major within each box."""
+    row-major within each box.  The boxes may be of any sizes and levels;
+    each group depends only on its own box."""
     mesh = f.mesh
     a = np.maximum(lo3, 0)
     b = np.minimum(hi3, 3 * mesh.cells_per_axis)
@@ -275,16 +277,21 @@ def _box_cells(f: StepFunction, lo3: np.ndarray, hi3: np.ndarray):
 
 
 def luxemburg_norms(
-    f: StepFunction, lo3: np.ndarray, hi3: np.ndarray, phi: YoungFunction
+    f: StepFunction, lo3: np.ndarray, hi3: np.ndarray, phi: YoungFunction, starts=(0,)
 ) -> np.ndarray:
     """Luxemburg norms ||f||_{Phi,Q} for a batch of grid cubes Q, given by
-    their thirds-unit corners ``lo3``/``hi3`` of shape (count, n)."""
+    their thirds-unit corners ``lo3``/``hi3`` of shape (count, n).
+
+    ``starts`` cuts the batch into consecutive non-empty segments (the index
+    of each segment's first cube); each segment's norms equal those of a
+    call on that segment alone, bit for bit (``_kernels.luxemburg_batch``).
+    The default is one segment."""
     lo3 = np.asarray(lo3, dtype=np.int64)
     hi3 = np.asarray(hi3, dtype=np.int64)
     vals, wts, indptr = _box_cells(f, lo3, hi3)
     # the side 3 * 2^(L-k) thirds is 2^-k, so each volume is an exact power of two
     vols = np.prod((hi3 - lo3) / 3.0 * f.mesh.cell_width, axis=1)
-    return _kernels.luxemburg_batch(vals, wts, indptr, vols, phi)
+    return _kernels.luxemburg_batch(vals, wts, indptr, vols, phi, starts)
 
 
 def luxemburg_norm(f: StepFunction, cube: DyadicCube, phi: YoungFunction) -> float:

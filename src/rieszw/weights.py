@@ -7,6 +7,10 @@ weights: functions are extended by zero outside the box, so a straddling
 cube would see artificial zeros and report a spurious (often infinite)
 value.  This corpus is the definitional one for the whole artifact, so the
 cross-identities between characteristics hold exactly on it.
+
+The mesh keeps the corpus as one table (``Mesh.corpus``), and each
+characteristic is one array pass over it rather than one pass per level;
+the values, witnesses and counts equal those of a per-level scan.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -111,6 +115,16 @@ class CharacteristicReport:
 
 # ---------------------------------------------------------------------------
 # Cube corpus
+#
+# Each characteristic is one array pass over the mesh's in-box corpus
+# (``Mesh.corpus``): one ``integral_box3`` per function, per-level scalars
+# (cube volumes, |Q|^e) as Python pow tables indexed by level.  Every step
+# is elementwise, so the values equal a per-level scan's bit for bit.
+
+#: Cells per Luxemburg batch in ``bump_constant``: consecutive levels share
+#: one bisection up to this many cells, and a larger level runs alone.
+#: Batching a whole large corpus at once was slower and took more memory.
+_LUX_BATCH_CELLS = 1 << 12
 
 
 def in_box_cubes(mesh: Mesh) -> Iterator[DyadicCube]:
@@ -122,39 +136,44 @@ def in_box_cubes(mesh: Mesh) -> Iterator[DyadicCube]:
 
 
 def _scan_levels(mesh: Mesh):
-    """Per (shift, level): in-box cube coords and thirds-bounds arrays."""
-    for shift in mesh.shifts():
-        for g in mesh.grid(shift):
-            if g.in_box.any():
-                yield shift, g.level, g.coords[g.in_box], g.lo3[g.in_box], g.hi3[g.in_box]
+    """Per (shift, level): in-box cube coords and thirds-bounds arrays, as
+    read-only views of ``mesh.corpus``."""
+    c = mesh.corpus
+    for (shift, level), a, b in zip(c.segments, c.starts.tolist(), c.ends.tolist()):
+        yield shift, level, c.coords[a:b], c.lo3[a:b], c.hi3[a:b]
 
 
-def _supremum_report(
-    name: str, mesh: Mesh, per_level: Callable[[tuple, int, np.ndarray, np.ndarray], np.ndarray]
-) -> CharacteristicReport:
-    """Generic max-reduction over the in-box corpus.  ``per_level`` maps
-    (shift, level, lo, hi) to the per-cube values (may contain inf)."""
-    best = -math.inf
-    witness = None
-    count = 0
-    for shift, level, coords, lo, hi in _scan_levels(mesh):
-        vals = per_level(shift, level, lo, hi)
-        count += len(vals)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            witness = DyadicCube(shift, level, tuple(int(c) for c in coords[i]))
-    if count == 0:
-        return CharacteristicReport(name, 0.0, None, 0)
-    return CharacteristicReport(name, best, witness, count)
+def _per_cube(mesh: Mesh, table) -> np.ndarray:
+    """A per-level table (entry ``k - coarsest_level``) spread over the corpus."""
+    return np.asarray(table)[mesh.corpus.level - mesh.coarsest_level]
+
+
+def _avg(f: StepFunction) -> np.ndarray:
+    """avg_Q f for every corpus cube Q."""
+    mesh = f.mesh
+    c = mesh.corpus
+    return f.integral_box3(c.lo3, c.hi3) / _per_cube(mesh, mesh.level_factors(mesh.n))
+
+
+def _supremum_report(name: str, mesh: Mesh, vals: np.ndarray) -> CharacteristicReport:
+    """Max-reduction of per-cube values over the corpus (may contain inf).
+
+    The witness is the first maximum in corpus order.  A (shift, level)
+    segment holding a NaN is left out, as the per-level reduction left it
+    out: its argmax is the NaN, which beats nothing."""
+    c = mesh.corpus
+    nan = np.isnan(vals)
+    if nan.any():
+        dropped = np.repeat(np.logical_or.reduceat(nan, c.starts), c.ends - c.starts)
+        vals = np.where(dropped, -math.inf, vals)
+    i = int(np.argmax(vals))
+    if not vals[i] > -math.inf:
+        return CharacteristicReport(name, -math.inf, None, len(vals))
+    return CharacteristicReport(name, float(vals[i]), c.cube(i), len(vals))
 
 
 # ---------------------------------------------------------------------------
 # Characteristics
-
-
-def _avg(f: StepFunction, lo, hi, level: int) -> np.ndarray:
-    return f.integral_box3(lo, hi) / 2.0 ** (-level * f.mesh.n)
 
 
 def ap_constant(w: StepFunction, p: float) -> CharacteristicReport:
@@ -167,15 +186,10 @@ def ap_constant(w: StepFunction, p: float) -> CharacteristicReport:
     pos = w.values > 0.0
     dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (1.0 - pp) * pos)
     zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
-
-    def per_level(shift, level, lo, hi):
-        a = _avg(w, lo, hi, level)
-        b = _avg(dual, lo, hi, level)
-        z = zeros.integral_box3(lo, hi)
-        vals = a * b ** (p - 1.0)
-        return np.where((z > 0.0) & (a > 0.0), math.inf, vals)
-
-    return _supremum_report(f"A_{p:g}", w.mesh, per_level)
+    a, b = _avg(w), _avg(dual)
+    z = zeros.integral_box3(w.mesh.corpus.lo3, w.mesh.corpus.hi3)
+    vals = np.where((z > 0.0) & (a > 0.0), math.inf, a * b ** (p - 1.0))
+    return _supremum_report(f"A_{p:g}", w.mesh, vals)
 
 
 def apq_constant(w: StepFunction, p: float, q: float) -> CharacteristicReport:
@@ -187,26 +201,17 @@ def apq_constant(w: StepFunction, p: float, q: float) -> CharacteristicReport:
     wq = w.map(lambda v: v**q)
     dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (-pp) * pos)
     zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
-
-    def per_level(shift, level, lo, hi):
-        a = _avg(wq, lo, hi, level)
-        b = _avg(dual, lo, hi, level)
-        z = zeros.integral_box3(lo, hi)
-        vals = a ** (1.0 / q) * b ** (1.0 / pp)
-        return np.where((z > 0.0) & (a > 0.0), math.inf, vals)
-
-    return _supremum_report(f"A_{p:g},{q:g}", w.mesh, per_level)
+    a, b = _avg(wq), _avg(dual)
+    z = zeros.integral_box3(w.mesh.corpus.lo3, w.mesh.corpus.hi3)
+    vals = np.where((z > 0.0) & (a > 0.0), math.inf, a ** (1.0 / q) * b ** (1.0 / pp))
+    return _supremum_report(f"A_{p:g},{q:g}", w.mesh, vals)
 
 
 def two_weight_ap(u: StepFunction, sigma: StepFunction, r: float) -> CharacteristicReport:
     """[u, sigma]_{A_r} = sup_Q (avg_Q u)(avg_Q sigma)^{r-1}."""
     if r <= 1.0:
         raise ValueError("need r > 1")
-
-    def per_level(shift, level, lo, hi):
-        return _avg(u, lo, hi, level) * _avg(sigma, lo, hi, level) ** (r - 1.0)
-
-    return _supremum_report(f"two-weight A_{r:g}", u.mesh, per_level)
+    return _supremum_report(f"two-weight A_{r:g}", u.mesh, _avg(u) * _avg(sigma) ** (r - 1.0))
 
 
 def ainfty_exp(w: StepFunction) -> CharacteristicReport:
@@ -216,13 +221,9 @@ def ainfty_exp(w: StepFunction) -> CharacteristicReport:
     # -log w may be negative; shift to keep the StepFunction nonnegative
     shift_c = float(np.max(np.log(w.values))) + 1.0
     shifted = StepFunction(w.mesh, -np.log(w.values) + shift_c)
-
-    def per_level(shift, level, lo, hi):
-        a = _avg(w, lo, hi, level)
-        m = _avg(shifted, lo, hi, level) - shift_c
-        return np.exp(m) * a
-
-    return _supremum_report("A_inf (exp-log)", w.mesh, per_level)
+    a = _avg(w)
+    m = _avg(shifted) - shift_c
+    return _supremum_report("A_inf (exp-log)", w.mesh, np.exp(m) * a)
 
 
 def fujii_wilson(w: StepFunction, max_level: int | None = None) -> CharacteristicReport:
@@ -234,19 +235,18 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
     from .operators import hl_maximal  # local import to avoid a cycle
 
     mesh = w.mesh
-    best, witness, count = -math.inf, None, 0
-    for shift, level, coords, lo, hi in _scan_levels(mesh):
-        if max_level is not None and level > max_level:
-            continue
-        for i, wq in enumerate(w.integral_box3(lo, hi).tolist()):
-            if wq <= 0.0:
-                continue
-            count += 1
-            mask = _center_mask(mesh, lo[i], hi[i])
-            mloc = hl_maximal(StepFunction(mesh, w.values * mask))
-            val = float(np.sum(mloc.values * mask)) * mesh.cell_volume / wq
-            if val > best:
-                best, witness = val, DyadicCube(shift, level, tuple(coords[i].tolist()))
+    c = mesh.corpus
+    scan = np.flatnonzero(c.level <= max_level) if max_level is not None else np.arange(len(c.level))
+    wq = w.integral_box3(c.lo3[scan], c.hi3[scan])
+    keep = wq > 0.0
+    best, witness = -math.inf, None
+    for i, wqi in zip(scan[keep].tolist(), wq[keep].tolist()):
+        mask = _center_mask(mesh, c.lo3[i], c.hi3[i])
+        mloc = hl_maximal(StepFunction(mesh, w.values * mask))
+        val = float(np.sum(mloc.values * mask)) * mesh.cell_volume / wqi
+        if val > best:
+            best, witness = val, c.cube(i)
+    count = int(np.count_nonzero(keep))
     if count == 0:
         return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
     return CharacteristicReport("A_inf' (Fujii-Wilson)", best, witness, count)
@@ -258,19 +258,19 @@ def _center_mask(mesh: Mesh, lo3, hi3) -> np.ndarray:
     return mask
 
 
+def _size_powers(mesh: Mesh, n: int, e: float) -> np.ndarray:
+    """|Q|^e for every corpus cube Q, by Python pow per level."""
+    return _per_cube(mesh, [v**e for v in mesh.level_factors(n).tolist()])
+
+
 def mixed_apq_alpha(
     u: StepFunction, sigma: StepFunction, exps: ExponentTuple
 ) -> CharacteristicReport:
     """sup_Q |Q|^{alpha/n + 1/q - 1/p} (avg_Q u)^{1/q} (avg_Q sigma)^{1/p'}."""
     e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
-
-    def per_level(shift, level, lo, hi):
-        size = 2.0 ** (-level * exps.n)
-        a = _avg(u, lo, hi, level)
-        b = _avg(sigma, lo, hi, level)
-        return size**e * a ** (1.0 / exps.q) * b ** (1.0 / exps.p_prime)
-
-    return _supremum_report("mixed A_pq^alpha", u.mesh, per_level)
+    a, b = _avg(u), _avg(sigma)
+    vals = _size_powers(u.mesh, exps.n, e) * a ** (1.0 / exps.q) * b ** (1.0 / exps.p_prime)
+    return _supremum_report("mixed A_pq^alpha", u.mesh, vals)
 
 
 def bump_constant(
@@ -282,17 +282,36 @@ def bump_constant(
 ) -> CharacteristicReport:
     """sup_Q |Q|^{alpha/n + 1/q - 1/p} ||u^{1/q}||_{Phi,Q} ||sigma^{1/p'}||_{Psi,Q}.
 
-    Psi = Power(p') recovers the separated (weak-type) bump form."""
+    Psi = Power(p') recovers the separated (weak-type) bump form.  The
+    corpus levels go to ``luxemburg_norms`` as segments, in batches of at
+    most ``_LUX_BATCH_CELLS`` cells."""
     e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
     uroot = u.map(lambda v: v ** (1.0 / exps.q))
     sroot = sigma.map(lambda v: v ** (1.0 / exps.p_prime))
+    c = u.mesh.corpus
+    nu, ns = np.empty(len(c.level)), np.empty(len(c.level))
+    for a, b, starts in _luxemburg_batches(c):
+        nu[a:b] = luxemburg_norms(uroot, c.lo3[a:b], c.hi3[a:b], phi, starts)
+        ns[a:b] = luxemburg_norms(sroot, c.lo3[a:b], c.hi3[a:b], psi, starts)
+    return _supremum_report("bump", u.mesh, _size_powers(u.mesh, exps.n, e) * nu * ns)
 
-    def per_level(shift, level, lo, hi):
-        nu = luxemburg_norms(uroot, lo, hi, phi)
-        ns = luxemburg_norms(sroot, lo, hi, psi)
-        return (2.0 ** (-level * exps.n)) ** e * nu * ns
 
-    return _supremum_report("bump", u.mesh, per_level)
+def _luxemburg_batches(c):
+    """Runs of consecutive corpus segments with at most ``_LUX_BATCH_CELLS``
+    cells in all (a larger segment runs alone), as (first cube, end cube,
+    segment starts counted from the first cube)."""
+    # an in-box cube meets prod over axes of (hi3 + 2) // 3 - lo3 // 3 cells
+    cells = np.add.reduceat(np.prod((c.hi3 + 2) // 3 - c.lo3 // 3, axis=1), c.starts)
+    edges, total = [0], 0
+    for s, k in enumerate(cells.tolist()):
+        if total and total + k > _LUX_BATCH_CELLS:
+            edges.append(s)
+            total = 0
+        total += k
+    edges.append(len(cells))
+    starts, ends = c.starts.tolist(), c.ends.tolist()
+    for s0, s1 in zip(edges, edges[1:]):
+        yield starts[s0], ends[s1 - 1], c.starts[s0:s1] - starts[s0]
 
 
 @dataclass(frozen=True)

@@ -257,3 +257,37 @@ class TestLevelTable:
                   if g.shape == (1, 1)]
         assert len(single) > 2 and all(ix is single[0] for ix in single)
 
+
+
+class TestCorpusTable:
+    """``Mesh.corpus`` against the in-box slices of the level tables."""
+
+    @pytest.mark.parametrize(
+        "mesh",
+        TABLE_MESHES,
+        ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}",
+    )
+    def test_corpus_is_the_in_box_slices(self, mesh):
+        c = mesh.corpus
+        assert mesh.corpus is c
+        parts = [(s, g) for s in mesh.shifts() for g in mesh.grid(s) if g.in_box.any()]
+        assert list(c.segments) == [(s, g.level) for s, g in parts]
+        sizes = [int(g.in_box.sum()) for _, g in parts]
+        assert c.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
+        assert c.ends.tolist() == np.cumsum(sizes).tolist()
+        for name in ("coords", "lo3", "hi3"):
+            expect = np.concatenate([getattr(g, name)[g.in_box] for _, g in parts])
+            assert np.array_equal(getattr(c, name), expect)
+        assert np.array_equal(c.level, np.repeat([g.level for _, g in parts], sizes))
+        for a in c[:5]:
+            assert not a.flags.writeable
+        cubes = [DyadicCube(s, g.level, tuple(x)) for s, g in parts for x in g.coords[g.in_box].tolist()]
+        assert [c.cube(i) for i in range(len(cubes))] == cubes
+        assert all(mesh.contains_cube(q) for q in cubes)
+
+    def test_level_factors_are_python_pow(self):
+        mesh = Mesh(1, 0, 5)
+        for alpha in (0.3, 0.5, 1, 2):
+            table = mesh.level_factors(alpha)
+            assert mesh.level_factors(alpha) is table and not table.flags.writeable
+            assert table.tolist() == [2.0 ** (-k * alpha) for k in mesh.levels()]

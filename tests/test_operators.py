@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import subprocess
@@ -457,6 +458,27 @@ def dense_riesz_oracle(values, h, alpha, mode):
     return out
 
 
+def parent_riesz_apply(values, h, alpha, mode):
+    """``_kernels.riesz_apply`` as it was before the spectrum cache."""
+    from numpy import fft
+
+    values = np.asarray(values, dtype=np.float64)
+    n, N = values.ndim, values.shape[0]
+    m = np.arange(2 * N)
+    dist = np.minimum(m, 2 * N - m) * h
+    if mode == _kernels.KERNEL_LOWER:
+        dist = dist + 0.5 * h
+    elif mode == _kernels.KERNEL_UPPER:
+        dist = np.maximum(dist - 0.5 * h, 0.0)
+    d = functools.reduce(np.hypot, np.meshgrid(*(dist,) * n, indexing="ij", sparse=True))
+    with np.errstate(divide="ignore"):
+        kernel = h**n * d ** (alpha - n)
+    kernel[(0,) * n] = _kernels._self_weight(n, h, alpha, mode)
+    shape, axes = (2 * N,) * n, tuple(range(n))
+    spectrum = fft.rfftn(values, shape, axes) * fft.rfftn(kernel, shape, axes)
+    return fft.irfftn(spectrum, shape, axes)[(slice(0, N),) * n]
+
+
 class TestRieszApply:
     """The FFT Toeplitz apply against the dense pairwise sum."""
 
@@ -477,6 +499,21 @@ class TestRieszApply:
         v = np.exp(rng.standard_normal((16, 16))) * (rng.random((16, 16)) < 0.2)
         got = _kernels.riesz_apply(v, 1.0 / 16, 1.3, int(mode))
         np.testing.assert_allclose(got, dense_riesz_oracle(v, 1.0 / 16, 1.3, mode), rtol=1e-12)
+
+    def test_cached_spectrum_equals_parent_apply(self, monkeypatch):
+        # mode switches, then (n, N, h, alpha) changes within one mode
+        monkeypatch.setattr(_kernels, "_SPECTRA", {})
+        rng = np.random.default_rng(9)
+        calls = [(2, 8, 1.0 / 8, 1.3, m) for m in (1, 0, 2, 1, 1)]
+        calls += [(2, 16, 1.0 / 16, 1.3, 1), (2, 16, 1.0 / 16, 0.7, 1), (1, 16, 1.0 / 16, 0.7, 1),
+                  (1, 16, 0.5, 0.7, 1), (2, 8, 1.0 / 8, 1.3, 1)]
+        for n, N, h, alpha, mode in calls:
+            v = np.exp(rng.standard_normal((N,) * n)) * (rng.random((N,) * n) < 0.5)
+            got = _kernels.riesz_apply(v, h, alpha, mode)
+            assert np.array_equal(got, parent_riesz_apply(v, h, alpha, mode))
+            assert len(_kernels._SPECTRA) <= 3
+            assert _kernels._SPECTRA[mode][0] == (n, N, h, alpha)
+            assert not _kernels._SPECTRA[mode][1].flags.writeable
 
     def test_numpy_fft_is_not_loaded_at_import(self):
         code = "import sys, rieszw, rieszw.cli; assert 'numpy.fft' not in sys.modules"

@@ -393,6 +393,155 @@ class TestBatchOracle:
             luxemburg_norm(f, ROOT, tab)
 
 
+def parent_luxemburg_batch(vals, wts, indptr, vols, phi):
+    """``_kernels.luxemburg_batch`` before segments: one stop for the whole call."""
+    vals = np.asarray(vals, dtype=np.float64)
+    wts = np.asarray(wts, dtype=np.float64)
+    vols = np.asarray(vols, dtype=np.float64)
+    ngroups = len(vols)
+    lam = np.zeros(ngroups)
+    group_of = np.repeat(np.arange(ngroups), np.diff(indptr))
+    active = np.bincount(group_of, weights=vals * wts, minlength=ngroups) > 0.0
+
+    gmax = np.zeros(ngroups)
+    np.maximum.at(gmax, group_of, vals)
+
+    def gval(lam_arr):
+        phi_wts = phi(vals / lam_arr[group_of]) * wts
+        return np.bincount(group_of, weights=phi_wts, minlength=ngroups) / vols
+
+    lo = np.where(active, gmax, 1.0)
+    hi = lo.copy()
+    for _ in range(200):
+        need = active & (gval(hi) > 1.0)
+        if not need.any():
+            break
+        hi[need] *= 2.0
+    else:
+        raise LuxemburgError("upper bracket not found")
+    for _ in range(200):
+        need = active & (gval(lo) < 1.0)
+        if not need.any():
+            break
+        lo[need] *= 0.5
+    else:
+        raise LuxemburgError("lower bracket not found")
+    for _ in range(_kernels.LUX_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        above = gval(mid) > 1.0
+        lo = np.where(active & above, mid, lo)
+        hi = np.where(active & ~above, mid, hi)
+        if np.all(hi - lo <= _kernels.LUX_RTOL * hi):
+            break
+    lam[active] = 0.5 * (lo + hi)[active]
+    return lam
+
+
+def per_segment_batches(vals, wts, indptr, vols, phi, starts):
+    """One parent call per segment, concatenated."""
+    ends = [*starts[1:], len(vols)]
+    out = []
+    for a, b in zip(starts, ends):
+        c0, c1 = indptr[a], indptr[b]
+        out.append(parent_luxemburg_batch(vals[c0:c1], wts[c0:c1], indptr[a : b + 1] - c0, vols[a:b], phi))
+    return np.concatenate(out)
+
+
+def level_table_csr(f):
+    """CSR groups of every level cube of every shift (in-box or not), with
+    one segment per (shift, level)."""
+    mesh = f.mesh
+    lo3 = np.concatenate([g.lo3 for s in mesh.shifts() for g in mesh.grid(s)])
+    hi3 = np.concatenate([g.hi3 for s in mesh.shifts() for g in mesh.grid(s)])
+    sizes = [len(g.lo3) for s in mesh.shifts() for g in mesh.grid(s)]
+    vals, wts, indptr = _box_cells(f, lo3, hi3)
+    vols = np.prod((hi3 - lo3) / 3.0 * mesh.cell_width, axis=1)
+    return vals, wts, indptr, vols, (np.cumsum(sizes) - sizes).tolist()
+
+
+SEGMENT_MESHES = [Mesh(1, 0, 4), Mesh(1, 1, 3, coarse_padding=0), Mesh(2, 0, 2, coarse_padding=3)]
+NUMERIC_LOG_BUMP = YoungFunction.numeric_table(
+    np.logspace(-8, 8, 400), np.asarray(YoungFunction.log_bump(2.0, 1.0)(np.logspace(-8, 8, 400))))
+
+
+class TestSegmentedBatch:
+    """Segments of one ``luxemburg_batch`` call against one parent call per
+    segment, with ``==``."""
+
+    @pytest.mark.parametrize("phi", [*CLOSED_KINDS, NUMERIC_LOG_BUMP], ids=lambda p: p.name)
+    @pytest.mark.parametrize("zeros", ["positive", "half-zero"])
+    def test_levels_as_segments(self, phi, zeros):
+        for mesh in SEGMENT_MESHES:
+            f = lognormal(mesh, 66)
+            if zeros == "half-zero":
+                v = f.values.copy()
+                v[: mesh.cells_per_axis // 2] = 0.0
+                f = StepFunction(mesh, v)
+            vals, wts, indptr, vols, starts = level_table_csr(f)
+            got = _kernels.luxemburg_batch(vals, wts, indptr, vols, phi, starts)
+            expect = per_segment_batches(vals, wts, indptr, vols, phi, starts)
+            assert np.array_equal(got, expect)
+            if zeros == "half-zero":
+                assert (expect == 0.0).any() and (expect > 0.0).any()
+
+    @pytest.mark.parametrize("phi", CLOSED_KINDS[:3], ids=lambda p: p.name)
+    def test_random_cuts_and_single_groups(self, phi):
+        rng = np.random.default_rng(67)
+        f = lognormal(Mesh(2, 0, 3, coarse_padding=1), 68)
+        vals, wts, indptr, vols, _ = level_table_csr(f)
+        ngroups = len(vols)
+        for trial in range(6):
+            cuts = rng.choice(np.arange(1, ngroups), size=rng.integers(1, ngroups // 2), replace=False)
+            starts = [0, *sorted(cuts.tolist())]
+            got = _kernels.luxemburg_batch(vals, wts, indptr, vols, phi, starts)
+            assert np.array_equal(got, per_segment_batches(vals, wts, indptr, vols, phi, starts))
+        # every group its own segment
+        starts = list(range(ngroups))
+        got = _kernels.luxemburg_batch(vals, wts, indptr, vols, phi, starts)
+        assert np.array_equal(got, per_segment_batches(vals, wts, indptr, vols, phi, starts))
+
+    @pytest.mark.parametrize("phi", [*CLOSED_KINDS, NUMERIC_LOG_BUMP], ids=lambda p: p.name)
+    def test_single_segment_is_the_parent_call(self, phi):
+        for mesh in SEGMENT_MESHES:
+            vals, wts, indptr, vols, _ = level_table_csr(lognormal(mesh, 69))
+            expect = parent_luxemburg_batch(vals, wts, indptr, vols, phi)
+            assert np.array_equal(_kernels.luxemburg_batch(vals, wts, indptr, vols, phi), expect)
+            assert np.array_equal(_kernels.luxemburg_batch(vals, wts, indptr, vols, phi, [0]), expect)
+
+    def test_segments_stop_apart(self):
+        # the levels of one call stop bisecting at different iterations, so
+        # one stop for the whole call moves some lambda
+        phi = YoungFunction.log_bump(2.0, 1.0)
+        vals, wts, indptr, vols, starts = level_table_csr(lognormal(Mesh(1, 0, 4), 70))
+        whole = parent_luxemburg_batch(vals, wts, indptr, vols, phi)
+        assert not np.array_equal(whole, per_segment_batches(vals, wts, indptr, vols, phi, starts))
+
+    def test_failed_bracket_in_one_segment_raises(self):
+        # three groups of one unit cell; the middle one has a cube volume of
+        # 1e-250, so avg Phi(1/lambda) <= 1 needs lambda >= 1e125, more than
+        # 200 doublings above its start at 1
+        vals, wts, indptr = np.ones(3), np.ones(3), np.arange(4)
+        vols = np.array([1.0, 1e-250, 1.0])
+        phi = YoungFunction.power(2.0)
+        for starts in ([0, 1, 2], [0, 1], [0]):
+            with pytest.raises(LuxemburgError, match="upper bracket"):
+                _kernels.luxemburg_batch(vals, wts, indptr, vols, phi, starts)
+        with pytest.raises(LuxemburgError, match="upper bracket"):
+            parent_luxemburg_batch(vals[1:2], wts[1:2], indptr[:2], vols[1:2], phi)
+        ok = _kernels.luxemburg_batch(vals[[0, 2]], wts[[0, 2]], indptr[:3], vols[[0, 2]], phi, [0, 1])
+        assert np.array_equal(ok, [1.0, 1.0])
+
+    def test_norms_pass_segments_through(self):
+        mesh = Mesh(1, 0, 5)
+        f = lognormal(mesh, 71)
+        c = mesh.corpus
+        phi = YoungFunction.log_bump(2.0, 1.0)
+        got = luxemburg_norms(f, c.lo3, c.hi3, phi, c.starts)
+        expect = np.concatenate([luxemburg_norms(f, c.lo3[a:b], c.hi3[a:b], phi)
+                                 for a, b in zip(c.starts.tolist(), c.ends.tolist())])
+        assert np.array_equal(got, expect)
+
+
 class TestBp:
     def test_power_is_not_bp(self):
         assert not bp_check(YoungFunction.power(2.0), 2.0).finite

@@ -21,11 +21,13 @@ from rieszw.weights import (
     range_conditions,
     two_weight_ap,
 )
+from rieszw import weights
 from rieszw.operators import hl_maximal
+from rieszw.orlicz import _box_cells, _conjugate
 from rieszw.weights import _center_mask, _scan_levels
 
 from conftest import lognormal
-from test_orlicz import oracle_luxemburg_norms
+from test_orlicz import oracle_luxemburg_norms, parent_luxemburg_batch
 
 
 def two_valued(mesh, a, b):
@@ -292,6 +294,263 @@ class TestBumpOracle:
             expect = oracle_bump_constant(u, sigma, exps, phi, psi)
             assert (got.name, got.value, got.witness, got.corpus_size) == (
                 expect.name, expect.value, expect.witness, expect.corpus_size)
+
+
+# The per-level scans that the corpus-wide characteristics replaced, copied
+# as oracles: one (shift, level) at a time, a per-level callback, and a
+# witness kept when a level's first maximum strictly beats the best so far.
+
+
+def parent_scan_levels(mesh):
+    for shift in mesh.shifts():
+        for g in mesh.grid(shift):
+            if g.in_box.any():
+                yield shift, g.level, g.coords[g.in_box], g.lo3[g.in_box], g.hi3[g.in_box]
+
+
+def parent_supremum_report(name, mesh, per_level):
+    best = -math.inf
+    witness = None
+    count = 0
+    for shift, level, coords, lo, hi in parent_scan_levels(mesh):
+        vals = per_level(shift, level, lo, hi)
+        count += len(vals)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            witness = DyadicCube(shift, level, tuple(int(c) for c in coords[i]))
+    if count == 0:
+        return CharacteristicReport(name, 0.0, None, 0)
+    return CharacteristicReport(name, best, witness, count)
+
+
+def parent_avg(f, lo, hi, level):
+    return f.integral_box3(lo, hi) / 2.0 ** (-level * f.mesh.n)
+
+
+def parent_ap_constant(w, p):
+    pp = _conjugate(p)
+    pos = w.values > 0.0
+    dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (1.0 - pp) * pos)
+    zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
+
+    def per_level(shift, level, lo, hi):
+        a = parent_avg(w, lo, hi, level)
+        b = parent_avg(dual, lo, hi, level)
+        z = zeros.integral_box3(lo, hi)
+        vals = a * b ** (p - 1.0)
+        return np.where((z > 0.0) & (a > 0.0), math.inf, vals)
+
+    return parent_supremum_report(f"A_{p:g}", w.mesh, per_level)
+
+
+def parent_apq_constant(w, p, q):
+    pp = _conjugate(p)
+    pos = w.values > 0.0
+    wq = w.map(lambda v: v**q)
+    dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (-pp) * pos)
+    zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
+
+    def per_level(shift, level, lo, hi):
+        a = parent_avg(wq, lo, hi, level)
+        b = parent_avg(dual, lo, hi, level)
+        z = zeros.integral_box3(lo, hi)
+        vals = a ** (1.0 / q) * b ** (1.0 / pp)
+        return np.where((z > 0.0) & (a > 0.0), math.inf, vals)
+
+    return parent_supremum_report(f"A_{p:g},{q:g}", w.mesh, per_level)
+
+
+def parent_two_weight_ap(u, sigma, r):
+    def per_level(shift, level, lo, hi):
+        return parent_avg(u, lo, hi, level) * parent_avg(sigma, lo, hi, level) ** (r - 1.0)
+
+    return parent_supremum_report(f"two-weight A_{r:g}", u.mesh, per_level)
+
+
+def parent_ainfty_exp(w):
+    if np.any(w.values <= 0.0):
+        return CharacteristicReport("A_inf (exp-log)", math.inf, None, 0)
+    shift_c = float(np.max(np.log(w.values))) + 1.0
+    shifted = StepFunction(w.mesh, -np.log(w.values) + shift_c)
+
+    def per_level(shift, level, lo, hi):
+        a = parent_avg(w, lo, hi, level)
+        m = parent_avg(shifted, lo, hi, level) - shift_c
+        return np.exp(m) * a
+
+    return parent_supremum_report("A_inf (exp-log)", w.mesh, per_level)
+
+
+def parent_mixed_apq_alpha(u, sigma, exps):
+    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
+
+    def per_level(shift, level, lo, hi):
+        size = 2.0 ** (-level * exps.n)
+        a = parent_avg(u, lo, hi, level)
+        b = parent_avg(sigma, lo, hi, level)
+        return size**e * a ** (1.0 / exps.q) * b ** (1.0 / exps.p_prime)
+
+    return parent_supremum_report("mixed A_pq^alpha", u.mesh, per_level)
+
+
+def parent_luxemburg_norms(f, lo3, hi3, phi):
+    vals, wts, indptr = _box_cells(f, lo3, hi3)
+    vols = np.prod((hi3 - lo3) / 3.0 * f.mesh.cell_width, axis=1)
+    return parent_luxemburg_batch(vals, wts, indptr, vols, phi)
+
+
+def parent_bump_constant(u, sigma, exps, phi, psi):
+    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
+    uroot = u.map(lambda v: v ** (1.0 / exps.q))
+    sroot = sigma.map(lambda v: v ** (1.0 / exps.p_prime))
+
+    def per_level(shift, level, lo, hi):
+        nu = parent_luxemburg_norms(uroot, lo, hi, phi)
+        ns = parent_luxemburg_norms(sroot, lo, hi, psi)
+        return (2.0 ** (-level * exps.n)) ** e * nu * ns
+
+    return parent_supremum_report("bump", u.mesh, per_level)
+
+
+def parent_fujii_wilson(w, max_level=None):
+    mesh = w.mesh
+    best, witness, count = -math.inf, None, 0
+    for shift, level, coords, lo, hi in parent_scan_levels(mesh):
+        if max_level is not None and level > max_level:
+            continue
+        for i, wq in enumerate(w.integral_box3(lo, hi).tolist()):
+            if wq <= 0.0:
+                continue
+            count += 1
+            mask = _center_mask(mesh, lo[i], hi[i])
+            mloc = hl_maximal(StepFunction(mesh, w.values * mask))
+            val = float(np.sum(mloc.values * mask)) * mesh.cell_volume / wq
+            if val > best:
+                best, witness = val, DyadicCube(shift, level, tuple(coords[i].tolist()))
+    if count == 0:
+        return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
+    return CharacteristicReport("A_inf' (Fujii-Wilson)", best, witness, count)
+
+
+def assert_same_report(got, expect):
+    assert (got.name, got.value, got.witness, got.corpus_size) == (
+        expect.name, expect.value, expect.witness, expect.corpus_size)
+
+
+CORPUS_MESHES = [Mesh(1, 0, 5), Mesh(1, 1, 3, coarse_padding=0), Mesh(2, 0, 2), Mesh(2, 1, 2, coarse_padding=0)]
+
+
+def weight_cases(mesh):
+    """(label, u, sigma): lognormal, zero cells (the inf branch), and
+    constants (every value within rounding of one number)."""
+    return [
+        ("lognormal", lognormal(mesh, 81, scale=0.7), lognormal(mesh, 82, scale=0.7)),
+        ("zero-cells", zero_mass_weight(mesh, 83), lognormal(mesh, 84, scale=0.7)),
+        ("constant", StepFunction.constant(mesh, 1.0), StepFunction.constant(mesh, 2.0)),
+    ]
+
+
+class TestCorpusOracle:
+    """Every corpus-wide characteristic against its per-level scan, ``==``
+    on every report field."""
+
+    @pytest.mark.parametrize("mesh", CORPUS_MESHES,
+                             ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}")
+    def test_averaged_characteristics(self, mesh):
+        exps = ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
+        for label, u, sigma in weight_cases(mesh):
+            for got, expect in (
+                (ap_constant(u, 2.5), parent_ap_constant(u, 2.5)),
+                (apq_constant(u, 1.5, 3.0), parent_apq_constant(u, 1.5, 3.0)),
+                (ainfty_exp(u), parent_ainfty_exp(u)),
+                (two_weight_ap(u, sigma, 2.0), parent_two_weight_ap(u, sigma, 2.0)),
+                (two_weight_ap(sigma, u, 3.0), parent_two_weight_ap(sigma, u, 3.0)),
+                (mixed_apq_alpha(u, sigma, exps), parent_mixed_apq_alpha(u, sigma, exps)),
+                (mixed_apq_alpha(u, sigma, ExponentTuple(mesh.n, 0.5, 2.0, 2.0)),
+                 parent_mixed_apq_alpha(u, sigma, ExponentTuple(mesh.n, 0.5, 2.0, 2.0))),
+            ):
+                assert_same_report(got, expect)
+            if label == "zero-cells":
+                assert math.isinf(ap_constant(u, 2.5).value)
+
+    @pytest.mark.parametrize("mesh", CORPUS_MESHES,
+                             ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}")
+    def test_bump_constant(self, mesh):
+        exps = ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
+        pairs = ((YoungFunction.log_bump(exps.q, 1.0), YoungFunction.power(exps.p_prime)),
+                 (YoungFunction.power(exps.q), YoungFunction.loglog_bump(exps.p_prime, 0.5)))
+        for _, u, sigma in weight_cases(mesh):
+            for phi, psi in pairs:
+                assert_same_report(bump_constant(u, sigma, exps, phi, psi),
+                                   parent_bump_constant(u, sigma, exps, phi, psi))
+
+    def test_bump_constant_across_batches(self, monkeypatch):
+        # 1-D L=8: the corpus meets 4,599 cells, more than one batch holds
+        mesh = Mesh(1, 0, 8)
+        assert sum(int(np.prod((hi + 2) // 3 - lo // 3, axis=1).sum())
+                   for _, _, _, lo, hi in _scan_levels(mesh)) > weights._LUX_BATCH_CELLS
+        exps = ExponentTuple.sobolev_pair(1, 0.5, 4.0 / 3.0)
+        u, sigma = lognormal(mesh, 85, scale=0.7), zero_mass_weight(mesh, 86)
+        phi, psi = YoungFunction.log_bump(exps.q, 1.0), YoungFunction.power(exps.p_prime)
+        expect = parent_bump_constant(u, sigma, exps, phi, psi)
+        assert_same_report(bump_constant(u, sigma, exps, phi, psi), expect)
+        # a small budget: many batches, and levels larger than a batch alone
+        monkeypatch.setattr(weights, "_LUX_BATCH_CELLS", 40)
+        assert len(list(weights._luxemburg_batches(mesh.corpus))) > 5
+        assert_same_report(bump_constant(u, sigma, exps, phi, psi), expect)
+
+    def test_batches_cover_the_corpus(self, monkeypatch):
+        for budget in (1, 40, 1 << 12, 1 << 40):
+            monkeypatch.setattr(weights, "_LUX_BATCH_CELLS", budget)
+            for mesh in (Mesh(1, 0, 8), Mesh(2, 0, 3)):
+                c = mesh.corpus
+                batches = list(weights._luxemburg_batches(c))
+                assert [a for a, _, _ in batches][0] == 0 and batches[-1][1] == len(c.level)
+                assert all(b == a2 for (_, b, _), (a2, _, _) in zip(batches, batches[1:]))
+                starts = np.concatenate([a + s for a, _, s in batches])
+                assert np.array_equal(starts, c.starts)
+
+    @pytest.mark.parametrize("mesh", CORPUS_MESHES[:3], ids=["n1", "n1J1-T0", "n2"])
+    def test_reduction_ties(self, mesh):
+        # few distinct values, so maxima tie within and across levels; then
+        # inf ties, NaN entries and all -inf
+        rng = np.random.default_rng(88)
+        size = len(mesh.corpus.level)
+        for trial in range(20):
+            vals = rng.integers(0, 3, size).astype(np.float64)
+            if trial % 4 == 1:
+                vals[rng.integers(0, size, 3)] = math.inf
+            if trial % 4 == 2:
+                vals[rng.integers(0, size, 2)] = math.nan
+            if trial % 4 == 3:
+                vals[:] = -math.inf
+                vals[rng.integers(0, size, 1)] = math.nan
+
+            def per_level(shift, level, lo, hi, it=iter(np.split(vals, mesh.corpus.starts[1:]))):
+                return next(it)
+
+            assert_same_report(weights._supremum_report("x", mesh, vals),
+                               parent_supremum_report("x", mesh, per_level))
+
+    def test_nan_level_is_dropped(self):
+        # (avg u)(avg sigma)^2 with sigma = 1e200 is 0 * inf = NaN on cubes
+        # where u vanishes, and inf elsewhere: levels holding a NaN count
+        # for nothing in the per-level scan
+        for mesh in (Mesh(1, 0, 4), Mesh(2, 0, 2)):
+            u = zero_mass_weight(mesh, 87)
+            sigma = StepFunction.constant(mesh, 1e200)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, expect = two_weight_ap(u, sigma, 3.0), parent_two_weight_ap(u, sigma, 3.0)
+            assert_same_report(got, expect)
+            assert got.value == math.inf and got.witness.level == 0
+
+    @pytest.mark.parametrize("max_level", [None, 1], ids=["all", "max1"])
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 4), Mesh(1, 1, 3, coarse_padding=0), Mesh(2, 0, 2)],
+                             ids=["n1", "n1J1-T0", "n2"])
+    def test_fujii_wilson(self, mesh, max_level):
+        for _, u, _ in weight_cases(mesh):
+            assert_same_report(fujii_wilson(u, max_level), parent_fujii_wilson(u, max_level))
 
 
 class TestRangeConditions:
