@@ -9,8 +9,11 @@ The runs are every subcommand at ``--mesh n=1,J=0,L=6``, the 1-D
 bump constants use the loglog Young kinds) and at L=8 (its in-box corpus
 meets 4,599 cells, more than one ``bump_constant`` Luxemburg batch holds),
 and the 2-D ``constants``, ``verify``, ``sandwich`` and ``norm`` at ``--mesh
-n=2,J=0,L=3``; every other setting is the default config and seed.  Outputs and the run's config file go to a
-temporary directory that is removed afterwards; the subcommands' own
+n=2,J=0,L=3``, then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
+2-D grid with J=1 through the sparse apply) and ``norm`` at ``--mesh
+n=1,J=1,L=5,T=0`` (restricted sparse sums on a mesh with no coarse
+padding); every other setting is the default config and seed.  Outputs and
+the run's config file go to a temporary directory that is removed afterwards; the subcommands' own
 messages go to stderr.  Exits 1 if a subcommand exits with 1 or 2 (3, success
 with a warning, counts as success).
 """
@@ -36,6 +39,8 @@ RUNS = [
     ("verify", "n=2,J=0,L=3", {}),
     ("sandwich", "n=2,J=0,L=3", {}),
     ("norm", "n=2,J=0,L=3", {}),
+    ("sparse", "n=2,J=1,L=3", {}),
+    ("norm", "n=1,J=1,L=5,T=0", {}),
 ]
 
 

@@ -99,7 +99,7 @@ class TestingReport:
 def _candidate_roots(family: SparseFamily) -> list[DyadicCube]:
     """Members and their enumerated ancestors: the only cubes R on which
     the restricted operator is nonzero; coarse to fine, then by coord."""
-    a, shift = family.arrays, family.shift
+    a, shift = family.forest, family.shift
     out: list[DyadicCube] = []
     for g, _, idx, _ in _ancestor_levels(family.mesh, shift, a.level, a.lo3):
         out.extend(DyadicCube(shift, g.level, tuple(c)) for c in g.coords[idx].tolist())
@@ -110,6 +110,7 @@ def _testing_sup(
     den_w: StepFunction,
     out_w: StepFunction,
     family: SparseFamily,
+    roots: list[DyadicCube],
     alpha: float,
     den_exp: float,
     out_exp: float,
@@ -121,8 +122,8 @@ def _testing_sup(
     inside R, so the integral needs no explicit localization."""
     mesh = family.mesh
     best, witness, skipped = 0.0, None, 0
-    for R in _candidate_roots(family):
-        den = den_w.cube_integral(R)
+    dens = den_w.integral_box3(*mesh.bounds3(roots)).tolist()
+    for R, den in zip(roots, dens):
         if den <= 0.0:
             skipped += 1
             continue
@@ -140,8 +141,9 @@ def dyadic_testing(
     """Sparse testing constants over all enumerated roots R of the family's
     grid; the dual constant is the direct constant of the swapped data
     (sigma, u, q', p'), which is what self-adjointness gives."""
-    direct, wd, sd = _testing_sup(sigma, u, family, exps.alpha, exps.p, exps.q)
-    dual, wu, su = _testing_sup(u, sigma, family, exps.alpha, exps.q_prime, exps.p_prime)
+    roots = _candidate_roots(family)
+    direct, wd, sd = _testing_sup(sigma, u, family, roots, exps.alpha, exps.p, exps.q)
+    dual, wu, su = _testing_sup(u, sigma, family, roots, exps.alpha, exps.q_prime, exps.p_prime)
     return TestingReport(direct, dual, wd, wu, sd, su)
 
 

@@ -20,9 +20,9 @@ Cost:
   the value of its level cube, so a sum gets one term per level in level
   order, and a maximum maps values <= 0 to +0.0.
 * A sparse apply is one batched ``integral_box3`` over the members and one
-  ``np.bincount`` over the member-to-cell incidence that the family caches
-  (``SparseFamily.arrays``): no Python loop over members, and the sum of
-  each cell is formed in member order, as a per-member loop forms it.
+  running sum down the chains of the family's forest, read by each cell's
+  owner (``SparseFamily.forest``): no Python loop over members, and each
+  cell's sum is formed in member order, as a per-member loop forms it.
 * Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
   coarser padding levels repeat the covering cube's integrals over a larger
   volume, so they cannot raise the maximum.
@@ -99,22 +99,21 @@ def restricted_sparse_riesz(
     return _sparse_sum(f, alpha, family, family.contained_in(root))
 
 
-def _sparse_sum(f: StepFunction, alpha: float, family, keep=None) -> StepFunction:
+def _sparse_sum(f: StepFunction, alpha: float, family, keep=True) -> StepFunction:
     """sum over the members Q (those set in ``keep``) of
     2^(-level(Q) alpha) avg_Q f, painted on the cells whose centre lies in Q.
 
-    ``bincount`` adds each cell's terms in member order, starting from 0.0,
-    so the sum is the one a per-member loop forms, bit for bit."""
+    Each cell reads the sum down its owner's forest chain, coarse to fine:
+    the terms of a per-member loop in its order, with an exact +0.0 for each
+    member outside ``keep``, so the sum is the loop's bit for bit."""
     mesh = f.mesh
     _check_alpha(mesh, alpha)
-    level, lo3, hi3, volume, cells, counts = family.arrays
-    if keep is not None:
-        cells = cells[np.repeat(keep, counts)]
-        level, lo3, hi3, volume, counts = level[keep], lo3[keep], hi3[keep], volume[keep], counts[keep]
-    factor = mesh.level_factors(alpha)[level - mesh.coarsest_level]
-    w = factor * (f.integral_box3(lo3, hi3) / volume)
-    out = np.bincount(cells, weights=np.repeat(w, counts), minlength=mesh.total_cells)
-    return StepFunction(mesh, out.reshape(f.values.shape))
+    t = family.forest
+    factor = mesh.level_factors(alpha)[t.level - mesh.coarsest_level]
+    w = np.where(keep, factor * (f.integral_box3(t.lo3, t.hi3) / t.volume), 0.0)
+    # accumulate adds in a fixed order; reduce may sum pairwise
+    acc = np.add.accumulate(np.append(w, 0.0)[t.chain], axis=0)[-1]
+    return StepFunction(mesh, acc[t.owner])
 
 
 def _pointwise_sup_over_levels(mesh: Mesh, shift, per_cube_value) -> np.ndarray:

@@ -6,7 +6,8 @@ are nested or disjoint, cube corners are integer multiples of h/3, and cube
 volumes are integers in units of (h/3)^n.  The members of a family form one
 containment forest (:attr:`SparseFamily.forest`), found level by level in
 O(|S| * levels); the certificates sum integer volumes over its children and
-generations instead of testing cubes pairwise.
+generations instead of testing cubes pairwise, and a sparse sum is a sum
+down the chain of members over each cell centre.
 """
 
 from __future__ import annotations
@@ -43,22 +44,18 @@ def _vol3(n: int, L: int, level: int) -> int:
     return (3 << (L - level)) ** n
 
 
-class MemberArrays(NamedTuple):
-    """Per-member arrays of a family, in its coarse-to-fine member order."""
+class Forest(NamedTuple):
+    """The containment forest of a family's m members, in their coarse-to-fine
+    order; index m stands for no member in ``owner`` and ``chain``."""
 
     level: np.ndarray  # (m,) int64
     lo3: np.ndarray  # (m, n) int64 lower corners, thirds of the finest cell width
     hi3: np.ndarray  # (m, n) int64 upper corners
     volume: np.ndarray  # (m,) 2^(-level * n)
-    cells: np.ndarray  # flat indices of the cells whose centre lies in each member, member by member
-    counts: np.ndarray  # (m,) how many of ``cells`` belong to each member
-
-
-class Forest(NamedTuple):
-    """The containment forest of a family, in its member order."""
-
     parent: np.ndarray  # (m,) int64 finest strictly containing member, -1 if maximal
     depth: np.ndarray  # (m,) int64 members containing it, itself included
+    owner: np.ndarray  # cells' shape, int64: the deepest member containing the cell centre, or m
+    chain: np.ndarray  # (max depth, m + 1) int64: each member's ancestors, then itself, coarse to fine, front-padded with m
 
 
 @dataclass(frozen=True)
@@ -95,42 +92,41 @@ class SparseFamily:
         return len(self.cubes)
 
     @functools.cached_property
-    def arrays(self) -> "MemberArrays":
-        """The members' integer geometry, computed once per family."""
-        mesh = self.mesh
-        level = np.array([q.level for q in self.cubes], dtype=np.int64)
-        lo3, hi3 = mesh.bounds3(self.cubes)
-        volume = np.ldexp(1.0, -mesh.n * level)
-        i0, i1 = mesh.center_window(lo3, hi3)
-        width = np.maximum(i1 - i0, 0)
-        _, index = mesh.window_cells(i0, width)
-        cells = np.ravel_multi_index(index, (mesh.cells_per_axis,) * mesh.n)
-        out = MemberArrays(level, lo3, hi3, volume, cells, width.prod(axis=1))
-        for a in out:
-            a.setflags(write=False)
-        return out
-
-    @functools.cached_property
     def forest(self) -> Forest:
-        """Parent pointers and depths, computed once per family.
+        """The members' geometry and forest, computed once per family.
 
         Members are level-contiguous and coordinate-sorted, so for each
         member level k the finer members' lower corners are floored to the
         level-k lattice and looked up among the level-k members by binary
-        search; the finest level with a hit gives the parent."""
-        a = self.arrays
-        m = len(a.level)
+        search; the finest level with a hit gives the parent.  The members
+        over a cell centre form one chain, so its deepest has the largest
+        index: the owner is a running max of each level's painted indices."""
+        mesh = self.mesh
+        level = np.array([q.level for q in self.cubes], dtype=np.int64)
+        lo3, hi3 = mesh.bounds3(self.cubes)
+        m = len(level)
         parent = np.full(m, -1, dtype=np.int64)
         depth = np.ones(m, dtype=np.int64)
-        levels, starts = np.unique(a.level, return_index=True)
+        owner = np.full((mesh.cells_per_axis,) * mesh.n, -1, dtype=np.int64)
+        levels, starts = np.unique(level, return_index=True)
         for k, start, stop in zip(levels.tolist(), starts.tolist(), [*starts[1:].tolist(), m]):
-            here = _flat_index(self.mesh, self.shift, k, a.lo3[start:stop])
-            there = _flat_index(self.mesh, self.shift, k, a.lo3[stop:])
+            here = _flat_index(mesh, self.shift, k, lo3[start:stop])
+            there = _flat_index(mesh, self.shift, k, lo3[stop:])
             pos = np.minimum(np.searchsorted(here, there), len(here) - 1)
             hit = here[pos] == there
             parent[stop:][hit] = start + pos[hit]
             depth[stop:] += hit
-        out = Forest(parent, depth)
+            g = mesh.grid(self.shift)[k - mesh.coarsest_level]
+            slot = np.full(math.prod(g.shape), -1, dtype=np.int64)
+            slot[here] = np.arange(start, stop)
+            np.maximum(owner, g.gather(slot), out=owner)
+        owner[owner < 0] = m
+        up = np.append(np.where(parent < 0, m, parent), m)
+        chain = np.empty((int(depth.max(initial=1)), m + 1), dtype=np.int64)
+        chain[-1] = np.arange(m + 1)
+        for r in range(len(chain) - 2, -1, -1):
+            chain[r] = up[chain[r + 1]]
+        out = Forest(level, lo3, hi3, np.ldexp(1.0, -mesh.n * level), parent, depth, owner, chain)
         for x in out:
             x.setflags(write=False)
         return out
@@ -140,7 +136,7 @@ class SparseFamily:
         if root.shift != self.shift:
             raise ValueError("containment is only defined within one grid")
         lo, hi = root.bounds3(self.mesh.finest_exponent)
-        a = self.arrays
+        a = self.forest
         return np.all(a.lo3 >= lo, axis=1) & np.all(a.hi3 <= hi, axis=1)
 
     def members_in(self, root: DyadicCube) -> list[DyadicCube]:
@@ -181,9 +177,9 @@ def verify_sparse(family: SparseFamily) -> SparsityCertificate:
     of the sets E(Q) is structural (cubes of one grid are nested or
     disjoint) and is checked in O(|S|): every forest parent contains its
     child, and no member's children exceed its volume."""
-    mesh, a, parent = family.mesh, family.arrays, family.forest.parent
-    child = np.flatnonzero(parent >= 0)
-    up = parent[child]
+    mesh, a = family.mesh, family.forest
+    child = np.flatnonzero(a.parent >= 0)
+    up = a.parent[child]
     if not (
         np.all(a.level[up] < a.level[child])
         and np.all(a.lo3[up] <= a.lo3[child])
@@ -318,12 +314,12 @@ def overlap_level_set(family: SparseFamily, root: DyadicCube, k: int) -> Overlap
     depth - c there, where c counts the members strictly containing root."""
     if k < 1:
         raise ValueError("need k >= 1")
-    mesh, a = family.mesh, family.arrays
+    mesh, a = family.mesh, family.forest
     n, L = mesh.n, mesh.finest_exponent
     inside = family.contained_in(root)
     lo, hi = root.bounds3(L)
     above = (a.level < root.level) & np.all(a.lo3 <= lo, axis=1) & np.all(a.hi3 >= hi, axis=1)
-    idx = np.flatnonzero(inside & (family.forest.depth == np.count_nonzero(above) + k + 1))
+    idx = np.flatnonzero(inside & (a.depth == np.count_nonzero(above) + k + 1))
     gen_cubes = tuple(family.cubes[i] for i in idx)
     levels, counts = np.unique(a.level[idx], return_counts=True)
     total3 = sum(c * _vol3(n, L, j) for j, c in zip(levels.tolist(), counts.tolist()))

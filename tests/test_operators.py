@@ -26,6 +26,7 @@ from rieszw.orlicz import YoungFunction, luxemburg_norms, orlicz_maximal
 from rieszw.sparse import SparseFamily, build_sparse
 
 from conftest import lognormal
+from test_sparse import ORACLE_FAMILIES, _roots
 
 ALPHA = 0.5
 
@@ -198,19 +199,26 @@ def half_zero(mesh, seed):
     return StepFunction(mesh, vals)
 
 
+def signed_zero(mesh, seed):
+    """``half_zero`` with -0.0 where it vanishes."""
+    g = half_zero(mesh, seed).values
+    return StepFunction(mesh, np.where(g == 0.0, -0.0, g))
+
+
 def mesh_id(mesh):
     return f"n{mesh.n}-J{mesh.base_exponent}-L{mesh.finest_exponent}-T{mesh.coarse_padding}"
 
 
 SPARSE_CASES = [
     pytest.param(mesh, shift, id=f"{mesh_id(mesh)}-shift{''.join(map(str, shift))}")
-    for mesh in (Mesh(1, 0, 6), Mesh(1, 1, 4, coarse_padding=3), Mesh(2, 0, 3))
+    for mesh in (Mesh(1, 0, 6), Mesh(1, 1, 4, coarse_padding=3), Mesh(2, 0, 3),
+                 Mesh(2, 1, 2, coarse_padding=0))
     for shift in mesh.shifts()
 ]
 
 
 class TestSparseOracle:
-    """The bincount apply against the per-member loop, with ==."""
+    """The forest apply against the per-member loop, with == and sign bits."""
 
     @pytest.mark.parametrize("mesh, shift", SPARSE_CASES)
     def test_sparse_riesz_equals_loop(self, mesh, shift):
@@ -218,9 +226,9 @@ class TestSparseOracle:
         fam, _ = build_sparse(lognormal(mesh, 30), shift, alpha)
         g = half_zero(mesh, 31)
         assert any(g.cube_average(q) == 0.0 for q in fam.cubes)
-        for h in (lognormal(mesh, 32), g):
+        for h in (lognormal(mesh, 32), g, signed_zero(mesh, 31)):
             got = sparse_riesz(h, alpha, fam).values
-            assert np.array_equal(got, loop_sparse_sum(h, alpha, fam.cubes))
+            assert_same_bits(got, loop_sparse_sum(h, alpha, fam.cubes))
 
     @pytest.mark.parametrize("mesh, shift", SPARSE_CASES)
     def test_restricted_equals_loop_at_every_root(self, mesh, shift):
@@ -231,7 +239,23 @@ class TestSparseOracle:
             members = [q for q in fam.cubes if root.contains_cube(q)]
             assert fam.members_in(root) == members
             got = restricted_sparse_riesz(g, alpha, fam, root).values
-            assert np.array_equal(got, loop_sparse_sum(g, alpha, members))
+            assert_same_bits(got, loop_sparse_sum(g, alpha, members))
+
+    @pytest.mark.parametrize(
+        "make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES]
+    )
+    def test_oracle_families_equal_loop(self, make):
+        """Non-sparse subsets, nested chains, a singleton and the empty family,
+        full and restricted at every root."""
+        alpha = 0.3
+        fam = make()
+        mesh = fam.mesh
+        for h in (lognormal(mesh, 36), signed_zero(mesh, 37)):
+            assert_same_bits(sparse_riesz(h, alpha, fam).values, loop_sparse_sum(h, alpha, fam.cubes))
+            for root in _roots(fam):
+                members = [q for q in fam.cubes if root.contains_cube(q)]
+                got = restricted_sparse_riesz(h, alpha, fam, root).values
+                assert_same_bits(got, loop_sparse_sum(h, alpha, members))
 
     def test_empty_family(self):
         for mesh in (Mesh(1, 0, 4), Mesh(2, 0, 2)):

@@ -597,6 +597,26 @@ class TestCertificateOracle:
         assert fam.forest.parent.tolist() == parents
         assert fam.forest.depth.tolist() == gens
 
+    def test_owner_and_chain(self, make):
+        fam = make()
+        mesh, t, m = fam.mesh, fam.forest, len(fam)
+        assert fam.forest is t
+        assert not any(a.flags.writeable for a in t)
+        index = {q: i for i, q in enumerate(fam.cubes)}
+        for cell in itertools.product(range(mesh.cells_per_axis), repeat=mesh.n):
+            # the members over the cell centre, coarse to fine
+            over = [index[q] for k in mesh.levels()
+                    if (q := mesh.cube_containing_cell(fam.shift, k, cell)) in index]
+            assert t.owner[cell] == (over[-1] if over else m)
+        assert t.chain.shape == (max(t.depth.tolist(), default=1), m + 1)
+        parent = t.parent.tolist()
+        for j in range(m + 1):
+            path, i = [], j
+            while 0 <= i < m:
+                path.append(i)
+                i = parent[i]
+            assert t.chain[:, j].tolist() == [m] * (len(t.chain) - len(path)) + path[::-1]
+
     @pytest.mark.parametrize("mode", ["classic", "fractional"])
     def test_corona_decay_and_carleson(self, make, mode):
         fam = make()
