@@ -12,7 +12,9 @@ and the 2-D ``constants``, ``verify``, ``sandwich`` and ``norm`` at ``--mesh
 n=2,J=0,L=3``, then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
 2-D grid with J=1 through the sparse apply) and ``norm`` at ``--mesh
 n=1,J=1,L=5,T=0`` (restricted sparse sums on a mesh with no coarse
-padding); every other setting is the default config and seed.  Outputs and
+padding), and ``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
+on two fixed weight pairs (deeper stopping trees than the L=6 run, and the
+only 2-D corona); every other setting is the default config and seed.  Outputs and
 the run's config file go to a temporary directory that is removed afterwards; the subcommands' own
 messages go to stderr.  Exits 1 if a subcommand exits with 1 or 2 (3, success
 with a warning, counts as success).
@@ -29,6 +31,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rieszw import cli
 
+# two pairs whose corona slices hold up to 11 cubes and stop over several
+# generations, so the decay tables have nonzero rows for k >= 1
+CORONA_PAIRS = {"pairs": [["martingale:seed=5,vol=0.5", "martingale:seed=6,vol=0.5"],
+                          ["constant:c=1", "twovalue:a=2,b=1"]]}
+
 # (subcommand, --mesh value, config fields; a run with fields gets a config file)
 RUNS = [
     *((cmd, "n=1,J=0,L=6", {}) for cmd in
@@ -41,6 +48,7 @@ RUNS = [
     ("norm", "n=2,J=0,L=3", {}),
     ("sparse", "n=2,J=1,L=3", {}),
     ("norm", "n=1,J=1,L=5,T=0", {}),
+    *(("corona", mesh, CORONA_PAIRS) for mesh in ("n=1,J=0,L=8", "n=2,J=1,L=3")),
 ]
 
 
@@ -49,7 +57,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         for cmd, mesh, config in RUNS:
-            name = "-".join([cmd, mesh.replace(",", "-").replace("=", ""), *map(str, config.values())])
+            tags = (v if isinstance(v, str) else k for k, v in config.items())
+            name = "-".join([cmd, mesh.replace(",", "-").replace("=", ""), *tags])
             argv = [cmd, "--mesh", mesh, "--jobs", "1", "--out", str(root / name)]
             if config:
                 cfg_path = root / f"{name}.config.json"
