@@ -240,7 +240,11 @@ class Mesh:
 
     def _level_grid(self, shift: tuple[int, ...], level: int) -> LevelGrid:
         coords = self.level_cube_coords(shift, level)
-        lo3, hi3 = self.level_bounds3(shift, level)
+        # the corners of level_bounds3, from the coords enumerated once
+        scale = 1 << (self.finest_exponent - level)
+        sgn = 1 if level % 2 == 0 else -1
+        lo3 = (3 * coords + sgn * np.asarray(shift, dtype=np.int64)) * scale
+        hi3 = lo3 + 3 * scale
         box3 = 3 * self.cells_per_axis
         in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
         shape = tuple(len(r) for r in self.coord_range(shift, level))

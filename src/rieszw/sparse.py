@@ -7,7 +7,10 @@ volumes are integers in units of (h/3)^n.  The members of a family form one
 containment forest (:attr:`SparseFamily.forest`), found level by level in
 O(|S| * levels); the certificates sum integer volumes over its children and
 generations instead of testing cubes pairwise, and a sparse sum is a sum
-down the chain of members over each cell centre.
+down the chain of members over each cell centre.  The corona decomposition
+and its sigma-decay check are int arrays over the same forest indices: the
+stopping parents and b-group generations come from climbs up
+``forest.parent``, in O(|S| * depth).
 """
 
 from __future__ import annotations
@@ -339,49 +342,61 @@ def overlap_level_set(family: SparseFamily, root: DyadicCube, k: int) -> Overlap
 
 @dataclass
 class CoronaDecomposition:
+    """The members inside ``root`` that belong to a slice, as parallel arrays
+    in the family's coarse-to-fine order: ``index`` into ``family.forest``,
+    the slice ``a``, the position ``up`` of the stopping parent (its own if
+    the member stops), the stopping ``generation`` (-1 if it does not stop),
+    the b-index ``b`` and the averages.  ``slices``, ``stopping``, ``pi``
+    and ``bindex`` key the same decomposition by slice and cube; they are
+    built once, from the arrays."""
+
     exps: ExponentTuple
-    mesh: Mesh
+    family: SparseFamily
     root: DyadicCube
     mode: str  # "classic" or "fractional"
+    index: np.ndarray  # (M,) int64, increasing
+    a: np.ndarray
+    up: np.ndarray
+    generation: np.ndarray
+    b: np.ndarray
+    u_avg: np.ndarray
+    sigma_avg: np.ndarray
+    fracavg: np.ndarray  # |Q|^{alpha/n} avg_Q u
+    skipped: int
+    gamma: float  # every slice index satisfies a <= gamma
     slices: dict[int, list[DyadicCube]]
     stopping: dict[int, dict[DyadicCube, int]]  # cube -> generation (0-based)
     pi: dict[int, dict[DyadicCube, DyadicCube]]
     bindex: dict[int, dict[DyadicCube, int]]
-    fracavg: dict[DyadicCube, float]
-    u_avg: dict[DyadicCube, float]
-    sigma_avg: dict[DyadicCube, float]
-    skipped: int
-    gamma: float  # every slice index satisfies a <= gamma
-    forest_parent: dict[DyadicCube, DyadicCube]  # member -> its forest parent, both inside root
     certified: bool = False
 
-    @functools.cached_property
-    def _groups(self) -> dict[tuple[int, DyadicCube], list[DyadicCube]]:
-        """Every Q^a(P), keyed by (a, P), in slice order."""
-        out: dict[tuple[int, DyadicCube], list[DyadicCube]] = {}
-        for a, cubes in self.slices.items():
-            for q in cubes:
-                out.setdefault((a, self.pi[a][q]), []).append(q)
-        return out
 
-    def group(self, a: int, P: DyadicCube) -> list[DyadicCube]:
-        """Q^a(P): the cubes of slice a whose stopping parent is P."""
-        return list(self._groups.get((a, P), ()))
-
-    def bgroup(self, a: int, P: DyadicCube, b: int) -> list[DyadicCube]:
-        """Q^a_b(P)."""
-        return [q for q in self.group(a, P) if self.bindex[a][q] == b]
-
-    def bvalues(self, a: int, P: DyadicCube) -> list[int]:
-        return sorted({self.bindex[a][q] for q in self.group(a, P)})
+def _slicing_values(exps: ExponentTuple, mode: str, u_avg, sigma_avg, volume) -> np.ndarray:
+    """(avg_Q u)^{1/q} (avg_Q sigma)^{1/p'}, times |Q|^{alpha/n + 1/q - 1/p}
+    in fractional mode; a Python float pow per cube, which an array power
+    does not match in the last bit."""
+    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p if mode == "fractional" else 0.0
+    return np.array([ua ** (1.0 / exps.q) * sa ** (1.0 / exps.p_prime) * vol**e
+                     for ua, sa, vol in zip(u_avg.tolist(), sigma_avg.tolist(), volume.tolist())])
 
 
-def _nearest(up: Mapping[DyadicCube, DyadicCube], q: DyadicCube, keep) -> DyadicCube | None:
-    """The finest strict forest ancestor of q that lies in keep, or None."""
-    p = up.get(q)
-    while p is not None and p not in keep:
-        p = up.get(p)
-    return p
+def _climb(parent: np.ndarray, start: np.ndarray, key: np.ndarray, key_at: np.ndarray):
+    """For members with forest indices ``start``: the finest strict forest
+    ancestor i with key_at[i] == key (-1 if none) and the number of such
+    ancestors.  Keys are >= 0, and key_at is -1 where nothing matches; the
+    climb takes one step up ``parent`` per round, at most depth rounds."""
+    near = np.full(len(start), -1, dtype=np.int64)
+    count = np.zeros(len(start), dtype=np.int64)
+    cur = parent[start]
+    live = np.flatnonzero(cur >= 0)
+    while len(live):
+        hit = key_at[cur[live]] == key[live]
+        count[live] += hit
+        first = live[hit & (near[live] < 0)]
+        near[first] = cur[first]
+        cur[live] = parent[cur[live]]
+        live = live[cur[live] >= 0]
+    return near, count
 
 
 def corona_decompose(
@@ -399,123 +414,90 @@ def corona_decompose(
     |Q|^{alpha/n + 1/q - 1/p}.  Stopping cubes: coarse-to-fine first hit of
     |Q|^{alpha/n} avg_Q u > 2 |P|^{alpha/n} avg_P u against the finest
     stopping ancestor P.  Cubes with vanishing u- or sigma-average belong
-    to no slice and are counted in ``skipped``."""
+    to no slice and are counted in ``skipped``.
+
+    Members of one level are disjoint, so the stopping parents are found
+    one member level at a time, coarse to fine, by a climb up
+    ``forest.parent``: O(|S| * depth) in all."""
     if mode not in ("classic", "fractional"):
         raise ValueError("mode must be 'classic' or 'fractional'")
-    mesh = family.mesh
-    inside = family.contained_in(root)
-    members = [family.cubes[i] for i in np.flatnonzero(inside)]
-    up = {
-        family.cubes[i]: family.cubes[p]
-        for i, p in enumerate(family.forest.parent.tolist())
-        if p >= 0 and inside[i] and inside[p]
-    }
-    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
-    fracavg: dict[DyadicCube, float] = {}
-    u_avg: dict[DyadicCube, float] = {}
-    s_avg: dict[DyadicCube, float] = {}
-    skipped = 0
-    vmax = 0.0
-    values: list[float] = []
-    for q in members:
-        ua = u.cube_average(q)
-        sa = sigma.cube_average(q)
-        if ua <= 0.0 or sa <= 0.0:
-            skipped += 1
-            continue
-        v = ua ** (1.0 / exps.q) * sa ** (1.0 / exps.p_prime)
-        if mode == "fractional":
-            v *= q.volume**e
-        vmax = max(vmax, v)
-        values.append(v)
-        fracavg[q] = q.volume ** (exps.alpha / exps.n) * ua
-        u_avg[q] = ua
-        s_avg[q] = sa
-    # members come coarse to fine, so every slice is in (level, coord) order
-    slices: dict[int, list[DyadicCube]] = {}
-    for q, a in zip(fracavg, _ilog_lt(np.array(values), 2.0).tolist()):
-        slices.setdefault(a, []).append(q)
-    stopping: dict[int, dict[DyadicCube, int]] = {}
-    pi: dict[int, dict[DyadicCube, DyadicCube]] = {}
-    bindex: dict[int, dict[DyadicCube, int]] = {}
-    for a, cubes in slices.items():
-        stop_a: dict[DyadicCube, int] = {}
-        pi_a: dict[DyadicCube, DyadicCube] = {}
-        for q in cubes:
-            parent = _nearest(up, q, stop_a)
-            if parent is None:
-                stop_a[q] = 0
-                pi_a[q] = q
-            elif fracavg[q] > 2.0 * fracavg[parent]:
-                stop_a[q] = stop_a[parent] + 1
-                pi_a[q] = q
-            else:
-                pi_a[q] = parent
-        b = -_ilog_lt(np.array([fracavg[q] / fracavg[pi_a[q]] for q in cubes]), 2.0)
-        if np.any(b < 0):
-            raise AssertionError("reverse inequality violated in b-slicing")
-        stopping[a] = stop_a
-        pi[a] = pi_a
-        bindex[a] = dict(zip(cubes, b.tolist()))
+    t = family.forest
+    index = np.flatnonzero(family.contained_in(root))
+    vol = t.volume[index]
+    u_avg = u.integral_box3(t.lo3[index], t.hi3[index]) / vol
+    s_avg = sigma.integral_box3(t.lo3[index], t.hi3[index]) / vol
+    keep = (u_avg > 0.0) & (s_avg > 0.0)
+    skipped = int(np.count_nonzero(~keep))
+    index, vol, u_avg, s_avg = index[keep], vol[keep], u_avg[keep], s_avg[keep]
+    v = _slicing_values(exps, mode, u_avg, s_avg, vol)
+    fracavg = np.array([w ** (exps.alpha / exps.n) * ua for w, ua in zip(vol.tolist(), u_avg.tolist())])
+    a = _ilog_lt(v, 2.0)
+    key = np.unique(a, return_inverse=True)[1]
+    stop_key = np.full(len(t.level), -1, dtype=np.int64)  # the slice's key at stopping members
+    up, generation = np.arange(len(index)), np.zeros(len(index), dtype=np.int64)
+    _, starts = np.unique(t.level[index], return_index=True)
+    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(index)]):
+        here = slice(start, stop)
+        # a stopping cube's generation counts the coarser stopping cubes of its slice
+        anc, generation[here] = _climb(t.parent, index[here], key[here], stop_key)
+        p = np.searchsorted(index, anc)  # the ancestor's position; unused where anc < 0
+        new = (anc < 0) | (fracavg[here] > 2.0 * fracavg[p])
+        up[here] = np.where(new, up[here], p)
+        generation[here][~new] = -1
+        stop_key[index[here][new]] = key[here][new]
+    b = -_ilog_lt(fracavg / fracavg[up], 2.0)
     # v(Q)^q is the slicing product per cube, so log2 of its sup over the
     # decomposed cubes bounds every slice index a from above
+    vmax = float(v.max(initial=0.0))
     gamma = math.log2(vmax) if vmax > 0.0 else -math.inf
-    cd = CoronaDecomposition(
-        exps=exps,
-        mesh=mesh,
-        root=root,
-        mode=mode,
-        slices=slices,
-        stopping=stopping,
-        pi=pi,
-        bindex=bindex,
-        fracavg=fracavg,
-        u_avg=u_avg,
-        sigma_avg=s_avg,
-        skipped=skipped,
-        gamma=gamma,
-        forest_parent=up,
-    )
-    _certify_corona(cd, mode, exps)
+    # members come coarse to fine, so every slice is in (level, coord) order
+    cubes = [family.cubes[i] for i in index.tolist()]
+    parents, gens, bs = [cubes[p] for p in up.tolist()], generation.tolist(), b.tolist()
+    slices, stopping, pi, bindex = {}, {}, {}, {}
+    for s in dict.fromkeys(a.tolist()):
+        at = np.flatnonzero(a == s).tolist()
+        slices[s] = [cubes[i] for i in at]
+        stopping[s] = {cubes[i]: gens[i] for i in at if gens[i] >= 0}
+        pi[s] = {cubes[i]: parents[i] for i in at}
+        bindex[s] = {cubes[i]: bs[i] for i in at}
+    cd = CoronaDecomposition(exps, family, root, mode, index, a, up, generation, b, u_avg,
+                             s_avg, fracavg, skipped, gamma, slices, stopping, pi, bindex)
+    _certify_corona(cd)
     return cd
 
 
-def _certify_corona(cd: CoronaDecomposition, mode: str, exps: ExponentTuple):
-    """All four structural invariants, by direct recomputation."""
-    seen: set[DyadicCube] = set()
-    for a, cubes in cd.slices.items():
-        if a > cd.gamma:
-            raise AssertionError("slice index exceeds the characteristic bound")
-        for q in cubes:
-            if q in seen:
-                raise AssertionError("slices are not disjoint")
-            seen.add(q)
-            v = cd.u_avg[q] ** (1.0 / exps.q) * cd.sigma_avg[q] ** (1.0 / exps.p_prime)
-            if mode == "fractional":
-                e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
-                v *= q.volume**e
-            if not (2.0**a < v <= 2.0 ** (a + 1)):
-                raise AssertionError("slice membership violated")
-            P = cd.pi[a][q]
-            if not (P == q or P.contains_cube(q)):
-                raise AssertionError("stopping parent does not contain its cube")
-            if cd.fracavg[q] > 2.0 * cd.fracavg[P] and P != q:
-                raise AssertionError("reverse inequality violated")
-            b = cd.bindex[a][q]
-            lo = 2.0**-b * cd.fracavg[P]
-            hi = 2.0 ** (-b + 1) * cd.fracavg[P]
-            if not (lo < cd.fracavg[q] <= hi):
-                raise AssertionError("b-slice membership violated")
-        for q, gen in cd.stopping[a].items():
-            if gen == 0:
-                continue
-            # the stopping inequality against the finest coarser stopping cube
-            anc = [p for p in cd.stopping[a] if p != q and p.contains_cube(q)]
-            P = max(anc, key=lambda c: c.level)
-            if not cd.fracavg[q] > 2.0 * cd.fracavg[P]:
-                raise AssertionError("stopping inequality violated")
-            if cd.stopping[a][P] != gen - 1:
-                raise AssertionError("stopping generation bookkeeping broken")
+def _certify_corona(cd: CoronaDecomposition):
+    """Every invariant of the decomposition, recomputed from its arrays in
+    O(M * depth)."""
+    t, index, a, up, gen, f = cd.family.forest, cd.index, cd.a, cd.up, cd.generation, cd.fracavg
+    own = np.arange(len(up))
+    if np.any(a > cd.gamma):
+        raise AssertionError("slice index exceeds the characteristic bound")
+    if np.any(np.diff(index) <= 0):
+        raise AssertionError("slices are not disjoint")
+    v = _slicing_values(cd.exps, cd.mode, cd.u_avg, cd.sigma_avg, t.volume[index])
+    if not np.all((np.ldexp(1.0, a) < v) & (v <= np.ldexp(1.0, a + 1))):
+        raise AssertionError("slice membership violated")
+    if np.any((up < 0) | (up >= len(up))) or not np.all(
+        (t.lo3[index[up]] <= t.lo3[index]) & (t.hi3[index] <= t.hi3[index[up]])
+    ):
+        raise AssertionError("stopping parent does not contain its cube")
+    # the finest stopping cube of each member's slice that strictly contains it
+    key = np.unique(a, return_inverse=True)[1]
+    stop_key = np.full(len(t.level), -1, dtype=np.int64)
+    stop_key[index[gen >= 0]] = key[gen >= 0]
+    anc, count = _climb(t.parent, index, key, stop_key)
+    p = np.searchsorted(index, anc)  # unused where anc < 0
+    if not np.array_equal(up, np.where(gen >= 0, own, np.where(anc >= 0, p, -1))):
+        raise AssertionError("stopping parent is not the finest stopping ancestor")
+    if np.any((gen >= 0) & (gen != count)):
+        raise AssertionError("stopping generation bookkeeping broken")
+    if np.any((gen > 0) & ~(f > 2.0 * f[p])):
+        raise AssertionError("stopping inequality violated")
+    if np.any((up != own) & (f > 2.0 * f[up])):
+        raise AssertionError("reverse inequality violated")
+    if not np.all((np.ldexp(f[up], -cd.b) < f) & (f <= np.ldexp(f[up], 1 - cd.b))):
+        raise AssertionError("b-slice membership violated")
     cd.certified = True
 
 
@@ -630,37 +612,39 @@ def sigma_decay_check(
     The decay exponent asserted downstream is c = 1 (provable from the
     overlap lemma plus the two-sided comparability of the frozen averages);
     the proof's composite exponent is reported, not asserted."""
-    rows: list[DecayRow] = []
-    worst = 0.0
-    skipped = 0
-    for a in sorted(cd.slices):
-        for P in sorted(cd.stopping[a], key=lambda c: (c.level, c.coord)):
-            sp = sigma.cube_integral(P)
-            if sp <= 0.0:
-                skipped += 1
-                continue
-            for b in cd.bvalues(a, P):
-                # generations of Q^a_b(P); its cubes come coarse to fine
-                gen: dict[DyadicCube, int] = {}
-                for q in cd.bgroup(a, P, b):
-                    p = _nearest(cd.forest_parent, q, gen)
-                    gen[q] = 1 if p is None else gen[p] + 1
-                for k in range(0, kmax + 1):
-                    sf = sum(sigma.cube_integral(q) for q, g in gen.items() if g == k + 1)
-                    ratio = sf / sp
-                    rows.append(DecayRow(a, b, P, k, ratio))
-                    if k >= 1:
-                        worst = max(worst, ratio * 2.0**k)
-    kmaxratio: dict[int, float] = {}
-    for row in rows:
-        kmaxratio[row.k] = max(kmaxratio.get(row.k, 0.0), row.ratio)
-    pts = [(k, r) for k, r in kmaxratio.items() if k >= 1 and r > 0.0]
-    if len(pts) >= 2:
-        ks = np.array([p[0] for p in pts], dtype=np.float64)
-        ys = np.log2([p[1] for p in pts])
-        fitted = float(-np.polyfit(ks, ys, 1)[0])
+    t, index = cd.family.forest, cd.index
+    mass = sigma.integral_box3(t.lo3[index], t.hi3[index])
+    # every Q^a_b(P), numbered in (a, P, b) order, with P a member position
+    groups, group = np.unique(np.stack([cd.a, cd.up, cd.b], axis=1), axis=0, return_inverse=True)
+    group = group.ravel()
+    group_of = np.full(len(t.level), -1, dtype=np.int64)
+    group_of[index] = group
+    # a member's generation in its group counts the group's members among
+    # its forest ancestors, itself included
+    gen = _climb(t.parent, index, group, group_of)[1] + 1
+    # sigma(F^a_b(k, P)) for k = gen - 1, added in member order from 0.0 as
+    # sum() adds the group's cubes
+    K = kmax + 1
+    near = gen <= K
+    sums = np.bincount(group[near] * K + gen[near] - 1, weights=mass[near],
+                       minlength=len(groups) * K).reshape(-1, K)
+    sp = mass[groups[:, 1]]
+    kept = sp > 0.0
+    ratio = sums[kept] / sp[kept, None]
+    rows = tuple(
+        DecayRow(a, b, cd.family.cubes[index[P]], k, r)
+        for (a, P, b), rs in zip(groups[kept].tolist(), ratio.tolist())
+        for k, r in enumerate(rs)
+    )
+    skipped = int(np.count_nonzero((cd.generation >= 0) & (mass <= 0.0)))
+    per_k = ratio.max(axis=0, initial=0.0)
+    worst = float((per_k[1:] * np.ldexp(1.0, np.arange(1, K))).max(initial=0.0))
+    ks = np.flatnonzero(per_k > 0.0)
+    ks = ks[ks >= 1]
+    if len(ks) >= 2:
+        fitted = float(-np.polyfit(ks.astype(np.float64), np.log2(per_k[ks]), 1)[0])
     else:
         fitted = math.inf
     exps = cd.exps
     reported = 1.0 + (exps.p_prime / exps.q_prime) * exps.alpha / exps.n
-    return DecayReport(tuple(rows), worst, fitted, reported, skipped)
+    return DecayReport(rows, worst, fitted, reported, skipped)

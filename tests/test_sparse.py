@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from rieszw.normest import _candidate_roots
 from rieszw.operators import compare_pointwise, dyadic_riesz, sparse_riesz
 from rieszw.sparse import (
     CarlesonReport,
+    DecayReport,
     DecayRow,
     OverlapReport,
     SparseFamily,
@@ -26,7 +28,7 @@ from rieszw.sparse import (
     sigma_decay_check,
     verify_sparse,
 )
-from rieszw.sparse import _ilog_lt
+from rieszw.sparse import _certify_corona, _ilog_lt
 from rieszw.weights import ExponentTuple, fujii_wilson, generate_weight
 
 from conftest import lognormal
@@ -189,9 +191,9 @@ class TestCorona:
         assert list(cd.slices) == [-1]
         assert cd.stopping[-1] == {ROOT: 0}
         assert all(p == ROOT for p in cd.pi[-1].values())
-        bv = cd.bvalues(-1, ROOT)
-        for b in bv:
-            assert len(cd.bgroup(-1, ROOT, b)) <= 2
+        # every b-group Q^{-1}_b(ROOT) holds at most two nested cubes
+        sizes = Counter(cd.bindex[-1][q] for q in cd.slices[-1] if cd.pi[-1][q] == ROOT)
+        assert sizes and max(sizes.values()) <= 2
 
     def test_trivial_single_cube(self, unit_mesh):
         one = StepFunction.constant(unit_mesh, 1.0)
@@ -216,7 +218,8 @@ class TestCorona:
             assert len(sliced) + cd.skipped == len(members)
             for a in cd.slices:
                 assert all(a <= cd.gamma for a in cd.slices)
-                grouped = [q for P in cd.stopping[a] for q in cd.group(a, P)]
+                # the groups Q^a(P) over the stopping cubes P partition the slice
+                grouped = [q for P in cd.stopping[a] for q in cd.slices[a] if cd.pi[a][q] == P]
                 assert sorted(grouped, key=str) == sorted(cd.slices[a], key=str)
 
     def test_carleson_for_stopping_cubes(self, unit_mesh):
@@ -479,6 +482,110 @@ def oracle_decay_rows(slices, stopping, pi, bindex, sigma, L, kmax=10):
     return tuple(rows)
 
 
+def _nearest(up, q, keep):
+    """The finest strict forest ancestor of q that lies in keep, or None."""
+    p = up.get(q)
+    while p is not None and p not in keep:
+        p = up.get(p)
+    return p
+
+
+def oracle_corona_dict_walk(family, root, u, sigma, exps, mode):
+    """The corona decomposition by per-cube averages and a walk up a
+    DyadicCube-keyed forest dict, with its fields as a dict."""
+    inside = family.contained_in(root)
+    members = [family.cubes[i] for i in np.flatnonzero(inside)]
+    up = {
+        family.cubes[i]: family.cubes[p]
+        for i, p in enumerate(family.forest.parent.tolist())
+        if p >= 0 and inside[i] and inside[p]
+    }
+    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
+    fracavg, u_avg, s_avg = {}, {}, {}
+    skipped = 0
+    vmax = 0.0
+    values = []
+    for q in members:
+        ua = u.cube_average(q)
+        sa = sigma.cube_average(q)
+        if ua <= 0.0 or sa <= 0.0:
+            skipped += 1
+            continue
+        v = ua ** (1.0 / exps.q) * sa ** (1.0 / exps.p_prime)
+        if mode == "fractional":
+            v *= q.volume**e
+        vmax = max(vmax, v)
+        values.append(v)
+        fracavg[q] = q.volume ** (exps.alpha / exps.n) * ua
+        u_avg[q] = ua
+        s_avg[q] = sa
+    slices = {}
+    for q, a in zip(fracavg, _ilog_lt(np.array(values), 2.0).tolist()):
+        slices.setdefault(a, []).append(q)
+    stopping, pi, bindex = {}, {}, {}
+    for a, cubes in slices.items():
+        stop_a, pi_a = {}, {}
+        for q in cubes:
+            parent = _nearest(up, q, stop_a)
+            if parent is None:
+                stop_a[q] = 0
+                pi_a[q] = q
+            elif fracavg[q] > 2.0 * fracavg[parent]:
+                stop_a[q] = stop_a[parent] + 1
+                pi_a[q] = q
+            else:
+                pi_a[q] = parent
+        b = -_ilog_lt(np.array([fracavg[q] / fracavg[pi_a[q]] for q in cubes]), 2.0)
+        assert not np.any(b < 0)
+        stopping[a] = stop_a
+        pi[a] = pi_a
+        bindex[a] = dict(zip(cubes, b.tolist()))
+    gamma = math.log2(vmax) if vmax > 0.0 else -math.inf
+    return dict(slices=slices, stopping=stopping, pi=pi, bindex=bindex, fracavg=fracavg,
+                u_avg=u_avg, sigma_avg=s_avg, skipped=skipped, gamma=gamma,
+                forest_parent=up, exps=exps)
+
+
+def oracle_decay_report(old, sigma, kmax=10):
+    """The sigma-decay report on the dict walk's fields, group by group."""
+    def group(a, P):
+        return [q for q in old["slices"][a] if old["pi"][a][q] == P]
+
+    rows = []
+    worst = 0.0
+    skipped = 0
+    for a in sorted(old["slices"]):
+        for P in sorted(old["stopping"][a], key=lambda c: (c.level, c.coord)):
+            sp = sigma.cube_integral(P)
+            if sp <= 0.0:
+                skipped += 1
+                continue
+            for b in sorted({old["bindex"][a][q] for q in group(a, P)}):
+                gen = {}
+                for q in [q for q in group(a, P) if old["bindex"][a][q] == b]:
+                    p = _nearest(old["forest_parent"], q, gen)
+                    gen[q] = 1 if p is None else gen[p] + 1
+                for k in range(0, kmax + 1):
+                    sf = sum(sigma.cube_integral(q) for q, g in gen.items() if g == k + 1)
+                    ratio = sf / sp
+                    rows.append(DecayRow(a, b, P, k, ratio))
+                    if k >= 1:
+                        worst = max(worst, ratio * 2.0**k)
+    kmaxratio = {}
+    for row in rows:
+        kmaxratio[row.k] = max(kmaxratio.get(row.k, 0.0), row.ratio)
+    pts = [(k, r) for k, r in kmaxratio.items() if k >= 1 and r > 0.0]
+    if len(pts) >= 2:
+        ks = np.array([p[0] for p in pts], dtype=np.float64)
+        ys = np.log2([p[1] for p in pts])
+        fitted = float(-np.polyfit(ks, ys, 1)[0])
+    else:
+        fitted = math.inf
+    exps = old["exps"]
+    reported = 1.0 + (exps.p_prime / exps.q_prime) * exps.alpha / exps.n
+    return DecayReport(tuple(rows), worst, fitted, reported, skipped)
+
+
 def _ancestor_at(mesh, cube, level):
     """The level cube of the grid that contains the cube's lower corner."""
     scale = 1 << (mesh.finest_exponent - level)
@@ -635,3 +742,107 @@ class TestCertificateOracle:
             assert carleson_check(c, u, mesh, A=2.0) == oracle_carleson(c, u, mesh, A=2.0)
         c = {q: float(i % 3) for i, q in enumerate(fam.cubes)}  # zeros leave the support
         assert carleson_check(c, sigma, mesh) == oracle_carleson(c, sigma, mesh)
+
+    @pytest.mark.parametrize("mode", ["classic", "fractional"])
+    def test_corona_against_dict_walk(self, make, mode):
+        fam = make()
+        roots = _roots(fam)
+        for (exps, u, sigma), root in itertools.product(
+            _corona_inputs(fam.mesh), {roots[0], roots[len(roots) // 2], roots[-1]}
+        ):
+            cd = corona_decompose(fam, root, u, sigma, exps, mode=mode)
+            old = oracle_corona_dict_walk(fam, root, u, sigma, exps, mode)
+            assert [fam.cubes[i] for i in cd.index.tolist()] == list(old["fracavg"])
+            for name in ("u_avg", "sigma_avg", "fracavg"):
+                assert getattr(cd, name).tolist() == list(old[name].values())
+            assert (cd.gamma, cd.skipped) == (old["gamma"], old["skipped"])
+            assert (cd.slices, cd.stopping, cd.pi, cd.bindex) == tuple(
+                old[k] for k in ("slices", "stopping", "pi", "bindex"))
+            assert sigma_decay_check(cd, sigma) == oracle_decay_report(old, sigma)
+
+
+class TestCertifyCoronaMutations:
+    """Each invariant of ``_certify_corona``, broken on its own in a
+    certified decomposition: the ancestors of one cell under a one-cell
+    spike in u, which stop over six generations and leave non-stopping
+    cubes under non-stopping cubes of the same slice."""
+
+    @pytest.fixture
+    def cd(self):
+        mesh = Mesh(1, 0, 6)
+        cell = (int(0.3 * mesh.cells_per_axis),)
+        fam = SparseFamily(mesh, (0,), tuple(
+            mesh.cube_containing_cell((0,), k, cell) for k in mesh.levels()))
+        exps, u, sigma = _corona_inputs(mesh)[1]
+        cd = corona_decompose(fam, fam.cubes[0], u, sigma, exps)
+        assert cd.certified and cd.generation.max() >= 2
+        cd.certified = False
+        return cd
+
+    @staticmethod
+    def _fails(cd, message):
+        with pytest.raises(AssertionError, match=message):
+            _certify_corona(cd)
+        assert not cd.certified
+
+    def test_unbroken_certifies(self, cd):
+        _certify_corona(cd)
+        assert cd.certified
+
+    def test_gamma_bound(self, cd):
+        cd.gamma = float(cd.a.max()) - 0.5
+        self._fails(cd, "exceeds the characteristic bound")
+
+    def test_disjoint_slices(self, cd):
+        cd.index[-1] = cd.index[-2]
+        self._fails(cd, "slices are not disjoint")
+
+    def test_slice_membership(self, cd):
+        cd.a[len(cd.a) // 2] -= 1
+        self._fails(cd, "slice membership violated")
+
+    @pytest.mark.parametrize("parent", [1, 10**6])
+    def test_containment(self, cd, parent):
+        cd.up[0] = parent  # a finer member, or no member at all
+        self._fails(cd, "does not contain its cube")
+
+    def test_non_stopping_cube_as_its_own_parent(self, cd):
+        k = int(np.flatnonzero(cd.generation < 0)[0])
+        cd.up[k], cd.b[k] = k, 1
+        self._fails(cd, "not the finest stopping ancestor")
+
+    def test_parent_moved_to_non_stopping_ancestor(self, cd):
+        k = next(k for k in range(1, len(cd.index))
+                 if cd.generation[k] < 0 and cd.generation[k - 1] < 0 and cd.up[k - 1] == cd.up[k])
+        cd.up[k] = k - 1
+        cd.b[k] = -_ilog_lt(np.array([cd.fracavg[k] / cd.fracavg[k - 1]]), 2.0)[0]
+        self._fails(cd, "not the finest stopping ancestor")
+
+    def test_generation_zero_under_a_stopping_cube(self, cd):
+        cd.generation[int(np.argmax(cd.generation))] = 0
+        self._fails(cd, "stopping generation bookkeeping broken")
+
+    def test_generation_without_coarser_stopping_cube(self, cd):
+        assert cd.generation[0] == 0
+        cd.generation[0] = 1
+        self._fails(cd, "stopping generation bookkeeping broken")
+
+    def test_generation_off_by_one(self, cd):
+        cd.generation[int(np.argmax(cd.generation))] += 1
+        self._fails(cd, "stopping generation bookkeeping broken")
+
+    def test_stopping_inequality(self, cd):
+        k = int(np.argmax(cd.generation))
+        # the family is one chain, so every coarser member contains k
+        anc = max(j for j in range(k) if cd.generation[j] >= 0 and cd.a[j] == cd.a[k])
+        cd.fracavg[k] = 2.0 * cd.fracavg[anc]
+        self._fails(cd, "stopping inequality violated")
+
+    def test_reverse_inequality(self, cd):
+        k = int(np.flatnonzero(cd.generation < 0)[0])
+        cd.fracavg[k] = 4.0 * cd.fracavg[cd.up[k]]
+        self._fails(cd, "reverse inequality violated")
+
+    def test_b_slice(self, cd):
+        cd.b[len(cd.b) // 2] += 1
+        self._fails(cd, "b-slice membership violated")
