@@ -9,7 +9,9 @@ The runs are every subcommand at ``--mesh n=1,J=0,L=6``, the 1-D
 bump constants use the loglog Young kinds) and at L=8 (its in-box corpus
 meets 4,599 cells, more than one ``bump_constant`` Luxemburg batch holds),
 and the 2-D ``constants``, ``verify``, ``sandwich`` and ``norm`` at ``--mesh
-n=2,J=0,L=3``, then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
+n=2,J=0,L=3``, ``constants`` again at ``--mesh n=2,J=1,L=4`` (with the
+default ``fw_max_level`` of 3, the ``fujii_wilson`` windows run from 32
+cells per axis down to 2), then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
 2-D grid with J=1 through the sparse apply) and ``norm`` at ``--mesh
 n=1,J=1,L=5,T=0`` (restricted sparse sums on a mesh with no coarse
 padding), and ``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
@@ -43,6 +45,7 @@ RUNS = [
     ("sandwich", "n=1,J=0,L=6", {"bump_kind": "loglog"}),
     ("sandwich", "n=1,J=0,L=8", {}),
     ("constants", "n=2,J=0,L=3", {}),
+    ("constants", "n=2,J=1,L=4", {}),
     ("verify", "n=2,J=0,L=3", {}),
     ("sandwich", "n=2,J=0,L=3", {}),
     ("norm", "n=2,J=0,L=3", {}),

@@ -201,18 +201,24 @@ def _kernel_spectrum(n: int, N: int, h: float, alpha: float, mode: int) -> np.nd
     return spectrum
 
 
-def riesz_apply(values: np.ndarray, h: float, alpha: float, mode: int) -> np.ndarray:
+def riesz_apply(
+    values: np.ndarray, h: float, alpha: float, mode: int, n: int | None = None
+) -> np.ndarray:
     """Reference Riesz potential at all cell centers of an N^n grid.
 
     The weight of source cell j at target i depends only on |i - j| per
     axis, so the operator is (block-)Toeplitz.  It is embedded in a circulant
     of size 2N per axis and applied exactly by zero-padded real FFTs
     (circulant embedding; Chan & Jin, Iterative Toeplitz Solvers, ch. 2).
-    The kernel's spectrum is kept per mode (``_kernel_spectrum``)."""
+    The kernel's spectrum is kept per mode (``_kernel_spectrum``).
+
+    The grid is the last ``n`` axes (all of them by default); leading axes
+    are a batch of grids, each transformed as if alone."""
     from numpy import fft
 
     values = np.asarray(values, dtype=np.float64)
-    n, N = values.ndim, values.shape[0]
-    shape, axes = (2 * N,) * n, tuple(range(n))
+    n = values.ndim if n is None else n
+    N = values.shape[-1]
+    shape, axes = (2 * N,) * n, tuple(range(-n, 0))
     spectrum = fft.rfftn(values, shape, axes) * _kernel_spectrum(n, N, h, alpha, mode)
-    return fft.irfftn(spectrum, shape, axes)[(slice(0, N),) * n]
+    return fft.irfftn(spectrum, shape, axes)[(..., *(slice(0, N),) * n)]

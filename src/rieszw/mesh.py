@@ -235,33 +235,47 @@ class Mesh:
         on the mesh."""
         shift = tuple(shift)
         if shift not in self._grids:
-            self._grids[shift] = tuple(self._level_grid(shift, k) for k in self.levels())
+            self._grids[shift] = self._level_table(shift)
         return self._grids[shift]
 
-    def _level_grid(self, shift: tuple[int, ...], level: int) -> LevelGrid:
-        coords = self.level_cube_coords(shift, level)
-        # the corners of level_bounds3, from the coords enumerated once
-        scale = 1 << (self.finest_exponent - level)
-        sgn = 1 if level % 2 == 0 else -1
-        lo3 = (3 * coords + sgn * np.asarray(shift, dtype=np.int64)) * scale
-        hi3 = lo3 + 3 * scale
+    def _level_table(self, shift: tuple[int, ...]) -> tuple[LevelGrid, ...]:
+        """Every level of one grid at once: the per-level coordinate ranges
+        of ``coord_range`` as arrays, the cubes of all levels listed in one
+        unravel, and each level's entry cut from the whole table."""
+        L = self.finest_exponent
+        levels = np.arange(self.coarsest_level, L + 1)
+        # Python shifts: a scale beyond int64 raises instead of wrapping
+        scale = np.array([1 << (L - k) for k in levels.tolist()], dtype=np.int64)
+        offset = (1 - 2 * (levels % 2))[:, None] * np.asarray(shift, dtype=np.int64)
         box3 = 3 * self.cells_per_axis
+        m_lo = -((2 + offset) // 3)
+        counts = ((box3 - 1) // scale[:, None] - offset) // 3 - m_lo + 1  # (levels, n)
+        level_of, index = self.window_cells(m_lo, counts)
+        coords = np.stack(index, axis=1)
+        lo3 = (3 * coords + offset[level_of]) * scale[level_of, None]
+        hi3 = lo3 + 3 * scale[level_of, None]
         in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
-        shape = tuple(len(r) for r in self.coord_range(shift, level))
-        cell_cube = []
-        for axis, count in enumerate(shape):
-            if count == 1:
-                cell_cube.append(self._cell_zeros)
-                continue
-            # the cubes along this axis and the cell-centre window of each;
-            # the windows tile the axis in order
-            line = np.arange(count) * math.prod(shape[axis + 1 :])
-            i0, i1 = self.center_window(lo3[line, axis], hi3[line, axis])
-            cell_cube.append(np.repeat(np.arange(count), np.maximum(i1 - i0, 0)))
-        out = LevelGrid(level, coords, lo3, hi3, in_box, shape, tuple(cell_cube))
-        for a in (coords, lo3, hi3, in_box, *cell_cube):
+        for a in (coords, lo3, hi3, in_box):
             a.setflags(write=False)
-        return out
+        # per axis, the position in its level's range of the cube over each
+        # cell centre; an axis with one cube reads the shared zero index
+        cells = np.arange(self.cells_per_axis)
+        cell_cube = []
+        for axis, flag in enumerate(shift):
+            multi = np.flatnonzero(counts[:, axis] > 1)
+            rows = _containing_coord(cells, flag, levels[multi, None], L) - m_lo[multi, axis, None]
+            rows.setflags(write=False)
+            table = [self._cell_zeros] * len(levels)
+            for j, row in zip(multi.tolist(), rows):
+                table[j] = row
+            cell_cube.append(table)
+        ends = np.cumsum(counts.prod(axis=1)).tolist()
+        return tuple(
+            LevelGrid(k, coords[a:b], lo3[a:b], hi3[a:b], in_box[a:b], tuple(shape),
+                      tuple(t[j] for t in cell_cube))
+            for j, (k, a, b, shape) in enumerate(
+                zip(levels.tolist(), [0, *ends], ends, counts.tolist()))
+        )
 
     @functools.cached_property
     def corpus(self) -> Corpus:
@@ -300,8 +314,10 @@ class Mesh:
 
     @functools.cached_property
     def _cell_zeros(self) -> np.ndarray:
-        """The cell-to-cube index of every axis with one cube."""
-        return np.zeros(self.cells_per_axis, dtype=np.int64)
+        """The cell-to-cube index of every axis with one cube, read-only."""
+        zeros = np.zeros(self.cells_per_axis, dtype=np.int64)
+        zeros.setflags(write=False)
+        return zeros
 
     def shifts(self) -> list[tuple[int, ...]]:
         """The 2^n grid shifts, all-zero first."""
@@ -326,10 +342,8 @@ class Mesh:
     ) -> DyadicCube:
         """The unique level-``level`` cube of the grid containing the center
         of the given finest cell."""
-        dp = 1 << (self.finest_exponent - level + 1)
-        sgn = 1 if level % 2 == 0 else -1
         coord = tuple(
-            (3 * (2 * i + 1) - sgn * s * dp) // (3 * dp) for i, s in zip(cell, shift)
+            _containing_coord(i, s, level, self.finest_exponent) for i, s in zip(cell, shift)
         )
         return DyadicCube(tuple(shift), level, coord)
 
@@ -391,6 +405,15 @@ class Mesh:
         lo, hi = cube.bounds3(self.finest_exponent)
         box3 = 3 * self.cells_per_axis
         return all(a >= 0 for a in lo) and all(b <= box3 for b in hi)
+
+
+def _containing_coord(cell, flag, level, finest_exponent):
+    """Integer coordinate, along one axis, of the level cube of a grid with
+    shift ``flag`` on that axis that contains the centre of ``cell``;
+    elementwise on Python ints or broadcast integer arrays."""
+    dp = 2 << (finest_exponent - level)  # the cube side in units of h/2
+    sgn = 1 - 2 * (level % 2)
+    return (3 * (2 * cell + 1) - sgn * flag * dp) // (3 * dp)
 
 
 def enumerate_cubes(mesh: Mesh, shift: tuple[int, ...]) -> list[DyadicCube]:
@@ -481,44 +504,9 @@ class StepFunction:
     def _prefixes(self):
         pref = self._pref
         if pref is None:
-            v = self.values
-            N = self.mesh.cells_per_axis
-            if self.mesh.n == 1:
-                S = np.zeros(N + 1)
-                np.cumsum(v, out=S[1:])
-                pref = (S,)
-            else:
-                P = np.zeros((N + 1, N + 1))
-                np.cumsum(np.cumsum(v, axis=0), axis=1, out=P[1:, 1:])
-                RP = np.zeros((N, N + 1))
-                np.cumsum(v, axis=1, out=RP[:, 1:])
-                CP = np.zeros((N + 1, N))
-                np.cumsum(v, axis=0, out=CP[1:, :])
-                pref = (P, RP, CP)
+            pref = _prefix_sums(self.values, self.mesh.n)
             object.__setattr__(self, "_pref", pref)
         return pref
-
-    def _corner1(self, x3: np.ndarray) -> np.ndarray:
-        """Prefix integral over [0, x3/3 * h) in units of h (1-d)."""
-        (S,) = self._prefixes()
-        N = self.mesh.cells_per_axis
-        x3 = np.minimum(np.maximum(x3, 0), 3 * N)
-        i = x3 // 3
-        r = x3 - 3 * i
-        iv = np.minimum(i, N - 1)
-        return S[i] + (r / 3.0) * self.values[iv]
-
-    def _corner2(self, x3: np.ndarray, y3: np.ndarray) -> np.ndarray:
-        P, RP, CP = self._prefixes()
-        N = self.mesh.cells_per_axis
-        v = self.values
-        x3 = np.minimum(np.maximum(x3, 0), 3 * N)
-        y3 = np.minimum(np.maximum(y3, 0), 3 * N)
-        i, j = x3 // 3, y3 // 3
-        fx = (x3 - 3 * i) / 3.0
-        fy = (y3 - 3 * j) / 3.0
-        iv, jv = np.minimum(i, N - 1), np.minimum(j, N - 1)
-        return P[i, j] + fx * RP[iv, j] + fy * CP[i, jv] + fx * fy * v[iv, jv]
 
     def integral_box3(self, lo3, hi3) -> np.ndarray:
         """Exact integral over axis-parallel boxes given in thirds units.
@@ -527,19 +515,10 @@ class StepFunction:
         over the leading dimensions is supported."""
         lo3 = np.asarray(lo3, dtype=np.int64)
         hi3 = np.asarray(hi3, dtype=np.int64)
-        scale = self.mesh.cell_volume
-        if self.mesh.n == 1:
-            out = self._corner1(hi3[..., 0]) - self._corner1(lo3[..., 0])
-        else:
-            x0, y0 = lo3[..., 0], lo3[..., 1]
-            x1, y1 = hi3[..., 0], hi3[..., 1]
-            out = (
-                self._corner2(x1, y1)
-                - self._corner2(x0, y1)
-                - self._corner2(x1, y0)
-                + self._corner2(x0, y0)
-            )
-        return np.maximum(out, 0.0) * scale
+        n = self.mesh.n
+        sums = _box_sums(self._prefixes(), self.values,
+                        [lo3[..., a] for a in range(n)], [hi3[..., a] for a in range(n)])
+        return sums * self.mesh.cell_volume
 
     def cube_integral(self, cube: DyadicCube) -> float:
         lo, hi = cube.bounds3(self.mesh.finest_exponent)
@@ -558,6 +537,66 @@ class StepFunction:
         vol = self.mesh.cell_volume
         w = weight.values if weight is not None else 1.0
         return float(np.sum(self.values**p * w) * vol) ** (1.0 / p)
+
+
+def _prefix_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Prefix sums of cell values over their last ``n`` axes, each with a
+    leading zero per axis; leading axes are a batch of frames.  1-d: (S,);
+    2-d: (P, RP, CP), the full sums and the sums along each row and each
+    column.  Each is a running ``cumsum``, so frames that agree on a window
+    and are zero outside it have the window's own prefix sums there."""
+    lead, shape = values.shape[:-n], values.shape[-n:]
+    if n == 1:
+        S = np.zeros((*lead, shape[0] + 1))
+        np.cumsum(values, axis=-1, out=S[..., 1:])
+        return (S,)
+    rows, cols = shape
+    P = np.zeros((*lead, rows + 1, cols + 1))
+    np.cumsum(np.cumsum(values, axis=-2), axis=-1, out=P[..., 1:, 1:])
+    RP = np.zeros((*lead, rows, cols + 1))
+    np.cumsum(values, axis=-1, out=RP[..., 1:])
+    CP = np.zeros((*lead, rows + 1, cols))
+    np.cumsum(values, axis=-2, out=CP[..., 1:, :])
+    return P, RP, CP
+
+
+def _axis_terms(x3: np.ndarray, size: int):
+    """A corner coordinate (thirds units) clamped to a frame axis of
+    ``size`` cells: its whole cells, the fraction of the next one, and that
+    cell's index kept inside the frame."""
+    i, r = np.divmod(np.minimum(np.maximum(x3, 0), 3 * size), 3)
+    return i, r / 3.0, np.minimum(i, size - 1)
+
+
+def _corner(pref, values, terms, batch):
+    """Integral of the cells over [0, x) per axis, in cell volumes, from
+    each axis's ``_axis_terms``."""
+    if len(terms) == 1:
+        ((i, fx, iv),) = terms
+        return pref[0][(*batch, i)] + fx * values[(*batch, iv)]
+    P, RP, CP = pref
+    (i, fx, iv), (j, fy, jv) = terms
+    return (P[(*batch, i, j)] + fx * RP[(*batch, iv, j)] + fy * CP[(*batch, i, jv)]
+            + fx * fy * values[(*batch, iv, jv)])
+
+
+def _box_sums(pref, values, lo3, hi3, batch=()) -> np.ndarray:
+    """Sums of the cell values over boxes [lo3, hi3), in cell volumes and
+    clipped at zero, from the ``_prefix_sums`` of ``values``.  ``lo3`` and
+    ``hi3`` hold one integer corner array per axis (thirds units, clamped
+    to the frame here), all broadcast together.  ``batch`` is empty for one
+    frame, or an index array into the leading axis that broadcasts with the
+    corners."""
+    size = values.shape[-len(lo3):]
+    lo = [_axis_terms(x, m) for x, m in zip(lo3, size)]
+    hi = [_axis_terms(x, m) for x, m in zip(hi3, size)]
+    if len(lo) == 1:
+        out = _corner(pref, values, hi, batch) - _corner(pref, values, lo, batch)
+    else:
+        (x0, y0), (x1, y1) = lo, hi
+        out = (_corner(pref, values, (x1, y1), batch) - _corner(pref, values, (x0, y1), batch)
+               - _corner(pref, values, (x1, y0), batch) + _corner(pref, values, (x0, y0), batch))
+    return np.maximum(out, 0.0)
 
 
 def cube_integral(f: StepFunction, cube: DyadicCube) -> float:

@@ -14,8 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .mesh import DyadicCube, Mesh, StepFunction
-from .operators import KernelMode, restricted_sparse_riesz, riesz_reference, sparse_riesz
+from .operators import KernelMode, restricted_sparse_riesz, sparse_riesz
 from .sparse import SparseFamily, _ancestor_levels
 from .weights import (
     CharacteristicReport,
@@ -24,8 +25,8 @@ from .weights import (
     fujii_wilson,
     range_conditions,
     two_weight_ap,
+    _FRAME_BLOCK,
     _center_mask,
-    _scan_levels,
 )
 from .orlicz import YoungFunction
 
@@ -157,23 +158,34 @@ def sawyer_testing(
 
     Indicators chi_Q are realized by center membership (exact for aligned
     cubes); the scan runs over the in-box corpus of both shifts, matching
-    the weight-characteristic convention."""
+    the weight-characteristic convention.  The masked inputs go through
+    the reference apply in batches of at most ``_FRAME_BLOCK`` padded
+    transform cells, and every sum is a row sum of full frames, so each
+    value equals a per-cube apply's bit for bit."""
     mesh = u.mesh
+    c = mesh.corpus
+    rows = max(1, _FRAME_BLOCK // (2 * mesh.cells_per_axis) ** mesh.n)
 
     def one_side(inner: StepFunction, outer: StepFunction, den_exp, out_exp):
         best, witness, skipped = 0.0, None, 0
-        for shift, level, coords, lo, hi in _scan_levels(mesh):
-            for i in range(len(coords)):
-                mask = _center_mask(mesh, lo[i], hi[i])
-                den = float(np.sum(inner.values * mask)) * mesh.cell_volume
-                if den <= 0.0:
-                    skipped += 1
-                    continue
-                I = riesz_reference(StepFunction(mesh, inner.values * mask), exps.alpha, mode)
-                num = float(np.sum(I.values**out_exp * outer.values * mask)) * mesh.cell_volume
-                val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
+        for a in range(0, len(c.level), rows):
+            b = min(a + rows, len(c.level))
+            mask = _center_mask(mesh, c.lo3[a:b], c.hi3[a:b])
+            masked = inner.values * mask
+            den = np.sum(masked.reshape(b - a, -1), axis=1) * mesh.cell_volume
+            live = np.flatnonzero(~(den <= 0.0))
+            skipped += b - a - len(live)
+            if not len(live):
+                continue
+            I = _kernels.riesz_apply(masked[live], mesh.cell_width, exps.alpha, int(mode), mesh.n)
+            if not np.all(np.isfinite(I)) or np.any(I < 0):
+                raise ValueError("values must be nonnegative and finite")
+            terms = I**out_exp * outer.values * mask[live]
+            num = np.sum(terms.reshape(len(live), -1), axis=1) * mesh.cell_volume
+            for i, nm, dn in zip((a + live).tolist(), num.tolist(), den[live].tolist()):
+                val = nm ** (1.0 / out_exp) / dn ** (1.0 / den_exp)
                 if val > best:
-                    best, witness = val, DyadicCube(shift, level, tuple(coords[i].tolist()))
+                    best, witness = val, c.cube(i)
         return best, witness, skipped
 
     direct, wd, sd = one_side(sigma, u, exps.p, exps.q)
@@ -217,10 +229,11 @@ def _seed_functions(
     rng_seed: int,
     extra_seeds: Sequence[tuple[str, StepFunction]],
 ):
-    for q in family.cubes:
-        lo, hi = q.bounds3(mesh.finest_exponent)
-        mask = _center_mask(mesh, lo, hi)
-        yield f"chi[{q.level},{q.coord}]", StepFunction(mesh, mask)
+    rows = max(1, _FRAME_BLOCK // mesh.total_cells)
+    for a in range(0, len(family.cubes), rows):
+        block = family.cubes[a : a + rows]
+        for q, mask in zip(block, _center_mask(mesh, *mesh.bounds3(block))):
+            yield f"chi[{q.level},{q.coord}]", StepFunction(mesh, mask)
     with np.errstate(divide="ignore", invalid="ignore"):
         prof = np.where(sigma.values > 0.0, sigma.values ** (exps.p_prime - 1.0), 0.0)
     yield "sigma-profile", StepFunction(mesh, prof)

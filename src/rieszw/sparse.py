@@ -380,6 +380,11 @@ def _slicing_values(exps: ExponentTuple, mode: str, u_avg, sigma_avg, volume) ->
                      for ua, sa, vol in zip(u_avg.tolist(), sigma_avg.tolist(), volume.tolist())])
 
 
+def _fractional_averages(exps: ExponentTuple, u_avg, volume) -> np.ndarray:
+    """|Q|^{alpha/n} avg_Q u, a Python float pow per cube."""
+    return np.array([w ** (exps.alpha / exps.n) * ua for w, ua in zip(volume.tolist(), u_avg.tolist())])
+
+
 def _climb(parent: np.ndarray, start: np.ndarray, key: np.ndarray, key_at: np.ndarray):
     """For members with forest indices ``start``: the finest strict forest
     ancestor i with key_at[i] == key (-1 if none) and the number of such
@@ -430,7 +435,7 @@ def corona_decompose(
     skipped = int(np.count_nonzero(~keep))
     index, vol, u_avg, s_avg = index[keep], vol[keep], u_avg[keep], s_avg[keep]
     v = _slicing_values(exps, mode, u_avg, s_avg, vol)
-    fracavg = np.array([w ** (exps.alpha / exps.n) * ua for w, ua in zip(vol.tolist(), u_avg.tolist())])
+    fracavg = _fractional_averages(exps, u_avg, vol)
     a = _ilog_lt(v, 2.0)
     key = np.unique(a, return_inverse=True)[1]
     stop_key = np.full(len(t.level), -1, dtype=np.int64)  # the slice's key at stopping members
@@ -498,6 +503,10 @@ def _certify_corona(cd: CoronaDecomposition):
         raise AssertionError("reverse inequality violated")
     if not np.all((np.ldexp(f[up], -cd.b) < f) & (f <= np.ldexp(f[up], 1 - cd.b))):
         raise AssertionError("b-slice membership violated")
+    # every check above compares ratios of fractional averages, which a
+    # common factor leaves unchanged
+    if not np.array_equal(f, _fractional_averages(cd.exps, cd.u_avg, t.volume[index])):
+        raise AssertionError("fractional averages disagree with u_avg")
     cd.certified = True
 
 

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .mesh import DyadicCube, Mesh, StepFunction
+from .mesh import DyadicCube, Mesh, StepFunction, _box_sums, _containing_coord, _prefix_sums
 from .orlicz import YoungFunction, _conjugate, luxemburg_norms
 
 __all__ = [
@@ -226,36 +226,134 @@ def ainfty_exp(w: StepFunction) -> CharacteristicReport:
     return _supremum_report("A_inf (exp-log)", w.mesh, np.exp(m) * a)
 
 
+#: Entries per block of stacked full frames (``fujii_wilson``'s final sums,
+#: ``sawyer_testing``'s padded transforms, the indicator seeds): batches
+#: this small hold the per-frame call overhead down without adding to the
+#: peak memory of a run.
+_FRAME_BLOCK = 1 << 14
+
+
 def fujii_wilson(w: StepFunction, max_level: int | None = None) -> CharacteristicReport:
     """Fujii-Wilson A_infty': sup_Q (1/w(Q)) * int_Q M(chi_Q w), with M the
     two-shift dyadic maximal function (a constant-factor proxy for the full
     maximal operator).  chi_Q is realized on cells by center membership.
     Cubes with w(Q) = 0 are skipped.  ``max_level`` optionally caps how fine
-    the scanned Q go (the inner maximal pass is O(cells * levels) per Q)."""
-    from .operators import hl_maximal  # local import to avoid a cycle
+    the scanned Q go.
 
+    The scan runs one corpus segment (shift, level k) at a time, as one
+    batch over the centre windows of its cubes (``_window_maximal_sums``).
+    A window has 2^(L-k) cells per axis, and its maximal sweep starts one
+    level above Q, so a segment costs O(cells * (L - k + 2)) per sweep
+    shift, plus one full-frame row per cube for the final sums.  The
+    values, witness and count equal those of one ``hl_maximal`` on the full
+    mesh per cube."""
     mesh = w.mesh
     c = mesh.corpus
     scan = np.flatnonzero(c.level <= max_level) if max_level is not None else np.arange(len(c.level))
-    wq = w.integral_box3(c.lo3[scan], c.hi3[scan])
-    keep = wq > 0.0
-    best, witness = -math.inf, None
-    for i, wqi in zip(scan[keep].tolist(), wq[keep].tolist()):
-        mask = _center_mask(mesh, c.lo3[i], c.hi3[i])
-        mloc = hl_maximal(StepFunction(mesh, w.values * mask))
-        val = float(np.sum(mloc.values * mask)) * mesh.cell_volume / wqi
-        if val > best:
-            best, witness = val, c.cube(i)
-    count = int(np.count_nonzero(keep))
-    if count == 0:
+    wq = np.zeros(len(c.level))
+    wq[scan] = w.integral_box3(c.lo3[scan], c.hi3[scan])
+    first = {t: mesh.maximal_levels(t).start for t in mesh.shifts()}
+    picked, vals = [], []
+    for (_, level), a, b in zip(c.segments, c.starts.tolist(), c.ends.tolist()):
+        cubes = a + np.flatnonzero(wq[a:b] > 0.0)
+        if len(cubes):
+            sums = _window_maximal_sums(w, level, c.lo3[cubes], c.hi3[cubes], first)
+            picked.append(cubes)
+            vals.append(sums * mesh.cell_volume / wq[cubes])
+    if not picked:
         return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
-    return CharacteristicReport("A_inf' (Fujii-Wilson)", best, witness, count)
+    picked, vals = np.concatenate(picked), np.concatenate(vals)
+    # the first strict maximum in scan order; a NaN never improves on it
+    vals = np.where(np.isnan(vals), -math.inf, vals)
+    i = int(np.argmax(vals))
+    witness = c.cube(int(picked[i])) if vals[i] > -math.inf else None
+    return CharacteristicReport("A_inf' (Fujii-Wilson)", float(vals[i]), witness, len(picked))
+
+
+def _window_maximal_sums(w: StepFunction, level: int, lo3, hi3, first) -> np.ndarray:
+    """sum over the cells of M(chi_Q w), for in-box cubes Q of one level
+    (``lo3``/``hi3`` of shape (count, n)), equal bit for bit to the full-
+    frame sum of ``hl_maximal(w * mask_Q) * mask_Q``.  ``first`` maps each
+    grid shift to its ``Mesh.maximal_levels`` start.
+
+    * Only the centre window of Q matters, and w * chi_Q vanishes outside
+      it, so the windows' prefix sums equal the full frame's there, and a
+      corner outside the window may be clamped to its edge: beyond it the
+      frame adds exact zeros.
+    * Each window cell overlaps Q by at least half its width per axis, so
+      int_Q w chi_Q >= 2^(-n) int w chi_Q; a cube two or more levels
+      coarser than Q then averages at most 2^(-n) times Q's own value,
+      which every window cell sees.  Each sweep starts at level k - 1.
+    * The sweep steps (shift, level) of all windows are one batch: each
+      step's cubes over a window are a run of coordinates per axis, and
+      each cube's average is formed once, as ``integral_box3`` forms it.
+    * Each window's maxima go into a zero full-frame row, so the row sum
+      adds the terms of the full-frame sum in its order."""
+    mesh = w.mesh
+    n, N, L = mesh.n, mesh.cells_per_axis, mesh.finest_exponent
+    width = 1 << (L - level)
+    count = len(lo3)
+
+    def along(axis, x):
+        """Per-window values along one axis, shaped to broadcast into
+        (count, width, ..., width)."""
+        return x.reshape(count, *(-1 if b == axis else 1 for b in range(n)))
+
+    steps = [(t, j) for t, start in first.items() for j in range(max(level - 1, start), L + 1)]
+    flags = np.array([t for t, _ in steps], dtype=np.int64)
+    levels = np.array([j for _, j in steps], dtype=np.int64)
+    scale = 1 << (L - levels)
+    offset = (1 - 2 * (levels % 2))[:, None] * flags  # (steps, n) sign times shift flag
+    # per axis: the cell of each window position, (count, width), and per
+    # step the coordinate of the cube over it, (steps, count, width)
+    i0 = mesh.center_window(lo3, hi3)[0]
+    cells = [i0[:, a, None] + np.arange(width) for a in range(n)]
+    coord = [_containing_coord(ix, flags[:, a, None, None], levels[:, None, None], L)
+             for a, ix in enumerate(cells)]
+    # per step and axis, the most cubes a window meets; the boxes of a step
+    # run row-major over them, each listed once for all windows
+    runs = np.stack([(m[:, :, -1] - m[:, :, 0]).max(axis=1) + 1 for m in coord], axis=1)
+    step, pos = mesh.window_cells(np.zeros_like(runs), runs)
+    lo = [(3 * (m[step, :, 0].T + pos[a]) + offset[step, a]) * scale[step] - 3 * i0[:, a, None]
+          for a, m in enumerate(coord)]  # (count, boxes), relative to each window
+    hi = [x + 3 * scale[step] for x in lo]
+    window = w.values[tuple(along(a, ix) for a, ix in enumerate(cells))]
+    factor = np.array([2.0 ** (-j * n) for j in levels.tolist()])
+    v = _box_sums(_prefix_sums(window, n), window, lo, hi, (np.arange(count)[:, None],))
+    v = v * mesh.cell_volume / factor[step]
+    v = np.where(v > 0.0, v, 0.0)
+    # each window cell reads its cube's box, step by step
+    boxes = runs.prod(axis=1)
+    stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs  # row-major, per step
+    out = np.zeros(window.shape)
+    for s, first_box in enumerate((np.cumsum(boxes) - boxes).tolist()):
+        box = first_box + sum(along(a, (m[s] - m[s, :, :1]) * stride[s, a]) for a, m in enumerate(coord))
+        np.maximum(out, np.take_along_axis(v, box.reshape(count, -1), axis=1).reshape(out.shape), out=out)
+    # each window's maxima in its own zero full-frame row
+    flat = np.ravel_multi_index(tuple(along(a, ix) for a, ix in enumerate(cells)), (N,) * n)
+    flat, out = flat.reshape(count, -1), out.reshape(count, -1)
+    sums = np.empty(count)
+    rows = max(1, _FRAME_BLOCK // N**n)
+    for a in range(0, count, rows):
+        b = min(a + rows, count)
+        frame = np.zeros((b - a, N**n))
+        frame[np.arange(b - a)[:, None], flat[a:b]] = out[a:b]
+        sums[a:b] = np.sum(frame, axis=1)
+    return sums
 
 
 def _center_mask(mesh: Mesh, lo3, hi3) -> np.ndarray:
-    mask = np.zeros((mesh.cells_per_axis,) * mesh.n)
-    mask[mesh.center_slices(lo3, hi3)] = 1.0
-    return mask
+    """1.0 on the cells whose centre lies in the box [lo3, hi3) (thirds
+    units, shape (..., n)), 0.0 elsewhere, with shape (..., N, ..., N): one
+    frame per box."""
+    i0, i1 = mesh.center_window(np.asarray(lo3), np.asarray(hi3))
+    n, N = mesh.n, mesh.cells_per_axis
+    cell = np.arange(N)
+    mask = True
+    for axis in range(n):
+        inside = (cell >= i0[..., axis, None]) & (cell < i1[..., axis, None])
+        mask = mask & inside.reshape(*i0.shape[:-1], *(N if a == axis else 1 for a in range(n)))
+    return mask.astype(np.float64)
 
 
 def _size_powers(mesh: Mesh, n: int, e: float) -> np.ndarray:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from rieszw.mesh import (
     CoveringError,
     DyadicCube,
+    LevelGrid,
     Mesh,
     StepFunction,
     covering_shifted_cube,
     enumerate_cubes,
 )
+from rieszw.mesh import _box_sums, _prefix_sums
 
 from conftest import lognormal
 
@@ -142,6 +144,22 @@ class TestStepFunction:
             got = float(f.integral_box3(lo, hi))
             assert got == pytest.approx(brute, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batched_box_sums_equal_each_frame(self, n):
+        # a stack of frames with a leading batch axis, boxes reaching past
+        # every edge: each frame's sums are its own integral_box3's
+        mesh = Mesh(n, 0, 3)
+        rng = np.random.default_rng(5)
+        frames = [lognormal(mesh, 40 + i) for i in range(4)]
+        stack = np.stack([f.values for f in frames])
+        lo = rng.integers(-5, 24, size=(4, 30, n))
+        hi = lo + rng.integers(0, 30, size=(4, 30, n))
+        got = _box_sums(_prefix_sums(stack, n), stack, [lo[..., a] for a in range(n)],
+                        [hi[..., a] for a in range(n)], (np.arange(4)[:, None],))
+        for i, f in enumerate(frames):
+            expect = f.integral_box3(lo[i], hi[i])
+            assert np.array_equal(got[i] * mesh.cell_volume, expect)
+
 
 CUBE1 = st.builds(
     lambda sh, k, m: DyadicCube((sh,), k, (m,)),
@@ -218,6 +236,27 @@ TABLE_MESHES = [
 ]
 
 
+def per_level_grid(mesh, shift, level):
+    """One ``LevelGrid`` as ``Mesh.grid`` built it a level at a time."""
+    coords = mesh.level_cube_coords(shift, level)
+    scale = 1 << (mesh.finest_exponent - level)
+    sgn = 1 if level % 2 == 0 else -1
+    lo3 = (3 * coords + sgn * np.asarray(shift, dtype=np.int64)) * scale
+    hi3 = lo3 + 3 * scale
+    box3 = 3 * mesh.cells_per_axis
+    in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
+    shape = tuple(len(r) for r in mesh.coord_range(shift, level))
+    cell_cube = []
+    for axis, count in enumerate(shape):
+        if count == 1:
+            cell_cube.append(np.zeros(mesh.cells_per_axis, dtype=np.int64))
+            continue
+        line = np.arange(count) * math.prod(shape[axis + 1 :])
+        i0, i1 = mesh.center_window(lo3[line, axis], hi3[line, axis])
+        cell_cube.append(np.repeat(np.arange(count), np.maximum(i1 - i0, 0)))
+    return LevelGrid(level, coords, lo3, hi3, in_box, shape, tuple(cell_cube))
+
+
 class TestLevelTable:
     """``Mesh.grid`` against the per-level arrays and the scalar
     ``cube_containing_cell``, at every shift and level."""
@@ -250,6 +289,24 @@ class TestLevelTable:
                 for cell in itertools.product(range(N), repeat=mesh.n):
                     cube = mesh.cube_containing_cell(shift, k, cell)
                     assert tuple(coords[painted[cell]]) == cube.coord
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [Mesh(n, J, L, coarse_padding=T) for n, L in ((1, 4), (2, 2)) for J in (0, 1) for T in (0, 40)],
+        ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}",
+    )
+    def test_table_equals_per_level_builder(self, mesh):
+        for shift in mesh.shifts():
+            table = mesh.grid(shift)
+            assert len(table) == len(mesh.levels())
+            for g in table:
+                expect = per_level_grid(mesh, shift, g.level)
+                assert type(g.level) is int and g.level == expect.level
+                assert g.shape == expect.shape and all(type(m) is int for m in g.shape)
+                for a, b in zip((g.coords, g.lo3, g.hi3, g.in_box, *g.cell_cube),
+                                (expect.coords, expect.lo3, expect.hi3, expect.in_box, *expect.cell_cube)):
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+                    assert not a.flags.writeable
 
     def test_single_cube_axes_share_one_array(self):
         mesh = Mesh(2, 0, 2)

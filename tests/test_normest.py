@@ -20,7 +20,7 @@ from rieszw.normest import NormEstimate, _candidate_roots
 from rieszw.operators import KernelMode, riesz_reference, sparse_riesz
 from rieszw.orlicz import YoungFunction
 from rieszw.sparse import SparseFamily, build_sparse
-from rieszw.weights import ExponentTuple, _center_mask
+from rieszw.weights import ExponentTuple, _center_mask, _scan_levels
 
 from conftest import lognormal
 from test_sparse import ORACLE_FAMILIES, _ancestor_at
@@ -196,6 +196,62 @@ def loop_sawyer_testing(u, sigma, exps, mode=KernelMode.MIDPOINT):
     direct, wd, sd = one_side(sigma, u, exps.p, exps.q)
     dual, wu, su = one_side(u, sigma, exps.q_prime, exps.p_prime)
     return normest.TestingReport(direct, dual, wd, wu, sd, su)
+
+
+def per_cube_sawyer_testing(u, sigma, exps, mode=KernelMode.MIDPOINT):
+    """``sawyer_testing`` as one full-mesh ``riesz_reference`` per cube,
+    scanned a (shift, level) segment at a time."""
+    mesh = u.mesh
+
+    def frame_mask(lo3, hi3):
+        mask = np.zeros((mesh.cells_per_axis,) * mesh.n)
+        mask[mesh.center_slices(lo3, hi3)] = 1.0
+        return mask
+
+    def one_side(inner, outer, den_exp, out_exp):
+        best, witness, skipped = 0.0, None, 0
+        for shift, level, coords, lo, hi in _scan_levels(mesh):
+            for i in range(len(coords)):
+                mask = frame_mask(lo[i], hi[i])
+                den = float(np.sum(inner.values * mask)) * mesh.cell_volume
+                if den <= 0.0:
+                    skipped += 1
+                    continue
+                I = riesz_reference(StepFunction(mesh, inner.values * mask), exps.alpha, mode)
+                num = float(np.sum(I.values**out_exp * outer.values * mask)) * mesh.cell_volume
+                val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
+                if val > best:
+                    best, witness = val, DyadicCube(shift, level, tuple(coords[i].tolist()))
+        return best, witness, skipped
+
+    direct, wd, sd = one_side(sigma, u, exps.p, exps.q)
+    dual, wu, su = one_side(u, sigma, exps.q_prime, exps.p_prime)
+    return normest.TestingReport(direct, dual, wd, wu, sd, su)
+
+
+class TestSawyerBatches:
+    """The batched reference applies against one apply per cube, ``==`` on
+    every ``TestingReport`` field."""
+
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(1, 1, 4, coarse_padding=0), Mesh(2, 0, 3),
+                                      Mesh(2, 1, 2, coarse_padding=0)],
+                             ids=["n1", "n1J1-T0", "n2", "n2J1-T0"])
+    def test_equals_per_cube_applies(self, mesh):
+        exps = SOB if mesh.n == 1 else ExponentTuple.sobolev_pair(2, 0.5, 1.5)
+        u = lognormal(mesh, 62, scale=0.7)
+        for s in (lognormal(mesh, 63, scale=0.7), zero_mass_weight(mesh, 63)):
+            for mode in KernelMode:
+                assert sawyer_testing(u, s, exps, mode) == per_cube_sawyer_testing(u, s, exps, mode)
+                assert sawyer_testing(s, u, exps, mode) == per_cube_sawyer_testing(s, u, exps, mode)
+
+    def test_across_frame_blocks(self, monkeypatch):
+        mesh = Mesh(2, 0, 3)
+        exps = ExponentTuple.sobolev_pair(2, 0.5, 1.5)
+        u, s = lognormal(mesh, 64, scale=0.7), zero_mass_weight(mesh, 65)
+        expect = per_cube_sawyer_testing(u, s, exps)
+        monkeypatch.setattr(normest, "_FRAME_BLOCK", 5 * (2 * mesh.cells_per_axis) ** 2)  # 5 frames
+        assert sawyer_testing(u, s, exps) == expect
+        assert expect.skipped_direct > 5
 
 
 class TestSawyerOracle:

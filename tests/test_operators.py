@@ -539,6 +539,18 @@ class TestRieszApply:
             assert _kernels._SPECTRA[mode][0] == (n, N, h, alpha)
             assert not _kernels._SPECTRA[mode][1].flags.writeable
 
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    @pytest.mark.parametrize("n, N", [(2, 8), (2, 16), (2, 64), (1, 32)])
+    def test_batch_equals_each_grid(self, n, N, mode):
+        # a leading batch axis: every grid's values and sign bits as alone
+        rng = np.random.default_rng(10 * n + N)
+        v = np.exp(rng.standard_normal((5,) + (N,) * n)) * (rng.random((5,) + (N,) * n) < 0.3)
+        got = _kernels.riesz_apply(v, 1.0 / N, 0.7, int(mode), n)
+        for i in range(len(v)):
+            expect = _kernels.riesz_apply(v[i], 1.0 / N, 0.7, int(mode))
+            assert np.array_equal(got[i], expect)
+            assert np.array_equal(np.signbit(got[i]), np.signbit(expect))
+
     def test_numpy_fft_is_not_loaded_at_import(self):
         code = "import sys, rieszw, rieszw.cli; assert 'numpy.fft' not in sys.modules"
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -846,3 +846,15 @@ class TestCertifyCoronaMutations:
     def test_b_slice(self, cd):
         cd.b[len(cd.b) // 2] += 1
         self._fails(cd, "b-slice membership violated")
+
+    def test_doubled_fractional_averages(self):
+        # every inequality compares ratios of fractional averages, so only
+        # the recomputation from u_avg sees a common factor
+        mesh = Mesh(1, 0, 6)
+        fam, _ = build_sparse(lognormal(mesh, 81), (0,), ALPHA)
+        exps = ExponentTuple(1, ALPHA, 4.0 / 3.0, 4.0)
+        cd = corona_decompose(fam, fam.cubes[0], lognormal(mesh, 82), lognormal(mesh, 83), exps)
+        assert cd.certified
+        cd.certified = False
+        cd.fracavg *= 2.0
+        self._fails(cd, "fractional averages disagree with u_avg")

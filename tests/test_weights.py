@@ -226,6 +226,95 @@ class TestFujiiWilsonOracle:
         assert fujii_wilson(w) == loop_fujii_wilson(w)
 
 
+def frame_mask(mesh, lo3, hi3):
+    """1.0 on the cells whose centre lies in one box, as a full frame."""
+    mask = np.zeros((mesh.cells_per_axis,) * mesh.n)
+    mask[mesh.center_slices(lo3, hi3)] = 1.0
+    return mask
+
+
+def hl_fujii_wilson(w, max_level=None):
+    """``fujii_wilson`` as one ``hl_maximal`` on the full mesh per cube."""
+    mesh = w.mesh
+    c = mesh.corpus
+    scan = np.flatnonzero(c.level <= max_level) if max_level is not None else np.arange(len(c.level))
+    wq = w.integral_box3(c.lo3[scan], c.hi3[scan])
+    keep = wq > 0.0
+    best, witness = -math.inf, None
+    for i, wqi in zip(scan[keep].tolist(), wq[keep].tolist()):
+        mask = frame_mask(mesh, c.lo3[i], c.hi3[i])
+        mloc = hl_maximal(StepFunction(mesh, w.values * mask))
+        val = float(np.sum(mloc.values * mask)) * mesh.cell_volume / wqi
+        if val > best:
+            best, witness = val, c.cube(i)
+    count = int(np.count_nonzero(keep))
+    if count == 0:
+        return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
+    return CharacteristicReport("A_inf' (Fujii-Wilson)", best, witness, count)
+
+
+def boundary_cell_weight(mesh, level):
+    """A weight whose whole mass sits on one cell at the edge of the centre
+    window of an in-box all-ones-shift cube of the level: the cell's centre
+    lies in the cube, but a third of its width on some axis does not."""
+    c = mesh.corpus
+    shift = (1,) * mesh.n
+    i = next(i for i in range(len(c.level)) if c.level[i] == level and c.cube(i).shift == shift)
+    i0, i1 = mesh.center_window(c.lo3[i], c.hi3[i])
+    # a window end cell reaches past the cube unless the cube edge is a cell edge
+    cell = np.where(c.lo3[i] > 3 * i0, i0, i1 - 1)
+    assert np.any(c.lo3[i] > 3 * i0) or np.any(c.hi3[i] < 3 * i1)
+    w = np.zeros((mesh.cells_per_axis,) * mesh.n)
+    w[tuple(cell)] = 1.0
+    return StepFunction(mesh, w), c.cube(i)
+
+
+FW_MESHES = [Mesh(n, J, L, coarse_padding=T) for n, L in ((1, 5), (2, 2)) for J in (0, 1) for T in (0, 40)]
+
+
+class TestFujiiWilsonWindows:
+    """The windowed, segment-batched ``fujii_wilson`` against one full-mesh
+    ``hl_maximal`` per cube, ``==`` on value, witness and count."""
+
+    @pytest.mark.parametrize("mesh", FW_MESHES,
+                             ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}")
+    def test_equals_full_mesh_sweep(self, mesh):
+        # max_level None scans the level-L cubes too: one-cell windows
+        for w in (lognormal(mesh, 90, scale=0.7), zero_mass_weight(mesh, 91),
+                  generate_weight(mesh, "power:beta=-0.4"), StepFunction.constant(mesh, 2.0)):
+            for max_level in (None, 1, 3):
+                assert_same_report(fujii_wilson(w, max_level), hl_fujii_wilson(w, max_level))
+
+    def test_larger_windows(self):
+        for mesh in (Mesh(1, 0, 8), Mesh(2, 0, 4)):
+            w = generate_weight(mesh, "martingale:seed=5,vol=0.5")
+            assert_same_report(fujii_wilson(w, 1), hl_fujii_wilson(w, 1))
+
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(2, 0, 3)], ids=["n1", "n2"])
+    def test_mass_in_a_boundary_cell(self, mesh):
+        # the level skip at its edge: chi_Q w sits on a cell Q covers by
+        # 2/3 per axis, so coarse cubes come closest to Q's own average
+        for level in (1, 2):
+            w, q = boundary_cell_weight(mesh, level)
+            got = fujii_wilson(w)
+            assert_same_report(got, hl_fujii_wilson(w))
+            assert got.corpus_size < len(mesh.corpus.level)
+
+    def test_all_zero_weight(self):
+        for mesh in (Mesh(1, 0, 3), Mesh(2, 1, 1)):
+            w = StepFunction.constant(mesh, 0.0)
+            got = fujii_wilson(w)
+            assert_same_report(got, hl_fujii_wilson(w))
+            assert (got.value, got.witness, got.corpus_size) == (0.0, None, 0)
+
+    def test_across_frame_blocks(self, monkeypatch):
+        mesh = Mesh(2, 0, 3)
+        w = lognormal(mesh, 92, scale=0.7)
+        expect = hl_fujii_wilson(w, 2)
+        monkeypatch.setattr(weights, "_FRAME_BLOCK", 3 * mesh.total_cells)
+        assert_same_report(fujii_wilson(w, 2), expect)
+
+
 class TestMixedAndBump:
     def test_sobolev_scale_free(self, unit_mesh):
         e = ExponentTuple(1, 0.5, 4.0 / 3.0, 4.0)
