@@ -252,8 +252,12 @@ class Mesh:
         counts = ((box3 - 1) // scale[:, None] - offset) // 3 - m_lo + 1  # (levels, n)
         level_of, index = self.window_cells(m_lo, counts)
         coords = np.stack(index, axis=1)
-        lo3 = (3 * coords + offset[level_of]) * scale[level_of, None]
-        hi3 = lo3 + 3 * scale[level_of, None]
+        del index  # in place from here: these arrays set the build's peak memory
+        cube_scale = scale[level_of, None]
+        lo3 = 3 * coords
+        lo3 += offset[level_of]
+        lo3 *= cube_scale
+        hi3 = lo3 + 3 * cube_scale
         in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
         for a in (coords, lo3, hi3, in_box):
             a.setflags(write=False)

@@ -230,7 +230,7 @@ def ainfty_exp(w: StepFunction) -> CharacteristicReport:
 #: ``sawyer_testing``'s padded transforms, the indicator seeds): batches
 #: this small hold the per-frame call overhead down without adding to the
 #: peak memory of a run.
-_FRAME_BLOCK = 1 << 14
+_FRAME_BLOCK = 1 << 12
 
 
 def fujii_wilson(w: StepFunction, max_level: int | None = None) -> CharacteristicReport:
@@ -322,20 +322,26 @@ def _window_maximal_sums(w: StepFunction, level: int, lo3, hi3, first) -> np.nda
     v = _box_sums(_prefix_sums(window, n), window, lo, hi, (np.arange(count)[:, None],))
     v = v * mesh.cell_volume / factor[step]
     v = np.where(v > 0.0, v, 0.0)
-    # each window cell reads its cube's box, step by step
+    # each window cell reads its cube's box, step by step: per axis, the
+    # cube's place in the run times the step's row-major stride
     boxes = runs.prod(axis=1)
-    stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs  # row-major, per step
+    stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs
+    offsets = [(m - m[:, :, :1]) * stride[:, a, None, None] for a, m in enumerate(coord)]
+    offsets[0] += (np.cumsum(boxes) - boxes)[:, None, None]
+    rows = along(0, np.arange(count))
     out = np.zeros(window.shape)
-    for s, first_box in enumerate((np.cumsum(boxes) - boxes).tolist()):
-        box = first_box + sum(along(a, (m[s] - m[s, :, :1]) * stride[s, a]) for a, m in enumerate(coord))
-        np.maximum(out, np.take_along_axis(v, box.reshape(count, -1), axis=1).reshape(out.shape), out=out)
+    for s in range(len(steps)):
+        box = along(0, offsets[0][s])
+        for a in range(1, n):
+            box = box + along(a, offsets[a][s])
+        np.maximum(out, v[rows, box], out=out)
     # each window's maxima in its own zero full-frame row
     flat = np.ravel_multi_index(tuple(along(a, ix) for a, ix in enumerate(cells)), (N,) * n)
     flat, out = flat.reshape(count, -1), out.reshape(count, -1)
     sums = np.empty(count)
-    rows = max(1, _FRAME_BLOCK // N**n)
-    for a in range(0, count, rows):
-        b = min(a + rows, count)
+    block = max(1, _FRAME_BLOCK // N**n)
+    for a in range(0, count, block):
+        b = min(a + block, count)
         frame = np.zeros((b - a, N**n))
         frame[np.arange(b - a)[:, None], flat[a:b]] = out[a:b]
         sums[a:b] = np.sum(frame, axis=1)

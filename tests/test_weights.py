@@ -266,7 +266,7 @@ def boundary_cell_weight(mesh, level):
     assert np.any(c.lo3[i] > 3 * i0) or np.any(c.hi3[i] < 3 * i1)
     w = np.zeros((mesh.cells_per_axis,) * mesh.n)
     w[tuple(cell)] = 1.0
-    return StepFunction(mesh, w), c.cube(i)
+    return StepFunction(mesh, w)
 
 
 FW_MESHES = [Mesh(n, J, L, coarse_padding=T) for n, L in ((1, 5), (2, 2)) for J in (0, 1) for T in (0, 40)]
@@ -295,7 +295,7 @@ class TestFujiiWilsonWindows:
         # the level skip at its edge: chi_Q w sits on a cell Q covers by
         # 2/3 per axis, so coarse cubes come closest to Q's own average
         for level in (1, 2):
-            w, q = boundary_cell_weight(mesh, level)
+            w = boundary_cell_weight(mesh, level)
             got = fujii_wilson(w)
             assert_same_report(got, hl_fujii_wilson(w))
             assert got.corpus_size < len(mesh.corpus.level)
