@@ -14,7 +14,9 @@ default ``fw_max_level`` of 3, the ``fujii_wilson`` windows run from 32
 cells per axis down to 2), then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
 2-D grid with J=1 through the sparse apply) and ``norm`` at ``--mesh
 n=1,J=1,L=5,T=0`` (restricted sparse sums on a mesh with no coarse
-padding), and ``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
+padding), ``sandwich`` at that mesh and at ``--mesh n=2,J=1,L=3`` (the
+testing roots and norm seeds of a J=1 box, with and without padding), and
+``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
 on two fixed weight pairs (deeper stopping trees than the L=6 run, and the
 only 2-D corona); every other setting is the default config and seed.  Outputs and
 the run's config file go to a temporary directory that is removed afterwards; the subcommands' own
@@ -51,6 +53,8 @@ RUNS = [
     ("norm", "n=2,J=0,L=3", {}),
     ("sparse", "n=2,J=1,L=3", {}),
     ("norm", "n=1,J=1,L=5,T=0", {}),
+    ("sandwich", "n=1,J=1,L=5,T=0", {}),
+    ("sandwich", "n=2,J=1,L=3", {}),
     *(("corona", mesh, CORONA_PAIRS) for mesh in ("n=1,J=0,L=8", "n=2,J=1,L=3")),
 ]
 
