@@ -485,8 +485,7 @@ class StepFunction:
         shape = (mesh.cells_per_axis,) * mesh.n
         if values.shape != shape:
             raise ValueError(f"values must have shape {shape}, got {values.shape}")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("values must be nonnegative and finite")
+        _checked(values)
         values.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "values", values)
@@ -541,6 +540,13 @@ class StepFunction:
         vol = self.mesh.cell_volume
         w = weight.values if weight is not None else 1.0
         return float(np.sum(self.values**p * w) * vol) ** (1.0 / p)
+
+
+def _checked(values: np.ndarray) -> np.ndarray:
+    """``values``, if every entry is finite and nonnegative."""
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError("values must be nonnegative and finite")
+    return values
 
 
 def _prefix_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:

@@ -4,10 +4,20 @@ norm estimation, and the theorem-sandwich ratio experiments.
 Norm estimates are lower bounds only (alternating maximization from a fixed
 seed set); upper control comes from the testing constants.  The artifact
 never claims a certified upper bound on the true operator norm.
+
+All three sandwich stages run on blocks of C-contiguous full frames, at
+most ``_FRAME_BLOCK`` entries a block, through one batched forest apply
+(``operators._sparse_rows``): the testing scan takes one cut field per
+run of root levels with the same coarser members and one row per root;
+the strong iteration runs a block of seeds in lockstep; the weak one
+streams its seeds a block at a time.  Row sums of full frames equal the
+sums of single frames bit for bit, so every value is that of one
+restricted apply per root and one seed at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -15,9 +25,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import DyadicCube, Mesh, StepFunction
-from .operators import KernelMode, restricted_sparse_riesz, sparse_riesz
-from .sparse import SparseFamily, _ancestor_levels
+from .mesh import DyadicCube, Mesh, StepFunction, _checked
+# sparse_riesz is no longer called here; the binding stays for code that
+# patches ``normest.sparse_riesz`` (perfbench's tracer self-test)
+from .operators import KernelMode, _forest_paint, _member_weights, _sparse_rows, sparse_riesz  # noqa: F401
+from .sparse import SparseFamily
 from .weights import (
     CharacteristicReport,
     ExponentTuple,
@@ -58,8 +70,12 @@ def weak_lorentz_norm(h: StepFunction, u: StepFunction, q: float) -> float:
     """sup_t t * u({h > t})^{1/q}, exactly, by scanning the distinct values
     of h: the sup is attained as t increases to some value v, where the
     super-level set is {h >= v}."""
-    hv = h.values.ravel()
-    uv = u.values.ravel() * h.mesh.cell_volume
+    return _weak_lorentz(h.values.ravel(), u.values.ravel() * h.mesh.cell_volume, q)
+
+
+def _weak_lorentz(hv: np.ndarray, uv: np.ndarray, q: float) -> float:
+    """``weak_lorentz_norm`` of flat cell values, with ``uv`` the cell
+    masses of u."""
     order = np.argsort(hv)[::-1]
     hs, us = hv[order], uv[order]
     cum = np.cumsum(us)
@@ -98,42 +114,60 @@ class TestingReport:
 
 
 def _candidate_roots(family: SparseFamily) -> list[DyadicCube]:
-    """Members and their enumerated ancestors: the only cubes R on which
-    the restricted operator is nonzero; coarse to fine, then by coord."""
-    a, shift = family.forest, family.shift
-    out: list[DyadicCube] = []
-    for g, _, idx, _ in _ancestor_levels(family.mesh, shift, a.level, a.lo3):
-        out.extend(DyadicCube(shift, g.level, tuple(c)) for c in g.coords[idx].tolist())
-    return out
+    """``SparseFamily.roots`` as cubes: the members and their enumerated
+    ancestors, coarse to fine, then by coord."""
+    r = family.roots
+    return [DyadicCube(family.shift, k, tuple(c)) for k, c in zip(r.level.tolist(), r.coords.tolist())]
 
 
 def _testing_sup(
     den_w: StepFunction,
     out_w: StepFunction,
     family: SparseFamily,
-    roots: list[DyadicCube],
     alpha: float,
     den_exp: float,
     out_exp: float,
 ) -> tuple[float, DyadicCube | None, int]:
-    """sup_R den_w(R)^{-1/den_exp} (int (I^{S(R)} den_w)^{out_exp} out_w)^{1/out_exp}.
+    """sup_R den_w(R)^{-1/den_exp} (int (I^{S(R)} den_w)^{out_exp} out_w)^{1/out_exp}
+    over the family's candidate roots R.
 
-    Since every member Q of S(R) satisfies Q subseteq R, averaging
-    chi_R * den_w over Q equals averaging den_w, and the output is supported
-    inside R, so the integral needs no explicit localization."""
-    mesh = family.mesh
-    best, witness, skipped = 0.0, None, 0
-    dens = den_w.integral_box3(*mesh.bounds3(roots)).tolist()
-    for R, den in zip(roots, dens):
-        if den <= 0.0:
-            skipped += 1
-            continue
-        I = restricted_sparse_riesz(den_w, alpha, family, R)
-        num = float(np.sum(I.values**out_exp * out_w.values)) * mesh.cell_volume
-        val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
-        if val > best:
-            best, witness = val, R
-    return best, witness, skipped
+    Every member Q of S(R) satisfies Q subseteq R, so averaging chi_R den_w
+    over Q equals averaging den_w.  On the cells of a root R of level k, the
+    members over a cell centre that lie in R are those of level >= k, so
+    I^{S(R)} den_w there is the chain sum with the coarser members weighted
+    +0.0: one cut field serves every root of its level, and the roots of
+    levels with the same coarser members share it.  Each root's terms go
+    into a full-frame row, +0.0 off its cells, and a numerator is that row's
+    sum: the sum a restricted apply per root gives, bit for bit."""
+    mesh, t, roots = family.mesh, family.forest, family.roots
+    dens = den_w.integral_box3(roots.lo3, roots.hi3)
+    live = np.flatnonzero(~(dens <= 0.0))
+    w = _member_weights(den_w.values, alpha, family, den_w._prefixes())
+    # members are sorted by level: those coarser than a root come first
+    cut = np.searchsorted(t.level, roots.level[live])
+    starts = np.flatnonzero(np.diff(cut, prepend=-1)).tolist()
+    rows = max(1, _FRAME_BLOCK // mesh.total_cells)
+    best, witness = 0.0, None
+    for a, b in zip(starts, [*starts[1:], len(live)]):
+        field = _forest_paint(np.where(np.arange(len(w)) >= cut[a], w, 0.0), family)
+        terms = field**out_exp * out_w.values
+        for c in range(a, b, rows):
+            idx = live[c : min(c + rows, b)]
+            # a root's cells are those whose centre lies in it: one index window
+            i0, i1 = mesh.center_window(roots.lo3[idx], roots.hi3[idx])
+            X = np.zeros((len(idx), *terms.shape))
+            for r, (lo, hi) in enumerate(zip(i0.tolist(), i1.tolist())):
+                win = tuple(map(slice, lo, hi))
+                X[(r, *win)] = terms[win]
+            nums = np.sum(X.reshape(len(idx), -1), axis=1) * mesh.cell_volume
+            for i, num, den in zip(idx.tolist(), nums.tolist(), dens[idx].tolist()):
+                val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
+                if val > best:
+                    best, witness = val, i
+    if witness is not None:
+        level, coord = int(roots.level[witness]), tuple(roots.coords[witness].tolist())
+        witness = DyadicCube(family.shift, level, coord)
+    return best, witness, len(dens) - len(live)
 
 
 def dyadic_testing(
@@ -142,9 +176,8 @@ def dyadic_testing(
     """Sparse testing constants over all enumerated roots R of the family's
     grid; the dual constant is the direct constant of the swapped data
     (sigma, u, q', p'), which is what self-adjointness gives."""
-    roots = _candidate_roots(family)
-    direct, wd, sd = _testing_sup(sigma, u, family, roots, exps.alpha, exps.p, exps.q)
-    dual, wu, su = _testing_sup(u, sigma, family, roots, exps.alpha, exps.q_prime, exps.p_prime)
+    direct, wd, sd = _testing_sup(sigma, u, family, exps.alpha, exps.p, exps.q)
+    dual, wu, su = _testing_sup(u, sigma, family, exps.alpha, exps.q_prime, exps.p_prime)
     return TestingReport(direct, dual, wd, wu, sd, su)
 
 
@@ -178,8 +211,7 @@ def sawyer_testing(
             if not len(live):
                 continue
             I = _kernels.riesz_apply(masked[live], mesh.cell_width, exps.alpha, int(mode), mesh.n)
-            if not np.all(np.isfinite(I)) or np.any(I < 0):
-                raise ValueError("values must be nonnegative and finite")
+            _checked(I)
             terms = I**out_exp * outer.values * mask[live]
             num = np.sum(terms.reshape(len(live), -1), axis=1) * mesh.cell_volume
             for i, nm, dn in zip((a + live).tolist(), num.tolist(), den[live].tolist()):
@@ -217,8 +249,26 @@ class NormEstimate:
         }
 
 
-def _lp_norm_weighted(values: np.ndarray, w: np.ndarray, p: float, vol: float) -> float:
-    return float(np.sum(values**p * w) * vol) ** (1.0 / p)
+def _norm_rows(X: np.ndarray, w: np.ndarray, p: float, vol: float) -> list[float]:
+    """||x||_{L^p(w)} of each frame x of X: row sums, times the cell volume
+    in float64, then a Python float pow per row.  A row sum equals the sum
+    of that frame alone bit for bit; one frame skips the row machinery."""
+    if len(X) == 1:
+        return [float(np.sum(X**p * w) * vol) ** (1.0 / p)]
+    sums = np.sum((X**p * w).reshape(len(X), -1), axis=1) * vol
+    return [v ** (1.0 / p) for v in sums.tolist()]
+
+
+def _column(v: list, n: int):
+    """Per-row scalars shaped to broadcast over frames with n axes; one row
+    takes its scalar as is, which costs less to broadcast."""
+    return v[0] if len(v) == 1 else np.array(v).reshape((-1,) + (1,) * n)
+
+
+def _apply_rows(X: np.ndarray, alpha: float, family: SparseFamily) -> np.ndarray:
+    """The sparse potential of each frame of X, inputs and outputs checked
+    as ``sparse_riesz`` checks them."""
+    return _checked(_sparse_rows(_checked(X), alpha, family))
 
 
 def _seed_functions(
@@ -229,20 +279,34 @@ def _seed_functions(
     rng_seed: int,
     extra_seeds: Sequence[tuple[str, StepFunction]],
 ):
+    """(label, values) of every seed in order: the member indicators, built
+    a block at a time, a sigma^{p'-1} profile, seeded random starts, and the
+    extra seeds."""
     rows = max(1, _FRAME_BLOCK // mesh.total_cells)
+    t = family.forest
     for a in range(0, len(family.cubes), rows):
-        block = family.cubes[a : a + rows]
-        for q, mask in zip(block, _center_mask(mesh, *mesh.bounds3(block))):
-            yield f"chi[{q.level},{q.coord}]", StepFunction(mesh, mask)
+        masks = _center_mask(mesh, t.lo3[a : a + rows], t.hi3[a : a + rows])
+        for q, mask in zip(family.cubes[a : a + rows], masks):
+            yield f"chi[{q.level},{q.coord}]", mask
     with np.errstate(divide="ignore", invalid="ignore"):
         prof = np.where(sigma.values > 0.0, sigma.values ** (exps.p_prime - 1.0), 0.0)
-    yield "sigma-profile", StepFunction(mesh, prof)
+    yield "sigma-profile", StepFunction(mesh, prof).values
     rng = np.random.default_rng(rng_seed)
     shape = (mesh.cells_per_axis,) * mesh.n
     for i in range(_N_RANDOM):
-        yield f"random-{i}", StepFunction(mesh, rng.random(shape))
+        yield f"random-{i}", rng.random(shape)
     for label, f in extra_seeds:
-        yield label, f
+        yield label, f.values
+
+
+def _seed_blocks(mesh: Mesh, seeds):
+    """The seeds at most ``_FRAME_BLOCK`` entries at a time: (labels, the
+    nonnegative parts of their values stacked on a leading axis)."""
+    rows = max(1, _FRAME_BLOCK // mesh.total_cells)
+    seeds = iter(seeds)
+    while block := list(itertools.islice(seeds, rows)):
+        labels, values = zip(*block)
+        yield list(labels), np.maximum(np.stack(values), 0.0)
 
 
 def strong_norm_lower(
@@ -261,63 +325,81 @@ def strong_norm_lower(
     self-adjointness the f-update is h = I^S(g u), f proportional to
     h^{p'-1}.  The objective is nondecreasing by construction and is
     asserted to be so each step.  Multi-start from the member indicators,
-    a sigma^{p'-1} profile, seeded random starts, and any extra seeds."""
+    a sigma^{p'-1} profile, seeded random starts, and any extra seeds.
+
+    A block of seeds iterates in lockstep as the rows of one batched apply;
+    each row keeps its own value, count and last g, and leaves the block at
+    its own exit, so every row computes what a run of that seed alone
+    computes.  The best is the first strict maximum in seed order."""
     mesh = u.mesh
     vol = mesh.cell_volume
     uv, sv = u.values, sigma.values
-    p, q, pp, qp = exps.p, exps.q, exps.p_prime, exps.q_prime
-    alpha = exps.alpha
+    p, q, pp = exps.p, exps.q, exps.p_prime
 
-    def T(vals: np.ndarray) -> np.ndarray:
-        return sparse_riesz(StepFunction(mesh, vals), alpha, family).values
+    def T(X: np.ndarray) -> np.ndarray:
+        return _apply_rows(X, exps.alpha, family)
+
+    def leave(out: list, it: int, *rest):
+        """The live rows flagged in ``out`` leave with their f, last g and
+        count; returns ``rest`` cut to the rows that stay."""
+        nonlocal live, fv, gv, value
+        if not any(out):
+            return rest
+        for r in (r for r, o in enumerate(out) if o):
+            i = live[r]
+            F[i], its[i] = fv[r], it
+            if gv is not None:
+                G[i], has_g[i] = gv[r], True
+        stay = [r for r, o in enumerate(out) if not o]
+        live, value = [live[r] for r in stay], [value[r] for r in stay]
+        fv, gv = fv[stay], None if gv is None else gv[stay]
+        return tuple(x[stay] if isinstance(x, np.ndarray) else [x[r] for r in stay] for x in rest)
 
     best = NormEstimate(0.0, None, None, 0, "none", False, True)
-    for label, f0 in _seed_functions(mesh, sigma, exps, family, rng_seed, extra_seeds):
-        fv = np.maximum(f0.values, 0.0)
-        nf = _lp_norm_weighted(fv, sv, p, vol)
-        if nf <= 0.0:
+    seeds = _seed_functions(mesh, sigma, exps, family, rng_seed, extra_seeds)
+    for labels, F in _seed_blocks(mesh, seeds):
+        nf = _norm_rows(F, sv, p, vol)
+        keep = [i for i, v in enumerate(nf) if not v <= 0.0]
+        if not keep:
             continue
-        fv = fv / nf
-        value = 0.0
-        converged = False
-        it = 0
-        gv = None
+        # the rows' f, last g, count and flags, each written when it leaves
+        F = F[keep] / _column([nf[i] for i in keep], mesh.n)
+        G = np.zeros_like(F)
+        its, has_g, converged = [0] * len(F), [False] * len(F), [False] * len(F)
+        live, fv, gv, value = list(range(len(F))), F, None, [0.0] * len(F)
         for it in range(1, _MAX_ITERS + 1):
-            h = T(fv * sv)
-            new = _lp_norm_weighted(h, uv, q, vol)
-            if new <= 0.0:
-                break
-            if new < value * (1.0 - 1e-12):
+            H = T(fv * sv)
+            new = _norm_rows(H, uv, q, vol)
+            out = [v <= 0.0 for v in new]
+            if any(not o and v < w * (1.0 - 1e-12) for o, v, w in zip(out, new, value)):
                 raise AssertionError("alternating objective decreased (g-step)")
-            gv = (h / new) ** (q - 1.0)
-            h2 = T(gv * uv)
-            nh2 = _lp_norm_weighted(h2, sv, pp, vol)
-            if nh2 <= 0.0:
-                value = new
+            H, new = leave(out, it, H, new)
+            if not live:
                 break
-            if nh2 < new * (1.0 - 1e-12):
+            gv = (H / _column(new, mesh.n)) ** (q - 1.0)
+            H2 = T(gv * uv)
+            nh2 = _norm_rows(H2, sv, pp, vol)
+            out = [v <= 0.0 for v in nh2]
+            if any(not o and v < w * (1.0 - 1e-12) for o, v, w in zip(out, nh2, new)):
                 raise AssertionError("alternating objective decreased (f-step)")
+            H2, nh2 = leave(out, it, H2, nh2)
+            if not live:
+                break
             with np.errstate(divide="ignore", invalid="ignore"):
-                fnew = np.where(h2 > 0.0, (h2 / nh2) ** (pp - 1.0), 0.0)
-            rel = abs(nh2 - value) / max(nh2, 1e-300)
+                fv = np.where(H2 > 0.0, (H2 / _column(nh2, mesh.n)) ** (pp - 1.0), 0.0)
+            out = [abs(v - w) / max(v, 1e-300) < _REL_TOL for v, w in zip(nh2, value)]
             value = nh2
-            fv = fnew
-            if rel < _REL_TOL:
-                converged = True
+            for i, o in zip(live, out):
+                converged[i] = o
+            leave([o or it == _MAX_ITERS for o in out], it)
+            if not live:
                 break
         # re-evaluate at the final witness so value is recomputable from it
-        h = T(fv * sv)
-        value = _lp_norm_weighted(h, uv, q, vol)
-        if value > best.value:
-            best = NormEstimate(
-                value,
-                StepFunction(mesh, fv),
-                None if gv is None else StepFunction(mesh, gv),
-                it,
-                label,
-                converged,
-                False,
-            )
+        for i, v in enumerate(_norm_rows(T(F * sv), uv, q, vol)):
+            if v > best.value:
+                g = StepFunction(mesh, G[i].copy()) if has_g[i] else None
+                best = NormEstimate(v, StepFunction(mesh, F[i].copy()), g, its[i], labels[keep[i]],
+                                    converged[i], False)
     return best
 
 
@@ -337,25 +419,30 @@ def weak_norm_lower(
     the seed set is that of the strong run plus its witness.  No smooth
     iteration is run; the weak functional is piecewise constant in the
     thresholds.  Per witness, weak <= strong holds by Chebyshev and is
-    asserted."""
+    asserted.  The seeds stream through one batched apply per block, so
+    the seed set is never held whole."""
     mesh = u.mesh
     vol = mesh.cell_volume
-    seeds = list(_seed_functions(mesh, sigma, exps, family, rng_seed, extra_seeds))
+    uv, sv = u.values, sigma.values
+    umass = uv.ravel() * vol
+    seeds = _seed_functions(mesh, sigma, exps, family, rng_seed, extra_seeds)
     if strong.witness_f is not None:
-        seeds.append(("strong-witness", strong.witness_f))
+        seeds = itertools.chain(seeds, [("strong-witness", strong.witness_f.values)])
     best = NormEstimate(0.0, None, None, 0, "none", True, True)
-    for label, f0 in seeds:
-        fv = np.maximum(f0.values, 0.0)
-        nf = _lp_norm_weighted(fv, sigma.values, exps.p, vol)
-        if nf <= 0.0:
+    for labels, F in _seed_blocks(mesh, seeds):
+        nf = _norm_rows(F, sv, exps.p, vol)
+        keep = [i for i, v in enumerate(nf) if not v <= 0.0]
+        if not keep:
             continue
-        h = sparse_riesz(StepFunction(mesh, fv * sigma.values / nf), exps.alpha, family)
-        wk = weak_lorentz_norm(h, u, exps.q)
-        st = _lp_norm_weighted(h.values, u.values, exps.q, vol)
-        if wk > st * (1.0 + 1e-12):
-            raise AssertionError("weak functional exceeded strong at the same witness")
-        if wk > best.value:
-            best = NormEstimate(wk, StepFunction(mesh, fv / nf), None, 1, label, True, False)
+        X = F[keep] * sv / _column([nf[i] for i in keep], mesh.n)
+        H = _apply_rows(X, exps.alpha, family)
+        for h, s, i in zip(H, _norm_rows(H, uv, exps.q, vol), keep):
+            wk = _weak_lorentz(h.ravel(), umass, exps.q)
+            if wk > s * (1.0 + 1e-12):
+                raise AssertionError("weak functional exceeded strong at the same witness")
+            if wk > best.value:
+                f = StepFunction(mesh, F[i] / nf[i])
+                best = NormEstimate(wk, f, None, 1, labels[i], True, False)
     return best
 
 

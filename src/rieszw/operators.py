@@ -23,6 +23,9 @@ Cost:
   running sum down the chains of the family's forest, read by each cell's
   owner (``SparseFamily.forest``): no Python loop over members, and each
   cell's sum is formed in member order, as a per-member loop forms it.
+  ``_sparse_rows`` applies a block of frames at once, with one box-sum call
+  and one chain sum for the block; a one-frame block takes the unbatched
+  path, which costs less.
 * Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
   coarser padding levels repeat the covering cube's integrals over a larger
   volume, so they cannot raise the maximum.
@@ -38,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import DyadicCube, Mesh, StepFunction
+from .mesh import DyadicCube, Mesh, StepFunction, _box_sums, _prefix_sums
 
 __all__ = [
     "KernelMode",
@@ -89,31 +92,59 @@ def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFun
 
 def sparse_riesz(f: StepFunction, alpha: float, family) -> StepFunction:
     """Sparse Riesz potential over a certified sparse family."""
-    return _sparse_sum(f, alpha, family)
+    _check_alpha(f.mesh, alpha)
+    w = _member_weights(f.values, alpha, family, f._prefixes())
+    return StepFunction(f.mesh, _forest_paint(w, family))
 
 
 def restricted_sparse_riesz(
     f: StepFunction, alpha: float, family, root: DyadicCube
 ) -> StepFunction:
     """Sparse Riesz potential over the members contained in ``root``."""
-    return _sparse_sum(f, alpha, family, family.contained_in(root))
+    _check_alpha(f.mesh, alpha)
+    w = _member_weights(f.values, alpha, family, f._prefixes())
+    w = np.where(family.contained_in(root), w, 0.0)
+    return StepFunction(f.mesh, _forest_paint(w, family))
 
 
-def _sparse_sum(f: StepFunction, alpha: float, family, keep=True) -> StepFunction:
-    """sum over the members Q (those set in ``keep``) of
-    2^(-level(Q) alpha) avg_Q f, painted on the cells whose centre lies in Q.
-
-    Each cell reads the sum down its owner's forest chain, coarse to fine:
-    the terms of a per-member loop in its order, with an exact +0.0 for each
-    member outside ``keep``, so the sum is the loop's bit for bit."""
-    mesh = f.mesh
+def _sparse_rows(values: np.ndarray, alpha: float, family) -> np.ndarray:
+    """The sparse Riesz potential of each frame of ``values``, shape
+    (B, cells...), in one batch: one ``_box_sums`` over the members of all
+    frames, one chain sum and one gather.  Each row equals ``sparse_riesz``
+    of that frame bit for bit; the values are not checked."""
+    mesh = family.mesh
     _check_alpha(mesh, alpha)
+    if len(values) == 1:  # one frame: plain indexing costs less than a batch index
+        return _forest_paint(_member_weights(values[0], alpha, family), family)[None]
+    return _forest_paint(_member_weights(values, alpha, family), family)
+
+
+def _member_weights(values: np.ndarray, alpha: float, family, pref=None) -> np.ndarray:
+    """2^(-level(Q) alpha) avg_Q f for every member Q, shape (..., m), from
+    the values of f with an optional leading batch axis and, if given,
+    their ``_prefix_sums``."""
+    mesh, t = family.mesh, family.forest
+    n = mesh.n
+    batch = (np.arange(len(values))[:, None],) if values.ndim > n else ()
+    pref = _prefix_sums(values, n) if pref is None else pref
+    sums = _box_sums(pref, values, list(t.lo3.T), list(t.hi3.T), batch) * mesh.cell_volume
+    return mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * (sums / t.volume)
+
+
+def _forest_paint(w: np.ndarray, family) -> np.ndarray:
+    """Member weights (..., m) painted on the cells: each cell reads the
+    sum down its owner's forest chain, coarse to fine.
+
+    These are the terms of a per-member loop in its order, with an exact
+    +0.0 for a member of weight +0.0, so the sum is the loop's bit for bit.
+    ``np.take`` keeps each output row C-contiguous, so a later row sum sees
+    the same memory order as a single frame's."""
     t = family.forest
-    factor = mesh.level_factors(alpha)[t.level - mesh.coarsest_level]
-    w = np.where(keep, factor * (f.integral_box3(t.lo3, t.hi3) / t.volume), 0.0)
+    ext = np.zeros((*w.shape[:-1], w.shape[-1] + 1))
+    ext[..., :-1] = w
     # accumulate adds in a fixed order; reduce may sum pairwise
-    acc = np.add.accumulate(np.append(w, 0.0)[t.chain], axis=0)[-1]
-    return StepFunction(mesh, acc[t.owner])
+    acc = np.add.accumulate(np.take(ext, t.chain, axis=-1), axis=-2)[..., -1, :]
+    return np.take(acc, t.owner, axis=-1)
 
 
 def _pointwise_sup_over_levels(mesh: Mesh, shift, per_cube_value) -> np.ndarray:

@@ -61,6 +61,16 @@ class Forest(NamedTuple):
     chain: np.ndarray  # (max depth, m + 1) int64: each member's ancestors, then itself, coarse to fine, front-padded with m
 
 
+class Roots(NamedTuple):
+    """A family's candidate testing roots: its members and all their grid
+    ancestors, coarse to fine, then in ``Mesh.level_cube_coords`` order."""
+
+    level: np.ndarray  # (r,) int64
+    coords: np.ndarray  # (r, n) int64 integer coordinates
+    lo3: np.ndarray  # (r, n) int64 lower corners, thirds of the finest cell width
+    hi3: np.ndarray  # (r, n) int64 upper corners
+
+
 @dataclass(frozen=True)
 class SparseFamily:
     """A set of cubes from one shifted grid of the mesh.
@@ -130,6 +140,20 @@ class SparseFamily:
         for r in range(len(chain) - 2, -1, -1):
             chain[r] = up[chain[r + 1]]
         out = Forest(level, lo3, hi3, np.ldexp(1.0, -mesh.n * level), parent, depth, owner, chain)
+        for x in out:
+            x.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def roots(self) -> Roots:
+        """The candidate testing roots, cut from the level tables once per
+        family: the only cubes R on which the restricted sparse operator is
+        nonzero."""
+        mesh, a = self.mesh, self.forest
+        parts = [(np.full(len(idx), g.level, dtype=np.int64), g.coords[idx], g.lo3[idx], g.hi3[idx])
+                 for g, _, idx, _ in _ancestor_levels(mesh, self.shift, a.level, a.lo3)]
+        empty = (np.zeros(0, dtype=np.int64), *(np.zeros((0, mesh.n), dtype=np.int64),) * 3)
+        out = Roots(*(np.concatenate(x) for x in zip(empty, *parts)))
         for x in out:
             x.setflags(write=False)
         return out

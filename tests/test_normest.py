@@ -17,7 +17,7 @@ from rieszw.normest import (
 )
 from rieszw import normest
 from rieszw.normest import NormEstimate, _candidate_roots
-from rieszw.operators import KernelMode, riesz_reference, sparse_riesz
+from rieszw.operators import KernelMode, _sparse_rows, restricted_sparse_riesz, riesz_reference, sparse_riesz
 from rieszw.orlicz import YoungFunction
 from rieszw.sparse import SparseFamily, build_sparse
 from rieszw.weights import ExponentTuple, _center_mask, _scan_levels
@@ -287,6 +287,17 @@ class TestCandidateRootsOracle:
         family = make()
         assert _candidate_roots(family) == oracle_candidate_roots(family)
 
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES])
+    def test_roots_table(self, make):
+        family = make()
+        r, cubes = family.roots, oracle_candidate_roots(family)
+        assert family.roots is r and not any(a.flags.writeable for a in r)
+        assert r.level.tolist() == [c.level for c in cubes]
+        assert r.coords.tolist() == [list(c.coord) for c in cubes]
+        lo3, hi3 = family.mesh.bounds3(cubes)
+        assert np.array_equal(r.lo3, lo3) and np.array_equal(r.hi3, hi3)
+        assert r.lo3.shape == r.hi3.shape == (len(cubes), family.mesh.n)
+
 
 class TestNormLower:
     def test_rank_one_norm(self, tight_mesh):
@@ -476,3 +487,257 @@ class TestTheoremRatios:
         dual, _ = thm41_bound_check(one, one, SOB, testing, "loglog", 1.0)
         phi = YoungFunction.loglog_bump(SOB.q, 1.0)
         assert dual.ratio == pytest.approx(phi.inverse(1.0), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the blocked sandwich stages: the per-root testing scan and the
+# per-seed norm iterations that the frame blocks replaced, copied here.
+
+
+def per_root_testing_sup(den_w, out_w, family, roots, alpha, den_exp, out_exp):
+    """One restricted apply and one full-frame sum per candidate root."""
+    mesh = family.mesh
+    best, witness, skipped = 0.0, None, 0
+    dens = den_w.integral_box3(*mesh.bounds3(roots)).tolist()
+    for R, den in zip(roots, dens):
+        if den <= 0.0:
+            skipped += 1
+            continue
+        I = restricted_sparse_riesz(den_w, alpha, family, R)
+        num = float(np.sum(I.values**out_exp * out_w.values)) * mesh.cell_volume
+        val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
+        if val > best:
+            best, witness = val, R
+    return best, witness, skipped
+
+
+def per_root_dyadic_testing(u, sigma, exps, family):
+    roots = oracle_candidate_roots(family)
+    direct, wd, sd = per_root_testing_sup(sigma, u, family, roots, exps.alpha, exps.p, exps.q)
+    dual, wu, su = per_root_testing_sup(u, sigma, family, roots, exps.alpha, exps.q_prime, exps.p_prime)
+    return normest.TestingReport(direct, dual, wd, wu, sd, su)
+
+
+def per_seed_strong_norm_lower(u, sigma, exps, family, rng_seed=0, extra_seeds=()):
+    """One seed at a time, with a ``StepFunction`` per iterate."""
+    mesh = u.mesh
+    vol = mesh.cell_volume
+    uv, sv = u.values, sigma.values
+    p, q, pp = exps.p, exps.q, exps.p_prime
+
+    def T(vals):
+        return sparse_riesz(StepFunction(mesh, vals), exps.alpha, family).values
+
+    best = NormEstimate(0.0, None, None, 0, "none", False, True)
+    for label, f0 in seed_functions(mesh, sigma, exps, family, rng_seed, 8, extra_seeds):
+        fv = np.maximum(f0.values, 0.0)
+        nf = lp_norm_weighted(fv, sv, p, vol)
+        if nf <= 0.0:
+            continue
+        fv = fv / nf
+        value, converged, it, gv = 0.0, False, 0, None
+        for it in range(1, normest._MAX_ITERS + 1):
+            h = T(fv * sv)
+            new = lp_norm_weighted(h, uv, q, vol)
+            if new <= 0.0:
+                break
+            if new < value * (1.0 - 1e-12):
+                raise AssertionError("alternating objective decreased (g-step)")
+            gv = (h / new) ** (q - 1.0)
+            h2 = T(gv * uv)
+            nh2 = lp_norm_weighted(h2, sv, pp, vol)
+            if nh2 <= 0.0:
+                value = new
+                break
+            if nh2 < new * (1.0 - 1e-12):
+                raise AssertionError("alternating objective decreased (f-step)")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fnew = np.where(h2 > 0.0, (h2 / nh2) ** (pp - 1.0), 0.0)
+            rel = abs(nh2 - value) / max(nh2, 1e-300)
+            value = nh2
+            fv = fnew
+            if rel < 1e-8:
+                converged = True
+                break
+        value = lp_norm_weighted(T(fv * sv), uv, q, vol)
+        if value > best.value:
+            best = NormEstimate(value, StepFunction(mesh, fv), None if gv is None else StepFunction(mesh, gv),
+                                it, label, converged, False)
+    return best
+
+
+def per_seed_weak_norm_lower(u, sigma, exps, family, strong, rng_seed=0, extra_seeds=()):
+    """The whole seed list first, then one apply per seed."""
+    mesh = u.mesh
+    vol = mesh.cell_volume
+    seeds = list(seed_functions(mesh, sigma, exps, family, rng_seed, 8, extra_seeds))
+    if strong.witness_f is not None:
+        seeds.append(("strong-witness", strong.witness_f))
+    best = NormEstimate(0.0, None, None, 0, "none", True, True)
+    for label, f0 in seeds:
+        fv = np.maximum(f0.values, 0.0)
+        nf = lp_norm_weighted(fv, sigma.values, exps.p, vol)
+        if nf <= 0.0:
+            continue
+        h = sparse_riesz(StepFunction(mesh, fv * sigma.values / nf), exps.alpha, family)
+        wk = weak_lorentz_norm(h, u, exps.q)
+        st = lp_norm_weighted(h.values, u.values, exps.q, vol)
+        if wk > st * (1.0 + 1e-12):
+            raise AssertionError("weak functional exceeded strong at the same witness")
+        if wk > best.value:
+            best = NormEstimate(wk, StepFunction(mesh, fv / nf), None, 1, label, True, False)
+    return best
+
+
+def exps_for(mesh):
+    return SOB if mesh.n == 1 else ExponentTuple.sobolev_pair(2, 0.5, 1.5)
+
+
+def oracle_pairs(mesh):
+    """(u, sigma): lognormal weights, then sigma vanishing on half the box
+    (roots of zero mass on the direct side)."""
+    u = lognormal(mesh, 70, scale=0.7)
+    return [(u, lognormal(mesh, 71, scale=0.7)), (u, zero_mass_weight(mesh, 72))]
+
+
+def assert_sandwich_stages_equal(u, s, exps, fam, rng_seed=0):
+    """Testing, strong and weak estimates against the oracles, with the
+    testing witnesses as extra seeds, as ``lsut_sandwich`` runs them.  Where
+    the oracle's strong iteration raises (on a shifted grid the painted
+    operator is not self-adjoint, so the objective can fall), the blocked
+    one must raise too, and the weak run gets no strong witness."""
+    testing = dyadic_testing(u, s, exps, fam)
+    assert testing == per_root_dyadic_testing(u, s, exps, fam)
+    extra = witness_indicator_seeds(u, s, exps, fam)
+    try:
+        expect = per_seed_strong_norm_lower(u, s, exps, fam, rng_seed, extra)
+    except AssertionError:
+        with pytest.raises(AssertionError, match="alternating objective decreased"):
+            strong_norm_lower(u, s, exps, fam, rng_seed, extra_seeds=extra)
+        strong = NormEstimate(0.0, None, None, 0, "none", False, True)
+    else:
+        strong = strong_norm_lower(u, s, exps, fam, rng_seed, extra_seeds=extra)
+        assert_same_estimate(strong, expect)
+    weak = weak_norm_lower(u, s, exps, fam, strong, rng_seed, extra_seeds=extra)
+    assert_same_estimate(weak, per_seed_weak_norm_lower(u, s, exps, fam, strong, rng_seed, extra))
+    return testing, strong, weak
+
+
+T0_FAMILIES = [
+    (f"built-n{n}-J1-T0-s{''.join(map(str, shift))}", mesh, shift)
+    for n, L in ((1, 4), (2, 2))
+    for mesh in [Mesh(n, 1, L, coarse_padding=0)]
+    for shift in mesh.shifts()
+]
+
+
+class TestSandwichStagesOracle:
+    """The blocked testing scan and norm iterations against one restricted
+    apply per root and one seed at a time, ``==`` on every field."""
+
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES])
+    def test_oracle_families(self, make):
+        fam = make()
+        for u, s in oracle_pairs(fam.mesh):
+            assert_sandwich_stages_equal(u, s, exps_for(fam.mesh), fam)
+
+    @pytest.mark.parametrize("mesh, shift", [(m, s) for _, m, s in T0_FAMILIES], ids=[i for i, _, _ in T0_FAMILIES])
+    def test_no_padding(self, mesh, shift):
+        fam, _ = build_sparse(lognormal(mesh, 73), shift, 0.5)
+        for u, s in oracle_pairs(mesh):
+            assert_sandwich_stages_equal(u, s, exps_for(mesh), fam)
+
+    def test_zero_mass_roots(self):
+        mesh = Mesh(1, 0, 6)
+        fam, _ = build_sparse(lognormal(mesh, 74), (0,), 0.5)
+        u, z = lognormal(mesh, 75, scale=0.7), zero_mass_weight(mesh, 76)
+        direct, *_ = assert_sandwich_stages_equal(u, z, SOB, fam)
+        dual, *_ = assert_sandwich_stages_equal(z, u, SOB, fam)
+        assert direct.skipped_direct > 0 and dual.skipped_dual > 0
+
+    def test_one_member(self, tight_mesh):
+        one = StepFunction.constant(tight_mesh, 1.0)
+        for exps in (E22, SOB):
+            assert_sandwich_stages_equal(one, lognormal(tight_mesh, 77, scale=0.7), exps, single_cube(tight_mesh))
+
+    def test_degenerate_u_leaves_at_g_step(self, tight_mesh):
+        # h = I^S(f sigma) has no u-mass: every seed leaves at the first g-step
+        zero = StepFunction.constant(tight_mesh, 0.0)
+        fam, _ = build_sparse(lognormal(tight_mesh, 78), (0,), 0.5)
+        _, strong, weak = assert_sandwich_stages_equal(zero, lognormal(tight_mesh, 79), SOB, fam)
+        assert strong.degenerate and weak.degenerate
+
+    def test_degenerate_sigma_leaves_at_f_step(self):
+        # the one member, level 3 of the shifted grid, covers a third of cell 3
+        # (all of sigma) and the centre of cell 4 (all of u): h2 = I^S(g u)
+        # lives on cell 4, where sigma vanishes
+        mesh = Mesh(1, 0, 3, coarse_padding=0)
+        fam = SparseFamily(mesh, (1,), (DyadicCube((1,), 3, (4,)),))
+        u, s = np.zeros(8), np.zeros(8)
+        u[4], s[3] = 1.0, 1.0
+        for exps in (E22, SOB):
+            _, strong, _ = assert_sandwich_stages_equal(StepFunction(mesh, u), StepFunction(mesh, s), exps, fam)
+            assert strong.value > 0.0 and strong.iterations == 1 and not strong.converged
+            assert strong.witness_g is not None
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_block_edges(self, monkeypatch, rows):
+        # one row a block is the layout of every mesh with 2^12 cells or more
+        mesh = Mesh(1, 0, 5)
+        fam, _ = build_sparse(lognormal(mesh, 80), (0,), 0.5)
+        pairs = oracle_pairs(mesh)
+        monkeypatch.setattr(normest, "_FRAME_BLOCK", rows * mesh.total_cells)
+        assert len(fam) + 1 + 8 > 3 and len(fam.roots.level) > 3
+        for u, s in pairs:
+            for seed in range(2):
+                assert_sandwich_stages_equal(u, s, SOB, fam, seed)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_iteration_cap(self, monkeypatch, cap):
+        # rows that reach the cap leave unconverged, mid-block
+        mesh = Mesh(1, 0, 6)
+        fam, _ = build_sparse(lognormal(mesh, 86), (0,), 0.5)
+        monkeypatch.setattr(normest, "_MAX_ITERS", cap)
+        for u, s in oracle_pairs(mesh):
+            _, strong, _ = assert_sandwich_stages_equal(u, s, SOB, fam)
+            assert strong.iterations == cap and not strong.converged
+
+    def test_block_edges_2d(self, monkeypatch):
+        mesh = Mesh(2, 0, 3)
+        fam, _ = build_sparse(lognormal(mesh, 82, scale=2.0), (0, 0), 0.5)
+        monkeypatch.setattr(normest, "_FRAME_BLOCK", 2 * mesh.total_cells)
+        assert len(fam) > 2 and len(fam.roots.level) > 2
+        for u, s in oracle_pairs(mesh):
+            assert_sandwich_stages_equal(u, s, exps_for(mesh), fam)
+
+
+class TestRowBlocks:
+    def test_identical_rows_equal_single_apply(self):
+        # the seed block of the default 1-D L=5 sandwich holds chi[-40,(0,)]
+        # and chi[-38,(0,)]: both cubes cover the box, so their rows are
+        # identical, and each must give a single apply's values and norm
+        mesh = Mesh(1, 0, 5)
+        f = StepFunction(mesh, np.exp(np.random.default_rng(0).standard_normal(mesh.cells_per_axis)))
+        fam, _ = build_sparse(f, (0,), SOB.alpha)
+        u, s = lognormal(mesh, 82, scale=0.7), lognormal(mesh, 83, scale=0.7)
+        seeds = normest._seed_functions(mesh, s, SOB, fam, 0, ())
+        [(labels, F)] = normest._seed_blocks(mesh, seeds)
+        assert labels[:2] == ["chi[-40,(0,)]", "chi[-38,(0,)]"] and np.array_equal(F[0], F[1])
+        X = F * s.values
+        H = _sparse_rows(X, SOB.alpha, fam)
+        assert H.flags.c_contiguous
+        norms = normest._norm_rows(H, u.values, SOB.q, mesh.cell_volume)
+        for row, h, norm in zip(X, H, norms):
+            single = sparse_riesz(StepFunction(mesh, row), SOB.alpha, fam).values
+            assert np.array_equal(h, single) and np.array_equal(np.signbit(h), np.signbit(single))
+            assert norm == lp_norm_weighted(single, u.values, SOB.q, mesh.cell_volume)
+
+    @pytest.mark.parametrize("mesh", [Mesh(1, 1, 4), Mesh(2, 0, 3)], ids=["n1J1", "n2"])
+    def test_rows_equal_single_applies(self, mesh):
+        fam, _ = build_sparse(lognormal(mesh, 84), (1,) * mesh.n, 0.5)
+        X = np.stack([lognormal(mesh, 85 + i).values for i in range(5)])
+        X[2] = 0.0
+        H = _sparse_rows(X, 0.5, fam)
+        for row, h in zip(X, H):
+            single = sparse_riesz(StepFunction(mesh, row), 0.5, fam).values
+            assert np.array_equal(h, single) and np.array_equal(np.signbit(h), np.signbit(single))
