@@ -595,8 +595,8 @@ def _box_sums(pref, values, lo3, hi3, batch=()) -> np.ndarray:
     clipped at zero, from the ``_prefix_sums`` of ``values``.  ``lo3`` and
     ``hi3`` hold one integer corner array per axis (thirds units, clamped
     to the frame here), all broadcast together.  ``batch`` is empty for one
-    frame, or an index array into the leading axis that broadcasts with the
-    corners."""
+    frame, an index array into the leading axis that broadcasts with the
+    corners, or ``(Ellipsis,)`` when every frame of the batch shares them."""
     size = values.shape[-len(lo3):]
     lo = [_axis_terms(x, m) for x, m in zip(lo3, size)]
     hi = [_axis_terms(x, m) for x, m in zip(hi3, size)]

@@ -7,7 +7,7 @@ never claims a certified upper bound on the true operator norm.
 
 All three sandwich stages run on blocks of C-contiguous full frames, at
 most ``_FRAME_BLOCK`` entries a block, through one batched forest apply
-(``operators._sparse_rows``): the testing scan takes one cut field per
+(``operators._sparse_sum``): the testing scan takes one cut field per
 run of root levels with the same coarser members and one row per root;
 the strong iteration runs a block of seeds in lockstep; the weak one
 streams its seeds a block at a time.  Row sums of full frames equal the
@@ -28,7 +28,7 @@ from . import _kernels
 from .mesh import DyadicCube, Mesh, StepFunction, _checked
 # sparse_riesz is no longer called here; the binding stays for code that
 # patches ``normest.sparse_riesz`` (perfbench's tracer self-test)
-from .operators import KernelMode, _forest_paint, _member_weights, _sparse_rows, sparse_riesz  # noqa: F401
+from .operators import KernelMode, _check_alpha, _forest_paint, _member_weights, _sparse_sum, sparse_riesz  # noqa: F401
 from .sparse import SparseFamily
 from .weights import (
     CharacteristicReport,
@@ -113,13 +113,6 @@ class TestingReport:
         }
 
 
-def _candidate_roots(family: SparseFamily) -> list[DyadicCube]:
-    """``SparseFamily.roots`` as cubes: the members and their enumerated
-    ancestors, coarse to fine, then by coord."""
-    r = family.roots
-    return [DyadicCube(family.shift, k, tuple(c)) for k, c in zip(r.level.tolist(), r.coords.tolist())]
-
-
 def _testing_sup(
     den_w: StepFunction,
     out_w: StepFunction,
@@ -138,8 +131,10 @@ def _testing_sup(
     +0.0: one cut field serves every root of its level, and the roots of
     levels with the same coarser members share it.  Each root's terms go
     into a full-frame row, +0.0 off its cells, and a numerator is that row's
-    sum: the sum a restricted apply per root gives, bit for bit."""
+    sum: the sum a restricted apply per root gives, bit for bit.  Alpha and
+    each cut field are checked as ``restricted_sparse_riesz`` checks them."""
     mesh, t, roots = family.mesh, family.forest, family.roots
+    _check_alpha(mesh, alpha)
     dens = den_w.integral_box3(roots.lo3, roots.hi3)
     live = np.flatnonzero(~(dens <= 0.0))
     w = _member_weights(den_w.values, alpha, family, den_w._prefixes())
@@ -149,7 +144,7 @@ def _testing_sup(
     rows = max(1, _FRAME_BLOCK // mesh.total_cells)
     best, witness = 0.0, None
     for a, b in zip(starts, [*starts[1:], len(live)]):
-        field = _forest_paint(np.where(np.arange(len(w)) >= cut[a], w, 0.0), family)
+        field = _checked(_forest_paint(np.where(np.arange(len(w)) >= cut[a], w, 0.0), family))
         terms = field**out_exp * out_w.values
         for c in range(a, b, rows):
             idx = live[c : min(c + rows, b)]
@@ -252,23 +247,24 @@ class NormEstimate:
 def _norm_rows(X: np.ndarray, w: np.ndarray, p: float, vol: float) -> list[float]:
     """||x||_{L^p(w)} of each frame x of X: row sums, times the cell volume
     in float64, then a Python float pow per row.  A row sum equals the sum
-    of that frame alone bit for bit; one frame skips the row machinery."""
-    if len(X) == 1:
-        return [float(np.sum(X**p * w) * vol) ** (1.0 / p)]
+    of that frame alone bit for bit."""
     sums = np.sum((X**p * w).reshape(len(X), -1), axis=1) * vol
     return [v ** (1.0 / p) for v in sums.tolist()]
 
 
-def _column(v: list, n: int):
-    """Per-row scalars shaped to broadcast over frames with n axes; one row
-    takes its scalar as is, which costs less to broadcast."""
-    return v[0] if len(v) == 1 else np.array(v).reshape((-1,) + (1,) * n)
+def _column(v: list, n: int) -> np.ndarray:
+    """Per-row scalars shaped to broadcast over frames with n axes."""
+    return np.array(v).reshape((-1,) + (1,) * n)
 
 
 def _apply_rows(X: np.ndarray, alpha: float, family: SparseFamily) -> np.ndarray:
     """The sparse potential of each frame of X, inputs and outputs checked
-    as ``sparse_riesz`` checks them."""
-    return _checked(_sparse_rows(_checked(X), alpha, family))
+    as ``sparse_riesz`` checks them.  A one-row block (every block once
+    N > ``_FRAME_BLOCK`` / 2) applies its frame alone: a batch of one costs
+    5-10 % more per apply at 1-D L=12 and L=14."""
+    _checked(X)
+    H = _sparse_sum(X[0], alpha, family)[None] if len(X) == 1 else _sparse_sum(X, alpha, family)
+    return _checked(H)
 
 
 def _seed_functions(

@@ -23,9 +23,8 @@ Cost:
   running sum down the chains of the family's forest, read by each cell's
   owner (``SparseFamily.forest``): no Python loop over members, and each
   cell's sum is formed in member order, as a per-member loop forms it.
-  ``_sparse_rows`` applies a block of frames at once, with one box-sum call
-  and one chain sum for the block; a one-frame block takes the unbatched
-  path, which costs less.
+  ``_sparse_sum`` applies a block of frames at once, with one box-sum call
+  and one chain sum for the block.
 * Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
   coarser padding levels repeat the covering cube's integrals over a larger
   volume, so they cannot raise the maximum.
@@ -92,31 +91,26 @@ def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFun
 
 def sparse_riesz(f: StepFunction, alpha: float, family) -> StepFunction:
     """Sparse Riesz potential over a certified sparse family."""
-    _check_alpha(f.mesh, alpha)
-    w = _member_weights(f.values, alpha, family, f._prefixes())
-    return StepFunction(f.mesh, _forest_paint(w, family))
+    return StepFunction(f.mesh, _sparse_sum(f.values, alpha, family, pref=f._prefixes()))
 
 
 def restricted_sparse_riesz(
     f: StepFunction, alpha: float, family, root: DyadicCube
 ) -> StepFunction:
     """Sparse Riesz potential over the members contained in ``root``."""
-    _check_alpha(f.mesh, alpha)
-    w = _member_weights(f.values, alpha, family, f._prefixes())
-    w = np.where(family.contained_in(root), w, 0.0)
-    return StepFunction(f.mesh, _forest_paint(w, family))
+    keep = family.contained_in(root)
+    return StepFunction(f.mesh, _sparse_sum(f.values, alpha, family, keep, f._prefixes()))
 
 
-def _sparse_rows(values: np.ndarray, alpha: float, family) -> np.ndarray:
-    """The sparse Riesz potential of each frame of ``values``, shape
-    (B, cells...), in one batch: one ``_box_sums`` over the members of all
-    frames, one chain sum and one gather.  Each row equals ``sparse_riesz``
-    of that frame bit for bit; the values are not checked."""
-    mesh = family.mesh
-    _check_alpha(mesh, alpha)
-    if len(values) == 1:  # one frame: plain indexing costs less than a batch index
-        return _forest_paint(_member_weights(values[0], alpha, family), family)[None]
-    return _forest_paint(_member_weights(values, alpha, family), family)
+def _sparse_sum(values: np.ndarray, alpha: float, family, keep=True, pref=None) -> np.ndarray:
+    """sum over the members Q (those set in ``keep``) of
+    2^(-level(Q) alpha) avg_Q f, painted on the cells whose centre lies in
+    Q, for the values of f with an optional leading batch axis (B, cells...)
+    and, if given, their ``_prefix_sums``.  Each row of a batch equals the
+    sum of that frame alone bit for bit; the values are not checked."""
+    _check_alpha(family.mesh, alpha)
+    w = _member_weights(values, alpha, family, pref)
+    return _forest_paint(np.where(keep, w, 0.0), family)
 
 
 def _member_weights(values: np.ndarray, alpha: float, family, pref=None) -> np.ndarray:
@@ -125,7 +119,9 @@ def _member_weights(values: np.ndarray, alpha: float, family, pref=None) -> np.n
     their ``_prefix_sums``."""
     mesh, t = family.mesh, family.forest
     n = mesh.n
-    batch = (np.arange(len(values))[:, None],) if values.ndim > n else ()
+    # every frame shares the corners: an Ellipsis spans the batch axis, and
+    # indexes faster than a batch index array; one frame needs neither
+    batch = (Ellipsis,) if values.ndim > n else ()
     pref = _prefix_sums(values, n) if pref is None else pref
     sums = _box_sums(pref, values, list(t.lo3.T), list(t.hi3.T), batch) * mesh.cell_volume
     return mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * (sums / t.volume)

@@ -16,14 +16,14 @@ from rieszw.normest import (
     weak_norm_lower,
 )
 from rieszw import normest
-from rieszw.normest import NormEstimate, _candidate_roots
-from rieszw.operators import KernelMode, _sparse_rows, restricted_sparse_riesz, riesz_reference, sparse_riesz
+from rieszw.normest import NormEstimate
+from rieszw.operators import KernelMode, _sparse_sum, restricted_sparse_riesz, riesz_reference, sparse_riesz
 from rieszw.orlicz import YoungFunction
 from rieszw.sparse import SparseFamily, build_sparse
 from rieszw.weights import ExponentTuple, _center_mask, _scan_levels
 
 from conftest import lognormal
-from test_sparse import ORACLE_FAMILIES, _ancestor_at
+from test_sparse import ORACLE_FAMILIES, _ancestor_at, candidate_roots
 from test_weights import in_box_cubes_with_bounds, zero_mass_weight
 
 ROOT = DyadicCube((0,), 0, (0,))
@@ -155,6 +155,21 @@ class TestTesting:
             base.direct * c ** (1.0 / SOB.q), rel=1e-10
         )
 
+    def test_mismatched_alpha_raises(self, unit_mesh):
+        # alpha = 1.5 lies in (0, n) for n = 2, not on a 1-D mesh
+        u = lognormal(unit_mesh, 3, scale=0.7)
+        s = lognormal(unit_mesh, 4, scale=0.7)
+        fam, _ = build_sparse(lognormal(unit_mesh, 5), (0,), SOB.alpha)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            dyadic_testing(u, s, ExponentTuple(2, 1.5, 2.0, 2.0), fam)
+
+    def test_overflowing_field_raises(self, unit_mesh):
+        # each value is finite, but the member integrals overflow to inf
+        huge = StepFunction.constant(unit_mesh, 1e308)
+        fam, _ = build_sparse(lognormal(unit_mesh, 5), (0,), SOB.alpha)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="nonnegative and finite"):
+            dyadic_testing(StepFunction.constant(unit_mesh, 1.0), huge, SOB, fam)
+
     def test_sawyer_constant_weights_oracle(self):
         mesh = Mesh(1, 0, 6)
         one = StepFunction.constant(mesh, 1.0)
@@ -285,7 +300,7 @@ class TestCandidateRootsOracle:
     @pytest.mark.parametrize("make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES])
     def test_matches_per_cube_ancestors(self, make):
         family = make()
-        assert _candidate_roots(family) == oracle_candidate_roots(family)
+        assert candidate_roots(family) == oracle_candidate_roots(family)
 
     @pytest.mark.parametrize("make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES])
     def test_roots_table(self, make):
@@ -724,7 +739,7 @@ class TestRowBlocks:
         [(labels, F)] = normest._seed_blocks(mesh, seeds)
         assert labels[:2] == ["chi[-40,(0,)]", "chi[-38,(0,)]"] and np.array_equal(F[0], F[1])
         X = F * s.values
-        H = _sparse_rows(X, SOB.alpha, fam)
+        H = _sparse_sum(X, SOB.alpha, fam)
         assert H.flags.c_contiguous
         norms = normest._norm_rows(H, u.values, SOB.q, mesh.cell_volume)
         for row, h, norm in zip(X, H, norms):
@@ -737,7 +752,7 @@ class TestRowBlocks:
         fam, _ = build_sparse(lognormal(mesh, 84), (1,) * mesh.n, 0.5)
         X = np.stack([lognormal(mesh, 85 + i).values for i in range(5)])
         X[2] = 0.0
-        H = _sparse_rows(X, 0.5, fam)
+        H = _sparse_sum(X, 0.5, fam)
         for row, h in zip(X, H):
             single = sparse_riesz(StepFunction(mesh, row), 0.5, fam).values
             assert np.array_equal(h, single) and np.array_equal(np.signbit(h), np.signbit(single))

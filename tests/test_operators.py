@@ -9,7 +9,6 @@ import pytest
 
 from rieszw import _kernels
 from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
-from rieszw.normest import _candidate_roots
 from rieszw.operators import (
     KernelMode,
     _pointwise_sup_over_levels,
@@ -26,7 +25,7 @@ from rieszw.orlicz import YoungFunction, luxemburg_norms, orlicz_maximal
 from rieszw.sparse import SparseFamily, build_sparse
 
 from conftest import lognormal
-from test_sparse import ORACLE_FAMILIES, _roots
+from test_sparse import ORACLE_FAMILIES, _roots, candidate_roots
 
 ALPHA = 0.5
 
@@ -235,7 +234,7 @@ class TestSparseOracle:
         alpha = 0.3
         fam, _ = build_sparse(lognormal(mesh, 33), shift, alpha)
         g = half_zero(mesh, 34)
-        for root in _candidate_roots(fam):
+        for root in candidate_roots(fam):
             members = [q for q in fam.cubes if root.contains_cube(q)]
             assert fam.members_in(root) == members
             got = restricted_sparse_riesz(g, alpha, fam, root).values

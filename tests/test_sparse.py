@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
-from rieszw.normest import _candidate_roots
 from rieszw.operators import compare_pointwise, dyadic_riesz, sparse_riesz
 from rieszw.sparse import (
     CarlesonReport,
@@ -656,10 +655,16 @@ def _oracle_families():
 ORACLE_FAMILIES = _oracle_families()
 
 
+def candidate_roots(family):
+    """``SparseFamily.roots`` as cubes, in its order."""
+    r = family.roots
+    return [DyadicCube(family.shift, k, tuple(c)) for k, c in zip(r.level.tolist(), r.coords.tolist())]
+
+
 def _roots(family):
     """Every candidate root, plus the level-0 cube at the origin."""
     extra = DyadicCube(family.shift, 0, (0,) * family.mesh.n)
-    return sorted(set(_candidate_roots(family)) | {extra}, key=lambda c: (c.level, c.coord))
+    return sorted(set(candidate_roots(family)) | {extra}, key=lambda c: (c.level, c.coord))
 
 
 def _corona_inputs(mesh):
