@@ -14,14 +14,17 @@ default ``fw_max_level`` of 3, the ``fujii_wilson`` windows run from 32
 cells per axis down to 2), then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
 2-D grid with J=1 through the sparse apply) and ``norm`` at ``--mesh
 n=1,J=1,L=5,T=0`` (restricted sparse sums on a mesh with no coarse
-padding), ``sandwich`` at that mesh and at ``--mesh n=2,J=1,L=3`` (the
+padding), ``verify`` at that mesh (on shift 1 no level holds a single
+cube, so the level sweeps fold no leading level; the run exits 1, see
+``EXPECTED_EXIT``), ``sandwich`` at that mesh and at ``--mesh n=2,J=1,L=3`` (the
 testing roots and norm seeds of a J=1 box, with and without padding), and
 ``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
 on two fixed weight pairs (deeper stopping trees than the L=6 run, and the
 only 2-D corona); every other setting is the default config and seed.  Outputs and
 the run's config file go to a temporary directory that is removed afterwards; the subcommands' own
 messages go to stderr.  Exits 1 if a subcommand exits with 1 or 2 (3, success
-with a warning, counts as success).
+with a warning, counts as success), or, for a run in ``EXPECTED_EXIT``, with
+any code but the one listed there.
 """
 
 import contextlib
@@ -53,10 +56,17 @@ RUNS = [
     ("norm", "n=2,J=0,L=3", {}),
     ("sparse", "n=2,J=1,L=3", {}),
     ("norm", "n=1,J=1,L=5,T=0", {}),
+    ("verify", "n=1,J=1,L=5,T=0", {}),
     ("sandwich", "n=1,J=1,L=5,T=0", {}),
     ("sandwich", "n=2,J=1,L=3", {}),
     *(("corona", mesh, CORONA_PAIRS) for mesh in ("n=1,J=0,L=8", "n=2,J=1,L=3")),
 ]
+
+# (subcommand, --mesh value) -> the exit code the run must give.  With no
+# coarse padding the coarsest cubes of shift 1 have no parent to bound their
+# averages, so six built families fail the sparsity certificate (and their
+# overlap bound) and ``verify`` reports 12 failures and exits 1.
+EXPECTED_EXIT = {("verify", "n=1,J=1,L=5,T=0"): 1}
 
 
 def main() -> int:
@@ -75,7 +85,11 @@ def main() -> int:
             with contextlib.redirect_stdout(sys.stderr):
                 code = cli.main(argv)
             print(f"{label}: exit {code}", file=sys.stderr)
-            if code in (1, 2):
+            if (cmd, mesh) in EXPECTED_EXIT:
+                bad = code != EXPECTED_EXIT[cmd, mesh]
+            else:
+                bad = code in (1, 2)
+            if bad:
                 failed.append(label)
         for path in sorted(p for p in root.rglob("*") if p.is_file() and p.parent != root):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -36,9 +36,9 @@ from .normest import (
 from .operators import KernelMode, compare_pointwise, dyadic_riesz, riesz_reference, sparse_riesz
 from .sparse import (
     SparseFamily,
+    _overlap_reports,
     build_sparse,
     corona_decompose,
-    overlap_level_set,
     sigma_decay_check,
     verify_sparse,
 )
@@ -262,9 +262,10 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
                     failures.append({"check": "domination", "instance": [fname, list(shift), alpha],
                                      "witness": list(rep.argmax)})
                 for root in S.cubes[:2]:
-                    for k in range(1, 13):
+                    ks = range(1, 13)
+                    for k, overlap in zip(ks, _overlap_reports(S, root, ks)):
                         checks += 1
-                        if not overlap_level_set(S, root, k).exact_le_bound:
+                        if not overlap.exact_le_bound:
                             failures.append({"check": "overlap-bound",
                                              "instance": [fname, list(shift), alpha, k],
                                              "witness": root})

@@ -26,6 +26,7 @@ __all__ = [
     "Corpus",
     "DyadicCube",
     "LevelGrid",
+    "LevelTable",
     "Mesh",
     "StepFunction",
     "CoveringError",
@@ -131,6 +132,32 @@ class LevelGrid(NamedTuple):
         return values.reshape(self.shape)[np.ix_(*self.cell_cube)]
 
 
+class LevelTable(NamedTuple):
+    """The cubes of every level of one shifted grid as one table, coarse to
+    fine and in ``LevelGrid`` order within a level.  Each entry of ``grids``
+    is a view of the whole arrays.  Arrays are read-only."""
+
+    grids: tuple[LevelGrid, ...]  # entry ``k - coarsest_level`` is level k
+    coords: np.ndarray  # (count, n) int64 integer coordinates
+    lo3: np.ndarray  # (count, n) int64 lower corners, thirds of the finest cell width
+    hi3: np.ndarray  # (count, n) int64 upper corners
+    starts: np.ndarray  # (levels,) int64 position of each level's first cube
+    parent: np.ndarray  # (count,) int64 position of the next coarser level's cube containing lo3, -1 at the coarsest level
+    single: int  # leading levels that hold one cube; every other level holds more
+
+    @property
+    def ends(self) -> np.ndarray:
+        """The position one past each level's last cube."""
+        return np.append(self.starts[1:], len(self.parent))
+
+    @property
+    def volume(self) -> np.ndarray:
+        """2^(-level * n), the volume of every cube of the table."""
+        levels = np.array([g.level for g in self.grids])
+        sizes = np.diff(self.ends, prepend=0)
+        return np.repeat(np.ldexp(1.0, -self.coords.shape[1] * levels), sizes)
+
+
 class Corpus(NamedTuple):
     """The cubes of both shifts that lie inside the base box, as one table.
 
@@ -220,25 +247,30 @@ class Mesh:
         with the same integrals over a larger volume, so it cannot raise a
         maximum of averages.  If no level in range covers the box, all
         levels are kept."""
-        for g in reversed(self.grid(shift)):
-            if len(g.coords) == 1:
-                return range(g.level, self.finest_exponent + 1)
-        return self.levels()
+        single = self.level_table(shift).single
+        return range(self.coarsest_level + max(single - 1, 0), self.finest_exponent + 1)
 
     @functools.cached_property
-    def _grids(self) -> dict:
+    def _tables(self) -> dict:
         return {}
 
     def grid(self, shift: Sequence[int]) -> tuple[LevelGrid, ...]:
-        """The level table of one shifted grid, coarse to fine (entry
-        ``k - coarsest_level`` is level k), built on first use and cached
-        on the mesh."""
-        shift = tuple(shift)
-        if shift not in self._grids:
-            self._grids[shift] = self._level_table(shift)
-        return self._grids[shift]
+        """The per-level entries of one shifted grid's level table, coarse
+        to fine (entry ``k - coarsest_level`` is level k)."""
+        return self.level_table(shift).grids
 
-    def _level_table(self, shift: tuple[int, ...]) -> tuple[LevelGrid, ...]:
+    def level_table(self, shift: Sequence[int]) -> LevelTable:
+        """The whole level table of one shifted grid, built on first use and
+        cached on the mesh; ``ValueError`` for a shift not in ``shifts``."""
+        shift = tuple(shift)
+        table = self._tables.get(shift)
+        if table is None:
+            if shift not in self.shifts():
+                raise ValueError(f"invalid shift {shift!r}")
+            table = self._tables[shift] = self._level_table(shift)
+        return table
+
+    def _level_table(self, shift: tuple[int, ...]) -> LevelTable:
         """Every level of one grid at once: the per-level coordinate ranges
         of ``coord_range`` as arrays, the cubes of all levels listed in one
         unravel, and each level's entry cut from the whole table."""
@@ -258,8 +290,25 @@ class Mesh:
         lo3 += offset[level_of]
         lo3 *= cube_scale
         hi3 = lo3 + 3 * cube_scale
+        del cube_scale
         in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
-        for a in (coords, lo3, hi3, in_box):
+        sizes = counts.prod(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        # each cube's parent: the coarser level's cube over its lower corner,
+        # found as ``sparse._flat_index`` finds it, as a table position
+        up = np.maximum(level_of - 1, 0)
+        coarse = lo3 // scale[up, None]
+        coarse -= offset[up]
+        coarse //= 3
+        coarse -= m_lo[up]
+        parent = coarse[:, 0].copy()
+        for axis in range(1, self.n):
+            parent *= counts[up, axis]
+            parent += coarse[:, axis]
+        parent += starts[up]
+        parent[level_of == 0] = -1
+        del coarse, up
+        for a in (coords, lo3, hi3, in_box, starts, parent):
             a.setflags(write=False)
         # per axis, the position in its level's range of the cube over each
         # cell centre; an axis with one cube reads the shared zero index
@@ -273,13 +322,16 @@ class Mesh:
             for j, row in zip(multi.tolist(), rows):
                 table[j] = row
             cell_cube.append(table)
-        ends = np.cumsum(counts.prod(axis=1)).tolist()
-        return tuple(
+        grids = tuple(
             LevelGrid(k, coords[a:b], lo3[a:b], hi3[a:b], in_box[a:b], tuple(shape),
                       tuple(t[j] for t in cell_cube))
             for j, (k, a, b, shape) in enumerate(
-                zip(levels.tolist(), [0, *ends], ends, counts.tolist()))
+                zip(levels.tolist(), starts.tolist(), (starts + sizes).tolist(), counts.tolist()))
         )
+        # a level with one cube covers the box, and so does that cube's
+        # parent: the one-cube levels are the leading ones
+        return LevelTable(grids, coords, lo3, hi3, starts, parent,
+                          int(np.count_nonzero(sizes == 1)))
 
     @functools.cached_property
     def corpus(self) -> Corpus:

@@ -18,7 +18,10 @@ Cost:
 * Per-level sweeps read the level table the mesh caches per shift
   (``Mesh.grid``) and paint each level with one gather: every cell takes
   the value of its level cube, so a sum gets one term per level in level
-  order, and a maximum maps values <= 0 to +0.0.
+  order, and a maximum maps values <= 0 to +0.0.  ``dyadic_riesz`` takes
+  the averages of every level in one box-sum call over the whole table
+  (``Mesh.level_table``) and adds the leading one-cube levels as one
+  running scalar, the value each of their paints gives every cell.
 * A sparse apply is one batched ``integral_box3`` over the members and one
   running sum down the chains of the family's forest, read by each cell's
   owner (``SparseFamily.forest``): no Python loop over members, and each
@@ -82,10 +85,18 @@ def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFun
     """Truncated dyadic Riesz potential over one shifted grid."""
     mesh = f.mesh
     _check_alpha(mesh, alpha)
-    out = np.zeros_like(f.values)
-    for g in mesh.grid(shift):
-        avgs = f.integral_box3(g.lo3, g.hi3) / 2.0 ** (-g.level * mesh.n)
-        out += 2.0 ** (-g.level * alpha) * g.gather(avgs)
+    t = mesh.level_table(shift)
+    avg = f.integral_box3(t.lo3, t.hi3) / t.volume
+    fac = mesh.level_factors(alpha)
+    # a one-cube level paints one value on every cell: each cell sees the
+    # same adds in the same order from 0.0, so a scalar sum stands for them
+    s = 0.0
+    for j in range(t.single):
+        s += fac[j] * avg[j]
+    out = np.full(f.values.shape, s)
+    ends = t.ends
+    for j in range(t.single, len(t.grids)):
+        out += fac[j] * t.grids[j].gather(avg[t.starts[j] : ends[j]])
     return StepFunction(mesh, out)
 
 

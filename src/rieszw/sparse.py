@@ -254,6 +254,10 @@ def _ilog_lt(x: np.ndarray, base: float) -> np.ndarray:
     return (e.astype(np.int64) - 1 - (m == 0.5)) // (be - 1)
 
 
+#: The slice key of a cube whose average is not positive: below every index.
+_NO_KEY = np.iinfo(np.int64).min
+
+
 def build_sparse(
     f: StepFunction, shift: Sequence[int], alpha: float
 ) -> tuple[SparseFamily, float]:
@@ -264,35 +268,37 @@ def build_sparse(
     A cube Q is maximal at threshold a^k iff a^k >= (max average over its
     enumerated ancestors) and a^k < avg_Q; so Q belongs to some slice iff
     the slice index of its ancestor-max is strictly below its own.  This
-    reproduces every S_k without scanning thresholds one by one."""
+    reproduces every S_k without scanning thresholds one by one.
+
+    The slice index ``_ilog_lt(., a)`` is monotone, so the index of the
+    ancestor-max average is the max of the ancestors' indices: each cube
+    takes its key (its average's index, or the least int64 if the average
+    is not positive) and the max of its strict ancestors' keys, swept down
+    the parents of the grid's level table, and is a member iff the latter
+    is below the former.  The averages are one box-sum call over the table."""
     mesh = f.mesh
-    shift = tuple(shift)
     if not 0.0 < alpha < mesh.n:
         raise ValueError("alpha must lie in (0, n)")
     if f.total() <= 0.0:
         raise ValueError("f must not vanish identically")
-    a = 2.0 ** (mesh.n + 1)
-    cubes: list[DyadicCube] = []
-    prev = None  # the coarser level's averages and ancestor maxima
-    for g in mesh.grid(shift):
-        avg = f.integral_box3(g.lo3, g.hi3) / 2.0 ** (-g.level * mesh.n)
-        if prev is None:
-            anc = np.zeros(len(avg))
-        else:
-            pidx = _flat_index(mesh, shift, prev["level"], g.lo3)
-            anc = np.maximum(prev["anc"][pidx], prev["avg"][pidx])
-        pos = avg > 0.0
-        member = pos.copy()
-        both = pos & (anc > 0.0)
-        if both.any():
-            ka = _ilog_lt(np.where(both, anc, 1.0), a)
-            kv = _ilog_lt(np.where(both, avg, 1.0), a)
-            member[both] = ka[both] < kv[both]
-        for i in np.flatnonzero(member):
-            cubes.append(DyadicCube(shift, g.level, tuple(int(c) for c in g.coords[i])))
-        prev = {"avg": avg, "anc": anc, "level": g.level}
-    family = SparseFamily(mesh, shift, tuple(cubes))
-    return family, domination_constant(mesh.n, alpha)
+    t = mesh.level_table(shift)
+    avg = f.integral_box3(t.lo3, t.hi3) / t.volume
+    pos = avg > 0.0
+    key = np.where(pos, _ilog_lt(np.where(pos, avg, 1.0), 2.0 ** (mesh.n + 1)), _NO_KEY)
+    # the strict-ancestor max: a running max down the one-cube levels, which
+    # form one chain, then one step from the parent per later level
+    anc = np.full(len(key), _NO_KEY)
+    head = max(t.single, 1)
+    anc[1:head] = np.maximum.accumulate(key[: head - 1])
+    for a, b in zip(t.starts[head:].tolist(), t.ends[head:].tolist()):
+        up = t.parent[a:b]
+        anc[a:b] = np.maximum(anc[up], key[up])
+    member = np.flatnonzero(anc < key)  # never where avg <= 0: key is least there
+    level = np.searchsorted(t.starts, member, side="right") - 1 + mesh.coarsest_level
+    shift = tuple(shift)
+    cubes = tuple(DyadicCube(shift, k, tuple(c))
+                  for k, c in zip(level.tolist(), t.coords[member].tolist()))
+    return SparseFamily(mesh, shift, cubes), domination_constant(mesh.n, alpha)
 
 
 def _flat_index(mesh: Mesh, shift, level: int, lo3: np.ndarray) -> np.ndarray:
@@ -339,25 +345,34 @@ def overlap_level_set(family: SparseFamily, root: DyadicCube, k: int) -> Overlap
     cubes of the containment forest restricted to root, so its measure is an
     exact integer sum in thirds units.  A member inside root has generation
     depth - c there, where c counts the members strictly containing root."""
-    if k < 1:
+    return _overlap_reports(family, root, (k,))[0]
+
+
+def _overlap_reports(family: SparseFamily, root: DyadicCube, ks) -> list[OverlapReport]:
+    """``overlap_level_set(family, root, k)`` for every k of ``ks``, with
+    the members inside root and their generations there found once."""
+    if any(k < 1 for k in ks):
         raise ValueError("need k >= 1")
     mesh, a = family.mesh, family.forest
     n, L = mesh.n, mesh.finest_exponent
-    inside = family.contained_in(root)
     lo, hi = root.bounds3(L)
     above = (a.level < root.level) & np.all(a.lo3 <= lo, axis=1) & np.all(a.hi3 >= hi, axis=1)
-    idx = np.flatnonzero(inside & (a.depth == np.count_nonzero(above) + k + 1))
-    gen_cubes = tuple(family.cubes[i] for i in idx)
-    levels, counts = np.unique(a.level[idx], return_counts=True)
-    total3 = sum(c * _vol3(n, L, j) for j, c in zip(levels.tolist(), counts.tolist()))
+    inside = np.flatnonzero(family.contained_in(root))
+    generation = a.depth[inside] - np.count_nonzero(above)
     root3 = _vol3(n, L, root.level)
     cell_vol = (mesh.cell_width / 3.0) ** n
-    return OverlapReport(
-        measure=total3 * cell_vol,
-        bound=2.0**-k * root3 * cell_vol,
-        generation_cubes=gen_cubes,
-        exact_le_bound=(total3 << k) <= root3,
-    )
+    out = []
+    for k in ks:
+        idx = inside[generation == k + 1]
+        levels, counts = np.unique(a.level[idx], return_counts=True)
+        total3 = sum(c * _vol3(n, L, j) for j, c in zip(levels.tolist(), counts.tolist()))
+        out.append(OverlapReport(
+            measure=total3 * cell_vol,
+            bound=2.0**-k * root3 * cell_vol,
+            generation_cubes=tuple(family.cubes[i] for i in idx.tolist()),
+            exact_le_bound=(total3 << k) <= root3,
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------

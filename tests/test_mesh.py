@@ -17,6 +17,8 @@ from rieszw.mesh import (
     enumerate_cubes,
 )
 from rieszw.mesh import _box_sums, _prefix_sums
+from rieszw.operators import dyadic_riesz
+from rieszw.sparse import _flat_index, build_sparse
 
 from conftest import lognormal
 
@@ -307,6 +309,68 @@ class TestLevelTable:
                                 (expect.coords, expect.lo3, expect.hi3, expect.in_box, *expect.cell_cube)):
                     assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
                     assert not a.flags.writeable
+
+    @pytest.mark.parametrize(
+        "mesh",
+        TABLE_MESHES,
+        ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}",
+    )
+    def test_whole_table(self, mesh):
+        """The whole arrays under the level entries, each cube's parent
+        position, the volumes and the count of leading one-cube levels."""
+        for shift in mesh.shifts():
+            t = mesh.level_table(shift)
+            assert mesh.level_table(list(shift)) is t and mesh.grid(shift) is t.grids
+            assert t.ends.tolist() == np.cumsum([len(g.coords) for g in t.grids]).tolist()
+            for a in (t.coords, t.lo3, t.hi3, t.starts, t.parent):
+                assert not a.flags.writeable
+            prev = None
+            for g, a, b in zip(t.grids, t.starts.tolist(), t.ends.tolist()):
+                for whole, part in ((t.coords, g.coords), (t.lo3, g.lo3), (t.hi3, g.hi3)):
+                    assert np.shares_memory(whole, part) and np.array_equal(whole[a:b], part)
+                if prev is None:
+                    assert np.all(t.parent[a:b] == -1)
+                else:
+                    expect = _flat_index(mesh, shift, prev.level, g.lo3) + t.starts[g.level - mesh.coarsest_level - 1]
+                    assert np.array_equal(t.parent[a:b], expect)
+                    assert np.all(t.lo3[t.parent[a:b]] <= g.lo3) and np.all(g.hi3 <= t.hi3[t.parent[a:b]])
+                assert t.volume[a:b].tolist() == [2.0 ** (-g.level * mesh.n)] * (b - a)
+                prev = g
+            sizes = [len(g.coords) for g in t.grids]
+            assert sizes[: t.single] == [1] * t.single and 1 not in sizes[t.single :]
+
+    @pytest.mark.parametrize(
+        "mesh",
+        TABLE_MESHES,
+        ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}",
+    )
+    def test_maximal_levels_start_at_finest_one_cube_level(self, mesh):
+        for shift in mesh.shifts():
+            one = [g.level for g in mesh.grid(shift) if len(g.coords) == 1]
+            expect = range(one[-1], mesh.finest_exponent + 1) if one else mesh.levels()
+            assert mesh.maximal_levels(shift) == expect
+
+    def test_flag_out_of_range_rejected(self):
+        mesh = Mesh(1, 0, 4)
+        with pytest.raises(ValueError, match=r"invalid shift \(2,\)"):
+            dyadic_riesz(lognormal(mesh, 1), 0.5, (2,))
+        with pytest.raises(ValueError, match="invalid shift"):
+            mesh.grid((2,))
+
+    def test_negative_flag_rejected(self):
+        mesh = Mesh(1, 0, 4)
+        with pytest.raises(ValueError, match=r"invalid shift \(-1,\)"):
+            build_sparse(lognormal(mesh, 2), (-1,), 0.5)
+        with pytest.raises(ValueError, match="invalid shift"):
+            mesh.level_table((-1,))
+
+    def test_wrong_length_shift_rejected(self):
+        line, square = Mesh(1, 0, 4), Mesh(2, 0, 2)
+        with pytest.raises(ValueError, match=r"invalid shift \(0, 1\)"):
+            dyadic_riesz(lognormal(line, 3), 0.5, (0, 1))
+        with pytest.raises(ValueError, match=r"invalid shift \(1,\)"):
+            build_sparse(lognormal(square, 4), (1,), 0.5)
+        assert not line._tables and not square._tables
 
     def test_single_cube_axes_share_one_array(self):
         mesh = Mesh(2, 0, 2)

@@ -25,7 +25,14 @@ from rieszw.orlicz import YoungFunction, luxemburg_norms, orlicz_maximal
 from rieszw.sparse import SparseFamily, build_sparse
 
 from conftest import lognormal
-from test_sparse import ORACLE_FAMILIES, _roots, candidate_roots
+from test_sparse import (
+    ORACLE_FAMILIES,
+    SWEEP_MESHES,
+    _roots,
+    candidate_roots,
+    mesh_id,
+    sweep_functions,
+)
 
 ALPHA = 0.5
 
@@ -202,10 +209,6 @@ def signed_zero(mesh, seed):
     """``half_zero`` with -0.0 where it vanishes."""
     g = half_zero(mesh, seed).values
     return StepFunction(mesh, np.where(g == 0.0, -0.0, g))
-
-
-def mesh_id(mesh):
-    return f"n{mesh.n}-J{mesh.base_exponent}-L{mesh.finest_exponent}-T{mesh.coarse_padding}"
 
 
 SPARSE_CASES = [
@@ -394,6 +397,32 @@ def loop_orlicz_maximal(f, phi):
                 s = out[mesh.center_slices(*cube.bounds3(mesh.finest_exponent))]
                 np.maximum(s, float(v), out=s)
     return out
+
+
+def per_level_dyadic_riesz(f, alpha, shift):
+    """``dyadic_riesz`` a level at a time: one box-sum call and one paint
+    per level, added from 0.0 coarse to fine."""
+    mesh = f.mesh
+    out = np.zeros_like(f.values)
+    for g in mesh.grid(shift):
+        avgs = f.integral_box3(g.lo3, g.hi3) / 2.0 ** (-g.level * mesh.n)
+        out += 2.0 ** (-g.level * alpha) * g.gather(avgs)
+    return out
+
+
+class TestLevelSweepOracle:
+    """``dyadic_riesz`` on the whole level table, with the one-cube levels
+    folded into a scalar, against the per-level sweep: == and sign bits."""
+
+    @pytest.mark.parametrize("mesh", SWEEP_MESHES, ids=mesh_id)
+    def test_dyadic_riesz_equals_per_level(self, mesh):
+        if mesh.coarse_padding == 0:
+            assert mesh.level_table(mesh.shifts()[-1]).single == 0  # nothing to fold
+        for shift in mesh.shifts():
+            for f in sweep_functions(mesh, 82):
+                for alpha in (0.3, 0.5, mesh.n - 0.05):
+                    got = dyadic_riesz(f, alpha, shift).values
+                    assert_same_bits(got, per_level_dyadic_riesz(f, alpha, shift))
 
 
 class TestPaintOracle:

@@ -27,7 +27,7 @@ from rieszw.sparse import (
     sigma_decay_check,
     verify_sparse,
 )
-from rieszw.sparse import _certify_corona, _ilog_lt
+from rieszw.sparse import _certify_corona, _flat_index, _ilog_lt, _overlap_reports
 from rieszw.weights import ExponentTuple, fujii_wilson, generate_weight
 
 from conftest import lognormal
@@ -79,6 +79,70 @@ class TestBuild:
         a = 8.0  # 2^{n+1} for n = 2
         k = int(_ilog_lt(np.array([x]), a)[0])
         assert a**k < x <= a ** (k + 1)
+
+
+def per_level_build_sparse(f, shift, alpha):
+    """``build_sparse`` a level at a time: one box-sum call per level, and
+    each level's ancestor maxima of the averages from the coarser level's."""
+    mesh = f.mesh
+    shift = tuple(shift)
+    a = 2.0 ** (mesh.n + 1)
+    cubes = []
+    prev = None  # the coarser level's averages and ancestor maxima
+    for g in mesh.grid(shift):
+        avg = f.integral_box3(g.lo3, g.hi3) / 2.0 ** (-g.level * mesh.n)
+        if prev is None:
+            anc = np.zeros(len(avg))
+        else:
+            pidx = _flat_index(mesh, shift, prev["level"], g.lo3)
+            anc = np.maximum(prev["anc"][pidx], prev["avg"][pidx])
+        pos = avg > 0.0
+        member = pos.copy()
+        both = pos & (anc > 0.0)
+        if both.any():
+            ka = _ilog_lt(np.where(both, anc, 1.0), a)
+            kv = _ilog_lt(np.where(both, avg, 1.0), a)
+            member[both] = ka[both] < kv[both]
+        for i in np.flatnonzero(member):
+            cubes.append(DyadicCube(shift, g.level, tuple(int(c) for c in g.coords[i])))
+        prev = {"avg": avg, "anc": anc, "level": g.level}
+    return SparseFamily(mesh, shift, tuple(cubes)), domination_constant(mesh.n, alpha)
+
+
+def mesh_id(mesh):
+    return f"n{mesh.n}-J{mesh.base_exponent}-L{mesh.finest_exponent}-T{mesh.coarse_padding}"
+
+
+#: With T = 0, the grids with a shift flag hold no one-cube level.
+SWEEP_MESHES = [Mesh(n, J, L, coarse_padding=T)
+                for n, L in ((1, 5), (2, 3)) for J in (0, 1) for T in (0, 40)]
+
+
+def sweep_functions(mesh, seed):
+    """A lognormal f, all mass in one cell, and a lognormal f that is -0.0
+    on alternate stripes of the first axis."""
+    f = lognormal(mesh, seed)
+    spike = np.zeros(f.values.shape)
+    spike[(int(0.3 * mesh.cells_per_axis),) * mesh.n] = 7.0
+    stripes = f.values.copy()
+    stripes[1::2] = -0.0
+    return [f, StepFunction(mesh, spike), StepFunction(mesh, stripes)]
+
+
+class TestLevelSweepOracle:
+    """``build_sparse`` on the whole level table against the per-level sweep."""
+
+    @pytest.mark.parametrize("mesh", SWEEP_MESHES, ids=mesh_id)
+    def test_build_sparse_equals_per_level(self, mesh):
+        if mesh.coarse_padding == 0:
+            assert mesh.level_table(mesh.shifts()[-1]).single == 0
+        for shift in mesh.shifts():
+            for f in sweep_functions(mesh, 80):
+                for alpha in (0.25, mesh.n - 0.05):
+                    fam, C = build_sparse(f, shift, alpha)
+                    expect, expect_C = per_level_build_sparse(f, shift, alpha)
+                    assert fam.shift == expect.shift and fam.cubes == expect.cubes
+                    assert C == expect_C
 
 
 class TestVerify:
@@ -157,6 +221,11 @@ class TestOverlap:
             root = fam.cubes[0]
             for k in range(1, 13):
                 assert overlap_level_set(fam, root, k).exact_le_bound
+
+    def test_all_k_reports_reject_k_below_one(self, unit_mesh):
+        fam = SparseFamily(unit_mesh, (0,), (ROOT,))
+        with pytest.raises(ValueError):
+            _overlap_reports(fam, ROOT, [1, 0, 2])
 
     def test_measure_matches_direct_count(self, unit_mesh):
         f = lognormal(unit_mesh, 71)
@@ -701,6 +770,12 @@ class TestCertificateOracle:
         ks = range(1, 13)
         for root in _roots(fam):
             assert [overlap_level_set(fam, root, k) for k in ks] == oracle_overlaps(fam, root, ks)
+
+    def test_all_k_reports_equal_one_k_calls(self, make):
+        fam = make()
+        ks = range(1, 13)
+        for root in _roots(fam):
+            assert _overlap_reports(fam, root, ks) == [overlap_level_set(fam, root, k) for k in ks]
 
     def test_forest_against_all_pairs(self, make):
         fam = make()
