@@ -16,7 +16,9 @@ cells per axis down to 2), then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shif
 n=1,J=1,L=5,T=0`` (restricted sparse sums on a mesh with no coarse
 padding), ``verify`` at that mesh (on shift 1 no level holds a single
 cube, so the level sweeps fold no leading level; the run exits 1, see
-``EXPECTED_EXIT``), ``sandwich`` at that mesh and at ``--mesh n=2,J=1,L=3`` (the
+``EXPECTED_EXIT``), ``verify`` at ``--mesh n=2,J=1,L=3,T=0`` (the only run
+whose 2-D grids have many cubes and no parent at the coarsest level; it
+exits 1 too), ``sandwich`` at ``n=1,J=1,L=5,T=0`` and at ``--mesh n=2,J=1,L=3`` (the
 testing roots and norm seeds of a J=1 box, with and without padding), and
 ``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
 on two fixed weight pairs (deeper stopping trees than the L=6 run, and the
@@ -57,6 +59,7 @@ RUNS = [
     ("sparse", "n=2,J=1,L=3", {}),
     ("norm", "n=1,J=1,L=5,T=0", {}),
     ("verify", "n=1,J=1,L=5,T=0", {}),
+    ("verify", "n=2,J=1,L=3,T=0", {}),
     ("sandwich", "n=1,J=1,L=5,T=0", {}),
     ("sandwich", "n=2,J=1,L=3", {}),
     *(("corona", mesh, CORONA_PAIRS) for mesh in ("n=1,J=0,L=8", "n=2,J=1,L=3")),
@@ -65,8 +68,9 @@ RUNS = [
 # (subcommand, --mesh value) -> the exit code the run must give.  With no
 # coarse padding the coarsest cubes of shift 1 have no parent to bound their
 # averages, so six built families fail the sparsity certificate (and their
-# overlap bound) and ``verify`` reports 12 failures and exits 1.
-EXPECTED_EXIT = {("verify", "n=1,J=1,L=5,T=0"): 1}
+# overlap bound) and ``verify`` reports 12 failures and exits 1; the 2-D
+# J=1 mesh without padding does the same on its shifted grids.
+EXPECTED_EXIT = {("verify", "n=1,J=1,L=5,T=0"): 1, ("verify", "n=2,J=1,L=3,T=0"): 1}
 
 
 def main() -> int:
