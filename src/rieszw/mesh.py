@@ -295,7 +295,8 @@ class Mesh:
         sizes = counts.prod(axis=1)
         starts = np.cumsum(sizes) - sizes
         # each cube's parent: the coarser level's cube over its lower corner,
-        # found as ``sparse._flat_index`` finds it, as a table position
+        # as a table position (that level's start plus the row-major offset
+        # of the cube's coordinates from the level's first cube)
         up = np.maximum(level_of - 1, 0)
         coarse = lo3 // scale[up, None]
         coarse -= offset[up]

@@ -3,9 +3,11 @@ decomposition, and Carleson-sequence checks.
 
 All measure arithmetic on unions of grid cubes is exact: cubes of one grid
 are nested or disjoint, cube corners are integer multiples of h/3, and cube
-volumes are integers in units of (h/3)^n.  The members of a family form one
-containment forest (:attr:`SparseFamily.forest`), found level by level in
-O(|S| * levels); the certificates sum integer volumes over its children and
+volumes are integers in units of (h/3)^n.  A family keeps its members'
+positions in the grid's level table; their containment forest
+(:attr:`SparseFamily.forest`) comes from one sweep down the table's parent
+positions and their candidate roots from one sweep up, each in O(table
+size).  The certificates sum integer volumes over the forest's children and
 generations instead of testing cubes pairwise, and a sparse sum is a sum
 down the chain of members over each cell centre.  The corona decomposition
 and its sigma-decay check are int arrays over the same forest indices: the
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import DyadicCube, Mesh, StepFunction
+from .mesh import DyadicCube, LevelTable, Mesh, StepFunction
 from .weights import ExponentTuple
 
 __all__ = [
@@ -49,7 +52,8 @@ def _vol3(n: int, L: int, level: int) -> int:
 
 class Forest(NamedTuple):
     """The containment forest of a family's m members, in their coarse-to-fine
-    order; index m stands for no member in ``owner`` and ``chain``."""
+    order, swept down the parents of the grid's level table; index m stands
+    for no member in ``owner`` and ``chain``."""
 
     level: np.ndarray  # (m,) int64
     lo3: np.ndarray  # (m, n) int64 lower corners, thirds of the finest cell width
@@ -81,25 +85,20 @@ class SparseFamily:
     mesh: Mesh
     shift: tuple[int, ...]
     cubes: tuple[DyadicCube, ...]
+    #: (m,) int64, read-only: each member's position in ``mesh.level_table(shift)``
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        levels = self.mesh.levels()
-        seen = set()
-        for q in self.cubes:
-            if q.shift != self.shift:
-                raise ValueError("all members must carry the family shift")
-            if q.level not in levels:
-                raise ValueError(f"cube level {q.level} outside the mesh range")
-            for m, r in zip(q.coord, self.mesh.coord_range(self.shift, q.level)):
-                if not (r.start <= m < r.stop):
-                    raise ValueError(f"cube {q} is not in the enumeration")
-            if q in seen:
-                raise ValueError(f"duplicate cube {q}")
-            seen.add(q)
-        # keep a canonical coarse-to-fine order
-        object.__setattr__(
-            self, "cubes", tuple(sorted(self.cubes, key=lambda c: (c.level, c.coord)))
-        )
+        pos = _table_positions(self.mesh, self.shift, self.cubes)
+        # keep a canonical coarse-to-fine order: table order is (level, coord) order
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        dup = order[1:][pos[1:] == pos[:-1]]
+        if len(dup):
+            raise ValueError(f"duplicate cube {self.cubes[dup.min()]}")
+        object.__setattr__(self, "cubes", tuple(map(self.cubes.__getitem__, order.tolist())))
+        pos.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
 
     def __len__(self) -> int:
         return len(self.cubes)
@@ -108,52 +107,63 @@ class SparseFamily:
     def forest(self) -> Forest:
         """The members' geometry and forest, computed once per family.
 
-        Members are level-contiguous and coordinate-sorted, so for each
-        member level k the finer members' lower corners are floored to the
-        level-k lattice and looked up among the level-k members by binary
-        search; the finest level with a hit gives the parent.  The members
-        over a cell centre form one chain, so its deepest has the largest
-        index: the owner is a running max of each level's painted indices."""
-        mesh = self.mesh
-        level = np.array([q.level for q in self.cubes], dtype=np.int64)
-        lo3, hi3 = mesh.bounds3(self.cubes)
-        m = len(level)
-        parent = np.full(m, -1, dtype=np.int64)
-        depth = np.ones(m, dtype=np.int64)
-        owner = np.full((mesh.cells_per_axis,) * mesh.n, -1, dtype=np.int64)
-        levels, starts = np.unique(level, return_index=True)
-        for k, start, stop in zip(levels.tolist(), starts.tolist(), [*starts[1:].tolist(), m]):
-            here = _flat_index(mesh, self.shift, k, lo3[start:stop])
-            there = _flat_index(mesh, self.shift, k, lo3[stop:])
-            pos = np.minimum(np.searchsorted(here, there), len(here) - 1)
-            hit = here[pos] == there
-            parent[stop:][hit] = start + pos[hit]
-            depth[stop:] += hit
-            g = mesh.grid(self.shift)[k - mesh.coarsest_level]
-            slot = np.full(math.prod(g.shape), -1, dtype=np.int64)
-            slot[here] = np.arange(start, stop)
-            np.maximum(owner, g.gather(slot), out=owner)
+        ``slot`` holds the member index at each table position, -1 elsewhere.
+        The members over a table cube form one chain, whose deepest has the
+        largest index, so one sweep down the table's parents gives each cube
+        the deepest member at or above it (``near``) and their count: a
+        running max and sum over the leading one-cube levels, which form one
+        chain, then one step from the parent per later level.  A member's
+        forest parent is ``near`` at its table parent, and a cell's owner is
+        ``near`` at the finest cube over its centre."""
+        mesh, pos = self.mesh, self.positions
+        t = mesh.level_table(self.shift)
+        m = len(pos)
+        slot = np.full(len(t.parent), -1, dtype=np.int64)
+        slot[pos] = np.arange(m)
+        near = slot.copy()  # the coarsest level has no parent: it keeps its slots
+        count = (slot >= 0).astype(np.int64)
+        head = max(t.single, 1)
+        near[:head] = np.maximum.accumulate(slot[:head])
+        count[:head] = np.cumsum(count[:head])
+        for a, b in zip(t.starts[head:].tolist(), t.ends[head:].tolist()):
+            up = t.parent[a:b]
+            near[a:b] = np.maximum(near[up], slot[a:b])
+            count[a:b] += count[up]
+        level = _table_levels(mesh, t, pos)
+        up = t.parent[pos]
+        parent = np.where(up >= 0, near[up], -1)
+        depth = count[pos]
+        owner = t.grids[-1].gather(near[t.starts[-1]:])
         owner[owner < 0] = m
         up = np.append(np.where(parent < 0, m, parent), m)
         chain = np.empty((int(depth.max(initial=1)), m + 1), dtype=np.int64)
         chain[-1] = np.arange(m + 1)
         for r in range(len(chain) - 2, -1, -1):
             chain[r] = up[chain[r + 1]]
-        out = Forest(level, lo3, hi3, np.ldexp(1.0, -mesh.n * level), parent, depth, owner, chain)
+        out = Forest(level, t.lo3[pos], t.hi3[pos], np.ldexp(1.0, -mesh.n * level),
+                     parent, depth, owner, chain)
         for x in out:
             x.setflags(write=False)
         return out
 
     @functools.cached_property
     def roots(self) -> Roots:
-        """The candidate testing roots, cut from the level tables once per
+        """The candidate testing roots, cut from the level table once per
         family: the only cubes R on which the restricted sparse operator is
-        nonzero."""
-        mesh, a = self.mesh, self.forest
-        parts = [(np.full(len(idx), g.level, dtype=np.int64), g.coords[idx], g.lo3[idx], g.hi3[idx])
-                 for g, _, idx, _ in _ancestor_levels(mesh, self.shift, a.level, a.lo3)]
-        empty = (np.zeros(0, dtype=np.int64), *(np.zeros((0, mesh.n), dtype=np.int64),) * 3)
-        out = Roots(*(np.concatenate(x) for x in zip(empty, *parts)))
+        nonzero.  The members are marked, and one sweep up the table's
+        parents, fine to coarse, marks their ancestors; the marked positions
+        are in the required order."""
+        mesh = self.mesh
+        t = mesh.level_table(self.shift)
+        mark = np.zeros(len(t.parent), dtype=bool)
+        mark[self.positions] = True
+        head = max(t.single, 1)
+        for a, b in zip(t.starts[head:][::-1].tolist(), t.ends[head:][::-1].tolist()):
+            mark[t.parent[a:b][mark[a:b]]] = True
+        # the leading one-cube levels form one chain
+        mark[: int(np.flatnonzero(mark[:head]).max(initial=-1)) + 1] = True
+        r = np.flatnonzero(mark)
+        out = Roots(_table_levels(mesh, t, r), t.coords[r], t.lo3[r], t.hi3[r])
         for x in out:
             x.setflags(write=False)
         return out
@@ -294,36 +304,68 @@ def build_sparse(
         up = t.parent[a:b]
         anc[a:b] = np.maximum(anc[up], key[up])
     member = np.flatnonzero(anc < key)  # never where avg <= 0: key is least there
-    level = np.searchsorted(t.starts, member, side="right") - 1 + mesh.coarsest_level
+    level = _table_levels(mesh, t, member)
     shift = tuple(shift)
     cubes = tuple(DyadicCube(shift, k, tuple(c))
                   for k, c in zip(level.tolist(), t.coords[member].tolist()))
     return SparseFamily(mesh, shift, cubes), domination_constant(mesh.n, alpha)
 
 
-def _flat_index(mesh: Mesh, shift, level: int, lo3: np.ndarray) -> np.ndarray:
-    """Row-major index, in ``Mesh.level_cube_coords`` order, of the level
-    cube that contains each thirds-unit point of ``lo3`` (shape (m, n))."""
-    scale = 1 << (mesh.finest_exponent - level)
-    sgn = 1 if level % 2 == 0 else -1
-    coord = (lo3 // scale - sgn * np.asarray(shift, dtype=np.int64)) // 3
-    idx = np.zeros(len(coord), dtype=np.int64)
-    for axis, r in enumerate(mesh.coord_range(tuple(shift), level)):
-        idx = idx * len(r) + (coord[:, axis] - r.start)
-    return idx
+def _table_positions(mesh: Mesh, shift: tuple[int, ...], cubes: Sequence[DyadicCube]) -> np.ndarray:
+    """Each cube's position in ``mesh.level_table(shift)``, in the given
+    order: its level's start plus the row-major offset of its coordinates
+    from the level's first cube.  ``ValueError`` if a cube has another
+    shift, or names the first cube whose level or coordinates lie outside
+    the table."""
+    if set(map(attrgetter("shift"), cubes)) - {shift}:
+        raise ValueError("all members must carry the family shift")
+    t = mesh.level_table(shift)
+    m = len(cubes)
+    j = _int64(list(map(attrgetter("level"), cubes))) - mesh.coarsest_level
+    bad = np.flatnonzero((j < 0) | (j >= len(t.starts)))
+    if len(bad):
+        raise ValueError(f"cube level {cubes[bad[0]].level} outside the mesh range")
+    first = t.coords[t.starts]
+    shape = (t.coords[t.ends - 1] - first + 1)[j]
+    off = _int64(list(map(attrgetter("coord"), cubes))).reshape(m, mesh.n) - first[j]
+    bad = np.flatnonzero(np.any((off < 0) | (off >= shape), axis=1))
+    if len(bad):
+        raise ValueError(f"cube {cubes[bad[0]]} is not in the enumeration")
+    pos = off[:, 0]
+    for axis in range(1, mesh.n):
+        pos = pos * shape[:, axis] + off[:, axis]
+    return pos + t.starts[j]
 
 
-def _ancestor_levels(mesh: Mesh, shift, level: np.ndarray, lo3: np.ndarray):
-    """For grid cubes with the given levels and lower corners: per grid
-    level k, coarse to fine while some cube has level >= k, yield the level
-    table, the mask of those cubes, the sorted flat indices of their level-k
-    ancestors, and each masked cube's position among them."""
-    for g in mesh.grid(shift):
-        below = level >= g.level
-        if not below.any():
-            return
-        idx, inv = np.unique(_flat_index(mesh, shift, g.level, lo3[below]), return_inverse=True)
-        yield g, below, idx, inv
+def _int64(values: list) -> np.ndarray:
+    """Python ints as an int64 array; if one overflows, each is first
+    clipped to +-2^62, which keeps it outside every level table."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.clip(np.array(values, dtype=object), -(1 << 62), 1 << 62).astype(np.int64)
+
+
+def _table_levels(mesh: Mesh, t: LevelTable, pos: np.ndarray) -> np.ndarray:
+    """The level of the cube at each position of the level table."""
+    return np.searchsorted(t.starts, pos, side="right") - 1 + mesh.coarsest_level
+
+
+def _ancestor_levels(t: LevelTable, pos: np.ndarray) -> list:
+    """For the cubes at the given positions of a level table: per level,
+    coarse to fine while some cube is that fine, the level's grid, the mask
+    of those cubes, the sorted indices within the level of their ancestors
+    there, and each masked cube's place among them.  The ancestors come
+    from one climb up ``t.parent``, fine to coarse."""
+    j = np.searchsorted(t.starts, pos, side="right") - 1
+    cur = pos.copy()
+    out = []
+    for k in range(int(j.max(initial=-1)), -1, -1):
+        below = j >= k
+        idx, inv = np.unique(cur[below], return_inverse=True)
+        out.append((t.grids[k], below, idx - t.starts[k], inv))
+        cur[below] = t.parent[cur[below]]
+    return out[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +392,9 @@ def overlap_level_set(family: SparseFamily, root: DyadicCube, k: int) -> Overlap
 
 def _overlap_reports(family: SparseFamily, root: DyadicCube, ks) -> list[OverlapReport]:
     """``overlap_level_set(family, root, k)`` for every k of ``ks``, with
-    the members inside root and their generations there found once."""
+    the members inside root and their generations there found once: one
+    stable sort groups them by generation in member order, and one count
+    over (generation, level) gives every generation's volume."""
     if any(k < 1 for k in ks):
         raise ValueError("need k >= 1")
     mesh, a = family.mesh, family.forest
@@ -359,13 +403,21 @@ def _overlap_reports(family: SparseFamily, root: DyadicCube, ks) -> list[Overlap
     above = (a.level < root.level) & np.all(a.lo3 <= lo, axis=1) & np.all(a.hi3 >= hi, axis=1)
     inside = np.flatnonzero(family.contained_in(root))
     generation = a.depth[inside] - np.count_nonzero(above)
+    order = np.argsort(generation, kind="stable")
+    inside, generation = inside[order], generation[order]
+    width = len(mesh.levels())
+    rows = max(int(generation.max(initial=0)), max(ks, default=0) + 1) + 1
+    counts = np.bincount(generation * width + (a.level[inside] - mesh.coarsest_level),
+                         minlength=rows * width).reshape(rows, width)
+    cut = np.searchsorted(generation, np.arange(rows + 1))
     root3 = _vol3(n, L, root.level)
     cell_vol = (mesh.cell_width / 3.0) ** n
     out = []
     for k in ks:
-        idx = inside[generation == k + 1]
-        levels, counts = np.unique(a.level[idx], return_counts=True)
-        total3 = sum(c * _vol3(n, L, j) for j, c in zip(levels.tolist(), counts.tolist()))
+        idx = inside[cut[k + 1] : cut[k + 2]]
+        j = np.flatnonzero(counts[k + 1])
+        total3 = sum(c * _vol3(n, L, mesh.coarsest_level + i)
+                     for i, c in zip(j.tolist(), counts[k + 1, j].tolist()))
         out.append(OverlapReport(
             measure=total3 * cell_vol,
             bound=2.0**-k * root3 * cell_vol,
@@ -573,11 +625,10 @@ def carleson_check(
     shift = support[0][0].shift
     if any(q.shift != shift for q, _ in support):
         raise ValueError("Carleson sequence must live on a single grid")
-    level = np.array([q.level for q, _ in support])
-    lo3, _ = mesh.bounds3([q for q, _ in support])
+    pos = _table_positions(mesh, shift, [q for q, _ in support])
     weight = np.array([v for _, v in support], dtype=np.float64)
     best, witness = 0.0, None
-    for g, below, idx, inv in _ancestor_levels(mesh, shift, level, lo3):
+    for g, below, idx, inv in _ancestor_levels(mesh.level_table(shift), pos):
         # each ancestor's total is summed in support order from 0, as sum() is
         totals = np.bincount(inv, weights=weight[below])
         muR = mu.integral_box3(g.lo3[idx], g.hi3[idx])

@@ -113,6 +113,21 @@ class TestVerifyFamilies:
         assert calls == [((0,), 0.5), ((1,), 0.5)]
 
 
+class TestParentlessWarning:
+    """``verify`` and ``sparse`` name, in one stderr line, a mesh whose
+    shifted grids have parentless coarsest cubes."""
+
+    @pytest.mark.parametrize("command", ["verify", "sparse"])
+    @pytest.mark.parametrize("mesh, lines", [("n=1,J=1,L=4,T=0", 1), ("n=2,J=0,L=2,T=0", 1),
+                                             ("n=1,J=1,L=4", 0)])
+    def test_one_line(self, tmp_path, capsys, command, mesh, lines):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL))
+        cli.main([command, "--config", str(cfg_path), "--mesh", mesh, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err.count("\n") == lines and err.count("sparsity certificate") == lines
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["constants", "sparse", "corona"])
     def test_rerun_byte_identical(self, tmp_path, command):

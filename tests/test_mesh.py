@@ -18,9 +18,9 @@ from rieszw.mesh import (
 )
 from rieszw.mesh import _box_sums, _prefix_sums
 from rieszw.operators import dyadic_riesz
-from rieszw.sparse import _flat_index, build_sparse
+from rieszw.sparse import build_sparse
 
-from conftest import lognormal
+from conftest import _flat_index, lognormal
 
 
 def lowers(cubes):

@@ -27,10 +27,10 @@ from rieszw.sparse import (
     sigma_decay_check,
     verify_sparse,
 )
-from rieszw.sparse import _certify_corona, _flat_index, _ilog_lt, _overlap_reports
+from rieszw.sparse import _certify_corona, _ilog_lt, _overlap_reports
 from rieszw.weights import ExponentTuple, fujii_wilson, generate_weight
 
-from conftest import lognormal
+from conftest import _flat_index, lognormal
 
 ALPHA = 0.5
 ROOT = DyadicCube((0,), 0, (0,))
@@ -724,6 +724,62 @@ def _oracle_families():
 ORACLE_FAMILIES = _oracle_families()
 
 
+class TestConstructor:
+    """``SparseFamily(...)``: each rejected input names its first offending
+    cube, and the members come out in canonical (level, coord) order."""
+
+    def test_wrong_shift(self, unit_mesh):
+        with pytest.raises(ValueError, match="all members must carry the family shift"):
+            SparseFamily(unit_mesh, (1,), (DyadicCube((1,), 2, (1,)), ROOT))
+
+    @pytest.mark.parametrize("level", [-41, 7, 12, -(10**20), 10**20])
+    def test_level_outside_mesh(self, unit_mesh, level):
+        assert level not in unit_mesh.levels()
+        cubes = (DyadicCube((0,), 3, (2,)), DyadicCube((0,), level, (0,)), DyadicCube((0,), 50, (0,)))
+        with pytest.raises(ValueError, match=rf"^cube level {level} outside the mesh range$"):
+            SparseFamily(unit_mesh, (0,), cubes)
+
+    @pytest.mark.parametrize("coord", [-1, 8, -(10**20), 10**20])
+    def test_coordinate_out_of_range_1d(self, unit_mesh, coord):
+        bad = DyadicCube((0,), 3, (coord,))
+        cubes = (DyadicCube((0,), 1, (1,)), bad, DyadicCube((0,), 3, (9,)))
+        with pytest.raises(ValueError) as err:
+            SparseFamily(unit_mesh, (0,), cubes)
+        assert str(err.value) == f"cube {bad} is not in the enumeration"
+
+    def test_coordinate_out_of_range_on_axis_1_only(self):
+        mesh = Mesh(2, 1, 2, coarse_padding=0)
+        shift = (0, 1)
+        r0, r1 = mesh.coord_range(shift, 1)
+        bad = DyadicCube(shift, 1, (r0.stop - 1, r1.stop))
+        cubes = (DyadicCube(shift, 1, (r0.start, r1.start)), bad, DyadicCube(shift, 1, (r0.stop, r1.start)))
+        with pytest.raises(ValueError) as err:
+            SparseFamily(mesh, shift, cubes)
+        assert str(err.value) == f"cube {bad} is not in the enumeration"
+
+    def test_duplicate(self, unit_mesh):
+        a, b = DyadicCube((0,), 2, (3,)), DyadicCube((0,), 1, (0,))
+        with pytest.raises(ValueError) as err:
+            SparseFamily(unit_mesh, (0,), (a, b, ROOT, b, a))
+        assert str(err.value) == f"duplicate cube {b}"
+
+    @pytest.mark.parametrize("n, shift", [(1, (1,)), (2, (1, 0))])
+    def test_unsorted_input_comes_out_canonical(self, n, shift):
+        mesh = Mesh(n, 1, 3, coarse_padding=2)
+        cubes = enumerate_cubes(mesh, shift)
+        rng = np.random.default_rng(17)
+        picked = [cubes[i] for i in rng.permutation(len(cubes))[: len(cubes) // 2]]
+        fam = SparseFamily(mesh, shift, tuple(picked))
+        assert fam.cubes == tuple(sorted(picked, key=lambda c: (c.level, c.coord)))
+        assert SparseFamily(mesh, shift, tuple(reversed(picked))) == fam
+
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES])
+    def test_jsonable_round_trip(self, make):
+        fam = make()
+        back = SparseFamily.from_jsonable(fam.mesh, json.loads(json.dumps(fam.to_jsonable())))
+        assert back == fam and back.cubes == fam.cubes and back.shift == fam.shift
+
+
 def candidate_roots(family):
     """``SparseFamily.roots`` as cubes, in its order."""
     r = family.roots
@@ -938,3 +994,184 @@ class TestCertifyCoronaMutations:
         cd.certified = False
         cd.fracavg *= 2.0
         self._fails(cd, "fractional averages disagree with u_avg")
+
+
+# The level-by-level forest, roots, ancestor scan, Carleson check and
+# overlap reports that the level-table sweeps replaced, copied as oracles.
+
+
+def per_level_forest(family):
+    """``SparseFamily.forest`` a member level at a time: flat indices of
+    the finer members' lower corners looked up among the level's members."""
+    from rieszw.sparse import Forest
+
+    mesh, cubes = family.mesh, family.cubes
+    level = np.array([q.level for q in cubes], dtype=np.int64)
+    lo3, hi3 = mesh.bounds3(cubes)
+    m = len(level)
+    parent = np.full(m, -1, dtype=np.int64)
+    depth = np.ones(m, dtype=np.int64)
+    owner = np.full((mesh.cells_per_axis,) * mesh.n, -1, dtype=np.int64)
+    levels, starts = np.unique(level, return_index=True)
+    for k, start, stop in zip(levels.tolist(), starts.tolist(), [*starts[1:].tolist(), m]):
+        here = _flat_index(mesh, family.shift, k, lo3[start:stop])
+        there = _flat_index(mesh, family.shift, k, lo3[stop:])
+        pos = np.minimum(np.searchsorted(here, there), len(here) - 1)
+        hit = here[pos] == there
+        parent[stop:][hit] = start + pos[hit]
+        depth[stop:] += hit
+        g = mesh.grid(family.shift)[k - mesh.coarsest_level]
+        slot = np.full(math.prod(g.shape), -1, dtype=np.int64)
+        slot[here] = np.arange(start, stop)
+        np.maximum(owner, g.gather(slot), out=owner)
+    owner[owner < 0] = m
+    up = np.append(np.where(parent < 0, m, parent), m)
+    chain = np.empty((int(depth.max(initial=1)), m + 1), dtype=np.int64)
+    chain[-1] = np.arange(m + 1)
+    for r in range(len(chain) - 2, -1, -1):
+        chain[r] = up[chain[r + 1]]
+    return Forest(level, lo3, hi3, np.ldexp(1.0, -mesh.n * level), parent, depth, owner, chain)
+
+
+def per_level_ancestor_levels(mesh, shift, level, lo3):
+    for g in mesh.grid(shift):
+        below = level >= g.level
+        if not below.any():
+            return
+        idx, inv = np.unique(_flat_index(mesh, shift, g.level, lo3[below]), return_inverse=True)
+        yield g, below, idx, inv
+
+
+def per_level_roots(family):
+    """``SparseFamily.roots`` from the per-level ancestor scan."""
+    from rieszw.sparse import Roots
+
+    mesh, a = family.mesh, per_level_forest(family)
+    parts = [(np.full(len(idx), g.level, dtype=np.int64), g.coords[idx], g.lo3[idx], g.hi3[idx])
+             for g, _, idx, _ in per_level_ancestor_levels(mesh, family.shift, a.level, a.lo3)]
+    empty = (np.zeros(0, dtype=np.int64), *(np.zeros((0, mesh.n), dtype=np.int64),) * 3)
+    return Roots(*(np.concatenate(x) for x in zip(empty, *parts)))
+
+
+def per_level_carleson_check(c, mu, mesh, A=None):
+    support = [(q, v) for q, v in c.items() if v > 0.0]
+    if not support:
+        return CarlesonReport(0.0, None, None if A is None else True)
+    shift = support[0][0].shift
+    if any(q.shift != shift for q, _ in support):
+        raise ValueError("Carleson sequence must live on a single grid")
+    level = np.array([q.level for q, _ in support])
+    lo3, _ = mesh.bounds3([q for q, _ in support])
+    weight = np.array([v for _, v in support], dtype=np.float64)
+    best, witness = 0.0, None
+    for g, below, idx, inv in per_level_ancestor_levels(mesh, shift, level, lo3):
+        totals = np.bincount(inv, weights=weight[below])
+        muR = mu.integral_box3(g.lo3[idx], g.hi3[idx])
+        with np.errstate(divide="ignore"):
+            vals = np.where(muR <= 0.0, math.inf, totals / muR)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            witness = DyadicCube(shift, g.level, tuple(g.coords[idx[i]].tolist()))
+    return CarlesonReport(best, witness, None if A is None else best <= A)
+
+
+def per_k_overlap_reports(family, root, ks):
+    """``_overlap_reports`` with a mask and ``np.unique`` per k."""
+    from rieszw.sparse import _vol3 as vol3
+
+    if any(k < 1 for k in ks):
+        raise ValueError("need k >= 1")
+    mesh, a = family.mesh, family.forest
+    n, L = mesh.n, mesh.finest_exponent
+    lo, hi = root.bounds3(L)
+    above = (a.level < root.level) & np.all(a.lo3 <= lo, axis=1) & np.all(a.hi3 >= hi, axis=1)
+    inside = np.flatnonzero(family.contained_in(root))
+    generation = a.depth[inside] - np.count_nonzero(above)
+    root3 = vol3(n, L, root.level)
+    cell_vol = (mesh.cell_width / 3.0) ** n
+    out = []
+    for k in ks:
+        idx = inside[generation == k + 1]
+        levels, counts = np.unique(a.level[idx], return_counts=True)
+        total3 = sum(c * vol3(n, L, j) for j, c in zip(levels.tolist(), counts.tolist()))
+        out.append(OverlapReport(
+            measure=total3 * cell_vol,
+            bound=2.0**-k * root3 * cell_vol,
+            generation_cubes=tuple(family.cubes[i] for i in idx.tolist()),
+            exact_le_bound=(total3 << k) <= root3,
+        ))
+    return out
+
+
+def _sweep_families():
+    """(id, family factory): every ``ORACLE_FAMILIES`` entry, and on meshes
+    without coarse padding (whose shifted grids have many cubes and no
+    parent at the coarsest level) built and random-subset families, 1-D and
+    2-D J=1, one member on the coarsest level and an empty family."""
+    out = list(ORACLE_FAMILIES)
+    for n, L in ((1, 5), (2, 3)):
+        mesh = Mesh(n, 1, L, coarse_padding=0)
+        for shift in mesh.shifts()[1:]:
+            assert mesh.level_table(shift).single == 0
+            tag = f"n{n}-J1-T0-s{''.join(map(str, shift))}"
+            out.append((f"built-{tag}", lambda m=mesh, s=shift:
+                        build_sparse(lognormal(m, 90 + m.n), s, ALPHA)[0]))
+            out.append((f"subset-{tag}", lambda m=mesh, s=shift: _random_subset(m, s, 9)))
+            out.append((f"coarsest-{tag}", lambda m=mesh, s=shift: SparseFamily(
+                m, s, (DyadicCube(s, m.coarsest_level, tuple(m.grid(s)[0].coords[-1].tolist())),))))
+        out.append((f"empty-n{n}-J1-T0", lambda m=mesh: SparseFamily(m, m.shifts()[-1], ())))
+    return out
+
+
+SWEEP_FAMILIES = _sweep_families()
+
+
+def _same_arrays(got, expect):
+    """Two tuples of arrays equal field by field, dtype and shape included."""
+    assert type(got) is type(expect)
+    for x, y in zip(got, expect, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("make", [m for _, m in SWEEP_FAMILIES], ids=[i for i, _ in SWEEP_FAMILIES])
+class TestTableSweepOracle:
+    """The level-table sweeps against the level-by-level code they replaced."""
+
+    def test_positions(self, make):
+        fam = make()
+        t = fam.mesh.level_table(fam.shift)
+        assert not fam.positions.flags.writeable and fam.positions.dtype == np.int64
+        assert np.all(np.diff(fam.positions) > 0)
+        got = [DyadicCube(fam.shift, g.level, tuple(g.coords[i - a].tolist()))
+               for i in fam.positions.tolist()
+               for g, a, b in zip(t.grids, t.starts.tolist(), t.ends.tolist()) if a <= i < b]
+        assert got == list(fam.cubes)
+
+    def test_forest(self, make):
+        fam = make()
+        _same_arrays(fam.forest, per_level_forest(fam))
+
+    def test_roots(self, make):
+        fam = make()
+        _same_arrays(fam.roots, per_level_roots(fam))
+
+    def test_overlap_reports(self, make):
+        fam = make()
+        for ks in (range(1, 13), (3, 1, 1), ()):
+            for root in _roots(fam):
+                assert _overlap_reports(fam, root, ks) == per_k_overlap_reports(fam, root, ks)
+
+    def test_carleson_check(self, make):
+        fam = make()
+        mesh = fam.mesh
+        mu = lognormal(mesh, 33)
+        half = mu.values.copy()
+        half[: mesh.cells_per_axis // 2] = 0.0
+        for c in (
+            {q: float(i % 3) for i, q in enumerate(fam.cubes)},
+            {q: 1.0 + (i % 5) for i, q in enumerate(candidate_roots(fam))},
+        ):
+            for m in (mu, StepFunction(mesh, half)):
+                for A in (None, 1.0):
+                    assert carleson_check(c, m, mesh, A) == per_level_carleson_check(c, m, mesh, A)
