@@ -7,12 +7,12 @@ never claims a certified upper bound on the true operator norm.
 
 All three sandwich stages run on blocks of C-contiguous full frames, at
 most ``_FRAME_BLOCK`` entries a block, through one batched forest apply
-(``operators._sparse_sum``): the testing scan takes one cut field per
-run of root levels with the same coarser members and one row per root;
-the strong iteration runs a block of seeds in lockstep; the weak one
-streams its seeds a block at a time.  Row sums of full frames equal the
-sums of single frames bit for bit, so every value is that of one
-restricted apply per root and one seed at a time.
+(``operators._sparse_sum``): the testing scan paints a block of cut
+fields, one per run of root levels with the same coarser members, and
+takes one row per root; the strong iteration runs a block of seeds in
+lockstep; the weak one streams its seeds a block at a time.  Row sums of
+full frames equal the sums of single frames bit for bit, so every value is
+that of one restricted apply per root and one seed at a time.
 """
 
 from __future__ import annotations
@@ -129,10 +129,11 @@ def _testing_sup(
     members over a cell centre that lie in R are those of level >= k, so
     I^{S(R)} den_w there is the chain sum with the coarser members weighted
     +0.0: one cut field serves every root of its level, and the roots of
-    levels with the same coarser members share it.  Each root's terms go
-    into a full-frame row, +0.0 off its cells, and a numerator is that row's
-    sum: the sum a restricted apply per root gives, bit for bit.  Alpha and
-    each cut field are checked as ``restricted_sparse_riesz`` checks them."""
+    levels with the same coarser members share it (painted a block at a
+    time).  Each root's terms go into a full-frame row, +0.0 off its cells,
+    and a numerator is that row's sum: the sum a restricted apply per root
+    gives, bit for bit.  Alpha and each cut field are checked as
+    ``restricted_sparse_riesz`` checks them."""
     mesh, t, roots = family.mesh, family.forest, family.roots
     _check_alpha(mesh, alpha)
     dens = den_w.integral_box3(roots.lo3, roots.hi3)
@@ -140,25 +141,27 @@ def _testing_sup(
     w = _member_weights(den_w.values, alpha, family, den_w._prefixes())
     # members are sorted by level: those coarser than a root come first
     cut = np.searchsorted(t.level, roots.level[live])
-    starts = np.flatnonzero(np.diff(cut, prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(cut, prepend=-1))
+    runs = list(zip(starts.tolist(), [*starts[1:].tolist(), len(live)]))
     rows = max(1, _FRAME_BLOCK // mesh.total_cells)
     best, witness = 0.0, None
-    for a, b in zip(starts, [*starts[1:], len(live)]):
-        field = _checked(_forest_paint(np.where(np.arange(len(w)) >= cut[a], w, 0.0), family))
-        terms = field**out_exp * out_w.values
-        for c in range(a, b, rows):
-            idx = live[c : min(c + rows, b)]
-            # a root's cells are those whose centre lies in it: one index window
-            i0, i1 = mesh.center_window(roots.lo3[idx], roots.hi3[idx])
-            X = np.zeros((len(idx), *terms.shape))
-            for r, (lo, hi) in enumerate(zip(i0.tolist(), i1.tolist())):
-                win = tuple(map(slice, lo, hi))
-                X[(r, *win)] = terms[win]
-            nums = np.sum(X.reshape(len(idx), -1), axis=1) * mesh.cell_volume
-            for i, num, den in zip(idx.tolist(), nums.tolist(), dens[idx].tolist()):
-                val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
-                if val > best:
-                    best, witness = val, i
+    for r in range(0, len(runs), rows):
+        W = np.where(np.arange(len(w)) >= cut[starts[r : r + rows], None], w, 0.0)
+        fields = _checked(_forest_paint(W, family))
+        for (a, b), terms in zip(runs[r : r + rows], fields**out_exp * out_w.values):
+            for c in range(a, b, rows):
+                idx = live[c : min(c + rows, b)]
+                # a root's cells are those whose centre lies in it: one index window
+                i0, i1 = mesh.center_window(roots.lo3[idx], roots.hi3[idx])
+                X = np.zeros((len(idx), *terms.shape))
+                for j, (lo, hi) in enumerate(zip(i0.tolist(), i1.tolist())):
+                    win = tuple(map(slice, lo, hi))
+                    X[(j, *win)] = terms[win]
+                nums = np.sum(X.reshape(len(idx), -1), axis=1) * mesh.cell_volume
+                for i, num, den in zip(idx.tolist(), nums.tolist(), dens[idx].tolist()):
+                    val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
+                    if val > best:
+                        best, witness = val, i
     if witness is not None:
         level, coord = int(roots.level[witness]), tuple(roots.coords[witness].tolist())
         witness = DyadicCube(family.shift, level, coord)

@@ -23,11 +23,11 @@ Cost:
   (``Mesh.level_table``) and adds the leading one-cube levels as one
   running scalar, the value each of their paints gives every cell.
 * A sparse apply is one batched ``integral_box3`` over the members and one
-  running sum down the chains of the family's forest, read by each cell's
-  owner (``SparseFamily.forest``): no Python loop over members, and each
-  cell's sum is formed in member order, as a per-member loop forms it.
+  sum swept down the member levels of the family's forest, read by each
+  cell's owner (``SparseFamily.forest``): no Python loop over members, and
+  each cell's sum is formed in member order, as a per-member loop forms it.
   ``_sparse_sum`` applies a block of frames at once, with one box-sum call
-  and one chain sum for the block.
+  and one sweep for the block.
 * Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
   coarser padding levels repeat the covering cube's integrals over a larger
   volume, so they cannot raise the maximum.
@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import DyadicCube, Mesh, StepFunction, _box_sums, _prefix_sums
+from .mesh import DyadicCube, Mesh, StepFunction, _box_sums, _prefix_sums, _sweep
 
 __all__ = [
     "KernelMode",
@@ -142,15 +142,17 @@ def _forest_paint(w: np.ndarray, family) -> np.ndarray:
     """Member weights (..., m) painted on the cells: each cell reads the
     sum down its owner's forest chain, coarse to fine.
 
-    These are the terms of a per-member loop in its order, with an exact
-    +0.0 for a member of weight +0.0, so the sum is the loop's bit for bit.
-    ``np.take`` keeps each output row C-contiguous, so a later row sum sees
-    the same memory order as a single frame's."""
+    The sum is swept down the member levels (``mesh._sweep``): a running
+    sum over the leading chain, then each member adds its weight to its
+    parent's sum, or to the 0.0 at index m.  These are the terms of a
+    per-member loop in its order, with an exact +0.0 for a member of weight
+    +0.0, so the sum is the loop's bit for bit.  ``np.take`` keeps each
+    output row C-contiguous, so a later row sum sees the same memory order
+    as a single frame's."""
     t = family.forest
-    ext = np.zeros((*w.shape[:-1], w.shape[-1] + 1))
-    ext[..., :-1] = w
-    # accumulate adds in a fixed order; reduce may sum pairwise
-    acc = np.add.accumulate(np.take(ext, t.chain, axis=-1), axis=-2)[..., -1, :]
+    acc = np.zeros((*w.shape[:-1], w.shape[-1] + 1))
+    acc[..., :-1] = w
+    _sweep(acc, t.head, t.runs[t.head:], t.up, np.add)
     return np.take(acc, t.owner, axis=-1)
 
 

@@ -5,14 +5,12 @@ All measure arithmetic on unions of grid cubes is exact: cubes of one grid
 are nested or disjoint, cube corners are integer multiples of h/3, and cube
 volumes are integers in units of (h/3)^n.  A family keeps its members'
 positions in the grid's level table; their containment forest
-(:attr:`SparseFamily.forest`) comes from one sweep down the table's parent
-positions and their candidate roots from one sweep up, each in O(table
-size).  The certificates sum integer volumes over the forest's children and
-generations instead of testing cubes pairwise, and a sparse sum is a sum
-down the chain of members over each cell centre.  The corona decomposition
-and its sigma-decay check are int arrays over the same forest indices: the
-stopping parents and b-group generations come from climbs up
-``forest.parent``, in O(|S| * depth).
+(:attr:`SparseFamily.forest`) comes from sweeps (``mesh._sweep``) down the
+table's parent positions and their candidate roots from one sweep up.  The
+certificates sum integer volumes over the forest's children and generations
+instead of testing cubes pairwise.  A sparse sum, and the corona's stopping
+parents and generations, are sweeps down the forest's member levels; the
+corona certificate and the b-group generations climb ``forest.parent``.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import DyadicCube, LevelTable, Mesh, StepFunction
+from .mesh import DyadicCube, LevelTable, Mesh, StepFunction, _sweep
 from .weights import ExponentTuple
 
 __all__ = [
@@ -53,7 +51,9 @@ def _vol3(n: int, L: int, level: int) -> int:
 class Forest(NamedTuple):
     """The containment forest of a family's m members, in their coarse-to-fine
     order, swept down the parents of the grid's level table; index m stands
-    for no member in ``owner`` and ``chain``."""
+    for no member in ``owner`` and ``up``.  ``up``, ``head`` and ``runs``
+    lay the forest out for ``mesh._sweep``: the first ``head`` runs hold one
+    member each, each the parent of the next."""
 
     level: np.ndarray  # (m,) int64
     lo3: np.ndarray  # (m, n) int64 lower corners, thirds of the finest cell width
@@ -62,7 +62,9 @@ class Forest(NamedTuple):
     parent: np.ndarray  # (m,) int64 finest strictly containing member, -1 if maximal
     depth: np.ndarray  # (m,) int64 members containing it, itself included
     owner: np.ndarray  # cells' shape, int64: the deepest member containing the cell centre, or m
-    chain: np.ndarray  # (max depth, m + 1) int64: each member's ancestors, then itself, coarse to fine, front-padded with m
+    up: np.ndarray  # (m,) int64 parent, or m where maximal
+    head: int  # leading member levels that form one chain
+    runs: tuple[tuple[int, int], ...]  # (start, stop) of each member level, coarse to fine
 
 
 class Roots(NamedTuple):
@@ -109,40 +111,31 @@ class SparseFamily:
 
         ``slot`` holds the member index at each table position, -1 elsewhere.
         The members over a table cube form one chain, whose deepest has the
-        largest index, so one sweep down the table's parents gives each cube
-        the deepest member at or above it (``near``) and their count: a
-        running max and sum over the leading one-cube levels, which form one
-        chain, then one step from the parent per later level.  A member's
-        forest parent is ``near`` at its table parent, and a cell's owner is
-        ``near`` at the finest cube over its centre."""
+        largest index, so one max and one sum swept down the table's parents
+        (``LevelTable.sweep``) give each cube the deepest member at or above
+        it (``near``) and their count.  A member's forest parent is ``near``
+        at its table parent, and a cell's owner is ``near`` at the finest
+        cube over its centre."""
         mesh, pos = self.mesh, self.positions
         t = mesh.level_table(self.shift)
         m = len(pos)
         slot = np.full(len(t.parent), -1, dtype=np.int64)
         slot[pos] = np.arange(m)
-        near = slot.copy()  # the coarsest level has no parent: it keeps its slots
-        count = (slot >= 0).astype(np.int64)
-        head = max(t.single, 1)
-        near[:head] = np.maximum.accumulate(slot[:head])
-        count[:head] = np.cumsum(count[:head])
-        for a, b in zip(t.starts[head:].tolist(), t.ends[head:].tolist()):
-            up = t.parent[a:b]
-            near[a:b] = np.maximum(near[up], slot[a:b])
-            count[a:b] += count[up]
+        count = t.sweep((slot >= 0).astype(np.int64), np.add)
+        near = t.sweep(slot, np.maximum)
         level = _table_levels(mesh, t, pos)
         up = t.parent[pos]
         parent = np.where(up >= 0, near[up], -1)
-        depth = count[pos]
         owner = t.grids[-1].gather(near[t.starts[-1]:])
         owner[owner < 0] = m
-        up = np.append(np.where(parent < 0, m, parent), m)
-        chain = np.empty((int(depth.max(initial=1)), m + 1), dtype=np.int64)
-        chain[-1] = np.arange(m + 1)
-        for r in range(len(chain) - 2, -1, -1):
-            chain[r] = up[chain[r + 1]]
+        cuts = np.flatnonzero(np.diff(level, prepend=level[:1] - 1, append=level[-1:] + 1))
+        starts, ends = cuts[:-1], cuts[1:]
+        # the leading one-member levels whose member is the next one's parent
+        chained = (ends - starts == 1) & (parent[starts] == starts - 1)
         out = Forest(level, t.lo3[pos], t.hi3[pos], np.ldexp(1.0, -mesh.n * level),
-                     parent, depth, owner, chain)
-        for x in out:
+                     parent, count[pos], owner, np.where(parent < 0, m, parent),
+                     int(np.cumprod(chained).sum()), tuple(zip(starts.tolist(), ends.tolist())))
+        for x in out[:-2]:
             x.setflags(write=False)
         return out
 
@@ -157,12 +150,7 @@ class SparseFamily:
         t = mesh.level_table(self.shift)
         mark = np.zeros(len(t.parent), dtype=bool)
         mark[self.positions] = True
-        head = max(t.single, 1)
-        for a, b in zip(t.starts[head:][::-1].tolist(), t.ends[head:][::-1].tolist()):
-            mark[t.parent[a:b][mark[a:b]]] = True
-        # the leading one-cube levels form one chain
-        mark[: int(np.flatnonzero(mark[:head]).max(initial=-1)) + 1] = True
-        r = np.flatnonzero(mark)
+        r = np.flatnonzero(t.sweep(mark, np.logical_or, up=True))
         out = Roots(_table_levels(mesh, t, r), t.coords[r], t.lo3[r], t.hi3[r])
         for x in out:
             x.setflags(write=False)
@@ -283,9 +271,10 @@ def build_sparse(
     The slice index ``_ilog_lt(., a)`` is monotone, so the index of the
     ancestor-max average is the max of the ancestors' indices: each cube
     takes its key (its average's index, or the least int64 if the average
-    is not positive) and the max of its strict ancestors' keys, swept down
-    the parents of the grid's level table, and is a member iff the latter
-    is below the former.  The averages are one box-sum call over the table."""
+    is not positive), the max of the keys at and above each cube is swept
+    down the parents of the grid's level table, and a cube is a member iff
+    that max at its parent is below its key.  The averages are one box-sum
+    call over the table."""
     mesh = f.mesh
     if not 0.0 < alpha < mesh.n:
         raise ValueError("alpha must lie in (0, n)")
@@ -295,14 +284,8 @@ def build_sparse(
     avg = f.integral_box3(t.lo3, t.hi3) / t.volume
     pos = avg > 0.0
     key = np.where(pos, _ilog_lt(np.where(pos, avg, 1.0), 2.0 ** (mesh.n + 1)), _NO_KEY)
-    # the strict-ancestor max: a running max down the one-cube levels, which
-    # form one chain, then one step from the parent per later level
-    anc = np.full(len(key), _NO_KEY)
-    head = max(t.single, 1)
-    anc[1:head] = np.maximum.accumulate(key[: head - 1])
-    for a, b in zip(t.starts[head:].tolist(), t.ends[head:].tolist()):
-        up = t.parent[a:b]
-        anc[a:b] = np.maximum(anc[up], key[up])
+    top = t.sweep(key.copy(), np.maximum)
+    anc = np.where(t.parent >= 0, top[t.parent], _NO_KEY)  # the strict-ancestor max
     member = np.flatnonzero(anc < key)  # never where avg <= 0: key is least there
     level = _table_levels(mesh, t, member)
     shift = tuple(shift)
@@ -394,7 +377,8 @@ def _overlap_reports(family: SparseFamily, root: DyadicCube, ks) -> list[Overlap
     """``overlap_level_set(family, root, k)`` for every k of ``ks``, with
     the members inside root and their generations there found once: one
     stable sort groups them by generation in member order, and one count
-    over (generation, level) gives every generation's volume."""
+    over (generation, level) times the per-level volumes, an exact product
+    of Python ints, gives every generation's volume."""
     if any(k < 1 for k in ks):
         raise ValueError("need k >= 1")
     mesh, a = family.mesh, family.forest
@@ -409,15 +393,16 @@ def _overlap_reports(family: SparseFamily, root: DyadicCube, ks) -> list[Overlap
     rows = max(int(generation.max(initial=0)), max(ks, default=0) + 1) + 1
     counts = np.bincount(generation * width + (a.level[inside] - mesh.coarsest_level),
                          minlength=rows * width).reshape(rows, width)
+    j = np.flatnonzero(counts.any(axis=0))
+    vol3 = np.array([_vol3(n, L, mesh.coarsest_level + i) for i in j.tolist()], dtype=object)
+    totals = counts[:, j].astype(object).dot(vol3).tolist()
     cut = np.searchsorted(generation, np.arange(rows + 1))
     root3 = _vol3(n, L, root.level)
     cell_vol = (mesh.cell_width / 3.0) ** n
     out = []
     for k in ks:
         idx = inside[cut[k + 1] : cut[k + 2]]
-        j = np.flatnonzero(counts[k + 1])
-        total3 = sum(c * _vol3(n, L, mesh.coarsest_level + i)
-                     for i, c in zip(j.tolist(), counts[k + 1, j].tolist()))
+        total3 = totals[k + 1]
         out.append(OverlapReport(
             measure=total3 * cell_vol,
             bound=2.0**-k * root3 * cell_vol,
@@ -512,9 +497,10 @@ def corona_decompose(
     stopping ancestor P.  Cubes with vanishing u- or sigma-average belong
     to no slice and are counted in ``skipped``.
 
-    Members of one level are disjoint, so the stopping parents are found
-    one member level at a time, coarse to fine, by a climb up
-    ``forest.parent``: O(|S| * depth) in all."""
+    One sweep down the forest's member levels carries, for every member
+    and slice, the finest stopping member of that slice at or above it and
+    their count, in O(|S| * slices): a stopping cube's generation counts
+    the coarser stopping cubes of its slice."""
     if mode not in ("classic", "fractional"):
         raise ValueError("mode must be 'classic' or 'fractional'")
     t = family.forest
@@ -528,19 +514,24 @@ def corona_decompose(
     v = _slicing_values(exps, mode, u_avg, s_avg, vol)
     fracavg = _fractional_averages(exps, u_avg, vol)
     a = _ilog_lt(v, 2.0)
-    key = np.unique(a, return_inverse=True)[1]
-    stop_key = np.full(len(t.level), -1, dtype=np.int64)  # the slice's key at stopping members
-    up, generation = np.arange(len(index)), np.zeros(len(index), dtype=np.int64)
-    _, starts = np.unique(t.level[index], return_index=True)
-    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(index)]):
-        here = slice(start, stop)
-        # a stopping cube's generation counts the coarser stopping cubes of its slice
-        anc, generation[here] = _climb(t.parent, index[here], key[here], stop_key)
-        p = np.searchsorted(index, anc)  # the ancestor's position; unused where anc < 0
-        new = (anc < 0) | (fracavg[here] > 2.0 * fracavg[p])
-        up[here] = np.where(new, up[here], p)
-        generation[here][~new] = -1
-        stop_key[index[here][new]] = key[here][new]
+    keys, key = np.unique(a, return_inverse=True)
+    m = len(t.level)
+    frac = np.zeros(m + 1)  # by forest index; entry m stands for no member
+    frac[index] = fracavg
+    # per slice key and forest index: the finest stopping member at or above
+    # it (-1 if none), and their count; a member's own entry starts as itself
+    x = np.zeros((2, len(keys), m + 1), dtype=np.int64)
+    x[0] = -1
+    x[0, key, index] = index
+
+    def step(p, own, out):
+        stops = (own[0] >= 0) & ((p[0] < 0) | (frac[own[0]] > 2.0 * frac[p[0]]))
+        out[0], out[1] = np.where(stops, own[0], p[0]), p[1] + stops
+
+    near, count = _sweep(x, 0, t.runs, t.up, step)[:, key, index]
+    stops = near == index
+    up = np.where(stops, np.arange(len(index)), np.searchsorted(index, near))
+    generation = np.where(stops, count - 1, -1)
     b = -_ilog_lt(fracavg / fracavg[up], 2.0)
     # v(Q)^q is the slicing product per cube, so log2 of its sup over the
     # decomposed cubes bounds every slice index a from above

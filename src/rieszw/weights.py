@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .orlicz import YoungFunction, _conjugate, luxemburg_norms
 __all__ = [
     "ExponentTuple",
     "CharacteristicReport",
-    "in_box_cubes",
     "ap_constant",
     "apq_constant",
     "two_weight_ap",
@@ -125,22 +123,6 @@ class CharacteristicReport:
 #: one bisection up to this many cells, and a larger level runs alone.
 #: Batching a whole large corpus at once was slower and took more memory.
 _LUX_BATCH_CELLS = 1 << 12
-
-
-def in_box_cubes(mesh: Mesh) -> Iterator[DyadicCube]:
-    """All enumerated cubes of both shifts contained in the base box,
-    coarse to fine, aligned shift first."""
-    for shift, level, coords, _, _ in _scan_levels(mesh):
-        for c in coords.tolist():
-            yield DyadicCube(shift, level, tuple(c))
-
-
-def _scan_levels(mesh: Mesh):
-    """Per (shift, level): in-box cube coords and thirds-bounds arrays, as
-    read-only views of ``mesh.corpus``."""
-    c = mesh.corpus
-    for (shift, level), a, b in zip(c.segments, c.starts.tolist(), c.ends.tolist()):
-        yield shift, level, c.coords[a:b], c.lo3[a:b], c.hi3[a:b]
 
 
 def _per_cube(mesh: Mesh, table) -> np.ndarray:

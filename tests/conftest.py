@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rieszw.mesh import Mesh, StepFunction
+from rieszw.mesh import DyadicCube, Mesh, StepFunction
 
 
 @pytest.fixture
@@ -35,3 +35,38 @@ def _flat_index(mesh: Mesh, shift, level: int, lo3: np.ndarray) -> np.ndarray:
     for axis, r in enumerate(mesh.coord_range(tuple(shift), level)):
         idx = idx * len(r) + (coord[:, axis] - r.start)
     return idx
+
+
+# Helpers that only the tests use, kept here rather than in ``rieszw``.
+
+
+def level_bounds3(mesh: Mesh, shift, level: int):
+    """(lower, upper) thirds-corners of all level cubes meeting the box, in
+    ``Mesh.level_cube_coords`` order: the per-level scalar geometry the level
+    tables are checked against."""
+    coords = mesh.level_cube_coords(shift, level)
+    scale = 1 << (mesh.finest_exponent - level)
+    sgn = 1 if level % 2 == 0 else -1
+    lo = (3 * coords + sgn * np.asarray(shift, dtype=np.int64)) * scale
+    return lo, lo + 3 * scale
+
+
+def center_slices(mesh: Mesh, lo3, hi3) -> tuple:
+    """Index of the cells whose centre lies in the box [lo3, hi3)."""
+    return tuple(slice(*mesh.center_window(int(a), int(b))) for a, b in zip(lo3, hi3))
+
+
+def _scan_levels(mesh: Mesh):
+    """Per (shift, level) of the in-box corpus: cube coords and thirds-bounds
+    arrays, as read-only views of ``mesh.corpus``."""
+    c = mesh.corpus
+    for (shift, level), a, b in zip(c.segments, c.starts.tolist(), c.ends.tolist()):
+        yield shift, level, c.coords[a:b], c.lo3[a:b], c.hi3[a:b]
+
+
+def in_box_cubes(mesh: Mesh):
+    """All enumerated cubes of both shifts contained in the base box, coarse
+    to fine, aligned shift first."""
+    for shift, level, coords, _, _ in _scan_levels(mesh):
+        for c in coords.tolist():
+            yield DyadicCube(shift, level, tuple(c))

@@ -41,9 +41,9 @@ from rieszw.sparse import (
     overlap_level_set,
     verify_sparse,
 )
-from rieszw.weights import ExponentTuple, ap_constant, apq_constant, in_box_cubes
+from rieszw.weights import ExponentTuple, ap_constant, apq_constant
 
-from conftest import lognormal
+from conftest import in_box_cubes, lognormal
 from test_orlicz import lp_average_oracle
 
 SOB = ExponentTuple(1, 0.5, 4.0 / 3.0, 4.0)

@@ -20,7 +20,7 @@ from rieszw.mesh import _box_sums, _prefix_sums
 from rieszw.operators import dyadic_riesz
 from rieszw.sparse import build_sparse
 
-from conftest import _flat_index, lognormal
+from conftest import _flat_index, level_bounds3, lognormal
 
 
 def lowers(cubes):
@@ -278,7 +278,7 @@ class TestLevelTable:
             for g in table:
                 k = g.level
                 coords = mesh.level_cube_coords(shift, k)
-                lo3, hi3 = mesh.level_bounds3(shift, k)
+                lo3, hi3 = level_bounds3(mesh, shift, k)
                 assert np.array_equal(g.coords, coords)
                 assert np.array_equal(g.lo3, lo3) and np.array_equal(g.hi3, hi3)
                 assert g.shape == tuple(len(r) for r in mesh.coord_range(shift, k))

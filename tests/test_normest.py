@@ -20,9 +20,9 @@ from rieszw.normest import NormEstimate
 from rieszw.operators import KernelMode, _sparse_sum, restricted_sparse_riesz, riesz_reference, sparse_riesz
 from rieszw.orlicz import YoungFunction
 from rieszw.sparse import SparseFamily, build_sparse
-from rieszw.weights import ExponentTuple, _center_mask, _scan_levels
+from rieszw.weights import ExponentTuple, _center_mask
 
-from conftest import lognormal
+from conftest import _scan_levels, center_slices, lognormal
 from test_sparse import ORACLE_FAMILIES, _ancestor_at, candidate_roots
 from test_weights import in_box_cubes_with_bounds, zero_mass_weight
 
@@ -220,7 +220,7 @@ def per_cube_sawyer_testing(u, sigma, exps, mode=KernelMode.MIDPOINT):
 
     def frame_mask(lo3, hi3):
         mask = np.zeros((mesh.cells_per_axis,) * mesh.n)
-        mask[mesh.center_slices(lo3, hi3)] = 1.0
+        mask[center_slices(mesh, lo3, hi3)] = 1.0
         return mask
 
     def one_side(inner, outer, den_exp, out_exp):

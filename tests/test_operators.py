@@ -24,7 +24,7 @@ from rieszw.operators import (
 from rieszw.orlicz import YoungFunction, luxemburg_norms, orlicz_maximal
 from rieszw.sparse import SparseFamily, build_sparse
 
-from conftest import lognormal
+from conftest import center_slices, level_bounds3, lognormal
 from test_sparse import (
     ORACLE_FAMILIES,
     SWEEP_MESHES,
@@ -192,7 +192,7 @@ def loop_sparse_sum(f, alpha, cubes):
     for q in cubes:
         avg = f.cube_average(q)
         if avg > 0.0:
-            box = mesh.center_slices(*q.bounds3(mesh.finest_exponent))
+            box = center_slices(mesh, *q.bounds3(mesh.finest_exponent))
             out[box] += 2.0 ** (-q.level * alpha) * avg
     return out
 
@@ -286,11 +286,11 @@ def all_levels_sup(mesh, shifts, value):
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
     for shift in shifts:
         for k in mesh.levels():
-            lo, hi = mesh.level_bounds3(shift, k)
+            lo, hi = level_bounds3(mesh, shift, k)
             vals = value(k, lo, hi)
             for idx in range(lo.shape[0]):
                 if vals[idx] > 0.0:
-                    s = out[mesh.center_slices(lo[idx], hi[idx])]
+                    s = out[center_slices(mesh, lo[idx], hi[idx])]
                     np.maximum(s, vals[idx], out=s)
     return out
 
@@ -361,7 +361,7 @@ def loop_dyadic_riesz(f, alpha, shift):
     N = mesh.cells_per_axis
     out = np.zeros_like(f.values)
     for k in mesh.levels():
-        lo, hi = mesh.level_bounds3(shift, k)
+        lo, hi = level_bounds3(mesh, shift, k)
         avgs = f.integral_box3(lo, hi) / 2.0 ** (-k * mesh.n)
         factor = 2.0 ** (-k * alpha)
         if aligned:
@@ -377,7 +377,7 @@ def loop_dyadic_riesz(f, alpha, shift):
         for idx in range(lo.shape[0]):
             a = avgs[idx]
             if a > 0.0:
-                out[mesh.center_slices(lo[idx], hi[idx])] += factor * a
+                out[center_slices(mesh, lo[idx], hi[idx])] += factor * a
     return out
 
 
@@ -394,7 +394,7 @@ def loop_orlicz_maximal(f, phi):
             for cube, v in zip(cubes, norms):
                 if v <= 0.0:
                     continue
-                s = out[mesh.center_slices(*cube.bounds3(mesh.finest_exponent))]
+                s = out[center_slices(mesh, *cube.bounds3(mesh.finest_exponent))]
                 np.maximum(s, float(v), out=s)
     return out
 

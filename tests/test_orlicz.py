@@ -18,9 +18,8 @@ from rieszw.orlicz import (
     luxemburg_norms,
     orlicz_maximal,
 )
-from rieszw.weights import in_box_cubes
 
-from conftest import lognormal
+from conftest import in_box_cubes, lognormal
 from test_mesh import TABLE_MESHES
 
 ROOT = DyadicCube((0,), 0, (0,))

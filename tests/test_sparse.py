@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
-from rieszw.operators import compare_pointwise, dyadic_riesz, sparse_riesz
+from rieszw.operators import _forest_paint, _member_weights, compare_pointwise, dyadic_riesz, sparse_riesz
 from rieszw.sparse import (
     CarlesonReport,
     DecayReport,
@@ -844,21 +844,34 @@ class TestCertificateOracle:
         fam = make()
         mesh, t, m = fam.mesh, fam.forest, len(fam)
         assert fam.forest is t
-        assert not any(a.flags.writeable for a in t)
+        assert not any(a.flags.writeable for a in t[:-2])
         index = {q: i for i, q in enumerate(fam.cubes)}
         for cell in itertools.product(range(mesh.cells_per_axis), repeat=mesh.n):
             # the members over the cell centre, coarse to fine
             over = [index[q] for k in mesh.levels()
                     if (q := mesh.cube_containing_cell(fam.shift, k, cell)) in index]
             assert t.owner[cell] == (over[-1] if over else m)
-        assert t.chain.shape == (max(t.depth.tolist(), default=1), m + 1)
+        # the sweep layout: ``up`` is the parent or m, one run per member
+        # level, and the head is the longest leading chain of lone members
         parent = t.parent.tolist()
-        for j in range(m + 1):
+        assert t.up.tolist() == [m if p < 0 else p for p in parent]
+        assert [i for a, b in t.runs for i in range(a, b)] == list(range(m))
+        levels = [set(t.level[a:b].tolist()) for a, b in t.runs]
+        assert all(len(k) == 1 for k in levels) and sorted(min(k) for k in levels) == [min(k) for k in levels]
+        assert len(set(min(k) for k in levels)) == len(levels)
+        chained = [b - a == 1 and parent[a] == a - 1 for a, b in t.runs]
+        assert chained[: t.head] == [True] * t.head and chained[t.head : t.head + 1] != [True]
+        # each member's chain, followed up ``up`` to m: its ancestors, then
+        # itself, coarse to fine, as many as its depth
+        up = t.up.tolist()
+        for j in range(m):
             path, i = [], j
-            while 0 <= i < m:
+            while i < m:
                 path.append(i)
-                i = parent[i]
-            assert t.chain[:, j].tolist() == [m] * (len(t.chain) - len(path)) + path[::-1]
+                i = up[i]
+            assert len(path) == t.depth[j]
+            assert path[::-1] == sorted(path) and all(
+                a == b for a, b in zip(path[1:], (parent[i] for i in path)))
 
     @pytest.mark.parametrize("mode", ["classic", "fractional"])
     def test_corona_decay_and_carleson(self, make, mode):
@@ -1025,12 +1038,12 @@ def per_level_forest(family):
         slot[here] = np.arange(start, stop)
         np.maximum(owner, g.gather(slot), out=owner)
     owner[owner < 0] = m
-    up = np.append(np.where(parent < 0, m, parent), m)
-    chain = np.empty((int(depth.max(initial=1)), m + 1), dtype=np.int64)
-    chain[-1] = np.arange(m + 1)
-    for r in range(len(chain) - 2, -1, -1):
-        chain[r] = up[chain[r + 1]]
-    return Forest(level, lo3, hi3, np.ldexp(1.0, -mesh.n * level), parent, depth, owner, chain)
+    runs = tuple(zip(starts.tolist(), [*starts[1:].tolist(), m]))
+    head = 0
+    while head < len(runs) and runs[head] == (head, head + 1) and parent[head] == head - 1:
+        head += 1
+    return Forest(level, lo3, hi3, np.ldexp(1.0, -mesh.n * level), parent, depth, owner,
+                  np.where(parent < 0, m, parent), head, runs)
 
 
 def per_level_ancestor_levels(mesh, shift, level, lo3):
@@ -1128,10 +1141,14 @@ SWEEP_FAMILIES = _sweep_families()
 
 
 def _same_arrays(got, expect):
-    """Two tuples of arrays equal field by field, dtype and shape included."""
+    """Two tuples of arrays equal field by field, dtype and shape included;
+    a field that is no array is compared with ``==`` and its type."""
     assert type(got) is type(expect)
     for x, y in zip(got, expect, strict=True):
-        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        else:
+            assert type(x) is type(y) and x == y
 
 
 @pytest.mark.parametrize("make", [m for _, m in SWEEP_FAMILIES], ids=[i for i, _ in SWEEP_FAMILIES])
@@ -1175,3 +1192,97 @@ class TestTableSweepOracle:
             for m in (mu, StepFunction(mesh, half)):
                 for A in (None, 1.0):
                     assert carleson_check(c, m, mesh, A) == per_level_carleson_check(c, m, mesh, A)
+
+
+# The stopping search of ``corona_decompose`` (one climb up ``forest.parent``
+# per member level) and the chain sum of ``operators._forest_paint`` (a
+# (depth, m + 1) gather summed by ``np.add.accumulate``) that the sweeps down
+# the member levels replaced, copied as oracles.
+
+
+def climb(parent, start, key, key_at):
+    """For members with forest indices ``start``: the finest strict forest
+    ancestor i with key_at[i] == key (-1 if none) and the number of such
+    ancestors, one step up ``parent`` per round."""
+    near = np.full(len(start), -1, dtype=np.int64)
+    count = np.zeros(len(start), dtype=np.int64)
+    cur = parent[start]
+    live = np.flatnonzero(cur >= 0)
+    while len(live):
+        hit = key_at[cur[live]] == key[live]
+        count[live] += hit
+        first = live[hit & (near[live] < 0)]
+        near[first] = cur[first]
+        cur[live] = parent[cur[live]]
+        live = live[cur[live] >= 0]
+    return near, count
+
+
+def per_level_climb_stopping(family, index, a, fracavg):
+    """(up, generation, b) of ``corona_decompose`` for its decomposed
+    members, slices and fractional averages, one member level at a time."""
+    t = family.forest
+    key = np.unique(a, return_inverse=True)[1]
+    stop_key = np.full(len(t.level), -1, dtype=np.int64)  # the slice's key at stopping members
+    up, generation = np.arange(len(index)), np.zeros(len(index), dtype=np.int64)
+    _, starts = np.unique(t.level[index], return_index=True)
+    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(index)]):
+        here = slice(start, stop)
+        anc, generation[here] = climb(t.parent, index[here], key[here], stop_key)
+        p = np.searchsorted(index, anc)  # the ancestor's position; unused where anc < 0
+        new = (anc < 0) | (fracavg[here] > 2.0 * fracavg[p])
+        up[here] = np.where(new, up[here], p)
+        generation[here][~new] = -1
+        stop_key[index[here][new]] = key[here][new]
+    return up, generation, -_ilog_lt(fracavg / fracavg[up], 2.0)
+
+
+def chain_paint(w, family):
+    """Member weights (..., m) painted on the cells: every member's chain of
+    ancestors, then itself, coarse to fine and front-padded with m (weight
+    0.0), summed down the chain by one ``np.add.accumulate``."""
+    t = family.forest
+    m = len(t.parent)
+    up = np.append(np.where(t.parent < 0, m, t.parent), m)
+    chain = np.empty((int(t.depth.max(initial=1)), m + 1), dtype=np.int64)
+    chain[-1] = np.arange(m + 1)
+    for r in range(len(chain) - 2, -1, -1):
+        chain[r] = up[chain[r + 1]]
+    ext = np.zeros((*w.shape[:-1], m + 1))
+    ext[..., :-1] = w
+    acc = np.add.accumulate(np.take(ext, chain, axis=-1), axis=-2)[..., -1, :]
+    return np.take(acc, t.owner, axis=-1)
+
+
+@pytest.mark.parametrize("make", [m for _, m in SWEEP_FAMILIES], ids=[i for i, _ in SWEEP_FAMILIES])
+class TestMemberSweepOracle:
+    """The sweeps down the member levels against the per-level climbs and
+    the chain sum they replaced, with ``==`` (the paint through int64 views,
+    so sign bits count)."""
+
+    @pytest.mark.parametrize("mode", ["classic", "fractional"])
+    def test_corona_stopping(self, make, mode):
+        fam = make()
+        roots = _roots(fam)
+        for (exps, u, sigma), root in itertools.product(
+            _corona_inputs(fam.mesh), [roots[0], roots[len(roots) // 2], roots[-1]]
+        ):
+            cd = corona_decompose(fam, root, u, sigma, exps, mode=mode)
+            expect = per_level_climb_stopping(fam, cd.index, cd.a, cd.fracavg)
+            for got, want in zip((cd.up, cd.generation, cd.b), expect, strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [None, 1, 32, 128])
+    def test_paint(self, make, rows):
+        fam = make()
+        mesh, m = fam.mesh, len(fam)
+        rng = np.random.default_rng(61 + (rows or 0))
+        batch = () if rows is None else (rows,)
+        X = np.exp(rng.standard_normal((*batch, *(mesh.cells_per_axis,) * mesh.n)))
+        w = _member_weights(X, ALPHA, fam)
+        # +0.0 weights, as members below a testing cut or outside a root get
+        cut = rng.integers(0, m + 1, size=(*batch, 1))
+        w = np.where((np.arange(m) >= cut) & (rng.random(w.shape) < 0.8), w, 0.0)
+        got, want = _forest_paint(w, fam), chain_paint(w, fam)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

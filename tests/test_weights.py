@@ -24,9 +24,9 @@ from rieszw.weights import (
 from rieszw import weights
 from rieszw.operators import hl_maximal
 from rieszw.orlicz import _box_cells, _conjugate
-from rieszw.weights import _center_mask, _scan_levels
+from rieszw.weights import _center_mask
 
-from conftest import lognormal
+from conftest import _scan_levels, center_slices, lognormal
 from test_orlicz import oracle_luxemburg_norms, parent_luxemburg_batch
 
 
@@ -229,7 +229,7 @@ class TestFujiiWilsonOracle:
 def frame_mask(mesh, lo3, hi3):
     """1.0 on the cells whose centre lies in one box, as a full frame."""
     mask = np.zeros((mesh.cells_per_axis,) * mesh.n)
-    mask[mesh.center_slices(lo3, hi3)] = 1.0
+    mask[center_slices(mesh, lo3, hi3)] = 1.0
     return mask
 
 
