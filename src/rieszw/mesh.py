@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "Corpus",
     "DyadicCube",
-    "LevelGrid",
     "LevelTable",
     "Mesh",
     "StepFunction",
@@ -114,35 +113,27 @@ class DyadicCube:
         return all(a < d and c < b for a, b, c, d in zip(lo_a, hi_a, lo_b, hi_b))
 
 
-class LevelGrid(NamedTuple):
-    """The cubes of one level of a shifted grid that meet the base box, in
-    ``Mesh.level_cube_coords`` (row-major) order.  Arrays are read-only."""
-
-    level: int
-    coords: np.ndarray  # (count, n) int64 integer coordinates
-    lo3: np.ndarray  # (count, n) int64 lower corners, thirds of the finest cell width
-    hi3: np.ndarray  # (count, n) int64 upper corners
-    in_box: np.ndarray  # (count,) bool: the cube lies inside the base box
-    shape: tuple[int, ...]  # cubes per axis
-    cell_cube: tuple[np.ndarray, ...]  # per axis: the cube containing each cell centre
-
-    def gather(self, values: np.ndarray) -> np.ndarray:
-        """Per-cube values painted on the cells: each cell takes the value
-        of the one cube of the level that contains its centre."""
-        return values.reshape(self.shape)[np.ix_(*self.cell_cube)]
-
-
 class LevelTable(NamedTuple):
-    """The cubes of every level of one shifted grid as one table, coarse to
-    fine and in ``LevelGrid`` order within a level.  Each entry of ``grids``
-    is a view of the whole arrays.  Arrays are read-only."""
+    """The cubes of every level of one shifted grid that meet the base box,
+    as one table: coarse to fine, and row-major in coordinates
+    (``Mesh.level_cube_coords`` order) within a level.  Arrays are
+    read-only.
 
-    grids: tuple[LevelGrid, ...]  # entry ``k - coarsest_level`` is level k
+    ``parent`` links each cube to the cube one level coarser that contains
+    it, and ``cells`` gives each cell the finest cube over its centre, so
+    the cubes over a cell centre are the chain up ``parent`` from its
+    ``cells`` entry: a per-cube sum or maximum painted on the cells is one
+    ``sweep`` and one ``np.take(x, cells)``."""
+
     coords: np.ndarray  # (count, n) int64 integer coordinates
     lo3: np.ndarray  # (count, n) int64 lower corners, thirds of the finest cell width
     hi3: np.ndarray  # (count, n) int64 upper corners
+    level: np.ndarray  # (count,) int64 level of each cube
+    in_box: np.ndarray  # (count,) bool: the cube lies inside the base box
+    volume: np.ndarray  # (count,) 2^(-level * n)
     starts: np.ndarray  # (levels,) int64 position of each level's first cube
     parent: np.ndarray  # (count,) int64 position of the next coarser level's cube containing lo3, -1 at the coarsest level
+    cells: np.ndarray  # cells' shape, int64: position of the finest cube containing each cell centre
     single: int  # leading levels that hold one cube; every other level holds more
 
     @property
@@ -151,34 +142,29 @@ class LevelTable(NamedTuple):
         return np.append(self.starts[1:], len(self.parent))
 
     @property
-    def volume(self) -> np.ndarray:
-        """2^(-level * n), the volume of every cube of the table."""
-        levels = np.array([g.level for g in self.grids])
-        sizes = np.diff(self.ends, prepend=0)
-        return np.repeat(np.ldexp(1.0, -self.coords.shape[1] * levels), sizes)
+    def head(self) -> int:
+        """The leading positions that form one chain for ``_sweep``: the
+        one-cube levels, and at least the first cube."""
+        return max(self.single, 1)
 
-    def sweep(self, x: np.ndarray, op, up: bool = False) -> np.ndarray:
-        """``_sweep`` over the table: the one-cube levels (at least the first
-        cube) are the head and each later level is one run, so the cubes of
-        a coarsest level of many cubes keep their own values."""
-        head = max(self.single, 1)
-        runs = zip(self.starts[head:].tolist(), self.ends[head:].tolist())
-        return _sweep(x, head, list(runs), self.parent, op, up)
+    @property
+    def runs(self) -> list[tuple[int, int]]:
+        """(start, stop) of every level after the head, coarse to fine, so
+        the cubes of a coarsest level of many cubes keep their own values."""
+        return list(zip(self.starts[self.head:].tolist(), self.ends[self.head:].tolist()))
+
+    def sweep(self, x: np.ndarray, op) -> np.ndarray:
+        """``_sweep`` down the table: each cube takes op(parent's value, own
+        value), coarse to fine."""
+        return _sweep(x, self.head, self.runs, self.parent, op)
 
 
-def _sweep(x: np.ndarray, head: int, runs, parent: np.ndarray, op, up: bool = False) -> np.ndarray:
-    """Sweep ``x`` in place along its last axis over a forest laid out coarse
+def _sweep(x: np.ndarray, head: int, runs, parent: np.ndarray, op) -> np.ndarray:
+    """Sweep ``x`` in place along its last axis down a forest laid out coarse
     to fine: positions [0, head) form one chain, then each run (a, b) has its
-    parents ``parent[a:b]`` before a.  Down, each position takes op(parent's
-    value, own value, out=own value): ``op.accumulate`` over the head, then
-    one step per run (with no head, ``op`` may be any such function).  Up,
-    each parent takes op of its own and its children's values, fine to
-    coarse."""
-    if up:
-        for a, b in reversed(runs):
-            op.at(x, parent[a:b], x[a:b])
-        x[:head] = op.accumulate(x[:head][::-1])[::-1]
-        return x
+    parents ``parent[a:b]`` before a.  Each position takes op(parent's value,
+    own value, out=own value): ``op.accumulate`` over the head, then one
+    step per run (with no head, ``op`` may be any such function)."""
     if head:
         x[..., :head] = op.accumulate(x[..., :head], axis=-1)
     for a, b in runs:
@@ -191,7 +177,7 @@ class Corpus(NamedTuple):
 
     Each (shift, level) with an in-box cube is one segment; segments run
     shift by shift (``Mesh.shifts`` order) and coarse to fine, and the cubes
-    of a segment keep their ``LevelGrid`` order.  Arrays are read-only."""
+    of a segment keep their ``LevelTable`` order.  Arrays are read-only."""
 
     coords: np.ndarray  # (count, n) int64 integer coordinates
     lo3: np.ndarray  # (count, n) int64 lower corners, thirds of the finest cell width
@@ -257,7 +243,7 @@ class Mesh:
 
     @property
     def box_side(self) -> float:
-        return float(1 << self.base_exponent)
+        return 2.0**self.base_exponent
 
     @property
     def coarsest_level(self) -> int:
@@ -282,11 +268,6 @@ class Mesh:
     def _tables(self) -> dict:
         return {}
 
-    def grid(self, shift: Sequence[int]) -> tuple[LevelGrid, ...]:
-        """The per-level entries of one shifted grid's level table, coarse
-        to fine (entry ``k - coarsest_level`` is level k)."""
-        return self.level_table(shift).grids
-
     def level_table(self, shift: Sequence[int]) -> LevelTable:
         """The whole level table of one shifted grid, built on first use and
         cached on the mesh; ``ValueError`` for a shift not in ``shifts``."""
@@ -300,8 +281,8 @@ class Mesh:
 
     def _level_table(self, shift: tuple[int, ...]) -> LevelTable:
         """Every level of one grid at once: the per-level coordinate ranges
-        of ``coord_range`` as arrays, the cubes of all levels listed in one
-        unravel, and each level's entry cut from the whole table."""
+        of ``coord_range`` as arrays, and the cubes of all levels listed in
+        one unravel."""
         L = self.finest_exponent
         levels = np.arange(self.coarsest_level, L + 1)
         # Python shifts: a scale beyond int64 raises instead of wrapping
@@ -337,47 +318,39 @@ class Mesh:
         parent += starts[up]
         parent[level_of == 0] = -1
         del coarse, up
-        for a in (coords, lo3, hi3, in_box, starts, parent):
-            a.setflags(write=False)
-        # per axis, the position in its level's range of the cube over each
-        # cell centre; an axis with one cube reads the shared zero index
-        cells = np.arange(self.cells_per_axis)
-        cell_cube = []
+        # the finest cube over each cell centre: its row-major offset in the
+        # finest level, from the coordinate along each axis
+        cells = 0
         for axis, flag in enumerate(shift):
-            multi = np.flatnonzero(counts[:, axis] > 1)
-            rows = _containing_coord(cells, flag, levels[multi, None], L) - m_lo[multi, axis, None]
-            rows.setflags(write=False)
-            table = [self._cell_zeros] * len(levels)
-            for j, row in zip(multi.tolist(), rows):
-                table[j] = row
-            cell_cube.append(table)
-        grids = tuple(
-            LevelGrid(k, coords[a:b], lo3[a:b], hi3[a:b], in_box[a:b], tuple(shape),
-                      tuple(t[j] for t in cell_cube))
-            for j, (k, a, b, shape) in enumerate(
-                zip(levels.tolist(), starts.tolist(), (starts + sizes).tolist(), counts.tolist()))
-        )
-        # a level with one cube covers the box, and so does that cube's
-        # parent: the one-cube levels are the leading ones
-        return LevelTable(grids, coords, lo3, hi3, starts, parent,
-                          int(np.count_nonzero(sizes == 1)))
+            row = _containing_coord(np.arange(self.cells_per_axis), flag, L, L) - m_lo[-1, axis]
+            cells = cells * counts[-1, axis] + row.reshape((-1,) + (1,) * (self.n - 1 - axis))
+        cells += starts[-1]
+        volume = np.ldexp(1.0, -self.n * levels)[level_of]
+        level_of += self.coarsest_level  # now each cube's level
+        out = LevelTable(coords, lo3, hi3, level_of, in_box, volume, starts, parent, cells,
+                         # a level with one cube covers the box, and so does that
+                         # cube's parent: the one-cube levels are the leading ones
+                         int(np.count_nonzero(sizes == 1)))
+        for x in out[:-1]:
+            x.setflags(write=False)
+        return out
 
     @functools.cached_property
     def corpus(self) -> Corpus:
         """The in-box cubes of both shifts, cut from the level tables on
         first use and cached on the mesh."""
-        parts, segments = [], []
+        parts, segments, sizes = [], [], []
         for shift in self.shifts():
-            for g in self.grid(shift):
-                if g.in_box.any():
-                    segments.append((shift, g.level))
-                    parts.append((g.coords[g.in_box], g.lo3[g.in_box], g.hi3[g.in_box]))
-        sizes = np.array([len(c) for c, _, _ in parts], dtype=np.int64)
-        levels = np.array([k for _, k in segments], dtype=np.int64)
+            t = self.level_table(shift)
+            keep = t.in_box
+            parts.append((t.coords[keep], t.lo3[keep], t.hi3[keep], t.level[keep]))
+            levels, counts = np.unique(t.level[keep], return_counts=True)
+            segments += [(shift, k) for k in levels.tolist()]
+            sizes.append(counts)
+        sizes = np.concatenate(sizes)
         # never empty: the box itself is the aligned cube of level -J
-        coords, lo3, hi3 = (np.concatenate(a) for a in zip(*parts))
-        out = Corpus(coords, lo3, hi3, np.repeat(levels, sizes),
-                     np.cumsum(sizes) - sizes, tuple(segments))
+        coords, lo3, hi3, level = (np.concatenate(a) for a in zip(*parts))
+        out = Corpus(coords, lo3, hi3, level, np.cumsum(sizes) - sizes, tuple(segments))
         for a in out[:5]:
             a.setflags(write=False)
         return out
@@ -396,13 +369,6 @@ class Mesh:
             table.setflags(write=False)
             self._factor_tables[alpha] = table
         return table
-
-    @functools.cached_property
-    def _cell_zeros(self) -> np.ndarray:
-        """The cell-to-cube index of every axis with one cube, read-only."""
-        zeros = np.zeros(self.cells_per_axis, dtype=np.int64)
-        zeros.setflags(write=False)
-        return zeros
 
     def shifts(self) -> list[tuple[int, ...]]:
         """The 2^n grid shifts, all-zero first."""

@@ -15,13 +15,12 @@ Discretization conventions:
 
 Cost:
 
-* Per-level sweeps read the level table the mesh caches per shift
-  (``Mesh.grid``) and paint each level with one gather: every cell takes
-  the value of its level cube, so a sum gets one term per level in level
-  order, and a maximum maps values <= 0 to +0.0.  ``dyadic_riesz`` takes
-  the averages of every level in one box-sum call over the whole table
-  (``Mesh.level_table``) and adds the leading one-cube levels as one
-  running scalar, the value each of their paints gives every cell.
+* Every grid sum or maximum is a sweep down the level table the mesh
+  caches per shift (``Mesh.level_table``): one box-sum call gives the
+  values of every cube, ``LevelTable.sweep`` carries each cube's value
+  into its children, coarse to fine, and each cell reads the finest cube
+  over its centre (``np.take(x, t.cells)``).  A sum gets one term per
+  level in level order, and a maximum maps values <= 0 to +0.0.
 * A sparse apply is one batched ``integral_box3`` over the members and one
   sum swept down the member levels of the family's forest, read by each
   cell's owner (``SparseFamily.forest``): no Python loop over members, and
@@ -87,17 +86,8 @@ def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFun
     _check_alpha(mesh, alpha)
     t = mesh.level_table(shift)
     avg = f.integral_box3(t.lo3, t.hi3) / t.volume
-    fac = mesh.level_factors(alpha)
-    # a one-cube level paints one value on every cell: each cell sees the
-    # same adds in the same order from 0.0, so a scalar sum stands for them
-    s = 0.0
-    for j in range(t.single):
-        s += fac[j] * avg[j]
-    out = np.full(f.values.shape, s)
-    ends = t.ends
-    for j in range(t.single, len(t.grids)):
-        out += fac[j] * t.grids[j].gather(avg[t.starts[j] : ends[j]])
-    return StepFunction(mesh, out)
+    w = mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * avg
+    return StepFunction(mesh, np.take(t.sweep(w, np.add), t.cells))
 
 
 def sparse_riesz(f: StepFunction, alpha: float, family) -> StepFunction:
@@ -158,28 +148,30 @@ def _forest_paint(w: np.ndarray, family) -> np.ndarray:
 
 def _pointwise_sup_over_levels(mesh: Mesh, shift, per_cube_value) -> np.ndarray:
     """Max over levels of the per-cube values painted onto cells whose
-    center lies in each cube.  ``per_cube_value(level, lo, hi)`` returns the
-    value array for all level cubes.  Only ``mesh.maximal_levels`` are
-    swept, so the value of the one cube containing the box must not grow
-    when the cube is replaced by its parent: an average shrinks, and a
-    weighted fractional average stays the same."""
-    out = np.zeros((mesh.cells_per_axis,) * mesh.n)
-    levels = mesh.maximal_levels(shift)
-    for g in mesh.grid(shift)[levels.start - mesh.coarsest_level :]:
-        v = per_cube_value(g.level, g.lo3, g.hi3)
-        # values <= 0 paint +0.0, so a cell no positive value reaches stays +0.0
-        np.maximum(out, g.gather(np.where(v > 0.0, v, 0.0)), out=out)
-    return out
+    center lies in each cube.  ``per_cube_value(lo3, hi3, volume)`` returns
+    the values of the table cubes from the start of ``mesh.maximal_levels``
+    on, so the value of the one cube containing the box must not grow when
+    the cube is replaced by its parent: an average shrinks, and a weighted
+    fractional average stays the same."""
+    t = mesh.level_table(shift)
+    a = t.starts[mesh.maximal_levels(shift).start - mesh.coarsest_level]
+    v = per_cube_value(t.lo3[a:], t.hi3[a:], t.volume[a:])
+    # values <= 0, and the cubes coarser than the start, paint +0.0, so a
+    # cell no positive value reaches stays +0.0
+    x = np.zeros(len(t.parent))
+    x[a:] = np.where(v > 0.0, v, 0.0)
+    return np.take(t.sweep(x, np.maximum), t.cells)
 
 
 def hl_maximal(f: StepFunction) -> StepFunction:
     """Two-shift dyadic Hardy-Littlewood maximal function."""
     mesh = f.mesh
+
+    def value(lo, hi, vol):
+        return f.integral_box3(lo, hi) / vol
+
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
     for shift in mesh.shifts():
-        def value(k, lo, hi):
-            return f.integral_box3(lo, hi) / 2.0 ** (-k * mesh.n)
-
         np.maximum(out, _pointwise_sup_over_levels(mesh, shift, value), out=out)
     return StepFunction(mesh, out)
 
@@ -196,7 +188,7 @@ def frac_maximal_weighted(
     fmu = StepFunction(mesh, f.values * mu.values)
     expo = alpha / mesh.n - 1.0
 
-    def value(k, lo, hi):
+    def value(lo, hi, vol):
         muq = mu.integral_box3(lo, hi)
         num = fmu.integral_box3(lo, hi)
         with np.errstate(divide="ignore", invalid="ignore"):

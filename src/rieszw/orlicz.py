@@ -9,7 +9,7 @@ a sampled monotone graph for validation work.
 Luxemburg norms solve avg_Q Phi(f/lambda) = 1 by bisection at relative
 tolerance 1e-12 with a 200-iteration cap; the average is over the full cube
 volume (functions vanish outside the base box).  Cubes come as thirds-unit
-corner arrays (``LevelGrid.lo3``/``hi3``, ``Mesh.bounds3``, or a run of
+corner arrays (``LevelTable.lo3``/``hi3``, ``Mesh.bounds3``, or a run of
 ``Mesh.corpus``); the cells of a whole batch are gathered in one vectorised
 pass and every Young function, the numeric tables included, goes through
 the one batched bisection ``_kernels.luxemburg_batch``.  A batch may hold
@@ -364,11 +364,14 @@ def orlicz_maximal(f: StepFunction, phi: YoungFunction) -> StepFunction:
 
     The sweep stops at the covering level: for Q' containing Q containing
     the box, avg_{Q'} Phi(f/lambda) = (|Q|/|Q'|) avg_Q Phi(f/lambda), so
-    ||f||_{Phi,Q'} < ||f||_{Phi,Q}."""
+    ||f||_{Phi,Q'} < ||f||_{Phi,Q}.  Each level of the table is one
+    segment of the Luxemburg batch, so its norms stop as a call on that
+    level alone would."""
     mesh = f.mesh
 
-    def value(k, lo, hi):
-        return luxemburg_norms(f, lo, hi, phi)
+    def value(lo, hi, vol):
+        # the volume changes exactly where a level starts
+        return luxemburg_norms(f, lo, hi, phi, np.flatnonzero(np.diff(vol, prepend=0.0)))
 
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
     for shift in mesh.shifts():

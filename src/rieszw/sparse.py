@@ -6,7 +6,8 @@ are nested or disjoint, cube corners are integer multiples of h/3, and cube
 volumes are integers in units of (h/3)^n.  A family keeps its members'
 positions in the grid's level table; their containment forest
 (:attr:`SparseFamily.forest`) comes from sweeps (``mesh._sweep``) down the
-table's parent positions and their candidate roots from one sweep up.  The
+table's parent positions, and their candidate roots from marking the
+members' table parents level by level, fine to coarse.  The
 certificates sum integer volumes over the forest's children and generations
 instead of testing cubes pairwise.  A sparse sum, and the corona's stopping
 parents and generations, are sweeps down the forest's member levels; the
@@ -123,10 +124,10 @@ class SparseFamily:
         slot[pos] = np.arange(m)
         count = t.sweep((slot >= 0).astype(np.int64), np.add)
         near = t.sweep(slot, np.maximum)
-        level = _table_levels(mesh, t, pos)
+        level = t.level[pos]
         up = t.parent[pos]
         parent = np.where(up >= 0, near[up], -1)
-        owner = t.grids[-1].gather(near[t.starts[-1]:])
+        owner = near[t.cells]
         owner[owner < 0] = m
         cuts = np.flatnonzero(np.diff(level, prepend=level[:1] - 1, append=level[-1:] + 1))
         starts, ends = cuts[:-1], cuts[1:]
@@ -143,15 +144,18 @@ class SparseFamily:
     def roots(self) -> Roots:
         """The candidate testing roots, cut from the level table once per
         family: the only cubes R on which the restricted sparse operator is
-        nonzero.  The members are marked, and one sweep up the table's
-        parents, fine to coarse, marks their ancestors; the marked positions
-        are in the required order."""
-        mesh = self.mesh
-        t = mesh.level_table(self.shift)
+        nonzero.  The members are marked, then the table parents of the
+        marked cubes, level by level from the finest, and last the head of
+        one-cube levels above the coarsest mark; the marked positions are
+        in the required order."""
+        t = self.mesh.level_table(self.shift)
         mark = np.zeros(len(t.parent), dtype=bool)
         mark[self.positions] = True
-        r = np.flatnonzero(t.sweep(mark, np.logical_or, up=True))
-        out = Roots(_table_levels(mesh, t, r), t.coords[r], t.lo3[r], t.hi3[r])
+        for a, b in reversed(t.runs):
+            mark[t.parent[a:b][mark[a:b]]] = True
+        mark[:t.head] = np.logical_or.accumulate(mark[:t.head][::-1])[::-1]
+        r = np.flatnonzero(mark)
+        out = Roots(t.level[r], t.coords[r], t.lo3[r], t.hi3[r])
         for x in out:
             x.setflags(write=False)
         return out
@@ -287,7 +291,7 @@ def build_sparse(
     top = t.sweep(key.copy(), np.maximum)
     anc = np.where(t.parent >= 0, top[t.parent], _NO_KEY)  # the strict-ancestor max
     member = np.flatnonzero(anc < key)  # never where avg <= 0: key is least there
-    level = _table_levels(mesh, t, member)
+    level = t.level[member]
     shift = tuple(shift)
     cubes = tuple(DyadicCube(shift, k, tuple(c))
                   for k, c in zip(level.tolist(), t.coords[member].tolist()))
@@ -329,24 +333,19 @@ def _int64(values: list) -> np.ndarray:
         return np.clip(np.array(values, dtype=object), -(1 << 62), 1 << 62).astype(np.int64)
 
 
-def _table_levels(mesh: Mesh, t: LevelTable, pos: np.ndarray) -> np.ndarray:
-    """The level of the cube at each position of the level table."""
-    return np.searchsorted(t.starts, pos, side="right") - 1 + mesh.coarsest_level
-
-
 def _ancestor_levels(t: LevelTable, pos: np.ndarray) -> list:
     """For the cubes at the given positions of a level table: per level,
-    coarse to fine while some cube is that fine, the level's grid, the mask
-    of those cubes, the sorted indices within the level of their ancestors
-    there, and each masked cube's place among them.  The ancestors come
-    from one climb up ``t.parent``, fine to coarse."""
+    coarse to fine while some cube is that fine, the mask of those cubes,
+    the sorted table positions of their ancestors there, and each masked
+    cube's place among them.  The ancestors come from one climb up
+    ``t.parent``, fine to coarse."""
     j = np.searchsorted(t.starts, pos, side="right") - 1
     cur = pos.copy()
     out = []
     for k in range(int(j.max(initial=-1)), -1, -1):
         below = j >= k
         idx, inv = np.unique(cur[below], return_inverse=True)
-        out.append((t.grids[k], below, idx - t.starts[k], inv))
+        out.append((below, idx, inv))
         cur[below] = t.parent[cur[below]]
     return out[::-1]
 
@@ -619,16 +618,17 @@ def carleson_check(
     pos = _table_positions(mesh, shift, [q for q, _ in support])
     weight = np.array([v for _, v in support], dtype=np.float64)
     best, witness = 0.0, None
-    for g, below, idx, inv in _ancestor_levels(mesh.level_table(shift), pos):
+    t = mesh.level_table(shift)
+    for below, idx, inv in _ancestor_levels(t, pos):
         # each ancestor's total is summed in support order from 0, as sum() is
         totals = np.bincount(inv, weights=weight[below])
-        muR = mu.integral_box3(g.lo3[idx], g.hi3[idx])
+        muR = mu.integral_box3(t.lo3[idx], t.hi3[idx])
         with np.errstate(divide="ignore"):
             vals = np.where(muR <= 0.0, math.inf, totals / muR)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
-            witness = DyadicCube(shift, g.level, tuple(g.coords[idx[i]].tolist()))
+            witness = DyadicCube(shift, int(t.level[idx[i]]), tuple(t.coords[idx[i]].tolist()))
     return CarlesonReport(best, witness, None if A is None else best <= A)
 
 

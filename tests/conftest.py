@@ -1,3 +1,6 @@
+import math
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -70,3 +73,47 @@ def in_box_cubes(mesh: Mesh):
     for shift, level, coords, _, _ in _scan_levels(mesh):
         for c in coords.tolist():
             yield DyadicCube(shift, level, tuple(c))
+
+
+class LevelGrid(NamedTuple):
+    """The cubes of one level of a shifted grid that meet the base box, in
+    ``Mesh.level_cube_coords`` (row-major) order: the per-level view the
+    level-by-level oracles paint through."""
+
+    level: int
+    coords: np.ndarray  # (count, n) int64 integer coordinates
+    lo3: np.ndarray  # (count, n) int64 lower corners, thirds of the finest cell width
+    hi3: np.ndarray  # (count, n) int64 upper corners
+    in_box: np.ndarray  # (count,) bool: the cube lies inside the base box
+    shape: tuple[int, ...]  # cubes per axis
+    cell_cube: tuple[np.ndarray, ...]  # per axis: the cube containing each cell centre
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Per-cube values painted on the cells: each cell takes the value
+        of the one cube of the level that contains its centre."""
+        return values.reshape(self.shape)[np.ix_(*self.cell_cube)]
+
+
+def per_level_grid(mesh: Mesh, shift, level: int) -> LevelGrid:
+    """One level of a grid, built from the per-level scalar geometry."""
+    shift = tuple(shift)
+    coords = mesh.level_cube_coords(shift, level)
+    lo3, hi3 = level_bounds3(mesh, shift, level)
+    box3 = 3 * mesh.cells_per_axis
+    in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
+    shape = tuple(len(r) for r in mesh.coord_range(shift, level))
+    cell_cube = []
+    for axis, count in enumerate(shape):
+        if count == 1:
+            cell_cube.append(np.zeros(mesh.cells_per_axis, dtype=np.int64))
+            continue
+        line = np.arange(count) * math.prod(shape[axis + 1 :])
+        i0, i1 = mesh.center_window(lo3[line, axis], hi3[line, axis])
+        cell_cube.append(np.repeat(np.arange(count), np.maximum(i1 - i0, 0)))
+    return LevelGrid(level, coords, lo3, hi3, in_box, shape, tuple(cell_cube))
+
+
+def level_grids(mesh: Mesh, shift) -> tuple[LevelGrid, ...]:
+    """Every level of a grid, coarse to fine (entry ``k - coarsest_level``
+    is level k)."""
+    return tuple(per_level_grid(mesh, shift, k) for k in mesh.levels())

@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from rieszw.mesh import (
     CoveringError,
     DyadicCube,
-    LevelGrid,
     Mesh,
     StepFunction,
     covering_shifted_cube,
@@ -20,7 +18,7 @@ from rieszw.mesh import _box_sums, _prefix_sums
 from rieszw.operators import dyadic_riesz
 from rieszw.sparse import build_sparse
 
-from conftest import _flat_index, level_bounds3, lognormal
+from conftest import _flat_index, level_bounds3, level_grids, lognormal
 
 
 def lowers(cubes):
@@ -225,6 +223,12 @@ class TestCubeGeometry:
         with pytest.raises(ValueError):
             Mesh(2, 0, 11)  # 2^22 cells exceeds the dense-operator budget
 
+    def test_box_side_below_one(self):
+        # J < 0 is valid while J + L >= 0: the box is smaller than [0, 1)^n
+        assert Mesh(1, -1, 5).box_side == 0.5
+        assert Mesh(2, -3, 3).box_side == 0.125
+        assert [Mesh(1, J, 2).box_side for J in (0, 1, 4)] == [1.0, 2.0, 16.0]
+
 
 TABLE_MESHES = [
     Mesh(1, 0, 4),
@@ -238,29 +242,15 @@ TABLE_MESHES = [
 ]
 
 
-def per_level_grid(mesh, shift, level):
-    """One ``LevelGrid`` as ``Mesh.grid`` built it a level at a time."""
-    coords = mesh.level_cube_coords(shift, level)
-    scale = 1 << (mesh.finest_exponent - level)
-    sgn = 1 if level % 2 == 0 else -1
-    lo3 = (3 * coords + sgn * np.asarray(shift, dtype=np.int64)) * scale
-    hi3 = lo3 + 3 * scale
-    box3 = 3 * mesh.cells_per_axis
-    in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
-    shape = tuple(len(r) for r in mesh.coord_range(shift, level))
-    cell_cube = []
-    for axis, count in enumerate(shape):
-        if count == 1:
-            cell_cube.append(np.zeros(mesh.cells_per_axis, dtype=np.int64))
-            continue
-        line = np.arange(count) * math.prod(shape[axis + 1 :])
-        i0, i1 = mesh.center_window(lo3[line, axis], hi3[line, axis])
-        cell_cube.append(np.repeat(np.arange(count), np.maximum(i1 - i0, 0)))
-    return LevelGrid(level, coords, lo3, hi3, in_box, shape, tuple(cell_cube))
+def climb(t, pos, steps):
+    """The table position ``steps`` levels up ``t.parent`` from each of ``pos``."""
+    for _ in range(steps):
+        pos = t.parent[pos]
+    return pos
 
 
 class TestLevelTable:
-    """``Mesh.grid`` against the per-level arrays and the scalar
+    """``Mesh.level_table`` against the per-level arrays and the scalar
     ``cube_containing_cell``, at every shift and level."""
 
     @pytest.mark.parametrize(
@@ -270,27 +260,30 @@ class TestLevelTable:
     )
     def test_table_matches_scalar_geometry(self, mesh):
         N = mesh.cells_per_axis
+        L = mesh.finest_exponent
         box3 = 3 * N
         for shift in mesh.shifts():
-            table = mesh.grid(shift)
-            assert mesh.grid(list(shift)) is table
-            assert [g.level for g in table] == list(mesh.levels())
-            for g in table:
-                k = g.level
+            t = mesh.level_table(shift)
+            assert mesh.level_table(list(shift)) is t
+            assert t.level.tolist() == sorted(t.level.tolist())
+            assert np.unique(t.level).tolist() == list(mesh.levels())
+            assert t.cells.shape == (N,) * mesh.n and t.cells.dtype == np.int64
+            for k, a, b in zip(mesh.levels(), t.starts.tolist(), t.ends.tolist()):
                 coords = mesh.level_cube_coords(shift, k)
                 lo3, hi3 = level_bounds3(mesh, shift, k)
-                assert np.array_equal(g.coords, coords)
-                assert np.array_equal(g.lo3, lo3) and np.array_equal(g.hi3, hi3)
-                assert g.shape == tuple(len(r) for r in mesh.coord_range(shift, k))
+                assert np.array_equal(t.coords[a:b], coords)
+                assert np.array_equal(t.lo3[a:b], lo3) and np.array_equal(t.hi3[a:b], hi3)
+                assert np.all(t.level[a:b] == k)
                 inside = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
-                assert np.array_equal(g.in_box, inside)
-                for a in (g.coords, g.lo3, g.hi3, g.in_box, *g.cell_cube):
-                    assert not a.flags.writeable
-                assert [len(ix) for ix in g.cell_cube] == [N] * mesh.n
-                painted = g.gather(np.arange(len(coords)))
+                assert np.array_equal(t.in_box[a:b], inside)
+                assert t.volume[a:b].tolist() == [2.0 ** (-k * mesh.n)] * (b - a)
+                # the level-k cube over each cell centre, L - k steps up
+                # from the finest
+                painted = climb(t, t.cells, L - k)
+                assert np.all((a <= painted) & (painted < b))
                 for cell in itertools.product(range(N), repeat=mesh.n):
                     cube = mesh.cube_containing_cell(shift, k, cell)
-                    assert tuple(coords[painted[cell]]) == cube.coord
+                    assert tuple(t.coords[painted[cell]].tolist()) == cube.coord
 
     @pytest.mark.parametrize(
         "mesh",
@@ -298,17 +291,20 @@ class TestLevelTable:
         ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}",
     )
     def test_table_equals_per_level_builder(self, mesh):
+        L = mesh.finest_exponent
         for shift in mesh.shifts():
-            table = mesh.grid(shift)
-            assert len(table) == len(mesh.levels())
-            for g in table:
-                expect = per_level_grid(mesh, shift, g.level)
-                assert type(g.level) is int and g.level == expect.level
-                assert g.shape == expect.shape and all(type(m) is int for m in g.shape)
-                for a, b in zip((g.coords, g.lo3, g.hi3, g.in_box, *g.cell_cube),
-                                (expect.coords, expect.lo3, expect.hi3, expect.in_box, *expect.cell_cube)):
-                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-                    assert not a.flags.writeable
+            t = mesh.level_table(shift)
+            assert len(t.starts) == len(mesh.levels())
+            for g, a, b in zip(level_grids(mesh, shift), t.starts.tolist(), t.ends.tolist()):
+                for x, y in zip((t.coords[a:b], t.lo3[a:b], t.hi3[a:b], t.in_box[a:b]),
+                                (g.coords, g.lo3, g.hi3, g.in_box)):
+                    assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+                assert t.level[a:b].tolist() == [g.level] * (b - a)
+                assert t.volume[a:b].tolist() == [2.0 ** (-g.level * mesh.n)] * (b - a)
+                assert np.array_equal(climb(t, t.cells, L - g.level) - a, g.gather(np.arange(b - a)))
+            for x in (t.coords, t.lo3, t.hi3, t.level, t.in_box, t.volume, t.starts, t.parent, t.cells):
+                assert not x.flags.writeable
+            assert (t.level.dtype, t.volume.dtype) == (np.int64, np.float64)
 
     @pytest.mark.parametrize(
         "mesh",
@@ -316,27 +312,20 @@ class TestLevelTable:
         ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}",
     )
     def test_whole_table(self, mesh):
-        """The whole arrays under the level entries, each cube's parent
-        position, the volumes and the count of leading one-cube levels."""
+        """The level runs of the arrays, each cube's parent position, and
+        the count of leading one-cube levels."""
         for shift in mesh.shifts():
             t = mesh.level_table(shift)
-            assert mesh.level_table(list(shift)) is t and mesh.grid(shift) is t.grids
-            assert t.ends.tolist() == np.cumsum([len(g.coords) for g in t.grids]).tolist()
-            for a in (t.coords, t.lo3, t.hi3, t.starts, t.parent):
-                assert not a.flags.writeable
-            prev = None
-            for g, a, b in zip(t.grids, t.starts.tolist(), t.ends.tolist()):
-                for whole, part in ((t.coords, g.coords), (t.lo3, g.lo3), (t.hi3, g.hi3)):
-                    assert np.shares_memory(whole, part) and np.array_equal(whole[a:b], part)
-                if prev is None:
+            sizes = [len(mesh.level_cube_coords(shift, k)) for k in mesh.levels()]
+            assert t.ends.tolist() == np.cumsum(sizes).tolist()
+            for k, a, b in zip(mesh.levels(), t.starts.tolist(), t.ends.tolist()):
+                if k == mesh.coarsest_level:
                     assert np.all(t.parent[a:b] == -1)
                 else:
-                    expect = _flat_index(mesh, shift, prev.level, g.lo3) + t.starts[g.level - mesh.coarsest_level - 1]
+                    expect = _flat_index(mesh, shift, k - 1, t.lo3[a:b]) + t.starts[k - mesh.coarsest_level - 1]
                     assert np.array_equal(t.parent[a:b], expect)
-                    assert np.all(t.lo3[t.parent[a:b]] <= g.lo3) and np.all(g.hi3 <= t.hi3[t.parent[a:b]])
-                assert t.volume[a:b].tolist() == [2.0 ** (-g.level * mesh.n)] * (b - a)
-                prev = g
-            sizes = [len(g.coords) for g in t.grids]
+                    assert np.all(t.lo3[t.parent[a:b]] <= t.lo3[a:b])
+                    assert np.all(t.hi3[a:b] <= t.hi3[t.parent[a:b]])
             assert sizes[: t.single] == [1] * t.single and 1 not in sizes[t.single :]
 
     @pytest.mark.parametrize(
@@ -346,7 +335,8 @@ class TestLevelTable:
     )
     def test_maximal_levels_start_at_finest_one_cube_level(self, mesh):
         for shift in mesh.shifts():
-            one = [g.level for g in mesh.grid(shift) if len(g.coords) == 1]
+            sizes = np.diff(mesh.level_table(shift).ends, prepend=0).tolist()
+            one = [k for k, size in zip(mesh.levels(), sizes) if size == 1]
             expect = range(one[-1], mesh.finest_exponent + 1) if one else mesh.levels()
             assert mesh.maximal_levels(shift) == expect
 
@@ -355,7 +345,7 @@ class TestLevelTable:
         with pytest.raises(ValueError, match=r"invalid shift \(2,\)"):
             dyadic_riesz(lognormal(mesh, 1), 0.5, (2,))
         with pytest.raises(ValueError, match="invalid shift"):
-            mesh.grid((2,))
+            mesh.level_table((2,))
 
     def test_negative_flag_rejected(self):
         mesh = Mesh(1, 0, 4)
@@ -372,13 +362,6 @@ class TestLevelTable:
             build_sparse(lognormal(square, 4), (1,), 0.5)
         assert not line._tables and not square._tables
 
-    def test_single_cube_axes_share_one_array(self):
-        mesh = Mesh(2, 0, 2)
-        single = [ix for s in mesh.shifts() for g in mesh.grid(s) for ix in g.cell_cube
-                  if g.shape == (1, 1)]
-        assert len(single) > 2 and all(ix is single[0] for ix in single)
-
-
 
 class TestCorpusTable:
     """``Mesh.corpus`` against the in-box slices of the level tables."""
@@ -391,7 +374,7 @@ class TestCorpusTable:
     def test_corpus_is_the_in_box_slices(self, mesh):
         c = mesh.corpus
         assert mesh.corpus is c
-        parts = [(s, g) for s in mesh.shifts() for g in mesh.grid(s) if g.in_box.any()]
+        parts = [(s, g) for s in mesh.shifts() for g in level_grids(mesh, s) if g.in_box.any()]
         assert list(c.segments) == [(s, g.level) for s, g in parts]
         sizes = [int(g.in_box.sum()) for _, g in parts]
         assert c.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()

@@ -24,7 +24,7 @@ from rieszw.operators import (
 from rieszw.orlicz import YoungFunction, luxemburg_norms, orlicz_maximal
 from rieszw.sparse import SparseFamily, build_sparse
 
-from conftest import center_slices, level_bounds3, lognormal
+from conftest import center_slices, level_bounds3, level_grids, lognormal
 from test_sparse import (
     ORACLE_FAMILIES,
     SWEEP_MESHES,
@@ -327,14 +327,17 @@ class TestMaximalOracle:
     def test_nonpositive_values_paint_plus_zero(self, mesh):
         f = half_zero(mesh, 44)
 
-        def signed(k, lo, hi):
+        def signed(lo, hi, vol):
             # negative where the average is at most 1, and -0.0 where it is 0
-            v = f.integral_box3(lo, hi) / 2.0 ** (-k * mesh.n)
+            v = f.integral_box3(lo, hi) / vol
             return np.where(v > 1.0, v, -v)
+
+        def per_level(k, lo, hi):
+            return signed(lo, hi, 2.0 ** (-k * mesh.n))
 
         for shift in mesh.shifts():
             got = _pointwise_sup_over_levels(mesh, shift, signed)
-            assert_same_bits(got, all_levels_sup(mesh, [shift], signed))
+            assert_same_bits(got, all_levels_sup(mesh, [shift], per_level))
 
     @pytest.mark.parametrize("mesh", MAXIMAL_MESHES, ids=mesh_id)
     def test_frac_maximal_equals_all_levels(self, mesh):
@@ -404,7 +407,7 @@ def per_level_dyadic_riesz(f, alpha, shift):
     per level, added from 0.0 coarse to fine."""
     mesh = f.mesh
     out = np.zeros_like(f.values)
-    for g in mesh.grid(shift):
+    for g in level_grids(mesh, shift):
         avgs = f.integral_box3(g.lo3, g.hi3) / 2.0 ** (-g.level * mesh.n)
         out += 2.0 ** (-g.level * alpha) * g.gather(avgs)
     return out

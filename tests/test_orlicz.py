@@ -19,7 +19,7 @@ from rieszw.orlicz import (
     orlicz_maximal,
 )
 
-from conftest import in_box_cubes, lognormal
+from conftest import in_box_cubes, level_grids, lognormal
 from test_mesh import TABLE_MESHES
 
 ROOT = DyadicCube((0,), 0, (0,))
@@ -343,7 +343,7 @@ class TestBatchOracle:
         f = lognormal(mesh, 61)
         L = mesh.finest_exponent
         for shift in mesh.shifts():
-            for g in mesh.grid(shift):
+            for g in level_grids(mesh, shift):
                 expect = oracle_csr(f, [q.bounds3(L) for q in level_cubes(shift, g)])
                 assert_csr_equal(_box_cells(f, g.lo3, g.hi3), expect)
 
@@ -364,7 +364,7 @@ class TestBatchOracle:
         for mesh in (Mesh(1, 0, 3), Mesh(1, 1, 4, coarse_padding=3), Mesh(2, 0, 3, coarse_padding=2)):
             f = lognormal(mesh, 63)
             for shift in mesh.shifts():
-                for g in mesh.grid(shift):
+                for g in level_grids(mesh, shift):
                     got = luxemburg_norms(f, g.lo3, g.hi3, phi)
                     assert np.array_equal(got, oracle_luxemburg_norms(f, level_cubes(shift, g), phi))
 
@@ -374,7 +374,7 @@ class TestBatchOracle:
         for mesh in (Mesh(1, 0, 5, coarse_padding=2), Mesh(2, 0, 2, coarse_padding=1)):
             f = lognormal(mesh, 64)
             for shift in mesh.shifts():
-                for g in mesh.grid(shift):
+                for g in level_grids(mesh, shift):
                     got = luxemburg_norms(f, g.lo3, g.hi3, tab)
                     expect = [oracle_luxemburg_numeric(f, q, tab) for q in level_cubes(shift, g)]
                     for a, b in zip(got, expect):
@@ -450,9 +450,9 @@ def level_table_csr(f):
     """CSR groups of every level cube of every shift (in-box or not), with
     one segment per (shift, level)."""
     mesh = f.mesh
-    lo3 = np.concatenate([g.lo3 for s in mesh.shifts() for g in mesh.grid(s)])
-    hi3 = np.concatenate([g.hi3 for s in mesh.shifts() for g in mesh.grid(s)])
-    sizes = [len(g.lo3) for s in mesh.shifts() for g in mesh.grid(s)]
+    lo3 = np.concatenate([g.lo3 for s in mesh.shifts() for g in level_grids(mesh, s)])
+    hi3 = np.concatenate([g.hi3 for s in mesh.shifts() for g in level_grids(mesh, s)])
+    sizes = [len(g.lo3) for s in mesh.shifts() for g in level_grids(mesh, s)]
     vals, wts, indptr = _box_cells(f, lo3, hi3)
     vols = np.prod((hi3 - lo3) / 3.0 * mesh.cell_width, axis=1)
     return vals, wts, indptr, vols, (np.cumsum(sizes) - sizes).tolist()

@@ -30,7 +30,7 @@ from rieszw.sparse import (
 from rieszw.sparse import _certify_corona, _ilog_lt, _overlap_reports
 from rieszw.weights import ExponentTuple, fujii_wilson, generate_weight
 
-from conftest import _flat_index, lognormal
+from conftest import _flat_index, level_grids, lognormal, per_level_grid
 
 ALPHA = 0.5
 ROOT = DyadicCube((0,), 0, (0,))
@@ -89,7 +89,7 @@ def per_level_build_sparse(f, shift, alpha):
     a = 2.0 ** (mesh.n + 1)
     cubes = []
     prev = None  # the coarser level's averages and ancestor maxima
-    for g in mesh.grid(shift):
+    for g in level_grids(mesh, shift):
         avg = f.integral_box3(g.lo3, g.hi3) / 2.0 ** (-g.level * mesh.n)
         if prev is None:
             anc = np.zeros(len(avg))
@@ -1033,7 +1033,7 @@ def per_level_forest(family):
         hit = here[pos] == there
         parent[stop:][hit] = start + pos[hit]
         depth[stop:] += hit
-        g = mesh.grid(family.shift)[k - mesh.coarsest_level]
+        g = per_level_grid(mesh, family.shift, k)
         slot = np.full(math.prod(g.shape), -1, dtype=np.int64)
         slot[here] = np.arange(start, stop)
         np.maximum(owner, g.gather(slot), out=owner)
@@ -1047,7 +1047,7 @@ def per_level_forest(family):
 
 
 def per_level_ancestor_levels(mesh, shift, level, lo3):
-    for g in mesh.grid(shift):
+    for g in level_grids(mesh, shift):
         below = level >= g.level
         if not below.any():
             return
@@ -1132,7 +1132,7 @@ def _sweep_families():
                         build_sparse(lognormal(m, 90 + m.n), s, ALPHA)[0]))
             out.append((f"subset-{tag}", lambda m=mesh, s=shift: _random_subset(m, s, 9)))
             out.append((f"coarsest-{tag}", lambda m=mesh, s=shift: SparseFamily(
-                m, s, (DyadicCube(s, m.coarsest_level, tuple(m.grid(s)[0].coords[-1].tolist())),))))
+                m, s, (DyadicCube(s, m.coarsest_level, tuple(m.level_cube_coords(s, m.coarsest_level)[-1].tolist())),))))
         out.append((f"empty-n{n}-J1-T0", lambda m=mesh: SparseFamily(m, m.shifts()[-1], ())))
     return out
 
@@ -1160,9 +1160,10 @@ class TestTableSweepOracle:
         t = fam.mesh.level_table(fam.shift)
         assert not fam.positions.flags.writeable and fam.positions.dtype == np.int64
         assert np.all(np.diff(fam.positions) > 0)
+        grids = level_grids(fam.mesh, fam.shift)
         got = [DyadicCube(fam.shift, g.level, tuple(g.coords[i - a].tolist()))
                for i in fam.positions.tolist()
-               for g, a, b in zip(t.grids, t.starts.tolist(), t.ends.tolist()) if a <= i < b]
+               for g, a, b in zip(grids, t.starts.tolist(), t.ends.tolist()) if a <= i < b]
         assert got == list(fam.cubes)
 
     def test_forest(self, make):

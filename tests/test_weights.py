@@ -26,7 +26,7 @@ from rieszw.operators import hl_maximal
 from rieszw.orlicz import _box_cells, _conjugate
 from rieszw.weights import _center_mask
 
-from conftest import _scan_levels, center_slices, lognormal
+from conftest import _scan_levels, center_slices, level_grids, lognormal
 from test_orlicz import oracle_luxemburg_norms, parent_luxemburg_batch
 
 
@@ -352,7 +352,7 @@ def oracle_bump_constant(u, sigma, exps, phi, psi):
     mesh = u.mesh
     best, witness, count = -math.inf, None, 0
     for shift in mesh.shifts():
-        for g in mesh.grid(shift):
+        for g in level_grids(mesh, shift):
             if not g.in_box.any():
                 continue
             coords = g.coords[g.in_box]
@@ -392,7 +392,7 @@ class TestBumpOracle:
 
 def parent_scan_levels(mesh):
     for shift in mesh.shifts():
-        for g in mesh.grid(shift):
+        for g in level_grids(mesh, shift):
             if g.in_box.any():
                 yield shift, g.level, g.coords[g.in_box], g.lo3[g.in_box], g.hi3[g.in_box]
 
