@@ -6,7 +6,6 @@ import pytest
 
 from rieszw import cli
 from rieszw.cli import ExperimentConfig
-from rieszw.mesh import Mesh
 
 SMALL = {
     "L": 4,
@@ -100,7 +99,6 @@ class TestNegativeBaseExponent:
     def test_constants_on_a_half_box(self, tmp_path):
         # the box [0, 1/2) of J = -1; the default two-value weight splits
         # the box at half its side
-        assert Mesh(1, -1, 5).box_side == 0.5
         code = cli.main(["constants", "--mesh", "n=1,J=-1,L=4", "--out", str(tmp_path / "out")])
         assert code == 0
 
