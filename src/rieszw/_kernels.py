@@ -133,10 +133,6 @@ def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
         lo = np.where(moving & above, mid, lo)
         hi = np.where(moving & ~above, mid, hi)
         done = hi - lo <= LUX_RTOL * hi
-        if len(starts) == 1:
-            if np.all(done):
-                break
-            continue
         # a stopped segment stays done, so this only ever stops more
         live = ~np.logical_and.reduceat(done, starts)
         if not live.any():

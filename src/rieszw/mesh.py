@@ -209,7 +209,6 @@ class Mesh:
     base_exponent: int
     finest_exponent: int
     coarse_padding: int = DEFAULT_COARSE_PADDING
-    max_cells: int = DEFAULT_MAX_CELLS
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -218,9 +217,9 @@ class Mesh:
             raise ValueError("need J + L >= 0")
         if self.coarse_padding < 0:
             raise ValueError("coarse padding must be nonnegative")
-        if self.total_cells > self.max_cells:
+        if self.total_cells > DEFAULT_MAX_CELLS:
             raise ValueError(
-                f"mesh has {self.total_cells} cells, exceeding budget {self.max_cells}"
+                f"mesh has {self.total_cells} cells, exceeding budget {DEFAULT_MAX_CELLS}"
             )
 
     # -- basic geometry -------------------------------------------------
@@ -624,14 +623,16 @@ def _corner(pref, values, terms, batch):
             + fx * fy * values[(*batch, iv, jv)])
 
 
-def _box_sums(pref, values, lo3, hi3, batch=()) -> np.ndarray:
+def _box_sums(pref, values, lo3, hi3) -> np.ndarray:
     """Sums of the cell values over boxes [lo3, hi3), in cell volumes and
     clipped at zero, from the ``_prefix_sums`` of ``values``.  ``lo3`` and
     ``hi3`` hold one integer corner array per axis (thirds units, clamped
-    to the frame here), all broadcast together.  ``batch`` is empty for one
-    frame, an index array into the leading axis that broadcasts with the
-    corners, or ``(Ellipsis,)`` when every frame of the batch shares them."""
+    to the frame here), all broadcast together.  If ``values`` has more
+    axes than there are corner arrays, the leading ones are a batch of
+    frames that share the corners, and the sums gain those axes in front."""
     size = values.shape[-len(lo3):]
+    # an Ellipsis spans the batch axes, and indexes faster than an index array
+    batch = (Ellipsis,) if values.ndim > len(lo3) else ()
     lo = [_axis_terms(x, m) for x, m in zip(lo3, size)]
     hi = [_axis_terms(x, m) for x, m in zip(hi3, size)]
     if len(lo) == 1:

@@ -119,12 +119,8 @@ def _member_weights(values: np.ndarray, alpha: float, family, pref=None) -> np.n
     the values of f with an optional leading batch axis and, if given,
     their ``_prefix_sums``."""
     mesh, t = family.mesh, family.forest
-    n = mesh.n
-    # every frame shares the corners: an Ellipsis spans the batch axis, and
-    # indexes faster than a batch index array; one frame needs neither
-    batch = (Ellipsis,) if values.ndim > n else ()
-    pref = _prefix_sums(values, n) if pref is None else pref
-    sums = _box_sums(pref, values, list(t.lo3.T), list(t.hi3.T), batch) * mesh.cell_volume
+    pref = _prefix_sums(values, mesh.n) if pref is None else pref
+    sums = _box_sums(pref, values, list(t.lo3.T), list(t.hi3.T)) * mesh.cell_volume
     return mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * (sums / t.volume)
 
 

@@ -690,12 +690,12 @@ class DecayReport:
     skipped: int
 
 
-def sigma_decay_check(
-    cd: CoronaDecomposition,
-    sigma: StepFunction,
-    kmax: int = 10,
-) -> DecayReport:
-    """sigma(F^a_b(k,P))/sigma(P) for k = 0..kmax.
+#: The last generation k of the decay table.
+_DECAY_KMAX = 10
+
+
+def sigma_decay_check(cd: CoronaDecomposition, sigma: StepFunction) -> DecayReport:
+    """sigma(F^a_b(k,P))/sigma(P) for k = 0.._DECAY_KMAX.
 
     F^a_b(k,P) is the (k+1)-st generation union of the containment forest
     of Q^a_b(P), so sigma(F) is an exact sum of disjoint cube integrals.
@@ -714,7 +714,7 @@ def sigma_decay_check(
     gen = _climb(t.parent, index, group, group_of)[1] + 1
     # sigma(F^a_b(k, P)) for k = gen - 1, added in member order from 0.0 as
     # sum() adds the group's cubes
-    K = kmax + 1
+    K = _DECAY_KMAX + 1
     near = gen <= K
     sums = np.bincount(group[near] * K + gen[near] - 1, weights=mass[near],
                        minlength=len(groups) * K).reshape(-1, K)

@@ -224,8 +224,8 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
 
     The scan runs one corpus segment (shift, level k) at a time, as one
     batch over the centre windows of its cubes (``_window_maximal_sums``).
-    A window has 2^(L-k) cells per axis, and its maximal sweep starts one
-    level above Q, so a segment costs O(cells * (L - k + 2)) per sweep
+    A window has 2^(L-k) cells per axis, and its maximal sweep starts at
+    Q's own level, so a segment costs O(cells * (L - k + 1)) per sweep
     shift, plus one full-frame row per cube for the final sums.  The
     values, witness and count equal those of one ``hl_maximal`` on the full
     mesh per cube."""
@@ -234,12 +234,11 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
     scan = np.flatnonzero(c.level <= max_level) if max_level is not None else np.arange(len(c.level))
     wq = np.zeros(len(c.level))
     wq[scan] = w.integral_box3(c.lo3[scan], c.hi3[scan])
-    first = {t: mesh.maximal_levels(t).start for t in mesh.shifts()}
     picked, vals = [], []
     for (_, level), a, b in zip(c.segments, c.starts.tolist(), c.ends.tolist()):
         cubes = a + np.flatnonzero(wq[a:b] > 0.0)
         if len(cubes):
-            sums = _window_maximal_sums(w, level, c.lo3[cubes], c.hi3[cubes], first)
+            sums = _window_maximal_sums(w, level, c.lo3[cubes], c.hi3[cubes])
             picked.append(cubes)
             vals.append(sums * mesh.cell_volume / wq[cubes])
     if not picked:
@@ -252,23 +251,24 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
     return CharacteristicReport("A_inf' (Fujii-Wilson)", float(vals[i]), witness, len(picked))
 
 
-def _window_maximal_sums(w: StepFunction, level: int, lo3, hi3, first) -> np.ndarray:
-    """sum over the cells of M(chi_Q w), for in-box cubes Q of one level
+def _window_maximal_sums(w: StepFunction, level: int, lo3, hi3) -> np.ndarray:
+    """sum over the cells of M(chi_Q w), for in-box cubes Q of one segment
     (``lo3``/``hi3`` of shape (count, n)), equal bit for bit to the full-
-    frame sum of ``hl_maximal(w * mask_Q) * mask_Q``.  ``first`` maps each
-    grid shift to its ``Mesh.maximal_levels`` start.
+    frame sum of ``hl_maximal(w * mask_Q) * mask_Q``.
 
     * Only the centre window of Q matters, and w * chi_Q vanishes outside
       it, so the windows' prefix sums equal the full frame's there, and a
       corner outside the window may be clamped to its edge: beyond it the
       frame adds exact zeros.
-    * Each window cell overlaps Q by at least half its width per axis, so
-      int_Q w chi_Q >= 2^(-n) int w chi_Q; a cube two or more levels
-      coarser than Q then averages at most 2^(-n) times Q's own value,
-      which every window cell sees.  Each sweep starts at level k - 1.
-    * The sweep steps (shift, level) of all windows are one batch: each
-      step's cubes over a window are a run of coordinates per axis, and
-      each cube's average is formed once, as ``integral_box3`` forms it.
+    * Each sweep starts at Q's level k.  Q covers each window cell wholly,
+      or by 2/3 of its width on a shifted axis, so a level-(k-1) cube of
+      any grid (volume 2^n |Q|) averages at most (3/4)^n times Q's own
+      value, which every window cell sees.  Every grid's
+      ``Mesh.maximal_levels`` start is at most -J <= k.
+    * The windows differ by multiples of 2^(L-k) cells, which maps every
+      grid at level >= k onto itself, so one box layout, found over the
+      first window with window-relative corners, serves the whole stack;
+      each box is formed as ``integral_box3`` forms it.
     * Each window's maxima go into a zero full-frame row, so the row sum
       adds the terms of the full-frame sum in its order."""
     mesh = w.mesh
@@ -277,46 +277,42 @@ def _window_maximal_sums(w: StepFunction, level: int, lo3, hi3, first) -> np.nda
     count = len(lo3)
 
     def along(axis, x):
-        """Per-window values along one axis, shaped to broadcast into
-        (count, width, ..., width)."""
-        return x.reshape(count, *(-1 if b == axis else 1 for b in range(n)))
+        """Values along one axis (the last of ``x``), shaped to broadcast
+        into a window's (width,) * n."""
+        return x.reshape(*x.shape[:-1], *(-1 if b == axis else 1 for b in range(n)))
 
-    steps = [(t, j) for t, start in first.items() for j in range(max(level - 1, start), L + 1)]
+    steps = [(t, j) for t in mesh.shifts() for j in range(level, L + 1)]
     flags = np.array([t for t, _ in steps], dtype=np.int64)
     levels = np.array([j for _, j in steps], dtype=np.int64)
     scale = 1 << (L - levels)
     offset = (1 - 2 * (levels % 2))[:, None] * flags  # (steps, n) sign times shift flag
-    # per axis: the cell of each window position, (count, width), and per
-    # step the coordinate of the cube over it, (steps, count, width)
+    # per axis: the cells of each window, (count, width), and per step the
+    # coordinate of the cube over each cell of the first window, (steps, width)
     i0 = mesh.center_window(lo3, hi3)[0]
     cells = [i0[:, a, None] + np.arange(width) for a in range(n)]
-    coord = [_containing_coord(ix, flags[:, a, None, None], levels[:, None, None], L)
+    coord = [_containing_coord(ix[0], flags[:, a, None], levels[:, None], L)
              for a, ix in enumerate(cells)]
-    # per step and axis, the most cubes a window meets; the boxes of a step
-    # run row-major over them, each listed once for all windows
-    runs = np.stack([(m[:, :, -1] - m[:, :, 0]).max(axis=1) + 1 for m in coord], axis=1)
+    # the boxes of a step run row-major over the cubes it meets per axis,
+    # with corners relative to the window
+    runs = np.stack([m[:, -1] - m[:, 0] + 1 for m in coord], axis=1)
     step, pos = mesh.window_cells(np.zeros_like(runs), runs)
-    lo = [(3 * (m[step, :, 0].T + pos[a]) + offset[step, a]) * scale[step] - 3 * i0[:, a, None]
-          for a, m in enumerate(coord)]  # (count, boxes), relative to each window
+    lo = [(3 * (m[step, 0] + pos[a]) + offset[step, a]) * scale[step] - 3 * i0[0, a]
+          for a, m in enumerate(coord)]
     hi = [x + 3 * scale[step] for x in lo]
     window = w.values[tuple(along(a, ix) for a, ix in enumerate(cells))]
     factor = np.array([2.0 ** (-j * n) for j in levels.tolist()])
-    v = _box_sums(_prefix_sums(window, n), window, lo, hi, (np.arange(count)[:, None],))
+    v = _box_sums(_prefix_sums(window, n), window, lo, hi)
     v = v * mesh.cell_volume / factor[step]
     v = np.where(v > 0.0, v, 0.0)
     # each window cell reads its cube's box, step by step: per axis, the
     # cube's place in the run times the step's row-major stride
     boxes = runs.prod(axis=1)
     stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs
-    offsets = [(m - m[:, :, :1]) * stride[:, a, None, None] for a, m in enumerate(coord)]
-    offsets[0] += (np.cumsum(boxes) - boxes)[:, None, None]
-    rows = along(0, np.arange(count))
+    offsets = [(m - m[:, :1]) * stride[:, a, None] for a, m in enumerate(coord)]
+    offsets[0] += (np.cumsum(boxes) - boxes)[:, None]
     out = np.zeros(window.shape)
-    for s in range(len(steps)):
-        box = along(0, offsets[0][s])
-        for a in range(1, n):
-            box = box + along(a, offsets[a][s])
-        np.maximum(out, v[rows, box], out=out)
+    for box in sum(along(a, x) for a, x in enumerate(offsets)):
+        np.maximum(out, v[:, box], out=out)
     # each window's maxima in its own zero full-frame row
     flat = np.ravel_multi_index(tuple(along(a, ix) for a, ix in enumerate(cells)), (N,) * n)
     flat, out = flat.reshape(count, -1), out.reshape(count, -1)

@@ -78,6 +78,12 @@ class TestExitCodes:
         assert r.stderr.startswith("config error: ")
         assert "Traceback" not in r.stderr
 
+    def test_cell_budget_exits_2(self, tmp_path):
+        r = run_cli(tmp_path, "verify", extra=["--mesh", "n=1,J=0,L=21"])
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [
+            "config error: mesh has 2097152 cells, exceeding budget 1048576"]
+
     def test_unknown_command(self, tmp_path):
         r = run_cli(tmp_path, "frobnicate")
         assert r.returncode == 2

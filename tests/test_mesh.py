@@ -146,19 +146,20 @@ class TestStepFunction:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_batched_box_sums_equal_each_frame(self, n):
-        # a stack of frames with a leading batch axis, boxes reaching past
-        # every edge: each frame's sums are its own integral_box3's
+        # a stack of frames with a leading batch axis and one corner set for
+        # all of them, boxes reaching past every edge: each row is that
+        # frame's own integral_box3
         mesh = Mesh(n, 0, 3)
         rng = np.random.default_rng(5)
         frames = [lognormal(mesh, 40 + i) for i in range(4)]
         stack = np.stack([f.values for f in frames])
-        lo = rng.integers(-5, 24, size=(4, 30, n))
-        hi = lo + rng.integers(0, 30, size=(4, 30, n))
-        got = _box_sums(_prefix_sums(stack, n), stack, [lo[..., a] for a in range(n)],
-                        [hi[..., a] for a in range(n)], (np.arange(4)[:, None],))
+        lo = rng.integers(-5, 24, size=(30, n))
+        hi = lo + rng.integers(0, 30, size=(30, n))
+        assert (lo < 0).any() and (hi > 24).any()
+        got = _box_sums(_prefix_sums(stack, n), stack, list(lo.T), list(hi.T))
+        assert got.shape == (4, 30)
         for i, f in enumerate(frames):
-            expect = f.integral_box3(lo[i], hi[i])
-            assert np.array_equal(got[i] * mesh.cell_volume, expect)
+            assert np.array_equal(got[i] * mesh.cell_volume, f.integral_box3(lo, hi))
 
 
 CUBE1 = st.builds(
@@ -222,6 +223,12 @@ class TestCubeGeometry:
             Mesh(1, 0, -1)
         with pytest.raises(ValueError):
             Mesh(2, 0, 11)  # 2^22 cells exceeds the dense-operator budget
+
+    def test_cell_budget(self):
+        # 2^20 cells is the budget: one level finer is refused
+        assert Mesh(1, 0, 20).total_cells == 1 << 20
+        with pytest.raises(ValueError, match="exceeding budget"):
+            Mesh(1, 0, 21)
 
     def test_box_side_below_one(self):
         # J < 0 is valid while J + L >= 0: the box is smaller than [0, 1)^n

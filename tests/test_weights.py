@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszw.mesh import DyadicCube, Mesh, StepFunction
+from rieszw.mesh import DyadicCube, Mesh, StepFunction, _containing_coord
 from rieszw.orlicz import YoungFunction
 from rieszw.weights import (
     CharacteristicReport,
@@ -272,12 +274,57 @@ def boundary_cell_weight(mesh, level):
 FW_MESHES = [Mesh(n, J, L, coarse_padding=T) for n, L in ((1, 5), (2, 2)) for J in (0, 1) for T in (0, 40)]
 
 
+def mesh_id(m):
+    return f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}"
+
+
+def thirds_overlap(lo3, hi3, cells):
+    """Thirds of each cell's width, along one axis, that [lo3, hi3) covers."""
+    return np.clip(np.minimum(hi3, 3 * cells + 3) - np.maximum(lo3, 3 * cells), 0, 3)
+
+
+class TestFujiiWilsonStart:
+    """The two facts that let every window sweep of ``fujii_wilson`` start
+    at Q's own level k, for every corpus segment."""
+
+    MESHES = FW_MESHES + [Mesh(1, 1, 4, coarse_padding=0), Mesh(2, 1, 3, coarse_padding=0)]
+
+    @pytest.mark.parametrize("mesh", MESHES, ids=mesh_id)
+    def test_no_grid_starts_finer_than_q(self, mesh):
+        starts = [mesh.maximal_levels(t).start for t in mesh.shifts()]
+        for _, k in mesh.corpus.segments:
+            assert max(starts) <= k
+
+    @pytest.mark.parametrize("mesh", MESHES, ids=mesh_id)
+    def test_one_level_coarser_averages_less(self, mesh):
+        # in thirds of a cell width per axis, avg_P <= (3/4)^n avg_Q for a
+        # level-(k-1) cube P reads 2^n sum w o_P <= 3^n sum w o_Q; Q covers
+        # at least 2 thirds per axis of each window cell, so this holds term
+        # by term, and float rounding is monotone: the sums compare exactly
+        n, L = mesh.n, mesh.finest_exponent
+        c = mesh.corpus
+        for w in (lognormal(mesh, 93, scale=0.7), boundary_cell_weight(mesh, 1)):
+            for i, k in enumerate(c.level.tolist()):
+                i0, i1 = mesh.center_window(c.lo3[i], c.hi3[i])
+                cells = [np.arange(a, b) for a, b in zip(i0.tolist(), i1.tolist())]
+                oq = [thirds_overlap(c.lo3[i, a], c.hi3[i, a], x) for a, x in enumerate(cells)]
+                assert min(o.min() for o in oq) >= 2
+                vals = w.values[np.ix_(*cells)]
+                own = np.sum(vals * (3**n * functools.reduce(np.multiply.outer, oq)))
+                for t in mesh.shifts():
+                    coords = [np.unique(_containing_coord(x, t[a], k - 1, L)).tolist()
+                              for a, x in enumerate(cells)]
+                    for m in itertools.product(*coords):
+                        lo, hi = DyadicCube(t, k - 1, m).bounds3(L)
+                        op = [thirds_overlap(lo[a], hi[a], x) for a, x in enumerate(cells)]
+                        assert np.sum(vals * (2**n * functools.reduce(np.multiply.outer, op))) <= own
+
+
 class TestFujiiWilsonWindows:
     """The windowed, segment-batched ``fujii_wilson`` against one full-mesh
     ``hl_maximal`` per cube, ``==`` on value, witness and count."""
 
-    @pytest.mark.parametrize("mesh", FW_MESHES,
-                             ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}")
+    @pytest.mark.parametrize("mesh", FW_MESHES, ids=mesh_id)
     def test_equals_full_mesh_sweep(self, mesh):
         # max_level None scans the level-L cubes too: one-cell windows
         for w in (lognormal(mesh, 90, scale=0.7), zero_mass_weight(mesh, 91),
@@ -289,6 +336,14 @@ class TestFujiiWilsonWindows:
         for mesh in (Mesh(1, 0, 8), Mesh(2, 0, 4)):
             w = generate_weight(mesh, "martingale:seed=5,vol=0.5")
             assert_same_report(fujii_wilson(w, 1), hl_fujii_wilson(w, 1))
+
+    def test_many_windows_per_shifted_segment(self):
+        # up to level 3 of 2-D L=4, a shifted segment holds up to 7 x 7
+        # windows, all read through the first window's layout
+        mesh = Mesh(2, 0, 4)
+        for w in (generate_weight(mesh, "martingale:seed=7,vol=0.5"),
+                  boundary_cell_weight(mesh, 2), boundary_cell_weight(mesh, 3)):
+            assert_same_report(fujii_wilson(w, 3), hl_fujii_wilson(w, 3))
 
     @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(2, 0, 3)], ids=["n1", "n2"])
     def test_mass_in_a_boundary_cell(self, mesh):
