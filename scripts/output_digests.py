@@ -6,8 +6,11 @@ output file, so that two checkouts compare with one ``diff``.
 
 The runs are every subcommand at ``--mesh n=1,J=0,L=6``, the 1-D
 ``sandwich`` once more with ``{"bump_kind": "loglog"}`` (the only run whose
-bump constants use the loglog Young kinds) and at L=8 (its in-box corpus
-meets 4,599 cells, more than one ``bump_constant`` Luxemburg batch holds),
+bump constants use the loglog Young kinds), with ``{"p": 1.2, "q": 1.5,
+"alpha": 0.3}`` (the direct range condition of Theorem 4.1 fails, so its
+bump constant is the dual one alone and ``thm41`` writes ``"direct":
+null``) and at L=8 (its in-box corpus meets 4,599 cells, more than one
+Luxemburg bisection call holds),
 and the 2-D ``constants``, ``verify``, ``sandwich`` and ``norm`` at ``--mesh
 n=2,J=0,L=3``, ``constants`` again at ``--mesh n=2,J=1,L=4`` (with the
 default ``fw_max_level`` of 3, the ``fujii_wilson`` windows run from 32
@@ -50,6 +53,7 @@ RUNS = [
     *((cmd, "n=1,J=0,L=6", {}) for cmd in
       ("sandwich", "verify", "constants", "corona", "sparse", "norm", "exponent-fit")),
     ("sandwich", "n=1,J=0,L=6", {"bump_kind": "loglog"}),
+    ("sandwich", "n=1,J=0,L=6", {"p": 1.2, "q": 1.5, "alpha": 0.3}),
     ("sandwich", "n=1,J=0,L=8", {}),
     ("constants", "n=2,J=0,L=3", {}),
     ("constants", "n=2,J=1,L=4", {}),

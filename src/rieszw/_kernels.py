@@ -5,7 +5,9 @@ The reference apply is an exact FFT matvec: its kernel depends only on the
 cell offset, so it costs O(N^n log N) for N cells per axis rather than the
 O(cells^2) of a dense matrix.  The kernel's spectrum is kept, one per
 kernel mode.  The bisection takes groups of several levels as segments that
-stop independently.
+stop independently, and runs of cells with their own Young functions, so
+that several norms over the same cubes (``rieszw.orlicz`` packs them) share
+its rounds.
 """
 
 from __future__ import annotations
@@ -73,30 +75,35 @@ def young_eval_np(kind: int, a: float, b: float, t: np.ndarray) -> np.ndarray:
 # vols holds the full cube volume of each group.  rieszw.orlicz builds the
 # groups of a whole batch of cubes at once, row-major within each cube.
 # Every step is elementwise or a per-group bincount sum in cell order, so a
-# group's lambda does not depend on which other groups share its batch, up
-# to when the bisection stops; segments fix that point.
+# group's lambda does not depend on which other groups share its batch, or
+# which Young functions they use, up to when the bisection stops; segments
+# fix that point.
 
 LUX_RTOL = 1e-12
 LUX_MAX_ITER = 200
 
 
 def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
-    """Solve avg Phi(vals / lambda) = 1 per group, for a Young function
-    ``phi`` evaluated elementwise on arrays; returns lambda per group, 0 for
-    a group with no mass.
+    """Solve avg Phi(vals / lambda) = 1 per group; returns lambda per group,
+    0 for a group with no mass.
 
-    ``starts`` cuts the groups into consecutive non-empty segments (the
-    index of each segment's first group, increasing from 0).  A segment
-    stops bisecting once all of its groups are within ``LUX_RTOL``, which
-    is when a call on that segment alone stops, so each lambda equals that
-    call's bit for bit.  The default is one segment.
+    ``phi`` is a Young function evaluated elementwise on arrays, or a
+    sequence of runs (a, b, Phi) that give the cells a:b their own Young
+    function, in order and covering every cell.  ``starts`` cuts the groups
+    into consecutive non-empty segments (the index of each segment's first
+    group, increasing from 0).  A segment stops bisecting once all of its
+    groups are within ``LUX_RTOL``, which is when a call on that segment
+    alone stops, so each lambda equals that call's bit for bit.  The default
+    is one segment.
 
     Raises LuxemburgError when a bracket is not found in 200 doublings
-    (halvings) for some group."""
+    (halvings) for some group, or when some segment is still apart after
+    ``LUX_MAX_ITER`` bisection steps."""
     vals = np.asarray(vals, dtype=np.float64)
     wts = np.asarray(wts, dtype=np.float64)
     vols = np.asarray(vols, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.intp)
+    runs = [(0, len(vals), phi)] if callable(phi) else phi
     ngroups = len(vols)
     lam = np.zeros(ngroups)
     group_of = np.repeat(np.arange(ngroups), np.diff(indptr))
@@ -105,9 +112,15 @@ def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
     gmax = np.zeros(ngroups)
     np.maximum.at(gmax, group_of, vals)
 
+    # every round's cell terms go to one buffer, each run's to its slice
+    t = np.empty_like(vals)
+    run_views = [(t[a:b], wts[a:b], f) for a, b, f in runs]
+
     def gval(lam_arr):
-        phi_wts = phi(vals / lam_arr[group_of]) * wts
-        return np.bincount(group_of, weights=phi_wts, minlength=ngroups) / vols
+        np.divide(vals, lam_arr[group_of], out=t)
+        for t_run, w_run, f in run_views:
+            np.multiply(f(t_run), w_run, out=t_run)
+        return np.bincount(group_of, weights=t, minlength=ngroups) / vols
 
     lo = np.where(active, gmax, 1.0)
     hi = lo.copy()
@@ -138,6 +151,10 @@ def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
         if not live.any():
             break
         moving = active & live[segment_of]
+    else:
+        raise LuxemburgError(
+            f"bisection did not converge in {LUX_MAX_ITER} steps for {int(live.sum())} segment(s)"
+        )
     lam[active] = 0.5 * (lo + hi)[active]
     return lam
 

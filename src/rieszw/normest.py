@@ -33,7 +33,7 @@ from .sparse import SparseFamily
 from .weights import (
     CharacteristicReport,
     ExponentTuple,
-    bump_constant,
+    bump_constants,
     fujii_wilson,
     range_conditions,
     two_weight_ap,
@@ -583,21 +583,14 @@ def thm41_bound_check(
         )
     make = YoungFunction.log_bump if bump_kind == "log" else YoungFunction.loglog_bump
 
-    phi = make(exps.q, delta)
-    k1 = bump_constant(u, sigma, exps, phi, YoungFunction.power(exps.p_prime))
-    comps1 = {"K": k1.value}
-    if not np.isfinite(k1.value) or k1.value <= 0.0:
-        dual_ratio = BoundRatio(None, testing.dual, math.inf, comps1)
-    else:
-        dual_ratio = BoundRatio(testing.dual / k1.value, testing.dual, k1.value, comps1)
-
-    direct_ratio = None
+    pairs = [(make(exps.q, delta), YoungFunction.power(exps.p_prime))]
     if (exps.q / exps.p) * (1.0 - exps.alpha / exps.n) >= 1.0:
-        psi = make(exps.p_prime, delta)
-        k2 = bump_constant(u, sigma, exps, YoungFunction.power(exps.q), psi)
-        comps2 = {"K": k2.value}
-        if not np.isfinite(k2.value) or k2.value <= 0.0:
-            direct_ratio = BoundRatio(None, testing.direct, math.inf, comps2)
-        else:
-            direct_ratio = BoundRatio(testing.direct / k2.value, testing.direct, k2.value, comps2)
-    return dual_ratio, direct_ratio
+        pairs.append((YoungFunction.power(exps.q), make(exps.p_prime, delta)))
+
+    def ratio(test_val: float, k: CharacteristicReport) -> BoundRatio:
+        if not np.isfinite(k.value) or k.value <= 0.0:
+            return BoundRatio(None, test_val, math.inf, {"K": k.value})
+        return BoundRatio(test_val / k.value, test_val, k.value, {"K": k.value})
+
+    k = bump_constants(u, sigma, exps, pairs)
+    return ratio(testing.dual, k[0]), (ratio(testing.direct, k[1]) if len(k) > 1 else None)

@@ -13,13 +13,16 @@ corner arrays (``LevelTable.lo3``/``hi3``, ``Mesh.bounds3``, or a run of
 ``Mesh.corpus``); the cells of a whole batch are gathered in one vectorised
 pass and every Young function, the numeric tables included, goes through
 the one batched bisection ``_kernels.luxemburg_batch``.  A batch may hold
-several levels as segments, each stopping as a call on it alone would.
+several levels as segments, each stopping as a call on it alone would, and
+several (function, Young function) blocks over the same cubes, which then
+share the bisection's rounds (``_luxemburg_blocks``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,13 +67,15 @@ class YoungFunction:
     """A Young function given by a closed-form kind or a numeric table.
 
     For the closed forms ``a`` is the power exponent and ``b`` the secondary
-    parameter (scale for Power, bump exponent delta for the log kinds)."""
+    parameter (scale for Power, bump exponent delta for the log kinds).  A
+    numeric table keeps its samples as tuples of floats, so that equality
+    and the hash see them."""
 
     kind: int
     a: float = 0.0
     b: float = 0.0
-    table_t: np.ndarray | None = field(default=None, compare=False)
-    table_y: np.ndarray | None = field(default=None, compare=False)
+    table_t: tuple[float, ...] | None = None
+    table_y: tuple[float, ...] | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -112,9 +117,14 @@ class YoungFunction:
             raise ValueError("need matching 1-d sample arrays with >= 3 points")
         if ts[0] <= 0.0 or np.any(np.diff(ts) <= 0) or np.any(np.diff(ys) <= 0):
             raise ValueError("samples must be positive and strictly increasing")
-        yf = YoungFunction(_KIND_NUMERIC, 0.0, 0.0, ts, ys)
+        yf = YoungFunction(_KIND_NUMERIC, 0.0, 0.0, tuple(ts.tolist()), tuple(ys.tolist()))
         yf.check_young()
         return yf
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The numeric table's samples as arrays, built on first use."""
+        return np.asarray(self.table_t), np.asarray(self.table_y)
 
     # -- evaluation -------------------------------------------------------
 
@@ -128,17 +138,18 @@ class YoungFunction:
         t = np.asarray(t, dtype=np.float64)
         if self.kind == _KIND_NUMERIC:
             # log-log interpolation, extrapolated with the boundary slopes
+            table_t, table_y = self._tables
             lt = np.log(np.maximum(t, 1e-300))
-            ly = np.interp(lt, np.log(self.table_t), np.log(self.table_y))
-            lo, hi = np.log(self.table_t[[0, -1]])
-            sl_lo = (np.log(self.table_y[1]) - np.log(self.table_y[0])) / (
-                np.log(self.table_t[1]) - np.log(self.table_t[0])
+            ly = np.interp(lt, np.log(table_t), np.log(table_y))
+            lo, hi = np.log(table_t[[0, -1]])
+            sl_lo = (np.log(table_y[1]) - np.log(table_y[0])) / (
+                np.log(table_t[1]) - np.log(table_t[0])
             )
-            sl_hi = (np.log(self.table_y[-1]) - np.log(self.table_y[-2])) / (
-                np.log(self.table_t[-1]) - np.log(self.table_t[-2])
+            sl_hi = (np.log(table_y[-1]) - np.log(table_y[-2])) / (
+                np.log(table_t[-1]) - np.log(table_t[-2])
             )
-            ly = np.where(lt < lo, np.log(self.table_y[0]) + sl_lo * (lt - lo), ly)
-            ly = np.where(lt > hi, np.log(self.table_y[-1]) + sl_hi * (lt - hi), ly)
+            ly = np.where(lt < lo, np.log(table_y[0]) + sl_lo * (lt - lo), ly)
+            ly = np.where(lt > hi, np.log(table_y[-1]) + sl_hi * (lt - hi), ly)
             out = np.where(t > 0.0, np.exp(ly), 0.0)
             return out if out.ndim else float(out)
         out = _kernels.young_eval_np(self.kind, self.a, self.b, t)
@@ -256,24 +267,100 @@ class YoungFunction:
 # Luxemburg norms
 
 
-def _box_cells(f: StepFunction, lo3: np.ndarray, hi3: np.ndarray):
-    """CSR groups of the cells meeting each box [lo3, hi3) (thirds units,
-    shape (count, n)): cell values, overlap volumes and group pointers,
-    row-major within each box.  The boxes may be of any sizes and levels;
-    each group depends only on its own box."""
-    mesh = f.mesh
+#: Cells per bisection call in ``_luxemburg_blocks``: the units of segments
+#: up to this size share calls up to this many cells in all, and a larger
+#: segment runs alone for each block.  One call over a whole large corpus
+#: was slower and took more memory.
+_LUX_BATCH_CELLS = 1 << 12
+
+
+def _box_window(mesh, lo3: np.ndarray, hi3: np.ndarray):
+    """Each box [lo3, hi3) clipped to the base box, as thirds corners (a,
+    b), and the window [i0, i0 + width) of the cells it meets."""
     a = np.maximum(lo3, 0)
     b = np.minimum(hi3, 3 * mesh.cells_per_axis)
     i0 = a // 3
-    width = np.where(a < b, (b + 2) // 3 - i0, 0)
+    return a, b, i0, np.where(a < b, (b + 2) // 3 - i0, 0)
+
+
+def _box_cells(mesh, lo3: np.ndarray, hi3: np.ndarray):
+    """CSR groups of the cells meeting each box [lo3, hi3) (thirds units,
+    shape (count, n)): flat row-major cell indices, overlap volumes and
+    group pointers, row-major within each box.  The boxes may be of any
+    sizes and levels; each group depends only on its own box."""
+    a, b, i0, width = _box_window(mesh, lo3, hi3)
     box, index = mesh.window_cells(i0, width)
     frac = np.ones(len(box))
     for axis, cell in enumerate(index):
         # the part of each cell inside its box, from the overlap in thirds
         frac *= (np.minimum(b[box, axis], 3 * cell + 3) - np.maximum(a[box, axis], 3 * cell)) / 3.0
-    flat = np.ravel_multi_index(index, f.values.shape)
+    flat = np.ravel_multi_index(index, (mesh.cells_per_axis,) * mesh.n)
     indptr = np.concatenate(([0], np.cumsum(width.prod(axis=1))))
-    return f.values.ravel()[flat], frac * mesh.cell_volume, indptr
+    return flat, frac * mesh.cell_volume, indptr
+
+
+def _luxemburg_blocks(blocks, lo3: np.ndarray, hi3: np.ndarray, starts=(0,)) -> list[np.ndarray]:
+    """Luxemburg norms of several (function, Young function) blocks over the
+    same cubes, cut into the same segments ``starts``; one array per block.
+
+    Every (block, segment) unit is one segment of a
+    ``_kernels.luxemburg_batch`` call, so its norms equal those of a call on
+    that unit alone, bit for bit.  The units of segments of at most
+    ``_LUX_BATCH_CELLS`` cells are packed block by block into calls of at
+    most that many cells in all; a larger segment runs alone, once per
+    block.  The cells are listed once, for all small segments together and
+    for each large one on its own, and each block's values are gathered at
+    them.  A block's cells in a call are one run of its Young function, and
+    equal neighbours share a run."""
+    lo3 = np.asarray(lo3, dtype=np.int64)
+    hi3 = np.asarray(hi3, dtype=np.int64)
+    mesh = blocks[0][0].mesh
+    bounds = [*np.asarray(starts).tolist(), len(lo3)]
+    cells = [int(_box_window(mesh, lo3[a:b], hi3[a:b])[3].prod(axis=1).sum())
+             for a, b in zip(bounds, bounds[1:])]
+    small = [s for s, k in enumerate(cells) if k <= _LUX_BATCH_CELLS]
+    large = [[s] for s, k in enumerate(cells) if k > _LUX_BATCH_CELLS]
+    out = [np.empty(len(lo3)) for _ in blocks]
+    for group in [small, *large] if small else large:
+        idx = np.concatenate([np.arange(bounds[s], bounds[s + 1]) for s in group])
+        flat, wts, indptr = _box_cells(mesh, lo3[idx], hi3[idx])
+        # the side 3 * 2^(L-k) thirds is 2^-k, so each volume is an exact power of two
+        vols = np.prod((hi3[idx] - lo3[idx]) / 3.0 * mesh.cell_width, axis=1)
+        # the group's segment i starts at position first[i] of idx; a call is
+        # a list of pieces [block, first segment, end segment] of the group
+        first = np.cumsum([0] + [bounds[s + 1] - bounds[s] for s in group]).tolist()
+        calls, total = [[]], 0
+        for j in range(len(blocks)):
+            for i, s in enumerate(group):
+                if total and total + cells[s] > _LUX_BATCH_CELLS:
+                    calls.append([])
+                    total = 0
+                total += cells[s]
+                if calls[-1] and calls[-1][-1][0] == j:
+                    calls[-1][-1][2] = i + 1
+                else:
+                    calls[-1].append([j, i, i + 1])
+        for call in calls:
+            parts, runs, seg, at, pos = [], [], [], 0, 0
+            for j, i0, i1 in call:
+                f, phi = blocks[j]
+                a, b = first[i0], first[i1]
+                c0, c1 = int(indptr[a]), int(indptr[b])
+                parts.append((f.values.ravel()[flat[c0:c1]], wts[c0:c1], np.diff(indptr[a : b + 1]), vols[a:b]))
+                seg += [x - a + pos for x in first[i0:i1]]
+                if runs and (runs[-1][2] is phi or runs[-1][2] == phi):
+                    runs[-1] = (runs[-1][0], at + c1 - c0, phi)
+                else:
+                    runs.append((at, at + c1 - c0, phi))
+                at, pos = at + c1 - c0, pos + b - a
+            vals, w, n, v = (p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts))
+            lam = _kernels.luxemburg_batch(vals, w, np.concatenate(([0], np.cumsum(n))), v, runs, seg)
+            pos = 0
+            for j, i0, i1 in call:
+                a, b = first[i0], first[i1]
+                out[j][idx[a:b]] = lam[pos : pos + b - a]
+                pos += b - a
+    return out
 
 
 def luxemburg_norms(
@@ -285,13 +372,9 @@ def luxemburg_norms(
     ``starts`` cuts the batch into consecutive non-empty segments (the index
     of each segment's first cube); each segment's norms equal those of a
     call on that segment alone, bit for bit (``_kernels.luxemburg_batch``).
-    The default is one segment."""
-    lo3 = np.asarray(lo3, dtype=np.int64)
-    hi3 = np.asarray(hi3, dtype=np.int64)
-    vals, wts, indptr = _box_cells(f, lo3, hi3)
-    # the side 3 * 2^(L-k) thirds is 2^-k, so each volume is an exact power of two
-    vols = np.prod((hi3 - lo3) / 3.0 * f.mesh.cell_width, axis=1)
-    return _kernels.luxemburg_batch(vals, wts, indptr, vols, phi, starts)
+    The default is one segment.  This is the one-block case of
+    ``_luxemburg_blocks``."""
+    return _luxemburg_blocks([(f, phi)], lo3, hi3, starts)[0]
 
 
 def luxemburg_norm(f: StepFunction, cube: DyadicCube, phi: YoungFunction) -> float:

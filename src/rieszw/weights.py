@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .mesh import DyadicCube, Mesh, StepFunction, _box_sums, _containing_coord, _prefix_sums
-from .orlicz import YoungFunction, _conjugate, luxemburg_norms
+from .orlicz import YoungFunction, _conjugate, _luxemburg_blocks
 
 __all__ = [
     "ExponentTuple",
@@ -34,6 +35,7 @@ __all__ = [
     "ainfty_exp",
     "mixed_apq_alpha",
     "bump_constant",
+    "bump_constants",
     "range_conditions",
     "generate_weight",
     "parse_weight_spec",
@@ -118,12 +120,6 @@ class CharacteristicReport:
 # (``Mesh.corpus``): one ``integral_box3`` per function, per-level scalars
 # (cube volumes, |Q|^e) as Python pow tables indexed by level.  Every step
 # is elementwise, so the values equal a per-level scan's bit for bit.
-
-#: Cells per Luxemburg batch in ``bump_constant``: consecutive levels share
-#: one bisection up to this many cells, and a larger level runs alone.
-#: Batching a whole large corpus at once was slower and took more memory.
-_LUX_BATCH_CELLS = 1 << 12
-
 
 def _per_cube(mesh: Mesh, table) -> np.ndarray:
     """A per-level table (entry ``k - coarsest_level``) spread over the corpus."""
@@ -364,36 +360,28 @@ def bump_constant(
 ) -> CharacteristicReport:
     """sup_Q |Q|^{alpha/n + 1/q - 1/p} ||u^{1/q}||_{Phi,Q} ||sigma^{1/p'}||_{Psi,Q}.
 
-    Psi = Power(p') recovers the separated (weak-type) bump form.  The
-    corpus levels go to ``luxemburg_norms`` as segments, in batches of at
-    most ``_LUX_BATCH_CELLS`` cells."""
+    Psi = Power(p') recovers the separated (weak-type) bump form."""
+    return bump_constants(u, sigma, exps, [(phi, psi)])[0]
+
+
+def bump_constants(
+    u: StepFunction,
+    sigma: StepFunction,
+    exps: ExponentTuple,
+    pairs: Sequence[tuple[YoungFunction, YoungFunction]],
+) -> list[CharacteristicReport]:
+    """``bump_constant`` for each (Phi, Psi) of ``pairs``, from one packed
+    Luxemburg bisection: the norms of u^{1/q} under Phi and of
+    sigma^{1/p'} under Psi are two blocks per pair over the corpus, with one
+    segment per corpus level (``orlicz._luxemburg_blocks``)."""
     e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
     uroot = u.map(lambda v: v ** (1.0 / exps.q))
     sroot = sigma.map(lambda v: v ** (1.0 / exps.p_prime))
     c = u.mesh.corpus
-    nu, ns = np.empty(len(c.level)), np.empty(len(c.level))
-    for a, b, starts in _luxemburg_batches(c):
-        nu[a:b] = luxemburg_norms(uroot, c.lo3[a:b], c.hi3[a:b], phi, starts)
-        ns[a:b] = luxemburg_norms(sroot, c.lo3[a:b], c.hi3[a:b], psi, starts)
-    return _supremum_report("bump", u.mesh, _size_powers(u.mesh, exps.n, e) * nu * ns)
-
-
-def _luxemburg_batches(c):
-    """Runs of consecutive corpus segments with at most ``_LUX_BATCH_CELLS``
-    cells in all (a larger segment runs alone), as (first cube, end cube,
-    segment starts counted from the first cube)."""
-    # an in-box cube meets prod over axes of (hi3 + 2) // 3 - lo3 // 3 cells
-    cells = np.add.reduceat(np.prod((c.hi3 + 2) // 3 - c.lo3 // 3, axis=1), c.starts)
-    edges, total = [0], 0
-    for s, k in enumerate(cells.tolist()):
-        if total and total + k > _LUX_BATCH_CELLS:
-            edges.append(s)
-            total = 0
-        total += k
-    edges.append(len(cells))
-    starts, ends = c.starts.tolist(), c.ends.tolist()
-    for s0, s1 in zip(edges, edges[1:]):
-        yield starts[s0], ends[s1 - 1], c.starts[s0:s1] - starts[s0]
+    blocks = [block for phi, psi in pairs for block in ((uroot, phi), (sroot, psi))]
+    norms = _luxemburg_blocks(blocks, c.lo3, c.hi3, c.starts)
+    size = _size_powers(u.mesh, exps.n, e)
+    return [_supremum_report("bump", u.mesh, size * nu * ns) for nu, ns in zip(norms[::2], norms[1::2])]
 
 
 @dataclass(frozen=True)

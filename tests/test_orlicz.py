@@ -45,6 +45,17 @@ class TestYoungEvaluation:
         assert phi(0.0) == 0.0
         assert phi(1.0) == pytest.approx(math.log(math.e + 1.0) ** 2, rel=1e-12)
 
+    def test_numeric_tables_compare_by_value(self):
+        # equal kinds and parameters, different samples: Phi(3) is 9.10 and 16.88
+        a = YoungFunction.numeric_table([1, 2, 4], [1, 3, 20])
+        b = YoungFunction.numeric_table([1, 2, 4], [1, 5, 40])
+        assert a(3.0) != b(3.0)
+        assert a != b and hash(a) != hash(b)
+        same = YoungFunction.numeric_table(np.array([1.0, 2.0, 4.0]), (1, 3, 20))
+        assert a == same and hash(a) == hash(same) and a is not same
+        assert a(3.0) == same(3.0)
+        assert len({a, b, same}) == 2
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             YoungFunction.power(1.0)
@@ -165,6 +176,16 @@ class TestLuxemburg:
         batch = luxemburg_norms(f, *unit_mesh.bounds3(cubes), phi)
         for q, v in zip(cubes, batch):
             assert v == pytest.approx(luxemburg_norm(f, q, phi), rel=1e-12)
+
+    def test_unconverged_bisection_raises(self, monkeypatch):
+        # one group with cells 1, 2, 3 and Phi = t^2: the root is sqrt(14/3)
+        # = 2.1602..., and five steps from the bracket [2, 4] stop at 2.1796875
+        args = (np.array([1.0, 2.0, 3.0]), np.ones(3), np.array([0, 3]), np.array([3.0]),
+                YoungFunction.power(2.0))
+        assert _kernels.luxemburg_batch(*args)[0] == pytest.approx(math.sqrt(14.0 / 3.0), rel=1e-12)
+        monkeypatch.setattr(_kernels, "LUX_MAX_ITER", 5)
+        with pytest.raises(LuxemburgError, match="bisection did not converge"):
+            _kernels.luxemburg_batch(*args)
 
     def test_failed_bracket_raises(self):
         # the exact norm is 1e100, beyond 200 doublings of the start max f = 1
@@ -317,6 +338,29 @@ def level_cubes(shift, g):
     return [DyadicCube(shift, g.level, tuple(c)) for c in g.coords.tolist()]
 
 
+def parent_box_cells(f, lo3, hi3):
+    """``orlicz._box_cells`` as it was before it returned flat cell indices:
+    cell values, overlap volumes and group pointers."""
+    mesh = f.mesh
+    a = np.maximum(lo3, 0)
+    b = np.minimum(hi3, 3 * mesh.cells_per_axis)
+    i0 = a // 3
+    width = np.where(a < b, (b + 2) // 3 - i0, 0)
+    box, index = mesh.window_cells(i0, width)
+    frac = np.ones(len(box))
+    for axis, cell in enumerate(index):
+        frac *= (np.minimum(b[box, axis], 3 * cell + 3) - np.maximum(a[box, axis], 3 * cell)) / 3.0
+    flat = np.ravel_multi_index(index, f.values.shape)
+    indptr = np.concatenate(([0], np.cumsum(width.prod(axis=1))))
+    return f.values.ravel()[flat], frac * mesh.cell_volume, indptr
+
+
+def box_csr(f, lo3, hi3):
+    """``_box_cells`` with the values of ``f`` gathered at its flat indices."""
+    flat, wts, indptr = _box_cells(f.mesh, lo3, hi3)
+    return f.values.ravel()[flat], wts, indptr
+
+
 def assert_csr_equal(got, expect):
     for a, b in zip(got, expect):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -345,7 +389,7 @@ class TestBatchOracle:
         for shift in mesh.shifts():
             for g in level_grids(mesh, shift):
                 expect = oracle_csr(f, [q.bounds3(L) for q in level_cubes(shift, g)])
-                assert_csr_equal(_box_cells(f, g.lo3, g.hi3), expect)
+                assert_csr_equal(box_csr(f, g.lo3, g.hi3), expect)
 
     def test_cells_of_boxes_across_the_box_edge(self):
         # 3N = 48 in 1-D and 12 in 2-D: boxes inside, straddling either
@@ -357,7 +401,7 @@ class TestBatchOracle:
             f = lognormal(mesh, 62)
             lo3 = np.array([lo for lo, _ in boxes], dtype=np.int64)
             hi3 = np.array([hi for _, hi in boxes], dtype=np.int64)
-            assert_csr_equal(_box_cells(f, lo3, hi3), oracle_csr(f, boxes))
+            assert_csr_equal(box_csr(f, lo3, hi3), oracle_csr(f, boxes))
 
     @pytest.mark.parametrize("phi", CLOSED_KINDS, ids=lambda p: p.name)
     def test_norms_match_per_cube_batch(self, phi):
@@ -436,6 +480,67 @@ def parent_luxemburg_batch(vals, wts, indptr, vols, phi):
     return lam
 
 
+def parent_segmented_batch(vals, wts, indptr, vols, phi, starts=(0,)):
+    """``_kernels.luxemburg_batch`` before it took runs of Young functions:
+    one ``phi`` for every cell, segments stopping apart."""
+    vals = np.asarray(vals, dtype=np.float64)
+    wts = np.asarray(wts, dtype=np.float64)
+    vols = np.asarray(vols, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.intp)
+    ngroups = len(vols)
+    lam = np.zeros(ngroups)
+    group_of = np.repeat(np.arange(ngroups), np.diff(indptr))
+    active = np.bincount(group_of, weights=vals * wts, minlength=ngroups) > 0.0
+
+    gmax = np.zeros(ngroups)
+    np.maximum.at(gmax, group_of, vals)
+
+    def gval(lam_arr):
+        phi_wts = phi(vals / lam_arr[group_of]) * wts
+        return np.bincount(group_of, weights=phi_wts, minlength=ngroups) / vols
+
+    lo = np.where(active, gmax, 1.0)
+    hi = lo.copy()
+    for _ in range(200):
+        need = active & (gval(hi) > 1.0)
+        if not need.any():
+            break
+        hi[need] *= 2.0
+    else:
+        raise LuxemburgError("upper bracket not found")
+    for _ in range(200):
+        need = active & (gval(lo) < 1.0)
+        if not need.any():
+            break
+        lo[need] *= 0.5
+    else:
+        raise LuxemburgError("lower bracket not found")
+    segment_of = np.repeat(np.arange(len(starts)), np.diff(starts, append=ngroups))
+    moving = active
+    for _ in range(_kernels.LUX_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        above = gval(mid) > 1.0
+        lo = np.where(moving & above, mid, lo)
+        hi = np.where(moving & ~above, mid, hi)
+        done = hi - lo <= _kernels.LUX_RTOL * hi
+        live = ~np.logical_and.reduceat(done, starts)
+        if not live.any():
+            break
+        moving = active & live[segment_of]
+    lam[active] = 0.5 * (lo + hi)[active]
+    return lam
+
+
+def parent_luxemburg_norms(f, lo3, hi3, phi, starts=(0,)):
+    """``orlicz.luxemburg_norms`` before the packed blocks: one segmented
+    call over the whole batch."""
+    lo3 = np.asarray(lo3, dtype=np.int64)
+    hi3 = np.asarray(hi3, dtype=np.int64)
+    vals, wts, indptr = parent_box_cells(f, lo3, hi3)
+    vols = np.prod((hi3 - lo3) / 3.0 * f.mesh.cell_width, axis=1)
+    return parent_segmented_batch(vals, wts, indptr, vols, phi, starts)
+
+
 def per_segment_batches(vals, wts, indptr, vols, phi, starts):
     """One parent call per segment, concatenated."""
     ends = [*starts[1:], len(vols)]
@@ -453,7 +558,7 @@ def level_table_csr(f):
     lo3 = np.concatenate([g.lo3 for s in mesh.shifts() for g in level_grids(mesh, s)])
     hi3 = np.concatenate([g.hi3 for s in mesh.shifts() for g in level_grids(mesh, s)])
     sizes = [len(g.lo3) for s in mesh.shifts() for g in level_grids(mesh, s)]
-    vals, wts, indptr = _box_cells(f, lo3, hi3)
+    vals, wts, indptr = box_csr(f, lo3, hi3)
     vols = np.prod((hi3 - lo3) / 3.0 * mesh.cell_width, axis=1)
     return vals, wts, indptr, vols, (np.cumsum(sizes) - sizes).tolist()
 
@@ -506,6 +611,29 @@ class TestSegmentedBatch:
             expect = parent_luxemburg_batch(vals, wts, indptr, vols, phi)
             assert np.array_equal(_kernels.luxemburg_batch(vals, wts, indptr, vols, phi), expect)
             assert np.array_equal(_kernels.luxemburg_batch(vals, wts, indptr, vols, phi, [0]), expect)
+
+    def test_runs_of_young_functions(self):
+        # runs cut the cells of one call at segment edges, each run with its
+        # own Young function; the call equals one parent call per segment
+        rng = np.random.default_rng(72)
+        youngs = [*CLOSED_KINDS, NUMERIC_LOG_BUMP]
+        for mesh in SEGMENT_MESHES:
+            vals, wts, indptr, vols, starts = level_table_csr(lognormal(mesh, 73))
+            ngroups = len(vols)
+            for trial in range(3):
+                edges = sorted({0, ngroups, *rng.integers(1, ngroups, 5).tolist()})
+                phis = [youngs[i] for i in rng.integers(0, len(youngs), len(edges) - 1)]
+                runs = [(int(indptr[a]), int(indptr[b]), phi) for a, b, phi in zip(edges, edges[1:], phis)]
+                cuts = sorted({*starts, *edges[:-1]})
+                got = _kernels.luxemburg_batch(vals, wts, indptr, vols, runs, cuts)
+                expect = np.empty(ngroups)
+                for a, b, phi in zip(edges, edges[1:], phis):
+                    c0, c1 = indptr[a], indptr[b]
+                    expect[a:b] = per_segment_batches(vals[c0:c1], wts[c0:c1], indptr[a : b + 1] - c0,
+                                                      vols[a:b], phi, [c - a for c in cuts if a <= c < b])
+                assert np.array_equal(got, expect)
+            one = _kernels.luxemburg_batch(vals, wts, indptr, vols, [(0, len(vals), CLOSED_KINDS[1])], starts)
+            assert np.array_equal(one, _kernels.luxemburg_batch(vals, wts, indptr, vols, CLOSED_KINDS[1], starts))
 
     def test_segments_stop_apart(self):
         # the levels of one call stop bisecting at different iterations, so

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -23,13 +24,14 @@ from rieszw.weights import (
     range_conditions,
     two_weight_ap,
 )
-from rieszw import weights
+from rieszw import _kernels, orlicz, weights
+from rieszw.normest import thm41_bound_check
 from rieszw.operators import hl_maximal
-from rieszw.orlicz import _box_cells, _conjugate
+from rieszw.orlicz import _conjugate, _luxemburg_blocks, luxemburg_norms
 from rieszw.weights import _center_mask
 
 from conftest import _scan_levels, center_slices, level_grids, lognormal
-from test_orlicz import oracle_luxemburg_norms, parent_luxemburg_batch
+from test_orlicz import CLOSED_KINDS, NUMERIC_LOG_BUMP, oracle_luxemburg_norms, parent_luxemburg_norms
 
 
 def two_valued(mesh, a, b):
@@ -538,12 +540,6 @@ def parent_mixed_apq_alpha(u, sigma, exps):
     return parent_supremum_report("mixed A_pq^alpha", u.mesh, per_level)
 
 
-def parent_luxemburg_norms(f, lo3, hi3, phi):
-    vals, wts, indptr = _box_cells(f, lo3, hi3)
-    vols = np.prod((hi3 - lo3) / 3.0 * f.mesh.cell_width, axis=1)
-    return parent_luxemburg_batch(vals, wts, indptr, vols, phi)
-
-
 def parent_bump_constant(u, sigma, exps, phi, psi):
     e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
     uroot = u.map(lambda v: v ** (1.0 / exps.q))
@@ -630,30 +626,42 @@ class TestCorpusOracle:
                                    parent_bump_constant(u, sigma, exps, phi, psi))
 
     def test_bump_constant_across_batches(self, monkeypatch):
-        # 1-D L=8: the corpus meets 4,599 cells, more than one batch holds
+        # 1-D L=8: the corpus meets 4,599 cells, more than one call holds
         mesh = Mesh(1, 0, 8)
         assert sum(int(np.prod((hi + 2) // 3 - lo // 3, axis=1).sum())
-                   for _, _, _, lo, hi in _scan_levels(mesh)) > weights._LUX_BATCH_CELLS
+                   for _, _, _, lo, hi in _scan_levels(mesh)) > orlicz._LUX_BATCH_CELLS
         exps = ExponentTuple.sobolev_pair(1, 0.5, 4.0 / 3.0)
         u, sigma = lognormal(mesh, 85, scale=0.7), zero_mass_weight(mesh, 86)
         phi, psi = YoungFunction.log_bump(exps.q, 1.0), YoungFunction.power(exps.p_prime)
         expect = parent_bump_constant(u, sigma, exps, phi, psi)
         assert_same_report(bump_constant(u, sigma, exps, phi, psi), expect)
-        # a small budget: many batches, and levels larger than a batch alone
-        monkeypatch.setattr(weights, "_LUX_BATCH_CELLS", 40)
-        assert len(list(weights._luxemburg_batches(mesh.corpus))) > 5
+        # a small budget: many calls, and levels larger than a call alone
+        monkeypatch.setattr(orlicz, "_LUX_BATCH_CELLS", 40)
+        calls = spy_kernel(monkeypatch)
         assert_same_report(bump_constant(u, sigma, exps, phi, psi), expect)
+        assert len(calls) > 5 and all(cells <= 40 or len(s) == 1 for _, cells, s, _ in calls)
 
     def test_batches_cover_the_corpus(self, monkeypatch):
+        calls = spy_kernel(monkeypatch)
         for budget in (1, 40, 1 << 12, 1 << 40):
-            monkeypatch.setattr(weights, "_LUX_BATCH_CELLS", budget)
+            monkeypatch.setattr(orlicz, "_LUX_BATCH_CELLS", budget)
             for mesh in (Mesh(1, 0, 8), Mesh(2, 0, 3)):
                 c = mesh.corpus
-                batches = list(weights._luxemburg_batches(c))
-                assert [a for a, _, _ in batches][0] == 0 and batches[-1][1] == len(c.level)
-                assert all(b == a2 for (_, b, _), (a2, _, _) in zip(batches, batches[1:]))
-                starts = np.concatenate([a + s for a, _, s in batches])
-                assert np.array_equal(starts, c.starts)
+                f = lognormal(mesh, 89)
+                calls.clear()
+                _luxemburg_blocks([(f, CLOSED_KINDS[0]), (f, CLOSED_KINDS[1])], c.lo3, c.hi3, c.starts)
+                # every (segment, block) unit once, each call within the
+                # budget unless it holds one unit
+                sizes = np.diff(c.starts, append=len(c.level))
+                units = np.concatenate([np.diff(s, append=g) for g, _, s, _ in calls])
+                assert sorted(units.tolist()) == sorted(np.tile(sizes, 2).tolist())
+                assert all(cells <= budget or len(s) == 1 for _, cells, s, _ in calls)
+                if budget == 1:
+                    assert len(calls) == len(units)
+                if budget == 1 << 40:
+                    assert len(calls) == 1
+                if budget >= 1 << 12:  # units share calls
+                    assert len(calls) < len(units)
 
     @pytest.mark.parametrize("mesh", CORPUS_MESHES[:3], ids=["n1", "n1J1-T0", "n2"])
     def test_reduction_ties(self, mesh):
@@ -696,6 +704,96 @@ class TestCorpusOracle:
         for _, u, _ in weight_cases(mesh):
             assert_same_report(fujii_wilson(u, max_level), parent_fujii_wilson(u, max_level))
 
+
+def spy_kernel(monkeypatch):
+    """Record (groups, cells, segment starts, Young function or runs) of
+    every Luxemburg kernel call."""
+    calls, kernel = [], _kernels.luxemburg_batch
+
+    def spy(vals, wts, indptr, vols, phi, starts=(0,)):
+        calls.append((len(vols), len(vals), np.asarray(starts), phi))
+        return kernel(vals, wts, indptr, vols, phi, starts)
+
+    monkeypatch.setattr(_kernels, "luxemburg_batch", spy)
+    return calls
+
+
+class TestPackedBlocks:
+    """``_luxemburg_blocks`` against one call per block and the parent's
+    segmented call, with ``==``, under several call budgets."""
+
+    YOUNGS = [*CLOSED_KINDS, NUMERIC_LOG_BUMP]
+
+    @pytest.mark.parametrize("mesh", CORPUS_MESHES,
+                             ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}")
+    def test_blocks_match_single_block_and_parent(self, mesh, monkeypatch):
+        c = mesh.corpus
+        for label, u, sigma in weight_cases(mesh):
+            # every Young kind on u and sigma, then a zero function, then
+            # equal (not identical) Young functions side by side
+            blocks = [(f, phi) for phi in self.YOUNGS for f in (u, sigma)]
+            blocks += [(StepFunction.constant(mesh, 0.0), CLOSED_KINDS[1]),
+                       (u, YoungFunction.power(2.5, 0.7)), (sigma, YoungFunction.power(2.5, 0.7))]
+            expect = [parent_luxemburg_norms(f, c.lo3, c.hi3, phi, c.starts) for f, phi in blocks]
+            assert (expect[-3] == 0.0).all()
+            if label == "zero-cells":
+                assert (expect[0] == 0.0).any() and (expect[0] > 0.0).any()
+            for budget in (1, 40, 1 << 12, 1 << 40):
+                monkeypatch.setattr(orlicz, "_LUX_BATCH_CELLS", budget)
+                got = _luxemburg_blocks(blocks, c.lo3, c.hi3, c.starts)
+                for (f, phi), g, e in zip(blocks, got, expect):
+                    assert np.array_equal(g, e)
+                    assert np.array_equal(g, luxemburg_norms(f, c.lo3, c.hi3, phi, c.starts))
+
+    def test_equal_young_functions_share_a_run(self, monkeypatch):
+        mesh = Mesh(1, 0, 5)
+        c, f = mesh.corpus, lognormal(mesh, 90)
+        calls = spy_kernel(monkeypatch)
+        table = [1.0, 2.0, 4.0], [1.0, 3.0, 20.0]
+        blocks = [(f, YoungFunction.power(2.0)), (f, YoungFunction.power(2.0)),
+                  (f, YoungFunction.numeric_table(*table)), (f, YoungFunction.numeric_table(*table)),
+                  (f, YoungFunction.numeric_table([1.0, 2.0, 4.0], [1.0, 5.0, 40.0]))]
+        got = _luxemburg_blocks(blocks, c.lo3, c.hi3, c.starts)
+        assert len(calls) == 1 and [phi for _, _, phi in calls[0][3]] == [blocks[0][1], blocks[2][1], blocks[4][1]]
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[2], got[3])
+        assert not np.array_equal(got[3], got[4])
+
+    def test_boxes_meeting_no_cells(self):
+        # boxes outside the base box and within one cell, among
+        # boxes across its edges: 3N = 48 thirds
+        mesh = Mesh(1, 0, 4)
+        one_d = [(-5, 7), (40, 50), (-10, -1), (50, 53), (48, 60), (1, 2), (0, 48)]
+        lo3 = np.array([[a] for a, _ in one_d], dtype=np.int64)
+        hi3 = np.array([[b] for _, b in one_d], dtype=np.int64)
+        starts = [0, 2, 3, 5]
+        blocks = [(lognormal(mesh, 91), phi) for phi in self.YOUNGS]
+        got = _luxemburg_blocks(blocks, lo3, hi3, starts)
+        for (f, phi), g in zip(blocks, got):
+            assert np.array_equal(g, parent_luxemburg_norms(f, lo3, hi3, phi, starts))
+            assert g[2] == 0.0 and g[3] == 0.0 and g[4] == 0.0 and (g[[0, 1, 5, 6]] > 0.0).all()
+
+    @pytest.mark.parametrize("mesh", CORPUS_MESHES,
+                             ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}")
+    def test_thm41_matches_two_parent_bump_constants(self, mesh):
+        testing = types.SimpleNamespace(dual=1.5, direct=2.5)
+        # Sobolev: both range conditions hold; the second tuple fails the
+        # direct one, so only the dual constant is computed
+        for exps in (ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0),
+                     ExponentTuple(mesh.n, 0.3 * mesh.n, 1.2, 1.5)):
+            direct_holds = (exps.q / exps.p) * (1.0 - exps.alpha / exps.n) >= 1.0
+            for kind, make in (("log", YoungFunction.log_bump), ("loglog", YoungFunction.loglog_bump)):
+                pairs = [(make(exps.q, 1.0), YoungFunction.power(exps.p_prime)),
+                         (YoungFunction.power(exps.q), make(exps.p_prime, 1.0))][: 1 + direct_holds]
+                for _, u, sigma in weight_cases(mesh):
+                    expect = [parent_bump_constant(u, sigma, exps, phi, psi) for phi, psi in pairs]
+                    for got, e in zip(weights.bump_constants(u, sigma, exps, pairs), expect, strict=True):
+                        assert_same_report(got, e)
+                    dual, direct = thm41_bound_check(u, sigma, exps, testing, kind, 1.0)
+                    assert dual.components == {"K": expect[0].value}
+                    if direct_holds:
+                        assert direct.components == {"K": expect[1].value}
+                    else:
+                        assert direct is None
 
 class TestRangeConditions:
     def test_sobolev_case_both_true(self):
