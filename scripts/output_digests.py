@@ -14,7 +14,9 @@ Luxemburg bisection call holds),
 and the 2-D ``constants``, ``verify``, ``sandwich`` and ``norm`` at ``--mesh
 n=2,J=0,L=3``, ``constants`` again at ``--mesh n=2,J=1,L=4`` (with the
 default ``fw_max_level`` of 3, the ``fujii_wilson`` windows run from 32
-cells per axis down to 2), then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
+cells per axis down to 2), ``constants`` at ``--mesh n=2,J=0,L=5`` on four
+different weights with ``fw_max_level`` 4 (every weight reuses the mesh's
+cached window layouts, on windows of up to 32 x 32 cells), then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
 2-D grid with J=1 through the sparse apply) and ``norm`` at ``--mesh
 n=1,J=1,L=5,T=0`` (restricted sparse sums on a mesh with no coarse
 padding), ``verify`` at that mesh (on shift 1 no level holds a single
@@ -57,6 +59,8 @@ RUNS = [
     ("sandwich", "n=1,J=0,L=8", {}),
     ("constants", "n=2,J=0,L=3", {}),
     ("constants", "n=2,J=1,L=4", {}),
+    ("constants", "n=2,J=0,L=5", {"weights": ["constant:c=1", "power:beta=-0.4", "martingale:seed=3,vol=0.6",
+                                              "checkerboard:levels=2,ratio=4"], "fw_max_level": 4}),
     ("verify", "n=2,J=0,L=3", {}),
     ("sandwich", "n=2,J=0,L=3", {}),
     ("norm", "n=2,J=0,L=3", {}),

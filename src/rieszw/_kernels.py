@@ -94,7 +94,7 @@ def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
     group, increasing from 0).  A segment stops bisecting once all of its
     groups are within ``LUX_RTOL``, which is when a call on that segment
     alone stops, so each lambda equals that call's bit for bit.  The default
-    is one segment.
+    is one segment.  With no groups the result is empty.
 
     Raises LuxemburgError when a bracket is not found in 200 doublings
     (halvings) for some group, or when some segment is still apart after
@@ -106,6 +106,8 @@ def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
     runs = [(0, len(vals), phi)] if callable(phi) else phi
     ngroups = len(vols)
     lam = np.zeros(ngroups)
+    if not ngroups:
+        return lam
     group_of = np.repeat(np.arange(ngroups), np.diff(indptr))
     active = np.bincount(group_of, weights=vals * wts, minlength=ngroups) > 0.0
 

@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "BoxPlan",
     "Corpus",
     "DyadicCube",
     "LevelTable",
@@ -355,6 +356,20 @@ class Mesh:
         return out
 
     @functools.cached_property
+    def corpus_plan(self) -> "BoxPlan":
+        """The ``BoxPlan`` of the corpus cubes on the full frame, built on
+        first use and cached on the mesh: every characteristic integrates
+        the same boxes."""
+        c = self.corpus
+        return BoxPlan(list(c.lo3.T), list(c.hi3.T), (self.cells_per_axis,) * self.n)
+
+    @functools.cached_property
+    def _window_layouts(self) -> dict:
+        """Per-segment layouts of the Fujii-Wilson window sweeps, keyed by
+        corpus segment and filled by ``weights`` on first use."""
+        return {}
+
+    @functools.cached_property
     def _factor_tables(self) -> dict:
         return {}
 
@@ -556,6 +571,11 @@ class StepFunction:
                         [lo3[..., a] for a in range(n)], [hi3[..., a] for a in range(n)])
         return sums * self.mesh.cell_volume
 
+    def plan_integrals(self, plan: "BoxPlan") -> np.ndarray:
+        """``integral_box3`` over the boxes of a ``BoxPlan`` on this mesh's
+        frame, bit for bit."""
+        return plan.sums(self._prefixes()) * self.mesh.cell_volume
+
     def cube_integral(self, cube: DyadicCube) -> float:
         lo, hi = cube.bounds3(self.mesh.finest_exponent)
         return float(self.integral_box3(np.asarray(lo), np.asarray(hi)))
@@ -582,45 +602,109 @@ def _checked(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _prefix_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Prefix sums of cell values over their last ``n`` axes, each with a
-    leading zero per axis; leading axes are a batch of frames.  1-d: (S,);
-    2-d: (P, RP, CP), the full sums and the sums along each row and each
-    column.  Each is a running ``cumsum``, so frames that agree on a window
-    and are zero outside it have the window's own prefix sums there."""
+def _prefix_sums(values: np.ndarray, n: int) -> np.ndarray:
+    """The prefix table of cell values over their last ``n`` axes: 2^n
+    tables, each padded to the frame's size plus one per axis and
+    flattened row-major, shape (..., 2^n, M); leading axes are a batch of
+    frames.  1-d: (S, V), the prefix sums with a leading zero and the
+    values; 2-d: (P, RP, CP, V), the full prefix sums and the sums along
+    each row and each column, each with a leading zero per summed axis, and
+    the values.  On an axis where a table is one short it repeats its last
+    entry, so entry (i, j) of RP, CP or V is the entry of the clamped index
+    that a box corner at whole cells (i, j) reads.  Each sum is a running
+    ``cumsum``, so frames that agree on a window and are zero outside it
+    have the window's own prefix sums there."""
     lead, shape = values.shape[:-n], values.shape[-n:]
     if n == 1:
-        S = np.zeros((*lead, shape[0] + 1))
-        np.cumsum(values, axis=-1, out=S[..., 1:])
-        return (S,)
+        (size,) = shape
+        table = np.empty((*lead, 2, size + 1))
+        table[..., 0, 0] = 0.0
+        np.cumsum(values, axis=-1, out=table[..., 0, 1:])
+        table[..., 1, :size] = values
+        table[..., 1, size] = values[..., size - 1]
+        return table
     rows, cols = shape
-    P = np.zeros((*lead, rows + 1, cols + 1))
+    table = np.zeros((*lead, 4, rows + 1, cols + 1))
+    P, RP, CP, V = (table[..., k, :, :] for k in range(4))
     np.cumsum(np.cumsum(values, axis=-2), axis=-1, out=P[..., 1:, 1:])
-    RP = np.zeros((*lead, rows, cols + 1))
-    np.cumsum(values, axis=-1, out=RP[..., 1:])
-    CP = np.zeros((*lead, rows + 1, cols))
-    np.cumsum(values, axis=-2, out=CP[..., 1:, :])
-    return P, RP, CP
+    np.cumsum(values, axis=-1, out=RP[..., :rows, 1:])
+    np.cumsum(values, axis=-2, out=CP[..., 1:, :cols])
+    V[..., :rows, :cols] = values
+    RP[..., rows, :] = RP[..., rows - 1, :]
+    V[..., rows, :] = V[..., rows - 1, :]
+    CP[..., cols] = CP[..., cols - 1]
+    V[..., cols] = V[..., cols - 1]
+    return table.reshape(*lead, 4, (rows + 1) * (cols + 1))
 
 
 def _axis_terms(x3: np.ndarray, size: int):
     """A corner coordinate (thirds units) clamped to a frame axis of
-    ``size`` cells: its whole cells, the fraction of the next one, and that
-    cell's index kept inside the frame."""
+    ``size`` cells: its whole cells and the fraction of the next one."""
     i, r = np.divmod(np.minimum(np.maximum(x3, 0), 3 * size), 3)
-    return i, r / 3.0, np.minimum(i, size - 1)
+    return i, r / 3.0
 
 
-def _corner(pref, values, terms, batch):
-    """Integral of the cells over [0, x) per axis, in cell volumes, from
-    each axis's ``_axis_terms``."""
-    if len(terms) == 1:
-        ((i, fx, iv),) = terms
-        return pref[0][(*batch, i)] + fx * values[(*batch, iv)]
-    P, RP, CP = pref
-    (i, fx, iv), (j, fy, jv) = terms
-    return (P[(*batch, i, j)] + fx * RP[(*batch, iv, j)] + fy * CP[(*batch, i, jv)]
-            + fx * fy * values[(*batch, iv, jv)])
+class BoxPlan:
+    """The corner terms of a fixed box set on frames of one size, worked
+    out once: each corner's ``_axis_terms`` as one flat gather index into a
+    frame's ``_prefix_sums`` table, with its fractions.
+
+    ``lo3``/``hi3`` hold one integer corner array per axis (thirds units,
+    clamped to the frame), all broadcast together; ``size`` is the frame's
+    shape.  ``sums`` gives the box sums of any frames of that size.  The
+    arrays are read-only, so a plan can be cached."""
+
+    __slots__ = ("shape", "size", "corners")
+
+    def __init__(self, lo3, hi3, size):
+        corners = [np.asarray(x) for x in (*lo3, *hi3)]
+        if len({x.shape for x in corners}) > 1:
+            corners = np.broadcast_arrays(*corners)
+        n = len(size)
+        self.shape = corners[0].shape
+        self.size = tuple(size)
+        terms = [_axis_terms(x.reshape(-1), m) for x, m in zip(corners, self.size * 2)]
+        if n == 1:
+            # (index, fraction), the upper corner first
+            self.corners = (terms[1], terms[0])
+        else:
+            # (index, fx, fy, fx * fy) per corner, in the order of the
+            # signs of c11 - c01 - c10 + c00
+            (i0, fx0), (j0, fy0), (i1, fx1), (j1, fy1) = terms
+            stride = self.size[1] + 1
+            r1, r0 = i1 * stride, i0 * stride
+            self.corners = tuple((r + j, fx, fy, fx * fy) for r, fx, j, fy in (
+                (r1, fx1, j1, fy1), (r0, fx0, j1, fy1), (r1, fx1, j0, fy0), (r0, fx0, j0, fy0)))
+        for corner in self.corners:
+            for a in corner:
+                a.setflags(write=False)
+
+    def sums(self, pref: np.ndarray) -> np.ndarray:
+        """Sums over the boxes, in cell volumes and clipped at zero, of the
+        frames whose ``_prefix_sums`` table is ``pref``; axes before the
+        table's two are a batch of frames, and the sums gain them in front.
+        Every corner is ((P + fx RP) + fy CP) + (fx fy) V in 2-d (S + fx V
+        in 1-d), and the corners combine as c11 - c01 - c10 + c00
+        (c1 - c0)."""
+        corner = (_planned_corner(pref, terms) for terms in self.corners)
+        out = next(corner)
+        out -= next(corner)
+        if len(self.corners) == 4:
+            out -= next(corner)
+            out += next(corner)
+        return np.maximum(out.reshape((*pref.shape[:-2], *self.shape)), 0.0)
+
+
+def _planned_corner(pref: np.ndarray, terms) -> np.ndarray:
+    """Integral of the cells over [0, x) per axis, in cell volumes, from a
+    ``_prefix_sums`` table and one corner's ``BoxPlan`` terms: one gather
+    of every table at the corner's index.  ``take`` along the last axis
+    gathers faster than indexing a batch."""
+    g = pref.take(terms[0], axis=-1)
+    if len(terms) == 2:
+        return g[..., 0, :] + terms[1] * g[..., 1, :]
+    _, fx, fy, fxy = terms
+    return g[..., 0, :] + fx * g[..., 1, :] + fy * g[..., 2, :] + fxy * g[..., 3, :]
 
 
 def _box_sums(pref, values, lo3, hi3) -> np.ndarray:
@@ -629,19 +713,9 @@ def _box_sums(pref, values, lo3, hi3) -> np.ndarray:
     ``hi3`` hold one integer corner array per axis (thirds units, clamped
     to the frame here), all broadcast together.  If ``values`` has more
     axes than there are corner arrays, the leading ones are a batch of
-    frames that share the corners, and the sums gain those axes in front."""
-    size = values.shape[-len(lo3):]
-    # an Ellipsis spans the batch axes, and indexes faster than an index array
-    batch = (Ellipsis,) if values.ndim > len(lo3) else ()
-    lo = [_axis_terms(x, m) for x, m in zip(lo3, size)]
-    hi = [_axis_terms(x, m) for x, m in zip(hi3, size)]
-    if len(lo) == 1:
-        out = _corner(pref, values, hi, batch) - _corner(pref, values, lo, batch)
-    else:
-        (x0, y0), (x1, y1) = lo, hi
-        out = (_corner(pref, values, (x1, y1), batch) - _corner(pref, values, (x0, y1), batch)
-               - _corner(pref, values, (x1, y0), batch) + _corner(pref, values, (x0, y0), batch))
-    return np.maximum(out, 0.0)
+    frames that share the corners, and the sums gain those axes in front.
+    This is a one-off ``BoxPlan``."""
+    return BoxPlan(lo3, hi3, values.shape[-len(lo3):]).sums(pref)
 
 
 def cube_integral(f: StepFunction, cube: DyadicCube) -> float:

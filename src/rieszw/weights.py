@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import DyadicCube, Mesh, StepFunction, _box_sums, _containing_coord, _prefix_sums
+from .mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _containing_coord, _prefix_sums
 from .orlicz import YoungFunction, _conjugate, _luxemburg_blocks
 
 __all__ = [
@@ -117,7 +117,9 @@ class CharacteristicReport:
 # Cube corpus
 #
 # Each characteristic is one array pass over the mesh's in-box corpus
-# (``Mesh.corpus``): one ``integral_box3`` per function, per-level scalars
+# (``Mesh.corpus``): one ``plan_integrals`` per function on the corpus plan
+# the mesh keeps (``Mesh.corpus_plan``), so the corners of the corpus boxes
+# are worked out once per mesh, not once per function; per-level scalars
 # (cube volumes, |Q|^e) as Python pow tables indexed by level.  Every step
 # is elementwise, so the values equal a per-level scan's bit for bit.
 
@@ -129,8 +131,7 @@ def _per_cube(mesh: Mesh, table) -> np.ndarray:
 def _avg(f: StepFunction) -> np.ndarray:
     """avg_Q f for every corpus cube Q."""
     mesh = f.mesh
-    c = mesh.corpus
-    return f.integral_box3(c.lo3, c.hi3) / _per_cube(mesh, mesh.level_factors(mesh.n))
+    return f.plan_integrals(mesh.corpus_plan) / _per_cube(mesh, mesh.level_factors(mesh.n))
 
 
 def _supremum_report(name: str, mesh: Mesh, vals: np.ndarray) -> CharacteristicReport:
@@ -165,7 +166,7 @@ def ap_constant(w: StepFunction, p: float) -> CharacteristicReport:
     dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (1.0 - pp) * pos)
     zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
     a, b = _avg(w), _avg(dual)
-    z = zeros.integral_box3(w.mesh.corpus.lo3, w.mesh.corpus.hi3)
+    z = zeros.plan_integrals(w.mesh.corpus_plan)
     vals = np.where((z > 0.0) & (a > 0.0), math.inf, a * b ** (p - 1.0))
     return _supremum_report(f"A_{p:g}", w.mesh, vals)
 
@@ -180,7 +181,7 @@ def apq_constant(w: StepFunction, p: float, q: float) -> CharacteristicReport:
     dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (-pp) * pos)
     zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
     a, b = _avg(wq), _avg(dual)
-    z = zeros.integral_box3(w.mesh.corpus.lo3, w.mesh.corpus.hi3)
+    z = zeros.plan_integrals(w.mesh.corpus_plan)
     vals = np.where((z > 0.0) & (a > 0.0), math.inf, a ** (1.0 / q) * b ** (1.0 / pp))
     return _supremum_report(f"A_{p:g},{q:g}", w.mesh, vals)
 
@@ -222,21 +223,23 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
     batch over the centre windows of its cubes (``_window_maximal_sums``).
     A window has 2^(L-k) cells per axis, and its maximal sweep starts at
     Q's own level, so a segment costs O(cells * (L - k + 1)) per sweep
-    shift, plus one full-frame row per cube for the final sums.  The
+    shift, plus one full-frame row per cube for the final sums.  The box
+    geometry of a segment depends on the mesh alone: it is laid out once
+    per mesh (``_window_layout``), and a call pays only for the sums.  The
     values, witness and count equal those of one ``hl_maximal`` on the full
     mesh per cube."""
     mesh = w.mesh
     c = mesh.corpus
     scan = np.flatnonzero(c.level <= max_level) if max_level is not None else np.arange(len(c.level))
     wq = np.zeros(len(c.level))
-    wq[scan] = w.integral_box3(c.lo3[scan], c.hi3[scan])
+    wq[scan] = w.plan_integrals(mesh.corpus_plan)[scan]
     picked, vals = [], []
-    for (_, level), a, b in zip(c.segments, c.starts.tolist(), c.ends.tolist()):
-        cubes = a + np.flatnonzero(wq[a:b] > 0.0)
-        if len(cubes):
-            sums = _window_maximal_sums(w, level, c.lo3[cubes], c.hi3[cubes])
-            picked.append(cubes)
-            vals.append(sums * mesh.cell_volume / wq[cubes])
+    for segment, (a, b) in enumerate(zip(c.starts.tolist(), c.ends.tolist())):
+        rows = np.flatnonzero(wq[a:b] > 0.0)
+        if len(rows):
+            sums = _window_maximal_sums(w, _window_layout(mesh, segment), rows)
+            picked.append(a + rows)
+            vals.append(sums * mesh.cell_volume / wq[a + rows])
     if not picked:
         return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
     picked, vals = np.concatenate(picked), np.concatenate(vals)
@@ -247,9 +250,73 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
     return CharacteristicReport("A_inf' (Fujii-Wilson)", float(vals[i]), witness, len(picked))
 
 
-def _window_maximal_sums(w: StepFunction, level: int, lo3, hi3) -> np.ndarray:
-    """sum over the cells of M(chi_Q w), for in-box cubes Q of one segment
-    (``lo3``/``hi3`` of shape (count, n)), equal bit for bit to the full-
+class _WindowLayout(NamedTuple):
+    """The box geometry of the window sweeps of one corpus segment, for all
+    of its cubes.  Arrays are read-only."""
+
+    plan: BoxPlan  # every step's boxes, window-relative, on (width,) * n frames
+    factor: np.ndarray  # (boxes,) 2^(-j n) for the level j of each box's step
+    offsets: tuple  # per axis, (steps, width): that axis's part of each window cell's box index in v
+    flat: np.ndarray  # (cubes, width^n) full-frame index of each window cell, row-major
+
+
+def _along(x: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """Values along one axis (the last of ``x``), shaped to broadcast into a
+    window's (width,) * n."""
+    return x.reshape(*x.shape[:-1], *(-1 if b == axis else 1 for b in range(n)))
+
+
+def _window_layout(mesh: Mesh, segment: int) -> _WindowLayout:
+    """The ``_WindowLayout`` of one corpus segment, built on first use and
+    cached on the mesh (``Mesh._window_layouts``).
+
+    The windows of a segment differ by multiples of 2^(L-k) cells, which
+    maps every grid at level >= k onto itself, so one box layout, found
+    over the segment's first window with window-relative corners, serves
+    every window of the segment."""
+    layout = mesh._window_layouts.get(segment)
+    if layout is not None:
+        return layout
+    c = mesh.corpus
+    level, a, b = c.segments[segment][1], int(c.starts[segment]), int(c.ends[segment])
+    n, N, L = mesh.n, mesh.cells_per_axis, mesh.finest_exponent
+    width = 1 << (L - level)
+    steps = [(t, j) for t in mesh.shifts() for j in range(level, L + 1)]
+    flags = np.array([t for t, _ in steps], dtype=np.int64)
+    levels = np.array([j for _, j in steps], dtype=np.int64)
+    scale = 1 << (L - levels)
+    offset = (1 - 2 * (levels % 2))[:, None] * flags  # (steps, n) sign times shift flag
+    # per axis: the cells of each window, (cubes, width), and per step the
+    # coordinate of the cube over each cell of the first window, (steps, width)
+    i0 = mesh.center_window(c.lo3[a:b], c.hi3[a:b])[0]
+    cells = [i0[:, axis, None] + np.arange(width) for axis in range(n)]
+    coord = [_containing_coord(ix[0], flags[:, axis, None], levels[:, None], L)
+             for axis, ix in enumerate(cells)]
+    # the boxes of a step run row-major over the cubes it meets per axis,
+    # with corners relative to the window
+    runs = np.stack([m[:, -1] - m[:, 0] + 1 for m in coord], axis=1)
+    step, pos = mesh.window_cells(np.zeros_like(runs), runs)
+    lo = [(3 * (m[step, 0] + pos[axis]) + offset[step, axis]) * scale[step] - 3 * i0[0, axis]
+          for axis, m in enumerate(coord)]
+    hi = [x + 3 * scale[step] for x in lo]
+    factor = np.array([2.0 ** (-j * n) for j in levels.tolist()])[step]
+    # each window cell reads its cube's box, step by step: per axis, the
+    # cube's place in the run times the step's row-major stride
+    boxes = runs.prod(axis=1)
+    stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs
+    offsets = [(m - m[:, :1]) * stride[:, axis, None] for axis, m in enumerate(coord)]
+    offsets[0] += (np.cumsum(boxes) - boxes)[:, None]
+    flat = np.ravel_multi_index(tuple(_along(ix, axis, n) for axis, ix in enumerate(cells)), (N,) * n)
+    layout = _WindowLayout(BoxPlan(lo, hi, (width,) * n), factor, tuple(offsets), flat.reshape(b - a, -1))
+    for x in (factor, *offsets, layout.flat):
+        x.setflags(write=False)
+    mesh._window_layouts[segment] = layout
+    return layout
+
+
+def _window_maximal_sums(w: StepFunction, layout: _WindowLayout, rows: np.ndarray) -> np.ndarray:
+    """sum over the cells of M(chi_Q w), for the cubes Q at ``rows`` of one
+    corpus segment, laid out in ``layout``, equal bit for bit to the full-
     frame sum of ``hl_maximal(w * mask_Q) * mask_Q``.
 
     * Only the centre window of Q matters, and w * chi_Q vanishes outside
@@ -261,57 +328,23 @@ def _window_maximal_sums(w: StepFunction, level: int, lo3, hi3) -> np.ndarray:
       any grid (volume 2^n |Q|) averages at most (3/4)^n times Q's own
       value, which every window cell sees.  Every grid's
       ``Mesh.maximal_levels`` start is at most -J <= k.
-    * The windows differ by multiples of 2^(L-k) cells, which maps every
-      grid at level >= k onto itself, so one box layout, found over the
-      first window with window-relative corners, serves the whole stack;
-      each box is formed as ``integral_box3`` forms it.
+    * Every window shares the segment's box layout (``_window_layout``),
+      and each box is formed as ``integral_box3`` forms it.
     * Each window's maxima go into a zero full-frame row, so the row sum
       adds the terms of the full-frame sum in its order."""
     mesh = w.mesh
-    n, N, L = mesh.n, mesh.cells_per_axis, mesh.finest_exponent
-    width = 1 << (L - level)
-    count = len(lo3)
-
-    def along(axis, x):
-        """Values along one axis (the last of ``x``), shaped to broadcast
-        into a window's (width,) * n."""
-        return x.reshape(*x.shape[:-1], *(-1 if b == axis else 1 for b in range(n)))
-
-    steps = [(t, j) for t in mesh.shifts() for j in range(level, L + 1)]
-    flags = np.array([t for t, _ in steps], dtype=np.int64)
-    levels = np.array([j for _, j in steps], dtype=np.int64)
-    scale = 1 << (L - levels)
-    offset = (1 - 2 * (levels % 2))[:, None] * flags  # (steps, n) sign times shift flag
-    # per axis: the cells of each window, (count, width), and per step the
-    # coordinate of the cube over each cell of the first window, (steps, width)
-    i0 = mesh.center_window(lo3, hi3)[0]
-    cells = [i0[:, a, None] + np.arange(width) for a in range(n)]
-    coord = [_containing_coord(ix[0], flags[:, a, None], levels[:, None], L)
-             for a, ix in enumerate(cells)]
-    # the boxes of a step run row-major over the cubes it meets per axis,
-    # with corners relative to the window
-    runs = np.stack([m[:, -1] - m[:, 0] + 1 for m in coord], axis=1)
-    step, pos = mesh.window_cells(np.zeros_like(runs), runs)
-    lo = [(3 * (m[step, 0] + pos[a]) + offset[step, a]) * scale[step] - 3 * i0[0, a]
-          for a, m in enumerate(coord)]
-    hi = [x + 3 * scale[step] for x in lo]
-    window = w.values[tuple(along(a, ix) for a, ix in enumerate(cells))]
-    factor = np.array([2.0 ** (-j * n) for j in levels.tolist()])
-    v = _box_sums(_prefix_sums(window, n), window, lo, hi)
-    v = v * mesh.cell_volume / factor[step]
+    n, N = mesh.n, mesh.cells_per_axis
+    count = len(rows)
+    flat = layout.flat[rows]
+    window = w.values.reshape(-1).take(flat).reshape(count, *layout.plan.size)
+    v = layout.plan.sums(_prefix_sums(window, n))
+    v = v * mesh.cell_volume / layout.factor
     v = np.where(v > 0.0, v, 0.0)
-    # each window cell reads its cube's box, step by step: per axis, the
-    # cube's place in the run times the step's row-major stride
-    boxes = runs.prod(axis=1)
-    stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs
-    offsets = [(m - m[:, :1]) * stride[:, a, None] for a, m in enumerate(coord)]
-    offsets[0] += (np.cumsum(boxes) - boxes)[:, None]
     out = np.zeros(window.shape)
-    for box in sum(along(a, x) for a, x in enumerate(offsets)):
-        np.maximum(out, v[:, box], out=out)
+    for box in sum(_along(x, axis, n) for axis, x in enumerate(layout.offsets)):
+        np.maximum(out, v.take(box, axis=1), out=out)
     # each window's maxima in its own zero full-frame row
-    flat = np.ravel_multi_index(tuple(along(a, ix) for a, ix in enumerate(cells)), (N,) * n)
-    flat, out = flat.reshape(count, -1), out.reshape(count, -1)
+    out = out.reshape(count, -1)
     sums = np.empty(count)
     block = max(1, _FRAME_BLOCK // N**n)
     for a in range(0, count, block):

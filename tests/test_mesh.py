@@ -14,7 +14,7 @@ from rieszw.mesh import (
     covering_shifted_cube,
     enumerate_cubes,
 )
-from rieszw.mesh import _box_sums, _prefix_sums
+from rieszw.mesh import BoxPlan, _box_sums, _prefix_sums
 from rieszw.operators import dyadic_riesz
 from rieszw.sparse import build_sparse
 
@@ -402,3 +402,194 @@ class TestCorpusTable:
             table = mesh.level_factors(alpha)
             assert mesh.level_factors(alpha) is table and not table.flags.writeable
             assert table.tolist() == [2.0 ** (-k * alpha) for k in mesh.levels()]
+
+
+# ---------------------------------------------------------------------------
+# BoxPlan against the box sums it replaced
+
+
+def parent_prefix_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Prefix sums of cell values over their last ``n`` axes, each with a
+    leading zero per axis; leading axes are a batch of frames.  1-d: (S,);
+    2-d: (P, RP, CP), the full sums and the sums along each row and each
+    column.  Each is a running ``cumsum``, so frames that agree on a window
+    and are zero outside it have the window's own prefix sums there."""
+    lead, shape = values.shape[:-n], values.shape[-n:]
+    if n == 1:
+        S = np.zeros((*lead, shape[0] + 1))
+        np.cumsum(values, axis=-1, out=S[..., 1:])
+        return (S,)
+    rows, cols = shape
+    P = np.zeros((*lead, rows + 1, cols + 1))
+    np.cumsum(np.cumsum(values, axis=-2), axis=-1, out=P[..., 1:, 1:])
+    RP = np.zeros((*lead, rows, cols + 1))
+    np.cumsum(values, axis=-1, out=RP[..., 1:])
+    CP = np.zeros((*lead, rows + 1, cols))
+    np.cumsum(values, axis=-2, out=CP[..., 1:, :])
+    return P, RP, CP
+
+
+def parent_axis_terms(x3: np.ndarray, size: int):
+    """A corner coordinate (thirds units) clamped to a frame axis of
+    ``size`` cells: its whole cells, the fraction of the next one, and that
+    cell's index kept inside the frame."""
+    i, r = np.divmod(np.minimum(np.maximum(x3, 0), 3 * size), 3)
+    return i, r / 3.0, np.minimum(i, size - 1)
+
+
+def parent_corner(pref, values, terms, batch):
+    """Integral of the cells over [0, x) per axis, in cell volumes, from
+    each axis's ``_axis_terms``."""
+    if len(terms) == 1:
+        ((i, fx, iv),) = terms
+        return pref[0][(*batch, i)] + fx * values[(*batch, iv)]
+    P, RP, CP = pref
+    (i, fx, iv), (j, fy, jv) = terms
+    return (P[(*batch, i, j)] + fx * RP[(*batch, iv, j)] + fy * CP[(*batch, i, jv)]
+            + fx * fy * values[(*batch, iv, jv)])
+
+
+def parent_box_sums(pref, values, lo3, hi3) -> np.ndarray:
+    """Sums of the cell values over boxes [lo3, hi3), in cell volumes and
+    clipped at zero, from the ``_prefix_sums`` of ``values``.  ``lo3`` and
+    ``hi3`` hold one integer corner array per axis (thirds units, clamped
+    to the frame here), all broadcast together.  If ``values`` has more
+    axes than there are corner arrays, the leading ones are a batch of
+    frames that share the corners, and the sums gain those axes in front."""
+    size = values.shape[-len(lo3):]
+    # an Ellipsis spans the batch axes, and indexes faster than an index array
+    batch = (Ellipsis,) if values.ndim > len(lo3) else ()
+    lo = [parent_axis_terms(x, m) for x, m in zip(lo3, size)]
+    hi = [parent_axis_terms(x, m) for x, m in zip(hi3, size)]
+    if len(lo) == 1:
+        out = parent_corner(pref, values, hi, batch) - parent_corner(pref, values, lo, batch)
+    else:
+        (x0, y0), (x1, y1) = lo, hi
+        out = (parent_corner(pref, values, (x1, y1), batch) - parent_corner(pref, values, (x0, y1), batch)
+               - parent_corner(pref, values, (x1, y0), batch) + parent_corner(pref, values, (x0, y0), batch))
+    return np.maximum(out, 0.0)
+
+
+def assert_same_bits(got, expect):
+    """``==`` on the int64 views, so that the sign of a zero counts."""
+    got, expect = np.asarray(got, dtype=np.float64), np.asarray(expect, dtype=np.float64)
+    assert got.shape == expect.shape
+    assert np.array_equal(got.reshape(-1).view(np.int64), expect.reshape(-1).view(np.int64))
+
+
+PLAN_MESHES = [Mesh(n, J, L, coarse_padding=T) for n, L in ((1, 5), (2, 3)) for J in (0, 1) for T in (0, 40)]
+
+
+def plan_box_sets(mesh, rng):
+    """(label, lo3, hi3) box sets of shape (count, n): every level table,
+    the corpus, random boxes reaching past every frame edge (some empty or
+    inverted), every one-cell box, and boxes inside the left half of the
+    frame, where ``half_zero`` vanishes."""
+    n, N = mesh.n, mesh.cells_per_axis
+    sets = [(f"table{t}", mesh.level_table(t).lo3, mesh.level_table(t).hi3) for t in mesh.shifts()]
+    sets.append(("corpus", mesh.corpus.lo3, mesh.corpus.hi3))
+    lo = rng.integers(-7, 3 * N + 4, size=(300, n))
+    hi = lo + rng.integers(-3, 3 * N + 10, size=(300, n))
+    assert (lo < 0).any() and (hi > 3 * N).any() and (hi <= lo).any()
+    sets.append(("random", lo, hi))
+    cells = np.stack([g.ravel() for g in np.meshgrid(*[np.arange(N)] * n, indexing="ij")], axis=1)
+    sets.append(("one-cell", 3 * cells, 3 * cells + 3))
+    lo = rng.integers(0, 3 * (N // 2), size=(50, n))
+    lo[:, 1:] = rng.integers(0, 3 * N, size=(50, n - 1))
+    hi = lo + rng.integers(0, 4, size=(50, n))
+    hi[:, 0] = np.minimum(hi[:, 0], 3 * (N // 2))
+    sets.append(("zero-mass", lo, hi))
+    return sets
+
+
+class TestBoxPlanOracle:
+    """``BoxPlan``, ``_box_sums`` and the corpus plan against the parent's
+    ``_box_sums``, ``==`` bit for bit."""
+
+    @pytest.mark.parametrize("mesh", PLAN_MESHES, ids=lambda m: f"n{m.n}-J{m.base_exponent}-T{m.coarse_padding}")
+    def test_single_frames(self, mesh):
+        n, N = mesh.n, mesh.cells_per_axis
+        rng = np.random.default_rng(11)
+        half_zero = lognormal(mesh, 12).values.copy()
+        half_zero[: N // 2] = 0.0
+        frames = [lognormal(mesh, 13).values, half_zero, np.zeros((N,) * n)]
+        for label, lo3, hi3 in plan_box_sets(mesh, rng):
+            lo, hi = list(lo3.T), list(hi3.T)
+            plan = BoxPlan(lo, hi, (N,) * n)
+            for values in frames:
+                pref = _prefix_sums(values, n)
+                expect = parent_box_sums(parent_prefix_sums(values, n), values, lo, hi)
+                assert_same_bits(plan.sums(pref), expect)
+                assert_same_bits(_box_sums(pref, values, lo, hi), expect)
+            if label == "zero-mass":
+                assert np.all(plan.sums(_prefix_sums(half_zero, n)) == 0.0)
+        for values in frames:
+            f = StepFunction(mesh, values)
+            assert_same_bits(f.plan_integrals(mesh.corpus_plan), f.integral_box3(mesh.corpus.lo3, mesh.corpus.hi3))
+
+    @pytest.mark.parametrize("mesh", PLAN_MESHES, ids=lambda m: f"n{m.n}-J{m.base_exponent}-T{m.coarse_padding}")
+    def test_batched_frames(self, mesh):
+        n, N = mesh.n, mesh.cells_per_axis
+        rng = np.random.default_rng(14)
+        stack = np.stack([lognormal(mesh, 50 + i).values for i in range(30)])
+        stack[1, : N // 2] = 0.0
+        stack[2] = 0.0
+        for _, lo3, hi3 in plan_box_sets(mesh, rng):
+            lo, hi = list(lo3.T), list(hi3.T)
+            plan = BoxPlan(lo, hi, (N,) * n)
+            for rows in (1, 4, 30):
+                values = stack[:rows]
+                pref = _prefix_sums(values, n)
+                expect = parent_box_sums(parent_prefix_sums(values, n), values, lo, hi)
+                assert expect.shape == (rows, len(lo3))
+                assert_same_bits(plan.sums(pref), expect)
+                assert_same_bits(_box_sums(pref, values, lo, hi), expect)
+
+    @pytest.mark.parametrize("rows", [None, 1, 4])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_prefix_table_holds_the_parent_sums(self, n, rows):
+        # each table is the parent's array, padded by its last row or column
+        for mesh in (Mesh(n, 0, 0), Mesh(n, 0, 3)):
+            N = mesh.cells_per_axis
+            lead = () if rows is None else (rows,)
+            values = np.exp(np.random.default_rng(17).standard_normal((*lead, *(N,) * n)))
+            table = _prefix_sums(values, n)
+            assert table.shape == (*lead, 2**n, (N + 1) ** n)
+            table = table.reshape(*lead, 2**n, *(N + 1,) * n)
+            if n == 1:
+                (S,) = parent_prefix_sums(values, n)
+                padded = [S, np.concatenate([values, values[..., -1:]], axis=-1)]
+            else:
+                P, RP, CP = parent_prefix_sums(values, n)
+                V = np.concatenate([values, values[..., -1:, :]], axis=-2)
+                padded = [P, np.concatenate([RP, RP[..., -1:, :]], axis=-2),
+                          np.concatenate([CP, CP[..., -1:]], axis=-1), np.concatenate([V, V[..., -1:]], axis=-1)]
+            for k, expect in enumerate(padded):
+                assert_same_bits(table[..., k, :] if n == 1 else table[..., k, :, :], expect)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_broadcast_and_scalar_corners(self, n):
+        mesh = Mesh(n, 0, 3)
+        N = mesh.cells_per_axis
+        rng = np.random.default_rng(15)
+        f = lognormal(mesh, 16)
+        pref = parent_prefix_sums(f.values, n)
+        # per axis, lower corners along one axis and upper corners along another
+        lo = [rng.integers(-4, 3 * N, size=(5, 1)) for _ in range(n)]
+        hi = [rng.integers(0, 3 * N + 4, size=(1, 7)) for _ in range(n)]
+        got = BoxPlan(lo, hi, (N,) * n).sums(f._prefixes())
+        assert got.shape == (5, 7)
+        assert_same_bits(got, parent_box_sums(pref, f.values, lo, hi))
+        lo, hi = rng.integers(0, 3 * N, size=n), rng.integers(0, 3 * N, size=n) + 3
+        expect = parent_box_sums(pref, f.values, list(lo), list(hi))
+        assert_same_bits(f.integral_box3(lo, hi), expect * mesh.cell_volume)
+        assert np.ndim(f.integral_box3(lo, hi)) == 0
+
+    def test_corpus_plan_is_cached_and_read_only(self):
+        mesh = Mesh(2, 0, 3)
+        plan = mesh.corpus_plan
+        assert mesh.corpus_plan is plan
+        assert plan.shape == (len(mesh.corpus.level),) and plan.size == (8, 8)
+        for corner in plan.corners:
+            for a in corner:
+                assert not a.flags.writeable

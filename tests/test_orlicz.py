@@ -177,6 +177,17 @@ class TestLuxemburg:
         for q, v in zip(cubes, batch):
             assert v == pytest.approx(luxemburg_norm(f, q, phi), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_batch(self, n):
+        f = lognormal(Mesh(n, 0, 3), 7)
+        empty = np.zeros((0, n), dtype=np.int64)
+        for phi in (YoungFunction.power(2.0), YoungFunction.log_bump(2.0, 1.0)):
+            got = luxemburg_norms(f, empty, empty, phi)
+            assert got.dtype == np.float64 and got.shape == (0,)
+        got = _kernels.luxemburg_batch(np.zeros(0), np.zeros(0), np.zeros(1, dtype=np.int64), np.zeros(0),
+                                       YoungFunction.power(2.0))
+        assert got.dtype == np.float64 and got.shape == (0,)
+
     def test_unconverged_bisection_raises(self, monkeypatch):
         # one group with cells 1, 2, 3 and Phi = t^2: the root is sqrt(14/3)
         # = 2.1602..., and five steps from the bracket [2, 4] stop at 2.1796875

@@ -372,6 +372,58 @@ class TestFujiiWilsonWindows:
         assert_same_report(fujii_wilson(w, 2), expect)
 
 
+def cached_arrays(mesh):
+    """Every array the mesh keeps for ``fujii_wilson``: the corpus plan and
+    the cached window layouts, their plans included."""
+    plans = [mesh.corpus_plan, *(layout.plan for layout in mesh._window_layouts.values())]
+    out = [a for plan in plans for corner in plan.corners for a in corner]
+    for layout in mesh._window_layouts.values():
+        out += [layout.factor, *layout.offsets, layout.flat]
+    return out
+
+
+class TestFujiiWilsonLayoutReuse:
+    """The corpus plan and the window layouts cached on one mesh serve every
+    later weight and level cap: ``==`` to the full-mesh sweep and to the
+    same call on a fresh mesh."""
+
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(2, 0, 3), Mesh(2, 1, 2, coarse_padding=0)], ids=mesh_id)
+    def test_shared_mesh(self, mesh):
+        fresh = lambda: Mesh(mesh.n, mesh.base_exponent, mesh.finest_exponent, mesh.coarse_padding)
+        cases = [
+            (lambda m: zero_mass_weight(m, 91), 1),
+            (lambda m: boundary_cell_weight(m, 2), None),
+            (lambda m: lognormal(m, 90, scale=0.7), 3),
+            (lambda m: StepFunction.constant(m, 2.0), None),
+            (lambda m: boundary_cell_weight(m, 1), 1),
+            (lambda m: lognormal(m, 90, scale=0.7), None),
+            (lambda m: zero_mass_weight(m, 91), 3),
+            (lambda m: boundary_cell_weight(m, 1), None),
+            (lambda m: StepFunction.constant(m, 2.0), 3),
+            (lambda m: boundary_cell_weight(m, 2), 1),
+        ]
+        for make, max_level in cases:
+            w = make(mesh)
+            got = fujii_wilson(w, max_level)
+            assert_same_report(got, hl_fujii_wilson(w, max_level))
+            assert_same_report(got, fujii_wilson(make(fresh()), max_level))
+        assert len(mesh._window_layouts) == len(mesh.corpus.segments)
+        for a in cached_arrays(mesh):
+            assert not a.flags.writeable
+
+    def test_across_frame_blocks_after_caching(self, monkeypatch):
+        mesh = Mesh(2, 0, 3)
+        w = lognormal(mesh, 92, scale=0.7)
+        expect = hl_fujii_wilson(w, 2)
+        assert_same_report(fujii_wilson(w, 2), expect)
+        cached = dict(mesh._window_layouts)
+        monkeypatch.setattr(weights, "_FRAME_BLOCK", 3 * mesh.total_cells)
+        assert_same_report(fujii_wilson(w, 2), expect)
+        assert all(mesh._window_layouts[s] is layout for s, layout in cached.items())
+        for a in cached_arrays(mesh):
+            assert not a.flags.writeable
+
+
 class TestMixedAndBump:
     def test_sobolev_scale_free(self, unit_mesh):
         e = ExponentTuple(1, 0.5, 4.0 / 3.0, 4.0)
