@@ -668,13 +668,12 @@ class BoxPlan:
             # (index, fraction), the upper corner first
             self.corners = (terms[1], terms[0])
         else:
-            # (index, fx, fy, fx * fy) per corner, in the order of the
-            # signs of c11 - c01 - c10 + c00
+            # (index, fx, fy) per corner, in the order of the signs of
+            # c11 - c01 - c10 + c00; the whole rows become row offsets
             (i0, fx0), (j0, fy0), (i1, fx1), (j1, fy1) = terms
-            stride = self.size[1] + 1
-            r1, r0 = i1 * stride, i0 * stride
-            self.corners = tuple((r + j, fx, fy, fx * fy) for r, fx, j, fy in (
-                (r1, fx1, j1, fy1), (r0, fx0, j1, fy1), (r1, fx1, j0, fy0), (r0, fx0, j0, fy0)))
+            i0 *= self.size[1] + 1
+            i1 *= self.size[1] + 1
+            self.corners = ((i1 + j1, fx1, fy1), (i0 + j1, fx0, fy1), (i1 + j0, fx1, fy0), (i0 + j0, fx0, fy0))
         for corner in self.corners:
             for a in corner:
                 a.setflags(write=False)
@@ -703,8 +702,8 @@ def _planned_corner(pref: np.ndarray, terms) -> np.ndarray:
     g = pref.take(terms[0], axis=-1)
     if len(terms) == 2:
         return g[..., 0, :] + terms[1] * g[..., 1, :]
-    _, fx, fy, fxy = terms
-    return g[..., 0, :] + fx * g[..., 1, :] + fy * g[..., 2, :] + fxy * g[..., 3, :]
+    _, fx, fy = terms
+    return g[..., 0, :] + fx * g[..., 1, :] + fy * g[..., 2, :] + fx * fy * g[..., 3, :]
 
 
 def _box_sums(pref, values, lo3, hi3) -> np.ndarray:
