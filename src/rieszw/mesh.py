@@ -605,27 +605,26 @@ def _checked(values: np.ndarray) -> np.ndarray:
 def _prefix_sums(values: np.ndarray, n: int) -> np.ndarray:
     """The prefix table of cell values over their last ``n`` axes: 2^n
     tables, each padded to the frame's size plus one per axis and
-    flattened row-major, shape (..., 2^n, M); leading axes are a batch of
-    frames.  1-d: (S, V), the prefix sums with a leading zero and the
-    values; 2-d: (P, RP, CP, V), the full prefix sums and the sums along
-    each row and each column, each with a leading zero per summed axis, and
-    the values.  On an axis where a table is one short it repeats its last
-    entry, so entry (i, j) of RP, CP or V is the entry of the clamped index
-    that a box corner at whole cells (i, j) reads.  Each sum is a running
-    ``cumsum``, so frames that agree on a window and are zero outside it
-    have the window's own prefix sums there."""
+    flattened row-major, shape (2^n, ..., M), where the middle axes are a
+    batch of frames.  1-d: (S, V), the prefix sums with a leading zero and
+    the values; 2-d: (P, RP, CP, V), the full prefix sums and the sums
+    along each row and each column, each with a leading zero per summed
+    axis, and the values.  On an axis where a table is one short it repeats
+    its last entry, so entry (i, j) of RP, CP or V is the entry of the
+    clamped index that a box corner at whole cells (i, j) reads.  Each sum
+    is a running ``cumsum``, so frames that agree on a window and are zero
+    outside it have the window's own prefix sums there."""
     lead, shape = values.shape[:-n], values.shape[-n:]
     if n == 1:
         (size,) = shape
-        table = np.empty((*lead, 2, size + 1))
-        table[..., 0, 0] = 0.0
-        np.cumsum(values, axis=-1, out=table[..., 0, 1:])
-        table[..., 1, :size] = values
-        table[..., 1, size] = values[..., size - 1]
+        S, V = table = np.empty((2, *lead, size + 1))
+        S[..., 0] = 0.0
+        np.cumsum(values, axis=-1, out=S[..., 1:])
+        V[..., :size] = values
+        V[..., size] = values[..., size - 1]
         return table
     rows, cols = shape
-    table = np.zeros((*lead, 4, rows + 1, cols + 1))
-    P, RP, CP, V = (table[..., k, :, :] for k in range(4))
+    P, RP, CP, V = table = np.zeros((4, *lead, rows + 1, cols + 1))
     np.cumsum(np.cumsum(values, axis=-2), axis=-1, out=P[..., 1:, 1:])
     np.cumsum(values, axis=-1, out=RP[..., :rows, 1:])
     np.cumsum(values, axis=-2, out=CP[..., 1:, :cols])
@@ -634,7 +633,7 @@ def _prefix_sums(values: np.ndarray, n: int) -> np.ndarray:
     V[..., rows, :] = V[..., rows - 1, :]
     CP[..., cols] = CP[..., cols - 1]
     V[..., cols] = V[..., cols - 1]
-    return table.reshape(*lead, 4, (rows + 1) * (cols + 1))
+    return table.reshape(4, *lead, (rows + 1) * (cols + 1))
 
 
 def _axis_terms(x3: np.ndarray, size: int):
@@ -680,18 +679,19 @@ class BoxPlan:
 
     def sums(self, pref: np.ndarray) -> np.ndarray:
         """Sums over the boxes, in cell volumes and clipped at zero, of the
-        frames whose ``_prefix_sums`` table is ``pref``; axes before the
-        table's two are a batch of frames, and the sums gain them in front.
+        frames whose ``_prefix_sums`` table is ``pref``; its axes between
+        the first and the last are a batch of frames, and the sums gain them
+        in front.
         Every corner is ((P + fx RP) + fy CP) + (fx fy) V in 2-d (S + fx V
         in 1-d), and the corners combine as c11 - c01 - c10 + c00
         (c1 - c0)."""
-        corner = (_planned_corner(pref, terms) for terms in self.corners)
-        out = next(corner)
-        out -= next(corner)
-        if len(self.corners) == 4:
-            out -= next(corner)
-            out += next(corner)
-        return np.maximum(out.reshape((*pref.shape[:-2], *self.shape)), 0.0)
+        c = self.corners
+        out = _planned_corner(pref, c[0])
+        out -= _planned_corner(pref, c[1])
+        if len(c) == 4:
+            out -= _planned_corner(pref, c[2])
+            out += _planned_corner(pref, c[3])
+        return np.maximum(out.reshape((*pref.shape[1:-1], *self.shape)), 0.0)
 
 
 def _planned_corner(pref: np.ndarray, terms) -> np.ndarray:
@@ -699,11 +699,13 @@ def _planned_corner(pref: np.ndarray, terms) -> np.ndarray:
     ``_prefix_sums`` table and one corner's ``BoxPlan`` terms: one gather
     of every table at the corner's index.  ``take`` along the last axis
     gathers faster than indexing a batch."""
-    g = pref.take(terms[0], axis=-1)
     if len(terms) == 2:
-        return g[..., 0, :] + terms[1] * g[..., 1, :]
-    _, fx, fy = terms
-    return g[..., 0, :] + fx * g[..., 1, :] + fy * g[..., 2, :] + fx * fy * g[..., 3, :]
+        i, fx = terms
+        S, V = pref.take(i, axis=-1)
+        return S + fx * V
+    i, fx, fy = terms
+    P, RP, CP, V = pref.take(i, axis=-1)
+    return P + fx * RP + fy * CP + fx * fy * V
 
 
 def _box_sums(pref, values, lo3, hi3) -> np.ndarray:

@@ -554,8 +554,8 @@ class TestBoxPlanOracle:
             lead = () if rows is None else (rows,)
             values = np.exp(np.random.default_rng(17).standard_normal((*lead, *(N,) * n)))
             table = _prefix_sums(values, n)
-            assert table.shape == (*lead, 2**n, (N + 1) ** n)
-            table = table.reshape(*lead, 2**n, *(N + 1,) * n)
+            assert table.shape == (2**n, *lead, (N + 1) ** n)
+            table = table.reshape(2**n, *lead, *(N + 1,) * n)
             if n == 1:
                 (S,) = parent_prefix_sums(values, n)
                 padded = [S, np.concatenate([values, values[..., -1:]], axis=-1)]
@@ -565,7 +565,7 @@ class TestBoxPlanOracle:
                 padded = [P, np.concatenate([RP, RP[..., -1:, :]], axis=-2),
                           np.concatenate([CP, CP[..., -1:]], axis=-1), np.concatenate([V, V[..., -1:]], axis=-1)]
             for k, expect in enumerate(padded):
-                assert_same_bits(table[..., k, :] if n == 1 else table[..., k, :, :], expect)
+                assert_same_bits(table[k], expect)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_broadcast_and_scalar_corners(self, n):
