@@ -32,8 +32,6 @@ __all__ = [
     "CoveringError",
     "enumerate_cubes",
     "covering_shifted_cube",
-    "cube_integral",
-    "cube_average",
 ]
 
 #: Default number of padding levels coarser than the base box.  Chosen so the
@@ -564,12 +562,8 @@ class StepFunction:
 
         ``lo3``/``hi3`` are integer arrays of shape (..., n); broadcasting
         over the leading dimensions is supported."""
-        lo3 = np.asarray(lo3, dtype=np.int64)
-        hi3 = np.asarray(hi3, dtype=np.int64)
-        n = self.mesh.n
-        sums = _box_sums(self._prefixes(), self.values,
-                        [lo3[..., a] for a in range(n)], [hi3[..., a] for a in range(n)])
-        return sums * self.mesh.cell_volume
+        lo3, hi3 = (np.moveaxis(np.asarray(x, dtype=np.int64), -1, 0) for x in (lo3, hi3))
+        return BoxPlan(lo3, hi3, self.values.shape).sums(self._prefixes()) * self.mesh.cell_volume
 
     def plan_integrals(self, plan: "BoxPlan") -> np.ndarray:
         """``integral_box3`` over the boxes of a ``BoxPlan`` on this mesh's
@@ -577,8 +571,7 @@ class StepFunction:
         return plan.sums(self._prefixes()) * self.mesh.cell_volume
 
     def cube_integral(self, cube: DyadicCube) -> float:
-        lo, hi = cube.bounds3(self.mesh.finest_exponent)
-        return float(self.integral_box3(np.asarray(lo), np.asarray(hi)))
+        return float(self.integral_box3(*cube.bounds3(self.mesh.finest_exponent)))
 
     def cube_average(self, cube: DyadicCube) -> float:
         return self.cube_integral(cube) / cube.volume
@@ -706,26 +699,3 @@ def _planned_corner(pref: np.ndarray, terms) -> np.ndarray:
     i, fx, fy = terms
     P, RP, CP, V = pref.take(i, axis=-1)
     return P + fx * RP + fy * CP + fx * fy * V
-
-
-def _box_sums(pref, values, lo3, hi3) -> np.ndarray:
-    """Sums of the cell values over boxes [lo3, hi3), in cell volumes and
-    clipped at zero, from the ``_prefix_sums`` of ``values``.  ``lo3`` and
-    ``hi3`` hold one integer corner array per axis (thirds units, clamped
-    to the frame here), all broadcast together.  If ``values`` has more
-    axes than there are corner arrays, the leading ones are a batch of
-    frames that share the corners, and the sums gain those axes in front.
-    This is a one-off ``BoxPlan``."""
-    return BoxPlan(lo3, hi3, values.shape[-len(lo3):]).sums(pref)
-
-
-def cube_integral(f: StepFunction, cube: DyadicCube) -> float:
-    """Integral of ``f`` over the cube (f vanishes outside the box), as
-    ``StepFunction.integral_box3`` takes it."""
-    return f.cube_integral(cube)
-
-
-def cube_average(f: StepFunction, cube: DyadicCube) -> float:
-    """Integral divided by the full cube volume."""
-    return f.cube_average(cube)
-

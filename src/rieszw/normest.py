@@ -283,10 +283,11 @@ def _seed_functions(
     extra seeds."""
     rows = max(1, _FRAME_BLOCK // mesh.total_cells)
     t = family.forest
-    for a in range(0, len(family.cubes), rows):
+    coords = mesh.level_table(family.shift).coords[family.positions].tolist()
+    for a in range(0, len(family), rows):
         masks = _center_mask(mesh, t.lo3[a : a + rows], t.hi3[a : a + rows])
-        for q, mask in zip(family.cubes[a : a + rows], masks):
-            yield f"chi[{q.level},{q.coord}]", mask
+        for k, c, mask in zip(t.level[a : a + rows].tolist(), coords[a : a + rows], masks):
+            yield f"chi[{k},{tuple(c)}]", mask
     with np.errstate(divide="ignore", invalid="ignore"):
         prof = np.where(sigma.values > 0.0, sigma.values ** (exps.p_prime - 1.0), 0.0)
     yield "sigma-profile", StepFunction(mesh, prof).values

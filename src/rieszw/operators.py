@@ -21,12 +21,12 @@ Cost:
   into its children, coarse to fine, and each cell reads the finest cube
   over its centre (``np.take(x, t.cells)``).  A sum gets one term per
   level in level order, and a maximum maps values <= 0 to +0.0.
-* A sparse apply is one batched ``integral_box3`` over the members and one
-  sum swept down the member levels of the family's forest, read by each
-  cell's owner (``SparseFamily.forest``): no Python loop over members, and
-  each cell's sum is formed in member order, as a per-member loop forms it.
-  ``_sparse_sum`` applies a block of frames at once, with one box-sum call
-  and one sweep for the block.
+* A sparse apply is one ``sums`` call of the members' box plan, which the
+  family keeps (``SparseFamily.plan``), and one sum swept down the member
+  levels of its forest, read by each cell's owner: no Python loop over
+  members, and each cell's sum is formed in member order, as a per-member
+  loop forms it.  ``_sparse_sum`` applies a block of frames at once, with
+  one ``sums`` call and one sweep for the block.
 * Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
   coarser padding levels repeat the covering cube's integrals over a larger
   volume, so they cannot raise the maximum.
@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import DyadicCube, Mesh, StepFunction, _box_sums, _prefix_sums, _sweep
+from .mesh import DyadicCube, Mesh, StepFunction, _prefix_sums, _sweep
 
 __all__ = [
     "KernelMode",
@@ -120,7 +120,7 @@ def _member_weights(values: np.ndarray, alpha: float, family, pref=None) -> np.n
     their ``_prefix_sums``."""
     mesh, t = family.mesh, family.forest
     pref = _prefix_sums(values, mesh.n) if pref is None else pref
-    sums = _box_sums(pref, values, list(t.lo3.T), list(t.hi3.T)) * mesh.cell_volume
+    sums = family.plan.sums(pref) * mesh.cell_volume
     return mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * (sums / t.volume)
 
 

@@ -3,11 +3,13 @@ decomposition, and Carleson-sequence checks.
 
 All measure arithmetic on unions of grid cubes is exact: cubes of one grid
 are nested or disjoint, cube corners are integer multiples of h/3, and cube
-volumes are integers in units of (h/3)^n.  A family keeps its members'
-positions in the grid's level table; their containment forest
-(:attr:`SparseFamily.forest`) comes from sweeps (``mesh._sweep``) down the
-table's parent positions, and their candidate roots from marking the
-members' table parents level by level, fine to coarse.  The
+volumes are integers in units of (h/3)^n.  A family is its members'
+positions in the grid's level table; it builds ``DyadicCube`` objects only
+for JSON, witnesses and functions that take one cube.  The members'
+forest (:attr:`SparseFamily.forest`) comes from sweeps (``mesh._sweep``)
+down the table's parents, their candidate roots from marking the members'
+table parents level by level, fine to coarse, and their box plan
+(:attr:`SparseFamily.plan`) is kept for every sparse apply.  The
 certificates sum integer volumes over the forest's children and generations
 instead of testing cubes pairwise.  A sparse sum, and the corona's stopping
 parents and generations, are sweeps down the forest's member levels; the
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import DyadicCube, LevelTable, Mesh, StepFunction, _sweep
+from .mesh import BoxPlan, DyadicCube, LevelTable, Mesh, StepFunction, _sweep
 from .weights import ExponentTuple
 
 __all__ = [
@@ -78,33 +80,54 @@ class Roots(NamedTuple):
     hi3: np.ndarray  # (r, n) int64 upper corners
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SparseFamily:
-    """A set of cubes from one shifted grid of the mesh.
+    """A set of cubes from one shifted grid of the mesh, as table positions.
 
     Sparsity itself is a property certified by :func:`verify_sparse`, not a
     constructor invariant, so that failing fixtures can be represented."""
 
     mesh: Mesh
     shift: tuple[int, ...]
-    cubes: tuple[DyadicCube, ...]
-    #: (m,) int64, read-only: each member's position in ``mesh.level_table(shift)``
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (m,) int64, read-only, increasing: the positions in ``mesh.level_table(shift)``
+    positions: np.ndarray
 
-    def __post_init__(self):
-        pos = _table_positions(self.mesh, self.shift, self.cubes)
-        # keep a canonical coarse-to-fine order: table order is (level, coord) order
+    def __init__(self, mesh: Mesh, shift: Sequence[int], cubes: Sequence[DyadicCube]):
+        pos = _table_positions(mesh, shift, cubes)
         order = np.argsort(pos, kind="stable")
         pos = pos[order]
         dup = order[1:][pos[1:] == pos[:-1]]
         if len(dup):
-            raise ValueError(f"duplicate cube {self.cubes[dup.min()]}")
-        object.__setattr__(self, "cubes", tuple(map(self.cubes.__getitem__, order.tolist())))
+            raise ValueError(f"duplicate cube {cubes[dup.min()]}")
         pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
+        vars(self).update(mesh=mesh, shift=shift, positions=pos)
+
+    @classmethod
+    def _at(cls, mesh: Mesh, shift: tuple[int, ...], positions: np.ndarray) -> "SparseFamily":
+        """The family at increasing table positions, which are not checked."""
+        family = object.__new__(cls)
+        positions.setflags(write=False)
+        vars(family).update(mesh=mesh, shift=shift, positions=positions)
+        return family
+
+    def _key(self):
+        return self.mesh, self.shift, self.positions.tobytes()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.positions)
+
+    @functools.cached_property
+    def cubes(self) -> tuple[DyadicCube, ...]:
+        """The members as cubes, built from the level table on first use."""
+        t = self.mesh.level_table(self.shift)
+        rows = zip(t.level[self.positions].tolist(), t.coords[self.positions].tolist())
+        return tuple(DyadicCube(self.shift, k, tuple(c)) for k, c in rows)
 
     @functools.cached_property
     def forest(self) -> Forest:
@@ -139,6 +162,13 @@ class SparseFamily:
         for x in out[:-2]:
             x.setflags(write=False)
         return out
+
+    @functools.cached_property
+    def plan(self) -> BoxPlan:
+        """The ``BoxPlan`` of the members on the mesh's full frame, built on
+        first use: every sparse apply integrates the same member boxes."""
+        a = self.forest
+        return BoxPlan(a.lo3.T, a.hi3.T, (self.mesh.cells_per_axis,) * self.mesh.n)
 
     @functools.cached_property
     def roots(self) -> Roots:
@@ -180,12 +210,13 @@ class SparseFamily:
 
     @staticmethod
     def from_jsonable(mesh: Mesh, data: dict) -> "SparseFamily":
-        shift = tuple(int(s) for s in data["shift"])
-        cubes = tuple(
-            DyadicCube(shift, int(row[0]), tuple(int(c) for c in row[1:]))
-            for row in data["cubes"]
-        )
-        return SparseFamily(mesh, shift, cubes)
+        """The family of ``to_jsonable``; rejects a shift or row not of n or 1 + n ints."""
+        shift, rows = data["shift"], data["cubes"]
+        for what, row, size in [("family shift", shift, mesh.n), *(("cube row", r, 1 + mesh.n) for r in rows)]:
+            if not (isinstance(row, list) and len(row) == size and all(type(x) is int for x in row)):
+                raise ValueError(f"{what} {row!r} is not {size} integers")
+        shift = tuple(shift)
+        return SparseFamily(mesh, shift, tuple(DyadicCube(shift, r[0], tuple(r[1:])) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -291,32 +322,27 @@ def build_sparse(
     top = t.sweep(key.copy(), np.maximum)
     anc = np.where(t.parent >= 0, top[t.parent], _NO_KEY)  # the strict-ancestor max
     member = np.flatnonzero(anc < key)  # never where avg <= 0: key is least there
-    level = t.level[member]
-    shift = tuple(shift)
-    cubes = tuple(DyadicCube(shift, k, tuple(c))
-                  for k, c in zip(level.tolist(), t.coords[member].tolist()))
-    return SparseFamily(mesh, shift, cubes), domination_constant(mesh.n, alpha)
+    return SparseFamily._at(mesh, tuple(shift), member), domination_constant(mesh.n, alpha)
 
 
 def _table_positions(mesh: Mesh, shift: tuple[int, ...], cubes: Sequence[DyadicCube]) -> np.ndarray:
     """Each cube's position in ``mesh.level_table(shift)``, in the given
     order: its level's start plus the row-major offset of its coordinates
     from the level's first cube.  ``ValueError`` if a cube has another
-    shift, or names the first cube whose level or coordinates lie outside
-    the table."""
+    shift, or names the first cube with other than n coordinates, or whose
+    level or coordinates lie outside the table."""
     if set(map(attrgetter("shift"), cubes)) - {shift}:
         raise ValueError("all members must carry the family shift")
+    if bad := [q for q in cubes if len(q.coord) != mesh.n]:
+        raise ValueError(f"cube {bad[0]} has {len(bad[0].coord)} coordinates, not {mesh.n}")
     t = mesh.level_table(shift)
-    m = len(cubes)
     j = _int64(list(map(attrgetter("level"), cubes))) - mesh.coarsest_level
-    bad = np.flatnonzero((j < 0) | (j >= len(t.starts)))
-    if len(bad):
+    if len(bad := np.flatnonzero((j < 0) | (j >= len(t.starts)))):
         raise ValueError(f"cube level {cubes[bad[0]].level} outside the mesh range")
     first = t.coords[t.starts]
     shape = (t.coords[t.ends - 1] - first + 1)[j]
-    off = _int64(list(map(attrgetter("coord"), cubes))).reshape(m, mesh.n) - first[j]
-    bad = np.flatnonzero(np.any((off < 0) | (off >= shape), axis=1))
-    if len(bad):
+    off = _int64(list(map(attrgetter("coord"), cubes))).reshape(len(cubes), mesh.n) - first[j]
+    if len(bad := np.flatnonzero(np.any((off < 0) | (off >= shape), axis=1))):
         raise ValueError(f"cube {cubes[bad[0]]} is not in the enumeration")
     pos = off[:, 0]
     for axis in range(1, mesh.n):

@@ -14,7 +14,7 @@ from rieszw.mesh import (
     covering_shifted_cube,
     enumerate_cubes,
 )
-from rieszw.mesh import BoxPlan, _box_sums, _prefix_sums
+from rieszw.mesh import BoxPlan, _prefix_sums
 from rieszw.operators import dyadic_riesz
 from rieszw.sparse import build_sparse
 
@@ -156,7 +156,7 @@ class TestStepFunction:
         lo = rng.integers(-5, 24, size=(30, n))
         hi = lo + rng.integers(0, 30, size=(30, n))
         assert (lo < 0).any() and (hi > 24).any()
-        got = _box_sums(_prefix_sums(stack, n), stack, list(lo.T), list(hi.T))
+        got = BoxPlan(list(lo.T), list(hi.T), stack.shape[-n:]).sums(_prefix_sums(stack, n))
         assert got.shape == (4, 30)
         for i, f in enumerate(frames):
             assert np.array_equal(got[i] * mesh.cell_volume, f.integral_box3(lo, hi))
@@ -503,8 +503,8 @@ def plan_box_sets(mesh, rng):
 
 
 class TestBoxPlanOracle:
-    """``BoxPlan``, ``_box_sums`` and the corpus plan against the parent's
-    ``_box_sums``, ``==`` bit for bit."""
+    """``BoxPlan``, the one-off plan of ``integral_box3`` and the corpus
+    plan against the parent's ``_box_sums``, ``==`` bit for bit."""
 
     @pytest.mark.parametrize("mesh", PLAN_MESHES, ids=lambda m: f"n{m.n}-J{m.base_exponent}-T{m.coarse_padding}")
     def test_single_frames(self, mesh):
@@ -520,7 +520,8 @@ class TestBoxPlanOracle:
                 pref = _prefix_sums(values, n)
                 expect = parent_box_sums(parent_prefix_sums(values, n), values, lo, hi)
                 assert_same_bits(plan.sums(pref), expect)
-                assert_same_bits(_box_sums(pref, values, lo, hi), expect)
+                got = StepFunction(mesh, values).integral_box3(lo3, hi3)
+                assert_same_bits(got, expect * mesh.cell_volume)
             if label == "zero-mass":
                 assert np.all(plan.sums(_prefix_sums(half_zero, n)) == 0.0)
         for values in frames:
@@ -543,7 +544,7 @@ class TestBoxPlanOracle:
                 expect = parent_box_sums(parent_prefix_sums(values, n), values, lo, hi)
                 assert expect.shape == (rows, len(lo3))
                 assert_same_bits(plan.sums(pref), expect)
-                assert_same_bits(_box_sums(pref, values, lo, hi), expect)
+                assert_same_bits(BoxPlan(lo, hi, values.shape[-n:]).sums(pref), expect)
 
     @pytest.mark.parametrize("rows", [None, 1, 4])
     @pytest.mark.parametrize("n", [1, 2])

@@ -1,15 +1,19 @@
 import itertools
 import json
 import math
+import sys
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
+from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _prefix_sums, enumerate_cubes
+from rieszw.normest import _seed_functions
 from rieszw.operators import _forest_paint, _member_weights, compare_pointwise, dyadic_riesz, sparse_riesz
 from rieszw.sparse import (
     CarlesonReport,
@@ -27,7 +31,7 @@ from rieszw.sparse import (
     sigma_decay_check,
     verify_sparse,
 )
-from rieszw.sparse import _certify_corona, _ilog_lt, _overlap_reports
+from rieszw.sparse import _certify_corona, _ilog_lt, _int64, _overlap_reports
 from rieszw.weights import ExponentTuple, fujii_wilson, generate_weight
 
 from conftest import _flat_index, level_grids, lognormal, per_level_grid
@@ -371,6 +375,30 @@ class TestSerialization:
         blob = json.dumps(fam.to_jsonable())
         back = SparseFamily.from_jsonable(unit_mesh, json.loads(blob))
         assert back.cubes == fam.cubes and back.shift == fam.shift
+
+    @pytest.mark.parametrize("data, message", [
+        ({"shift": [0], "cubes": [[1, 0], [1.7, 0.9]]}, "cube row [1.7, 0.9] is not 2 integers"),
+        ({"shift": [0], "cubes": [[2, 1.0]]}, "cube row [2, 1.0] is not 2 integers"),
+        ({"shift": [0], "cubes": [[True, 0]]}, "cube row [True, 0] is not 2 integers"),
+        ({"shift": [0], "cubes": [[1]]}, "cube row [1] is not 2 integers"),
+        ({"shift": [0], "cubes": [[1, 0, 0]]}, "cube row [1, 0, 0] is not 2 integers"),
+        ({"shift": [0], "cubes": [[1, "0"]]}, "cube row [1, '0'] is not 2 integers"),
+        ({"shift": [0], "cubes": [3]}, "cube row 3 is not 2 integers"),
+        ({"shift": [True], "cubes": [[1, 0]]}, "family shift [True] is not 1 integers"),
+        ({"shift": [0.0], "cubes": []}, "family shift [0.0] is not 1 integers"),
+        ({"shift": [0, 0], "cubes": []}, "family shift [0, 0] is not 1 integers"),
+    ])
+    def test_malformed_rows_are_rejected(self, unit_mesh, data, message):
+        with pytest.raises(ValueError) as err:
+            SparseFamily.from_jsonable(unit_mesh, data)
+        assert str(err.value) == message
+
+    def test_integer_rows_of_two_dimensions(self):
+        mesh = Mesh(2, 0, 2)
+        fam = SparseFamily.from_jsonable(mesh, {"shift": [1, 0], "cubes": [[1, 0, 1], [0, 0, 0]]})
+        assert fam.cubes == (DyadicCube((1, 0), 0, (0, 0)), DyadicCube((1, 0), 1, (0, 1)))
+        with pytest.raises(ValueError, match=r"^cube row \[1, 0\] is not 3 integers$"):
+            SparseFamily.from_jsonable(mesh, {"shift": [1, 0], "cubes": [[0, 0, 0], [1, 0]]})
 
 
 class TestIlog:
@@ -756,6 +784,19 @@ class TestConstructor:
         with pytest.raises(ValueError) as err:
             SparseFamily(mesh, shift, cubes)
         assert str(err.value) == f"cube {bad} is not in the enumeration"
+
+    def test_coordinate_count_differs_from_mesh(self, unit_mesh):
+        bad = DyadicCube((0,), 1, (0, 0))
+        with pytest.raises(ValueError) as err:
+            SparseFamily(unit_mesh, (0,), (ROOT, bad))
+        assert str(err.value) == f"cube {bad} has 2 coordinates, not 1"
+        # a mix of dimensions names its first cube of the wrong one
+        mesh = Mesh(2, 0, 2)
+        bad = DyadicCube((0, 0), 2, (1,))
+        cubes = (DyadicCube((0, 0), 1, (0, 1)), bad, DyadicCube((0, 0), 0, (0, 0, 0)))
+        with pytest.raises(ValueError) as err:
+            SparseFamily(mesh, (0, 0), cubes)
+        assert str(err.value) == f"cube {bad} has 1 coordinates, not 2"
 
     def test_duplicate(self, unit_mesh):
         a, b = DyadicCube((0,), 2, (3,)), DyadicCube((0,), 1, (0,))
@@ -1287,3 +1328,188 @@ class TestMemberSweepOracle:
         got, want = _forest_paint(w, fam), chain_paint(w, fam)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Families as level-table positions, against the family that stored its cubes
+
+
+@dataclass(frozen=True)
+class ParentSparseFamily:
+    """The family as it stored both its cubes and their table positions."""
+
+    mesh: Mesh
+    shift: tuple[int, ...]
+    cubes: tuple[DyadicCube, ...]
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pos = parent_table_positions(self.mesh, self.shift, self.cubes)
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        dup = order[1:][pos[1:] == pos[:-1]]
+        if len(dup):
+            raise ValueError(f"duplicate cube {self.cubes[dup.min()]}")
+        object.__setattr__(self, "cubes", tuple(map(self.cubes.__getitem__, order.tolist())))
+        pos.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
+
+    def __len__(self) -> int:
+        return len(self.cubes)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "shift": list(self.shift),
+            "cubes": [[q.level, *q.coord] for q in self.cubes],
+        }
+
+
+def parent_table_positions(mesh, shift, cubes):
+    if set(map(attrgetter("shift"), cubes)) - {shift}:
+        raise ValueError("all members must carry the family shift")
+    t = mesh.level_table(shift)
+    m = len(cubes)
+    j = _int64(list(map(attrgetter("level"), cubes))) - mesh.coarsest_level
+    bad = np.flatnonzero((j < 0) | (j >= len(t.starts)))
+    if len(bad):
+        raise ValueError(f"cube level {cubes[bad[0]].level} outside the mesh range")
+    first = t.coords[t.starts]
+    shape = (t.coords[t.ends - 1] - first + 1)[j]
+    off = _int64(list(map(attrgetter("coord"), cubes))).reshape(m, mesh.n) - first[j]
+    bad = np.flatnonzero(np.any((off < 0) | (off >= shape), axis=1))
+    if len(bad):
+        raise ValueError(f"cube {cubes[bad[0]]} is not in the enumeration")
+    pos = off[:, 0]
+    for axis in range(1, mesh.n):
+        pos = pos * shape[:, axis] + off[:, axis]
+    return pos + t.starts[j]
+
+
+def parent_build_sparse(f, shift, alpha):
+    """``build_sparse`` as it built a ``DyadicCube`` per member."""
+    mesh = f.mesh
+    if not 0.0 < alpha < mesh.n:
+        raise ValueError("alpha must lie in (0, n)")
+    if f.total() <= 0.0:
+        raise ValueError("f must not vanish identically")
+    t = mesh.level_table(shift)
+    avg = f.integral_box3(t.lo3, t.hi3) / t.volume
+    pos = avg > 0.0
+    no_key = np.iinfo(np.int64).min
+    key = np.where(pos, _ilog_lt(np.where(pos, avg, 1.0), 2.0 ** (mesh.n + 1)), no_key)
+    top = t.sweep(key.copy(), np.maximum)
+    anc = np.where(t.parent >= 0, top[t.parent], no_key)
+    member = np.flatnonzero(anc < key)
+    level = t.level[member]
+    shift = tuple(shift)
+    cubes = tuple(DyadicCube(shift, k, tuple(c))
+                  for k, c in zip(level.tolist(), t.coords[member].tolist()))
+    return ParentSparseFamily(mesh, shift, cubes), domination_constant(mesh.n, alpha)
+
+
+def parent_box_sums(pref, values, lo3, hi3):
+    """The one-off plan that every sparse apply built."""
+    return BoxPlan(lo3, hi3, values.shape[-len(lo3):]).sums(pref)
+
+
+def parent_member_weights(values, alpha, family):
+    mesh, t = family.mesh, family.forest
+    pref = _prefix_sums(values, mesh.n)
+    sums = parent_box_sums(pref, values, list(t.lo3.T), list(t.hi3.T)) * mesh.cell_volume
+    return mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * (sums / t.volume)
+
+
+def _position_cases():
+    """(id, family factory, parent factory): the oracle families rebuilt
+    with the parent's class and construction, built families on unpadded
+    meshes, and built families at 1-D L=6..12 and 2-D L=3..5, every shift."""
+    out = [(name, make, make) for name, make in ORACLE_FAMILIES]
+    meshes = [Mesh(n, J, L, coarse_padding=0) for n, J, L in ((1, 0, 6), (1, 1, 5), (2, 0, 3), (2, 1, 3))]
+    meshes += [Mesh(1, 0, L) for L in range(6, 13)] + [Mesh(2, 0, L) for L in range(3, 6)]
+    for mesh in meshes:
+        for shift in mesh.shifts():
+            f = lognormal(mesh, 70 + mesh.finest_exponent)
+            out.append((f"build-n{mesh.n}-J{mesh.base_exponent}-L{mesh.finest_exponent}"
+                        f"-T{mesh.coarse_padding}-s{''.join(map(str, shift))}",
+                        lambda f=f, s=shift: build_sparse(f, s, ALPHA)[0],
+                        lambda f=f, s=shift: parent_build_sparse(f, s, ALPHA)[0]))
+    return out
+
+
+POSITION_CASES = _position_cases()
+
+
+@pytest.fixture(scope="module")
+def position_pairs():
+    """(family, parent family) of every case; the oracle families' parents
+    come from their own factories with the parent's class and builder."""
+    module = sys.modules[__name__]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "SparseFamily", ParentSparseFamily)
+        mp.setattr(module, "build_sparse", parent_build_sparse)
+        parents = [old() for _, _, old in POSITION_CASES]
+    return [(new(), old) for (_, new, _), old in zip(POSITION_CASES, parents)]
+
+
+class TestPositionsOracle:
+    """``SparseFamily`` kept as its table positions against the family that
+    stored its cubes, and the kept member plan against the plan every apply
+    built, ``==`` bit for bit."""
+
+    def test_members_and_json(self, position_pairs):
+        for fam, old in position_pairs:
+            assert isinstance(fam, SparseFamily) and isinstance(old, ParentSparseFamily)
+            assert fam.cubes == old.cubes and fam.shift == old.shift and len(fam) == len(old)
+            assert fam.positions.dtype == np.int64 and not fam.positions.flags.writeable
+            assert np.array_equal(fam.positions, old.positions)
+            assert np.all(np.diff(fam.positions) > 0)
+            assert json.dumps(fam.to_jsonable()) == json.dumps(old.to_jsonable())
+            back = SparseFamily.from_jsonable(fam.mesh, json.loads(json.dumps(fam.to_jsonable())))
+            assert back == fam and hash(back) == hash(fam)
+
+    def test_equality_and_hash_classes(self, position_pairs):
+        # each family again from its cubes in reverse, so every class has two
+        pairs = position_pairs + [(SparseFamily(f.mesh, f.shift, f.cubes[::-1]), o) for f, o in position_pairs]
+        for (a, pa), (b, pb) in itertools.product(pairs, repeat=2):
+            assert (a == b) == (pa == pb)
+            if a == b:
+                assert hash(a) == hash(b)
+        assert len(set(f for f, _ in pairs)) == len(set(o for _, o in pairs))
+
+    def test_seed_labels(self, position_pairs):
+        for fam, old in position_pairs:
+            mesh = fam.mesh
+            exps = ExponentTuple(mesh.n, ALPHA, 4.0 / 3.0, 4.0)
+            seeds = _seed_functions(mesh, StepFunction.constant(mesh, 1.0), exps, fam, 0, ())
+            labels = [label for label, _ in itertools.islice(seeds, len(fam))]
+            assert labels == [f"chi[{q.level},{q.coord}]" for q in old.cubes]
+
+    @pytest.mark.parametrize("n, J, T", list(itertools.product((1, 2), (0, 1), (0, 40))))
+    def test_plan_sums(self, n, J, T):
+        mesh = Mesh(n, J, 5 if n == 1 else 3, coarse_padding=T)
+        N = mesh.cells_per_axis
+        rng = np.random.default_rng(80 + 4 * n + 2 * J + T)
+        stack = np.exp(rng.standard_normal((30, *(N,) * n)))
+        stack[1, : N // 2] = 0.0
+        stack[2] = 0.0
+        for shift in mesh.shifts():
+            fam = build_sparse(lognormal(mesh, 81), shift, ALPHA)[0]
+            lo, hi = list(fam.forest.lo3.T), list(fam.forest.hi3.T)
+            frames = [stack[0], stack[1], stack[2]] + [stack[:rows] for rows in (1, 4, 30)]
+            for values in frames:
+                pref = _prefix_sums(values, n)
+                got, expect = fam.plan.sums(pref), parent_box_sums(pref, values, lo, hi)
+                assert got.shape == expect.shape == (*values.shape[:-n], len(fam))
+                assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+                got, expect = _member_weights(values, ALPHA, fam), parent_member_weights(values, ALPHA, fam)
+                assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    def test_plan_is_kept_and_read_only(self):
+        mesh = Mesh(2, 1, 3)
+        f = lognormal(mesh, 82)
+        fam = build_sparse(f, (1, 0), ALPHA)[0]
+        first = sparse_riesz(f, ALPHA, fam)
+        plan = fam.plan
+        assert all(not a.flags.writeable for corner in plan.corners for a in corner)
+        second = sparse_riesz(lognormal(mesh, 83), ALPHA, fam)
+        assert fam.plan is plan and not np.array_equal(first.values, second.values)
