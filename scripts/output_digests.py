@@ -27,7 +27,11 @@ exits 1 too), ``sandwich`` at ``n=1,J=1,L=5,T=0`` and at ``--mesh n=2,J=1,L=3`` 
 testing roots and norm seeds of a J=1 box, with and without padding), and
 ``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
 on two fixed weight pairs (deeper stopping trees than the L=6 run, and the
-only 2-D corona); every other setting is the default config and seed.  Outputs and
+only 2-D corona), and last the 1-D ``sandwich`` at ``--mesh n=1,J=0,L=5`` on
+the five calibration corpus pairs with ``fw_max_level`` 1 (the perfbench
+``sandwich-1d`` run at seed 0: its packed bump norms fill more than one
+Luxemburg bisection call, and one weight is the sigma of two pairs); every
+other setting is the default config and seed.  Outputs and
 the run's config file go to a temporary directory that is removed afterwards; the subcommands' own
 messages go to stderr.  Exits 1 if a subcommand exits with 1 or 2 (3, success
 with a warning, counts as success), or, for a run in ``EXPECTED_EXIT``, with
@@ -43,7 +47,7 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from rieszw import cli
+from rieszw import calibration, cli
 
 # two pairs whose corona slices hold up to 11 cubes and stop over several
 # generations, so the decay tables have nonzero rows for k >= 1
@@ -71,6 +75,7 @@ RUNS = [
     ("sandwich", "n=1,J=1,L=5,T=0", {}),
     ("sandwich", "n=2,J=1,L=3", {}),
     *(("corona", mesh, CORONA_PAIRS) for mesh in ("n=1,J=0,L=8", "n=2,J=1,L=3")),
+    ("sandwich", "n=1,J=0,L=5", {"pairs": [list(p) for p in calibration.corpus_pairs()], "fw_max_level": 1}),
 ]
 
 # (subcommand, --mesh value) -> the exit code the run must give.  With no

@@ -29,8 +29,8 @@ from .normest import (
     dyadic_testing,
     lsut_sandwich,
     strong_norm_lower,
-    thm31_bound_check,
-    thm41_bound_check,
+    thm31_bound_checks,
+    thm41_bound_checks,
     weak_norm_lower,
 )
 from .operators import KernelMode, compare_pointwise, dyadic_riesz, riesz_reference, sparse_riesz
@@ -71,7 +71,7 @@ class ExperimentConfig:
     bump_kind: str = "log"
     bump_delta: float = 1.0
     betas: list = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-    fw_max_level: int = 3
+    fw_max_level: int | None = 3
     out: str = "rieszw-out"
 
     @classmethod
@@ -104,10 +104,20 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        """Raise ConfigError unless the mesh, the exponents, the seed, every
+        """Raise ConfigError unless the mesh, the exponents, the seed, the
+        random-function count, the bump settings, ``fw_max_level``, every
         alpha and every weight spec are valid."""
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative; got {self.seed}")
+        # a JSON bool is a Python int: exact type tests keep it out
+        if not (type(self.n_random_functions) is int and self.n_random_functions >= 0):
+            raise ConfigError(f"n_random_functions must be an integer >= 0; got {self.n_random_functions!r}")
+        if self.bump_kind not in ("log", "loglog"):
+            raise ConfigError(f"bump_kind must be 'log' or 'loglog'; got {self.bump_kind!r}")
+        if not (type(self.bump_delta) in (int, float) and 0.0 < self.bump_delta < math.inf):
+            raise ConfigError(f"bump_delta must be a finite number > 0; got {self.bump_delta!r}")
+        if not (self.fw_max_level is None or type(self.fw_max_level) is int):
+            raise ConfigError(f"fw_max_level must be an integer or null; got {self.fw_max_level!r}")
         try:
             mesh = self.mesh()
             self.exps()
@@ -272,7 +282,7 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
                 if rep.violations or rep.max_ratio > C * (1.0 + 1e-12):
                     failures.append({"check": "domination", "instance": [fname, list(shift), alpha],
                                      "witness": list(rep.argmax)})
-                for root in S.cubes[:2]:
+                for root in map(S.cube, range(min(2, len(S)))):
                     ks = range(1, 13)
                     for k, overlap in zip(ks, _overlap_reports(S, root, ks)):
                         checks += 1
@@ -286,7 +296,7 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
             pair_family = build_sparse(functions[0][1], *pair_key)[0]
         checks += 1
         try:
-            corona_decompose(pair_family, pair_family.cubes[0], u, s, exps)
+            corona_decompose(pair_family, pair_family.cube(0), u, s, exps)
         except AssertionError as exc:
             failures.append({"check": "corona", "instance": [uspec, sspec], "witness": str(exc)})
     _write_json(outdir / "verify.json", {"config": cfg.echo(), "checks": checks,
@@ -390,27 +400,39 @@ def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     cal = load_calibration()
     fname, f = cfg.random_functions(mesh)[0]
     S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
+    specs = cfg.weight_pairs()
+    distinct = dict.fromkeys(spec for pair in specs for spec in pair)
+    weights = {spec: generate_weight(mesh, spec) for spec in distinct}
+    pairs = [(weights[us], weights[ss]) for us, ss in specs]
+    sws = [lsut_sandwich(u, s, exps, S, rng_seed=cfg.seed) for u, s in pairs]
+    items = [(u, s, sw.testing) for (u, s), sw in zip(pairs, sws)]
+    thm31 = thm31_bound_checks(items, exps, cfg.fw_max_level) if exps.sobolev else None
+    refused = None
+    try:
+        thm41 = thm41_bound_checks(items, exps, cfg.bump_kind, cfg.bump_delta)
+    except RangeConditionError as exc:
+        refused = str(exc)
     rows = []
     records = []
     failures = 0
-    for idx, (uspec, sspec) in enumerate(cfg.weight_pairs()):
-        u, s = generate_weight(mesh, uspec), generate_weight(mesh, sspec)
-        sw = lsut_sandwich(u, s, exps, S, rng_seed=cfg.seed)
+    for idx, ((uspec, sspec), sw) in enumerate(zip(specs, sws)):
         rec = sw.to_jsonable()
         rec.update({"index": idx, "u": uspec, "sigma": sspec, "family": fname})
         checks = {"testingBelowNorm": sw.testing_below_norm,
                   "r1Ok": bool(sw.r1_ok) if sw.r1_ok is not None else True}
         if sw.r2 is not None:
             checks["r2Envelope"] = (cal["lsut_r2_min"] / SLACK <= sw.r2 <= cal["lsut_r2_max"] * SLACK)
-        if exps.sobolev:
-            dual31, direct31 = thm31_bound_check(u, s, exps, sw.testing, fw_max_level=cfg.fw_max_level)
+        if thm31 is not None:
+            dual31, direct31 = thm31[idx]
             rec["thm31"] = {"dual": dual31.to_jsonable(), "direct": direct31.to_jsonable()}
             for r in (dual31, direct31):
                 if r.ratio is not None:
                     checks.setdefault("thm31Envelope", True)
                     checks["thm31Envelope"] &= r.ratio <= cal["thm31_ratio_max"] * SLACK
-        try:
-            dual41, direct41 = thm41_bound_check(u, s, exps, sw.testing, cfg.bump_kind, cfg.bump_delta)
+        if refused is not None:
+            rec["thm41"] = {"refused": refused}
+        else:
+            dual41, direct41 = thm41[idx]
             rec["thm41"] = {"dual": dual41.to_jsonable(),
                             "direct": None if direct41 is None else direct41.to_jsonable()}
             key = f"thm41_{cfg.bump_kind}_ratio_max"
@@ -418,8 +440,6 @@ def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
                 if r is not None and r.ratio is not None:
                     checks.setdefault("thm41Envelope", True)
                     checks["thm41Envelope"] &= r.ratio <= cal[key] * SLACK
-        except RangeConditionError as exc:
-            rec["thm41"] = {"refused": str(exc)}
         rec["checks"] = checks
         bad = [k for k, v in checks.items() if not v]
         failures += len(bad)

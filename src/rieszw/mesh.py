@@ -522,7 +522,7 @@ class StepFunction:
     """A nonnegative function constant on the finest mesh cells, zero outside
     the base box.  Immutable; cube aggregation is O(1) via prefix sums."""
 
-    __slots__ = ("mesh", "values", "_pref")
+    __slots__ = ("mesh", "values", "_pref", "_corpus")
 
     def __init__(self, mesh: Mesh, values: np.ndarray):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -534,6 +534,7 @@ class StepFunction:
         object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_pref", None)
+        object.__setattr__(self, "_corpus", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -554,6 +555,15 @@ class StepFunction:
             pref = _prefix_sums(self.values, self.mesh.n)
             object.__setattr__(self, "_pref", pref)
         return pref
+
+    def _corpus_integrals(self) -> np.ndarray:
+        """``plan_integrals`` of the corpus plan (the integral over every cube
+        of ``mesh.corpus``), taken on first use and kept, read-only."""
+        if self._corpus is None:
+            ints = self.plan_integrals(self.mesh.corpus_plan)
+            ints.setflags(write=False)
+            object.__setattr__(self, "_corpus", ints)
+        return self._corpus
 
     def integral_box3(self, lo3, hi3) -> np.ndarray:
         """Integral over axis-parallel boxes given in thirds units: exact

@@ -9,10 +9,15 @@ All three sandwich stages run on blocks of C-contiguous full frames, at
 most ``_FRAME_BLOCK`` entries a block, through one batched forest apply
 (``operators._sparse_sum``): the testing scan paints a block of cut
 fields, one per run of root levels with the same coarser members, and
-takes one row per root; the strong iteration runs a block of seeds in
-lockstep; the weak one streams its seeds a block at a time.  Row sums of
-full frames equal the sums of single frames bit for bit, so every value is
-that of one restricted apply per root and one seed at a time.
+sums the rows of a block of roots, taken across those runs, at once; the
+strong iteration runs a block of seeds in lockstep; the weak one streams
+its seeds a block at a time.  Row sums of full frames equal the sums of single
+frames bit for bit, so every value is that of one restricted apply per
+root and one seed at a time.
+
+The theorem checks (``thm31_bound_checks``, ``thm41_bound_checks``) take
+all the weight pairs of a run at once: one Fujii-Wilson scan per distinct
+weight, and one packed Luxemburg bisection for every bump norm.
 """
 
 from __future__ import annotations
@@ -53,7 +58,9 @@ __all__ = [
     "weak_norm_lower",
     "lsut_sandwich",
     "thm31_bound_check",
+    "thm31_bound_checks",
     "thm41_bound_check",
+    "thm41_bound_checks",
 ]
 
 _REL_TOL = 1e-8
@@ -130,9 +137,10 @@ def _testing_sup(
     I^{S(R)} den_w there is the chain sum with the coarser members weighted
     +0.0: one cut field serves every root of its level, and the roots of
     levels with the same coarser members share it (painted a block at a
-    time).  Each root's terms go into a full-frame row, +0.0 off its cells,
-    and a numerator is that row's sum: the sum a restricted apply per root
-    gives, bit for bit.  Alpha and each cut field are checked as
+    time).  The roots of a paint block go a block at a time across its
+    runs: each root's terms are copied into a full-frame row, +0.0 off its
+    cells, and a numerator is that row's sum: the sum a restricted apply
+    per root gives, bit for bit.  Alpha and each cut field are checked as
     ``restricted_sparse_riesz`` checks them."""
     mesh, t, roots = family.mesh, family.forest, family.roots
     _check_alpha(mesh, alpha)
@@ -141,27 +149,28 @@ def _testing_sup(
     w = _member_weights(den_w.values, alpha, family, den_w._prefixes())
     # members are sorted by level: those coarser than a root come first
     cut = np.searchsorted(t.level, roots.level[live])
-    starts = np.flatnonzero(np.diff(cut, prepend=-1))
-    runs = list(zip(starts.tolist(), [*starts[1:].tolist(), len(live)]))
+    new_run = np.diff(cut, prepend=-1) != 0
+    starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
     rows = max(1, _FRAME_BLOCK // mesh.total_cells)
     best, witness = 0.0, None
-    for r in range(0, len(runs), rows):
+    for r in range(0, len(starts), rows):
         W = np.where(np.arange(len(w)) >= cut[starts[r : r + rows], None], w, 0.0)
-        fields = _checked(_forest_paint(W, family))
-        for (a, b), terms in zip(runs[r : r + rows], fields**out_exp * out_w.values):
-            for c in range(a, b, rows):
-                idx = live[c : min(c + rows, b)]
-                # a root's cells are those whose centre lies in it: one index window
-                i0, i1 = mesh.center_window(roots.lo3[idx], roots.hi3[idx])
-                X = np.zeros((len(idx), *terms.shape))
-                for j, (lo, hi) in enumerate(zip(i0.tolist(), i1.tolist())):
-                    win = tuple(map(slice, lo, hi))
-                    X[(j, *win)] = terms[win]
-                nums = np.sum(X.reshape(len(idx), -1), axis=1) * mesh.cell_volume
-                for i, num, den in zip(idx.tolist(), nums.tolist(), dens[idx].tolist()):
-                    val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
-                    if val > best:
-                        best, witness = val, i
+        terms = _checked(_forest_paint(W, family)) ** out_exp * out_w.values
+        end = starts[r + rows] if r + rows < len(starts) else len(live)
+        for c in range(starts[r], end, rows):
+            idx = live[c : min(c + rows, end)]
+            # a root's cells are those whose centre lies in it: one index window
+            i0, i1 = mesh.center_window(roots.lo3[idx], roots.hi3[idx])
+            X = np.zeros((len(idx), *terms.shape[1:]))
+            field = (run[c : c + len(idx)] - r).tolist()
+            for j, (k, lo, hi) in enumerate(zip(field, i0.tolist(), i1.tolist())):
+                win = tuple(map(slice, lo, hi))
+                X[(j, *win)] = terms[(k, *win)]
+            nums = np.sum(X.reshape(len(idx), -1), axis=1) * mesh.cell_volume
+            for i, num, den in zip(idx.tolist(), nums.tolist(), dens[idx].tolist()):
+                val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
+                if val > best:
+                    best, witness = val, i
     if witness is not None:
         level, coord = int(roots.level[witness]), tuple(roots.coords[witness].tolist())
         witness = DyadicCube(family.shift, level, coord)
@@ -531,7 +540,18 @@ def thm31_bound_check(
     dual testing / ([u,sigma]_{A_s(p)}^{1/q} [u]_{FW}^{1/p'}) and the
     symmetric form direct testing / ([sigma,u]_{A_s(q')}^{1/p'}
     [sigma]_{FW}^{1/q}), with ``testing`` the ``dyadic_testing`` report of
-    (u, sigma).  Infinite characteristics yield a None ratio."""
+    (u, sigma).  Infinite characteristics yield a None ratio.  This is the
+    one-item case of ``thm31_bound_checks``."""
+    return thm31_bound_checks([(u, sigma, testing)], exps, fw_max_level)[0]
+
+
+def thm31_bound_checks(
+    items: Sequence[tuple[StepFunction, StepFunction, TestingReport]],
+    exps: ExponentTuple,
+    fw_max_level: int | None = None,
+) -> list[tuple[BoundRatio, BoundRatio]]:
+    """``thm31_bound_check`` of each (u, sigma, testing) of ``items``, with
+    one ``fujii_wilson`` per distinct weight object."""
     if not exps.sobolev:
         raise RangeConditionError("mixed bound requires the Sobolev exponent relation")
 
@@ -542,21 +562,13 @@ def thm31_bound_check(
         bound = tw.value**e1 * fw.value**e2
         return BoundRatio(test_val / bound, test_val, bound, comps)
 
-    dual_ratio = one(
-        testing.dual,
-        two_weight_ap(u, sigma, exps.s_p),
-        fujii_wilson(u, max_level=fw_max_level),
-        1.0 / exps.q,
-        1.0 / exps.p_prime,
-    )
-    direct_ratio = one(
-        testing.direct,
-        two_weight_ap(sigma, u, exps.s_qprime),
-        fujii_wilson(sigma, max_level=fw_max_level),
-        1.0 / exps.p_prime,
-        1.0 / exps.q,
-    )
-    return dual_ratio, direct_ratio
+    weights = dict.fromkeys(w for u, s, _ in items for w in (u, s))
+    fw = {w: fujii_wilson(w, max_level=fw_max_level) for w in weights}
+    return [
+        (one(t.dual, two_weight_ap(u, s, exps.s_p), fw[u], 1.0 / exps.q, 1.0 / exps.p_prime),
+         one(t.direct, two_weight_ap(s, u, exps.s_qprime), fw[s], 1.0 / exps.p_prime, 1.0 / exps.q))
+        for u, s, t in items
+    ]
 
 
 def thm41_bound_check(
@@ -573,7 +585,22 @@ def thm41_bound_check(
     Phi a log or loglog bump of order q.  Requires p < q and the range
     condition (p'/q')(1 - alpha/n) >= 1; refuses otherwise.  The direct
     form (Psi bumping the sigma side) is computed when its own range
-    condition (q/p)(1 - alpha/n) >= 1 holds, else None."""
+    condition (q/p)(1 - alpha/n) >= 1 holds, else None.  This is the
+    one-item case of ``thm41_bound_checks``."""
+    return thm41_bound_checks([(u, sigma, testing)], exps, bump_kind, delta)[0]
+
+
+def thm41_bound_checks(
+    items: Sequence[tuple[StepFunction, StepFunction, TestingReport]],
+    exps: ExponentTuple,
+    bump_kind: str = "log",
+    delta: float = 1.0,
+) -> list[tuple[BoundRatio, BoundRatio | None]]:
+    """``thm41_bound_check`` of each (u, sigma, testing) of ``items``.  The
+    range conditions depend on the exponents alone, so they refuse every
+    item or none.  All the norms come from one packed Luxemburg bisection
+    (``bump_constants``), and each equals that of a one-item call bit for
+    bit."""
     if bump_kind not in ("log", "loglog"):
         raise ValueError("bump_kind must be 'log' or 'loglog'")
     flags = range_conditions(exps)
@@ -593,5 +620,6 @@ def thm41_bound_check(
             return BoundRatio(None, test_val, math.inf, {"K": k.value})
         return BoundRatio(test_val / k.value, test_val, k.value, {"K": k.value})
 
-    k = bump_constants(u, sigma, exps, pairs)
-    return ratio(testing.dual, k[0]), (ratio(testing.direct, k[1]) if len(k) > 1 else None)
+    ks = bump_constants([(u, s) for u, s, _ in items], exps, pairs)
+    return [(ratio(t.dual, k[0]), ratio(t.direct, k[1]) if len(k) > 1 else None)
+            for (_, _, t), k in zip(items, ks)]

@@ -129,6 +129,11 @@ class SparseFamily:
         rows = zip(t.level[self.positions].tolist(), t.coords[self.positions].tolist())
         return tuple(DyadicCube(self.shift, k, tuple(c)) for k, c in rows)
 
+    def cube(self, i: int) -> DyadicCube:
+        """Member ``i`` as a cube, built from the level table alone."""
+        t, p = self.mesh.level_table(self.shift), self.positions[i]
+        return DyadicCube(self.shift, int(t.level[p]), tuple(t.coords[p].tolist()))
+
     @functools.cached_property
     def forest(self) -> Forest:
         """The members' geometry and forest, computed once per family.
@@ -257,9 +262,9 @@ def verify_sparse(family: SparseFamily) -> SparsityCertificate:
     worst, worst_cube = 0.0, None
     if len(ratio) and ratio.max() > 0.0:
         i = int(np.argmax(ratio))  # the first maximum in member order
-        worst, worst_cube = ratio[i], family.cubes[i]
+        worst, worst_cube = ratio[i], family.cube(i)
     bad = np.flatnonzero(2 * union > vol)
-    violating = family.cubes[bad[0]] if len(bad) else None
+    violating = family.cube(bad[0]) if len(bad) else None
     return SparsityCertificate(
         violating is None, worst, worst_cube, violating, len(family)
     )

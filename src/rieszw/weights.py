@@ -119,7 +119,8 @@ class CharacteristicReport:
 # Each characteristic is one array pass over the mesh's in-box corpus
 # (``Mesh.corpus``): one ``plan_integrals`` per function on the corpus plan
 # the mesh keeps (``Mesh.corpus_plan``), so the corners of the corpus boxes
-# are worked out once per mesh, not once per function; per-level scalars
+# are worked out once per mesh, not once per function, and the integrals
+# once per function (``StepFunction._corpus_integrals``); per-level scalars
 # (cube volumes, |Q|^e) as Python pow tables indexed by level.  Every step
 # is elementwise, so the values equal a per-level scan's bit for bit.
 
@@ -131,7 +132,7 @@ def _per_cube(mesh: Mesh, table) -> np.ndarray:
 def _avg(f: StepFunction) -> np.ndarray:
     """avg_Q f for every corpus cube Q."""
     mesh = f.mesh
-    return f.plan_integrals(mesh.corpus_plan) / _per_cube(mesh, mesh.level_factors(mesh.n))
+    return f._corpus_integrals() / _per_cube(mesh, mesh.level_factors(mesh.n))
 
 
 def _supremum_report(name: str, mesh: Mesh, vals: np.ndarray) -> CharacteristicReport:
@@ -232,7 +233,7 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
     c = mesh.corpus
     scan = np.flatnonzero(c.level <= max_level) if max_level is not None else np.arange(len(c.level))
     wq = np.zeros(len(c.level))
-    wq[scan] = w.plan_integrals(mesh.corpus_plan)[scan]
+    wq[scan] = w._corpus_integrals()[scan]
     picked, vals = [], []
     for segment, (a, b) in enumerate(zip(c.starts.tolist(), c.ends.tolist())):
         rows = np.flatnonzero(wq[a:b] > 0.0)
@@ -394,27 +395,35 @@ def bump_constant(
     """sup_Q |Q|^{alpha/n + 1/q - 1/p} ||u^{1/q}||_{Phi,Q} ||sigma^{1/p'}||_{Psi,Q}.
 
     Psi = Power(p') recovers the separated (weak-type) bump form."""
-    return bump_constants(u, sigma, exps, [(phi, psi)])[0]
+    return bump_constants([(u, sigma)], exps, [(phi, psi)])[0][0]
 
 
 def bump_constants(
-    u: StepFunction,
-    sigma: StepFunction,
+    weights: Sequence[tuple[StepFunction, StepFunction]],
     exps: ExponentTuple,
     pairs: Sequence[tuple[YoungFunction, YoungFunction]],
-) -> list[CharacteristicReport]:
-    """``bump_constant`` for each (Phi, Psi) of ``pairs``, from one packed
-    Luxemburg bisection: the norms of u^{1/q} under Phi and of
-    sigma^{1/p'} under Psi are two blocks per pair over the corpus, with one
-    segment per corpus level (``orlicz._luxemburg_blocks``)."""
+) -> list[list[CharacteristicReport]]:
+    """``bump_constant`` of each (u, sigma) of ``weights`` (one mesh) under
+    each (Phi, Psi) of ``pairs``: entry [i][j] is weights[i] under pairs[j].
+
+    Every norm comes from one packed Luxemburg bisection over the corpus,
+    one segment per corpus level (``orlicz._luxemburg_blocks``).  The
+    blocks go by Young function: per (Phi, Psi), every u^{1/q} under Phi,
+    then every sigma^{1/p'} under Psi, so a bisection call holds at most
+    four runs of Young functions whatever the number of weight pairs."""
+    if not weights:
+        return []
     e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
-    uroot = u.map(lambda v: v ** (1.0 / exps.q))
-    sroot = sigma.map(lambda v: v ** (1.0 / exps.p_prime))
-    c = u.mesh.corpus
-    blocks = [block for phi, psi in pairs for block in ((uroot, phi), (sroot, psi))]
+    uroots = [u.map(lambda v: v ** (1.0 / exps.q)) for u, _ in weights]
+    sroots = [sigma.map(lambda v: v ** (1.0 / exps.p_prime)) for _, sigma in weights]
+    blocks = [(f, young) for phi, psi in pairs for young, side in ((phi, uroots), (psi, sroots)) for f in side]
+    mesh = uroots[0].mesh
+    c = mesh.corpus
     norms = _luxemburg_blocks(blocks, c.lo3, c.hi3, c.starts)
-    size = _size_powers(u.mesh, exps.n, e)
-    return [_supremum_report("bump", u.mesh, size * nu * ns) for nu, ns in zip(norms[::2], norms[1::2])]
+    size = _size_powers(mesh, exps.n, e)
+    m = len(weights)
+    return [[_supremum_report("bump", mesh, size * norms[2 * j * m + i] * norms[(2 * j + 1) * m + i])
+             for j in range(len(pairs))] for i in range(m)]
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,37 @@ class TestExitCodes:
         assert r.stderr.startswith("config error: ")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("sandwich", {"bump_kind": "cubic"}),
+            ("sandwich", {"bump_delta": -1}),
+            ("sandwich", {"bump_delta": 0}),
+            ("sandwich", {"bump_delta": "1"}),
+            ("sandwich", {"bump_delta": True}),
+            ("constants", {"fw_max_level": "x"}),
+            ("constants", {"fw_max_level": True}),
+            ("constants", {"fw_max_level": 1.5}),
+            ("verify", {"n_random_functions": 2.5}),
+            ("verify", {"n_random_functions": -1}),
+            ("verify", {"n_random_functions": True}),
+        ],
+        ids=["bump-kind", "negative-delta", "zero-delta", "string-delta", "bool-delta", "string-fw-level",
+             "bool-fw-level", "float-fw-level", "float-function-count", "negative-function-count",
+             "bool-function-count"],
+    )
+    def test_bad_field_exits_2_with_one_line(self, tmp_path, command, overrides):
+        r = run_cli(tmp_path, command, dict(SMALL, **overrides))
+        assert r.returncode == 2
+        [line] = r.stderr.splitlines()
+        field = next(iter(overrides))
+        assert line.startswith(f"config error: {field} must be ")
+
+    @pytest.mark.parametrize("overrides", [{"fw_max_level": None}, {"bump_delta": 2}, {"bump_delta": 0.5},
+                                           {"bump_kind": "loglog"}, {"n_random_functions": 0}])
+    def test_good_fields_validate(self, overrides):
+        ExperimentConfig(**dict(SMALL, **overrides)).validate()
+
     def test_cell_budget_exits_2(self, tmp_path):
         r = run_cli(tmp_path, "verify", extra=["--mesh", "n=1,J=0,L=21"])
         assert r.returncode == 2
@@ -125,6 +156,18 @@ class TestVerifyFamilies:
         assert code == 0
         # one family per shift and alpha; the two weight pairs reuse the aligned one
         assert calls == [((0,), 0.5), ((1,), 0.5)]
+
+
+class TestSandwichWeights:
+    def test_each_distinct_spec_generated_once(self, tmp_path, monkeypatch):
+        # the cyclic default pairs use each of three weights twice
+        cfg = ExperimentConfig(**dict(SMALL, weights=["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"]))
+        cfg.validate()
+        specs, generate = [], cli.generate_weight
+        monkeypatch.setattr(cli, "generate_weight", lambda mesh, spec: specs.append(spec) or generate(mesh, spec))
+        (tmp_path / "out").mkdir()
+        assert cli.cmd_sandwich(cfg, tmp_path / "out") == 0
+        assert sorted(specs) == sorted(cfg.weights)
 
 
 class TestParentlessWarning:

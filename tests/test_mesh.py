@@ -586,6 +586,15 @@ class TestBoxPlanOracle:
         assert_same_bits(f.integral_box3(lo, hi), expect * mesh.cell_volume)
         assert np.ndim(f.integral_box3(lo, hi)) == 0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_corpus_integrals_are_kept_and_read_only(self, n):
+        mesh = Mesh(n, 1, 3)
+        f = lognormal(mesh, 5)
+        ints = f._corpus_integrals()
+        assert f._corpus_integrals() is ints and not ints.flags.writeable
+        assert_same_bits(ints, f.plan_integrals(mesh.corpus_plan))
+        assert_same_bits(ints, f.integral_box3(mesh.corpus.lo3, mesh.corpus.hi3))
+
     def test_corpus_plan_is_cached_and_read_only(self):
         mesh = Mesh(2, 0, 3)
         plan = mesh.corpus_plan

@@ -1,8 +1,11 @@
+import json
 import math
+import types
 
 import numpy as np
 import pytest
 
+from rieszw import _kernels, calibration, cli, orlicz, weights
 from rieszw.mesh import DyadicCube, Mesh, StepFunction
 from rieszw.normest import (
     RangeConditionError,
@@ -18,13 +21,13 @@ from rieszw.normest import (
 from rieszw import normest
 from rieszw.normest import NormEstimate
 from rieszw.operators import KernelMode, _sparse_sum, restricted_sparse_riesz, riesz_reference, sparse_riesz
-from rieszw.orlicz import YoungFunction
+from rieszw.orlicz import YoungFunction, _luxemburg_blocks
 from rieszw.sparse import SparseFamily, build_sparse
 from rieszw.weights import ExponentTuple, _center_mask
 
 from conftest import _scan_levels, center_slices, lognormal
 from test_sparse import ORACLE_FAMILIES, _ancestor_at, candidate_roots
-from test_weights import in_box_cubes_with_bounds, zero_mass_weight
+from test_weights import CORPUS_MESHES, in_box_cubes_with_bounds, zero_mass_weight
 
 ROOT = DyadicCube((0,), 0, (0,))
 E22 = ExponentTuple(1, 0.5, 2.0, 2.0)
@@ -756,3 +759,226 @@ class TestRowBlocks:
         for row, h in zip(X, H):
             single = sparse_riesz(StepFunction(mesh, row), 0.5, fam).values
             assert np.array_equal(h, single) and np.array_equal(np.signbit(h), np.signbit(single))
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the batched sandwich work: the parent's per-pair theorem checks
+# and its run-by-run testing scan, copied here.
+
+
+def parent_testing_sup(den_w, out_w, family, alpha, den_exp, out_exp):
+    """The testing scan with its blocks of roots taken run by run, each
+    root's centre window copied into a zero full-frame row."""
+    mesh, t, roots = family.mesh, family.forest, family.roots
+    normest._check_alpha(mesh, alpha)
+    dens = den_w.integral_box3(roots.lo3, roots.hi3)
+    live = np.flatnonzero(~(dens <= 0.0))
+    w = normest._member_weights(den_w.values, alpha, family, den_w._prefixes())
+    cut = np.searchsorted(t.level, roots.level[live])
+    starts = np.flatnonzero(np.diff(cut, prepend=-1))
+    runs = list(zip(starts.tolist(), [*starts[1:].tolist(), len(live)]))
+    rows = max(1, normest._FRAME_BLOCK // mesh.total_cells)
+    best, witness = 0.0, None
+    for r in range(0, len(runs), rows):
+        W = np.where(np.arange(len(w)) >= cut[starts[r : r + rows], None], w, 0.0)
+        fields = normest._checked(normest._forest_paint(W, family))
+        for (a, b), terms in zip(runs[r : r + rows], fields**out_exp * out_w.values):
+            for c in range(a, b, rows):
+                idx = live[c : min(c + rows, b)]
+                i0, i1 = mesh.center_window(roots.lo3[idx], roots.hi3[idx])
+                X = np.zeros((len(idx), *terms.shape))
+                for j, (lo, hi) in enumerate(zip(i0.tolist(), i1.tolist())):
+                    win = tuple(map(slice, lo, hi))
+                    X[(j, *win)] = terms[win]
+                nums = np.sum(X.reshape(len(idx), -1), axis=1) * mesh.cell_volume
+                for i, num, den in zip(idx.tolist(), nums.tolist(), dens[idx].tolist()):
+                    val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
+                    if val > best:
+                        best, witness = val, i
+    if witness is not None:
+        level, coord = int(roots.level[witness]), tuple(roots.coords[witness].tolist())
+        witness = DyadicCube(family.shift, level, coord)
+    return best, witness, len(dens) - len(live)
+
+
+def parent_bump_constants(u, sigma, exps, pairs):
+    """``weights.bump_constants`` of one weight pair: two blocks per (Phi, Psi)."""
+    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
+    uroot = u.map(lambda v: v ** (1.0 / exps.q))
+    sroot = sigma.map(lambda v: v ** (1.0 / exps.p_prime))
+    c = u.mesh.corpus
+    blocks = [block for phi, psi in pairs for block in ((uroot, phi), (sroot, psi))]
+    norms = _luxemburg_blocks(blocks, c.lo3, c.hi3, c.starts)
+    size = weights._size_powers(u.mesh, exps.n, e)
+    return [weights._supremum_report("bump", u.mesh, size * nu * ns) for nu, ns in zip(norms[::2], norms[1::2])]
+
+
+def parent_thm41_bound_check(u, sigma, exps, testing, bump_kind="log", delta=1.0):
+    if bump_kind not in ("log", "loglog"):
+        raise ValueError("bump_kind must be 'log' or 'loglog'")
+    flags = weights.range_conditions(exps)
+    if exps.p >= exps.q or not flags.weak:
+        raise RangeConditionError(
+            f"range condition fails: need p < q and (p'/q')(1-alpha/n) >= 1, "
+            f"got p={exps.p}, q={exps.q}, alpha={exps.alpha}"
+        )
+    make = YoungFunction.log_bump if bump_kind == "log" else YoungFunction.loglog_bump
+    pairs = [(make(exps.q, delta), YoungFunction.power(exps.p_prime))]
+    if (exps.q / exps.p) * (1.0 - exps.alpha / exps.n) >= 1.0:
+        pairs.append((YoungFunction.power(exps.q), make(exps.p_prime, delta)))
+
+    def ratio(test_val, k):
+        if not np.isfinite(k.value) or k.value <= 0.0:
+            return normest.BoundRatio(None, test_val, math.inf, {"K": k.value})
+        return normest.BoundRatio(test_val / k.value, test_val, k.value, {"K": k.value})
+
+    k = parent_bump_constants(u, sigma, exps, pairs)
+    return ratio(testing.dual, k[0]), (ratio(testing.direct, k[1]) if len(k) > 1 else None)
+
+
+def parent_thm31_bound_check(u, sigma, exps, testing, fw_max_level=None):
+    if not exps.sobolev:
+        raise RangeConditionError("mixed bound requires the Sobolev exponent relation")
+
+    def one(test_val, tw, fw, e1, e2):
+        comps = {"twoWeight": tw.value, "fujiiWilson": fw.value}
+        if not (np.isfinite(tw.value) and np.isfinite(fw.value)) or tw.value <= 0 or fw.value <= 0:
+            return normest.BoundRatio(None, test_val, math.inf, comps)
+        bound = tw.value**e1 * fw.value**e2
+        return normest.BoundRatio(test_val / bound, test_val, bound, comps)
+
+    return (one(testing.dual, weights.two_weight_ap(u, sigma, exps.s_p),
+                weights.fujii_wilson(u, max_level=fw_max_level), 1.0 / exps.q, 1.0 / exps.p_prime),
+            one(testing.direct, weights.two_weight_ap(sigma, u, exps.s_qprime),
+                weights.fujii_wilson(sigma, max_level=fw_max_level), 1.0 / exps.p_prime, 1.0 / exps.q))
+
+
+def theorem_items(mesh, count):
+    """``count`` (u, sigma, testing) items: lognormal weights, a weight
+    vanishing on half the box (an infinite constant), a constant, and the
+    first lognormal again as a later sigma (one object in two pairs)."""
+    ws = [lognormal(mesh, 90, scale=0.7), zero_mass_weight(mesh, 91), StepFunction.constant(mesh, 2.0),
+          lognormal(mesh, 92, scale=0.7), lognormal(mesh, 93, scale=1.5)]
+    pairs = [(ws[i % 5], ws[(i + 1) % 5]) for i in range(count)]
+    return [(u, s, types.SimpleNamespace(dual=1.5 + i, direct=2.5 / (1 + i))) for i, (u, s) in enumerate(pairs)]
+
+
+def mesh_id(m):
+    return f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}"
+
+
+class TestBatchedTheoremChecks:
+    """``thm41_bound_checks``/``thm31_bound_checks`` over many pairs against
+    the parent's one call per pair, ``==`` on every ratio."""
+
+    @pytest.mark.parametrize("split", [True, False], ids=["segments-over-budget", "default-budget"])
+    @pytest.mark.parametrize("mesh", CORPUS_MESHES, ids=mesh_id)
+    def test_thm41_matches_one_parent_call_per_pair(self, mesh, split, monkeypatch):
+        if split:
+            # the median level's cells: the larger levels run alone, once
+            # per block, and the others are packed
+            c = mesh.corpus
+            cells = sorted(orlicz._box_window(mesh, c.lo3[a:b], c.hi3[a:b])[3].prod(axis=1).sum()
+                           for a, b in zip(c.starts, c.ends))
+            budget = int(cells[len(cells) // 2])
+            assert budget < cells[-1]
+            monkeypatch.setattr(orlicz, "_LUX_BATCH_CELLS", budget)
+        # Sobolev: both range conditions hold; the second tuple fails the
+        # direct one, so only the dual constant is computed
+        for exps, direct in ((ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0), True),
+                             (ExponentTuple(mesh.n, 0.3 * mesh.n, 1.2, 1.5), False)):
+            for kind in ("log", "loglog"):
+                for count in (1, 6):
+                    items = theorem_items(mesh, count)
+                    got = normest.thm41_bound_checks(items, exps, kind, 0.5)
+                    expect = [parent_thm41_bound_check(u, s, exps, t, kind, 0.5) for u, s, t in items]
+                    assert got == expect
+                    assert all((d is not None) == direct for _, d in got)
+                    assert thm41_bound_check(*items[-1][:2], exps, items[-1][2], kind, 0.5) == expect[-1]
+
+    def test_pair_counts_on_one_mesh(self):
+        mesh = Mesh(1, 0, 5)
+        for count in range(1, 7):
+            items = theorem_items(mesh, count)
+            assert normest.thm41_bound_checks(items, SOB) == [parent_thm41_bound_check(u, s, SOB, t)
+                                                              for u, s, t in items]
+
+    def test_range_refusal_text(self):
+        mesh = Mesh(1, 0, 4)
+        items = theorem_items(mesh, 3)
+        for exps in (E22, ExponentTuple(1, 0.9, 1.2, 1.5)):
+            with pytest.raises(RangeConditionError) as expect:
+                parent_thm41_bound_check(*items[0][:2], exps, items[0][2])
+            with pytest.raises(RangeConditionError) as got:
+                normest.thm41_bound_checks(items, exps)
+            assert str(got.value) == str(expect.value)
+        with pytest.raises(ValueError, match="bump_kind"):
+            normest.thm41_bound_checks(items, SOB, "cubic")
+
+    def test_no_items(self):
+        assert normest.thm41_bound_checks([], SOB) == [] and normest.thm31_bound_checks([], SOB) == []
+
+    @pytest.mark.parametrize("mesh", CORPUS_MESHES, ids=mesh_id)
+    def test_thm31_matches_one_parent_call_per_pair(self, mesh, monkeypatch):
+        exps = ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
+        items = theorem_items(mesh, 6)
+        expect = [parent_thm31_bound_check(u, s, exps, t, 1) for u, s, t in items]
+        seen, fujii_wilson = [], weights.fujii_wilson
+        monkeypatch.setattr(normest, "fujii_wilson", lambda w, **kw: seen.append(w) or fujii_wilson(w, **kw))
+        assert normest.thm31_bound_checks(items, exps, 1) == expect
+        # six pairs over five weights: one scan per weight
+        assert len(seen) == len(set(map(id, seen))) == 5
+        assert thm31_bound_check(*items[0][:2], exps, items[0][2], 1) == expect[0]
+
+    def test_five_pair_sandwich_makes_two_bisection_calls(self, tmp_path, monkeypatch):
+        # each block meets 378 cells of the 1-D L=5 corpus: twenty blocks
+        # fill two calls of at most 2^12 cells, where one call per pair made five
+        calls, kernel = [], _kernels.luxemburg_batch
+        monkeypatch.setattr(_kernels, "luxemburg_batch", lambda *a: calls.append(a) or kernel(*a))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pairs": [list(p) for p in calibration.corpus_pairs()], "fw_max_level": 1}))
+        code = cli.main(["sandwich", "--mesh", "n=1,J=0,L=5", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 0 and len(calls) == 2
+        assert sum(len(a[3]) for a in calls) == 5 * 4 * len(Mesh(1, 0, 5).corpus.level)
+
+
+class TestTestingScanOracle:
+    """``_testing_sup`` against the parent's run-by-run scan, ``==`` on the
+    value, witness and skip count, both sides."""
+
+    @staticmethod
+    def assert_both_sides(u, s, exps, fam):
+        for args in ((s, u, fam, exps.alpha, exps.p, exps.q),
+                     (u, s, fam, exps.alpha, exps.q_prime, exps.p_prime)):
+            assert normest._testing_sup(*args) == parent_testing_sup(*args)
+
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_FAMILIES], ids=[i for i, _ in ORACLE_FAMILIES])
+    def test_oracle_families(self, make):
+        fam = make()
+        for u, s in oracle_pairs(fam.mesh):
+            self.assert_both_sides(u, s, exps_for(fam.mesh), fam)
+
+    def test_one_row_blocks(self):
+        # N = 4096 > _FRAME_BLOCK / 2: every block holds one root
+        mesh = Mesh(1, 0, 12)
+        assert normest._FRAME_BLOCK // mesh.total_cells == 1
+        fam, _ = build_sparse(lognormal(mesh, 94), (0,), 0.5)
+        u, z = lognormal(mesh, 95, scale=0.7), zero_mass_weight(mesh, 96)
+        for s in (lognormal(mesh, 97, scale=0.7), z):
+            self.assert_both_sides(u, s, SOB, fam)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_block_edges(self, monkeypatch, rows):
+        mesh = Mesh(1, 0, 5)
+        fam, _ = build_sparse(lognormal(mesh, 80), (0,), 0.5)
+        monkeypatch.setattr(normest, "_FRAME_BLOCK", rows * mesh.total_cells)
+        for u, s in oracle_pairs(mesh):
+            self.assert_both_sides(u, s, SOB, fam)
+
+    def test_zero_mass_roots(self):
+        mesh = Mesh(1, 0, 6)
+        fam, _ = build_sparse(lognormal(mesh, 74), (0,), 0.5)
+        u, z = lognormal(mesh, 75, scale=0.7), zero_mass_weight(mesh, 76)
+        for a, b in ((u, z), (z, u)):
+            self.assert_both_sides(a, b, SOB, fam)
+        assert normest._testing_sup(z, u, fam, 0.5, SOB.p, SOB.q)[2] > 0

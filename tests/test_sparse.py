@@ -860,7 +860,14 @@ def _corona_inputs(mesh):
 class TestCertificateOracle:
     def test_verify_sparse(self, make):
         fam = make()
-        assert verify_sparse(fam) == oracle_verify(fam)
+        got = verify_sparse(fam)
+        # the witnesses are built one at a time, not as the whole member tuple
+        assert "cubes" not in vars(fam)
+        assert got == oracle_verify(fam)
+
+    def test_one_cube_builder(self, make):
+        fam = make()
+        assert tuple(map(fam.cube, range(len(fam)))) == fam.cubes
 
     def test_overlap_level_sets(self, make):
         fam = make()

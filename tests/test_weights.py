@@ -838,8 +838,9 @@ class TestPackedBlocks:
                          (YoungFunction.power(exps.q), make(exps.p_prime, 1.0))][: 1 + direct_holds]
                 for _, u, sigma in weight_cases(mesh):
                     expect = [parent_bump_constant(u, sigma, exps, phi, psi) for phi, psi in pairs]
-                    for got, e in zip(weights.bump_constants(u, sigma, exps, pairs), expect, strict=True):
-                        assert_same_report(got, e)
+                    got = weights.bump_constants([(u, sigma)], exps, pairs)[0]
+                    for g, e in zip(got, expect, strict=True):
+                        assert_same_report(g, e)
                     dual, direct = thm41_bound_check(u, sigma, exps, testing, kind, 1.0)
                     assert dual.components == {"K": expect[0].value}
                     if direct_holds:
