@@ -39,6 +39,7 @@ from .sparse import (
     _overlap_reports,
     build_sparse,
     corona_decompose,
+    domination_constant,
     sigma_decay_check,
     verify_sparse,
 )
@@ -106,10 +107,16 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError unless the mesh, the exponents, the seed, the
         random-function count, the bump settings, ``fw_max_level``, every
-        alpha and every weight spec are valid."""
+        alpha, every beta and every weight spec are valid."""
+        # a JSON bool is a Python int: exact type tests keep it out
+        for name in ("n", "J", "L", "T", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer; got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative; got {self.seed}")
-        # a JSON bool is a Python int: exact type tests keep it out
+        for beta in self.betas:
+            if not (type(beta) in (int, float) and math.isfinite(beta)):
+                raise ConfigError(f"betas must be finite numbers; got {beta!r}")
         if not (type(self.n_random_functions) is int and self.n_random_functions >= 0):
             raise ConfigError(f"n_random_functions must be an integer >= 0; got {self.n_random_functions!r}")
         if self.bump_kind not in ("log", "loglog"):
@@ -139,12 +146,21 @@ class ExperimentConfig:
     def validate_command(self, command: str) -> None:
         """Raise ConfigError unless the config gives ``command`` what it
         needs: sandwich, corona and norm build their family from the first
-        random function, and so does verify for the weight pairs."""
+        random function, and so does verify for the weight pairs;
+        exponent-fit needs every beta and its dual exponent above -n.  The
+        dual exponent depends on p and q, so other commands do not test it."""
         needs_function = command in ("sandwich", "corona", "norm") or (
             command == "verify" and self.weight_pairs()
         )
         if needs_function and self.n_random_functions < 1:
             raise ConfigError(f"{command} needs at least one random function (n_random_functions >= 1)")
+        if command == "exponent-fit":
+            s_p = self.exps().s_p
+            for beta in self.betas:
+                # generate_weight's test of both power weights, u and its dual sigma
+                if not (beta > -self.n and -beta / (s_p - 1.0) > -self.n):
+                    raise ConfigError(f"betas must be exponents of integrable power weights, "
+                                      f"beta > -n and -beta/(s(p)-1) > -n; got {beta!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -225,8 +241,10 @@ def cmd_constants(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     rows = []
     records = []
     finite_seen = False
+    pairs = cfg.weight_pairs()
+    weights = _distinct_weights(mesh, [*cfg.weights, *(spec for pair in pairs for spec in pair)])
     for spec in cfg.weights:
-        w = generate_weight(mesh, spec)
+        w = weights[spec]
         entries = [
             ("A_p(s(p))", ap_constant(w, exps.s_p)),
             ("A_inf_exp", ainfty_exp(w)),
@@ -237,9 +255,8 @@ def cmd_constants(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
             rows.append([spec, name, rep.value])
             records.append({"weight": spec, "constant": name, "value": _report(rep.value),
                             "witness": rep.witness, "corpusSize": rep.corpus_size})
-    for uspec, sspec in cfg.weight_pairs():
-        u, s = generate_weight(mesh, uspec), generate_weight(mesh, sspec)
-        rep = two_weight_ap(u, s, exps.s_p)
+    for uspec, sspec in pairs:
+        rep = two_weight_ap(weights[uspec], weights[sspec], exps.s_p)
         finite_seen |= math.isfinite(rep.value)
         rows.append([f"{uspec}|{sspec}", "twoWeightA_s(p)", rep.value])
         records.append({"weight": f"{uspec}|{sspec}", "constant": "twoWeightA_s(p)",
@@ -248,6 +265,25 @@ def cmd_constants(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     _write_json(outdir / "constants.json", {"config": cfg.echo(), "records": records})
     _write_csv(outdir / "constants.csv", ["weight", "constant", "value"], rows)
     return 0 if finite_seen else 3
+
+
+def _families(cfg: ExperimentConfig, mesh: Mesh, functions: list):
+    """Each (function, shift) sparse family of ``verify`` and ``sparse``, with
+    its certificate, built once for all alphas, in function and shift order:
+    the family depends on f and the grid alone, and alpha enters only through
+    the domination constant and the operators.  Nothing is built without
+    alphas."""
+    if not cfg.alphas:
+        return
+    for i, (fname, f) in enumerate(functions):
+        for shift in mesh.shifts():
+            S = build_sparse(f, shift, cfg.alphas[0])[0]
+            yield i, fname, f, shift, S, verify_sparse(S)
+
+
+def _distinct_weights(mesh: Mesh, specs) -> dict:
+    """Each distinct spec's weight, generated once."""
+    return {spec: generate_weight(mesh, spec) for spec in dict.fromkeys(specs)}
 
 
 def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
@@ -262,41 +298,39 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
         print("verify: nothing to do (empty config)")
         return 0
 
-    pair_key = ((0,) * mesh.n, cfg.alpha)
-    pair_family = None  # the weight pairs below use the first function's family at pair_key
-    for i, (fname, f) in enumerate(functions):
-        for shift in mesh.shifts():
-            for alpha in cfg.alphas:
-                S, C = build_sparse(f, shift, alpha)
-                if i == 0 and (shift, alpha) == pair_key:
-                    pair_family = S
-                cert = verify_sparse(S)
+    aligned = (0,) * mesh.n
+    pair_family = None  # the weight pairs below use the first function's family on shift 0
+    ks = range(1, 13)
+    for i, fname, f, shift, S, cert in _families(cfg, mesh, functions):
+        if i == 0 and shift == aligned:
+            pair_family = S
+        overlaps = [(root, k, overlap.exact_le_bound) for root in map(S.cube, range(min(2, len(S))))
+                    for k, overlap in zip(ks, _overlap_reports(S, root, ks))]
+        for alpha in cfg.alphas:
+            checks += 1
+            if not cert.ok:
+                failures.append({"check": "sparsity", "instance": [fname, list(shift), alpha],
+                                 "witness": cert.violating_cube})
+            dy = dyadic_riesz(f, alpha, shift)
+            sp = sparse_riesz(f, alpha, S)
+            rep = compare_pointwise(dy, sp)
+            checks += 1
+            if rep.violations or rep.max_ratio > domination_constant(mesh.n, alpha) * (1.0 + 1e-12):
+                failures.append({"check": "domination", "instance": [fname, list(shift), alpha],
+                                 "witness": list(rep.argmax)})
+            for root, k, ok in overlaps:
                 checks += 1
-                if not cert.ok:
-                    failures.append({"check": "sparsity", "instance": [fname, list(shift), alpha],
-                                     "witness": cert.violating_cube})
-                dy = dyadic_riesz(f, alpha, shift)
-                sp = sparse_riesz(f, alpha, S)
-                rep = compare_pointwise(dy, sp)
-                checks += 1
-                if rep.violations or rep.max_ratio > C * (1.0 + 1e-12):
-                    failures.append({"check": "domination", "instance": [fname, list(shift), alpha],
-                                     "witness": list(rep.argmax)})
-                for root in map(S.cube, range(min(2, len(S)))):
-                    ks = range(1, 13)
-                    for k, overlap in zip(ks, _overlap_reports(S, root, ks)):
-                        checks += 1
-                        if not overlap.exact_le_bound:
-                            failures.append({"check": "overlap-bound",
-                                             "instance": [fname, list(shift), alpha, k],
-                                             "witness": root})
-    for uspec, sspec in cfg.weight_pairs():
-        u, s = generate_weight(mesh, uspec), generate_weight(mesh, sspec)
+                if not ok:
+                    failures.append({"check": "overlap-bound", "instance": [fname, list(shift), alpha, k],
+                                     "witness": root})
+    pairs = cfg.weight_pairs()
+    weights = _distinct_weights(mesh, (spec for pair in pairs for spec in pair))
+    for uspec, sspec in pairs:
         if pair_family is None:
-            pair_family = build_sparse(functions[0][1], *pair_key)[0]
+            pair_family = build_sparse(functions[0][1], aligned, cfg.alpha)[0]
         checks += 1
         try:
-            corona_decompose(pair_family, pair_family.cube(0), u, s, exps)
+            corona_decompose(pair_family, pair_family.cube(0), weights[uspec], weights[sspec], exps)
         except AssertionError as exc:
             failures.append({"check": "corona", "instance": [uspec, sspec], "witness": str(exc)})
     _write_json(outdir / "verify.json", {"config": cfg.echo(), "checks": checks,
@@ -309,22 +343,17 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
 
 def cmd_sparse(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     mesh = cfg.mesh()
-    functions = cfg.random_functions(mesh)
-
-    def one(idx, fname, f, shift, alpha):
-        S, C = build_sparse(f, shift, alpha)
-        cert = verify_sparse(S)
-        rep = compare_pointwise(dyadic_riesz(f, alpha, shift), sparse_riesz(f, alpha, S))
-        return {
-            "index": idx, "function": fname, "shift": list(shift), "alpha": alpha,
-            "size": len(S), "dominationConstant": C,
-            "worstUnionRatio": cert.worst_union_ratio, "sparsityOk": cert.ok,
-            "maxDominationRatio": rep.max_ratio, "family": S.to_jsonable(),
-        }
-
-    runs = [(fname, f, shift, alpha) for fname, f in functions
-            for shift in mesh.shifts() for alpha in cfg.alphas]
-    results = [one(idx, *run) for idx, run in enumerate(runs)]
+    results = []
+    for _, fname, f, shift, S, cert in _families(cfg, mesh, cfg.random_functions(mesh)):
+        family = S.to_jsonable()
+        for alpha in cfg.alphas:
+            rep = compare_pointwise(dyadic_riesz(f, alpha, shift), sparse_riesz(f, alpha, S))
+            results.append({
+                "index": len(results), "function": fname, "shift": list(shift), "alpha": alpha,
+                "size": len(S), "dominationConstant": domination_constant(mesh.n, alpha),
+                "worstUnionRatio": cert.worst_union_ratio, "sparsityOk": cert.ok,
+                "maxDominationRatio": rep.max_ratio, "family": family,
+            })
     rows = [[r["index"], r["function"], r["alpha"], r["size"], r["sparsityOk"],
              r["worstUnionRatio"], r["maxDominationRatio"]] for r in results]
     for r in results:
@@ -401,8 +430,7 @@ def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     fname, f = cfg.random_functions(mesh)[0]
     S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
     specs = cfg.weight_pairs()
-    distinct = dict.fromkeys(spec for pair in specs for spec in pair)
-    weights = {spec: generate_weight(mesh, spec) for spec in distinct}
+    weights = _distinct_weights(mesh, (spec for pair in specs for spec in pair))
     pairs = [(weights[us], weights[ss]) for us, ss in specs]
     sws = [lsut_sandwich(u, s, exps, S, rng_seed=cfg.seed) for u, s in pairs]
     items = [(u, s, sw.testing) for (u, s), sw in zip(pairs, sws)]

@@ -122,17 +122,21 @@ class SparseFamily:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @functools.cached_property
-    def cubes(self) -> tuple[DyadicCube, ...]:
-        """The members as cubes, built from the level table on first use."""
-        t = self.mesh.level_table(self.shift)
-        rows = zip(t.level[self.positions].tolist(), t.coords[self.positions].tolist())
+    def _cubes_at(self, idx) -> tuple[DyadicCube, ...]:
+        """The members at indices ``idx`` (an index array or a slice) as
+        cubes, built from the level table alone."""
+        t, pos = self.mesh.level_table(self.shift), self.positions[idx]
+        rows = zip(t.level[pos].tolist(), t.coords[pos].tolist())
         return tuple(DyadicCube(self.shift, k, tuple(c)) for k, c in rows)
 
+    @functools.cached_property
+    def cubes(self) -> tuple[DyadicCube, ...]:
+        """The members as cubes, built on first use."""
+        return self._cubes_at(slice(None))
+
     def cube(self, i: int) -> DyadicCube:
-        """Member ``i`` as a cube, built from the level table alone."""
-        t, p = self.mesh.level_table(self.shift), self.positions[i]
-        return DyadicCube(self.shift, int(t.level[p]), tuple(t.coords[p].tolist()))
+        """Member ``i`` as a cube."""
+        return self._cubes_at([i])[0]
 
     @functools.cached_property
     def forest(self) -> Forest:
@@ -436,7 +440,7 @@ def _overlap_reports(family: SparseFamily, root: DyadicCube, ks) -> list[Overlap
         out.append(OverlapReport(
             measure=total3 * cell_vol,
             bound=2.0**-k * root3 * cell_vol,
-            generation_cubes=tuple(family.cubes[i] for i in idx.tolist()),
+            generation_cubes=family._cubes_at(idx),
             exact_le_bound=(total3 << k) <= root3,
         ))
     return out
@@ -752,9 +756,10 @@ def sigma_decay_check(cd: CoronaDecomposition, sigma: StepFunction) -> DecayRepo
     sp = mass[groups[:, 1]]
     kept = sp > 0.0
     ratio = sums[kept] / sp[kept, None]
+    tops = cd.family._cubes_at(index[groups[kept, 1]])
     rows = tuple(
-        DecayRow(a, b, cd.family.cubes[index[P]], k, r)
-        for (a, P, b), rs in zip(groups[kept].tolist(), ratio.tolist())
+        DecayRow(a, b, top, k, r)
+        for (a, _, b), top, rs in zip(groups[kept].tolist(), tops, ratio.tolist())
         for k, r in enumerate(rs)
     )
     skipped = int(np.count_nonzero((cd.generation >= 0) & (mass <= 0.0)))

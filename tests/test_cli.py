@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from rieszw import cli
 from rieszw.cli import ExperimentConfig
+from rieszw.operators import compare_pointwise, dyadic_riesz, sparse_riesz
+from rieszw.sparse import _overlap_reports, build_sparse, corona_decompose, verify_sparse
+from rieszw.weights import generate_weight
 
 SMALL = {
     "L": 4,
@@ -92,10 +96,27 @@ class TestExitCodes:
             ("verify", {"n_random_functions": 2.5}),
             ("verify", {"n_random_functions": -1}),
             ("verify", {"n_random_functions": True}),
+            ("constants", {"T": 1.5}),
+            ("exponent-fit", {"T": 1.5}),
+            ("verify", {"seed": 1.5}),
+            ("exponent-fit", {"seed": 1.5}),
+            ("constants", {"seed": 1.5}),
+            ("verify", {"L": True}),
+            ("verify", {"L": 4.5}),
+            ("verify", {"n": 1.0}),
+            ("verify", {"J": False}),
+            ("exponent-fit", {"betas": [0.1, "x"]}),
+            ("exponent-fit", {"betas": [True]}),
+            ("exponent-fit", {"betas": [float("nan")]}),
+            ("exponent-fit", {"betas": [-1.0]}),
+            ("exponent-fit", {"betas": [5.0]}),
         ],
         ids=["bump-kind", "negative-delta", "zero-delta", "string-delta", "bool-delta", "string-fw-level",
              "bool-fw-level", "float-fw-level", "float-function-count", "negative-function-count",
-             "bool-function-count"],
+             "bool-function-count", "float-padding-constants", "float-padding-exponent-fit",
+             "float-seed-verify", "float-seed-exponent-fit", "float-seed-constants", "bool-L", "float-L",
+             "float-n", "bool-J", "string-beta", "bool-beta", "nan-beta", "non-integrable-beta",
+             "non-integrable-dual-beta"],
     )
     def test_bad_field_exits_2_with_one_line(self, tmp_path, command, overrides):
         r = run_cli(tmp_path, command, dict(SMALL, **overrides))
@@ -105,9 +126,21 @@ class TestExitCodes:
         assert line.startswith(f"config error: {field} must be ")
 
     @pytest.mark.parametrize("overrides", [{"fw_max_level": None}, {"bump_delta": 2}, {"bump_delta": 0.5},
-                                           {"bump_kind": "loglog"}, {"n_random_functions": 0}])
+                                           {"bump_kind": "loglog"}, {"n_random_functions": 0},
+                                           {"betas": [-0.5, 0, 0.9]}])
     def test_good_fields_validate(self, overrides):
-        ExperimentConfig(**dict(SMALL, **overrides)).validate()
+        cfg = ExperimentConfig(**dict(SMALL, **overrides))
+        cfg.validate()
+        cfg.validate_command("exponent-fit")
+
+    def test_dual_beta_checked_for_exponent_fit_only(self):
+        # with p = 1.2 and q = 1.5 the dual exponent of beta = 0.6 is -2.4,
+        # but only exponent-fit generates the power weights
+        cfg = ExperimentConfig(**dict(SMALL, p=1.2, q=1.5, alpha=0.3, betas=[0.6]))
+        cfg.validate()
+        cfg.validate_command("sandwich")
+        with pytest.raises(cli.ConfigError, match="integrable power weights"):
+            cfg.validate_command("exponent-fit")
 
     def test_cell_budget_exits_2(self, tmp_path):
         r = run_cli(tmp_path, "verify", extra=["--mesh", "n=1,J=0,L=21"])
@@ -142,6 +175,17 @@ class TestNegativeBaseExponent:
 
 class TestVerifyFamilies:
     def test_weight_pairs_reuse_the_built_family(self, tmp_path, monkeypatch):
+        assert self.build_calls(tmp_path, monkeypatch, [0.5]) == [((0,), 0.5), ((1,), 0.5)]
+
+    @pytest.mark.parametrize("alphas, expected", [([0.25, 0.75], [((0,), 0.25), ((1,), 0.25)]),
+                                                  ([], [((0,), 0.5)])], ids=["without-alpha", "empty"])
+    def test_pair_family_whatever_the_alphas(self, tmp_path, monkeypatch, alphas, expected):
+        # one family per shift, whatever the alphas; the two weight pairs reuse
+        # the aligned one, which only an empty alphas list builds on its own
+        assert self.build_calls(tmp_path, monkeypatch, alphas) == expected
+
+    @staticmethod
+    def build_calls(tmp_path, monkeypatch, alphas):
         calls = []
         build = cli.build_sparse
 
@@ -151,11 +195,141 @@ class TestVerifyFamilies:
 
         monkeypatch.setattr(cli, "build_sparse", counting)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(SMALL))
+        cfg_path.write_text(json.dumps(dict(SMALL, alphas=alphas)))
         code = cli.main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 0
-        # one family per shift and alpha; the two weight pairs reuse the aligned one
-        assert calls == [((0,), 0.5), ((1,), 0.5)]
+        return calls
+
+    @pytest.mark.parametrize("command", ["verify", "sparse"])
+    def test_built_and_certified_once_per_function_and_shift(self, tmp_path, monkeypatch, command):
+        counts = Counter()
+        for name in ("build_sparse", "verify_sparse"):
+            def counting(*args, _fn=getattr(cli, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counting)
+        cfg = ExperimentConfig(**dict(SMALL, n_random_functions=2, alphas=[0.25, 0.5, 0.75]))
+        cfg.validate()
+        (tmp_path / "out").mkdir()
+        assert cli._COMMANDS[command](cfg, tmp_path / "out") == 0
+        # 2 functions x 2 shifts, not x 3 alphas
+        assert counts == {"build_sparse": 4, "verify_sparse": 4}
+
+
+def _old_cmd_verify(cfg, outdir):
+    """``cmd_verify`` as it was when every alpha built, certified and
+    overlap-checked its own family: the oracle of the shared families."""
+    mesh = cfg.mesh()
+    exps = cfg.exps()
+    failures = []
+    checks = 0
+    functions = cfg.random_functions(mesh)
+    if not functions and not cfg.weight_pairs():
+        cli._write_json(outdir / "verify.json", {"config": cfg.echo(), "checks": 0,
+                                                 "failures": [], "warning": "empty config; nothing verified"})
+        print("verify: nothing to do (empty config)")
+        return 0
+
+    pair_key = ((0,) * mesh.n, cfg.alpha)
+    pair_family = None  # the weight pairs below use the first function's family at pair_key
+    for i, (fname, f) in enumerate(functions):
+        for shift in mesh.shifts():
+            for alpha in cfg.alphas:
+                S, C = build_sparse(f, shift, alpha)
+                if i == 0 and (shift, alpha) == pair_key:
+                    pair_family = S
+                cert = verify_sparse(S)
+                checks += 1
+                if not cert.ok:
+                    failures.append({"check": "sparsity", "instance": [fname, list(shift), alpha],
+                                     "witness": cert.violating_cube})
+                dy = dyadic_riesz(f, alpha, shift)
+                sp = sparse_riesz(f, alpha, S)
+                rep = compare_pointwise(dy, sp)
+                checks += 1
+                if rep.violations or rep.max_ratio > C * (1.0 + 1e-12):
+                    failures.append({"check": "domination", "instance": [fname, list(shift), alpha],
+                                     "witness": list(rep.argmax)})
+                for root in map(S.cube, range(min(2, len(S)))):
+                    ks = range(1, 13)
+                    for k, overlap in zip(ks, _overlap_reports(S, root, ks)):
+                        checks += 1
+                        if not overlap.exact_le_bound:
+                            failures.append({"check": "overlap-bound",
+                                             "instance": [fname, list(shift), alpha, k],
+                                             "witness": root})
+    for uspec, sspec in cfg.weight_pairs():
+        u, s = generate_weight(mesh, uspec), generate_weight(mesh, sspec)
+        if pair_family is None:
+            pair_family = build_sparse(functions[0][1], *pair_key)[0]
+        checks += 1
+        try:
+            corona_decompose(pair_family, pair_family.cube(0), u, s, exps)
+        except AssertionError as exc:
+            failures.append({"check": "corona", "instance": [uspec, sspec], "witness": str(exc)})
+    cli._write_json(outdir / "verify.json", {"config": cfg.echo(), "checks": checks,
+                                             "failures": failures})
+    cli._warn_parentless(mesh)
+    status = "PASS" if not failures else "FAIL"
+    print(f"verify: {checks} checks, {len(failures)} failures [{status}]")
+    return 0 if not failures else 1
+
+
+def _old_cmd_sparse(cfg, outdir):
+    """``cmd_sparse`` as it was when every alpha built its own family."""
+    mesh = cfg.mesh()
+    functions = cfg.random_functions(mesh)
+
+    def one(idx, fname, f, shift, alpha):
+        S, C = build_sparse(f, shift, alpha)
+        cert = verify_sparse(S)
+        rep = compare_pointwise(dyadic_riesz(f, alpha, shift), sparse_riesz(f, alpha, S))
+        return {
+            "index": idx, "function": fname, "shift": list(shift), "alpha": alpha,
+            "size": len(S), "dominationConstant": C,
+            "worstUnionRatio": cert.worst_union_ratio, "sparsityOk": cert.ok,
+            "maxDominationRatio": rep.max_ratio, "family": S.to_jsonable(),
+        }
+
+    runs = [(fname, f, shift, alpha) for fname, f in functions
+            for shift in mesh.shifts() for alpha in cfg.alphas]
+    results = [one(idx, *run) for idx, run in enumerate(runs)]
+    rows = [[r["index"], r["function"], r["alpha"], r["size"], r["sparsityOk"],
+             r["worstUnionRatio"], r["maxDominationRatio"]] for r in results]
+    for r in results:
+        cli._write_json(outdir / f"sparse-{r['index']:03d}.json", r)
+    cli._write_csv(outdir / "sparse-summary.csv",
+                   ["index", "function", "alpha", "size", "ok", "worstUnionRatio", "maxDominationRatio"], rows)
+    cli._warn_parentless(mesh)
+    return 0 if all(r["sparsityOk"] for r in results) else 1
+
+
+class TestSharedFamiliesOracle:
+    """``verify`` and ``sparse`` build each (function, shift) family once for
+    all alphas and write the bytes of the loops that built it per alpha."""
+
+    MESHES = {"1d": dict(n=1, J=0, L=5), "2d": dict(n=2, J=0, L=3),
+              # unpadded: the shifted grids' families fail their certificates
+              "1d-unpadded": dict(n=1, J=1, L=5, T=0), "2d-unpadded": dict(n=2, J=1, L=3, T=0)}
+
+    @pytest.mark.parametrize("command, old", [("verify", _old_cmd_verify), ("sparse", _old_cmd_sparse)],
+                             ids=["verify", "sparse"])
+    @pytest.mark.parametrize("mesh", list(MESHES))
+    @pytest.mark.parametrize("alphas", [[0.25, 0.5, 0.75], [], [0.5, 0.5], [0.3, 0.7]],
+                             ids=["default", "empty", "repeated", "without-alpha"])
+    def test_outputs_byte_identical(self, tmp_path, capsys, command, old, mesh, alphas):
+        cfg = ExperimentConfig(**self.MESHES[mesh], alphas=alphas, n_random_functions=2,
+                               weights=["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"])
+        cfg.validate()
+        runs = []
+        for name, cmd in [("new", cli._COMMANDS[command]), ("old", old)]:
+            (tmp_path / name).mkdir()
+            code = cmd(cfg, tmp_path / name)
+            runs.append((code, capsys.readouterr(), slurp(tmp_path / name)))
+        assert runs[0] == runs[1]
+        if command == "verify" and alphas and "unpadded" in mesh:
+            # several failures, so their order is compared too
+            assert len(json.loads(runs[0][2]["verify.json"])["failures"]) > 1
 
 
 class TestSandwichWeights:
@@ -167,6 +341,20 @@ class TestSandwichWeights:
         monkeypatch.setattr(cli, "generate_weight", lambda mesh, spec: specs.append(spec) or generate(mesh, spec))
         (tmp_path / "out").mkdir()
         assert cli.cmd_sandwich(cfg, tmp_path / "out") == 0
+        assert sorted(specs) == sorted(cfg.weights)
+
+
+class TestDistinctWeights:
+    @pytest.mark.parametrize("command", ["constants", "verify"])
+    def test_each_distinct_spec_generated_once(self, tmp_path, monkeypatch, command):
+        # the weights and the cyclic default pairs name each of three specs
+        # three times in constants, and the pairs twice in verify
+        cfg = ExperimentConfig(**dict(SMALL, weights=["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"]))
+        cfg.validate()
+        specs, generate = [], cli.generate_weight
+        monkeypatch.setattr(cli, "generate_weight", lambda mesh, spec: specs.append(spec) or generate(mesh, spec))
+        (tmp_path / "out").mkdir()
+        assert cli._COMMANDS[command](cfg, tmp_path / "out") == 0
         assert sorted(specs) == sorted(cfg.weights)
 
 
