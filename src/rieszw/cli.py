@@ -135,13 +135,14 @@ class ExperimentConfig:
                 raise ConfigError(f"alphas entry {alpha} is outside (0, {self.n})")
         if any(len(pair) != 2 for pair in self.pairs):
             raise ConfigError("every pairs entry must be [uSpec, sigmaSpec]")
-        for spec in [*self.weights, *(s for pair in self.pairs for s in pair)]:
+        specs = [*self.weights, *(s for pair in self.pairs for s in pair)]
+        for spec in specs:
             if not isinstance(spec, str):
                 raise ConfigError(f"weight spec {spec!r} is not a string")
-            try:
-                generate_weight(mesh, spec)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        try:
+            _distinct_weights(mesh, specs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def validate_command(self, command: str) -> None:
         """Raise ConfigError unless the config gives ``command`` what it
@@ -375,8 +376,10 @@ def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     rows = []
     records = []
     ok = True
-    for idx, (uspec, sspec) in enumerate(cfg.weight_pairs()):
-        u, s = generate_weight(mesh, uspec), generate_weight(mesh, sspec)
+    pairs = cfg.weight_pairs()
+    weights = _distinct_weights(mesh, (spec for pair in pairs for spec in pair))
+    for idx, (uspec, sspec) in enumerate(pairs):
+        u, s = weights[uspec], weights[sspec]
         cd = corona_decompose(S, root, u, s, exps)
         dec = sigma_decay_check(cd, s)
         envelope = cal["sigma_decay_c1_max"] * SLACK
@@ -403,9 +406,11 @@ def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     exps = cfg.exps()
     fname, f = cfg.random_functions(mesh)[0]
     S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
+    pairs = cfg.weight_pairs()
+    weights = _distinct_weights(mesh, (spec for pair in pairs for spec in pair))
 
     def one(idx, uspec, sspec):
-        u, s = generate_weight(mesh, uspec), generate_weight(mesh, sspec)
+        u, s = weights[uspec], weights[sspec]
         testing = dyadic_testing(u, s, exps, S)
         strong = strong_norm_lower(u, s, exps, S, rng_seed=cfg.seed)
         weak = weak_norm_lower(u, s, exps, S, strong, rng_seed=cfg.seed)
@@ -413,7 +418,7 @@ def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
                 "testing": testing.to_jsonable(), "strong": strong.to_jsonable(),
                 "weak": weak.to_jsonable()}
 
-    results = [one(i, us, ss) for i, (us, ss) in enumerate(cfg.weight_pairs())]
+    results = [one(i, us, ss) for i, (us, ss) in enumerate(pairs)]
     for r in results:
         _write_json(outdir / f"norm-{r['index']:03d}.json", r)
     _write_csv(outdir / "norm-summary.csv",

@@ -220,6 +220,9 @@ class Mesh:
             raise ValueError(
                 f"mesh has {self.total_cells} cells, exceeding budget {DEFAULT_MAX_CELLS}"
             )
+        # the coarsest cube's corners reach 3 * 2^(J+L+T) thirds units in int64
+        if self.base_exponent + self.finest_exponent + self.coarse_padding > 60:
+            raise ValueError("need J + L + T <= 60, or the coarsest cube corners overflow int64")
 
     # -- basic geometry -------------------------------------------------
 
@@ -547,14 +550,7 @@ class StepFunction:
         """New step function with cellwise-transformed values."""
         return StepFunction(self.mesh, fn(self.values))
 
-    # -- prefix machinery ------------------------------------------------
-
-    def _prefixes(self):
-        pref = self._pref
-        if pref is None:
-            pref = _prefix_sums(self.values, self.mesh.n)
-            object.__setattr__(self, "_pref", pref)
-        return pref
+    # -- box integrals ---------------------------------------------------
 
     def _corpus_integrals(self) -> np.ndarray:
         """``plan_integrals`` of the corpus plan (the integral over every cube
@@ -573,12 +569,15 @@ class StepFunction:
         ``lo3``/``hi3`` are integer arrays of shape (..., n); broadcasting
         over the leading dimensions is supported."""
         lo3, hi3 = (np.moveaxis(np.asarray(x, dtype=np.int64), -1, 0) for x in (lo3, hi3))
-        return BoxPlan(lo3, hi3, self.values.shape).sums(self._prefixes()) * self.mesh.cell_volume
+        return self.plan_integrals(BoxPlan(lo3, hi3, self.values.shape))
 
     def plan_integrals(self, plan: "BoxPlan") -> np.ndarray:
         """``integral_box3`` over the boxes of a ``BoxPlan`` on this mesh's
-        frame, bit for bit."""
-        return plan.sums(self._prefixes()) * self.mesh.cell_volume
+        frame, bit for bit, from the function's prefix table, built on first
+        use and kept."""
+        if self._pref is None:
+            object.__setattr__(self, "_pref", _prefix_sums(self.values, self.mesh.n))
+        return plan._sums(self._pref) * self.mesh.cell_volume
 
     def cube_integral(self, cube: DyadicCube) -> float:
         return float(self.integral_box3(*cube.bounds3(self.mesh.finest_exponent)))
@@ -680,11 +679,14 @@ class BoxPlan:
             for a in corner:
                 a.setflags(write=False)
 
-    def sums(self, pref: np.ndarray) -> np.ndarray:
-        """Sums over the boxes, in cell volumes and clipped at zero, of the
-        frames whose ``_prefix_sums`` table is ``pref``; its axes between
-        the first and the last are a batch of frames, and the sums gain them
-        in front.
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Sums over the boxes, in cell volumes and clipped at zero, of
+        frames of cell values of the plan's size; leading axes of
+        ``values`` are a batch of frames, and the sums gain them in front."""
+        return self._sums(_prefix_sums(values, len(self.size)))
+
+    def _sums(self, pref: np.ndarray) -> np.ndarray:
+        """``sums`` of the frames whose ``_prefix_sums`` table is ``pref``.
         Every corner is ((P + fx RP) + fy CP) + (fx fy) V in 2-d (S + fx V
         in 1-d), and the corners combine as c11 - c01 - c10 + c00
         (c1 - c0)."""

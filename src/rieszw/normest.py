@@ -143,12 +143,14 @@ def _testing_sup(
     per root gives, bit for bit.  Alpha and each cut field are checked as
     ``restricted_sparse_riesz`` checks them."""
     mesh, t, roots = family.mesh, family.forest, family.roots
+    table = mesh.level_table(family.shift)
     _check_alpha(mesh, alpha)
-    dens = den_w.integral_box3(roots.lo3, roots.hi3)
+    lo3, hi3 = table.lo3[roots], table.hi3[roots]
+    dens = den_w.integral_box3(lo3, hi3)
     live = np.flatnonzero(~(dens <= 0.0))
-    w = _member_weights(den_w.values, alpha, family, den_w._prefixes())
+    w = _member_weights(den_w.plan_integrals(family.plan), alpha, family)
     # members are sorted by level: those coarser than a root come first
-    cut = np.searchsorted(t.level, roots.level[live])
+    cut = np.searchsorted(t.level, table.level[roots[live]])
     new_run = np.diff(cut, prepend=-1) != 0
     starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
     rows = max(1, _FRAME_BLOCK // mesh.total_cells)
@@ -160,7 +162,7 @@ def _testing_sup(
         for c in range(starts[r], end, rows):
             idx = live[c : min(c + rows, end)]
             # a root's cells are those whose centre lies in it: one index window
-            i0, i1 = mesh.center_window(roots.lo3[idx], roots.hi3[idx])
+            i0, i1 = mesh.center_window(lo3[idx], hi3[idx])
             X = np.zeros((len(idx), *terms.shape[1:]))
             field = (run[c : c + len(idx)] - r).tolist()
             for j, (k, lo, hi) in enumerate(zip(field, i0.tolist(), i1.tolist())):
@@ -172,8 +174,8 @@ def _testing_sup(
                 if val > best:
                     best, witness = val, i
     if witness is not None:
-        level, coord = int(roots.level[witness]), tuple(roots.coords[witness].tolist())
-        witness = DyadicCube(family.shift, level, coord)
+        p = roots[witness]
+        witness = DyadicCube(family.shift, int(table.level[p]), tuple(table.coords[p].tolist()))
     return best, witness, len(dens) - len(live)
 
 
@@ -275,8 +277,9 @@ def _apply_rows(X: np.ndarray, alpha: float, family: SparseFamily) -> np.ndarray
     N > ``_FRAME_BLOCK`` / 2) applies its frame alone: a batch of one costs
     5-10 % more per apply at 1-D L=12 and L=14."""
     _checked(X)
-    H = _sparse_sum(X[0], alpha, family)[None] if len(X) == 1 else _sparse_sum(X, alpha, family)
-    return _checked(H)
+    frames = X[0] if len(X) == 1 else X
+    H = _sparse_sum(family.plan.sums(frames) * family.mesh.cell_volume, alpha, family)
+    return _checked(H.reshape(X.shape))
 
 
 def _seed_functions(

@@ -21,12 +21,12 @@ Cost:
   into its children, coarse to fine, and each cell reads the finest cube
   over its centre (``np.take(x, t.cells)``).  A sum gets one term per
   level in level order, and a maximum maps values <= 0 to +0.0.
-* A sparse apply is one ``sums`` call of the members' box plan, which the
-  family keeps (``SparseFamily.plan``), and one sum swept down the member
+* A sparse apply takes the members' integrals over the box plan the
+  family keeps (``SparseFamily.plan``) and sweeps one sum down the member
   levels of its forest, read by each cell's owner: no Python loop over
   members, and each cell's sum is formed in member order, as a per-member
-  loop forms it.  ``_sparse_sum`` applies a block of frames at once, with
-  one ``sums`` call and one sweep for the block.
+  loop forms it.  ``_sparse_sum`` applies a block of frames at once, from
+  one ``BoxPlan.sums`` call and with one sweep for the block.
 * Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
   coarser padding levels repeat the covering cube's integrals over a larger
   volume, so they cannot raise the maximum.
@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import DyadicCube, Mesh, StepFunction, _prefix_sums, _sweep
+from .mesh import DyadicCube, Mesh, StepFunction, _sweep
 
 __all__ = [
     "KernelMode",
@@ -92,7 +92,7 @@ def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFun
 
 def sparse_riesz(f: StepFunction, alpha: float, family) -> StepFunction:
     """Sparse Riesz potential over a certified sparse family."""
-    return StepFunction(f.mesh, _sparse_sum(f.values, alpha, family, pref=f._prefixes()))
+    return StepFunction(f.mesh, _sparse_sum(f.plan_integrals(family.plan), alpha, family))
 
 
 def restricted_sparse_riesz(
@@ -100,28 +100,25 @@ def restricted_sparse_riesz(
 ) -> StepFunction:
     """Sparse Riesz potential over the members contained in ``root``."""
     keep = family.contained_in(root)
-    return StepFunction(f.mesh, _sparse_sum(f.values, alpha, family, keep, f._prefixes()))
+    return StepFunction(f.mesh, _sparse_sum(f.plan_integrals(family.plan), alpha, family, keep))
 
 
-def _sparse_sum(values: np.ndarray, alpha: float, family, keep=True, pref=None) -> np.ndarray:
+def _sparse_sum(ints: np.ndarray, alpha: float, family, keep=True) -> np.ndarray:
     """sum over the members Q (those set in ``keep``) of
     2^(-level(Q) alpha) avg_Q f, painted on the cells whose centre lies in
-    Q, for the values of f with an optional leading batch axis (B, cells...)
-    and, if given, their ``_prefix_sums``.  Each row of a batch equals the
-    sum of that frame alone bit for bit; the values are not checked."""
+    Q, from the integrals of f over the members, (..., m) with an optional
+    batch axis.  Each row of a batch equals the sum of that frame alone bit
+    for bit; the integrals are not checked."""
     _check_alpha(family.mesh, alpha)
-    w = _member_weights(values, alpha, family, pref)
+    w = _member_weights(ints, alpha, family)
     return _forest_paint(np.where(keep, w, 0.0), family)
 
 
-def _member_weights(values: np.ndarray, alpha: float, family, pref=None) -> np.ndarray:
+def _member_weights(ints: np.ndarray, alpha: float, family) -> np.ndarray:
     """2^(-level(Q) alpha) avg_Q f for every member Q, shape (..., m), from
-    the values of f with an optional leading batch axis and, if given,
-    their ``_prefix_sums``."""
+    the integrals of f over the members (``family.plan``)."""
     mesh, t = family.mesh, family.forest
-    pref = _prefix_sums(values, mesh.n) if pref is None else pref
-    sums = family.plan.sums(pref) * mesh.cell_volume
-    return mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * (sums / t.volume)
+    return mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * (ints / t.volume)
 
 
 def _forest_paint(w: np.ndarray, family) -> np.ndarray:
@@ -159,17 +156,17 @@ def _pointwise_sup_over_levels(mesh: Mesh, shift, per_cube_value) -> np.ndarray:
     return np.take(t.sweep(x, np.maximum), t.cells)
 
 
-def hl_maximal(f: StepFunction) -> StepFunction:
-    """Two-shift dyadic Hardy-Littlewood maximal function."""
-    mesh = f.mesh
-
-    def value(lo, hi, vol):
-        return f.integral_box3(lo, hi) / vol
-
+def _sup_over_shifts(mesh: Mesh, per_cube_value) -> StepFunction:
+    """The max of ``_pointwise_sup_over_levels`` over every grid shift."""
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
     for shift in mesh.shifts():
-        np.maximum(out, _pointwise_sup_over_levels(mesh, shift, value), out=out)
+        np.maximum(out, _pointwise_sup_over_levels(mesh, shift, per_cube_value), out=out)
     return StepFunction(mesh, out)
+
+
+def hl_maximal(f: StepFunction) -> StepFunction:
+    """Two-shift dyadic Hardy-Littlewood maximal function."""
+    return _sup_over_shifts(f.mesh, lambda lo, hi, vol: f.integral_box3(lo, hi) / vol)
 
 
 def frac_maximal_weighted(

@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import LuxemburgError
 from .mesh import DyadicCube, StepFunction
-from .operators import _pointwise_sup_over_levels
+from .operators import _sup_over_shifts
 
 __all__ = [
     "YoungFunction",
@@ -452,16 +452,12 @@ def orlicz_maximal(f: StepFunction, phi: YoungFunction) -> StepFunction:
     ||f||_{Phi,Q'} < ||f||_{Phi,Q}.  Each level of the table is one
     segment of the Luxemburg batch, so its norms stop as a call on that
     level alone would."""
-    mesh = f.mesh
 
     def value(lo, hi, vol):
         # the volume changes exactly where a level starts
         return luxemburg_norms(f, lo, hi, phi, np.flatnonzero(np.diff(vol, prepend=0.0)))
 
-    out = np.zeros((mesh.cells_per_axis,) * mesh.n)
-    for shift in mesh.shifts():
-        np.maximum(out, _pointwise_sup_over_levels(mesh, shift, value), out=out)
-    return StepFunction(mesh, out)
+    return _sup_over_shifts(f.mesh, value)
 
 
 def generalized_holder(

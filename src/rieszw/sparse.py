@@ -70,16 +70,6 @@ class Forest(NamedTuple):
     runs: tuple[tuple[int, int], ...]  # (start, stop) of each member level, coarse to fine
 
 
-class Roots(NamedTuple):
-    """A family's candidate testing roots: its members and all their grid
-    ancestors, coarse to fine, then in ``Mesh.level_cube_coords`` order."""
-
-    level: np.ndarray  # (r,) int64
-    coords: np.ndarray  # (r, n) int64 integer coordinates
-    lo3: np.ndarray  # (r, n) int64 lower corners, thirds of the finest cell width
-    hi3: np.ndarray  # (r, n) int64 upper corners
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class SparseFamily:
     """A set of cubes from one shifted grid of the mesh, as table positions.
@@ -180,13 +170,13 @@ class SparseFamily:
         return BoxPlan(a.lo3.T, a.hi3.T, (self.mesh.cells_per_axis,) * self.mesh.n)
 
     @functools.cached_property
-    def roots(self) -> Roots:
-        """The candidate testing roots, cut from the level table once per
-        family: the only cubes R on which the restricted sparse operator is
-        nonzero.  The members are marked, then the table parents of the
-        marked cubes, level by level from the finest, and last the head of
-        one-cube levels above the coarsest mark; the marked positions are
-        in the required order."""
+    def roots(self) -> np.ndarray:
+        """The candidate testing roots (the members and their ancestors) as
+        increasing level-table positions, found once per family, read-only:
+        the only cubes R on which the restricted sparse operator is nonzero.
+        The members are marked, then the table parents of the marked cubes,
+        level by level from the finest, and last the head of one-cube
+        levels above the coarsest mark."""
         t = self.mesh.level_table(self.shift)
         mark = np.zeros(len(t.parent), dtype=bool)
         mark[self.positions] = True
@@ -194,10 +184,8 @@ class SparseFamily:
             mark[t.parent[a:b][mark[a:b]]] = True
         mark[:t.head] = np.logical_or.accumulate(mark[:t.head][::-1])[::-1]
         r = np.flatnonzero(mark)
-        out = Roots(t.level[r], t.coords[r], t.lo3[r], t.hi3[r])
-        for x in out:
-            x.setflags(write=False)
-        return out
+        r.setflags(write=False)
+        return r
 
     def contained_in(self, root: DyadicCube) -> np.ndarray:
         """Boolean mask over the members: those contained in the root cube."""

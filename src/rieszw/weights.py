@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _containing_coord, _prefix_sums
+from .mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _containing_coord
 from .orlicz import YoungFunction, _conjugate, _luxemburg_blocks
 
 __all__ = [
@@ -156,18 +156,22 @@ def _supremum_report(name: str, mesh: Mesh, vals: np.ndarray) -> CharacteristicR
 # Characteristics
 
 
+def _dual_averages(w: StepFunction, expo: float) -> tuple[np.ndarray, np.ndarray]:
+    """(avg_Q w^expo, |Q n {w = 0}|) for every corpus cube Q, with w^expo
+    read as 0 where w = 0."""
+    pos = w.values > 0.0
+    dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** expo * pos)
+    zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
+    return _avg(dual), zeros.plan_integrals(w.mesh.corpus_plan)
+
+
 def ap_constant(w: StepFunction, p: float) -> CharacteristicReport:
     """[w]_{A_p} = sup_Q (avg_Q w) (avg_Q w^{1-p'})^{p-1}.
 
     Cubes where w vanishes on some cell but not all report +inf."""
     if p <= 1.0:
         raise ValueError("need p > 1")
-    pp = _conjugate(p)
-    pos = w.values > 0.0
-    dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (1.0 - pp) * pos)
-    zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
-    a, b = _avg(w), _avg(dual)
-    z = zeros.plan_integrals(w.mesh.corpus_plan)
+    a, (b, z) = _avg(w), _dual_averages(w, 1.0 - _conjugate(p))
     vals = np.where((z > 0.0) & (a > 0.0), math.inf, a * b ** (p - 1.0))
     return _supremum_report(f"A_{p:g}", w.mesh, vals)
 
@@ -177,12 +181,7 @@ def apq_constant(w: StepFunction, p: float, q: float) -> CharacteristicReport:
     if not 1.0 < p <= q:
         raise ValueError("need 1 < p <= q")
     pp = _conjugate(p)
-    pos = w.values > 0.0
-    wq = w.map(lambda v: v**q)
-    dual = StepFunction(w.mesh, np.where(pos, w.values, 1.0) ** (-pp) * pos)
-    zeros = StepFunction(w.mesh, (~pos).astype(np.float64))
-    a, b = _avg(wq), _avg(dual)
-    z = zeros.plan_integrals(w.mesh.corpus_plan)
+    a, (b, z) = _avg(w.map(lambda v: v**q)), _dual_averages(w, -pp)
     vals = np.where((z > 0.0) & (a > 0.0), math.inf, a ** (1.0 / q) * b ** (1.0 / pp))
     return _supremum_report(f"A_{p:g},{q:g}", w.mesh, vals)
 
@@ -338,7 +337,7 @@ def _window_maximal_sums(w: StepFunction, layout: _WindowLayout, rows: np.ndarra
     count = len(rows)
     flat = layout.flat[rows]
     window = w.values.reshape(-1).take(flat).reshape(count, *layout.plan.size)
-    v = layout.plan.sums(_prefix_sums(window, n))
+    v = layout.plan.sums(window)
     v = v * mesh.cell_volume / layout.factor
     v = np.where(v > 0.0, v, 0.0)
     out = np.zeros(window.shape)

@@ -71,9 +71,11 @@ class TestExitCodes:
             ({"alphas": [0.5, 1.0]}, None),
             ({"weights": ["bogus:x=1"]}, None),
             ({"seed": -1}, None),
+            ({}, "n=1,J=0,L=6,T=55"),
+            ({}, "n=1,J=0,L=6,T=57"),
         ],
         ids=["too-many-cells", "n=3", "negative-padding", "alpha", "alphas-entry", "weight-kind",
-             "negative-seed"],
+             "negative-seed", "corners-past-int64", "level-scale-past-int64"],
     )
     def test_invalid_config_exits_2(self, tmp_path, overrides, mesh):
         extra = ["--mesh", mesh] if mesh else []
@@ -345,10 +347,10 @@ class TestSandwichWeights:
 
 
 class TestDistinctWeights:
-    @pytest.mark.parametrize("command", ["constants", "verify"])
+    @pytest.mark.parametrize("command", ["constants", "verify", "corona", "norm"])
     def test_each_distinct_spec_generated_once(self, tmp_path, monkeypatch, command):
         # the weights and the cyclic default pairs name each of three specs
-        # three times in constants, and the pairs twice in verify
+        # three times in constants, and the pairs twice in the others
         cfg = ExperimentConfig(**dict(SMALL, weights=["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"]))
         cfg.validate()
         specs, generate = [], cli.generate_weight
@@ -356,6 +358,15 @@ class TestDistinctWeights:
         (tmp_path / "out").mkdir()
         assert cli._COMMANDS[command](cfg, tmp_path / "out") == 0
         assert sorted(specs) == sorted(cfg.weights)
+
+    def test_validate_generates_each_distinct_spec_once(self, monkeypatch):
+        # five specs named in the weights and the pairs, three of them distinct
+        pairs = [["constant:c=1", "power:beta=0.3"], ["power:beta=0.3", "twovalue:a=2,b=1"]]
+        cfg = ExperimentConfig(**dict(SMALL, pairs=pairs))
+        specs, generate = [], cli.generate_weight
+        monkeypatch.setattr(cli, "generate_weight", lambda mesh, spec: specs.append(spec) or generate(mesh, spec))
+        cfg.validate()
+        assert specs == ["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"]
 
 
 class TestParentlessWarning:

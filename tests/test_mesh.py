@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from rieszw.mesh import (
     covering_shifted_cube,
     enumerate_cubes,
 )
+import rieszw
 from rieszw.mesh import BoxPlan, _prefix_sums
 from rieszw.operators import dyadic_riesz
 from rieszw.sparse import build_sparse
@@ -156,7 +159,7 @@ class TestStepFunction:
         lo = rng.integers(-5, 24, size=(30, n))
         hi = lo + rng.integers(0, 30, size=(30, n))
         assert (lo < 0).any() and (hi > 24).any()
-        got = BoxPlan(list(lo.T), list(hi.T), stack.shape[-n:]).sums(_prefix_sums(stack, n))
+        got = BoxPlan(list(lo.T), list(hi.T), stack.shape[-n:]).sums(stack)
         assert got.shape == (4, 30)
         for i, f in enumerate(frames):
             assert np.array_equal(got[i] * mesh.cell_volume, f.integral_box3(lo, hi))
@@ -229,6 +232,23 @@ class TestCubeGeometry:
         assert Mesh(1, 0, 20).total_cells == 1 << 20
         with pytest.raises(ValueError, match="exceeding budget"):
             Mesh(1, 0, 21)
+
+    @pytest.mark.parametrize("n, J, L", [(1, 0, 6), (1, 1, 5), (2, 0, 6), (2, 1, 3)])
+    def test_thirds_corners_fit_int64(self, n, J, L):
+        # the coarsest cube's corners reach 3 * 2^(J+L+T) thirds units: at
+        # J + L + T = 60 its centre window is the whole frame and it holds
+        # the box's integral; one padding level more is refused
+        mesh = Mesh(n, J, L, coarse_padding=60 - J - L)
+        N = mesh.cells_per_axis
+        ones = StepFunction.constant(mesh, 1.0)
+        for shift in mesh.shifts():
+            t = mesh.level_table(shift)
+            assert t.level[0] == mesh.coarsest_level and t.single > 0
+            i0, i1 = mesh.center_window(t.lo3[0], t.hi3[0])
+            assert i0.tolist() == [0] * n and i1.tolist() == [N] * n
+            assert ones.integral_box3(t.lo3[0], t.hi3[0]) == mesh.box_side**n
+        with pytest.raises(ValueError, match=r"J \+ L \+ T <= 60"):
+            Mesh(n, J, L, coarse_padding=61 - J - L)
 
     def test_box_side_below_one(self):
         # J < 0 is valid while J + L >= 0: the box is smaller than [0, 1)^n
@@ -517,13 +537,12 @@ class TestBoxPlanOracle:
             lo, hi = list(lo3.T), list(hi3.T)
             plan = BoxPlan(lo, hi, (N,) * n)
             for values in frames:
-                pref = _prefix_sums(values, n)
                 expect = parent_box_sums(parent_prefix_sums(values, n), values, lo, hi)
-                assert_same_bits(plan.sums(pref), expect)
+                assert_same_bits(plan.sums(values), expect)
                 got = StepFunction(mesh, values).integral_box3(lo3, hi3)
                 assert_same_bits(got, expect * mesh.cell_volume)
             if label == "zero-mass":
-                assert np.all(plan.sums(_prefix_sums(half_zero, n)) == 0.0)
+                assert np.all(plan.sums(half_zero) == 0.0)
         for values in frames:
             f = StepFunction(mesh, values)
             assert_same_bits(f.plan_integrals(mesh.corpus_plan), f.integral_box3(mesh.corpus.lo3, mesh.corpus.hi3))
@@ -543,8 +562,8 @@ class TestBoxPlanOracle:
                 pref = _prefix_sums(values, n)
                 expect = parent_box_sums(parent_prefix_sums(values, n), values, lo, hi)
                 assert expect.shape == (rows, len(lo3))
-                assert_same_bits(plan.sums(pref), expect)
-                assert_same_bits(BoxPlan(lo, hi, values.shape[-n:]).sums(pref), expect)
+                assert_same_bits(plan.sums(values), expect)
+                assert_same_bits(BoxPlan(lo, hi, values.shape[-n:])._sums(pref), expect)
 
     @pytest.mark.parametrize("rows", [None, 1, 4])
     @pytest.mark.parametrize("n", [1, 2])
@@ -578,7 +597,7 @@ class TestBoxPlanOracle:
         # per axis, lower corners along one axis and upper corners along another
         lo = [rng.integers(-4, 3 * N, size=(5, 1)) for _ in range(n)]
         hi = [rng.integers(0, 3 * N + 4, size=(1, 7)) for _ in range(n)]
-        got = BoxPlan(lo, hi, (N,) * n).sums(f._prefixes())
+        got = BoxPlan(lo, hi, (N,) * n).sums(f.values)
         assert got.shape == (5, 7)
         assert_same_bits(got, parent_box_sums(pref, f.values, lo, hi))
         lo, hi = rng.integers(0, 3 * N, size=n), rng.integers(0, 3 * N, size=n) + 3
@@ -603,3 +622,41 @@ class TestBoxPlanOracle:
         for corner in plan.corners:
             for a in corner:
                 assert not a.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# The prefix table is the mesh module's own
+
+
+PREFIX_TABLE_NAMES = {"_prefix_sums", "_prefixes", "_pref", "_sums"}
+
+
+def _identifiers(tree: ast.AST):
+    """(name, line) of every identifier and attribute name in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+            if node.asname:
+                yield node.asname, node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.arg):
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.lineno
+
+
+def test_prefix_table_stays_in_mesh():
+    # whole names only: ``weights._window_maximal_sums`` is no table access
+    src = pathlib.Path(rieszw.__file__).parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "mesh.py")
+    assert len(modules) > 5
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for name, line in _identifiers(tree) if name in PREFIX_TABLE_NAMES]
+    assert not found

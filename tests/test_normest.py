@@ -26,7 +26,7 @@ from rieszw.sparse import SparseFamily, build_sparse
 from rieszw.weights import ExponentTuple, _center_mask
 
 from conftest import _scan_levels, center_slices, lognormal
-from test_sparse import ORACLE_FAMILIES, _ancestor_at, candidate_roots
+from test_sparse import ORACLE_FAMILIES, _ancestor_at, candidate_roots, member_integrals
 from test_weights import CORPUS_MESHES, in_box_cubes_with_bounds, zero_mass_weight
 
 ROOT = DyadicCube((0,), 0, (0,))
@@ -309,12 +309,13 @@ class TestCandidateRootsOracle:
     def test_roots_table(self, make):
         family = make()
         r, cubes = family.roots, oracle_candidate_roots(family)
-        assert family.roots is r and not any(a.flags.writeable for a in r)
-        assert r.level.tolist() == [c.level for c in cubes]
-        assert r.coords.tolist() == [list(c.coord) for c in cubes]
+        t = family.mesh.level_table(family.shift)
+        assert family.roots is r and not r.flags.writeable
+        assert r.dtype == np.int64 and r.shape == (len(cubes),) and np.all(np.diff(r) > 0)
+        assert t.level[r].tolist() == [c.level for c in cubes]
+        assert t.coords[r].tolist() == [list(c.coord) for c in cubes]
         lo3, hi3 = family.mesh.bounds3(cubes)
-        assert np.array_equal(r.lo3, lo3) and np.array_equal(r.hi3, hi3)
-        assert r.lo3.shape == r.hi3.shape == (len(cubes), family.mesh.n)
+        assert np.array_equal(t.lo3[r], lo3) and np.array_equal(t.hi3[r], hi3)
 
 
 class TestNormLower:
@@ -705,7 +706,7 @@ class TestSandwichStagesOracle:
         fam, _ = build_sparse(lognormal(mesh, 80), (0,), 0.5)
         pairs = oracle_pairs(mesh)
         monkeypatch.setattr(normest, "_FRAME_BLOCK", rows * mesh.total_cells)
-        assert len(fam) + 1 + 8 > 3 and len(fam.roots.level) > 3
+        assert len(fam) + 1 + 8 > 3 and len(fam.roots) > 3
         for u, s in pairs:
             for seed in range(2):
                 assert_sandwich_stages_equal(u, s, SOB, fam, seed)
@@ -724,7 +725,7 @@ class TestSandwichStagesOracle:
         mesh = Mesh(2, 0, 3)
         fam, _ = build_sparse(lognormal(mesh, 82, scale=2.0), (0, 0), 0.5)
         monkeypatch.setattr(normest, "_FRAME_BLOCK", 2 * mesh.total_cells)
-        assert len(fam) > 2 and len(fam.roots.level) > 2
+        assert len(fam) > 2 and len(fam.roots) > 2
         for u, s in oracle_pairs(mesh):
             assert_sandwich_stages_equal(u, s, exps_for(mesh), fam)
 
@@ -742,7 +743,7 @@ class TestRowBlocks:
         [(labels, F)] = normest._seed_blocks(mesh, seeds)
         assert labels[:2] == ["chi[-40,(0,)]", "chi[-38,(0,)]"] and np.array_equal(F[0], F[1])
         X = F * s.values
-        H = _sparse_sum(X, SOB.alpha, fam)
+        H = _sparse_sum(member_integrals(X, fam), SOB.alpha, fam)
         assert H.flags.c_contiguous
         norms = normest._norm_rows(H, u.values, SOB.q, mesh.cell_volume)
         for row, h, norm in zip(X, H, norms):
@@ -755,7 +756,7 @@ class TestRowBlocks:
         fam, _ = build_sparse(lognormal(mesh, 84), (1,) * mesh.n, 0.5)
         X = np.stack([lognormal(mesh, 85 + i).values for i in range(5)])
         X[2] = 0.0
-        H = _sparse_sum(X, 0.5, fam)
+        H = _sparse_sum(member_integrals(X, fam), 0.5, fam)
         for row, h in zip(X, H):
             single = sparse_riesz(StepFunction(mesh, row), 0.5, fam).values
             assert np.array_equal(h, single) and np.array_equal(np.signbit(h), np.signbit(single))
@@ -770,11 +771,12 @@ def parent_testing_sup(den_w, out_w, family, alpha, den_exp, out_exp):
     """The testing scan with its blocks of roots taken run by run, each
     root's centre window copied into a zero full-frame row."""
     mesh, t, roots = family.mesh, family.forest, family.roots
+    table = mesh.level_table(family.shift)
     normest._check_alpha(mesh, alpha)
-    dens = den_w.integral_box3(roots.lo3, roots.hi3)
+    dens = den_w.integral_box3(table.lo3[roots], table.hi3[roots])
     live = np.flatnonzero(~(dens <= 0.0))
-    w = normest._member_weights(den_w.values, alpha, family, den_w._prefixes())
-    cut = np.searchsorted(t.level, roots.level[live])
+    w = normest._member_weights(den_w.plan_integrals(family.plan), alpha, family)
+    cut = np.searchsorted(t.level, table.level[roots[live]])
     starts = np.flatnonzero(np.diff(cut, prepend=-1))
     runs = list(zip(starts.tolist(), [*starts[1:].tolist(), len(live)]))
     rows = max(1, normest._FRAME_BLOCK // mesh.total_cells)
@@ -785,7 +787,7 @@ def parent_testing_sup(den_w, out_w, family, alpha, den_exp, out_exp):
         for (a, b), terms in zip(runs[r : r + rows], fields**out_exp * out_w.values):
             for c in range(a, b, rows):
                 idx = live[c : min(c + rows, b)]
-                i0, i1 = mesh.center_window(roots.lo3[idx], roots.hi3[idx])
+                i0, i1 = mesh.center_window(table.lo3[roots[idx]], table.hi3[roots[idx]])
                 X = np.zeros((len(idx), *terms.shape))
                 for j, (lo, hi) in enumerate(zip(i0.tolist(), i1.tolist())):
                     win = tuple(map(slice, lo, hi))
@@ -796,7 +798,7 @@ def parent_testing_sup(den_w, out_w, family, alpha, den_exp, out_exp):
                     if val > best:
                         best, witness = val, i
     if witness is not None:
-        level, coord = int(roots.level[witness]), tuple(roots.coords[witness].tolist())
+        level, coord = int(table.level[roots[witness]]), tuple(table.coords[roots[witness]].tolist())
         witness = DyadicCube(family.shift, level, coord)
     return best, witness, len(dens) - len(live)
 

@@ -823,8 +823,15 @@ class TestConstructor:
 
 def candidate_roots(family):
     """``SparseFamily.roots`` as cubes, in its order."""
-    r = family.roots
-    return [DyadicCube(family.shift, k, tuple(c)) for k, c in zip(r.level.tolist(), r.coords.tolist())]
+    r, t = family.roots, family.mesh.level_table(family.shift)
+    return [DyadicCube(family.shift, k, tuple(c)) for k, c in zip(t.level[r].tolist(), t.coords[r].tolist())]
+
+
+def member_integrals(values, family):
+    """The integrals of frames of cell values over the family's members,
+    with the values' leading axes in front: what ``_sparse_sum`` and
+    ``_member_weights`` take."""
+    return family.plan.sums(values) * family.mesh.cell_volume
 
 
 def _roots(family):
@@ -1104,14 +1111,13 @@ def per_level_ancestor_levels(mesh, shift, level, lo3):
 
 
 def per_level_roots(family):
-    """``SparseFamily.roots`` from the per-level ancestor scan."""
-    from rieszw.sparse import Roots
-
+    """The level, coordinates and corners of every ``SparseFamily.roots``
+    entry, from the per-level ancestor scan."""
     mesh, a = family.mesh, per_level_forest(family)
     parts = [(np.full(len(idx), g.level, dtype=np.int64), g.coords[idx], g.lo3[idx], g.hi3[idx])
              for g, _, idx, _ in per_level_ancestor_levels(mesh, family.shift, a.level, a.lo3)]
     empty = (np.zeros(0, dtype=np.int64), *(np.zeros((0, mesh.n), dtype=np.int64),) * 3)
-    return Roots(*(np.concatenate(x) for x in zip(empty, *parts)))
+    return tuple(np.concatenate(x) for x in zip(empty, *parts))
 
 
 def per_level_carleson_check(c, mu, mesh, A=None):
@@ -1220,7 +1226,9 @@ class TestTableSweepOracle:
 
     def test_roots(self, make):
         fam = make()
-        _same_arrays(fam.roots, per_level_roots(fam))
+        r, t = fam.roots, fam.mesh.level_table(fam.shift)
+        assert not r.flags.writeable and np.all(np.diff(r) > 0)
+        _same_arrays(tuple(x[r] for x in (t.level, t.coords, t.lo3, t.hi3)), per_level_roots(fam))
 
     def test_overlap_reports(self, make):
         fam = make()
@@ -1328,7 +1336,7 @@ class TestMemberSweepOracle:
         rng = np.random.default_rng(61 + (rows or 0))
         batch = () if rows is None else (rows,)
         X = np.exp(rng.standard_normal((*batch, *(mesh.cells_per_axis,) * mesh.n)))
-        w = _member_weights(X, ALPHA, fam)
+        w = _member_weights(member_integrals(X, fam), ALPHA, fam)
         # +0.0 weights, as members below a testing cut or outside a root get
         cut = rng.integers(0, m + 1, size=(*batch, 1))
         w = np.where((np.arange(m) >= cut) & (rng.random(w.shape) < 0.8), w, 0.0)
@@ -1416,7 +1424,7 @@ def parent_build_sparse(f, shift, alpha):
 
 def parent_box_sums(pref, values, lo3, hi3):
     """The one-off plan that every sparse apply built."""
-    return BoxPlan(lo3, hi3, values.shape[-len(lo3):]).sums(pref)
+    return BoxPlan(lo3, hi3, values.shape[-len(lo3):])._sums(pref)
 
 
 def parent_member_weights(values, alpha, family):
@@ -1505,10 +1513,11 @@ class TestPositionsOracle:
             frames = [stack[0], stack[1], stack[2]] + [stack[:rows] for rows in (1, 4, 30)]
             for values in frames:
                 pref = _prefix_sums(values, n)
-                got, expect = fam.plan.sums(pref), parent_box_sums(pref, values, lo, hi)
+                got, expect = fam.plan.sums(values), parent_box_sums(pref, values, lo, hi)
                 assert got.shape == expect.shape == (*values.shape[:-n], len(fam))
                 assert np.array_equal(got.view(np.int64), expect.view(np.int64))
-                got, expect = _member_weights(values, ALPHA, fam), parent_member_weights(values, ALPHA, fam)
+                got = _member_weights(member_integrals(values, fam), ALPHA, fam)
+                expect = parent_member_weights(values, ALPHA, fam)
                 assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
     def test_plan_is_kept_and_read_only(self):
