@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from rieszw.calibration import CALIBRATION_MESH, corpus_instance, corpus_pairs
 from rieszw.mesh import Mesh
 from rieszw.operators import KernelMode, dyadic_riesz, riesz_reference
-from rieszw.normest import lsut_sandwich, thm31_bound_check, thm41_bound_check
+from rieszw.normest import lsut_sandwich, thm31_bound_checks, thm41_bound_checks
 from rieszw.sparse import build_sparse, corona_decompose, sigma_decay_check
 from rieszw.weights import ExponentTuple, generate_weight
 
@@ -50,10 +50,10 @@ def main():
         assert sw.testing_below_norm and sw.r1 is not None and sw.r1 <= 1.0 + 1e-8
         r2_values.append(sw.r2)
 
-        dual31, direct31 = thm31_bound_check(u, sigma, exps, sw.testing, fw_max_level=3)
+        dual31, direct31 = thm31_bound_checks([(u, sigma, sw.testing)], exps, fw_max_level=3)[0]
         thm31_max = max(thm31_max, dual31.ratio, direct31.ratio)
         for kind in ("log", "loglog"):
-            dual41, direct41 = thm41_bound_check(u, sigma, exps, sw.testing, kind, 1.0)
+            dual41, direct41 = thm41_bound_checks([(u, sigma, sw.testing)], exps, kind, 1.0)[0]
             worst = max(dual41.ratio, direct41.ratio if direct41 else 0.0)
             if kind == "log":
                 thm41_log_max = max(thm41_log_max, worst)

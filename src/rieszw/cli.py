@@ -107,11 +107,18 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError unless the mesh, the exponents, the seed, the
         random-function count, the bump settings, ``fw_max_level``, every
-        alpha, every beta and every weight spec are valid."""
+        alpha, every beta and every weight spec are valid, and the list
+        fields are lists."""
         # a JSON bool is a Python int: exact type tests keep it out
         for name in ("n", "J", "L", "T", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer; got {getattr(self, name)!r}")
+        for name in ("weights", "pairs", "alphas", "betas"):
+            if type(getattr(self, name)) is not list:
+                raise ConfigError(f"{name} must be a list; got {getattr(self, name)!r}")
+        for name in ("alpha", "p", "q"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ConfigError(f"{name} must be a number; got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative; got {self.seed}")
         for beta in self.betas:
@@ -131,9 +138,11 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for alpha in self.alphas:
+            if type(alpha) not in (int, float):
+                raise ConfigError(f"alphas must be numbers; got {alpha!r}")
             if not 0.0 < alpha < self.n:
                 raise ConfigError(f"alphas entry {alpha} is outside (0, {self.n})")
-        if any(len(pair) != 2 for pair in self.pairs):
+        if any(type(pair) is not list or len(pair) != 2 for pair in self.pairs):
             raise ConfigError("every pairs entry must be [uSpec, sigmaSpec]")
         specs = [*self.weights, *(s for pair in self.pairs for s in pair)]
         for spec in specs:

@@ -10,14 +10,16 @@ most ``_FRAME_BLOCK`` entries a block, through one batched forest apply
 (``operators._sparse_sum``): the testing scan paints a block of cut
 fields, one per run of root levels with the same coarser members, and
 sums the rows of a block of roots, taken across those runs, at once; the
-strong iteration runs a block of seeds in lockstep; the weak one streams
+strong iteration keeps a block of seeds in block-sized arrays and applies
+the rows still iterating, picked by an index array; the weak one streams
 its seeds a block at a time.  Row sums of full frames equal the sums of single
 frames bit for bit, so every value is that of one restricted apply per
 root and one seed at a time.
 
 The theorem checks (``thm31_bound_checks``, ``thm41_bound_checks``) take
-all the weight pairs of a run at once: one Fujii-Wilson scan per distinct
-weight, and one packed Luxemburg bisection for every bump norm.
+a list of weight pairs, all the pairs of a run at once: one Fujii-Wilson
+scan per distinct weight, and one packed Luxemburg bisection for every
+bump norm.  A single pair is a one-item list.
 """
 
 from __future__ import annotations
@@ -57,9 +59,7 @@ __all__ = [
     "strong_norm_lower",
     "weak_norm_lower",
     "lsut_sandwich",
-    "thm31_bound_check",
     "thm31_bound_checks",
-    "thm41_bound_check",
     "thm41_bound_checks",
 ]
 
@@ -321,6 +321,18 @@ def _seed_blocks(mesh: Mesh, seeds):
         yield list(labels), np.maximum(np.stack(values), 0.0)
 
 
+def _half_step(H: np.ndarray, w: np.ndarray, e: float, vol: float, floor: np.ndarray, live: np.ndarray, message: str):
+    """One half-step of the alternating maximization: the L^e(w) norms of
+    the live rows' images H, asserted not below ``floor`` (the norms of the
+    half-step before) where they are > 0.  Returns the rows of ``live``, H
+    and the norms where the norm is > 0; the other rows drop out."""
+    norms = np.array(_norm_rows(H, w, e, vol))
+    stay = ~(norms <= 0.0)
+    if np.any(stay & (norms < floor * (1.0 - 1e-12))):
+        raise AssertionError(message)
+    return live[stay], H[stay], norms[stay]
+
+
 def strong_norm_lower(
     u: StepFunction,
     sigma: StepFunction,
@@ -339,9 +351,11 @@ def strong_norm_lower(
     asserted to be so each step.  Multi-start from the member indicators,
     a sigma^{p'-1} profile, seeded random starts, and any extra seeds.
 
-    A block of seeds iterates in lockstep as the rows of one batched apply;
-    each row keeps its own value, count and last g, and leaves the block at
-    its own exit, so every row computes what a run of that seed alone
+    A block of seeds iterates as the rows of one batched apply.  Each row's
+    f, last g, count, flags and value sit in block-sized arrays, written in
+    place at the indices ``live`` of the rows still iterating; a row stops
+    by dropping out of ``live`` (its norm is 0, it converged, or the cap
+    ends the loop), so every row computes what a run of that seed alone
     computes.  The best is the first strict maximum in seed order."""
     mesh = u.mesh
     vol = mesh.cell_volume
@@ -351,22 +365,6 @@ def strong_norm_lower(
     def T(X: np.ndarray) -> np.ndarray:
         return _apply_rows(X, exps.alpha, family)
 
-    def leave(out: list, it: int, *rest):
-        """The live rows flagged in ``out`` leave with their f, last g and
-        count; returns ``rest`` cut to the rows that stay."""
-        nonlocal live, fv, gv, value
-        if not any(out):
-            return rest
-        for r in (r for r, o in enumerate(out) if o):
-            i = live[r]
-            F[i], its[i] = fv[r], it
-            if gv is not None:
-                G[i], has_g[i] = gv[r], True
-        stay = [r for r, o in enumerate(out) if not o]
-        live, value = [live[r] for r in stay], [value[r] for r in stay]
-        fv, gv = fv[stay], None if gv is None else gv[stay]
-        return tuple(x[stay] if isinstance(x, np.ndarray) else [x[r] for r in stay] for x in rest)
-
     best = NormEstimate(0.0, None, None, 0, "none", False, True)
     seeds = _seed_functions(mesh, sigma, exps, family, rng_seed, extra_seeds)
     for labels, F in _seed_blocks(mesh, seeds):
@@ -374,44 +372,33 @@ def strong_norm_lower(
         keep = [i for i, v in enumerate(nf) if not v <= 0.0]
         if not keep:
             continue
-        # the rows' f, last g, count and flags, each written when it leaves
         F = F[keep] / _column([nf[i] for i in keep], mesh.n)
         G = np.zeros_like(F)
-        its, has_g, converged = [0] * len(F), [False] * len(F), [False] * len(F)
-        live, fv, gv, value = list(range(len(F))), F, None, [0.0] * len(F)
+        its, value = np.zeros(len(F), dtype=int), np.zeros(len(F))
+        has_g, converged = np.zeros(len(F), dtype=bool), np.zeros(len(F), dtype=bool)
+        live = np.arange(len(F))
         for it in range(1, _MAX_ITERS + 1):
-            H = T(fv * sv)
-            new = _norm_rows(H, uv, q, vol)
-            out = [v <= 0.0 for v in new]
-            if any(not o and v < w * (1.0 - 1e-12) for o, v, w in zip(out, new, value)):
-                raise AssertionError("alternating objective decreased (g-step)")
-            H, new = leave(out, it, H, new)
-            if not live:
+            if not len(live):
                 break
-            gv = (H / _column(new, mesh.n)) ** (q - 1.0)
-            H2 = T(gv * uv)
-            nh2 = _norm_rows(H2, sv, pp, vol)
-            out = [v <= 0.0 for v in nh2]
-            if any(not o and v < w * (1.0 - 1e-12) for o, v, w in zip(out, nh2, new)):
-                raise AssertionError("alternating objective decreased (f-step)")
-            H2, nh2 = leave(out, it, H2, nh2)
-            if not live:
+            its[live] = it
+            live, H, new = _half_step(T(F[live] * sv), uv, q, vol, value[live], live,
+                                  "alternating objective decreased (g-step)")
+            if not len(live):
                 break
+            g = (H / _column(new, mesh.n)) ** (q - 1.0)
+            G[live], has_g[live] = g, True
+            live, H, nh2 = _half_step(T(g * uv), sv, pp, vol, new, live, "alternating objective decreased (f-step)")
             with np.errstate(divide="ignore", invalid="ignore"):
-                fv = np.where(H2 > 0.0, (H2 / _column(nh2, mesh.n)) ** (pp - 1.0), 0.0)
-            out = [abs(v - w) / max(v, 1e-300) < _REL_TOL for v, w in zip(nh2, value)]
-            value = nh2
-            for i, o in zip(live, out):
-                converged[i] = o
-            leave([o or it == _MAX_ITERS for o in out], it)
-            if not live:
-                break
+                F[live] = np.where(H > 0.0, (H / _column(nh2, mesh.n)) ** (pp - 1.0), 0.0)
+            converged[live] = np.abs(nh2 - value[live]) / np.maximum(nh2, 1e-300) < _REL_TOL
+            value[live] = nh2
+            live = live[~converged[live]]
         # re-evaluate at the final witness so value is recomputable from it
-        for i, v in enumerate(_norm_rows(T(F * sv), uv, q, vol)):
+        rows = zip(_norm_rows(T(F * sv), uv, q, vol), its.tolist(), has_g.tolist(), converged.tolist())
+        for i, (v, n, with_g, done) in enumerate(rows):
             if v > best.value:
-                g = StepFunction(mesh, G[i].copy()) if has_g[i] else None
-                best = NormEstimate(v, StepFunction(mesh, F[i].copy()), g, its[i], labels[keep[i]],
-                                    converged[i], False)
+                g = StepFunction(mesh, G[i].copy()) if with_g else None
+                best = NormEstimate(v, StepFunction(mesh, F[i].copy()), g, n, labels[keep[i]], done, False)
     return best
 
 
@@ -531,30 +518,22 @@ class BoundRatio:
         }
 
 
-def thm31_bound_check(
-    u: StepFunction,
-    sigma: StepFunction,
-    exps: ExponentTuple,
-    testing: TestingReport,
-    fw_max_level: int | None = None,
-) -> tuple[BoundRatio, BoundRatio]:
-    """Mixed-characteristic bound ratios at Sobolev exponents:
-
-    dual testing / ([u,sigma]_{A_s(p)}^{1/q} [u]_{FW}^{1/p'}) and the
-    symmetric form direct testing / ([sigma,u]_{A_s(q')}^{1/p'}
-    [sigma]_{FW}^{1/q}), with ``testing`` the ``dyadic_testing`` report of
-    (u, sigma).  Infinite characteristics yield a None ratio.  This is the
-    one-item case of ``thm31_bound_checks``."""
-    return thm31_bound_checks([(u, sigma, testing)], exps, fw_max_level)[0]
-
-
 def thm31_bound_checks(
     items: Sequence[tuple[StepFunction, StepFunction, TestingReport]],
     exps: ExponentTuple,
     fw_max_level: int | None = None,
 ) -> list[tuple[BoundRatio, BoundRatio]]:
-    """``thm31_bound_check`` of each (u, sigma, testing) of ``items``, with
-    one ``fujii_wilson`` per distinct weight object."""
+    """Mixed-characteristic bound ratios at Sobolev exponents, for each
+    (u, sigma, testing) of ``items``, with ``testing`` the
+    ``dyadic_testing`` report of (u, sigma): the pair
+
+    dual testing / ([u,sigma]_{A_s(p)}^{1/q} [u]_{FW}^{1/p'}) and the
+    symmetric form direct testing / ([sigma,u]_{A_s(q')}^{1/p'}
+    [sigma]_{FW}^{1/q}).
+
+    Refuses exponents without the Sobolev relation.  An infinite or zero
+    characteristic yields a None ratio.  One ``fujii_wilson`` runs per
+    distinct weight object; a one-item list checks a single pair."""
     if not exps.sobolev:
         raise RangeConditionError("mixed bound requires the Sobolev exponent relation")
 
@@ -574,36 +553,25 @@ def thm31_bound_checks(
     ]
 
 
-def thm41_bound_check(
-    u: StepFunction,
-    sigma: StepFunction,
-    exps: ExponentTuple,
-    testing: TestingReport,
-    bump_kind: str = "log",
-    delta: float = 1.0,
-) -> tuple[BoundRatio, BoundRatio | None]:
-    """Separated-bump bound ratios, with ``testing`` the ``dyadic_testing``
-    report of (u, sigma): dual testing / K with
-    K = sup |Q|^{alpha/n+1/q-1/p} ||u^{1/q}||_{Phi,Q} ||sigma^{1/p'}||_{p',Q},
-    Phi a log or loglog bump of order q.  Requires p < q and the range
-    condition (p'/q')(1 - alpha/n) >= 1; refuses otherwise.  The direct
-    form (Psi bumping the sigma side) is computed when its own range
-    condition (q/p)(1 - alpha/n) >= 1 holds, else None.  This is the
-    one-item case of ``thm41_bound_checks``."""
-    return thm41_bound_checks([(u, sigma, testing)], exps, bump_kind, delta)[0]
-
-
 def thm41_bound_checks(
     items: Sequence[tuple[StepFunction, StepFunction, TestingReport]],
     exps: ExponentTuple,
     bump_kind: str = "log",
     delta: float = 1.0,
 ) -> list[tuple[BoundRatio, BoundRatio | None]]:
-    """``thm41_bound_check`` of each (u, sigma, testing) of ``items``.  The
-    range conditions depend on the exponents alone, so they refuse every
-    item or none.  All the norms come from one packed Luxemburg bisection
-    (``bump_constants``), and each equals that of a one-item call bit for
-    bit."""
+    """Separated-bump bound ratios for each (u, sigma, testing) of
+    ``items``, with ``testing`` the ``dyadic_testing`` report of (u, sigma):
+    the dual form is dual testing / K with
+    K = sup |Q|^{alpha/n+1/q-1/p} ||u^{1/q}||_{Phi,Q} ||sigma^{1/p'}||_{p',Q},
+    Phi a log or loglog bump of order q.
+
+    Requires p < q and the range condition (p'/q')(1 - alpha/n) >= 1, and
+    refuses otherwise; these depend on the exponents alone, so they refuse
+    every item or none.  The direct form (Psi bumping the sigma side) is
+    computed when its own range condition (q/p)(1 - alpha/n) >= 1 holds,
+    else it is None.  A zero or infinite K yields a None ratio.  All the
+    norms come from one packed Luxemburg bisection (``bump_constants``), and
+    each equals that of a one-item list bit for bit."""
     if bump_kind not in ("log", "loglog"):
         raise ValueError("bump_kind must be 'log' or 'loglog'")
     flags = range_conditions(exps)

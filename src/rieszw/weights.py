@@ -457,6 +457,8 @@ def parse_weight_spec(spec: str) -> tuple[str, dict[str, str]]:
             k, _, v = part.partition("=")
             if not k or not v:
                 raise ValueError(f"bad weight spec parameter {part!r} in {spec!r}")
+            if k.strip() in params:
+                raise ValueError(f"repeated weight spec parameter {k.strip()!r} in {spec!r}")
             params[k.strip()] = v.strip()
     return kind, params
 
@@ -470,8 +472,15 @@ def generate_weight(mesh: Mesh, spec: str) -> StepFunction:
       power:center=0.5,beta=0.3,floor=auto     (floor=auto means one cell)
       martingale:seed=42,vol=0.3               (multiplicative dyadic cascade)
       checkerboard:levels=3,ratio=4
+
+    A key the kind does not read, or a repeated key, is refused.
     """
     kind, params = parse_weight_spec(spec)
+    keys = {"constant": {"c"}, "twovalue": {"a", "b", "split"}, "power": {"beta", "floor", "center"},
+            "martingale": {"seed", "vol"}, "checkerboard": {"levels", "ratio"}}
+    for k in params:
+        if kind in keys and k not in keys[kind]:
+            raise ValueError(f"unknown parameter {k!r} of weight kind {kind!r} in {spec!r}")
     N = mesh.cells_per_axis
     h = mesh.cell_width
     if kind == "constant":

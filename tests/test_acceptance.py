@@ -22,8 +22,8 @@ from rieszw.normest import (
     dyadic_testing,
     lsut_sandwich,
     strong_norm_lower,
-    thm31_bound_check,
-    thm41_bound_check,
+    thm31_bound_checks,
+    thm41_bound_checks,
 )
 from rieszw.operators import (
     KernelMode,
@@ -258,16 +258,16 @@ def test_criterion_8_testing_sandwich_and_envelopes():
         f, u, s = corpus_instance(mesh, seed)
         fam, _ = build_sparse(f, (0,), 0.5)
         testing = dyadic_testing(u, s, SOB, fam)
-        d31, x31 = thm31_bound_check(u, s, SOB, testing, fw_max_level=3)
+        d31, x31 = thm31_bound_checks([(u, s, testing)], SOB, fw_max_level=3)[0]
         ok &= d31.ratio is not None and d31.ratio <= env31
         ok &= x31.ratio is not None and x31.ratio <= env31
         for kind in ("log", "loglog"):
-            d41, x41 = thm41_bound_check(u, s, SOB, testing, kind, 1.0)
+            d41, x41 = thm41_bound_checks([(u, s, testing)], SOB, kind, 1.0)[0]
             worst = max(d41.ratio or 0.0, (x41.ratio if x41 else 0.0) or 0.0)
             ok &= worst <= env41[kind]
     # range-condition refusal
     try:
-        thm41_bound_check(one3, one3, e22, dyadic_testing(one3, one3, e22, single))
+        thm41_bound_checks([(one3, one3, dyadic_testing(one3, one3, e22, single))], e22)
         ok = False
     except RangeConditionError:
         pass

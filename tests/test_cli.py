@@ -73,9 +73,13 @@ class TestExitCodes:
             ({"seed": -1}, None),
             ({}, "n=1,J=0,L=6,T=55"),
             ({}, "n=1,J=0,L=6,T=57"),
+            ({"weights": ["constant:x=5"]}, None),
+            ({"weights": ["twovalue:a=2,bb=7"]}, None),
+            ({"weights": ["constant:c=1,c=2"]}, None),
         ],
         ids=["too-many-cells", "n=3", "negative-padding", "alpha", "alphas-entry", "weight-kind",
-             "negative-seed", "corners-past-int64", "level-scale-past-int64"],
+             "negative-seed", "corners-past-int64", "level-scale-past-int64", "unknown-weight-parameter",
+             "misspelt-weight-parameter", "repeated-weight-parameter"],
     )
     def test_invalid_config_exits_2(self, tmp_path, overrides, mesh):
         extra = ["--mesh", mesh] if mesh else []
@@ -112,13 +116,24 @@ class TestExitCodes:
             ("exponent-fit", {"betas": [float("nan")]}),
             ("exponent-fit", {"betas": [-1.0]}),
             ("exponent-fit", {"betas": [5.0]}),
+            ("constants", {"weights": "constant:c=1"}),
+            ("constants", {"weights": 5}),
+            ("constants", {"alphas": 0.5}),
+            ("constants", {"alphas": ["0.5"]}),
+            ("constants", {"alphas": [True]}),
+            ("constants", {"alpha": "0.5"}),
+            ("sandwich", {"p": True}),
+            ("sandwich", {"q": "4"}),
+            ("sandwich", {"pairs": "ab"}),
+            ("exponent-fit", {"betas": 0.5}),
         ],
         ids=["bump-kind", "negative-delta", "zero-delta", "string-delta", "bool-delta", "string-fw-level",
              "bool-fw-level", "float-fw-level", "float-function-count", "negative-function-count",
              "bool-function-count", "float-padding-constants", "float-padding-exponent-fit",
              "float-seed-verify", "float-seed-exponent-fit", "float-seed-constants", "bool-L", "float-L",
              "float-n", "bool-J", "string-beta", "bool-beta", "nan-beta", "non-integrable-beta",
-             "non-integrable-dual-beta"],
+             "non-integrable-dual-beta", "string-weights", "int-weights", "float-alphas", "string-alphas-entry",
+             "bool-alphas-entry", "string-alpha", "bool-p", "string-q", "string-pairs", "float-betas"],
     )
     def test_bad_field_exits_2_with_one_line(self, tmp_path, command, overrides):
         r = run_cli(tmp_path, command, dict(SMALL, **overrides))

@@ -13,8 +13,8 @@ from rieszw.normest import (
     lsut_sandwich,
     sawyer_testing,
     strong_norm_lower,
-    thm31_bound_check,
-    thm41_bound_check,
+    thm31_bound_checks,
+    thm41_bound_checks,
     weak_lorentz_norm,
     weak_norm_lower,
 )
@@ -477,7 +477,7 @@ class TestSandwich:
 class TestTheoremRatios:
     def test_thm31_constant_weights(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
-        dual, direct = thm31_bound_check(one, one, SOB, dyadic_testing(one, one, SOB, single_cube(tight_mesh)))
+        dual, direct = thm31_bound_checks([(one, one, dyadic_testing(one, one, SOB, single_cube(tight_mesh)))], SOB)[0]
         assert dual.ratio == pytest.approx(1.0, rel=1e-9)
         assert direct.ratio == pytest.approx(1.0, rel=1e-9)
 
@@ -485,11 +485,11 @@ class TestTheoremRatios:
         one = StepFunction.constant(tight_mesh, 1.0)
         with pytest.raises(ValueError):
             e23 = ExponentTuple(1, 0.5, 2.0, 3.0)
-            thm31_bound_check(one, one, e23, dyadic_testing(one, one, e23, single_cube(tight_mesh)))
+            thm31_bound_checks([(one, one, dyadic_testing(one, one, e23, single_cube(tight_mesh)))], e23)
 
     def test_thm41_constant_weights_closed_form(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
-        dual, direct = thm41_bound_check(one, one, SOB, dyadic_testing(one, one, SOB, single_cube(tight_mesh)))
+        dual, direct = thm41_bound_checks([(one, one, dyadic_testing(one, one, SOB, single_cube(tight_mesh)))], SOB)[0]
         phi = YoungFunction.log_bump(SOB.q, 1.0)
         # testing = 1 and K = 1/phi^{-1}(1), so the ratio is phi^{-1}(1)
         assert dual.ratio == pytest.approx(phi.inverse(1.0), rel=1e-9)
@@ -498,12 +498,12 @@ class TestTheoremRatios:
     def test_thm41_range_refusal(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
         with pytest.raises(RangeConditionError):
-            thm41_bound_check(one, one, E22, dyadic_testing(one, one, E22, single_cube(tight_mesh)))
+            thm41_bound_checks([(one, one, dyadic_testing(one, one, E22, single_cube(tight_mesh)))], E22)
 
     def test_thm41_loglog_kind(self, tight_mesh):
         one = StepFunction.constant(tight_mesh, 1.0)
         testing = dyadic_testing(one, one, SOB, single_cube(tight_mesh))
-        dual, _ = thm41_bound_check(one, one, SOB, testing, "loglog", 1.0)
+        dual, _ = thm41_bound_checks([(one, one, testing)], SOB, "loglog", 1.0)[0]
         phi = YoungFunction.loglog_bump(SOB.q, 1.0)
         assert dual.ratio == pytest.approx(phi.inverse(1.0), rel=1e-9)
 
@@ -721,6 +721,42 @@ class TestSandwichStagesOracle:
             _, strong, _ = assert_sandwich_stages_equal(u, s, SOB, fam)
             assert strong.iterations == cap and not strong.converged
 
+    @pytest.mark.parametrize("winner", ["f-step", "converged", "cap"])
+    def test_mixed_exit_block(self, monkeypatch, winner):
+        # one seed block of a 1-D L=5 shifted grid holds rows of all four
+        # exits.  A finest member covers a third of cell k - 1 and the rest
+        # of cell k, and paints cell k: with sigma on cell 1 and no u there,
+        # chi[5,(1,)] and e_1 leave at the first g-step; with sigma on cell 4
+        # alone and u on cell 5, e_4 leaves at the first f-step; weights on
+        # cell 8 alone make chi[5,(8,)] and e_8 converge at the second step;
+        # on cells 15 and 17 three members act as a symmetric 2 x 2 operator,
+        # so its seeds and the global ones stop at the cap of 3.  Scaling u
+        # on each region in turn makes the f-step leaver, a converged row
+        # and a capped row win; a g-step leaver re-evaluates to 0 and never
+        # wins.  The small sigma on cell 4 keeps the f-step leaver's region
+        # from lowering the objective of the global seeds.
+        mesh, sh, cap = Mesh(1, 0, 5, coarse_padding=0), (1,), 3
+        fam = SparseFamily(mesh, sh, tuple(DyadicCube(sh, k, (c,)) for k, c in
+                                           ((5, 1), (5, 5), (5, 8), (3, 4), (4, 7), (4, 8))))
+        scale = {"f-step": (100.0, 1.0, 1.0), "converged": (1.0, 100.0, 1.0), "cap": (1.0, 1.0, 100.0)}[winner]
+        u, s = np.zeros(32), np.zeros(32)
+        s[1] = 1.0
+        s[4], u[5] = 1e-4, scale[0] / 1e-4
+        s[8], u[8] = 1.0, scale[1]
+        s[[15, 17]], u[[15, 17]] = (1.0, 2.0), (scale[2], 0.5 * scale[2])
+        u, s = StepFunction(mesh, u), StepFunction(mesh, s)
+        extra = [(f"e{i}", StepFunction(mesh, np.eye(32)[i])) for i in (1, 4, 8)]
+        h = sparse_riesz(StepFunction(mesh, extra[0][1].values * s.values), E22.alpha, fam)
+        assert not np.any(h.values * u.values)
+        monkeypatch.setattr(normest, "_MAX_ITERS", cap)
+        got = strong_norm_lower(u, s, E22, fam, extra_seeds=extra)
+        assert_same_estimate(got, per_seed_strong_norm_lower(u, s, E22, fam, extra_seeds=extra))
+        assert len(fam) + 1 + 8 + len(extra) <= normest._FRAME_BLOCK // mesh.total_cells
+        label, its, converged = {"f-step": ("e4", 1, False), "converged": ("chi[5,(8,)]", 2, True),
+                                 "cap": ("random-7", cap, False)}[winner]
+        assert (got.seed_label, got.iterations, got.converged) == (label, its, converged)
+        assert got.witness_g is not None
+
     def test_block_edges_2d(self, monkeypatch):
         mesh = Mesh(2, 0, 3)
         fam, _ = build_sparse(lognormal(mesh, 82, scale=2.0), (0, 0), 0.5)
@@ -815,7 +851,7 @@ def parent_bump_constants(u, sigma, exps, pairs):
     return [weights._supremum_report("bump", u.mesh, size * nu * ns) for nu, ns in zip(norms[::2], norms[1::2])]
 
 
-def parent_thm41_bound_check(u, sigma, exps, testing, bump_kind="log", delta=1.0):
+def parent_thm41_check(u, sigma, exps, testing, bump_kind="log", delta=1.0):
     if bump_kind not in ("log", "loglog"):
         raise ValueError("bump_kind must be 'log' or 'loglog'")
     flags = weights.range_conditions(exps)
@@ -838,7 +874,7 @@ def parent_thm41_bound_check(u, sigma, exps, testing, bump_kind="log", delta=1.0
     return ratio(testing.dual, k[0]), (ratio(testing.direct, k[1]) if len(k) > 1 else None)
 
 
-def parent_thm31_bound_check(u, sigma, exps, testing, fw_max_level=None):
+def parent_thm31_check(u, sigma, exps, testing, fw_max_level=None):
     if not exps.sobolev:
         raise RangeConditionError("mixed bound requires the Sobolev exponent relation")
 
@@ -893,16 +929,15 @@ class TestBatchedTheoremChecks:
                 for count in (1, 6):
                     items = theorem_items(mesh, count)
                     got = normest.thm41_bound_checks(items, exps, kind, 0.5)
-                    expect = [parent_thm41_bound_check(u, s, exps, t, kind, 0.5) for u, s, t in items]
+                    expect = [parent_thm41_check(u, s, exps, t, kind, 0.5) for u, s, t in items]
                     assert got == expect
                     assert all((d is not None) == direct for _, d in got)
-                    assert thm41_bound_check(*items[-1][:2], exps, items[-1][2], kind, 0.5) == expect[-1]
 
     def test_pair_counts_on_one_mesh(self):
         mesh = Mesh(1, 0, 5)
         for count in range(1, 7):
             items = theorem_items(mesh, count)
-            assert normest.thm41_bound_checks(items, SOB) == [parent_thm41_bound_check(u, s, SOB, t)
+            assert normest.thm41_bound_checks(items, SOB) == [parent_thm41_check(u, s, SOB, t)
                                                               for u, s, t in items]
 
     def test_range_refusal_text(self):
@@ -910,7 +945,7 @@ class TestBatchedTheoremChecks:
         items = theorem_items(mesh, 3)
         for exps in (E22, ExponentTuple(1, 0.9, 1.2, 1.5)):
             with pytest.raises(RangeConditionError) as expect:
-                parent_thm41_bound_check(*items[0][:2], exps, items[0][2])
+                parent_thm41_check(*items[0][:2], exps, items[0][2])
             with pytest.raises(RangeConditionError) as got:
                 normest.thm41_bound_checks(items, exps)
             assert str(got.value) == str(expect.value)
@@ -924,13 +959,12 @@ class TestBatchedTheoremChecks:
     def test_thm31_matches_one_parent_call_per_pair(self, mesh, monkeypatch):
         exps = ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
         items = theorem_items(mesh, 6)
-        expect = [parent_thm31_bound_check(u, s, exps, t, 1) for u, s, t in items]
+        expect = [parent_thm31_check(u, s, exps, t, 1) for u, s, t in items]
         seen, fujii_wilson = [], weights.fujii_wilson
         monkeypatch.setattr(normest, "fujii_wilson", lambda w, **kw: seen.append(w) or fujii_wilson(w, **kw))
         assert normest.thm31_bound_checks(items, exps, 1) == expect
         # six pairs over five weights: one scan per weight
         assert len(seen) == len(set(map(id, seen))) == 5
-        assert thm31_bound_check(*items[0][:2], exps, items[0][2], 1) == expect[0]
 
     def test_five_pair_sandwich_makes_two_bisection_calls(self, tmp_path, monkeypatch):
         # each block meets 378 cells of the 1-D L=5 corpus: twenty blocks

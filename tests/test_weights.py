@@ -25,7 +25,7 @@ from rieszw.weights import (
     two_weight_ap,
 )
 from rieszw import _kernels, orlicz, weights
-from rieszw.normest import thm41_bound_check
+from rieszw.normest import thm41_bound_checks
 from rieszw.operators import hl_maximal
 from rieszw.orlicz import _conjugate, _luxemburg_blocks, luxemburg_norms
 from rieszw.weights import _center_mask
@@ -841,7 +841,7 @@ class TestPackedBlocks:
                     got = weights.bump_constants([(u, sigma)], exps, pairs)[0]
                     for g, e in zip(got, expect, strict=True):
                         assert_same_report(g, e)
-                    dual, direct = thm41_bound_check(u, sigma, exps, testing, kind, 1.0)
+                    dual, direct = thm41_bound_checks([(u, sigma, testing)], exps, kind, 1.0)[0]
                     assert dual.components == {"K": expect[0].value}
                     if direct_holds:
                         assert direct.components == {"K": expect[1].value}
@@ -890,3 +890,18 @@ class TestGenerators:
             parse_weight_spec("twovalue:a=")
         with pytest.raises(ValueError):
             generate_weight(unit_mesh, "unknown:x=1")
+
+    @pytest.mark.parametrize("spec", ["constant:c=2", "twovalue:a=2,b=1,split=0.25",
+                                      "power:beta=0.3,floor=auto,center=0.4", "martingale:seed=1,vol=0.2",
+                                      "checkerboard:levels=1,ratio=2"])
+    def test_unknown_and_repeated_parameters(self, unit_mesh, spec):
+        # every key a kind reads is accepted; a key it does not read, or a
+        # repeated key, is refused with one line rather than ignored
+        generate_weight(unit_mesh, spec)
+        with pytest.raises(ValueError, match=r"^unknown parameter 'zz' of weight kind") as exc:
+            generate_weight(unit_mesh, spec + ",zz=1")
+        assert "\n" not in str(exc.value)
+        first = spec.partition(":")[2].split(",")[0]
+        with pytest.raises(ValueError, match=r"^repeated weight spec parameter") as exc:
+            generate_weight(unit_mesh, f"{spec},{first}")
+        assert "\n" not in str(exc.value)
