@@ -26,12 +26,14 @@ from .calibration import SLACK, load_calibration
 from .mesh import DyadicCube, Mesh, StepFunction
 from .normest import (
     RangeConditionError,
-    dyadic_testing,
-    lsut_sandwich,
+    dyadic_testings,
+    lsut_sandwiches,
     strong_norm_lower,
+    strong_norm_lowers,
     thm31_bound_checks,
     thm41_bound_checks,
     weak_norm_lower,
+    weak_norm_lowers,
 )
 from .operators import KernelMode, compare_pointwise, dyadic_riesz, riesz_reference, sparse_riesz
 from .sparse import (
@@ -43,7 +45,7 @@ from .sparse import (
     sigma_decay_check,
     verify_sparse,
 )
-from .weights import ExponentTuple, ap_constant, ainfty_exp, fujii_wilson, generate_weight, two_weight_ap
+from .weights import ExponentTuple, ap_constant, ainfty_exp, fujii_wilsons, generate_weight, two_weight_ap
 
 __all__ = ["main", "ExperimentConfig"]
 
@@ -77,6 +79,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ExperimentConfig":
+        """The config file with the flags over it, not yet validated."""
         data = {}
         if args.config:
             try:
@@ -101,14 +104,14 @@ class ExperimentConfig:
                 if k not in ("n", "J", "L", "T") or not v:
                     raise ConfigError(f"bad --mesh component {part!r}")
                 setattr(cfg, k, int(v))
-        cfg.validate()
         return cfg
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
         """Raise ConfigError unless the mesh, the exponents, the seed, the
         random-function count, the bump settings, ``fw_max_level``, every
         alpha, every beta and every weight spec are valid, and the list
-        fields are lists."""
+        fields are lists.  Returns each distinct spec's weight, generated
+        once, on the run's mesh: the weights every command takes."""
         # a JSON bool is a Python int: exact type tests keep it out
         for name in ("n", "J", "L", "T", "seed"):
             if type(getattr(self, name)) is not int:
@@ -149,7 +152,7 @@ class ExperimentConfig:
             if not isinstance(spec, str):
                 raise ConfigError(f"weight spec {spec!r} is not a string")
         try:
-            _distinct_weights(mesh, specs)
+            return {spec: generate_weight(mesh, spec) for spec in dict.fromkeys(specs)}
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -185,7 +188,11 @@ class ExperimentConfig:
         return d
 
     def mesh(self) -> Mesh:
-        return Mesh(self.n, self.J, self.L, coarse_padding=self.T)
+        """The run's mesh, kept while (n, J, L, T) stay, so validate's weights share it."""
+        key = (self.n, self.J, self.L, self.T)
+        if getattr(self, "_mesh", (None,))[0] != key:
+            self._mesh = (key, Mesh(self.n, self.J, self.L, coarse_padding=self.T))
+        return self._mesh[1]
 
     def exps(self) -> ExponentTuple:
         return ExponentTuple(self.n, self.alpha, self.p, self.q)
@@ -245,20 +252,20 @@ def _report(v: float):
 # Subcommands
 
 
-def cmd_constants(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
-    mesh = cfg.mesh()
+def cmd_constants(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     exps = cfg.exps()
     rows = []
     records = []
     finite_seen = False
     pairs = cfg.weight_pairs()
-    weights = _distinct_weights(mesh, [*cfg.weights, *(spec for pair in pairs for spec in pair)])
+    specs = list(dict.fromkeys(cfg.weights))
+    fw = dict(zip(specs, fujii_wilsons([weights[spec] for spec in specs], max_level=cfg.fw_max_level)))
     for spec in cfg.weights:
         w = weights[spec]
         entries = [
             ("A_p(s(p))", ap_constant(w, exps.s_p)),
             ("A_inf_exp", ainfty_exp(w)),
-            ("FujiiWilson", fujii_wilson(w, max_level=cfg.fw_max_level)),
+            ("FujiiWilson", fw[spec]),
         ]
         for name, rep in entries:
             finite_seen |= math.isfinite(rep.value)
@@ -291,12 +298,7 @@ def _families(cfg: ExperimentConfig, mesh: Mesh, functions: list):
             yield i, fname, f, shift, S, verify_sparse(S)
 
 
-def _distinct_weights(mesh: Mesh, specs) -> dict:
-    """Each distinct spec's weight, generated once."""
-    return {spec: generate_weight(mesh, spec) for spec in dict.fromkeys(specs)}
-
-
-def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
+def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     mesh = cfg.mesh()
     exps = cfg.exps()
     failures = []
@@ -334,7 +336,6 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
                     failures.append({"check": "overlap-bound", "instance": [fname, list(shift), alpha, k],
                                      "witness": root})
     pairs = cfg.weight_pairs()
-    weights = _distinct_weights(mesh, (spec for pair in pairs for spec in pair))
     for uspec, sspec in pairs:
         if pair_family is None:
             pair_family = build_sparse(functions[0][1], aligned, cfg.alpha)[0]
@@ -351,7 +352,7 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     return 0 if not failures else 1
 
 
-def cmd_sparse(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
+def cmd_sparse(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     mesh = cfg.mesh()
     results = []
     for _, fname, f, shift, S, cert in _families(cfg, mesh, cfg.random_functions(mesh)):
@@ -374,7 +375,7 @@ def cmd_sparse(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     return 0 if all(r["sparsityOk"] for r in results) else 1
 
 
-def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
+def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     mesh = cfg.mesh()
     exps = cfg.exps()
     cal = load_calibration()
@@ -386,7 +387,6 @@ def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     records = []
     ok = True
     pairs = cfg.weight_pairs()
-    weights = _distinct_weights(mesh, (spec for pair in pairs for spec in pair))
     for idx, (uspec, sspec) in enumerate(pairs):
         u, s = weights[uspec], weights[sspec]
         cd = corona_decompose(S, root, u, s, exps)
@@ -410,24 +410,19 @@ def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     return 0 if ok else 1
 
 
-def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
+def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     mesh = cfg.mesh()
     exps = cfg.exps()
     fname, f = cfg.random_functions(mesh)[0]
     S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
-    pairs = cfg.weight_pairs()
-    weights = _distinct_weights(mesh, (spec for pair in pairs for spec in pair))
-
-    def one(idx, uspec, sspec):
-        u, s = weights[uspec], weights[sspec]
-        testing = dyadic_testing(u, s, exps, S)
-        strong = strong_norm_lower(u, s, exps, S, rng_seed=cfg.seed)
-        weak = weak_norm_lower(u, s, exps, S, strong, rng_seed=cfg.seed)
-        return {"index": idx, "u": uspec, "sigma": sspec, "family": fname,
-                "testing": testing.to_jsonable(), "strong": strong.to_jsonable(),
-                "weak": weak.to_jsonable()}
-
-    results = [one(i, us, ss) for i, (us, ss) in enumerate(pairs)]
+    specs = cfg.weight_pairs()
+    pairs = [(weights[us], weights[ss]) for us, ss in specs]
+    testings = dyadic_testings(pairs, exps, S)
+    strongs = strong_norm_lowers(pairs, exps, S, rng_seed=cfg.seed)
+    weaks = weak_norm_lowers(pairs, exps, S, strongs, rng_seed=cfg.seed)
+    results = [{"index": i, "u": us, "sigma": ss, "family": fname, "testing": testing.to_jsonable(),
+                "strong": strong.to_jsonable(), "weak": weak.to_jsonable()}
+               for i, ((us, ss), testing, strong, weak) in enumerate(zip(specs, testings, strongs, weaks))]
     for r in results:
         _write_json(outdir / f"norm-{r['index']:03d}.json", r)
     _write_csv(outdir / "norm-summary.csv",
@@ -437,16 +432,15 @@ def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     return 0
 
 
-def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
+def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     mesh = cfg.mesh()
     exps = cfg.exps()
     cal = load_calibration()
     fname, f = cfg.random_functions(mesh)[0]
     S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
     specs = cfg.weight_pairs()
-    weights = _distinct_weights(mesh, (spec for pair in specs for spec in pair))
     pairs = [(weights[us], weights[ss]) for us, ss in specs]
-    sws = [lsut_sandwich(u, s, exps, S, rng_seed=cfg.seed) for u, s in pairs]
+    sws = lsut_sandwiches(pairs, exps, S, rng_seed=cfg.seed)
     items = [(u, s, sw.testing) for (u, s), sw in zip(pairs, sws)]
     thm31 = thm31_bound_checks(items, exps, cfg.fw_max_level) if exps.sobolev else None
     refused = None
@@ -494,7 +488,7 @@ def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_exponent_fit(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
+def cmd_exponent_fit(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     """Fit log(weak norm estimate) against log of the two-weight
     characteristic over a power-weight ladder u = |x-c|^beta with the
     matched dual weight sigma = u^{1-s'} = |x-c|^{-beta/(s(p)-1)}; the
@@ -529,6 +523,8 @@ def cmd_exponent_fit(cfg: ExperimentConfig, outdir: pathlib.Path) -> int:
     return 0
 
 
+#: Each command takes the config, the output directory and the weights that
+#: ``validate`` made, by spec, so that a run generates each spec once.
 _COMMANDS = {
     "constants": cmd_constants,
     "verify": cmd_verify,
@@ -554,13 +550,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.from_args(args)
+        weights = cfg.validate()
         cfg.validate_command(args.command)
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = pathlib.Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[args.command](cfg, outdir)
+    return _COMMANDS[args.command](cfg, outdir, weights)
 
 
 if __name__ == "__main__":

@@ -5,43 +5,45 @@ Norm estimates are lower bounds only (alternating maximization from a fixed
 seed set); upper control comes from the testing constants.  The artifact
 never claims a certified upper bound on the true operator norm.
 
-All three sandwich stages run on blocks of C-contiguous full frames, at
-most ``_FRAME_BLOCK`` entries a block, through one batched forest apply
-(``operators._sparse_sum``): the testing scan paints a block of cut
-fields, one per run of root levels with the same coarser members, and
-sums the rows of a block of roots, taken across those runs, at once; the
-strong iteration keeps a block of seeds in block-sized arrays and applies
-the rows still iterating, picked by an index array; the weak one streams
-its seeds a block at a time.  Row sums of full frames equal the sums of single
-frames bit for bit, so every value is that of one restricted apply per
-root and one seed at a time.
+Each sandwich stage (``dyadic_testings``, ``strong_norm_lowers``,
+``weak_norm_lowers``) is one pass over all the weight pairs of a run on
+one sparse family, on blocks of C-contiguous full frames, at most
+``_STAGE_BLOCK`` entries a block, through one batched forest apply
+(``operators._sparse_sum``): the testing scan paints the cut fields of
+every pair, one per run of root levels with the same coarser members, a
+block at a time, and sums the rows of a block of roots at once; the norm
+seeds of every pair form one stream, each row with its pair's u and
+sigma, which the strong iteration applies a block at a time, the rows
+still iterating picked by an index array, and the weak scan too.  Row
+sums of full frames equal the sums of single frames bit for bit, so
+every value is that of one restricted apply per root and one seed and
+pair at a time.  The one-pair forms are one-item calls.
 
 The theorem checks (``thm31_bound_checks``, ``thm41_bound_checks``) take
-a list of weight pairs, all the pairs of a run at once: one Fujii-Wilson
-scan per distinct weight, and one packed Luxemburg bisection for every
-bump norm.  A single pair is a one-item list.
+the pairs of a run at once too: one Fujii-Wilson scan over every distinct
+weight, and one packed Luxemburg bisection for every bump norm.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .mesh import DyadicCube, Mesh, StepFunction, _checked
+from .mesh import BoxPlan, DyadicCube, StepFunction, _checked
+from .operators import KernelMode, _apply_rows, _check_alpha, _column, _forest_paint, _member_weights, _norm_rows
 # sparse_riesz is no longer called here; the binding stays for code that
 # patches ``normest.sparse_riesz`` (perfbench's tracer self-test)
-from .operators import KernelMode, _check_alpha, _forest_paint, _member_weights, _sparse_sum, sparse_riesz  # noqa: F401
+from .operators import _weak_lorentz, sparse_riesz  # noqa: F401
 from .sparse import SparseFamily
 from .weights import (
     CharacteristicReport,
     ExponentTuple,
     bump_constants,
-    fujii_wilson,
+    fujii_wilsons,
     range_conditions,
     two_weight_ap,
     _FRAME_BLOCK,
@@ -56,9 +58,13 @@ __all__ = [
     "weak_lorentz_norm",
     "sawyer_testing",
     "dyadic_testing",
+    "dyadic_testings",
     "strong_norm_lower",
+    "strong_norm_lowers",
     "weak_norm_lower",
+    "weak_norm_lowers",
     "lsut_sandwich",
+    "lsut_sandwiches",
     "thm31_bound_checks",
     "thm41_bound_checks",
 ]
@@ -66,6 +72,13 @@ __all__ = [
 _REL_TOL = 1e-8
 _MAX_ITERS = 100
 _N_RANDOM = 8
+#: Entries per block of the sandwich stages: at ``_FRAME_BLOCK`` their temporaries outgrew
+#: the theorem checks' working memory (sandwich-1d: 505 KB traced, against 274 KB at half)
+_STAGE_BLOCK = _FRAME_BLOCK // 2
+
+#: Weight pairs (u, sigma) on one mesh, and the (label, function) extra norm seeds of one pair
+_Pairs = Sequence[tuple[StepFunction, StepFunction]]
+_Seeds = Sequence[tuple[str, StepFunction]]
 
 
 class RangeConditionError(ValueError):
@@ -77,20 +90,7 @@ def weak_lorentz_norm(h: StepFunction, u: StepFunction, q: float) -> float:
     """sup_t t * u({h > t})^{1/q}, exactly, by scanning the distinct values
     of h: the sup is attained as t increases to some value v, where the
     super-level set is {h >= v}."""
-    return _weak_lorentz(h.values.ravel(), u.values.ravel() * h.mesh.cell_volume, q)
-
-
-def _weak_lorentz(hv: np.ndarray, uv: np.ndarray, q: float) -> float:
-    """``weak_lorentz_norm`` of flat cell values, with ``uv`` the cell
-    masses of u."""
-    order = np.argsort(hv)[::-1]
-    hs, us = hv[order], uv[order]
-    cum = np.cumsum(us)
-    # the last index of each run of equal values, kept where the value is > 0
-    ends = np.append(np.flatnonzero(np.diff(hs)), len(hs) - 1)
-    ends = ends[hs[ends] > 0.0]
-    # Python float pow per run: an array ** can differ from scalar pow in the last bit
-    return max((v * c ** (1.0 / q) for v, c in zip(hs[ends].tolist(), cum[ends].tolist())), default=0.0)
+    return _weak_lorentz(h.values.reshape(1, -1), u.values.reshape(1, -1) * h.mesh.cell_volume, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,74 +120,85 @@ class TestingReport:
         }
 
 
-def _testing_sup(
-    den_w: StepFunction,
-    out_w: StepFunction,
+def _testing_sups(
+    items: _Pairs,
     family: SparseFamily,
     alpha: float,
     den_exp: float,
     out_exp: float,
-) -> tuple[float, DyadicCube | None, int]:
+) -> list[tuple[float, DyadicCube | None, int]]:
     """sup_R den_w(R)^{-1/den_exp} (int (I^{S(R)} den_w)^{out_exp} out_w)^{1/out_exp}
-    over the family's candidate roots R.
+    over the family's candidate roots R, with its witness and the count of
+    roots of zero mass skipped, for each (den_w, out_w) of ``items``.
 
     Every member Q of S(R) satisfies Q subseteq R, so averaging chi_R den_w
     over Q equals averaging den_w.  On the cells of a root R of level k, the
     members over a cell centre that lie in R are those of level >= k, so
     I^{S(R)} den_w there is the chain sum with the coarser members weighted
     +0.0: one cut field serves every root of its level, and the roots of
-    levels with the same coarser members share it (painted a block at a
-    time).  The roots of a paint block go a block at a time across its
-    runs: each root's terms are copied into a full-frame row, +0.0 off its
-    cells, and a numerator is that row's sum: the sum a restricted apply
-    per root gives, bit for bit.  Alpha and each cut field are checked as
+    levels with the same coarser members share it.  The cut fields of every
+    item are painted a block at a time, and the roots of a paint block go a
+    block at a time: each root's terms are copied into a full-frame row,
+    +0.0 off its cells, and a numerator is that row's sum: the sum a
+    restricted apply per root gives, bit for bit.  The roots' masses share
+    one box plan.  Alpha and each cut field are checked as
     ``restricted_sparse_riesz`` checks them."""
     mesh, t, roots = family.mesh, family.forest, family.roots
     table = mesh.level_table(family.shift)
     _check_alpha(mesh, alpha)
+    if not items:
+        return []
     lo3, hi3 = table.lo3[roots], table.hi3[roots]
-    dens = den_w.integral_box3(lo3, hi3)
-    live = np.flatnonzero(~(dens <= 0.0))
-    w = _member_weights(den_w.plan_integrals(family.plan), alpha, family)
-    # members are sorted by level: those coarser than a root come first
+    plan = BoxPlan(lo3.T, hi3.T, (mesh.cells_per_axis,) * mesh.n)
+    D = np.stack([den_w.plan_integrals(plan) for den_w, _ in items])
+    w = np.stack([_member_weights(den_w.plan_integrals(family.plan), alpha, family) for den_w, _ in items])
+    # the live roots of every item, item by item; members are sorted by
+    # level: those coarser than a root come first
+    item, live = np.nonzero(~(D <= 0.0))
     cut = np.searchsorted(t.level, table.level[roots[live]])
-    new_run = np.diff(cut, prepend=-1) != 0
-    starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
-    rows = max(1, _FRAME_BLOCK // mesh.total_cells)
-    best, witness = 0.0, None
-    for r in range(0, len(starts), rows):
-        W = np.where(np.arange(len(w)) >= cut[starts[r : r + rows], None], w, 0.0)
-        terms = _checked(_forest_paint(W, family)) ** out_exp * out_w.values
-        end = starts[r + rows] if r + rows < len(starts) else len(live)
-        for c in range(starts[r], end, rows):
-            idx = live[c : min(c + rows, end)]
+    new_run = (np.diff(cut, prepend=-1) != 0) | (np.diff(item, prepend=-1) != 0)
+    field, f_item, f_cut = np.cumsum(new_run) - 1, item[new_run], cut[new_run]
+    rows = max(1, _STAGE_BLOCK // mesh.total_cells)
+    best, witness = [0.0] * len(items), [None] * len(items)
+    for f0 in range(0, len(f_cut), rows):
+        W = np.where(np.arange(w.shape[1]) >= f_cut[f0 : f0 + rows, None], w[f_item[f0 : f0 + rows]], 0.0)
+        out_v = np.stack([items[i][1].values for i in f_item[f0 : f0 + rows].tolist()])
+        terms = _checked(_forest_paint(W, family)) ** out_exp * out_v
+        # the paint block's roots: item, root, field, centre window and mass
+        a, b = np.searchsorted(field, [f0, f0 + rows]).tolist()
+        i0, i1 = mesh.center_window(lo3[live[a:b]], hi3[live[a:b]])
+        block = list(zip(item[a:b].tolist(), live[a:b].tolist(), (field[a:b] - f0).tolist(), i0.tolist(),
+                         i1.tolist(), D[item[a:b], live[a:b]].tolist()))
+        for c in range(0, len(block), rows):
+            chunk = block[c : c + rows]
             # a root's cells are those whose centre lies in it: one index window
-            i0, i1 = mesh.center_window(lo3[idx], hi3[idx])
-            X = np.zeros((len(idx), *terms.shape[1:]))
-            field = (run[c : c + len(idx)] - r).tolist()
-            for j, (k, lo, hi) in enumerate(zip(field, i0.tolist(), i1.tolist())):
+            X = np.zeros((len(chunk), *terms.shape[1:]))
+            for j, (_, _, fj, lo, hi, _) in enumerate(chunk):
                 win = tuple(map(slice, lo, hi))
-                X[(j, *win)] = terms[(k, *win)]
-            nums = np.sum(X.reshape(len(idx), -1), axis=1) * mesh.cell_volume
-            for i, num, den in zip(idx.tolist(), nums.tolist(), dens[idx].tolist()):
+                X[(j, *win)] = terms[(fj, *win)]
+            nums = np.sum(X.reshape(len(X), -1), axis=1) * mesh.cell_volume
+            for (i, r, _, _, _, den), num in zip(chunk, nums.tolist()):
                 val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
-                if val > best:
-                    best, witness = val, i
-    if witness is not None:
-        p = roots[witness]
-        witness = DyadicCube(family.shift, int(table.level[p]), tuple(table.coords[p].tolist()))
-    return best, witness, len(dens) - len(live)
+                if val > best[i]:
+                    best[i], witness[i] = val, roots[r]
+    cube = [None if p is None else DyadicCube(family.shift, int(table.level[p]), tuple(table.coords[p].tolist()))
+            for p in witness]
+    return list(zip(best, cube, np.count_nonzero(D <= 0.0, axis=1).tolist()))
 
 
-def dyadic_testing(
-    u: StepFunction, sigma: StepFunction, exps: ExponentTuple, family: SparseFamily
-) -> TestingReport:
-    """Sparse testing constants over all enumerated roots R of the family's
-    grid; the dual constant is the direct constant of the swapped data
+def dyadic_testing(u, sigma, exps, family) -> TestingReport:
+    """``dyadic_testings`` of one pair."""
+    return dyadic_testings([(u, sigma)], exps, family)[0]
+
+
+def dyadic_testings(pairs: _Pairs, exps: ExponentTuple, family: SparseFamily) -> list[TestingReport]:
+    """Sparse testing constants of each (u, sigma) of ``pairs`` over all
+    enumerated roots R of the family's grid, one scan per side for every
+    pair; the dual constant is the direct constant of the swapped data
     (sigma, u, q', p'), which is what self-adjointness gives."""
-    direct, wd, sd = _testing_sup(sigma, u, family, exps.alpha, exps.p, exps.q)
-    dual, wu, su = _testing_sup(u, sigma, family, exps.alpha, exps.q_prime, exps.p_prime)
-    return TestingReport(direct, dual, wd, wu, sd, su)
+    direct = _testing_sups([(s, u) for u, s in pairs], family, exps.alpha, exps.p, exps.q)
+    dual = _testing_sups(pairs, family, exps.alpha, exps.q_prime, exps.p_prime)
+    return [TestingReport(d, e, wd, we, sd, se) for (d, wd, sd), (e, we, se) in zip(direct, dual)]
 
 
 def sawyer_testing(
@@ -258,67 +269,52 @@ class NormEstimate:
         }
 
 
-def _norm_rows(X: np.ndarray, w: np.ndarray, p: float, vol: float) -> list[float]:
-    """||x||_{L^p(w)} of each frame x of X: row sums, times the cell volume
-    in float64, then a Python float pow per row.  A row sum equals the sum
-    of that frame alone bit for bit."""
-    sums = np.sum((X**p * w).reshape(len(X), -1), axis=1) * vol
-    return [v ** (1.0 / p) for v in sums.tolist()]
-
-
-def _column(v: list, n: int) -> np.ndarray:
-    """Per-row scalars shaped to broadcast over frames with n axes."""
-    return np.array(v).reshape((-1,) + (1,) * n)
-
-
-def _apply_rows(X: np.ndarray, alpha: float, family: SparseFamily) -> np.ndarray:
-    """The sparse potential of each frame of X, inputs and outputs checked
-    as ``sparse_riesz`` checks them.  A one-row block (every block once
-    N > ``_FRAME_BLOCK`` / 2) applies its frame alone: a batch of one costs
-    5-10 % more per apply at 1-D L=12 and L=14."""
-    _checked(X)
-    frames = X[0] if len(X) == 1 else X
-    H = _sparse_sum(family.plan.sums(frames) * family.mesh.cell_volume, alpha, family)
-    return _checked(H.reshape(X.shape))
-
-
-def _seed_functions(
-    mesh: Mesh,
-    sigma: StepFunction,
-    exps: ExponentTuple,
-    family: SparseFamily,
-    rng_seed: int,
-    extra_seeds: Sequence[tuple[str, StepFunction]],
-):
-    """(label, values) of every seed in order: the member indicators, built
-    a block at a time, a sigma^{p'-1} profile, seeded random starts, and the
-    extra seeds."""
-    rows = max(1, _FRAME_BLOCK // mesh.total_cells)
-    t = family.forest
+def _seed_blocks(pairs: _Pairs, exps: ExponentTuple, family: SparseFamily, rng_seed: int,
+                 extra_seeds: Sequence[_Seeds] | None):
+    """The norm seeds of every pair, pair by pair, ``_STAGE_BLOCK`` entries
+    at a time: a pair's member indicators, a sigma^{p'-1} profile, seeded
+    random starts (made once per run) and extra_seeds[i] for pair i.  Per
+    block, of the seeds whose nonnegative part f has ||f||_{L^p(sigma)} > 0:
+    (their pairs, labels, the parts f stacked, the norms as a column, and
+    their pairs' u and sigma values, one row each when the block holds one
+    pair).  A frame is stacked only in its block."""
+    mesh, t, m = family.mesh, family.forest, len(family)
     coords = mesh.level_table(family.shift).coords[family.positions].tolist()
-    for a in range(0, len(family), rows):
-        masks = _center_mask(mesh, t.lo3[a : a + rows], t.hi3[a : a + rows])
-        for k, c, mask in zip(t.level[a : a + rows].tolist(), coords[a : a + rows], masks):
-            yield f"chi[{k},{tuple(c)}]", mask
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prof = np.where(sigma.values > 0.0, sigma.values ** (exps.p_prime - 1.0), 0.0)
-    yield "sigma-profile", StepFunction(mesh, prof).values
+    chi = [f"chi[{k},{tuple(c)}]" for k, c in zip(t.level.tolist(), coords)]
     rng = np.random.default_rng(rng_seed)
-    shape = (mesh.cells_per_axis,) * mesh.n
-    for i in range(_N_RANDOM):
-        yield f"random-{i}", rng.random(shape)
-    for label, f in extra_seeds:
-        yield label, f.values
+    frames = [rng.random((mesh.cells_per_axis,) * mesh.n) for _ in range(_N_RANDOM)]
+    # per seed: its pair, and its row of frames, or -1 - j for the indicator of member j
+    pair, labels, src = [], [], []
+    for i, ((_, sigma), extra) in enumerate(zip(pairs, extra_seeds or [()] * len(pairs))):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prof = np.where(sigma.values > 0.0, sigma.values ** (exps.p_prime - 1.0), 0.0)
+        k = len(frames)
+        frames += [StepFunction(mesh, prof).values, *(f.values for _, f in extra)]
+        labels += [*chi, "sigma-profile", *(f"random-{j}" for j in range(_N_RANDOM)), *(x for x, _ in extra)]
+        src += [*range(-1, -1 - m, -1), k, *range(_N_RANDOM), *range(k + 1, len(frames))]
+        pair += [i] * (len(src) - len(pair))
+    pair, src = np.array([pair, src], dtype=np.int64)
+    rows = max(1, _STAGE_BLOCK // mesh.total_cells)
+    for a in range(0, len(pair), rows):
+        s = src[a : a + rows]
+        F = np.stack([frames[j] for j in np.maximum(s, 0).tolist()])
+        F[s < 0] = _center_mask(mesh, t.lo3[-1 - s[s < 0]], t.hi3[-1 - s[s < 0]])
+        F = np.maximum(F, 0.0)
+        # a block of one pair broadcasts that pair's weights over its rows
+        u, sigma = pairs[pair[a]] if pair[a] == pair[min(a + rows, len(pair)) - 1] else (None, None)
+        S = (sigma.values[None] if sigma is not None
+             else np.stack([pairs[i][1].values for i in pair[a : a + rows].tolist()]))
+        nf = _norm_rows(F, S, exps.p, mesh.cell_volume)
+        keep = [i for i, v in enumerate(nf) if not v <= 0.0]
+        if keep:
+            b = pair[a + np.array(keep)]
+            U = u.values[None] if u is not None else np.stack([pairs[i][0].values for i in b.tolist()])
+            yield b, [labels[a + i] for i in keep], F[keep], _column([nf[i] for i in keep], mesh.n), U, _rows(S, keep)
 
 
-def _seed_blocks(mesh: Mesh, seeds):
-    """The seeds at most ``_FRAME_BLOCK`` entries at a time: (labels, the
-    nonnegative parts of their values stacked on a leading axis)."""
-    rows = max(1, _FRAME_BLOCK // mesh.total_cells)
-    seeds = iter(seeds)
-    while block := list(itertools.islice(seeds, rows)):
-        labels, values = zip(*block)
-        yield list(labels), np.maximum(np.stack(values), 0.0)
+def _rows(X: np.ndarray, idx) -> np.ndarray:
+    """The rows ``idx`` of per-row values X, or X when its one row serves all."""
+    return X if len(X) == 1 else X[idx]
 
 
 def _half_step(H: np.ndarray, w: np.ndarray, e: float, vol: float, floor: np.ndarray, live: np.ndarray, message: str):
@@ -333,46 +329,47 @@ def _half_step(H: np.ndarray, w: np.ndarray, e: float, vol: float, floor: np.nda
     return live[stay], H[stay], norms[stay]
 
 
-def strong_norm_lower(
-    u: StepFunction,
-    sigma: StepFunction,
+def strong_norm_lower(u, sigma, exps, family, rng_seed=0, extra_seeds=()) -> NormEstimate:
+    """``strong_norm_lowers`` of one pair, with its extra seeds."""
+    return strong_norm_lowers([(u, sigma)], exps, family, rng_seed, [extra_seeds])[0]
+
+
+def strong_norm_lowers(
+    pairs: _Pairs,
     exps: ExponentTuple,
     family: SparseFamily,
     rng_seed: int = 0,
-    extra_seeds: Sequence[tuple[str, StepFunction]] = (),
-) -> NormEstimate:
-    """Lower bound on ||I^S(. sigma)||_{L^p(sigma) -> L^q(u)} by alternating
-    maximization of B(f, g) = int I^S(f sigma) g u over the unit spheres
+    extra_seeds: Sequence[_Seeds] | None = None,
+) -> list[NormEstimate]:
+    """Lower bound on ||I^S(. sigma)||_{L^p(sigma) -> L^q(u)} for each
+    (u, sigma) of ``pairs``, by alternating maximization of
+    B(f, g) = int I^S(f sigma) g u over the unit spheres
     ||f||_{L^p(sigma)} = ||g||_{L^{q'}(u)} = 1.
 
     Given f the optimal g is proportional to (I^S(f sigma))^{q-1}; by
     self-adjointness the f-update is h = I^S(g u), f proportional to
     h^{p'-1}.  The objective is nondecreasing by construction and is
     asserted to be so each step.  Multi-start from the member indicators,
-    a sigma^{p'-1} profile, seeded random starts, and any extra seeds.
+    a sigma^{p'-1} profile, seeded random starts, and extra_seeds[i] for
+    pair i (none by default).
 
-    A block of seeds iterates as the rows of one batched apply.  Each row's
-    f, last g, count, flags and value sit in block-sized arrays, written in
+    A block of the seed stream (``_seed_blocks``) iterates as the rows of
+    one batched apply, each row with its pair's u and sigma.  Each row's f,
+    last g, count, flags and value sit in block-sized arrays, written in
     place at the indices ``live`` of the rows still iterating; a row stops
     by dropping out of ``live`` (its norm is 0, it converged, or the cap
     ends the loop), so every row computes what a run of that seed alone
-    computes.  The best is the first strict maximum in seed order."""
-    mesh = u.mesh
+    computes.  A pair's best is the first strict maximum in its seeds."""
+    mesh = family.mesh
     vol = mesh.cell_volume
-    uv, sv = u.values, sigma.values
-    p, q, pp = exps.p, exps.q, exps.p_prime
+    q, pp = exps.q, exps.p_prime
 
     def T(X: np.ndarray) -> np.ndarray:
         return _apply_rows(X, exps.alpha, family)
 
-    best = NormEstimate(0.0, None, None, 0, "none", False, True)
-    seeds = _seed_functions(mesh, sigma, exps, family, rng_seed, extra_seeds)
-    for labels, F in _seed_blocks(mesh, seeds):
-        nf = _norm_rows(F, sv, p, vol)
-        keep = [i for i, v in enumerate(nf) if not v <= 0.0]
-        if not keep:
-            continue
-        F = F[keep] / _column([nf[i] for i in keep], mesh.n)
+    best = [NormEstimate(0.0, None, None, 0, "none", False, True)] * len(pairs)
+    for pair, labels, F, nf, U, S in _seed_blocks(pairs, exps, family, rng_seed, extra_seeds):
+        F = F / nf
         G = np.zeros_like(F)
         its, value = np.zeros(len(F), dtype=int), np.zeros(len(F))
         has_g, converged = np.zeros(len(F), dtype=bool), np.zeros(len(F), dtype=bool)
@@ -381,67 +378,64 @@ def strong_norm_lower(
             if not len(live):
                 break
             its[live] = it
-            live, H, new = _half_step(T(F[live] * sv), uv, q, vol, value[live], live,
-                                  "alternating objective decreased (g-step)")
+            live, H, new = _half_step(T(F[live] * _rows(S, live)), _rows(U, live), q, vol, value[live], live,
+                                      "alternating objective decreased (g-step)")
             if not len(live):
                 break
             g = (H / _column(new, mesh.n)) ** (q - 1.0)
             G[live], has_g[live] = g, True
-            live, H, nh2 = _half_step(T(g * uv), sv, pp, vol, new, live, "alternating objective decreased (f-step)")
+            live, H, nh2 = _half_step(T(g * _rows(U, live)), _rows(S, live), pp, vol, new, live,
+                                      "alternating objective decreased (f-step)")
             with np.errstate(divide="ignore", invalid="ignore"):
                 F[live] = np.where(H > 0.0, (H / _column(nh2, mesh.n)) ** (pp - 1.0), 0.0)
             converged[live] = np.abs(nh2 - value[live]) / np.maximum(nh2, 1e-300) < _REL_TOL
             value[live] = nh2
             live = live[~converged[live]]
         # re-evaluate at the final witness so value is recomputable from it
-        rows = zip(_norm_rows(T(F * sv), uv, q, vol), its.tolist(), has_g.tolist(), converged.tolist())
-        for i, (v, n, with_g, done) in enumerate(rows):
-            if v > best.value:
+        rows = zip(pair.tolist(), _norm_rows(T(F * S), U, q, vol), its.tolist(), has_g.tolist(), converged.tolist())
+        for i, (b, v, n, with_g, done) in enumerate(rows):
+            if v > best[b].value:
                 g = StepFunction(mesh, G[i].copy()) if with_g else None
-                best = NormEstimate(v, StepFunction(mesh, F[i].copy()), g, n, labels[keep[i]], done, False)
+                best[b] = NormEstimate(v, StepFunction(mesh, F[i].copy()), g, n, labels[i], done, False)
     return best
 
 
-def weak_norm_lower(
-    u: StepFunction,
-    sigma: StepFunction,
+def weak_norm_lower(u, sigma, exps, family, strong, rng_seed=0, extra_seeds=()) -> NormEstimate:
+    """``weak_norm_lowers`` of one pair, with its strong estimate and extra seeds."""
+    return weak_norm_lowers([(u, sigma)], exps, family, [strong], rng_seed, [extra_seeds])[0]
+
+
+def weak_norm_lowers(
+    pairs: _Pairs,
     exps: ExponentTuple,
     family: SparseFamily,
-    strong: NormEstimate,
+    strongs: Sequence[NormEstimate],
     rng_seed: int = 0,
-    extra_seeds: Sequence[tuple[str, StepFunction]] = (),
-) -> NormEstimate:
-    """Lower bound on the weak-type norm: the maximum over the seed set of
+    extra_seeds: Sequence[_Seeds] | None = None,
+) -> list[NormEstimate]:
+    """Lower bound on the weak-type norm for each (u, sigma) of ``pairs``:
+    the maximum over the seed set of
     weak_lorentz_norm(I^S(f sigma), u, q) / ||f||_{L^p(sigma)}.
 
-    ``strong`` is the ``strong_norm_lower`` estimate of the same arguments;
-    the seed set is that of the strong run plus its witness.  No smooth
-    iteration is run; the weak functional is piecewise constant in the
-    thresholds.  Per witness, weak <= strong holds by Chebyshev and is
-    asserted.  The seeds stream through one batched apply per block, so
-    the seed set is never held whole."""
-    mesh = u.mesh
+    strongs[i] is the ``strong_norm_lowers`` estimate of pair i with the
+    same seeds; a pair's seed set is that of its strong run plus its
+    witness.  No smooth iteration is run; the weak functional is piecewise
+    constant in the thresholds.  Per witness, weak <= strong holds by
+    Chebyshev and is asserted.  Each block of the seed stream is one
+    batched apply and one weak-Lorentz scan."""
+    mesh = family.mesh
     vol = mesh.cell_volume
-    uv, sv = u.values, sigma.values
-    umass = uv.ravel() * vol
-    seeds = _seed_functions(mesh, sigma, exps, family, rng_seed, extra_seeds)
-    if strong.witness_f is not None:
-        seeds = itertools.chain(seeds, [("strong-witness", strong.witness_f.values)])
-    best = NormEstimate(0.0, None, None, 0, "none", True, True)
-    for labels, F in _seed_blocks(mesh, seeds):
-        nf = _norm_rows(F, sv, exps.p, vol)
-        keep = [i for i, v in enumerate(nf) if not v <= 0.0]
-        if not keep:
-            continue
-        X = F[keep] * sv / _column([nf[i] for i in keep], mesh.n)
-        H = _apply_rows(X, exps.alpha, family)
-        for h, s, i in zip(H, _norm_rows(H, uv, exps.q, vol), keep):
-            wk = _weak_lorentz(h.ravel(), umass, exps.q)
+    extra = [[*x, *([("strong-witness", st.witness_f)] if st.witness_f is not None else [])]
+             for x, st in zip(extra_seeds or [()] * len(pairs), strongs)]
+    best = [NormEstimate(0.0, None, None, 0, "none", True, True)] * len(pairs)
+    for pair, labels, F, nf, U, S in _seed_blocks(pairs, exps, family, rng_seed, extra):
+        H = _apply_rows(F * S / nf, exps.alpha, family)
+        weak = _weak_lorentz(H.reshape(len(H), -1), U.reshape(len(U), -1) * vol, exps.q)
+        for i, (b, wk, s) in enumerate(zip(pair.tolist(), weak, _norm_rows(H, U, exps.q, vol))):
             if wk > s * (1.0 + 1e-12):
                 raise AssertionError("weak functional exceeded strong at the same witness")
-            if wk > best.value:
-                f = StepFunction(mesh, F[i] / nf[i])
-                best = NormEstimate(wk, f, None, 1, labels[i], True, False)
+            if wk > best[b].value:
+                best[b] = NormEstimate(wk, StepFunction(mesh, F[i] / nf[i]), None, 1, labels[i], True, False)
     return best
 
 
@@ -471,35 +465,39 @@ class SandwichReport:
         }
 
 
-def lsut_sandwich(
-    u: StepFunction,
-    sigma: StepFunction,
+def lsut_sandwich(u, sigma, exps, family, rng_seed=0) -> SandwichReport:
+    """``lsut_sandwiches`` of one pair."""
+    return lsut_sandwiches([(u, sigma)], exps, family, rng_seed)[0]
+
+
+def lsut_sandwiches(
+    pairs: _Pairs,
     exps: ExponentTuple,
     family: SparseFamily,
     rng_seed: int = 0,
-) -> SandwichReport:
-    """Two-sided sandwich: r1 = strong_norm_lower / (direct + dual testing)
-    and r2 = weak_norm_lower / dual testing.
+) -> list[SandwichReport]:
+    """Two-sided sandwich of each (u, sigma) of ``pairs``:
+    r1 = strong_norm_lower / (direct + dual testing) and
+    r2 = weak_norm_lower / dual testing, each stage one pass over every pair.
 
     The testing witnesses are injected into the norm seed set, which makes
     direct <= strong_norm_lower hold by construction (the indicator seed
     realizes the testing functional from below).  Degenerate denominators
     are reported as None ratios."""
-    mesh = u.mesh
-    testing = dyadic_testing(u, sigma, exps, family)
-    extra: list[tuple[str, StepFunction]] = []
-    for name, wit in (("direct-witness", testing.witness_direct), ("dual-witness", testing.witness_dual)):
-        if wit is not None:
-            lo, hi = wit.bounds3(mesh.finest_exponent)
-            extra.append((name, StepFunction(mesh, _center_mask(mesh, lo, hi))))
-    strong = strong_norm_lower(u, sigma, exps, family, rng_seed, extra_seeds=extra)
-    weak = weak_norm_lower(u, sigma, exps, family, strong, rng_seed, extra_seeds=extra)
-    denom = testing.direct + testing.dual
-    r1 = strong.value / denom if denom > 0.0 else None
-    r2 = weak.value / testing.dual if testing.dual > 0.0 else None
-    r1_ok = None if r1 is None else r1 <= 1.0 + _REL_TOL
-    below = testing.direct <= strong.value + _REL_TOL
-    return SandwichReport(strong, weak, testing, r1, r2, r1_ok, below)
+    mesh = family.mesh
+    testings = dyadic_testings(pairs, exps, family)
+    extra = [[(name, StepFunction(mesh, _center_mask(mesh, *wit.bounds3(mesh.finest_exponent))))
+              for name, wit in (("direct-witness", t.witness_direct), ("dual-witness", t.witness_dual))
+              if wit is not None] for t in testings]
+    strongs = strong_norm_lowers(pairs, exps, family, rng_seed, extra)
+    weaks = weak_norm_lowers(pairs, exps, family, strongs, rng_seed, extra)
+    out = []
+    for t, strong, weak in zip(testings, strongs, weaks):
+        r1 = strong.value / (t.direct + t.dual) if t.direct + t.dual > 0.0 else None
+        r2 = weak.value / t.dual if t.dual > 0.0 else None
+        r1_ok = None if r1 is None else r1 <= 1.0 + _REL_TOL
+        out.append(SandwichReport(strong, weak, t, r1, r2, r1_ok, t.direct <= strong.value + _REL_TOL))
+    return out
 
 
 @dataclass(frozen=True)
@@ -532,8 +530,8 @@ def thm31_bound_checks(
     [sigma]_{FW}^{1/q}).
 
     Refuses exponents without the Sobolev relation.  An infinite or zero
-    characteristic yields a None ratio.  One ``fujii_wilson`` runs per
-    distinct weight object; a one-item list checks a single pair."""
+    characteristic yields a None ratio.  One ``fujii_wilsons`` scan covers
+    every distinct weight object; a one-item list checks a single pair."""
     if not exps.sobolev:
         raise RangeConditionError("mixed bound requires the Sobolev exponent relation")
 
@@ -545,7 +543,7 @@ def thm31_bound_checks(
         return BoundRatio(test_val / bound, test_val, bound, comps)
 
     weights = dict.fromkeys(w for u, s, _ in items for w in (u, s))
-    fw = {w: fujii_wilson(w, max_level=fw_max_level) for w in weights}
+    fw = dict(zip(weights, fujii_wilsons(list(weights), max_level=fw_max_level)))
     return [
         (one(t.dual, two_weight_ap(u, s, exps.s_p), fw[u], 1.0 / exps.q, 1.0 / exps.p_prime),
          one(t.direct, two_weight_ap(s, u, exps.s_qprime), fw[s], 1.0 / exps.p_prime, 1.0 / exps.q))

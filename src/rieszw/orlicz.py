@@ -271,8 +271,8 @@ class YoungFunction:
 #: up to this size share calls up to this many cells in all, and a larger
 #: segment runs alone for each block.  One call over a whole large corpus
 #: was slower and took more memory.  The cap, not the number of blocks, sets
-#: the calls of a packing: the twenty bump blocks of a five-pair 1-D L=5
-#: ``sandwich``, 378 cells each, fill two calls.
+#: the calls of a packing: the eighteen bump blocks of the five corpus
+#: pairs of a 1-D L=5 ``sandwich``, 378 cells each, fill two calls.
 _LUX_BATCH_CELLS = 1 << 12
 
 

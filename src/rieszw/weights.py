@@ -32,6 +32,7 @@ __all__ = [
     "apq_constant",
     "two_weight_ap",
     "fujii_wilson",
+    "fujii_wilsons",
     "ainfty_exp",
     "mixed_apq_alpha",
     "bump_constant",
@@ -205,10 +206,11 @@ def ainfty_exp(w: StepFunction) -> CharacteristicReport:
     return _supremum_report("A_inf (exp-log)", w.mesh, np.exp(m) * a)
 
 
-#: Entries per block of stacked full frames (``fujii_wilson``'s final sums,
-#: ``sawyer_testing``'s padded transforms, the indicator seeds): batches
-#: this small hold the per-frame call overhead down without adding to the
-#: peak memory of a run.
+#: Entries per block of stacked full frames (the final sums of
+#: ``fujii_wilsons``, ``sawyer_testing``'s padded transforms, and in the
+#: sandwich stages the cut fields, testing roots and norm seeds of every
+#: pair of a run): batches this small hold the per-frame call overhead down
+#: without adding to the peak memory of a run.
 _FRAME_BLOCK = 1 << 12
 
 
@@ -217,37 +219,45 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
     two-shift dyadic maximal function (a constant-factor proxy for the full
     maximal operator).  chi_Q is realized on cells by center membership.
     Cubes with w(Q) = 0 are skipped.  ``max_level`` optionally caps how fine
-    the scanned Q go.
+    the scanned Q go.  This is ``fujii_wilsons`` of one weight."""
+    return fujii_wilsons([w], max_level)[0]
 
-    The scan runs one corpus segment (shift, level k) at a time, as one
-    batch over the centre windows of its cubes (``_window_maximal_sums``).
-    A window has 2^(L-k) cells per axis, and its maximal sweep starts at
-    Q's own level, so a segment costs O(cells * (L - k + 1)) per sweep
-    shift, plus one full-frame row per cube for the final sums.  The box
-    geometry of a segment depends on the mesh alone: it is laid out once
-    per mesh (``_window_layout``), and a call pays only for the sums.  The
-    values, witness and count equal those of one ``hl_maximal`` on the full
-    mesh per cube."""
-    mesh = w.mesh
+
+def fujii_wilsons(ws: Sequence[StepFunction], max_level: int | None = None) -> list[CharacteristicReport]:
+    """``fujii_wilson`` of each weight of ``ws`` (one mesh): one batch per
+    corpus segment (shift, level k) over the centre windows of its cubes,
+    those of every weight stacked as rows (``_window_maximal_sums``), on
+    the segment's box layout (``_window_layout``, once per mesh).  A window
+    has 2^(L-k) cells per axis and its sweep starts at Q's level.  Each
+    report equals that of one ``hl_maximal`` per cube."""
+    if not ws:
+        return []
+    mesh = ws[0].mesh
     c = mesh.corpus
-    scan = np.flatnonzero(c.level <= max_level) if max_level is not None else np.arange(len(c.level))
-    wq = np.zeros(len(c.level))
-    wq[scan] = w._corpus_integrals()[scan]
-    picked, vals = [], []
+    values = np.stack([w.values.reshape(-1) for w in ws])
+    # per scanned cube of positive w(Q): its weight, its corpus index and its value
+    parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
     for segment, (a, b) in enumerate(zip(c.starts.tolist(), c.ends.tolist())):
-        rows = np.flatnonzero(wq[a:b] > 0.0)
+        if max_level is not None and c.segments[segment][1] > max_level:
+            continue
+        wq = np.stack([w._corpus_integrals()[a:b] for w in ws])
+        which, rows = np.nonzero(wq > 0.0)
         if len(rows):
-            sums = _window_maximal_sums(w, _window_layout(mesh, segment), rows)
-            picked.append(a + rows)
-            vals.append(sums * mesh.cell_volume / wq[a + rows])
-    if not picked:
-        return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
-    picked, vals = np.concatenate(picked), np.concatenate(vals)
+            sums = _window_maximal_sums(mesh, values, which, _window_layout(mesh, segment), rows)
+            parts.append((which, a + rows, sums * mesh.cell_volume / wq[which, rows]))
+    which, picked, vals = (np.concatenate(x) for x in zip(*parts))
     # the first strict maximum in scan order; a NaN never improves on it
     vals = np.where(np.isnan(vals), -math.inf, vals)
-    i = int(np.argmax(vals))
-    witness = c.cube(int(picked[i])) if vals[i] > -math.inf else None
-    return CharacteristicReport("A_inf' (Fujii-Wilson)", float(vals[i]), witness, len(picked))
+    out = []
+    for i in range(len(ws)):
+        v, at = vals[which == i], picked[which == i]
+        if not len(v):
+            out.append(CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0))
+            continue
+        j = int(np.argmax(v))
+        witness = c.cube(int(at[j])) if v[j] > -math.inf else None
+        out.append(CharacteristicReport("A_inf' (Fujii-Wilson)", float(v[j]), witness, len(v)))
+    return out
 
 
 class _WindowLayout(NamedTuple):
@@ -314,10 +324,12 @@ def _window_layout(mesh: Mesh, segment: int) -> _WindowLayout:
     return layout
 
 
-def _window_maximal_sums(w: StepFunction, layout: _WindowLayout, rows: np.ndarray) -> np.ndarray:
-    """sum over the cells of M(chi_Q w), for the cubes Q at ``rows`` of one
-    corpus segment, laid out in ``layout``, equal bit for bit to the full-
-    frame sum of ``hl_maximal(w * mask_Q) * mask_Q``.
+def _window_maximal_sums(mesh: Mesh, values: np.ndarray, which: np.ndarray, layout: _WindowLayout,
+                         rows: np.ndarray) -> np.ndarray:
+    """sum over the cells of M(chi_Q w), for each cube Q at ``rows`` of one
+    corpus segment, laid out in ``layout``, with w the flat cell values
+    ``values[which]`` of that row's weight, equal bit for bit to the full-
+    frame sum of ``hl_maximal(w * mask_Q) * mask_Q``.  Rows are independent.
 
     * Only the centre window of Q matters, and w * chi_Q vanishes outside
       it, so the windows' prefix sums equal the full frame's there, and a
@@ -332,26 +344,24 @@ def _window_maximal_sums(w: StepFunction, layout: _WindowLayout, rows: np.ndarra
       and each box is formed as ``integral_box3`` forms it.
     * Each window's maxima go into a zero full-frame row, so the row sum
       adds the terms of the full-frame sum in its order."""
-    mesh = w.mesh
     n, N = mesh.n, mesh.cells_per_axis
-    count = len(rows)
-    flat = layout.flat[rows]
-    window = w.values.reshape(-1).take(flat).reshape(count, *layout.plan.size)
-    v = layout.plan.sums(window)
-    v = v * mesh.cell_volume / layout.factor
-    v = np.where(v > 0.0, v, 0.0)
-    out = np.zeros(window.shape)
-    for box in sum(_along(x, axis, n) for axis, x in enumerate(layout.offsets)):
-        np.maximum(out, v.take(box, axis=1), out=out)
-    # each window's maxima in its own zero full-frame row
-    out = out.reshape(count, -1)
-    sums = np.empty(count)
-    block = max(1, _FRAME_BLOCK // N**n)
-    for a in range(0, count, block):
-        b = min(a + block, count)
-        frame = np.zeros((b - a, N**n))
-        frame[np.arange(b - a)[:, None], flat[a:b]] = out[a:b]
-        sums[a:b] = np.sum(frame, axis=1)
+    steps = sum(_along(x, axis, n) for axis, x in enumerate(layout.offsets))
+    sums = np.empty(len(rows))
+    # a block holds at most _FRAME_BLOCK / 2 box sums and _FRAME_BLOCK frame entries
+    block = max(1, _FRAME_BLOCK // max(2 * len(layout.factor), N**n))
+    for a in range(0, len(rows), block):
+        flat = layout.flat[rows[a : a + block]]
+        window = values[which[a : a + block, None], flat].reshape(len(flat), *layout.plan.size)
+        v = layout.plan.sums(window)
+        v = v * mesh.cell_volume / layout.factor
+        v = np.where(v > 0.0, v, 0.0)
+        out = np.zeros(window.shape)
+        for box in steps:
+            np.maximum(out, v.take(box, axis=1), out=out)
+        # each window's maxima in its own zero full-frame row
+        frame = np.zeros((len(flat), N**n))
+        frame[np.arange(len(flat))[:, None], flat] = out.reshape(len(flat), -1)
+        sums[a : a + block] = np.sum(frame, axis=1)
     return sums
 
 
@@ -407,22 +417,24 @@ def bump_constants(
 
     Every norm comes from one packed Luxemburg bisection over the corpus,
     one segment per corpus level (``orlicz._luxemburg_blocks``).  The
-    blocks go by Young function: per (Phi, Psi), every u^{1/q} under Phi,
-    then every sigma^{1/p'} under Psi, so a bisection call holds at most
-    four runs of Young functions whatever the number of weight pairs."""
+    blocks go by Young function: per (Phi, Psi), u^{1/q} under Phi for each
+    distinct u object, then sigma^{1/p'} under Psi for each distinct sigma,
+    so a bisection call holds at most four runs of Young functions whatever
+    the number of weight pairs."""
     if not weights:
         return []
     e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p
-    uroots = [u.map(lambda v: v ** (1.0 / exps.q)) for u, _ in weights]
-    sroots = [sigma.map(lambda v: v ** (1.0 / exps.p_prime)) for _, sigma in weights]
+    us, ss = ({w: i for i, w in enumerate(dict.fromkeys(side))} for side in zip(*weights))
+    uroots = [u.map(lambda v: v ** (1.0 / exps.q)) for u in us]
+    sroots = [sigma.map(lambda v: v ** (1.0 / exps.p_prime)) for sigma in ss]
     blocks = [(f, young) for phi, psi in pairs for young, side in ((phi, uroots), (psi, sroots)) for f in side]
     mesh = uroots[0].mesh
     c = mesh.corpus
     norms = _luxemburg_blocks(blocks, c.lo3, c.hi3, c.starts)
     size = _size_powers(mesh, exps.n, e)
-    m = len(weights)
-    return [[_supremum_report("bump", mesh, size * norms[2 * j * m + i] * norms[(2 * j + 1) * m + i])
-             for j in range(len(pairs))] for i in range(m)]
+    m = len(us) + len(ss)
+    return [[_supremum_report("bump", mesh, size * norms[j * m + us[u]] * norms[j * m + len(us) + ss[sigma]])
+             for j in range(len(pairs))] for u, sigma in weights]
 
 
 @dataclass(frozen=True)

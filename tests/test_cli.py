@@ -226,14 +226,14 @@ class TestVerifyFamilies:
                 return _fn(*args)
             monkeypatch.setattr(cli, name, counting)
         cfg = ExperimentConfig(**dict(SMALL, n_random_functions=2, alphas=[0.25, 0.5, 0.75]))
-        cfg.validate()
+        weights = cfg.validate()
         (tmp_path / "out").mkdir()
-        assert cli._COMMANDS[command](cfg, tmp_path / "out") == 0
+        assert cli._COMMANDS[command](cfg, tmp_path / "out", weights) == 0
         # 2 functions x 2 shifts, not x 3 alphas
         assert counts == {"build_sparse": 4, "verify_sparse": 4}
 
 
-def _old_cmd_verify(cfg, outdir):
+def _old_cmd_verify(cfg, outdir, weights=None):
     """``cmd_verify`` as it was when every alpha built, certified and
     overlap-checked its own family: the oracle of the shared families."""
     mesh = cfg.mesh()
@@ -292,7 +292,7 @@ def _old_cmd_verify(cfg, outdir):
     return 0 if not failures else 1
 
 
-def _old_cmd_sparse(cfg, outdir):
+def _old_cmd_sparse(cfg, outdir, weights=None):
     """``cmd_sparse`` as it was when every alpha built its own family."""
     mesh = cfg.mesh()
     functions = cfg.random_functions(mesh)
@@ -337,11 +337,11 @@ class TestSharedFamiliesOracle:
     def test_outputs_byte_identical(self, tmp_path, capsys, command, old, mesh, alphas):
         cfg = ExperimentConfig(**self.MESHES[mesh], alphas=alphas, n_random_functions=2,
                                weights=["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"])
-        cfg.validate()
+        weights = cfg.validate()
         runs = []
         for name, cmd in [("new", cli._COMMANDS[command]), ("old", old)]:
             (tmp_path / name).mkdir()
-            code = cmd(cfg, tmp_path / name)
+            code = cmd(cfg, tmp_path / name, weights)
             runs.append((code, capsys.readouterr(), slurp(tmp_path / name)))
         assert runs[0] == runs[1]
         if command == "verify" and alphas and "unpadded" in mesh:
@@ -351,13 +351,13 @@ class TestSharedFamiliesOracle:
 
 class TestSandwichWeights:
     def test_each_distinct_spec_generated_once(self, tmp_path, monkeypatch):
-        # the cyclic default pairs use each of three weights twice
+        # the cyclic default pairs use each of three weights twice; validate
+        # generates each once, and the command takes those
         cfg = ExperimentConfig(**dict(SMALL, weights=["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"]))
-        cfg.validate()
         specs, generate = [], cli.generate_weight
         monkeypatch.setattr(cli, "generate_weight", lambda mesh, spec: specs.append(spec) or generate(mesh, spec))
         (tmp_path / "out").mkdir()
-        assert cli.cmd_sandwich(cfg, tmp_path / "out") == 0
+        assert cli.cmd_sandwich(cfg, tmp_path / "out", cfg.validate()) == 0
         assert sorted(specs) == sorted(cfg.weights)
 
 
@@ -365,13 +365,13 @@ class TestDistinctWeights:
     @pytest.mark.parametrize("command", ["constants", "verify", "corona", "norm"])
     def test_each_distinct_spec_generated_once(self, tmp_path, monkeypatch, command):
         # the weights and the cyclic default pairs name each of three specs
-        # three times in constants, and the pairs twice in the others
+        # three times in constants, and the pairs twice in the others;
+        # validate generates each once, and the command takes those
         cfg = ExperimentConfig(**dict(SMALL, weights=["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"]))
-        cfg.validate()
         specs, generate = [], cli.generate_weight
         monkeypatch.setattr(cli, "generate_weight", lambda mesh, spec: specs.append(spec) or generate(mesh, spec))
         (tmp_path / "out").mkdir()
-        assert cli._COMMANDS[command](cfg, tmp_path / "out") == 0
+        assert cli._COMMANDS[command](cfg, tmp_path / "out", cfg.validate()) == 0
         assert sorted(specs) == sorted(cfg.weights)
 
     def test_validate_generates_each_distinct_spec_once(self, monkeypatch):
@@ -382,6 +382,53 @@ class TestDistinctWeights:
         monkeypatch.setattr(cli, "generate_weight", lambda mesh, spec: specs.append(spec) or generate(mesh, spec))
         cfg.validate()
         assert specs == ["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"]
+
+
+class TestOneRunWeights:
+    """A run through ``main`` generates each distinct spec once: the
+    command uses the weights that ``validate`` made."""
+
+    @pytest.mark.parametrize("command", ["sandwich", "constants"])
+    def test_each_distinct_spec_generated_once_per_run(self, tmp_path, monkeypatch, command):
+        # four distinct specs named in the weights and the pairs, seven times
+        config = dict(SMALL, weights=["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3"],
+                      pairs=[["constant:c=1", "power:beta=0.3"], ["power:beta=-0.3", "constant:c=1"]])
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        specs, generate = [], cli.generate_weight
+        monkeypatch.setattr(cli, "generate_weight", lambda mesh, spec: specs.append(spec) or generate(mesh, spec))
+        code = cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert specs == ["constant:c=1", "twovalue:a=2,b=1", "power:beta=0.3", "power:beta=-0.3"]
+
+
+    def test_weights_share_the_run_mesh(self):
+        cfg = ExperimentConfig(**SMALL)
+        mesh = cfg.mesh()
+        assert cfg.mesh() is mesh and all(w.mesh is mesh for w in cfg.validate().values())
+        cfg.L = 5
+        assert cfg.mesh() is not mesh and cfg.mesh().finest_exponent == 5
+
+
+class TestOnePassPerStage:
+    """``sandwich`` and ``norm`` make one testing scan per side, one strong
+    seed stream and one weak seed stream per run, whatever the number of
+    pairs."""
+
+    @pytest.mark.parametrize("command", ["sandwich", "norm"])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_stage_calls(self, tmp_path, monkeypatch, command, count):
+        from rieszw import calibration, normest
+
+        calls = []
+        for name in ("_testing_sups", "_seed_blocks"):
+            fn = getattr(normest, name)
+            monkeypatch.setattr(normest, name, lambda pairs, *a, fn=fn, name=name: calls.append(
+                (name, len(pairs))) or fn(pairs, *a))
+        config = dict(SMALL, pairs=[list(p) for p in calibration.corpus_pairs()[:count]])
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert calls == [("_testing_sups", count)] * 2 + [("_seed_blocks", count)] * 2
 
 
 class TestParentlessWarning:

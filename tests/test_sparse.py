@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _prefix_sums, enumerate_cubes
-from rieszw.normest import _seed_functions
+from rieszw.normest import _seed_blocks
 from rieszw.operators import _forest_paint, _member_weights, compare_pointwise, dyadic_riesz, sparse_riesz
 from rieszw.sparse import (
     CarlesonReport,
@@ -32,7 +32,7 @@ from rieszw.sparse import (
     verify_sparse,
 )
 from rieszw.sparse import _certify_corona, _ilog_lt, _int64, _overlap_reports
-from rieszw.weights import ExponentTuple, fujii_wilson, generate_weight
+from rieszw.weights import ExponentTuple, _center_mask, fujii_wilson, generate_weight
 
 from conftest import _flat_index, level_grids, lognormal, per_level_grid
 
@@ -1495,9 +1495,13 @@ class TestPositionsOracle:
         for fam, old in position_pairs:
             mesh = fam.mesh
             exps = ExponentTuple(mesh.n, ALPHA, 4.0 / 3.0, 4.0)
-            seeds = _seed_functions(mesh, StepFunction.constant(mesh, 1.0), exps, fam, 0, ())
-            labels = [label for label, _ in itertools.islice(seeds, len(fam))]
-            assert labels == [f"chi[{q.level},{q.coord}]" for q in old.cubes]
+            # the blocks hold the seeds of positive norm: with sigma = 1,
+            # the indicators of the members over some cell centre
+            one = StepFunction.constant(mesh, 1.0)
+            labels = [x for _, block, *_ in _seed_blocks([(one, one)], exps, fam, 0, None) for x in block]
+            assert labels[: labels.index("sigma-profile")] == [
+                f"chi[{q.level},{q.coord}]" for q in old.cubes
+                if _center_mask(mesh, *q.bounds3(mesh.finest_exponent)).any()]
 
     @pytest.mark.parametrize("n, J, T", list(itertools.product((1, 2), (0, 1), (0, 40))))
     def test_plan_sums(self, n, J, T):

@@ -18,6 +18,7 @@ from rieszw.weights import (
     apq_constant,
     bump_constant,
     fujii_wilson,
+    fujii_wilsons,
     generate_weight,
     mixed_apq_alpha,
     parse_weight_spec,
@@ -847,6 +848,90 @@ class TestPackedBlocks:
                         assert direct.components == {"K": expect[1].value}
                     else:
                         assert direct is None
+
+    def test_shared_weights_bisected_once_per_side(self, monkeypatch):
+        # five pairs over four weight objects: three distinct u and three
+        # distinct sigma, so two (Phi, Psi) make twelve blocks, not twenty
+        mesh = Mesh(1, 0, 5)
+        exps = ExponentTuple.sobolev_pair(1, 0.5, 4.0 / 3.0)
+        a, b, c, d = (lognormal(mesh, 95 + i, scale=0.7) for i in range(4))
+        pairs = [(a, b), (b, a), (a, c), (d, b), (a, b)]
+        youngs = [(YoungFunction.log_bump(exps.q, 1.0), YoungFunction.power(exps.p_prime)),
+                  (YoungFunction.power(exps.q), YoungFunction.log_bump(exps.p_prime, 1.0))]
+        calls = spy_kernel(monkeypatch)
+        got = weights.bump_constants(pairs, exps, youngs)
+        assert sum(groups for groups, _, _, _ in calls) == 12 * len(mesh.corpus.level)
+        for row, (u, sigma) in zip(got, pairs):
+            for g, (phi, psi) in zip(row, youngs, strict=True):
+                assert_same_report(g, parent_bump_constant(u, sigma, exps, phi, psi))
+
+
+def pair_window_maximal_sums(w, layout, rows):
+    """The parent's window sums of one weight's cubes at ``rows``."""
+    mesh = w.mesh
+    n, N = mesh.n, mesh.cells_per_axis
+    count = len(rows)
+    flat = layout.flat[rows]
+    window = w.values.reshape(-1).take(flat).reshape(count, *layout.plan.size)
+    v = layout.plan.sums(window)
+    v = v * mesh.cell_volume / layout.factor
+    v = np.where(v > 0.0, v, 0.0)
+    out = np.zeros(window.shape)
+    for box in sum(weights._along(x, axis, n) for axis, x in enumerate(layout.offsets)):
+        np.maximum(out, v.take(box, axis=1), out=out)
+    out = out.reshape(count, -1)
+    sums = np.empty(count)
+    block = max(1, weights._FRAME_BLOCK // N**n)
+    for a in range(0, count, block):
+        b = min(a + block, count)
+        frame = np.zeros((b - a, N**n))
+        frame[np.arange(b - a)[:, None], flat[a:b]] = out[a:b]
+        sums[a:b] = np.sum(frame, axis=1)
+    return sums
+
+
+def pair_fujii_wilson(w, max_level=None):
+    """The parent's ``fujii_wilson``: one scan per weight."""
+    mesh = w.mesh
+    c = mesh.corpus
+    scan = np.flatnonzero(c.level <= max_level) if max_level is not None else np.arange(len(c.level))
+    wq = np.zeros(len(c.level))
+    wq[scan] = w._corpus_integrals()[scan]
+    picked, vals = [], []
+    for segment, (a, b) in enumerate(zip(c.starts.tolist(), c.ends.tolist())):
+        rows = np.flatnonzero(wq[a:b] > 0.0)
+        if len(rows):
+            sums = pair_window_maximal_sums(w, weights._window_layout(mesh, segment), rows)
+            picked.append(a + rows)
+            vals.append(sums * mesh.cell_volume / wq[a + rows])
+    if not picked:
+        return CharacteristicReport("A_inf' (Fujii-Wilson)", 0.0, None, 0)
+    picked, vals = np.concatenate(picked), np.concatenate(vals)
+    vals = np.where(np.isnan(vals), -math.inf, vals)
+    i = int(np.argmax(vals))
+    witness = c.cube(int(picked[i])) if vals[i] > -math.inf else None
+    return CharacteristicReport("A_inf' (Fujii-Wilson)", float(vals[i]), witness, len(picked))
+
+
+class TestFujiiWilsonBatch:
+    """``fujii_wilsons`` over several weights against the parent's one scan
+    per weight, ``==`` on every report field."""
+
+    @pytest.mark.parametrize("max_level", [None, 1], ids=["all", "max1"])
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(2, 1, 2), Mesh(1, 1, 4, coarse_padding=0)],
+                             ids=["n1-L5", "n2-J1", "n1-J1-T0"])
+    def test_equals_one_scan_per_weight(self, mesh, max_level):
+        ws = [w for _, u, sigma in weight_cases(mesh) for w in (u, sigma)]
+        ws += [StepFunction.constant(mesh, 0.0), ws[0], generate_weight(mesh, "checkerboard:levels=1,ratio=4")]
+        got = fujii_wilsons(ws, max_level)
+        assert len(got) == len(ws)
+        for g, w in zip(got, ws):
+            assert_same_report(g, pair_fujii_wilson(w, max_level))
+            assert_same_report(g, fujii_wilson(w, max_level))
+
+    def test_no_weights(self):
+        assert fujii_wilsons([]) == []
+
 
 class TestRangeConditions:
     def test_sobolev_case_both_true(self):
