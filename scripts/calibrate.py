@@ -11,10 +11,11 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rieszw.calibration import CALIBRATION_MESH, corpus_instance, corpus_pairs
+from rieszw.corona import sigma_decay_check
 from rieszw.mesh import Mesh
 from rieszw.operators import KernelMode, dyadic_riesz, riesz_reference
 from rieszw.normest import lsut_sandwich, thm31_bound_checks, thm41_bound_checks
-from rieszw.sparse import build_sparse, corona_decompose, sigma_decay_check
+from rieszw.sparse import build_sparse, corona_decompose
 from rieszw.weights import ExponentTuple, generate_weight
 
 SEEDS = range(10)

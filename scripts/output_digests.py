@@ -30,8 +30,11 @@ on two fixed weight pairs (deeper stopping trees than the L=6 run, and the
 only 2-D corona), and last the 1-D ``sandwich`` at ``--mesh n=1,J=0,L=5`` on
 the five calibration corpus pairs with ``fw_max_level`` 1 (the perfbench
 ``sandwich-1d`` run at seed 0: its packed bump norms fill more than one
-Luxemburg bisection call, and one weight is the sigma of two pairs); every
-other setting is the default config and seed.  Outputs and
+Luxemburg bisection call, and one weight is the sigma of two pairs), and
+the 1-D ``verify`` at ``--mesh n=1,J=0,L=9`` on three weight pairs (the
+perfbench ``verify-1d`` run at seed 0: its three pairs' corona
+decompositions share one sweep block); every other setting is the default
+config and seed.  Outputs and
 the run's config file go to a temporary directory that is removed afterwards; the subcommands' own
 messages go to stderr.  Exits 1 if a subcommand exits with 1 or 2 (3, success
 with a warning, counts as success), or, for a run in ``EXPECTED_EXIT``, with
@@ -76,6 +79,8 @@ RUNS = [
     ("sandwich", "n=2,J=1,L=3", {}),
     *(("corona", mesh, CORONA_PAIRS) for mesh in ("n=1,J=0,L=8", "n=2,J=1,L=3")),
     ("sandwich", "n=1,J=0,L=5", {"pairs": [list(p) for p in calibration.corpus_pairs()], "fw_max_level": 1}),
+    ("verify", "n=1,J=0,L=9", {"pairs": [["constant:c=1", "twovalue:a=2,b=1"], ["twovalue:a=2,b=1", "constant:c=1"],
+                                         ["martingale:seed=5,vol=0.5", "martingale:seed=6,vol=0.5"]]}),
 ]
 
 # (subcommand, --mesh value) -> the exit code the run must give.  With no

@@ -5,7 +5,8 @@ Submodules:
   operators  reference/dyadic/sparse Riesz potentials, maximal operators
   orlicz     Young functions, Luxemburg norms, bump machinery
   weights    weight characteristics and test-weight generators
-  sparse     sparse families, corona decomposition, Carleson checks
+  sparse     sparse families, overlap level sets, Carleson checks
+  corona     corona decomposition and its sigma decay
   normest    testing constants and operator-norm lower bounds
   cli        command-line experiment surface
 """

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import SLACK, load_calibration
+from .corona import corona_decomposes, sigma_decay_check
 from .mesh import DyadicCube, Mesh, StepFunction
 from .normest import (
     RangeConditionError,
@@ -35,14 +36,12 @@ from .normest import (
     weak_norm_lower,
     weak_norm_lowers,
 )
-from .operators import KernelMode, compare_pointwise, dyadic_riesz, riesz_reference, sparse_riesz
+from .operators import compare_pointwise, dyadic_rieszs, sparse_rieszs
 from .sparse import (
     SparseFamily,
     _overlap_reports,
     build_sparse,
-    corona_decompose,
     domination_constant,
-    sigma_decay_check,
     verify_sparse,
 )
 from .weights import ExponentTuple, ap_constant, ainfty_exp, fujii_wilsons, generate_weight, two_weight_ap
@@ -318,13 +317,11 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
             pair_family = S
         overlaps = [(root, k, overlap.exact_le_bound) for root in map(S.cube, range(min(2, len(S))))
                     for k, overlap in zip(ks, _overlap_reports(S, root, ks))]
-        for alpha in cfg.alphas:
+        for alpha, dy, sp in zip(cfg.alphas, dyadic_rieszs(f, cfg.alphas, shift), sparse_rieszs(f, cfg.alphas, S)):
             checks += 1
             if not cert.ok:
                 failures.append({"check": "sparsity", "instance": [fname, list(shift), alpha],
                                  "witness": cert.violating_cube})
-            dy = dyadic_riesz(f, alpha, shift)
-            sp = sparse_riesz(f, alpha, S)
             rep = compare_pointwise(dy, sp)
             checks += 1
             if rep.violations or rep.max_ratio > domination_constant(mesh.n, alpha) * (1.0 + 1e-12):
@@ -336,14 +333,14 @@ def cmd_verify(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
                     failures.append({"check": "overlap-bound", "instance": [fname, list(shift), alpha, k],
                                      "witness": root})
     pairs = cfg.weight_pairs()
-    for uspec, sspec in pairs:
-        if pair_family is None:
-            pair_family = build_sparse(functions[0][1], aligned, cfg.alpha)[0]
+    if pairs and pair_family is None:
+        pair_family = build_sparse(functions[0][1], aligned, cfg.alpha)[0]
+    cds = corona_decomposes(pair_family, pair_family.cube(0), [(weights[u], weights[s]) for u, s in pairs],
+                            exps) if pairs else []
+    for (uspec, sspec), cd in zip(pairs, cds):
         checks += 1
-        try:
-            corona_decompose(pair_family, pair_family.cube(0), weights[uspec], weights[sspec], exps)
-        except AssertionError as exc:
-            failures.append({"check": "corona", "instance": [uspec, sspec], "witness": str(exc)})
+        if isinstance(cd, AssertionError):
+            failures.append({"check": "corona", "instance": [uspec, sspec], "witness": str(cd)})
     _write_json(outdir / "verify.json", {"config": cfg.echo(), "checks": checks,
                                          "failures": failures})
     _warn_parentless(mesh)
@@ -357,8 +354,8 @@ def cmd_sparse(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
     results = []
     for _, fname, f, shift, S, cert in _families(cfg, mesh, cfg.random_functions(mesh)):
         family = S.to_jsonable()
-        for alpha in cfg.alphas:
-            rep = compare_pointwise(dyadic_riesz(f, alpha, shift), sparse_riesz(f, alpha, S))
+        for alpha, dy, sp in zip(cfg.alphas, dyadic_rieszs(f, cfg.alphas, shift), sparse_rieszs(f, cfg.alphas, S)):
+            rep = compare_pointwise(dy, sp)
             results.append({
                 "index": len(results), "function": fname, "shift": list(shift), "alpha": alpha,
                 "size": len(S), "dominationConstant": domination_constant(mesh.n, alpha),
@@ -387,10 +384,11 @@ def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
     records = []
     ok = True
     pairs = cfg.weight_pairs()
-    for idx, (uspec, sspec) in enumerate(pairs):
-        u, s = weights[uspec], weights[sspec]
-        cd = corona_decompose(S, root, u, s, exps)
-        dec = sigma_decay_check(cd, s)
+    cds = corona_decomposes(S, root, [(weights[u], weights[s]) for u, s in pairs], exps)
+    for idx, ((uspec, sspec), cd) in enumerate(zip(pairs, cds)):
+        if isinstance(cd, AssertionError):
+            raise cd
+        dec = sigma_decay_check(cd, weights[sspec])
         envelope = cal["sigma_decay_c1_max"] * SLACK
         # exact c=1 decay against the frozen envelope constant
         decay_ok = all(r.ratio <= 2.0**-r.k * max(envelope, 1.0) + 1e-12 for r in dec.rows if r.k >= 1)

@@ -42,6 +42,14 @@ DEFAULT_COARSE_PADDING = 40
 #: Hard cap on finest cells; the FFT reference operator is O(cells log cells).
 DEFAULT_MAX_CELLS = 1 << 20
 
+#: Entries per block of stacked full frames (the final sums of
+#: ``fujii_wilsons``, ``sawyer_testing``'s padded transforms, in the
+#: sandwich stages the cut fields, testing roots and norm seeds of every
+#: pair of a run, the alphas of the dyadic and sparse operators, and the
+#: weight pairs of a corona sweep): batches this small hold the per-frame
+#: call overhead down without adding to the peak memory of a run.
+_FRAME_BLOCK = 1 << 12
+
 
 class CoveringError(RuntimeError):
     """No admissible shifted cube covers the requested box."""

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import BoxPlan, DyadicCube, StepFunction, _checked
+from .mesh import _FRAME_BLOCK, BoxPlan, DyadicCube, StepFunction, _checked
 from .operators import KernelMode, _apply_rows, _check_alpha, _column, _forest_paint, _member_weights, _norm_rows
 # sparse_riesz is no longer called here; the binding stays for code that
 # patches ``normest.sparse_riesz`` (perfbench's tracer self-test)
@@ -46,7 +46,6 @@ from .weights import (
     fujii_wilsons,
     range_conditions,
     two_weight_ap,
-    _FRAME_BLOCK,
     _center_mask,
 )
 from .orlicz import YoungFunction

@@ -27,6 +27,10 @@ Cost:
   members, and each cell's sum is formed in member order, as a per-member
   loop forms it.  ``_sparse_sum`` applies a block of frames at once, from
   one ``BoxPlan.sums`` call and with one sweep for the block.
+* ``dyadic_rieszs`` and ``sparse_rieszs`` apply one function for several
+  alphas: the box sums do not depend on alpha, so they are taken once, and
+  the alphas' weights are swept as the rows of blocks of at most
+  ``_FRAME_BLOCK`` entries, each row the one-alpha call's bit for bit.
 * Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
   coarser padding levels repeat the covering cube's integrals over a larger
   volume, so they cannot raise the maximum.
@@ -42,13 +46,15 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import DyadicCube, Mesh, StepFunction, _checked, _sweep
+from .mesh import _FRAME_BLOCK, DyadicCube, Mesh, StepFunction, _checked, _sweep
 
 __all__ = [
     "KernelMode",
     "riesz_reference",
     "dyadic_riesz",
+    "dyadic_rieszs",
     "sparse_riesz",
+    "sparse_rieszs",
     "restricted_sparse_riesz",
     "hl_maximal",
     "frac_maximal_weighted",
@@ -82,17 +88,54 @@ def riesz_reference(
 
 def dyadic_riesz(f: StepFunction, alpha: float, shift: Sequence[int]) -> StepFunction:
     """Truncated dyadic Riesz potential over one shifted grid."""
+    return next(dyadic_rieszs(f, [alpha], shift))
+
+
+def dyadic_rieszs(f: StepFunction, alphas: Sequence[float], shift: Sequence[int]):
+    """``dyadic_riesz(f, alpha, shift)`` for each alpha of ``alphas``, in
+    order and bit for bit, from one box-sum call: the cube averages do not
+    depend on alpha.  The alphas are checked at once; their level-factor
+    weights are swept as the rows of ``_alpha_frames`` blocks."""
     mesh = f.mesh
-    _check_alpha(mesh, alpha)
+    for alpha in alphas:
+        _check_alpha(mesh, alpha)
     t = mesh.level_table(shift)
     avg = f.integral_box3(t.lo3, t.hi3) / t.volume
-    w = mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * avg
-    return StepFunction(mesh, np.take(t.sweep(w, np.add), t.cells))
+    level = t.level - mesh.coarsest_level
+
+    def block(alphas):
+        w = np.array([mesh.level_factors(alpha) for alpha in alphas])[:, level]
+        w *= avg
+        return np.take(t.sweep(w, np.add), t.cells, axis=-1)
+
+    return _alpha_frames(mesh, alphas, len(t.parent), block)
 
 
 def sparse_riesz(f: StepFunction, alpha: float, family) -> StepFunction:
     """Sparse Riesz potential over a certified sparse family."""
-    return StepFunction(f.mesh, _sparse_sum(f.plan_integrals(family.plan), alpha, family))
+    return next(sparse_rieszs(f, [alpha], family))
+
+
+def sparse_rieszs(f: StepFunction, alphas: Sequence[float], family):
+    """``sparse_riesz(f, alpha, family)`` for each alpha of ``alphas``, in
+    order and bit for bit, from one member integral; the alphas' member
+    weights are painted as the rows of ``_alpha_frames`` blocks."""
+    for alpha in alphas:
+        _check_alpha(family.mesh, alpha)
+    ints = f.plan_integrals(family.plan)
+    return _alpha_frames(f.mesh, alphas, f.mesh.total_cells,
+                         lambda alphas: _forest_paint(np.array([_member_weights(ints, alpha, family)
+                                                                for alpha in alphas]), family))
+
+
+def _alpha_frames(mesh: Mesh, alphas: Sequence[float], width: int, block):
+    """The frames of ``block(alphas[i:j])`` (one row per alpha), the alphas
+    taken in blocks of at most ``_FRAME_BLOCK`` / ``width`` rows and at
+    least one; a block is computed when its first frame is read."""
+    size = max(1, _FRAME_BLOCK // width)
+    for i in range(0, len(alphas), size):
+        frames = block(alphas[i : i + size]).reshape(-1, *(mesh.cells_per_axis,) * mesh.n)
+        yield from (StepFunction(mesh, x) for x in frames)
 
 
 def restricted_sparse_riesz(
@@ -168,8 +211,9 @@ def _weak_lorentz(H: np.ndarray, U: np.ndarray, q: float) -> list[float]:
 
 def _member_weights(ints: np.ndarray, alpha: float, family) -> np.ndarray:
     """2^(-level(Q) alpha) avg_Q f for every member Q, shape (..., m), from
-    the integrals of f over the members (``family.plan``)."""
+    the integrals of f over the members (``family.plan``); alpha is checked."""
     mesh, t = family.mesh, family.forest
+    _check_alpha(mesh, alpha)
     return mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * (ints / t.volume)
 
 

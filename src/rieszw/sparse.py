@@ -1,5 +1,6 @@
-"""Sparse families, their certificates, overlap level sets, the corona
-decomposition, and Carleson-sequence checks.
+"""Sparse families, their certificates, overlap level sets, and
+Carleson-sequence checks; the corona decomposition is in ``rieszw.corona``,
+and ``corona_decompose`` here is its one-pair call.
 
 All measure arithmetic on unions of grid cubes is exact: cubes of one grid
 are nested or disjoint, cube corners are integer multiples of h/3, and cube
@@ -11,9 +12,8 @@ down the table's parents, their candidate roots from marking the members'
 table parents level by level, fine to coarse, and their box plan
 (:attr:`SparseFamily.plan`) is kept for every sparse apply.  The
 certificates sum integer volumes over the forest's children and generations
-instead of testing cubes pairwise.  A sparse sum, and the corona's stopping
-parents and generations, are sweeps down the forest's member levels; the
-corona certificate and the b-group generations climb ``forest.parent``.
+instead of testing cubes pairwise.  A sparse sum is a sweep down the
+forest's member levels.
 """
 
 from __future__ import annotations
@@ -22,25 +22,26 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import BoxPlan, DyadicCube, LevelTable, Mesh, StepFunction, _sweep
+from .mesh import BoxPlan, DyadicCube, LevelTable, Mesh, StepFunction
 from .weights import ExponentTuple
+
+if TYPE_CHECKING:
+    from .corona import CoronaDecomposition
 
 __all__ = [
     "SparseFamily",
     "SparsityCertificate",
     "OverlapReport",
-    "CoronaDecomposition",
     "build_sparse",
     "verify_sparse",
     "overlap_level_set",
     "corona_decompose",
     "carleson_check",
     "carleson_embedding_check",
-    "sigma_decay_check",
     "domination_constant",
 ]
 
@@ -435,71 +436,7 @@ def _overlap_reports(family: SparseFamily, root: DyadicCube, ks) -> list[Overlap
 
 
 # ---------------------------------------------------------------------------
-# Corona decomposition
-
-
-@dataclass
-class CoronaDecomposition:
-    """The members inside ``root`` that belong to a slice, as parallel arrays
-    in the family's coarse-to-fine order: ``index`` into ``family.forest``,
-    the slice ``a``, the position ``up`` of the stopping parent (its own if
-    the member stops), the stopping ``generation`` (-1 if it does not stop),
-    the b-index ``b`` and the averages.  ``slices``, ``stopping``, ``pi``
-    and ``bindex`` key the same decomposition by slice and cube; they are
-    built once, from the arrays."""
-
-    exps: ExponentTuple
-    family: SparseFamily
-    root: DyadicCube
-    mode: str  # "classic" or "fractional"
-    index: np.ndarray  # (M,) int64, increasing
-    a: np.ndarray
-    up: np.ndarray
-    generation: np.ndarray
-    b: np.ndarray
-    u_avg: np.ndarray
-    sigma_avg: np.ndarray
-    fracavg: np.ndarray  # |Q|^{alpha/n} avg_Q u
-    skipped: int
-    gamma: float  # every slice index satisfies a <= gamma
-    slices: dict[int, list[DyadicCube]]
-    stopping: dict[int, dict[DyadicCube, int]]  # cube -> generation (0-based)
-    pi: dict[int, dict[DyadicCube, DyadicCube]]
-    bindex: dict[int, dict[DyadicCube, int]]
-    certified: bool = False
-
-
-def _slicing_values(exps: ExponentTuple, mode: str, u_avg, sigma_avg, volume) -> np.ndarray:
-    """(avg_Q u)^{1/q} (avg_Q sigma)^{1/p'}, times |Q|^{alpha/n + 1/q - 1/p}
-    in fractional mode; a Python float pow per cube, which an array power
-    does not match in the last bit."""
-    e = exps.alpha / exps.n + 1.0 / exps.q - 1.0 / exps.p if mode == "fractional" else 0.0
-    return np.array([ua ** (1.0 / exps.q) * sa ** (1.0 / exps.p_prime) * vol**e
-                     for ua, sa, vol in zip(u_avg.tolist(), sigma_avg.tolist(), volume.tolist())])
-
-
-def _fractional_averages(exps: ExponentTuple, u_avg, volume) -> np.ndarray:
-    """|Q|^{alpha/n} avg_Q u, a Python float pow per cube."""
-    return np.array([w ** (exps.alpha / exps.n) * ua for w, ua in zip(volume.tolist(), u_avg.tolist())])
-
-
-def _climb(parent: np.ndarray, start: np.ndarray, key: np.ndarray, key_at: np.ndarray):
-    """For members with forest indices ``start``: the finest strict forest
-    ancestor i with key_at[i] == key (-1 if none) and the number of such
-    ancestors.  Keys are >= 0, and key_at is -1 where nothing matches; the
-    climb takes one step up ``parent`` per round, at most depth rounds."""
-    near = np.full(len(start), -1, dtype=np.int64)
-    count = np.zeros(len(start), dtype=np.int64)
-    cur = parent[start]
-    live = np.flatnonzero(cur >= 0)
-    while len(live):
-        hit = key_at[cur[live]] == key[live]
-        count[live] += hit
-        first = live[hit & (near[live] < 0)]
-        near[first] = cur[first]
-        cur[live] = parent[cur[live]]
-        live = live[cur[live] >= 0]
-    return near, count
+# Corona decomposition (``rieszw.corona``)
 
 
 def corona_decompose(
@@ -510,108 +447,22 @@ def corona_decompose(
     exps: ExponentTuple,
     mode: str = "classic",
 ) -> CoronaDecomposition:
-    """Corona decomposition of the members inside root.
+    """Corona decomposition of the members inside root
+    (``corona.corona_decomposes`` of the one pair).
 
     Slices: 2^a < (avg_Q u)^{1/q} (avg_Q sigma)^{1/p'} <= 2^{a+1}; in
     fractional mode the slicing quantity carries the extra factor
     |Q|^{alpha/n + 1/q - 1/p}.  Stopping cubes: coarse-to-fine first hit of
     |Q|^{alpha/n} avg_Q u > 2 |P|^{alpha/n} avg_P u against the finest
     stopping ancestor P.  Cubes with vanishing u- or sigma-average belong
-    to no slice and are counted in ``skipped``.
+    to no slice and are counted in ``skipped``.  ``AssertionError`` if the
+    decomposition fails its certificate."""
+    from .corona import corona_decomposes
 
-    One sweep down the forest's member levels carries, for every member
-    and slice, the finest stopping member of that slice at or above it and
-    their count, in O(|S| * slices): a stopping cube's generation counts
-    the coarser stopping cubes of its slice."""
-    if mode not in ("classic", "fractional"):
-        raise ValueError("mode must be 'classic' or 'fractional'")
-    t = family.forest
-    index = np.flatnonzero(family.contained_in(root))
-    vol = t.volume[index]
-    u_avg = u.integral_box3(t.lo3[index], t.hi3[index]) / vol
-    s_avg = sigma.integral_box3(t.lo3[index], t.hi3[index]) / vol
-    keep = (u_avg > 0.0) & (s_avg > 0.0)
-    skipped = int(np.count_nonzero(~keep))
-    index, vol, u_avg, s_avg = index[keep], vol[keep], u_avg[keep], s_avg[keep]
-    v = _slicing_values(exps, mode, u_avg, s_avg, vol)
-    fracavg = _fractional_averages(exps, u_avg, vol)
-    a = _ilog_lt(v, 2.0)
-    keys, key = np.unique(a, return_inverse=True)
-    m = len(t.level)
-    frac = np.zeros(m + 1)  # by forest index; entry m stands for no member
-    frac[index] = fracavg
-    # per slice key and forest index: the finest stopping member at or above
-    # it (-1 if none), and their count; a member's own entry starts as itself
-    x = np.zeros((2, len(keys), m + 1), dtype=np.int64)
-    x[0] = -1
-    x[0, key, index] = index
-
-    def step(p, own, out):
-        stops = (own[0] >= 0) & ((p[0] < 0) | (frac[own[0]] > 2.0 * frac[p[0]]))
-        out[0], out[1] = np.where(stops, own[0], p[0]), p[1] + stops
-
-    near, count = _sweep(x, 0, t.runs, t.up, step)[:, key, index]
-    stops = near == index
-    up = np.where(stops, np.arange(len(index)), np.searchsorted(index, near))
-    generation = np.where(stops, count - 1, -1)
-    b = -_ilog_lt(fracavg / fracavg[up], 2.0)
-    # v(Q)^q is the slicing product per cube, so log2 of its sup over the
-    # decomposed cubes bounds every slice index a from above
-    vmax = float(v.max(initial=0.0))
-    gamma = math.log2(vmax) if vmax > 0.0 else -math.inf
-    # members come coarse to fine, so every slice is in (level, coord) order
-    cubes = [family.cubes[i] for i in index.tolist()]
-    parents, gens, bs = [cubes[p] for p in up.tolist()], generation.tolist(), b.tolist()
-    slices, stopping, pi, bindex = {}, {}, {}, {}
-    for s in dict.fromkeys(a.tolist()):
-        at = np.flatnonzero(a == s).tolist()
-        slices[s] = [cubes[i] for i in at]
-        stopping[s] = {cubes[i]: gens[i] for i in at if gens[i] >= 0}
-        pi[s] = {cubes[i]: parents[i] for i in at}
-        bindex[s] = {cubes[i]: bs[i] for i in at}
-    cd = CoronaDecomposition(exps, family, root, mode, index, a, up, generation, b, u_avg,
-                             s_avg, fracavg, skipped, gamma, slices, stopping, pi, bindex)
-    _certify_corona(cd)
+    cd = corona_decomposes(family, root, [(u, sigma)], exps, mode)[0]
+    if isinstance(cd, AssertionError):
+        raise cd
     return cd
-
-
-def _certify_corona(cd: CoronaDecomposition):
-    """Every invariant of the decomposition, recomputed from its arrays in
-    O(M * depth)."""
-    t, index, a, up, gen, f = cd.family.forest, cd.index, cd.a, cd.up, cd.generation, cd.fracavg
-    own = np.arange(len(up))
-    if np.any(a > cd.gamma):
-        raise AssertionError("slice index exceeds the characteristic bound")
-    if np.any(np.diff(index) <= 0):
-        raise AssertionError("slices are not disjoint")
-    v = _slicing_values(cd.exps, cd.mode, cd.u_avg, cd.sigma_avg, t.volume[index])
-    if not np.all((np.ldexp(1.0, a) < v) & (v <= np.ldexp(1.0, a + 1))):
-        raise AssertionError("slice membership violated")
-    if np.any((up < 0) | (up >= len(up))) or not np.all(
-        (t.lo3[index[up]] <= t.lo3[index]) & (t.hi3[index] <= t.hi3[index[up]])
-    ):
-        raise AssertionError("stopping parent does not contain its cube")
-    # the finest stopping cube of each member's slice that strictly contains it
-    key = np.unique(a, return_inverse=True)[1]
-    stop_key = np.full(len(t.level), -1, dtype=np.int64)
-    stop_key[index[gen >= 0]] = key[gen >= 0]
-    anc, count = _climb(t.parent, index, key, stop_key)
-    p = np.searchsorted(index, anc)  # unused where anc < 0
-    if not np.array_equal(up, np.where(gen >= 0, own, np.where(anc >= 0, p, -1))):
-        raise AssertionError("stopping parent is not the finest stopping ancestor")
-    if np.any((gen >= 0) & (gen != count)):
-        raise AssertionError("stopping generation bookkeeping broken")
-    if np.any((gen > 0) & ~(f > 2.0 * f[p])):
-        raise AssertionError("stopping inequality violated")
-    if np.any((up != own) & (f > 2.0 * f[up])):
-        raise AssertionError("reverse inequality violated")
-    if not np.all((np.ldexp(f[up], -cd.b) < f) & (f <= np.ldexp(f[up], 1 - cd.b))):
-        raise AssertionError("b-slice membership violated")
-    # every check above compares ratios of fractional averages, which a
-    # common factor leaves unchanged
-    if not np.array_equal(f, _fractional_averages(cd.exps, cd.u_avg, t.volume[index])):
-        raise AssertionError("fractional averages disagree with u_avg")
-    cd.certified = True
 
 
 # ---------------------------------------------------------------------------
@@ -689,76 +540,3 @@ def carleson_embedding_check(
     m = frac_maximal_weighted(f, mu, exps.alpha, shift)
     rhs = A ** (1.0 / exps.q) * m.lp_norm(exps.q, weight=mu)
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# Sigma decay over the corona level sets
-
-
-@dataclass(frozen=True)
-class DecayRow:
-    a: int
-    b: int
-    P: DyadicCube
-    k: int
-    ratio: float  # sigma(F^a_b(k,P)) / sigma(P)
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    rows: tuple[DecayRow, ...]
-    worst_scaled: float  # max over k >= 1 of ratio * 2^k (c = 1 decay)
-    fitted_rate: float  # least-squares slope of -log2(max_k ratio) vs k
-    reported_exponent: float  # the proof's stronger rate, reported only
-    skipped: int
-
-
-#: The last generation k of the decay table.
-_DECAY_KMAX = 10
-
-
-def sigma_decay_check(cd: CoronaDecomposition, sigma: StepFunction) -> DecayReport:
-    """sigma(F^a_b(k,P))/sigma(P) for k = 0.._DECAY_KMAX.
-
-    F^a_b(k,P) is the (k+1)-st generation union of the containment forest
-    of Q^a_b(P), so sigma(F) is an exact sum of disjoint cube integrals.
-    The decay exponent asserted downstream is c = 1 (provable from the
-    overlap lemma plus the two-sided comparability of the frozen averages);
-    the proof's composite exponent is reported, not asserted."""
-    t, index = cd.family.forest, cd.index
-    mass = sigma.integral_box3(t.lo3[index], t.hi3[index])
-    # every Q^a_b(P), numbered in (a, P, b) order, with P a member position
-    groups, group = np.unique(np.stack([cd.a, cd.up, cd.b], axis=1), axis=0, return_inverse=True)
-    group = group.ravel()
-    group_of = np.full(len(t.level), -1, dtype=np.int64)
-    group_of[index] = group
-    # a member's generation in its group counts the group's members among
-    # its forest ancestors, itself included
-    gen = _climb(t.parent, index, group, group_of)[1] + 1
-    # sigma(F^a_b(k, P)) for k = gen - 1, added in member order from 0.0 as
-    # sum() adds the group's cubes
-    K = _DECAY_KMAX + 1
-    near = gen <= K
-    sums = np.bincount(group[near] * K + gen[near] - 1, weights=mass[near],
-                       minlength=len(groups) * K).reshape(-1, K)
-    sp = mass[groups[:, 1]]
-    kept = sp > 0.0
-    ratio = sums[kept] / sp[kept, None]
-    tops = cd.family._cubes_at(index[groups[kept, 1]])
-    rows = tuple(
-        DecayRow(a, b, top, k, r)
-        for (a, _, b), top, rs in zip(groups[kept].tolist(), tops, ratio.tolist())
-        for k, r in enumerate(rs)
-    )
-    skipped = int(np.count_nonzero((cd.generation >= 0) & (mass <= 0.0)))
-    per_k = ratio.max(axis=0, initial=0.0)
-    worst = float((per_k[1:] * np.ldexp(1.0, np.arange(1, K))).max(initial=0.0))
-    ks = np.flatnonzero(per_k > 0.0)
-    ks = ks[ks >= 1]
-    if len(ks) >= 2:
-        fitted = float(-np.polyfit(ks.astype(np.float64), np.log2(per_k[ks]), 1)[0])
-    else:
-        fitted = math.inf
-    exps = cd.exps
-    reported = 1.0 + (exps.p_prime / exps.q_prime) * exps.alpha / exps.n
-    return DecayReport(rows, worst, fitted, reported, skipped)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _containing_coord
+from .mesh import _FRAME_BLOCK, BoxPlan, DyadicCube, Mesh, StepFunction, _containing_coord
 from .orlicz import YoungFunction, _conjugate, _luxemburg_blocks
 
 __all__ = [
@@ -204,14 +204,6 @@ def ainfty_exp(w: StepFunction) -> CharacteristicReport:
     a = _avg(w)
     m = _avg(shifted) - shift_c
     return _supremum_report("A_inf (exp-log)", w.mesh, np.exp(m) * a)
-
-
-#: Entries per block of stacked full frames (the final sums of
-#: ``fujii_wilsons``, ``sawyer_testing``'s padded transforms, and in the
-#: sandwich stages the cut fields, testing roots and norm seeds of every
-#: pair of a run): batches this small hold the per-frame call overhead down
-#: without adding to the peak memory of a run.
-_FRAME_BLOCK = 1 << 12
 
 
 def fujii_wilson(w: StepFunction, max_level: int | None = None) -> CharacteristicReport:

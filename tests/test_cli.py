@@ -7,9 +7,19 @@ import pytest
 
 from rieszw import cli
 from rieszw.cli import ExperimentConfig
+from rieszw.corona import sigma_decay_check
 from rieszw.operators import compare_pointwise, dyadic_riesz, sparse_riesz
-from rieszw.sparse import _overlap_reports, build_sparse, corona_decompose, verify_sparse
+from rieszw.sparse import (
+    _overlap_reports,
+    build_sparse,
+    corona_decompose,
+    domination_constant,
+    verify_sparse,
+)
 from rieszw.weights import generate_weight
+
+from test_operators import parent_dyadic_riesz, parent_sparse_riesz
+from test_sparse import parent_corona_decompose
 
 SMALL = {
     "L": 4,
@@ -347,6 +357,174 @@ class TestSharedFamiliesOracle:
         if command == "verify" and alphas and "unpadded" in mesh:
             # several failures, so their order is compared too
             assert len(json.loads(runs[0][2]["verify.json"])["failures"]) > 1
+
+
+def _parent_cmd_verify(cfg, outdir, weights) -> int:
+    """``cmd_verify`` as it was when it applied each alpha's operators and
+    decomposed each weight pair on its own: the oracle of the batches."""
+    mesh = cfg.mesh()
+    exps = cfg.exps()
+    failures = []
+    checks = 0
+    functions = cfg.random_functions(mesh)
+    if not functions and not cfg.weight_pairs():
+        cli._write_json(outdir / "verify.json", {"config": cfg.echo(), "checks": 0,
+                                                 "failures": [], "warning": "empty config; nothing verified"})
+        print("verify: nothing to do (empty config)")
+        return 0
+
+    aligned = (0,) * mesh.n
+    pair_family = None  # the weight pairs below use the first function's family on shift 0
+    ks = range(1, 13)
+    for i, fname, f, shift, S, cert in cli._families(cfg, mesh, functions):
+        if i == 0 and shift == aligned:
+            pair_family = S
+        overlaps = [(root, k, overlap.exact_le_bound) for root in map(S.cube, range(min(2, len(S))))
+                    for k, overlap in zip(ks, _overlap_reports(S, root, ks))]
+        for alpha in cfg.alphas:
+            checks += 1
+            if not cert.ok:
+                failures.append({"check": "sparsity", "instance": [fname, list(shift), alpha],
+                                 "witness": cert.violating_cube})
+            dy = parent_dyadic_riesz(f, alpha, shift)
+            sp = parent_sparse_riesz(f, alpha, S)
+            rep = compare_pointwise(dy, sp)
+            checks += 1
+            if rep.violations or rep.max_ratio > domination_constant(mesh.n, alpha) * (1.0 + 1e-12):
+                failures.append({"check": "domination", "instance": [fname, list(shift), alpha],
+                                 "witness": list(rep.argmax)})
+            for root, k, ok in overlaps:
+                checks += 1
+                if not ok:
+                    failures.append({"check": "overlap-bound", "instance": [fname, list(shift), alpha, k],
+                                     "witness": root})
+    pairs = cfg.weight_pairs()
+    for uspec, sspec in pairs:
+        if pair_family is None:
+            pair_family = build_sparse(functions[0][1], aligned, cfg.alpha)[0]
+        checks += 1
+        try:
+            parent_corona_decompose(pair_family, pair_family.cube(0), weights[uspec], weights[sspec], exps)
+        except AssertionError as exc:
+            failures.append({"check": "corona", "instance": [uspec, sspec], "witness": str(exc)})
+    cli._write_json(outdir / "verify.json", {"config": cfg.echo(), "checks": checks,
+                                             "failures": failures})
+    cli._warn_parentless(mesh)
+    status = "PASS" if not failures else "FAIL"
+    print(f"verify: {checks} checks, {len(failures)} failures [{status}]")
+    return 0 if not failures else 1
+
+
+def _parent_cmd_sparse(cfg, outdir, weights) -> int:
+    """``cmd_sparse`` as it was when it applied each alpha's operators on its own."""
+    mesh = cfg.mesh()
+    results = []
+    for _, fname, f, shift, S, cert in cli._families(cfg, mesh, cfg.random_functions(mesh)):
+        family = S.to_jsonable()
+        for alpha in cfg.alphas:
+            rep = compare_pointwise(parent_dyadic_riesz(f, alpha, shift), parent_sparse_riesz(f, alpha, S))
+            results.append({
+                "index": len(results), "function": fname, "shift": list(shift), "alpha": alpha,
+                "size": len(S), "dominationConstant": domination_constant(mesh.n, alpha),
+                "worstUnionRatio": cert.worst_union_ratio, "sparsityOk": cert.ok,
+                "maxDominationRatio": rep.max_ratio, "family": family,
+            })
+    rows = [[r["index"], r["function"], r["alpha"], r["size"], r["sparsityOk"],
+             r["worstUnionRatio"], r["maxDominationRatio"]] for r in results]
+    for r in results:
+        cli._write_json(outdir / f"sparse-{r['index']:03d}.json", r)
+    cli._write_csv(outdir / "sparse-summary.csv",
+                   ["index", "function", "alpha", "size", "ok", "worstUnionRatio", "maxDominationRatio"], rows)
+    cli._warn_parentless(mesh)
+    return 0 if all(r["sparsityOk"] for r in results) else 1
+
+
+def _parent_cmd_corona(cfg, outdir, weights) -> int:
+    """``cmd_corona`` as it was when it decomposed each weight pair on its own."""
+    mesh = cfg.mesh()
+    exps = cfg.exps()
+    cal = cli.load_calibration()
+    functions = cfg.random_functions(mesh)
+    fname, f = functions[0]
+    S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
+    root = S.cubes[0]
+    rows = []
+    records = []
+    ok = True
+    pairs = cfg.weight_pairs()
+    for idx, (uspec, sspec) in enumerate(pairs):
+        u, s = weights[uspec], weights[sspec]
+        cd = parent_corona_decompose(S, root, u, s, exps)
+        dec = sigma_decay_check(cd, s)
+        envelope = cal["sigma_decay_c1_max"] * cli.SLACK
+        # exact c=1 decay against the frozen envelope constant
+        decay_ok = all(r.ratio <= 2.0**-r.k * max(envelope, 1.0) + 1e-12 for r in dec.rows if r.k >= 1)
+        ok &= decay_ok
+        records.append({
+            "index": idx, "u": uspec, "sigma": sspec, "family": fname,
+            "slices": {str(a): len(qs) for a, qs in cd.slices.items()},
+            "skipped": cd.skipped, "gamma": cd.gamma, "certified": cd.certified,
+            "decayWorstScaled": dec.worst_scaled, "decayFittedRate": cli._report(dec.fitted_rate),
+            "decayReportedExponent": dec.reported_exponent, "decayOk": decay_ok,
+        })
+        for r in dec.rows:
+            rows.append([idx, r.a, r.b, r.P.level, r.k, r.ratio])
+        cli._write_json(outdir / f"corona-{idx:03d}.json", records[-1])
+    cli._write_csv(outdir / "corona-decay.csv", ["pair", "a", "b", "Plevel", "k", "ratio"], rows)
+    cli._write_json(outdir / "corona.json", {"config": cfg.echo(), "records": records})
+    return 0 if ok else 1
+
+
+#: Three weight pairs of which two share their weights, one a weight with itself.
+BATCH_PAIRS = [["martingale:seed=5,vol=0.5", "martingale:seed=6,vol=0.5"], ["constant:c=1", "twovalue:a=2,b=1"],
+               ["twovalue:a=2,b=1", "twovalue:a=2,b=1"]]
+
+
+class TestBatchedStagesOracle:
+    """``verify``, ``sparse`` and ``corona`` against the parent's commands,
+    which applied the operators alpha by alpha and decomposed the weight
+    pairs one by one: the same return code, messages and bytes."""
+
+    @pytest.mark.parametrize("command, parent", [("verify", _parent_cmd_verify), ("sparse", _parent_cmd_sparse),
+                                                 ("corona", _parent_cmd_corona)], ids=["verify", "sparse", "corona"])
+    @pytest.mark.parametrize("mesh", list(TestSharedFamiliesOracle.MESHES))
+    @pytest.mark.parametrize("pairs", [BATCH_PAIRS, []], ids=["pairs", "default-pairs"])
+    def test_outputs_byte_identical(self, tmp_path, capsys, command, parent, mesh, pairs):
+        cfg = ExperimentConfig(**TestSharedFamiliesOracle.MESHES[mesh], pairs=pairs)
+        weights = cfg.validate()
+        runs = []
+        for name, cmd in [("new", cli._COMMANDS[command]), ("parent", parent)]:
+            (tmp_path / name).mkdir()
+            code = cmd(cfg, tmp_path / name, weights)
+            runs.append((code, capsys.readouterr(), slurp(tmp_path / name)))
+        assert runs[0] == runs[1]
+        if command == "verify" and "unpadded" in mesh:
+            # the twelve failures of the shifted grids, in the same order
+            assert len(json.loads(runs[0][2]["verify.json"])["failures"]) == 12
+
+
+class TestOneBatchPerStage:
+    """``verify`` and ``sparse`` apply the operators of every alpha with one
+    ``dyadic_rieszs`` and one ``sparse_rieszs`` call per family, and
+    ``verify`` and ``corona`` decompose every weight pair with one
+    ``corona_decomposes`` call per run."""
+
+    @pytest.mark.parametrize("command", ["verify", "sparse", "corona"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_batch_calls(self, tmp_path, monkeypatch, command, count):
+        calls = Counter()
+        for name in ("dyadic_rieszs", "sparse_rieszs", "corona_decomposes"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+        cfg = ExperimentConfig(**dict(SMALL, n_random_functions=2, alphas=[0.25, 0.5, 0.75]),
+                               pairs=BATCH_PAIRS[:count])
+        weights = cfg.validate()
+        assert cli._COMMANDS[command](cfg, tmp_path, weights) == 0
+        families = 2 * 2  # functions x shifts
+        expected = {"verify": {"dyadic_rieszs": families, "sparse_rieszs": families, "corona_decomposes": 1},
+                    "sparse": {"dyadic_rieszs": families, "sparse_rieszs": families},
+                    "corona": {"corona_decomposes": 1}}
+        assert calls == expected[command]
 
 
 class TestSandwichWeights:

@@ -7,19 +7,24 @@ import sys
 import numpy as np
 import pytest
 
-from rieszw import _kernels
+from rieszw import _kernels, operators
 from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
 from rieszw.operators import (
     KernelMode,
+    _check_alpha,
+    _forest_paint,
+    _member_weights,
     _pointwise_sup_over_levels,
     compare_pointwise,
     dyadic_riesz,
+    dyadic_rieszs,
     dyadic_upper_constant,
     frac_maximal_weighted,
     hl_maximal,
     riesz_reference,
     restricted_sparse_riesz,
     sparse_riesz,
+    sparse_rieszs,
 )
 from rieszw.orlicz import YoungFunction, luxemburg_norms, orlicz_maximal
 from rieszw.sparse import SparseFamily, build_sparse
@@ -426,6 +431,62 @@ class TestLevelSweepOracle:
                 for alpha in (0.3, 0.5, mesh.n - 0.05):
                     got = dyadic_riesz(f, alpha, shift).values
                     assert_same_bits(got, per_level_dyadic_riesz(f, alpha, shift))
+
+
+def parent_dyadic_riesz(f: StepFunction, alpha: float, shift) -> StepFunction:
+    """``dyadic_riesz`` as it was before the alpha batch: one box-sum call and
+    one sweep per alpha."""
+    mesh = f.mesh
+    _check_alpha(mesh, alpha)
+    t = mesh.level_table(shift)
+    avg = f.integral_box3(t.lo3, t.hi3) / t.volume
+    w = mesh.level_factors(alpha)[t.level - mesh.coarsest_level] * avg
+    return StepFunction(mesh, np.take(t.sweep(w, np.add), t.cells))
+
+
+def parent_sparse_riesz(f: StepFunction, alpha: float, family) -> StepFunction:
+    """``sparse_riesz`` as it was before the alpha batch, with its
+    ``_sparse_sum`` inlined: one member integral and one paint per alpha."""
+    ints = f.plan_integrals(family.plan)
+    _check_alpha(family.mesh, alpha)
+    w = _member_weights(ints, alpha, family)
+    return StepFunction(f.mesh, _forest_paint(np.where(True, w, 0.0), family))
+
+
+class TestAlphaBatchOracle:
+    """``dyadic_rieszs`` and ``sparse_rieszs`` against the per-alpha calls
+    they replaced, and the one-alpha calls against those too: == and sign
+    bits, on every shift of meshes with J 0/1 and T 0/40."""
+
+    ALPHAS = [[0.5], [0.3, 0.5, 0.95], [0.7, 0.3, 0.7], []]
+
+    # blocks of one alpha, of two and one for the sparse sum, or one block
+    @pytest.mark.parametrize("block", [1, 2, None], ids=["alone", "two-frames", "one-block"])
+    @pytest.mark.parametrize("alphas", ALPHAS, ids=["one", "three", "repeated", "empty"])
+    @pytest.mark.parametrize("mesh", SWEEP_MESHES, ids=mesh_id)
+    def test_batch_equals_parent(self, monkeypatch, mesh, alphas, block):
+        if block is not None:
+            monkeypatch.setattr(operators, "_FRAME_BLOCK", block * mesh.total_cells)
+        for shift in mesh.shifts():
+            fam = build_sparse(lognormal(mesh, 60), shift, ALPHA)[0]
+            for f in sweep_functions(mesh, 61):
+                for batch, single, parent, arg in [(dyadic_rieszs, dyadic_riesz, parent_dyadic_riesz, shift),
+                                                   (sparse_rieszs, sparse_riesz, parent_sparse_riesz, fam)]:
+                    got = list(batch(f, alphas, arg))
+                    assert len(got) == len(alphas)
+                    for alpha, g in zip(alphas, got):
+                        expect = parent(f, alpha, arg).values
+                        assert g.values.shape == expect.shape
+                        assert_same_bits(g.values, expect)
+                        assert_same_bits(single(f, alpha, arg).values, expect)
+
+    @pytest.mark.parametrize("bad", [[0.0], [0.5, 1.0], [-0.5, 0.5]])
+    def test_alpha_out_of_range(self, unit_mesh, bad):
+        f = lognormal(unit_mesh, 62)
+        fam = build_sparse(f, (0,), ALPHA)[0]
+        for call, arg in [(dyadic_rieszs, (1,)), (sparse_rieszs, fam)]:
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                call(f, bad, arg)
 
 
 class TestPaintOracle:

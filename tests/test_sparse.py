@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -12,13 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _prefix_sums, enumerate_cubes
+from rieszw import cli, corona as corona_module
+from rieszw.cli import ExperimentConfig
+from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _prefix_sums, _sweep, enumerate_cubes
 from rieszw.normest import _seed_blocks
 from rieszw.operators import _forest_paint, _member_weights, compare_pointwise, dyadic_riesz, sparse_riesz
-from rieszw.sparse import (
-    CarlesonReport,
+from rieszw.corona import (
+    CoronaDecomposition,
     DecayReport,
     DecayRow,
+    _certify_coronas,
+    _climb,
+    _fractional_averages,
+    _slicing_values,
+    corona_decomposes,
+    sigma_decay_check,
+)
+from rieszw.sparse import (
+    CarlesonReport,
     OverlapReport,
     SparseFamily,
     SparsityCertificate,
@@ -28,10 +41,9 @@ from rieszw.sparse import (
     corona_decompose,
     domination_constant,
     overlap_level_set,
-    sigma_decay_check,
     verify_sparse,
 )
-from rieszw.sparse import _certify_corona, _ilog_lt, _int64, _overlap_reports
+from rieszw.sparse import _ilog_lt, _int64, _overlap_reports
 from rieszw.weights import ExponentTuple, _center_mask, fujii_wilson, generate_weight
 
 from conftest import _flat_index, level_grids, lognormal, per_level_grid
@@ -966,7 +978,7 @@ class TestCertificateOracle:
 
 
 class TestCertifyCoronaMutations:
-    """Each invariant of ``_certify_corona``, broken on its own in a
+    """Each invariant of ``_certify_coronas``, broken on its own in a
     certified decomposition: the ancestors of one cell under a one-cell
     spike in u, which stop over six generations and leave non-stopping
     cubes under non-stopping cubes of the same slice."""
@@ -985,12 +997,19 @@ class TestCertifyCoronaMutations:
 
     @staticmethod
     def _fails(cd, message):
-        with pytest.raises(AssertionError, match=message):
-            _certify_corona(cd)
+        """``cd`` fails with the parent certificate's message, alone and
+        between two certified decompositions of its family and exponents."""
+        [got] = _certify_coronas([cd])
+        assert got is not None and re.search(message, got) and got == parent_message(cd)
         assert not cd.certified
+        one = StepFunction.constant(cd.family.mesh, 1.0)
+        others = [corona_decompose(cd.family, cd.root, w, one, cd.exps, cd.mode)
+                  for w in (one, lognormal(cd.family.mesh, 84))]
+        assert _certify_coronas([others[0], cd, others[1]]) == [None, got, None]
+        assert [others[0].certified, cd.certified, others[1].certified] == [True, False, True]
 
     def test_unbroken_certifies(self, cd):
-        _certify_corona(cd)
+        assert _certify_coronas([cd]) == [None]
         assert cd.certified
 
     def test_gamma_bound(self, cd):
@@ -1533,3 +1552,221 @@ class TestPositionsOracle:
         assert all(not a.flags.writeable for corner in plan.corners for a in corner)
         second = sparse_riesz(lognormal(mesh, 83), ALPHA, fam)
         assert fam.plan is plan and not np.array_equal(first.values, second.values)
+
+
+# The one-pair corona decomposition and certificate that ``corona_decomposes``
+# and ``_certify_coronas`` replaced, copied as the oracles of the pair batch.
+
+
+def parent_corona_decompose(
+    family: SparseFamily,
+    root: DyadicCube,
+    u: StepFunction,
+    sigma: StepFunction,
+    exps: ExponentTuple,
+    mode: str = "classic",
+) -> CoronaDecomposition:
+    """Corona decomposition of the members inside root.
+
+    Slices: 2^a < (avg_Q u)^{1/q} (avg_Q sigma)^{1/p'} <= 2^{a+1}; in
+    fractional mode the slicing quantity carries the extra factor
+    |Q|^{alpha/n + 1/q - 1/p}.  Stopping cubes: coarse-to-fine first hit of
+    |Q|^{alpha/n} avg_Q u > 2 |P|^{alpha/n} avg_P u against the finest
+    stopping ancestor P.  Cubes with vanishing u- or sigma-average belong
+    to no slice and are counted in ``skipped``.
+
+    One sweep down the forest's member levels carries, for every member
+    and slice, the finest stopping member of that slice at or above it and
+    their count, in O(|S| * slices): a stopping cube's generation counts
+    the coarser stopping cubes of its slice."""
+    if mode not in ("classic", "fractional"):
+        raise ValueError("mode must be 'classic' or 'fractional'")
+    t = family.forest
+    index = np.flatnonzero(family.contained_in(root))
+    vol = t.volume[index]
+    u_avg = u.integral_box3(t.lo3[index], t.hi3[index]) / vol
+    s_avg = sigma.integral_box3(t.lo3[index], t.hi3[index]) / vol
+    keep = (u_avg > 0.0) & (s_avg > 0.0)
+    skipped = int(np.count_nonzero(~keep))
+    index, vol, u_avg, s_avg = index[keep], vol[keep], u_avg[keep], s_avg[keep]
+    v = _slicing_values(exps, mode, u_avg, s_avg, vol)
+    fracavg = _fractional_averages(exps, u_avg, vol)
+    a = _ilog_lt(v, 2.0)
+    keys, key = np.unique(a, return_inverse=True)
+    m = len(t.level)
+    frac = np.zeros(m + 1)  # by forest index; entry m stands for no member
+    frac[index] = fracavg
+    # per slice key and forest index: the finest stopping member at or above
+    # it (-1 if none), and their count; a member's own entry starts as itself
+    x = np.zeros((2, len(keys), m + 1), dtype=np.int64)
+    x[0] = -1
+    x[0, key, index] = index
+
+    def step(p, own, out):
+        stops = (own[0] >= 0) & ((p[0] < 0) | (frac[own[0]] > 2.0 * frac[p[0]]))
+        out[0], out[1] = np.where(stops, own[0], p[0]), p[1] + stops
+
+    near, count = _sweep(x, 0, t.runs, t.up, step)[:, key, index]
+    stops = near == index
+    up = np.where(stops, np.arange(len(index)), np.searchsorted(index, near))
+    generation = np.where(stops, count - 1, -1)
+    b = -_ilog_lt(fracavg / fracavg[up], 2.0)
+    # v(Q)^q is the slicing product per cube, so log2 of its sup over the
+    # decomposed cubes bounds every slice index a from above
+    vmax = float(v.max(initial=0.0))
+    gamma = math.log2(vmax) if vmax > 0.0 else -math.inf
+    # members come coarse to fine, so every slice is in (level, coord) order
+    cubes = [family.cubes[i] for i in index.tolist()]
+    parents, gens, bs = [cubes[p] for p in up.tolist()], generation.tolist(), b.tolist()
+    slices, stopping, pi, bindex = {}, {}, {}, {}
+    for s in dict.fromkeys(a.tolist()):
+        at = np.flatnonzero(a == s).tolist()
+        slices[s] = [cubes[i] for i in at]
+        stopping[s] = {cubes[i]: gens[i] for i in at if gens[i] >= 0}
+        pi[s] = {cubes[i]: parents[i] for i in at}
+        bindex[s] = {cubes[i]: bs[i] for i in at}
+    cd = CoronaDecomposition(exps, family, root, mode, index, a, up, generation, b, u_avg,
+                             s_avg, fracavg, skipped, gamma, slices, stopping, pi, bindex)
+    parent_certify_corona(cd)
+    return cd
+
+
+def parent_certify_corona(cd: CoronaDecomposition):
+    """Every invariant of the decomposition, recomputed from its arrays in
+    O(M * depth)."""
+    t, index, a, up, gen, f = cd.family.forest, cd.index, cd.a, cd.up, cd.generation, cd.fracavg
+    own = np.arange(len(up))
+    if np.any(a > cd.gamma):
+        raise AssertionError("slice index exceeds the characteristic bound")
+    if np.any(np.diff(index) <= 0):
+        raise AssertionError("slices are not disjoint")
+    v = _slicing_values(cd.exps, cd.mode, cd.u_avg, cd.sigma_avg, t.volume[index])
+    if not np.all((np.ldexp(1.0, a) < v) & (v <= np.ldexp(1.0, a + 1))):
+        raise AssertionError("slice membership violated")
+    if np.any((up < 0) | (up >= len(up))) or not np.all(
+        (t.lo3[index[up]] <= t.lo3[index]) & (t.hi3[index] <= t.hi3[index[up]])
+    ):
+        raise AssertionError("stopping parent does not contain its cube")
+    # the finest stopping cube of each member's slice that strictly contains it
+    key = np.unique(a, return_inverse=True)[1]
+    stop_key = np.full(len(t.level), -1, dtype=np.int64)
+    stop_key[index[gen >= 0]] = key[gen >= 0]
+    anc, count = _climb(t.parent, index, key, stop_key)
+    p = np.searchsorted(index, anc)  # unused where anc < 0
+    if not np.array_equal(up, np.where(gen >= 0, own, np.where(anc >= 0, p, -1))):
+        raise AssertionError("stopping parent is not the finest stopping ancestor")
+    if np.any((gen >= 0) & (gen != count)):
+        raise AssertionError("stopping generation bookkeeping broken")
+    if np.any((gen > 0) & ~(f > 2.0 * f[p])):
+        raise AssertionError("stopping inequality violated")
+    if np.any((up != own) & (f > 2.0 * f[up])):
+        raise AssertionError("reverse inequality violated")
+    if not np.all((np.ldexp(f[up], -cd.b) < f) & (f <= np.ldexp(f[up], 1 - cd.b))):
+        raise AssertionError("b-slice membership violated")
+    # every check above compares ratios of fractional averages, which a
+    # common factor leaves unchanged
+    if not np.array_equal(f, _fractional_averages(cd.exps, cd.u_avg, t.volume[index])):
+        raise AssertionError("fractional averages disagree with u_avg")
+    cd.certified = True
+
+
+
+def corona_fields(cd):
+    return tuple(getattr(cd, f.name) for f in dataclasses.fields(cd))
+
+
+def parent_message(cd):
+    """The message of the first check of the parent certificate that ``cd`` fails."""
+    with pytest.raises(AssertionError) as exc:
+        parent_certify_corona(cd)
+    return str(exc.value)
+
+
+def _batch_weights(mesh):
+    """Weights for the pair batch: lognormal u, a sigma that vanishes on the
+    first half of the box, u == 0 and two martingales."""
+    half = lognormal(mesh, 12, scale=0.7).values.copy()
+    half[: mesh.cells_per_axis // 2] = 0.0
+    return (lognormal(mesh, 11, scale=0.7), StepFunction(mesh, half), StepFunction.constant(mesh, 0.0),
+            generate_weight(mesh, "martingale:seed=5,vol=0.5"), generate_weight(mesh, "martingale:seed=6,vol=0.5"))
+
+
+class TestPairBatchOracle:
+    """``corona_decomposes`` against the parent's one-pair
+    ``corona_decompose``, field by field with ==, for pairs that share
+    weight objects, a pair whose members are all skipped, and a sigma that
+    vanishes on half the box; in one sweep block and in one block per pair."""
+
+    MESHES = [Mesh(1, 0, 6), Mesh(2, 1, 3), Mesh(1, 1, 5, coarse_padding=0)]
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["one-block", "pair-blocks"])
+    @pytest.mark.parametrize("mode", ["classic", "fractional"])
+    @pytest.mark.parametrize("mesh", MESHES, ids=mesh_id)
+    def test_batch_equals_parent(self, monkeypatch, mesh, mode, block):
+        if block is not None:
+            monkeypatch.setattr(corona_module, "_FRAME_BLOCK", block)
+        u, half, zero, m5, m6 = _batch_weights(mesh)
+        pairs = [(u, half), (m5, m6), (zero, m6), (u, u), (m6, m5), (u, half)]
+        exps = ExponentTuple(mesh.n, ALPHA, 4.0 / 3.0, 4.0)
+        integrals = Counter()
+        plan_integrals = StepFunction.plan_integrals
+        monkeypatch.setattr(StepFunction, "plan_integrals",
+                            lambda f, plan: integrals.update([id(f)]) or plan_integrals(f, plan))
+        for shift in mesh.shifts():
+            fam = build_sparse(lognormal(mesh, 81), shift, ALPHA)[0]
+            roots = _roots(fam)
+            for root in sorted({roots[0], roots[len(roots) // 2], roots[-1]}, key=str):
+                integrals.clear()
+                got = corona_decomposes(fam, root, pairs, exps, mode)
+                # one integral per distinct weight object
+                assert sorted(integrals.values()) == [1] * 5
+                assert len(got) == len(pairs)
+                for cd, (w, sigma) in zip(got, pairs):
+                    expect = parent_corona_decompose(fam, root, w, sigma, exps, mode)
+                    _same_arrays(corona_fields(cd), corona_fields(expect))
+                    assert cd.certified
+                # every member inside root is skipped where u == 0
+                assert len(got[2].index) == 0 and got[2].skipped == len(fam.members_in(root))
+        assert corona_decomposes(fam, root, [], exps, mode) == []
+
+    def test_one_pair_fails_alone(self, monkeypatch):
+        mesh = Mesh(1, 0, 6)
+        u, half, _, m5, m6 = _batch_weights(mesh)
+        pairs = [(u, half), (m5, m6), (m6, m5)]
+        fam = build_sparse(lognormal(mesh, 81), (0,), ALPHA)[0]
+        exps = ExponentTuple(1, ALPHA, 4.0 / 3.0, 4.0)
+        broken = parent_corona_decompose(fam, fam.cube(0), m5, m6, exps)
+        broken.b += 5
+        self.break_pair(monkeypatch, 1)
+        got = corona_decomposes(fam, fam.cube(0), pairs, exps)
+        assert [type(cd) for cd in got] == [CoronaDecomposition, AssertionError, CoronaDecomposition]
+        assert str(got[1]) == parent_message(broken) == "b-slice membership violated"
+        assert got[0].certified and got[2].certified
+        # the one-pair call raises what the parent raised
+        with pytest.raises(AssertionError, match="^b-slice membership violated$"):
+            corona_decompose(fam, fam.cube(0), m5, m6, exps)
+
+    def test_verify_names_the_failing_pair(self, tmp_path, monkeypatch):
+        pairs = [["constant:c=1", "twovalue:a=2,b=1"], ["martingale:seed=5,vol=0.5", "martingale:seed=6,vol=0.5"],
+                 ["twovalue:a=2,b=1", "constant:c=1"]]
+        cfg = ExperimentConfig(L=6, alphas=[0.5], n_random_functions=1, pairs=pairs)
+        weights = cfg.validate()
+        fam = build_sparse(cfg.random_functions(cfg.mesh())[0][1], (0,), cfg.alpha)[0]
+        broken = parent_corona_decompose(fam, fam.cube(0), weights[pairs[1][0]], weights[pairs[1][1]], cfg.exps())
+        broken.b += 5
+        self.break_pair(monkeypatch, 1)
+        assert cli.cmd_verify(cfg, tmp_path, weights) == 1
+        failures = json.loads((tmp_path / "verify.json").read_text())["failures"]
+        assert failures == [{"check": "corona", "instance": pairs[1], "witness": parent_message(broken)}]
+
+    @staticmethod
+    def break_pair(monkeypatch, i):
+        """Shift every b-index of the i-th decomposition of a batch (or of a
+        one-pair call) by 5 before it is certified."""
+        certify = corona_module._certify_coronas
+
+        def breaking(cds):
+            cds[min(i, len(cds) - 1)].b += 5
+            return certify(cds)
+
+        monkeypatch.setattr(corona_module, "_certify_coronas", breaking)
