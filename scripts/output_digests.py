@@ -12,7 +12,8 @@ bump constant is the dual one alone and ``thm41`` writes ``"direct":
 null``) and at L=8 (its in-box corpus meets 4,599 cells, more than one
 Luxemburg bisection call holds),
 and the 2-D ``constants``, ``verify``, ``sandwich`` and ``norm`` at ``--mesh
-n=2,J=0,L=3``, ``constants`` again at ``--mesh n=2,J=1,L=4`` (with the
+n=2,J=0,L=3``, ``verify`` at ``--mesh n=2,J=-1,L=4`` (a box of side 1/2,
+so the coarsest levels' cubes reach past it; the only 2-D run with J < 0), ``constants`` again at ``--mesh n=2,J=1,L=4`` (with the
 default ``fw_max_level`` of 3, the ``fujii_wilson`` windows run from 32
 cells per axis down to 2), ``constants`` at ``--mesh n=2,J=0,L=5`` on four
 different weights with ``fw_max_level`` 4 (every weight reuses the mesh's
@@ -69,6 +70,7 @@ RUNS = [
     ("constants", "n=2,J=0,L=5", {"weights": ["constant:c=1", "power:beta=-0.4", "martingale:seed=3,vol=0.6",
                                               "checkerboard:levels=2,ratio=4"], "fw_max_level": 4}),
     ("verify", "n=2,J=0,L=3", {}),
+    ("verify", "n=2,J=-1,L=4", {}),
     ("sandwich", "n=2,J=0,L=3", {}),
     ("norm", "n=2,J=0,L=3", {}),
     ("sparse", "n=2,J=1,L=3", {}),

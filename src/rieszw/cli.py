@@ -144,6 +144,10 @@ class ExperimentConfig:
                 raise ConfigError(f"alphas must be numbers; got {alpha!r}")
             if not 0.0 < alpha < self.n:
                 raise ConfigError(f"alphas entry {alpha} is outside (0, {self.n})")
+        for name, alpha in (("alpha", self.alpha), *(("alphas entry", a) for a in self.alphas)):
+            if 2.0**-alpha == 1.0:
+                raise ConfigError(f"{name} {alpha!r} is too small: 2^-alpha rounds to 1, "
+                                  f"so the domination constant is infinite")
         if any(type(pair) is not list or len(pair) != 2 for pair in self.pairs):
             raise ConfigError("every pairs entry must be [uSpec, sigmaSpec]")
         specs = [*self.weights, *(s for pair in self.pairs for s in pair)]

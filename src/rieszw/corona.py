@@ -10,6 +10,7 @@ and the b-group generations climb ``forest.parent``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,8 +37,8 @@ class CoronaDecomposition:
     the slice ``a``, the position ``up`` of the stopping parent (its own if
     the member stops), the stopping ``generation`` (-1 if it does not stop),
     the b-index ``b`` and the averages.  ``slices``, ``stopping``, ``pi``
-    and ``bindex`` key the same decomposition by slice and cube; they are
-    built once, from the arrays."""
+    and ``bindex`` key the same decomposition by slice and cube; each is
+    built from the arrays on first use and kept."""
 
     exps: ExponentTuple
     family: SparseFamily
@@ -53,11 +54,37 @@ class CoronaDecomposition:
     fracavg: np.ndarray  # |Q|^{alpha/n} avg_Q u
     skipped: int
     gamma: float  # every slice index satisfies a <= gamma
-    slices: dict[int, list[DyadicCube]]
-    stopping: dict[int, dict[DyadicCube, int]]  # cube -> generation (0-based)
-    pi: dict[int, dict[DyadicCube, DyadicCube]]
-    bindex: dict[int, dict[DyadicCube, int]]
     certified: bool = False
+
+    @functools.cached_property
+    def _members(self) -> tuple[tuple[DyadicCube, ...], dict[int, list[int]]]:
+        """The members as cubes, and each slice's positions among them, the
+        slices in order of first member: members come coarse to fine, so
+        every slice is in (level, coord) order."""
+        cubes = self.family._cubes_at(self.index)
+        return cubes, {s: np.flatnonzero(self.a == s).tolist() for s in dict.fromkeys(self.a.tolist())}
+
+    @functools.cached_property
+    def slices(self) -> dict[int, list[DyadicCube]]:
+        cubes, at = self._members
+        return {s: [cubes[j] for j in js] for s, js in at.items()}
+
+    @functools.cached_property
+    def stopping(self) -> dict[int, dict[DyadicCube, int]]:
+        """Per slice, stopping cube -> generation (0-based)."""
+        (cubes, at), gens = self._members, self.generation.tolist()
+        return {s: {cubes[j]: gens[j] for j in js if gens[j] >= 0} for s, js in at.items()}
+
+    @functools.cached_property
+    def pi(self) -> dict[int, dict[DyadicCube, DyadicCube]]:
+        """Per slice, cube -> its stopping parent."""
+        (cubes, at), up = self._members, self.up.tolist()
+        return {s: {cubes[j]: cubes[up[j]] for j in js} for s, js in at.items()}
+
+    @functools.cached_property
+    def bindex(self) -> dict[int, dict[DyadicCube, int]]:
+        (cubes, at), bs = self._members, self.b.tolist()
+        return {s: {cubes[j]: bs[j] for j in js} for s, js in at.items()}
 
 
 def _slicing_values(exps: ExponentTuple, mode: str, u_avg, sigma_avg, volume) -> np.ndarray:
@@ -173,22 +200,9 @@ def corona_decomposes(
         # decomposed cubes bounds every slice index a from above
         vmax = float(v[lo:hi].max(initial=0.0))
         gamma = math.log2(vmax) if vmax > 0.0 else -math.inf
-        # members come coarse to fine, so every slice is in (level, coord) order
-        cubes = [family.cubes[j] for j in index[lo:hi].tolist()]
-        a_i = a[lo:hi]
-        parents = [cubes[p] for p in up[lo:hi].tolist()]
-        gens, bs = generation[lo:hi].tolist(), b[lo:hi].tolist()
-        slices, stopping, pi, bindex = {}, {}, {}, {}
-        for s in dict.fromkeys(a_i.tolist()):
-            at = np.flatnonzero(a_i == s).tolist()
-            slices[s] = [cubes[j] for j in at]
-            stopping[s] = {cubes[j]: gens[j] for j in at if gens[j] >= 0}
-            pi[s] = {cubes[j]: parents[j] for j in at}
-            bindex[s] = {cubes[j]: bs[j] for j in at}
         cds.append(CoronaDecomposition(
-            exps, family, root, mode, index[lo:hi], a_i, up[lo:hi], generation[lo:hi], b[lo:hi],
-            u_avg[lo:hi], s_avg[lo:hi], fracavg[lo:hi], len(inside) - hi + lo, gamma,
-            slices, stopping, pi, bindex))
+            exps, family, root, mode, index[lo:hi], a[lo:hi], up[lo:hi], generation[lo:hi], b[lo:hi],
+            u_avg[lo:hi], s_avg[lo:hi], fracavg[lo:hi], len(inside) - hi + lo, gamma))
     return [cd if msg is None else AssertionError(msg) for cd, msg in zip(cds, _certify_coronas(cds))]
 
 

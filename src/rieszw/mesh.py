@@ -130,7 +130,11 @@ class LevelTable(NamedTuple):
     it, and ``cells`` gives each cell the finest cube over its centre, so
     the cubes over a cell centre are the chain up ``parent`` from its
     ``cells`` entry: a per-cube sum or maximum painted on the cells is one
-    ``sweep`` and one ``np.take(x, cells)``."""
+    ``sweep`` and one ``np.take(x, cells)``.
+
+    A 1-D table is built directly (``Mesh._line_table``); a 2-D table is
+    the level-by-level product of the line tables of its two axis flags
+    (``_product_table``)."""
 
     coords: np.ndarray  # (count, n) int64 integer coordinates
     lo3: np.ndarray  # (count, n) int64 lower corners, thirds of the finest cell width
@@ -277,66 +281,65 @@ class Mesh:
     def _tables(self) -> dict:
         return {}
 
+    @functools.cached_property
+    def _line(self) -> "Mesh":
+        """The mesh of one axis (n = 1, the same J, L and T), kept so that
+        every 2-D shift shares its two line tables."""
+        return Mesh(1, self.base_exponent, self.finest_exponent, self.coarse_padding)
+
     def level_table(self, shift: Sequence[int]) -> LevelTable:
         """The whole level table of one shifted grid, built on first use and
-        cached on the mesh; ``ValueError`` for a shift not in ``shifts``."""
+        cached on the mesh; ``ValueError`` for a shift not in ``shifts``.
+        A 2-D table is the product of the line tables of its axis flags."""
         shift = tuple(shift)
         table = self._tables.get(shift)
         if table is None:
             if shift not in self.shifts():
                 raise ValueError(f"invalid shift {shift!r}")
-            table = self._tables[shift] = self._level_table(shift)
+            if self.n == 1:
+                table = self._line_table(shift[0])
+            else:
+                table = _product_table(*(self._line.level_table((s,)) for s in shift))
+            self._tables[shift] = table
         return table
 
-    def _level_table(self, shift: tuple[int, ...]) -> LevelTable:
-        """Every level of one grid at once: the per-level coordinate ranges
-        of ``coord_range`` as arrays, and the cubes of all levels listed in
-        one unravel."""
+    def _line_table(self, flag: int) -> LevelTable:
+        """Every level of one 1-D grid at once: the per-level coordinate
+        ranges of ``coord_range`` as arrays, and the cubes of all levels
+        listed in one pass."""
         L = self.finest_exponent
         levels = np.arange(self.coarsest_level, L + 1)
         # Python shifts: a scale beyond int64 raises instead of wrapping
         scale = np.array([1 << (L - k) for k in levels.tolist()], dtype=np.int64)
-        offset = (1 - 2 * (levels % 2))[:, None] * np.asarray(shift, dtype=np.int64)
+        offset = (1 - 2 * (levels % 2)) * flag
         box3 = 3 * self.cells_per_axis
         m_lo = -((2 + offset) // 3)
-        counts = ((box3 - 1) // scale[:, None] - offset) // 3 - m_lo + 1  # (levels, n)
-        level_of, index = self.window_cells(m_lo, counts)
-        coords = np.stack(index, axis=1)
-        del index  # in place from here: these arrays set the build's peak memory
-        cube_scale = scale[level_of, None]
-        lo3 = 3 * coords
-        lo3 += offset[level_of]
-        lo3 *= cube_scale
-        hi3 = lo3 + 3 * cube_scale
-        del cube_scale
-        in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
-        sizes = counts.prod(axis=1)
+        sizes = ((box3 - 1) // scale - offset) // 3 - m_lo + 1
         starts = np.cumsum(sizes) - sizes
+        # per-level values repeated over the level's cubes, each temporary
+        # freed at once: these arrays set the build's peak memory
+        coords = np.repeat(m_lo - starts, sizes)
+        coords += np.arange(len(coords))
+        lo3 = 3 * coords
+        lo3 += np.repeat(offset, sizes)
+        lo3 *= np.repeat(scale, sizes)
+        hi3 = np.repeat(3 * scale, sizes)
+        hi3 += lo3
         # each cube's parent: the coarser level's cube over its lower corner,
-        # as a table position (that level's start plus the row-major offset
-        # of the cube's coordinates from the level's first cube)
-        up = np.maximum(level_of - 1, 0)
-        coarse = lo3 // scale[up, None]
-        coarse -= offset[up]
-        coarse //= 3
-        coarse -= m_lo[up]
-        parent = coarse[:, 0].copy()
-        for axis in range(1, self.n):
-            parent *= counts[up, axis]
-            parent += coarse[:, axis]
-        parent += starts[up]
-        parent[level_of == 0] = -1
-        del coarse, up
-        # the finest cube over each cell centre: its row-major offset in the
-        # finest level, from the coordinate along each axis
-        cells = 0
-        for axis, flag in enumerate(shift):
-            row = _containing_coord(np.arange(self.cells_per_axis), flag, L, L) - m_lo[-1, axis]
-            cells = cells * counts[-1, axis] + row.reshape((-1,) + (1,) * (self.n - 1 - axis))
-        cells += starts[-1]
-        volume = np.ldexp(1.0, -self.n * levels)[level_of]
-        level_of += self.coarsest_level  # now each cube's level
-        out = LevelTable(coords, lo3, hi3, level_of, in_box, volume, starts, parent, cells,
+        # as a table position (that level's start plus the cube's offset from
+        # the level's first cube)
+        up = np.maximum(np.arange(len(levels)) - 1, 0)
+        parent = lo3 // np.repeat(scale[up], sizes)
+        parent -= np.repeat(offset[up], sizes)
+        parent //= 3
+        parent += np.repeat((starts - m_lo)[up], sizes)
+        parent[: sizes[0]] = -1
+        # the finest cube over each cell centre
+        cells = _containing_coord(np.arange(self.cells_per_axis), flag, L, L)
+        cells += starts[-1] - m_lo[-1]
+        out = LevelTable(coords[:, None], lo3[:, None], hi3[:, None], np.repeat(levels, sizes),
+                         (lo3 >= 0) & (hi3 <= box3), np.repeat(np.ldexp(1.0, -levels), sizes),
+                         starts, parent, cells,
                          # a level with one cube covers the box, and so does that
                          # cube's parent: the one-cube levels are the leading ones
                          int(np.count_nonzero(sizes == 1)))
@@ -464,6 +467,49 @@ class Mesh:
         lo, hi = cube.bounds3(self.finest_exponent)
         box3 = 3 * self.cells_per_axis
         return all(a >= 0 for a in lo) and all(b <= box3 for b in hi)
+
+
+def _product_table(tx: LevelTable, ty: LevelTable) -> LevelTable:
+    """The 2-D level table of the grid whose axes are the line grids of
+    ``tx`` and ``ty``: a cube is one interval per axis, so each level is the
+    row-major product of the two lines' cubes of that level.  Every field
+    gathers or combines line fields at each cube's pair of line positions
+    (the y line's after the x line's, so that one ``take`` fills both
+    columns), or repeats a per-level value; no cube's coordinates are
+    divided."""
+    levels = np.arange(tx.level[0], tx.level[-1] + 1)
+    cy = ty.ends - ty.starts
+    sizes = (tx.ends - tx.starts) * cy
+    starts = np.cumsum(sizes) - sizes
+    count, nx = int(starts[-1] + sizes[-1]), len(tx.level)
+    lx = tx.level - levels[0]  # each x cube's level index
+    row = cy[lx]  # each x cube's row: the y cubes of its level
+    # each cube's line positions: its x cube, and its y cube, which runs
+    # through the y cubes of the level along every row
+    pos = np.empty((count, 2), dtype=np.int64)
+    pos[:, 0] = np.repeat(np.arange(nx), row)
+    pos[:, 1] = np.arange(nx, nx + count) - np.repeat(np.cumsum(row) - row - ty.starts[lx], row)
+    coords, lo3, hi3 = (np.concatenate([a[:, 0], b[:, 0]]).take(pos)
+                        for a, b in ((tx.coords, ty.coords), (tx.lo3, ty.lo3), (tx.hi3, ty.hi3)))
+    pair = np.concatenate([tx.in_box, ty.in_box]).take(pos)
+    in_box = pair[:, 0] & pair[:, 1]
+    # each cube's parent: the coarser level's start, plus the x parent's
+    # row of y cubes there, plus the y parent's offset in its level
+    up, uy = np.maximum(lx - 1, 0), np.maximum(ty.level - levels[0] - 1, 0)
+    pair = np.concatenate([starts[up] + (tx.parent - tx.starts[up]) * cy[up],
+                           ty.parent - ty.starts[uy]]).take(pos)
+    del pos
+    parent = pair[:, 0] + pair[:, 1]
+    del pair
+    parent[: sizes[0]] = -1
+    cells = np.add.outer((tx.cells - tx.starts[-1]) * cy[-1] + starts[-1], ty.cells - ty.starts[-1])
+    out = LevelTable(coords, lo3, hi3, np.repeat(levels, sizes), in_box,
+                     np.repeat(np.ldexp(1.0, -2 * levels), sizes), starts, parent, cells,
+                     # a level holds one cube where both lines do
+                     min(tx.single, ty.single))
+    for x in out[:-1]:
+        x.setflags(write=False)
+    return out
 
 
 def _containing_coord(cell, flag, level, finest_exponent):

@@ -268,8 +268,14 @@ def verify_sparse(family: SparseFamily) -> SparsityCertificate:
 
 
 def domination_constant(n: int, alpha: float) -> float:
-    """The traced constant C with I^D f <= C * I^S f for the built family."""
-    return 2.0 ** (n + 1) / (1.0 - 2.0**-alpha)
+    """The traced constant C with I^D f <= C * I^S f for the built family;
+    ``ValueError`` where 2^-alpha is not below 1 in double precision (alpha
+    below about 1e-16), which leaves C infinite."""
+    gap = 1.0 - 2.0**-alpha
+    if not gap > 0.0:
+        raise ValueError(f"alpha = {alpha!r} gives 2^-alpha = {2.0**-alpha!r}, not below 1: "
+                         f"the domination constant 2^(n+1) / (1 - 2^-alpha) is infinite")
+    return 2.0 ** (n + 1) / gap
 
 
 def _ilog_lt(x: np.ndarray, base: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -151,6 +152,26 @@ class TestExitCodes:
         [line] = r.stderr.splitlines()
         field = next(iter(overrides))
         assert line.startswith(f"config error: {field} must be ")
+
+    @pytest.mark.parametrize(
+        "command, overrides, name",
+        [*((command, {"alpha": 1e-17}, "alpha 1e-17") for command in ("sandwich", "norm", "exponent-fit", "corona")),
+         *((command, {"alphas": [0.5, 1e-20]}, "alphas entry 1e-20") for command in ("verify", "sparse"))],
+    )
+    def test_tiny_alpha_exits_2_with_one_line(self, tmp_path, command, overrides, name):
+        # 2^-alpha rounds to 1 below alpha ~ 1e-16, and the domination
+        # constant 2^(n+1) / (1 - 2^-alpha) would divide by zero
+        r = run_cli(tmp_path, command, dict(SMALL, **overrides))
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [
+            f"config error: {name} is too small: 2^-alpha rounds to 1, so the domination constant is infinite"]
+
+    def test_smallest_alpha_with_finite_constant_validates(self):
+        alpha = 2e-16  # 2^-alpha is one ulp below 1
+        assert domination_constant(1, alpha) == 4.0 / (1.0 - 2.0**-alpha) < math.inf
+        ExperimentConfig(**dict(SMALL, alpha=alpha, alphas=[alpha])).validate()
+        with pytest.raises(ValueError, match=r"^alpha = 1e-17 gives 2\^-alpha = 1.0, not below 1: "):
+            domination_constant(1, 1e-17)
 
     @pytest.mark.parametrize("overrides", [{"fw_max_level": None}, {"bump_delta": 2}, {"bump_delta": 0.5},
                                            {"bump_kind": "loglog"}, {"n_random_functions": 0},

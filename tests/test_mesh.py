@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from rieszw.mesh import (
     CoveringError,
     DyadicCube,
+    LevelTable,
     Mesh,
     StepFunction,
     covering_shifted_cube,
     enumerate_cubes,
 )
 import rieszw
-from rieszw.mesh import BoxPlan, _prefix_sums
+from rieszw.mesh import BoxPlan, _containing_coord, _prefix_sums
 from rieszw.operators import dyadic_riesz
 from rieszw.sparse import build_sparse
 
@@ -388,6 +389,92 @@ class TestLevelTable:
         with pytest.raises(ValueError, match=r"invalid shift \(1,\)"):
             build_sparse(lognormal(square, 4), (1,), 0.5)
         assert not line._tables and not square._tables
+
+
+def direct_level_table(mesh: Mesh, shift: tuple[int, ...]) -> LevelTable:
+    """The n-generic build that the 2-D product of line tables replaced,
+    copied as its oracle: every cube of every level worked out on its own."""
+    L = mesh.finest_exponent
+    levels = np.arange(mesh.coarsest_level, L + 1)
+    scale = np.array([1 << (L - k) for k in levels.tolist()], dtype=np.int64)
+    offset = (1 - 2 * (levels % 2))[:, None] * np.asarray(shift, dtype=np.int64)
+    box3 = 3 * mesh.cells_per_axis
+    m_lo = -((2 + offset) // 3)
+    counts = ((box3 - 1) // scale[:, None] - offset) // 3 - m_lo + 1  # (levels, n)
+    level_of, index = mesh.window_cells(m_lo, counts)
+    coords = np.stack(index, axis=1)
+    del index
+    cube_scale = scale[level_of, None]
+    lo3 = 3 * coords
+    lo3 += offset[level_of]
+    lo3 *= cube_scale
+    hi3 = lo3 + 3 * cube_scale
+    del cube_scale
+    in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
+    sizes = counts.prod(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    up = np.maximum(level_of - 1, 0)
+    coarse = lo3 // scale[up, None]
+    coarse -= offset[up]
+    coarse //= 3
+    coarse -= m_lo[up]
+    parent = coarse[:, 0].copy()
+    for axis in range(1, mesh.n):
+        parent *= counts[up, axis]
+        parent += coarse[:, axis]
+    parent += starts[up]
+    parent[level_of == 0] = -1
+    del coarse, up
+    cells = 0
+    for axis, flag in enumerate(shift):
+        row = _containing_coord(np.arange(mesh.cells_per_axis), flag, L, L) - m_lo[-1, axis]
+        cells = cells * counts[-1, axis] + row.reshape((-1,) + (1,) * (mesh.n - 1 - axis))
+    cells += starts[-1]
+    volume = np.ldexp(1.0, -mesh.n * levels)[level_of]
+    level_of += mesh.coarsest_level
+    out = LevelTable(coords, lo3, hi3, level_of, in_box, volume, starts, parent, cells,
+                     int(np.count_nonzero(sizes == 1)))
+    for x in out[:-1]:
+        x.setflags(write=False)
+    return out
+
+
+ORACLE_GRID = [(J, L, T) for J in (-3, -1, 0, 1, 2) for L in range(-1, 9) if J + L >= 0 for T in (0, 1, 2, 3, 40)]
+
+
+class TestProductTableOracle:
+    """Every level table against the direct build, field by field with ==,
+    dtype, shape, layout and write flag included: a 2-D table is the
+    product of two line tables, and a line table is built directly."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("J, L, T", ORACLE_GRID, ids=[f"J{J}-L{L}-T{T}" for J, L, T in ORACLE_GRID])
+    def test_table_equals_direct_build(self, n, J, L, T):
+        mesh = Mesh(n, J, L, coarse_padding=T)
+        for shift in mesh.shifts():
+            got, expect = mesh.level_table(shift), direct_level_table(mesh, shift)
+            for name, x, y in zip(LevelTable._fields, got, expect):
+                if isinstance(y, np.ndarray):
+                    assert (x.dtype, x.shape, x.flags.writeable, x.flags.c_contiguous) == (
+                        y.dtype, y.shape, y.flags.writeable, y.flags.c_contiguous), name
+                    assert np.array_equal(x, y), name
+                else:
+                    assert type(x) is type(y) and x == y, name
+            del got, expect, mesh._tables[shift]  # one large table pair alive at a time
+
+    def test_four_shifts_make_two_line_builds(self, monkeypatch):
+        # every table build goes through _line_table, so two calls, both on
+        # the 1-D mesh, mean two line builds and no direct 2-D build
+        builds = []
+        line_table = Mesh._line_table
+        monkeypatch.setattr(Mesh, "_line_table",
+                            lambda mesh, flag: builds.append((mesh.n, flag)) or line_table(mesh, flag))
+        mesh = Mesh(2, 1, 3)
+        tables = [mesh.level_table(shift) for shift in mesh.shifts()]
+        assert sorted(builds) == [(1, 0), (1, 1)]
+        assert all(mesh.level_table(shift) is t for shift, t in zip(mesh.shifts(), tables))
+        assert len(builds) == 2
+        assert mesh._line == Mesh(1, 1, 3) and mesh._line is mesh._line
 
 
 class TestCorpusTable:

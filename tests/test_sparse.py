@@ -1626,7 +1626,9 @@ def parent_corona_decompose(
         pi[s] = {cubes[i]: parents[i] for i in at}
         bindex[s] = {cubes[i]: bs[i] for i in at}
     cd = CoronaDecomposition(exps, family, root, mode, index, a, up, generation, b, u_avg,
-                             s_avg, fracavg, skipped, gamma, slices, stopping, pi, bindex)
+                             s_avg, fracavg, skipped, gamma)
+    # the dicts as the parent built them, in place of the ones built on use
+    cd.slices, cd.stopping, cd.pi, cd.bindex = slices, stopping, pi, bindex
     parent_certify_corona(cd)
     return cd
 
@@ -1724,6 +1726,11 @@ class TestPairBatchOracle:
                 for cd, (w, sigma) in zip(got, pairs):
                     expect = parent_corona_decompose(fam, root, w, sigma, exps, mode)
                     _same_arrays(corona_fields(cd), corona_fields(expect))
+                    # the dicts are built on first use only
+                    assert not {"slices", "stopping", "pi", "bindex"} & vars(cd).keys()
+                    assert list(cd.slices) == list(expect.slices)
+                    assert (cd.slices, cd.stopping, cd.pi, cd.bindex) == (
+                        expect.slices, expect.stopping, expect.pi, expect.bindex)
                     assert cd.certified
                 # every member inside root is skipped where u == 0
                 assert len(got[2].index) == 0 and got[2].skipped == len(fam.members_in(root))
