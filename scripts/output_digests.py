@@ -25,7 +25,10 @@ cube, so the level sweeps fold no leading level; the run exits 1, see
 ``EXPECTED_EXIT``), ``verify`` at ``--mesh n=2,J=1,L=3,T=0`` (the only run
 whose 2-D grids have many cubes and no parent at the coarsest level; it
 exits 1 too), ``sandwich`` at ``n=1,J=1,L=5,T=0`` and at ``--mesh n=2,J=1,L=3`` (the
-testing roots and norm seeds of a J=1 box, with and without padding), and
+testing roots and norm seeds of a J=1 box, with and without padding),
+``sandwich`` at ``--mesh n=2,J=0,L=6`` (the only run with Luxemburg segments
+of more than ``orlicz._LUX_BATCH_CELLS`` cells: nine, of up to 15,876 cells
+each, every one a bisection call of its own), and
 ``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
 on two fixed weight pairs (deeper stopping trees than the L=6 run, and the
 only 2-D corona), and last the 1-D ``sandwich`` at ``--mesh n=1,J=0,L=5`` on
@@ -79,6 +82,7 @@ RUNS = [
     ("verify", "n=2,J=1,L=3,T=0", {}),
     ("sandwich", "n=1,J=1,L=5,T=0", {}),
     ("sandwich", "n=2,J=1,L=3", {}),
+    ("sandwich", "n=2,J=0,L=6", {}),
     *(("corona", mesh, CORONA_PAIRS) for mesh in ("n=1,J=0,L=8", "n=2,J=1,L=3")),
     ("sandwich", "n=1,J=0,L=5", {"pairs": [list(p) for p in calibration.corpus_pairs()], "fw_max_level": 1}),
     ("verify", "n=1,J=0,L=9", {"pairs": [["constant:c=1", "twovalue:a=2,b=1"], ["twovalue:a=2,b=1", "constant:c=1"],
