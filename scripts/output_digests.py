@@ -28,7 +28,7 @@ exits 1 too), ``sandwich`` at ``n=1,J=1,L=5,T=0`` and at ``--mesh n=2,J=1,L=3`` 
 testing roots and norm seeds of a J=1 box, with and without padding),
 ``sandwich`` at ``--mesh n=2,J=0,L=6`` (the only run with Luxemburg segments
 of more than ``orlicz._LUX_BATCH_CELLS`` cells: nine, of up to 15,876 cells
-each, every one a bisection call of its own), and
+each, each a bisection call of its own once per block, 72 calls), and
 ``corona`` at ``--mesh n=1,J=0,L=8`` and ``--mesh n=2,J=1,L=3``
 on two fixed weight pairs (deeper stopping trees than the L=6 run, and the
 only 2-D corona), and last the 1-D ``sandwich`` at ``--mesh n=1,J=0,L=5`` on

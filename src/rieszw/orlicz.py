@@ -8,7 +8,12 @@ a sampled monotone graph for validation work.
 
 Luxemburg norms solve avg_Q Phi(f/lambda) = 1 by bisection at relative
 tolerance 1e-12 with a 200-iteration cap; the average is over the full cube
-volume (functions vanish outside the base box).  Cubes come as thirds-unit
+volume (functions vanish outside the base box).  The bisection evaluates
+Phi only where a decision is not certain: a closed kind's root is certified
+once, by a few secant steps and one evaluation at each of r (1 - eta) and
+r (1 + eta), and every step outside that interval is decided by it, so the
+norms are those of a bisection that evaluates every step, bit for bit
+(``_kernels``, which states eps_g, kappa and eta).  Cubes come as thirds-unit
 corner arrays (``LevelTable.lo3``/``hi3``, ``Mesh.bounds3``, or a run of
 ``Mesh.corpus``); the cells of a whole batch are gathered in one vectorised
 pass and every Young function, the numeric tables included, goes through
@@ -156,7 +161,10 @@ class YoungFunction:
         return out if out.ndim else float(out)
 
     def inverse(self, y: float) -> float:
-        """The unique t >= 0 with Phi(t) = y."""
+        """The unique t >= 0 with Phi(t) = y.
+
+        Raises LuxemburgError when 200 doublings (halvings) of 1 find no
+        bracket, or 200 bisection steps do not reach relative width 1e-14."""
         if y < 0.0:
             raise ValueError("inverse needs y >= 0")
         if y == 0.0:
@@ -168,10 +176,14 @@ class YoungFunction:
             if self(hi) >= y:
                 break
             hi *= 2.0
+        else:
+            raise LuxemburgError("upper bracket not found")
         for _ in range(200):
             if self(lo) <= y:
                 break
             lo *= 0.5
+        else:
+            raise LuxemburgError("lower bracket not found")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if self(mid) < y:
@@ -180,6 +192,8 @@ class YoungFunction:
                 hi = mid
             if hi - lo <= 1e-14 * hi:
                 break
+        else:
+            raise LuxemburgError("bisection did not converge in 200 steps")
         return 0.5 * (lo + hi)
 
     def check_young(self, grid: np.ndarray | None = None):

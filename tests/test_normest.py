@@ -979,6 +979,30 @@ class TestBatchedTheoremChecks:
         assert code == 0 and len(calls) == 2
         assert sum(len(a[3]) for a in calls) == (5 + 4) * 2 * len(Mesh(1, 0, 5).corpus.level)
 
+    def test_five_pair_sandwich_bisection_rounds(self, tmp_path, monkeypatch):
+        # each round evaluates every run of Young functions once; certified
+        # groups leave about 11 of the 44 rounds that evaluate everything
+        evals, rounds = [0], []
+        young, kernel = _kernels.young_eval_np, _kernels.luxemburg_batch
+
+        def counting_young(*a):
+            evals[0] += 1
+            return young(*a)
+
+        def counting_kernel(vals, wts, indptr, vols, runs, starts):
+            evals[0] = 0
+            out = kernel(vals, wts, indptr, vols, runs, starts)
+            rounds.append(evals[0] / len(runs))
+            return out
+
+        monkeypatch.setattr(_kernels, "young_eval_np", counting_young)
+        monkeypatch.setattr(_kernels, "luxemburg_batch", counting_kernel)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pairs": [list(p) for p in calibration.corpus_pairs()], "fw_max_level": 1}))
+        code = cli.main(["sandwich", "--mesh", "n=1,J=0,L=5", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 0 and len(rounds) == 2
+        assert all(r == int(r) and r <= 16 for r in rounds), rounds
+
 
 class TestTestingScanOracle:
     """``_testing_sups`` of one item against the parent's run-by-run scan,

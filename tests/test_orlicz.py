@@ -73,6 +73,18 @@ class TestYoungEvaluation:
                 t = phi.inverse(y)
                 assert float(phi(t)) == pytest.approx(y, rel=1e-9)
 
+    def test_inverse_failures_raise(self):
+        # 200 doublings of 1 reach 2^199, and Phi(2^199) < 1e300; 200
+        # halvings reach 2^-199, and Phi(2^-199) > 1e-300; a root in
+        # (2^-199, 2^-198) from the bracket [2^-199, 1] needs about 245
+        # steps to reach width 1e-14 of it
+        phi = YoungFunction.log_bump(2.0, 1.0)
+        for y, message in ((1e300, "upper bracket not found"), (1e-300, "lower bracket not found"),
+                           (float(phi(1.5 * 2.0**-199)), "did not converge")):
+            with pytest.raises(LuxemburgError, match=message):
+                phi.inverse(y)
+        assert phi.inverse(float(phi(1.5 * 2.0**-150))) == pytest.approx(1.5 * 2.0**-150, rel=1e-13)
+
     @given(st.floats(1.2, 6.0), st.floats(0.1, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_young_axioms(self, p, delta):
@@ -775,3 +787,273 @@ class TestGapFit:
         cubes = [ROOT]
         fit = crv_gap_check(z, 2.0, 1.0, cubes)
         assert not fit.ok and fit.skipped == 1
+
+
+def evaluated_luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
+    """``_kernels.luxemburg_batch`` before it certified groups: it evaluates
+    every Young function on every cell in each round of the brackets and
+    the bisection."""
+    vals = np.asarray(vals, dtype=np.float64)
+    wts = np.asarray(wts, dtype=np.float64)
+    vols = np.asarray(vols, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.intp)
+    runs = [(0, len(vals), phi)] if callable(phi) else phi
+    ngroups = len(vols)
+    lam = np.zeros(ngroups)
+    if not ngroups:
+        return lam
+    group_of = np.repeat(np.arange(ngroups), np.diff(indptr))
+    active = np.bincount(group_of, weights=vals * wts, minlength=ngroups) > 0.0
+
+    gmax = np.zeros(ngroups)
+    np.maximum.at(gmax, group_of, vals)
+
+    t = np.empty_like(vals)
+    run_views = [(t[a:b], wts[a:b], f) for a, b, f in runs]
+
+    def gval(lam_arr):
+        np.divide(vals, lam_arr[group_of], out=t)
+        for t_run, w_run, f in run_views:
+            np.multiply(f(t_run), w_run, out=t_run)
+        return np.bincount(group_of, weights=t, minlength=ngroups) / vols
+
+    lo = np.where(active, gmax, 1.0)
+    hi = lo.copy()
+    for _ in range(200):
+        need = active & (gval(hi) > 1.0)
+        if not need.any():
+            break
+        hi[need] *= 2.0
+    else:
+        raise LuxemburgError("upper bracket not found")
+    for _ in range(200):
+        need = active & (gval(lo) < 1.0)
+        if not need.any():
+            break
+        lo[need] *= 0.5
+    else:
+        raise LuxemburgError("lower bracket not found")
+    segment_of = np.repeat(np.arange(len(starts)), np.diff(starts, append=ngroups))
+    moving = active
+    for _ in range(_kernels.LUX_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        above = gval(mid) > 1.0
+        lo = np.where(moving & above, mid, lo)
+        hi = np.where(moving & ~above, mid, hi)
+        done = hi - lo <= _kernels.LUX_RTOL * hi
+        live = ~np.logical_and.reduceat(done, starts)
+        if not live.any():
+            break
+        moving = active & live[segment_of]
+    else:
+        raise LuxemburgError(
+            f"bisection did not converge in {_kernels.LUX_MAX_ITER} steps for {int(live.sum())} segment(s)"
+        )
+    lam[active] = 0.5 * (lo + hi)[active]
+    return lam
+
+
+def assert_same_outcome(*args):
+    """The kernel and the evaluated copy return equal arrays, or raise
+    LuxemburgError with the same message."""
+    try:
+        expect = evaluated_luxemburg_batch(*args)
+    except LuxemburgError as exc:
+        with pytest.raises(LuxemburgError) as got:
+            _kernels.luxemburg_batch(*args)
+        assert str(got.value) == str(exc)
+        return
+    got = _kernels.luxemburg_batch(*args)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+def small_groups(rng, sizes, zero_share=0.0):
+    """CSR groups of the given cell counts with lognormal values (a share
+    of them 0), weights in (0, 1] and cube volumes at least the weights'
+    sum."""
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    vals = rng.lognormal(0.0, 1.5, indptr[-1]) * (rng.random(indptr[-1]) >= zero_share)
+    wts = rng.uniform(1e-3, 1.0, indptr[-1])
+    vols = np.add.reduceat(wts, indptr[:-1]) * rng.uniform(1.0, 4.0, len(sizes)) if len(wts) else np.zeros(0)
+    return vals, wts, indptr, vols
+
+
+class TestCertifiedBisectionOracle:
+    """The certified kernel against ``evaluated_luxemburg_batch``, with
+    ``==`` on every lambda and on every error's message."""
+
+    @pytest.mark.parametrize("phi", [*CLOSED_KINDS, NUMERIC_LOG_BUMP], ids=lambda p: p.name)
+    def test_level_tables_and_random_cuts(self, phi):
+        rng = np.random.default_rng(80)
+        for mesh in (*SEGMENT_MESHES, Mesh(2, 0, 3, coarse_padding=1)):
+            vals, wts, indptr, vols, starts = level_table_csr(lognormal(mesh, 81))
+            assert_same_outcome(vals, wts, indptr, vols, phi, starts)
+            assert_same_outcome(vals, wts, indptr, vols, phi)
+            ngroups = len(vols)
+            cuts = rng.choice(np.arange(1, ngroups), size=rng.integers(1, ngroups // 2), replace=False)
+            assert_same_outcome(vals, wts, indptr, vols, phi, [0, *sorted(cuts.tolist())])
+            assert_same_outcome(vals, wts, indptr, vols, phi, list(range(ngroups)))
+
+    def test_mixed_runs(self):
+        rng = np.random.default_rng(82)
+        # dual_log_bump(1.5, 5) decreases near t = 6, so it stays uncertified
+        youngs = [*CLOSED_KINDS, NUMERIC_LOG_BUMP, YoungFunction.loglog_bump(1.2, 3.0),
+                  YoungFunction.dual_loglog_bump(4.0, 2.0), YoungFunction.power(6.0, 1e-3),
+                  YoungFunction.dual_log_bump(1.5, 5.0)]
+        for mesh in SEGMENT_MESHES:
+            vals, wts, indptr, vols, starts = level_table_csr(lognormal(mesh, 83))
+            ngroups = len(vols)
+            for trial in range(4):
+                # runs may cut a group in two
+                edges = sorted({0, len(vals), *rng.integers(1, len(vals), 6).tolist()})
+                phis = [youngs[i] for i in rng.integers(0, len(youngs), len(edges) - 1)]
+                runs = list(zip(edges, edges[1:], phis))
+                cuts = sorted({0, *rng.integers(1, ngroups, 4).tolist()})
+                assert_same_outcome(vals, wts, indptr, vols, runs, cuts)
+
+    @pytest.mark.parametrize("phi", CLOSED_KINDS, ids=lambda p: p.name)
+    def test_small_zero_and_constant_groups(self, phi):
+        rng = np.random.default_rng(84)
+        sizes = rng.integers(1, 40, 300)
+        sizes[::7] = 1
+        vals, wts, indptr, vols = small_groups(rng, sizes, zero_share=0.3)
+        # a run of empty groups, and groups of zeros
+        indptr = np.concatenate((indptr[:50], np.full(5, indptr[50]), indptr[50:]))
+        vols = np.concatenate((vols[:50], np.ones(5), vols[50:]))
+        vals[indptr[10] : indptr[13]] = 0.0
+        assert_same_outcome(vals, wts, indptr, vols, phi, [0, 50, 55, 200])
+        assert_same_outcome(vals, wts, indptr, vols, phi)
+        # constant groups whose weights fill their cubes: under t^2 the
+        # average at the group maximum is exactly 1, so the bracket has
+        # zero width; under the other kinds the root is a fixed multiple
+        for value, count in ((3.0, 1), (0.7, 4), (2.0**-30, 16), (5.0, 3)):
+            vals = np.full(count, value)
+            wts = np.full(count, 1.0 / count)
+            args = (vals, wts, np.array([0, count]), np.ones(1))
+            assert_same_outcome(*args, phi)
+            assert_same_outcome(*args, YoungFunction.power(2.0))
+        ones = (np.ones(4), np.full(4, 0.25), np.array([0, 4]), np.ones(1))
+        assert _kernels.luxemburg_batch(*ones, YoungFunction.power(2.0))[0] == 1.0
+
+    def test_segment_above_the_call_cap(self, monkeypatch):
+        # the 2-D L=6 corpus levels near the top meet more than 2^12 cells
+        # each, so each of them is a call of its own
+        from rieszw.orlicz import _LUX_BATCH_CELLS
+
+        mesh = Mesh(2, 0, 6)
+        c = mesh.corpus
+        f = lognormal(mesh, 85)
+        calls, kernel = [], _kernels.luxemburg_batch
+        monkeypatch.setattr(_kernels, "luxemburg_batch", lambda *a: calls.append(a) or kernel(*a))
+        luxemburg_norms(f, c.lo3, c.hi3, YoungFunction.log_bump(2.0, 1.0), c.starts)
+        large = [a for a in calls if len(a[0]) > _LUX_BATCH_CELLS]
+        assert large
+        for args in large:
+            assert_same_outcome(*args)
+
+    def test_failures_raise_the_same_message(self, monkeypatch):
+        one = (np.ones(3), np.ones(3), np.arange(4))
+        # upper: a cube volume of 1e-250 puts the root at 1e125
+        assert_same_outcome(*one, np.array([1.0, 1e-250, 1.0]), YoungFunction.power(2.0), [0, 1, 2])
+        # lower: Phi = 1e-300 t^2 puts the root at 1e-150
+        assert_same_outcome(*one, np.ones(3), YoungFunction.power(2.0, 1e-300))
+        assert_same_outcome(*one, np.ones(3), [(0, 1, YoungFunction.power(2.0)),
+                                                (1, 3, YoungFunction.power(2.0, 1e-300))], [0, 1])
+        with pytest.raises(LuxemburgError, match="upper bracket"):
+            _kernels.luxemburg_batch(*one, np.array([1.0, 1e-250, 1.0]), YoungFunction.power(2.0))
+        with pytest.raises(LuxemburgError, match="lower bracket"):
+            _kernels.luxemburg_batch(*one, np.ones(3), YoungFunction.power(2.0, 1e-300))
+        # five steps stop no segment of a level table
+        monkeypatch.setattr(_kernels, "LUX_MAX_ITER", 5)
+        for phi in (*CLOSED_KINDS, NUMERIC_LOG_BUMP):
+            vals, wts, indptr, vols, starts = level_table_csr(lognormal(Mesh(1, 0, 4), 86))
+            assert_same_outcome(vals, wts, indptr, vols, phi, starts)
+            with pytest.raises(LuxemburgError, match="did not converge in 5 steps"):
+                _kernels.luxemburg_batch(vals, wts, indptr, vols, phi, starts)
+
+    def test_rate_bounds_the_elasticity(self):
+        # d log Phi / d log t >= rate > 0 on a grid from 1e-8 to 1e12, and
+        # the kinds whose logarithmic exponents can make Phi decrease are
+        # refused
+        t = np.logspace(-8, 12, 20001)
+        for phi in (*CLOSED_KINDS, YoungFunction.dual_log_bump(1.5, 3.4), YoungFunction.dual_loglog_bump(1.2, 3.0)):
+            rate, _ = _kernels._closed_exponents(phi)
+            slope = np.diff(np.log(phi(t))) / np.diff(np.log(t))
+            assert rate > 0.0 and slope.min() >= rate * (1.0 - 1e-6)
+        assert _kernels._closed_exponents(YoungFunction.dual_log_bump(1.5, 5.0)) is None
+        assert np.diff(np.log(YoungFunction.dual_log_bump(1.5, 5.0)(t))).min() < 0.0
+        assert _kernels._closed_exponents(NUMERIC_LOG_BUMP) is None
+        assert _kernels._closed_exponents(np.square) is None
+
+    def test_ends_of_the_float_range(self):
+        # subnormal and near-overflow values: brackets that do not halve
+        # exactly, and at 1e-320 a bisection that cannot converge
+        rng = np.random.default_rng(89)
+        for scale in (1e-320, 1e-310, 1e-300, 1e300, 1e307):
+            args = (rng.uniform(0.5, 2.0, 30) * scale, np.full(30, 1.0 / 3.0), np.arange(0, 31, 3), np.ones(10))
+            for phi in CLOSED_KINDS:
+                with np.errstate(over="ignore"):
+                    assert_same_outcome(*args, phi, [0, 5])
+
+    def test_values_outside_the_error_model(self):
+        # negative values, zero weights, weights above 2^400, and cube
+        # volumes below 2^-400 leave their groups uncertified
+        rng = np.random.default_rng(87)
+        vals, wts, indptr, vols = small_groups(rng, rng.integers(1, 20, 40))
+        vals[indptr[3]] = -0.5
+        wts[indptr[5]] = 0.0
+        wts[indptr[7]] = 2.0**401
+        vols[7] = 2.0**402
+        vols[9] = 2.0**-401
+        wts[indptr[9] : indptr[10]] = 2.0**-402
+        for phi in CLOSED_KINDS[:3]:
+            # a negative value to a fractional power is NaN in both
+            with np.errstate(invalid="ignore"):
+                assert_same_outcome(vals, wts, indptr, vols, phi, [0, 4, 8])
+
+
+def longdouble_young(phi, t):
+    """``phi`` of the closed kinds in long double, from the same float64
+    parameters and constants as ``_kernels.young_eval_np``."""
+    a, b = np.longdouble(phi.a), np.longdouble(phi.b)
+    if phi.kind == _kernels.KIND_POWER:
+        return b * t**a
+    lg = np.log(np.longdouble(_kernels._E) + t)
+    if phi.kind == _kernels.KIND_LOG_BUMP:
+        return t**a * lg ** np.longdouble(phi.a - 1.0 + phi.b)
+    if phi.kind == _kernels.KIND_DUAL_LOG:
+        return t**a * lg ** np.longdouble(-1.0 - phi.b)
+    llg = np.log(np.log(np.longdouble(_kernels._EE) + t))
+    if phi.kind == _kernels.KIND_LOGLOG_BUMP:
+        return t**a * lg ** np.longdouble(phi.a - 1.0) * llg ** np.longdouble(phi.a - 1.0 + phi.b)
+    return t**a / lg * llg ** np.longdouble(-1.0 - phi.b)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60, reason="long double is no wider than float64")
+class TestCertificationErrorModel:
+    """The computed group average near the root against a long double
+    recomputation: within eps_g / 4, a quarter of the bound that
+    certification assumes (see ``_kernels``)."""
+
+    @pytest.mark.parametrize("phi", [*CLOSED_KINDS, YoungFunction.log_bump(4.0, 1.0),
+                                     YoungFunction.loglog_bump(1.2, 3.0), YoungFunction.power(1.3)],
+                             ids=lambda p: f"{p.name}-{p.a:.3g}")
+    def test_group_average_within_a_quarter_of_the_bound(self, phi):
+        rng = np.random.default_rng(88)
+        sizes = np.concatenate((np.ones(50, dtype=np.int64), rng.integers(2, 50, 200), rng.integers(500, 3000, 6)))
+        vals, wts, indptr, vols = small_groups(rng, sizes, zero_share=0.1)
+        vals[indptr[60] : indptr[61]] *= 1e6
+        ngroups = len(sizes)
+        root = _kernels.luxemburg_batch(vals, wts, indptr, vols, phi, np.arange(ngroups))
+        keep = root > 0.0
+        lam = np.where(keep, root * (1.0 + rng.uniform(-1e-10, 1e-10, ngroups)), 1.0)
+        group_of = np.repeat(np.arange(ngroups), sizes)
+        # the kernel's arithmetic: divide, Young function, weight, bincount, volume
+        computed = np.bincount(group_of, weights=phi(vals / lam[group_of]) * wts, minlength=ngroups) / vols
+        terms = longdouble_young(phi, vals.astype(np.longdouble) / lam[group_of]) * wts
+        exact = np.add.reduceat(terms, indptr[:-1]) / vols
+        _, cond = _kernels._closed_exponents(phi)
+        eps = (sizes + 16.0 * (cond + 2.0)) * 2.0**-53
+        err = np.abs(computed - exact)[keep] / exact[keep]
+        assert keep.sum() >= ngroups - 30
+        assert np.all(err <= eps[keep] / 4.0), float(np.max(err / eps[keep]))
