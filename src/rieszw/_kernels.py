@@ -176,15 +176,15 @@ def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
     t = np.empty_like(vals)
     run_views = [(t[a:b], wts[a:b], f) for a, b, f in runs]
 
-    def gval(lam_arr, views=run_views):
+    def gval(lam_arr):
         np.divide(vals, lam_arr[group_of], out=t)
-        for t_run, w_run, f in views:
+        for t_run, w_run, f in run_views:
             np.multiply(f(t_run), w_run, out=t_run)
         return np.bincount(group_of, weights=t, minlength=ngroups) / vols
 
     lo = np.where(active, gmax, 1.0)
     g0 = gval(lo)
-    below, above = _certify(vals, wts, indptr, vols, runs, run_views, group_of, active, lo, g0, gval)
+    below, above = _certify(vals, wts, indptr, vols, runs, group_of, active, lo, g0, gval)
 
     def decide(x, moving, sure, compare):
         """compare(gval(x), 1.0) for the moving groups: ``sure`` where the
@@ -245,17 +245,15 @@ def luxemburg_batch(vals, wts, indptr, vols, phi, starts=(0,)):
     return lam
 
 
-def _certify(vals, wts, indptr, vols, runs, run_views, group_of, active, x0, g0, gval):
+def _certify(vals, wts, indptr, vols, runs, group_of, active, x0, g0, gval):
     """(A, B) per group: g(x) > 1 is certain at x <= A and g(x) < 1 at
-    x >= B; -inf and +inf for a group left uncertified.  ``g0`` is g at
-    ``x0``, the group maxima; ``gval(x, views)`` evaluates the runs of
-    ``run_views`` in ``views``."""
+    x >= B; -inf and +inf for a group left uncertified.  ``g0`` is
+    ``gval`` at ``x0``, the group maxima."""
     ngroups = len(vols)
     below, above = np.full(ngroups, -np.inf), np.full(ngroups, np.inf)
     # a group's rate is the least of its runs', its cond the largest
     rate, cond = np.full(ngroups, np.inf), np.zeros(ngroups)
-    closed = []
-    for (a, b, f), view in zip(runs, run_views):
+    for a, b, f in runs:
         if a == b:
             continue
         ex = _closed_exponents(f)
@@ -263,7 +261,6 @@ def _certify(vals, wts, indptr, vols, runs, run_views, group_of, active, x0, g0,
         if ex is None:
             cond[g] = np.inf
         else:
-            closed.append(view)
             np.minimum(rate[g], ex[0], out=rate[g])
             np.maximum(cond[g], ex[1], out=cond[g])
     kappa = 3.0 * (np.diff(indptr) + 16.0 * (cond + 2.0)) * _U
@@ -278,7 +275,7 @@ def _certify(vals, wts, indptr, vols, runs, run_views, group_of, active, x0, g0,
         step = y / rate
         for _ in range(_SECANT_STEPS):
             x = x * np.exp(step)
-            y_new = np.log(gval(x, closed))
+            y_new = np.log(gval(x))
             step = np.where(y_new != y, y_new * step / (y - y_new), 0.0)
             # the next point is off by about cond |y_new y| / rate
             if not (cand & (cond * np.abs(y_new * y) > kappa)).any():
@@ -286,8 +283,8 @@ def _certify(vals, wts, indptr, vols, runs, run_views, group_of, active, x0, g0,
             y = y_new
         r, eta = x * np.exp(step), 2.0 * kappa / rate
         probe_lo, probe_hi = r * (1.0 - eta), r * (1.0 + eta)
-        cand &= gval(probe_lo, closed) >= 1.0 + kappa
-        cand &= gval(probe_hi, closed) <= 1.0 - kappa
+        cand &= gval(probe_lo) >= 1.0 + kappa
+        cand &= gval(probe_hi) <= 1.0 - kappa
     np.copyto(below, probe_lo, where=cand)
     np.copyto(above, probe_hi, where=cand)
     return below, above

@@ -874,7 +874,7 @@ def small_groups(rng, sizes, zero_share=0.0):
     indptr = np.concatenate(([0], np.cumsum(sizes)))
     vals = rng.lognormal(0.0, 1.5, indptr[-1]) * (rng.random(indptr[-1]) >= zero_share)
     wts = rng.uniform(1e-3, 1.0, indptr[-1])
-    vols = np.add.reduceat(wts, indptr[:-1]) * rng.uniform(1.0, 4.0, len(sizes)) if len(wts) else np.zeros(0)
+    vols = np.add.reduceat(wts, indptr[:-1]) * rng.uniform(1.0, 4.0, len(sizes))
     return vals, wts, indptr, vols
 
 
