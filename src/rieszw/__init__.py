@@ -11,7 +11,7 @@ Submodules:
   cli        command-line experiment surface
 """
 
-from .mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
+from .mesh import DyadicCube, Mesh, StepFunction
 from .operators import KernelMode, dyadic_riesz, riesz_reference, sparse_riesz
 from .sparse import SparseFamily, build_sparse, verify_sparse
 from .weights import ExponentTuple
@@ -22,7 +22,6 @@ __all__ = [
     "DyadicCube",
     "Mesh",
     "StepFunction",
-    "enumerate_cubes",
     "KernelMode",
     "riesz_reference",
     "dyadic_riesz",

@@ -107,10 +107,11 @@ class ExperimentConfig:
 
     def validate(self) -> dict:
         """Raise ConfigError unless the mesh, the exponents, the seed, the
-        random-function count, the bump settings, ``fw_max_level``, every
-        alpha, every beta and every weight spec are valid, and the list
-        fields are lists.  Returns each distinct spec's weight, generated
-        once, on the run's mesh: the weights every command takes."""
+        output directory, the random-function count, the bump settings,
+        ``fw_max_level``, every alpha, every beta and every weight spec are
+        valid, and the list fields are lists.  Returns each distinct spec's
+        weight, generated once, on the run's mesh: the weights every command
+        takes."""
         # a JSON bool is a Python int: exact type tests keep it out
         for name in ("n", "J", "L", "T", "seed"):
             if type(getattr(self, name)) is not int:
@@ -121,6 +122,8 @@ class ExperimentConfig:
         for name in ("alpha", "p", "q"):
             if type(getattr(self, name)) not in (int, float):
                 raise ConfigError(f"{name} must be a number; got {getattr(self, name)!r}")
+        if not (type(self.out) is str and self.out):
+            raise ConfigError(f"out must be a non-empty string; got {self.out!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative; got {self.seed}")
         for beta in self.betas:
@@ -132,8 +135,11 @@ class ExperimentConfig:
             raise ConfigError(f"bump_kind must be 'log' or 'loglog'; got {self.bump_kind!r}")
         if not (type(self.bump_delta) in (int, float) and 0.0 < self.bump_delta < math.inf):
             raise ConfigError(f"bump_delta must be a finite number > 0; got {self.bump_delta!r}")
-        if not (self.fw_max_level is None or type(self.fw_max_level) is int):
-            raise ConfigError(f"fw_max_level must be an integer or null; got {self.fw_max_level!r}")
+        # no cube meeting the box is coarser than level -J, so a cap below
+        # it would scan nothing and report 0 for a constant that is >= 1
+        fw = self.fw_max_level
+        if not (fw is None or (type(fw) is int and fw >= -self.J)):
+            raise ConfigError(f"fw_max_level must be an integer >= -J = {-self.J} or null; got {fw!r}")
         try:
             mesh = self.mesh()
             self.exps()

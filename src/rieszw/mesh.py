@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,9 +27,6 @@ __all__ = [
     "LevelTable",
     "Mesh",
     "StepFunction",
-    "CoveringError",
-    "enumerate_cubes",
-    "covering_shifted_cube",
 ]
 
 #: Default number of padding levels coarser than the base box.  Chosen so the
@@ -49,10 +44,6 @@ DEFAULT_MAX_CELLS = 1 << 20
 #: weight pairs of a corona sweep): batches this small hold the per-frame
 #: call overhead down without adding to the peak memory of a run.
 _FRAME_BLOCK = 1 << 12
-
-
-class CoveringError(RuntimeError):
-    """No admissible shifted cube covers the requested box."""
 
 
 @dataclass(frozen=True, order=True)
@@ -90,41 +81,11 @@ class DyadicCube:
         hi = tuple(a + 3 * scale for a in lo)
         return lo, hi
 
-    def lower(self) -> tuple[float, ...]:
-        k = self.level
-        sgn = 1 if k % 2 == 0 else -1
-        return tuple(2.0 ** (-k) * (m + sgn * s / 3.0) for m, s in zip(self.coord, self.shift))
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        lo = self.lower()
-        side = self.side
-        return all(a <= xi < a + side for a, xi in zip(lo, x))
-
-    def contains_cube(self, other: "DyadicCube") -> bool:
-        """Set containment; both cubes must carry the same shift."""
-        if self.shift != other.shift:
-            raise ValueError("containment is only defined within one grid")
-        if other.level < self.level:
-            return False
-        ref = max(self.level, other.level)
-        lo_a, hi_a = self.bounds3(ref)
-        lo_b, hi_b = other.bounds3(ref)
-        return all(a <= b for a, b in zip(lo_a, lo_b)) and all(
-            b <= a for a, b in zip(hi_a, hi_b)
-        )
-
-    def intersects_cube(self, other: "DyadicCube") -> bool:
-        ref = max(self.level, other.level)
-        lo_a, hi_a = self.bounds3(ref)
-        lo_b, hi_b = other.bounds3(ref)
-        return all(a < d and c < b for a, b, c, d in zip(lo_a, hi_a, lo_b, hi_b))
-
 
 class LevelTable(NamedTuple):
     """The cubes of every level of one shifted grid that meet the base box,
-    as one table: coarse to fine, and row-major in coordinates
-    (``Mesh.level_cube_coords`` order) within a level.  Arrays are
-    read-only.
+    as one table: coarse to fine, and row-major in integer coordinates
+    within a level.  Arrays are read-only.
 
     ``parent`` links each cube to the cube one level coarser that contains
     it, and ``cells`` gives each cell the finest cube over its centre, so
@@ -304,9 +265,9 @@ class Mesh:
         return table
 
     def _line_table(self, flag: int) -> LevelTable:
-        """Every level of one 1-D grid at once: the per-level coordinate
-        ranges of ``coord_range`` as arrays, and the cubes of all levels
-        listed in one pass."""
+        """Every level of one 1-D grid at once: per level, the range of
+        integer coordinates whose cube meets the box, as arrays, and the
+        cubes of all levels listed in one pass."""
         L = self.finest_exponent
         levels = np.arange(self.coarsest_level, L + 1)
         # Python shifts: a scale beyond int64 raises instead of wrapping
@@ -400,37 +361,6 @@ class Mesh:
         """The 2^n grid shifts, all-zero first."""
         return [tuple(s) for s in itertools.product((0, 1), repeat=self.n)]
 
-    def coord_range(self, shift: tuple[int, ...], level: int) -> list[range]:
-        """Per-axis range of integer coordinates whose cube meets the box."""
-        scale = 1 << (self.finest_exponent - level)
-        box3 = 3 * self.cells_per_axis
-        sgn = 1 if level % 2 == 0 else -1
-        out = []
-        for s in shift:
-            c = sgn * s
-            m_hi = ((box3 - 1) // scale - c) // 3
-            # smallest m with (3m + 3 + c) * scale > 0
-            m_lo = -((2 + c) // 3)
-            out.append(range(m_lo, m_hi + 1))
-        return out
-
-    def cube_containing_cell(
-        self, shift: tuple[int, ...], level: int, cell: tuple[int, ...]
-    ) -> DyadicCube:
-        """The unique level-``level`` cube of the grid containing the center
-        of the given finest cell."""
-        coord = tuple(
-            _containing_coord(i, s, level, self.finest_exponent) for i, s in zip(cell, shift)
-        )
-        return DyadicCube(tuple(shift), level, coord)
-
-    def level_cube_coords(self, shift: tuple[int, ...], level: int) -> np.ndarray:
-        """Integer coordinates of all level cubes meeting the box, as an
-        array of shape (count, n), lexicographically ordered."""
-        ranges = self.coord_range(shift, level)
-        grids = np.meshgrid(*[np.arange(r.start, r.stop) for r in ranges], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
     def bounds3(self, cubes: Sequence[DyadicCube]) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) thirds-corners of a cube sequence, as int64 arrays
         of shape (len(cubes), n)."""
@@ -461,13 +391,6 @@ class Mesh:
             index.insert(0, i0[box, axis] + rest % w)
             rest //= w
         return box, tuple(index)
-
-    def contains_cube(self, cube: DyadicCube) -> bool:
-        """Whether the cube lies entirely inside the base box."""
-        lo, hi = cube.bounds3(self.finest_exponent)
-        box3 = 3 * self.cells_per_axis
-        return all(a >= 0 for a in lo) and all(b <= box3 for b in hi)
-
 
 def _product_table(tx: LevelTable, ty: LevelTable) -> LevelTable:
     """The 2-D level table of the grid whose axes are the line grids of
@@ -519,60 +442,6 @@ def _containing_coord(cell, flag, level, finest_exponent):
     dp = 2 << (finest_exponent - level)  # the cube side in units of h/2
     sgn = 1 - 2 * (level % 2)
     return (3 * (2 * cell + 1) - sgn * flag * dp) // (3 * dp)
-
-
-def enumerate_cubes(mesh: Mesh, shift: tuple[int, ...]) -> list[DyadicCube]:
-    """Every cube of the shifted grid with level in the truncated range that
-    intersects the base box, coarse to fine then lexicographic."""
-    if tuple(shift) not in mesh.shifts():
-        raise ValueError(f"invalid shift {shift!r}")
-    out: list[DyadicCube] = []
-    for k in mesh.levels():
-        for coord in itertools.product(*mesh.coord_range(tuple(shift), k)):
-            out.append(DyadicCube(tuple(shift), k, coord))
-    return out
-
-
-def covering_shifted_cube(
-    mesh: Mesh, lower: Sequence[float], upper: Sequence[float]
-) -> tuple[tuple[int, ...], DyadicCube]:
-    """Find a shift t and grid cube containing the box [lower, upper) with
-    side at most 6x the box side.
-
-    Scans the admissible levels finest to coarsest, all-zero shift first.
-    Raises CoveringError if nothing fits inside the truncated level range.
-    """
-    lo = [Fraction(x) for x in lower]
-    hi = [Fraction(x) for x in upper]
-    if any(b <= a for a, b in zip(lo, hi)):
-        raise ValueError("degenerate box")
-    ell = max(b - a for a, b in zip(lo, hi))
-    # candidate levels: 2^-k in [ell, 6*ell]
-    k_hi = math.floor(-math.log2(float(ell)))
-    while Fraction(2) ** (-k_hi) < ell:
-        k_hi -= 1
-    k_lo = k_hi
-    while Fraction(2) ** (-(k_lo - 1)) <= 6 * ell:
-        k_lo -= 1
-    k_hi = min(k_hi, mesh.finest_exponent)
-    k_lo = max(k_lo, mesh.coarsest_level)
-    third = Fraction(1, 3)
-    for k in range(k_hi, k_lo - 1, -1):
-        side = Fraction(2) ** (-k)
-        sgn = 1 if k % 2 == 0 else -1
-        for shift in mesh.shifts():
-            ok = True
-            coord = []
-            for a, b, s in zip(lo, hi, shift):
-                off = sgn * s * third
-                m = math.floor(a / side - off)
-                if b > side * (m + 1 + off):
-                    ok = False
-                    break
-                coord.append(m)
-            if ok:
-                return tuple(shift), DyadicCube(tuple(shift), k, tuple(coord))
-    raise CoveringError("no shifted cube covers the box within the level range")
 
 
 class StepFunction:

@@ -93,14 +93,6 @@ class ExponentTuple:
     def sobolev(self) -> bool:
         return abs(1.0 / self.p - 1.0 / self.q - self.alpha / self.n) <= 1e-12
 
-    @staticmethod
-    def sobolev_pair(n: int, alpha: float, p: float) -> "ExponentTuple":
-        """The (p, q) pair with 1/p - 1/q = alpha/n."""
-        inv_q = 1.0 / p - alpha / n
-        if inv_q <= 0.0:
-            raise ValueError("Sobolev exponent q is not finite for this (p, alpha)")
-        return ExponentTuple(n, alpha, p, 1.0 / inv_q)
-
 
 @dataclass(frozen=True)
 class CharacteristicReport:
@@ -485,17 +477,25 @@ def generate_weight(mesh: Mesh, spec: str) -> StepFunction:
     for k in params:
         if kind in keys and k not in keys[kind]:
             raise ValueError(f"unknown parameter {k!r} of weight kind {kind!r} in {spec!r}")
+
+    def number(key: str, default: str, count: int = 1):
+        """Parameter ``key`` (``default`` if absent) as a finite float, or
+        as ``count`` finite floats joined by 'x'."""
+        text = params.get(key, default)
+        values = [float(v) for v in (text.split("x") if count > 1 else (text,))]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"weight spec parameter {key}={text} is not finite in {spec!r}")
+        return values if count > 1 else values[0]
+
     N = mesh.cells_per_axis
     h = mesh.cell_width
     if kind == "constant":
-        c = float(params.get("c", "1"))
+        c = number("c", "1")
         if c <= 0.0:
             raise ValueError("constant weight must be positive")
         return StepFunction.constant(mesh, c)
     if kind == "twovalue":
-        a = float(params.get("a", "2"))
-        b = float(params.get("b", "1"))
-        split = float(params.get("split", "0.5"))
+        a, b, split = number("a", "2"), number("b", "1"), number("split", "0.5")
         if a <= 0.0 or b <= 0.0:
             raise ValueError("twovalue needs positive values")
         axis = (np.arange(N) + 0.5) * h
@@ -503,25 +503,22 @@ def generate_weight(mesh: Mesh, spec: str) -> StepFunction:
         vals = line if mesh.n == 1 else np.broadcast_to(line[:, None], (N, N)).copy()
         return StepFunction(mesh, vals)
     if kind == "power":
-        beta = float(params.get("beta", "0.3"))
+        beta = number("beta", "0.3")
         if beta <= -mesh.n:
             raise ValueError("beta <= -n is non-integrable")
-        floor_s = params.get("floor", "auto")
-        floor = h if floor_s == "auto" else float(floor_s)
+        floor = h if params.get("floor", "auto") == "auto" else number("floor", "auto")
         if floor <= 0.0:
             raise ValueError("floor must be positive")
+        axis = (np.arange(N) + 0.5) * h
         if mesh.n == 1:
-            center = float(params.get("center", "0.5"))
-            axis = (np.arange(N) + 0.5) * h
-            d = np.maximum(np.abs(axis - center), floor)
+            d = np.maximum(np.abs(axis - number("center", "0.5")), floor)
         else:
-            cx, cy = (float(v) for v in params.get("center", "0.5x0.5").split("x"))
-            axis = (np.arange(N) + 0.5) * h
+            cx, cy = number("center", "0.5x0.5", 2)
             d = np.maximum(np.hypot(axis[:, None] - cx, axis[None, :] - cy), floor)
         return StepFunction(mesh, d**beta)
     if kind == "martingale":
         seed = int(params.get("seed", "0"))
-        vol = float(params.get("vol", "0.3"))
+        vol = number("vol", "0.3")
         rng = np.random.default_rng(seed)
         vals = np.ones((N,) * mesh.n)
         size = N
@@ -537,7 +534,7 @@ def generate_weight(mesh: Mesh, spec: str) -> StepFunction:
         return StepFunction(mesh, vals)
     if kind == "checkerboard":
         levels = int(params.get("levels", "2"))
-        ratio = float(params.get("ratio", "4"))
+        ratio = number("ratio", "4")
         if ratio <= 0.0:
             raise ValueError("ratio must be positive")
         blocks = 1 << levels

@@ -6,6 +6,8 @@ import pytest
 
 from rieszw.mesh import DyadicCube, Mesh, StepFunction
 
+from reference_geometry import coord_range, level_cube_coords
+
 
 @pytest.fixture
 def unit_mesh():
@@ -26,7 +28,7 @@ def lognormal(mesh: Mesh, seed: int, scale: float = 1.0) -> StepFunction:
 
 
 def _flat_index(mesh: Mesh, shift, level: int, lo3: np.ndarray) -> np.ndarray:
-    """Row-major index, in ``Mesh.level_cube_coords`` order, of the level
+    """Row-major index, in ``level_cube_coords`` order, of the level
     cube that contains each thirds-unit point of ``lo3`` (shape (m, n)).
 
     A verbatim copy of the lookup the sparse families used before they
@@ -35,7 +37,7 @@ def _flat_index(mesh: Mesh, shift, level: int, lo3: np.ndarray) -> np.ndarray:
     sgn = 1 if level % 2 == 0 else -1
     coord = (lo3 // scale - sgn * np.asarray(shift, dtype=np.int64)) // 3
     idx = np.zeros(len(coord), dtype=np.int64)
-    for axis, r in enumerate(mesh.coord_range(tuple(shift), level)):
+    for axis, r in enumerate(coord_range(mesh, tuple(shift), level)):
         idx = idx * len(r) + (coord[:, axis] - r.start)
     return idx
 
@@ -45,9 +47,9 @@ def _flat_index(mesh: Mesh, shift, level: int, lo3: np.ndarray) -> np.ndarray:
 
 def level_bounds3(mesh: Mesh, shift, level: int):
     """(lower, upper) thirds-corners of all level cubes meeting the box, in
-    ``Mesh.level_cube_coords`` order: the per-level scalar geometry the level
+    ``level_cube_coords`` order: the per-level scalar geometry the level
     tables are checked against."""
-    coords = mesh.level_cube_coords(shift, level)
+    coords = level_cube_coords(mesh, shift, level)
     scale = 1 << (mesh.finest_exponent - level)
     sgn = 1 if level % 2 == 0 else -1
     lo = (3 * coords + sgn * np.asarray(shift, dtype=np.int64)) * scale
@@ -77,7 +79,7 @@ def in_box_cubes(mesh: Mesh):
 
 class LevelGrid(NamedTuple):
     """The cubes of one level of a shifted grid that meet the base box, in
-    ``Mesh.level_cube_coords`` (row-major) order: the per-level view the
+    ``level_cube_coords`` (row-major) order: the per-level view the
     level-by-level oracles paint through."""
 
     level: int
@@ -97,11 +99,11 @@ class LevelGrid(NamedTuple):
 def per_level_grid(mesh: Mesh, shift, level: int) -> LevelGrid:
     """One level of a grid, built from the per-level scalar geometry."""
     shift = tuple(shift)
-    coords = mesh.level_cube_coords(shift, level)
+    coords = level_cube_coords(mesh, shift, level)
     lo3, hi3 = level_bounds3(mesh, shift, level)
     box3 = 3 * mesh.cells_per_axis
     in_box = np.all(lo3 >= 0, axis=1) & np.all(hi3 <= box3, axis=1)
-    shape = tuple(len(r) for r in mesh.coord_range(shift, level))
+    shape = tuple(len(r) for r in coord_range(mesh, shift, level))
     cell_cube = []
     for axis, count in enumerate(shape):
         if count == 1:

@@ -87,10 +87,14 @@ class TestExitCodes:
             ({"weights": ["constant:x=5"]}, None),
             ({"weights": ["twovalue:a=2,bb=7"]}, None),
             ({"weights": ["constant:c=1,c=2"]}, None),
+            ({"weights": ["twovalue:split=nan"]}, None),
+            ({"weights": ["power:beta=inf"]}, None),
+            ({"pairs": [["constant:c=1", "twovalue:split=inf"]]}, None),
         ],
         ids=["too-many-cells", "n=3", "negative-padding", "alpha", "alphas-entry", "weight-kind",
              "negative-seed", "corners-past-int64", "level-scale-past-int64", "unknown-weight-parameter",
-             "misspelt-weight-parameter", "repeated-weight-parameter"],
+             "misspelt-weight-parameter", "repeated-weight-parameter", "nan-weight-parameter",
+             "inf-weight-parameter", "inf-pair-weight-parameter"],
     )
     def test_invalid_config_exits_2(self, tmp_path, overrides, mesh):
         extra = ["--mesh", mesh] if mesh else []
@@ -110,6 +114,8 @@ class TestExitCodes:
             ("constants", {"fw_max_level": "x"}),
             ("constants", {"fw_max_level": True}),
             ("constants", {"fw_max_level": 1.5}),
+            ("constants", {"fw_max_level": -1}),
+            ("sandwich", {"fw_max_level": -1}),
             ("verify", {"n_random_functions": 2.5}),
             ("verify", {"n_random_functions": -1}),
             ("verify", {"n_random_functions": True}),
@@ -139,7 +145,8 @@ class TestExitCodes:
             ("exponent-fit", {"betas": 0.5}),
         ],
         ids=["bump-kind", "negative-delta", "zero-delta", "string-delta", "bool-delta", "string-fw-level",
-             "bool-fw-level", "float-fw-level", "float-function-count", "negative-function-count",
+             "bool-fw-level", "float-fw-level", "coarse-fw-level-constants", "coarse-fw-level-sandwich",
+             "float-function-count", "negative-function-count",
              "bool-function-count", "float-padding-constants", "float-padding-exponent-fit",
              "float-seed-verify", "float-seed-exponent-fit", "float-seed-constants", "bool-L", "float-L",
              "float-n", "bool-J", "string-beta", "bool-beta", "nan-beta", "non-integrable-beta",
@@ -207,10 +214,27 @@ class TestExitCodes:
         assert r.stderr.startswith("config error: ") and "random function" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_non_string_out_exits_2(self, tmp_path, monkeypatch, capsys):
+        # run_cli always passes --out, which would hide the config field
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(SMALL, out=5)))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["constants", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: out must be a non-empty string; got 5"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_empty_weight_config_noop(self, tmp_path):
         cfg = dict(SMALL, weights=[], n_random_functions=0)
         r = run_cli(tmp_path, "verify", cfg)
         assert r.returncode == 0
+
+
+def test_cli_import_loads_no_fractions():
+    # a fresh interpreter: the package's whole import chain, over numpy's
+    code = ("import sys, numpy; before = set(sys.modules); import rieszw.cli; "
+            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["[]"]
 
 
 class TestNegativeBaseExponent:

@@ -26,6 +26,7 @@ from rieszw.sparse import SparseFamily, build_sparse
 from rieszw.weights import ExponentTuple, _center_mask
 
 from conftest import _scan_levels, center_slices, lognormal
+from reference_geometry import sobolev_pair
 from test_sparse import ORACLE_FAMILIES, _ancestor_at, candidate_roots, member_integrals
 from test_weights import CORPUS_MESHES, in_box_cubes_with_bounds, zero_mass_weight
 
@@ -255,7 +256,7 @@ class TestSawyerBatches:
                                       Mesh(2, 1, 2, coarse_padding=0)],
                              ids=["n1", "n1J1-T0", "n2", "n2J1-T0"])
     def test_equals_per_cube_applies(self, mesh):
-        exps = SOB if mesh.n == 1 else ExponentTuple.sobolev_pair(2, 0.5, 1.5)
+        exps = SOB if mesh.n == 1 else sobolev_pair(2, 0.5, 1.5)
         u = lognormal(mesh, 62, scale=0.7)
         for s in (lognormal(mesh, 63, scale=0.7), zero_mass_weight(mesh, 63)):
             for mode in KernelMode:
@@ -264,7 +265,7 @@ class TestSawyerBatches:
 
     def test_across_frame_blocks(self, monkeypatch):
         mesh = Mesh(2, 0, 3)
-        exps = ExponentTuple.sobolev_pair(2, 0.5, 1.5)
+        exps = sobolev_pair(2, 0.5, 1.5)
         u, s = lognormal(mesh, 64, scale=0.7), zero_mass_weight(mesh, 65)
         expect = per_cube_sawyer_testing(u, s, exps)
         monkeypatch.setattr(normest, "_FRAME_BLOCK", 5 * (2 * mesh.cells_per_axis) ** 2)  # 5 frames
@@ -276,7 +277,7 @@ class TestSawyerOracle:
     @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(1, 1, 4), Mesh(2, 0, 2)], ids=["n1", "n1J1", "n2"])
     @pytest.mark.parametrize("zeros", ["positive", "zero-mass"])
     def test_equals_loop(self, mesh, zeros):
-        exps = SOB if mesh.n == 1 else ExponentTuple.sobolev_pair(2, 0.5, 1.5)
+        exps = SOB if mesh.n == 1 else sobolev_pair(2, 0.5, 1.5)
         u = lognormal(mesh, 60, scale=0.7)
         s = lognormal(mesh, 61, scale=0.7) if zeros == "positive" else zero_mass_weight(mesh, 61)
         for mode in (KernelMode.MIDPOINT, KernelMode.UPPER):
@@ -609,7 +610,7 @@ def per_seed_weak_norm_lower(u, sigma, exps, family, strong, rng_seed=0, extra_s
 
 
 def exps_for(mesh):
-    return SOB if mesh.n == 1 else ExponentTuple.sobolev_pair(2, 0.5, 1.5)
+    return SOB if mesh.n == 1 else sobolev_pair(2, 0.5, 1.5)
 
 
 def oracle_pairs(mesh):
@@ -922,7 +923,7 @@ class TestBatchedTheoremChecks:
             monkeypatch.setattr(orlicz, "_LUX_BATCH_CELLS", budget)
         # Sobolev: both range conditions hold; the second tuple fails the
         # direct one, so only the dual constant is computed
-        for exps, direct in ((ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0), True),
+        for exps, direct in ((sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0), True),
                              (ExponentTuple(mesh.n, 0.3 * mesh.n, 1.2, 1.5), False)):
             for kind in ("log", "loglog"):
                 for count in (1, 6):
@@ -956,7 +957,7 @@ class TestBatchedTheoremChecks:
 
     @pytest.mark.parametrize("mesh", CORPUS_MESHES, ids=mesh_id)
     def test_thm31_matches_one_parent_call_per_pair(self, mesh, monkeypatch):
-        exps = ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
+        exps = sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
         items = theorem_items(mesh, 6)
         expect = [parent_thm31_check(u, s, exps, t, 1) for u, s, t in items]
         seen, fujii_wilsons = [], weights.fujii_wilsons

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rieszw import _kernels, operators
-from rieszw.mesh import DyadicCube, Mesh, StepFunction, enumerate_cubes
+from rieszw.mesh import DyadicCube, Mesh, StepFunction
 from rieszw.operators import (
     KernelMode,
     _check_alpha,
@@ -30,6 +30,7 @@ from rieszw.orlicz import YoungFunction, luxemburg_norms, orlicz_maximal
 from rieszw.sparse import SparseFamily, build_sparse
 
 from conftest import center_slices, level_bounds3, level_grids, lognormal
+from reference_geometry import contains_cube, enumerate_cubes, level_cube_coords
 from test_sparse import (
     ORACLE_FAMILIES,
     SWEEP_MESHES,
@@ -106,7 +107,6 @@ def naive_dyadic(f, alpha, shift):
         avg = f.cube_average(q)
         if avg <= 0.0:
             continue
-        lo = q.lower()[0]
         lo3, hi3 = q.bounds3(mesh.finest_exponent)
         third = mesh.cell_width / 3.0
         inside = (centers >= lo3[0] * third) & (centers < hi3[0] * third)
@@ -243,7 +243,7 @@ class TestSparseOracle:
         fam, _ = build_sparse(lognormal(mesh, 33), shift, alpha)
         g = half_zero(mesh, 34)
         for root in candidate_roots(fam):
-            members = [q for q in fam.cubes if root.contains_cube(q)]
+            members = [q for q in fam.cubes if contains_cube(root, q)]
             assert fam.members_in(root) == members
             got = restricted_sparse_riesz(g, alpha, fam, root).values
             assert_same_bits(got, loop_sparse_sum(g, alpha, members))
@@ -260,7 +260,7 @@ class TestSparseOracle:
         for h in (lognormal(mesh, 36), signed_zero(mesh, 37)):
             assert_same_bits(sparse_riesz(h, alpha, fam).values, loop_sparse_sum(h, alpha, fam.cubes))
             for root in _roots(fam):
-                members = [q for q in fam.cubes if root.contains_cube(q)]
+                members = [q for q in fam.cubes if contains_cube(root, q)]
                 got = restricted_sparse_riesz(h, alpha, fam, root).values
                 assert_same_bits(got, loop_sparse_sum(h, alpha, members))
 
@@ -396,7 +396,7 @@ def loop_orlicz_maximal(f, phi):
     out = np.zeros((mesh.cells_per_axis,) * mesh.n)
     for shift in mesh.shifts():
         for k in mesh.levels():
-            coords = mesh.level_cube_coords(shift, k)
+            coords = level_cube_coords(mesh, shift, k)
             cubes = [DyadicCube(shift, k, tuple(int(x) for x in c)) for c in coords]
             norms = luxemburg_norms(f, *mesh.bounds3(cubes), phi)
             for cube, v in zip(cubes, norms):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rieszw import cli, corona as corona_module
 from rieszw.cli import ExperimentConfig
-from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _prefix_sums, _sweep, enumerate_cubes
+from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _prefix_sums, _sweep
 from rieszw.normest import _seed_blocks
 from rieszw.operators import _forest_paint, _member_weights, compare_pointwise, dyadic_riesz, sparse_riesz
 from rieszw.corona import (
@@ -47,6 +47,7 @@ from rieszw.sparse import _ilog_lt, _int64, _overlap_reports
 from rieszw.weights import ExponentTuple, _center_mask, fujii_wilson, generate_weight
 
 from conftest import _flat_index, level_grids, lognormal, per_level_grid
+from reference_geometry import contains_cube, coord_range, cube_containing_cell, enumerate_cubes, level_cube_coords
 
 ALPHA = 0.5
 ROOT = DyadicCube((0,), 0, (0,))
@@ -82,7 +83,7 @@ class TestBuild:
         f = StepFunction(mesh, vals)
         fam, _ = build_sparse(f, (0,), ALPHA)
         spike = DyadicCube((0,), 5, (13,))
-        assert all(q.contains_cube(spike) for q in fam.cubes)
+        assert all(contains_cube(q, spike) for q in fam.cubes)
         assert verify_sparse(fam).ok
 
     def test_zero_rejected(self, unit_mesh):
@@ -754,7 +755,7 @@ def _oracle_families():
         mesh = Mesh(n, 0, L)
         cell = (int(0.3 * mesh.cells_per_axis),) * n
         out.append((f"ancestors-n{n}", lambda m=mesh, c=cell: SparseFamily(
-            m, (0,) * m.n, tuple(m.cube_containing_cell((0,) * m.n, k, c) for k in m.levels()))))
+            m, (0,) * m.n, tuple(cube_containing_cell(m, (0,) * m.n, k, c) for k in m.levels()))))
     out.append(("chain", lambda: nested_chain(Mesh(1, 0, 4))))
     out.append(("singleton", lambda: SparseFamily(Mesh(1, 0, 4), (0,), (ROOT,))))
     out.append(("empty", lambda: SparseFamily(Mesh(2, 0, 2), (1, 1), ())))
@@ -790,7 +791,7 @@ class TestConstructor:
     def test_coordinate_out_of_range_on_axis_1_only(self):
         mesh = Mesh(2, 1, 2, coarse_padding=0)
         shift = (0, 1)
-        r0, r1 = mesh.coord_range(shift, 1)
+        r0, r1 = coord_range(mesh, shift, 1)
         bad = DyadicCube(shift, 1, (r0.stop - 1, r1.stop))
         cubes = (DyadicCube(shift, 1, (r0.start, r1.start)), bad, DyadicCube(shift, 1, (r0.stop, r1.start)))
         with pytest.raises(ValueError) as err:
@@ -916,7 +917,7 @@ class TestCertificateOracle:
         for cell in itertools.product(range(mesh.cells_per_axis), repeat=mesh.n):
             # the members over the cell centre, coarse to fine
             over = [index[q] for k in mesh.levels()
-                    if (q := mesh.cube_containing_cell(fam.shift, k, cell)) in index]
+                    if (q := cube_containing_cell(mesh, fam.shift, k, cell)) in index]
             assert t.owner[cell] == (over[-1] if over else m)
         # the sweep layout: ``up`` is the parent or m, one run per member
         # level, and the head is the longest leading chain of lone members
@@ -988,7 +989,7 @@ class TestCertifyCoronaMutations:
         mesh = Mesh(1, 0, 6)
         cell = (int(0.3 * mesh.cells_per_axis),)
         fam = SparseFamily(mesh, (0,), tuple(
-            mesh.cube_containing_cell((0,), k, cell) for k in mesh.levels()))
+            cube_containing_cell(mesh, (0,), k, cell) for k in mesh.levels()))
         exps, u, sigma = _corona_inputs(mesh)[1]
         cd = corona_decompose(fam, fam.cubes[0], u, sigma, exps)
         assert cd.certified and cd.generation.max() >= 2
@@ -1205,7 +1206,7 @@ def _sweep_families():
                         build_sparse(lognormal(m, 90 + m.n), s, ALPHA)[0]))
             out.append((f"subset-{tag}", lambda m=mesh, s=shift: _random_subset(m, s, 9)))
             out.append((f"coarsest-{tag}", lambda m=mesh, s=shift: SparseFamily(
-                m, s, (DyadicCube(s, m.coarsest_level, tuple(m.level_cube_coords(s, m.coarsest_level)[-1].tolist())),))))
+                m, s, (DyadicCube(s, m.coarsest_level, tuple(level_cube_coords(m, s, m.coarsest_level)[-1].tolist())),))))
         out.append((f"empty-n{n}-J1-T0", lambda m=mesh: SparseFamily(m, m.shifts()[-1], ())))
     return out
 

@@ -32,6 +32,7 @@ from rieszw.orlicz import _conjugate, _luxemburg_blocks, luxemburg_norms
 from rieszw.weights import _center_mask
 
 from conftest import _scan_levels, center_slices, level_grids, lognormal
+from reference_geometry import sobolev_pair
 from test_orlicz import CLOSED_KINDS, NUMERIC_LOG_BUMP, oracle_luxemburg_norms, parent_luxemburg_norms
 
 
@@ -49,7 +50,7 @@ class TestExponentTuple:
         assert e.s_qprime == pytest.approx(2.0)
 
     def test_sobolev_pair_construction(self):
-        e = ExponentTuple.sobolev_pair(1, 0.5, 4.0 / 3.0)
+        e = sobolev_pair(1, 0.5, 4.0 / 3.0)
         assert e.q == pytest.approx(4.0)
 
     @given(st.integers(1, 2), st.floats(0.05, 0.95), st.floats(1.05, 4.0))
@@ -484,7 +485,7 @@ class TestBumpOracle:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_per_cube_loop(self, n, kind):
         mesh = Mesh(1, 0, 5) if n == 1 else Mesh(2, 1, 2, coarse_padding=3)
-        exps = ExponentTuple.sobolev_pair(n, 0.5 * n, 4.0 / 3.0)
+        exps = sobolev_pair(n, 0.5 * n, 4.0 / 3.0)
         make = YoungFunction.log_bump if kind == "log" else YoungFunction.loglog_bump
         u, sigma = lognormal(mesh, 71, scale=0.7), lognormal(mesh, 72, scale=0.7)
         for phi, psi in ((make(exps.q, 1.0), YoungFunction.power(exps.p_prime)),
@@ -651,7 +652,7 @@ class TestCorpusOracle:
     @pytest.mark.parametrize("mesh", CORPUS_MESHES,
                              ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}")
     def test_averaged_characteristics(self, mesh):
-        exps = ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
+        exps = sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
         for label, u, sigma in weight_cases(mesh):
             for got, expect in (
                 (ap_constant(u, 2.5), parent_ap_constant(u, 2.5)),
@@ -670,7 +671,7 @@ class TestCorpusOracle:
     @pytest.mark.parametrize("mesh", CORPUS_MESHES,
                              ids=lambda m: f"n{m.n}-J{m.base_exponent}-L{m.finest_exponent}-T{m.coarse_padding}")
     def test_bump_constant(self, mesh):
-        exps = ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
+        exps = sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0)
         pairs = ((YoungFunction.log_bump(exps.q, 1.0), YoungFunction.power(exps.p_prime)),
                  (YoungFunction.power(exps.q), YoungFunction.loglog_bump(exps.p_prime, 0.5)))
         for _, u, sigma in weight_cases(mesh):
@@ -683,7 +684,7 @@ class TestCorpusOracle:
         mesh = Mesh(1, 0, 8)
         assert sum(int(np.prod((hi + 2) // 3 - lo // 3, axis=1).sum())
                    for _, _, _, lo, hi in _scan_levels(mesh)) > orlicz._LUX_BATCH_CELLS
-        exps = ExponentTuple.sobolev_pair(1, 0.5, 4.0 / 3.0)
+        exps = sobolev_pair(1, 0.5, 4.0 / 3.0)
         u, sigma = lognormal(mesh, 85, scale=0.7), zero_mass_weight(mesh, 86)
         phi, psi = YoungFunction.log_bump(exps.q, 1.0), YoungFunction.power(exps.p_prime)
         expect = parent_bump_constant(u, sigma, exps, phi, psi)
@@ -831,7 +832,7 @@ class TestPackedBlocks:
         testing = types.SimpleNamespace(dual=1.5, direct=2.5)
         # Sobolev: both range conditions hold; the second tuple fails the
         # direct one, so only the dual constant is computed
-        for exps in (ExponentTuple.sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0),
+        for exps in (sobolev_pair(mesh.n, 0.5 * mesh.n, 4.0 / 3.0),
                      ExponentTuple(mesh.n, 0.3 * mesh.n, 1.2, 1.5)):
             direct_holds = (exps.q / exps.p) * (1.0 - exps.alpha / exps.n) >= 1.0
             for kind, make in (("log", YoungFunction.log_bump), ("loglog", YoungFunction.loglog_bump)):
@@ -853,7 +854,7 @@ class TestPackedBlocks:
         # five pairs over four weight objects: three distinct u and three
         # distinct sigma, so two (Phi, Psi) make twelve blocks, not twenty
         mesh = Mesh(1, 0, 5)
-        exps = ExponentTuple.sobolev_pair(1, 0.5, 4.0 / 3.0)
+        exps = sobolev_pair(1, 0.5, 4.0 / 3.0)
         a, b, c, d = (lognormal(mesh, 95 + i, scale=0.7) for i in range(4))
         pairs = [(a, b), (b, a), (a, c), (d, b), (a, b)]
         youngs = [(YoungFunction.log_bump(exps.q, 1.0), YoungFunction.power(exps.p_prime)),
@@ -975,6 +976,19 @@ class TestGenerators:
             parse_weight_spec("twovalue:a=")
         with pytest.raises(ValueError):
             generate_weight(unit_mesh, "unknown:x=1")
+
+    @pytest.mark.parametrize("n, spec, key", [(1, "constant:c=inf", "c=inf"), (1, "twovalue:split=nan", "split=nan"),
+                                              (1, "twovalue:a=2,b=-inf", "b=-inf"), (1, "power:beta=inf", "beta=inf"),
+                                              (1, "power:floor=nan", "floor=nan"), (1, "power:center=1e999", "center=1e999"),
+                                              (2, "power:center=0.5xnan", "center=0.5xnan"),
+                                              (1, "martingale:seed=1,vol=nan", "vol=nan"),
+                                              (1, "checkerboard:ratio=inf", "ratio=inf")])
+    def test_non_finite_parameter_refused(self, n, spec, key):
+        # a nan or inf would pass silently: split=nan gives the constant b,
+        # beta=inf an all-zero weight
+        with pytest.raises(ValueError) as exc:
+            generate_weight(Mesh(n, 0, 3), spec)
+        assert str(exc.value) == f"weight spec parameter {key} is not finite in {spec!r}"
 
     @pytest.mark.parametrize("spec", ["constant:c=2", "twovalue:a=2,b=1,split=0.25",
                                       "power:beta=0.3,floor=auto,center=0.4", "martingale:seed=1,vol=0.2",
