@@ -167,10 +167,13 @@ class ExperimentConfig:
 
     def validate_command(self, command: str) -> None:
         """Raise ConfigError unless the config gives ``command`` what it
-        needs: sandwich, corona and norm build their family from the first
-        random function, and so does verify for the weight pairs;
-        exponent-fit needs every beta and its dual exponent above -n.  The
-        dual exponent depends on p and q, so other commands do not test it."""
+        needs: constants a weight or a pair; sandwich, corona and norm build
+        their family from the first random function, and so does verify for
+        the weight pairs; exponent-fit needs every beta and its dual exponent
+        above -n.  The dual exponent depends on p and q, so other commands do
+        not test it."""
+        if command == "constants" and not (self.weights or self.pairs):
+            raise ConfigError("constants needs at least one weight or pair")
         needs_function = command in ("sandwich", "corona", "norm") or (
             command == "verify" and self.weight_pairs()
         )
@@ -560,11 +563,14 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_args(args)
         weights = cfg.validate()
         cfg.validate_command(args.command)
+        outdir = pathlib.Path(cfg.out)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ConfigError(f"out {cfg.out!r} names a file or a path under one ({exc.strerror})") from exc
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = pathlib.Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[args.command](cfg, outdir, weights)
 
 

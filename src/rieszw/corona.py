@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import _FRAME_BLOCK, BoxPlan, DyadicCube, StepFunction, _sweep
+from .mesh import BoxPlan, DyadicCube, StepFunction, _block_rows, _sweep
 from .sparse import SparseFamily, _ilog_lt
 from .weights import ExponentTuple
 
@@ -177,10 +177,9 @@ def corona_decomposes(
 
     # per row and forest index: the finest stopping member at or above it
     # (-1 if none), and their count; a member's own entry starts as itself.
-    # A block of pairs holds at most _FRAME_BLOCK entries if each pair held
-    # the most rows of any, and at least one pair
+    # A block's pairs are sized as if each held the most rows of any
     near, count = np.zeros((2, len(index)), dtype=np.int64)
-    per = max(1, _FRAME_BLOCK // ((m + 1) * max(np.diff(rb).max(), 1)))
+    per = _block_rows((m + 1) * max(np.diff(rb).max(), 1))
     for s0 in range(0, len(pairs), per):
         s1 = min(s0 + per, len(pairs))
         c0, c1 = cb[s0], cb[s1]

@@ -37,13 +37,15 @@ DEFAULT_COARSE_PADDING = 40
 #: Hard cap on finest cells; the FFT reference operator is O(cells log cells).
 DEFAULT_MAX_CELLS = 1 << 20
 
-#: Entries per block of stacked full frames (the final sums of
-#: ``fujii_wilsons``, ``sawyer_testing``'s padded transforms, in the
-#: sandwich stages the cut fields, testing roots and norm seeds of every
-#: pair of a run, the alphas of the dyadic and sparse operators, and the
-#: weight pairs of a corona sweep): batches this small hold the per-frame
-#: call overhead down without adding to the peak memory of a run.
+#: Entries (8 bytes each) per block of stacked rows, read by ``_block_rows``
+#: alone: blocks this small hold the per-row call overhead down without
+#: adding to the peak memory of a run.
 _FRAME_BLOCK = 1 << 12
+
+
+def _block_rows(row_entries: int) -> int:
+    """The rows of ``row_entries`` entries each that one block holds, and at least one."""
+    return max(1, _FRAME_BLOCK // row_entries)
 
 
 @dataclass(frozen=True, order=True)

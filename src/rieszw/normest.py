@@ -7,17 +7,16 @@ never claims a certified upper bound on the true operator norm.
 
 Each sandwich stage (``dyadic_testings``, ``strong_norm_lowers``,
 ``weak_norm_lowers``) is one pass over all the weight pairs of a run on
-one sparse family, on blocks of C-contiguous full frames, at most
-``_STAGE_BLOCK`` entries a block, through one batched forest apply
-(``operators._sparse_sum``): the testing scan paints the cut fields of
-every pair, one per run of root levels with the same coarser members, a
-block at a time, and sums the rows of a block of roots at once; the norm
-seeds of every pair form one stream, each row with its pair's u and
-sigma, which the strong iteration applies a block at a time, the rows
-still iterating picked by an index array, and the weak scan too.  Row
-sums of full frames equal the sums of single frames bit for bit, so
-every value is that of one restricted apply per root and one seed and
-pair at a time.  The one-pair forms are one-item calls.
+one sparse family, on blocks of C-contiguous full frames, through one
+batched forest paint (``operators._forest_paint``): the testing scan
+paints the cut fields of every pair, one per run of root levels with the
+same coarser members, a block at a time, and sums the rows of a block of
+roots at once; the norm seeds of every pair form one stream, each row
+with its pair's u and sigma, which the strong iteration applies a block
+at a time, the rows still iterating picked by an index array, and the
+weak scan too.  Row sums of full frames equal the sums of single frames
+bit for bit, so every value is that of one restricted apply per root and
+one seed and pair at a time.  The one-pair forms are one-item calls.
 
 The theorem checks (``thm31_bound_checks``, ``thm41_bound_checks``) take
 the pairs of a run at once too: one Fujii-Wilson scan over every distinct
@@ -33,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import _FRAME_BLOCK, BoxPlan, DyadicCube, StepFunction, _checked
+from .mesh import BoxPlan, DyadicCube, StepFunction, _block_rows, _checked
 from .operators import KernelMode, _apply_rows, _check_alpha, _column, _forest_paint, _member_weights, _norm_rows
 # sparse_riesz is no longer called here; the binding stays for code that
 # patches ``normest.sparse_riesz`` (perfbench's tracer self-test)
@@ -71,9 +70,6 @@ __all__ = [
 _REL_TOL = 1e-8
 _MAX_ITERS = 100
 _N_RANDOM = 8
-#: Entries per block of the sandwich stages: at ``_FRAME_BLOCK`` their temporaries outgrew
-#: the theorem checks' working memory (sandwich-1d: 505 KB traced, against 274 KB at half)
-_STAGE_BLOCK = _FRAME_BLOCK // 2
 
 #: Weight pairs (u, sigma) on one mesh, and the (label, function) extra norm seeds of one pair
 _Pairs = Sequence[tuple[StepFunction, StepFunction]]
@@ -157,7 +153,9 @@ def _testing_sups(
     cut = np.searchsorted(t.level, table.level[roots[live]])
     new_run = (np.diff(cut, prepend=-1) != 0) | (np.diff(item, prepend=-1) != 0)
     field, f_item, f_cut = np.cumsum(new_run) - 1, item[new_run], cut[new_run]
-    rows = max(1, _STAGE_BLOCK // mesh.total_cells)
+    # a row counts as two frames: at one, the stages' temporaries outgrew the
+    # theorem checks' working memory (sandwich-1d: 505 KB traced, 274 KB at two)
+    rows = _block_rows(2 * mesh.total_cells)
     best, witness = [0.0] * len(items), [None] * len(items)
     for f0 in range(0, len(f_cut), rows):
         W = np.where(np.arange(w.shape[1]) >= f_cut[f0 : f0 + rows, None], w[f_item[f0 : f0 + rows]], 0.0)
@@ -211,12 +209,12 @@ def sawyer_testing(
     Indicators chi_Q are realized by center membership (exact for aligned
     cubes); the scan runs over the in-box corpus of both shifts, matching
     the weight-characteristic convention.  The masked inputs go through
-    the reference apply in batches of at most ``_FRAME_BLOCK`` padded
-    transform cells, and every sum is a row sum of full frames, so each
-    value equals a per-cube apply's bit for bit."""
+    the reference apply in batches of padded transforms, and every sum is
+    a row sum of full frames, so each value equals a per-cube apply's bit
+    for bit."""
     mesh = u.mesh
     c = mesh.corpus
-    rows = max(1, _FRAME_BLOCK // (2 * mesh.cells_per_axis) ** mesh.n)
+    rows = _block_rows((2 * mesh.cells_per_axis) ** mesh.n)
 
     def one_side(inner: StepFunction, outer: StepFunction, den_exp, out_exp):
         best, witness, skipped = 0.0, None, 0
@@ -270,9 +268,9 @@ class NormEstimate:
 
 def _seed_blocks(pairs: _Pairs, exps: ExponentTuple, family: SparseFamily, rng_seed: int,
                  extra_seeds: Sequence[_Seeds] | None):
-    """The norm seeds of every pair, pair by pair, ``_STAGE_BLOCK`` entries
-    at a time: a pair's member indicators, a sigma^{p'-1} profile, seeded
-    random starts (made once per run) and extra_seeds[i] for pair i.  Per
+    """The norm seeds of every pair, pair by pair, a block at a time: a
+    pair's member indicators, a sigma^{p'-1} profile, seeded random starts
+    (made once per run) and extra_seeds[i] for pair i.  Per
     block, of the seeds whose nonnegative part f has ||f||_{L^p(sigma)} > 0:
     (their pairs, labels, the parts f stacked, the norms as a column, and
     their pairs' u and sigma values, one row each when the block holds one
@@ -293,7 +291,7 @@ def _seed_blocks(pairs: _Pairs, exps: ExponentTuple, family: SparseFamily, rng_s
         src += [*range(-1, -1 - m, -1), k, *range(_N_RANDOM), *range(k + 1, len(frames))]
         pair += [i] * (len(src) - len(pair))
     pair, src = np.array([pair, src], dtype=np.int64)
-    rows = max(1, _STAGE_BLOCK // mesh.total_cells)
+    rows = _block_rows(2 * mesh.total_cells)  # as in _testing_sups
     for a in range(0, len(pair), rows):
         s = src[a : a + rows]
         F = np.stack([frames[j] for j in np.maximum(s, 0).tolist()])

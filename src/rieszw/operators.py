@@ -25,12 +25,12 @@ Cost:
   family keeps (``SparseFamily.plan``) and sweeps one sum down the member
   levels of its forest, read by each cell's owner: no Python loop over
   members, and each cell's sum is formed in member order, as a per-member
-  loop forms it.  ``_sparse_sum`` applies a block of frames at once, from
+  loop forms it.  ``_apply_rows`` applies a block of frames at once, from
   one ``BoxPlan.sums`` call and with one sweep for the block.
 * ``dyadic_rieszs`` and ``sparse_rieszs`` apply one function for several
   alphas: the box sums do not depend on alpha, so they are taken once, and
-  the alphas' weights are swept as the rows of blocks of at most
-  ``_FRAME_BLOCK`` entries, each row the one-alpha call's bit for bit.
+  the alphas' weights are swept as the rows of blocks, each row the
+  one-alpha call's bit for bit.
 * Maximal sweeps stop at the covering level (``Mesh.maximal_levels``): the
   coarser padding levels repeat the covering cube's integrals over a larger
   volume, so they cannot raise the maximum.
@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .mesh import _FRAME_BLOCK, DyadicCube, Mesh, StepFunction, _checked, _sweep
+from .mesh import DyadicCube, Mesh, StepFunction, _block_rows, _checked, _sweep
 
 __all__ = [
     "KernelMode",
@@ -129,10 +129,10 @@ def sparse_rieszs(f: StepFunction, alphas: Sequence[float], family):
 
 
 def _alpha_frames(mesh: Mesh, alphas: Sequence[float], width: int, block):
-    """The frames of ``block(alphas[i:j])`` (one row per alpha), the alphas
-    taken in blocks of at most ``_FRAME_BLOCK`` / ``width`` rows and at
-    least one; a block is computed when its first frame is read."""
-    size = max(1, _FRAME_BLOCK // width)
+    """The frames of ``block(alphas[i:j])`` (one row per alpha, of ``width``
+    entries), the alphas taken in blocks; a block is computed when its
+    first frame is read."""
+    size = _block_rows(width)
     for i in range(0, len(alphas), size):
         frames = block(alphas[i : i + size]).reshape(-1, *(mesh.cells_per_axis,) * mesh.n)
         yield from (StepFunction(mesh, x) for x in frames)
@@ -143,18 +143,8 @@ def restricted_sparse_riesz(
 ) -> StepFunction:
     """Sparse Riesz potential over the members contained in ``root``."""
     keep = family.contained_in(root)
-    return StepFunction(f.mesh, _sparse_sum(f.plan_integrals(family.plan), alpha, family, keep))
-
-
-def _sparse_sum(ints: np.ndarray, alpha: float, family, keep=True) -> np.ndarray:
-    """sum over the members Q (those set in ``keep``) of
-    2^(-level(Q) alpha) avg_Q f, painted on the cells whose centre lies in
-    Q, from the integrals of f over the members, (..., m) with an optional
-    batch axis.  Each row of a batch equals the sum of that frame alone bit
-    for bit; the integrals are not checked."""
-    _check_alpha(family.mesh, alpha)
-    w = _member_weights(ints, alpha, family)
-    return _forest_paint(np.where(keep, w, 0.0), family)
+    w = _member_weights(f.plan_integrals(family.plan), alpha, family)
+    return StepFunction(f.mesh, _forest_paint(np.where(keep, w, 0.0), family))
 
 
 def _norm_rows(X: np.ndarray, w: np.ndarray, p: float, vol: float) -> list[float]:
@@ -172,12 +162,12 @@ def _column(v: list, n: int) -> np.ndarray:
 
 def _apply_rows(X: np.ndarray, alpha: float, family) -> np.ndarray:
     """The sparse potential of each frame of X, inputs and outputs checked
-    as ``sparse_riesz`` checks them.  A one-row block (every block once
-    N > ``_FRAME_BLOCK`` / 2) applies its frame alone: a batch of one costs
-    5-10 % more per apply at 1-D L=12 and L=14."""
+    as ``sparse_riesz`` checks them; each row equals that frame's apply
+    alone bit for bit.  A one-row block applies its frame alone: a batch of
+    one costs 5-10 % more per apply at 1-D L=12 and L=14."""
     _checked(X)
     frames = X[0] if len(X) == 1 else X
-    H = _sparse_sum(family.plan.sums(frames) * family.mesh.cell_volume, alpha, family)
+    H = _forest_paint(_member_weights(family.plan.sums(frames) * family.mesh.cell_volume, alpha, family), family)
     return _checked(H.reshape(X.shape))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import _FRAME_BLOCK, BoxPlan, DyadicCube, Mesh, StepFunction, _containing_coord
+from .mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _block_rows, _containing_coord
 from .orlicz import YoungFunction, _conjugate, _luxemburg_blocks
 
 __all__ = [
@@ -331,8 +331,8 @@ def _window_maximal_sums(mesh: Mesh, values: np.ndarray, which: np.ndarray, layo
     n, N = mesh.n, mesh.cells_per_axis
     steps = sum(_along(x, axis, n) for axis, x in enumerate(layout.offsets))
     sums = np.empty(len(rows))
-    # a block holds at most _FRAME_BLOCK / 2 box sums and _FRAME_BLOCK frame entries
-    block = max(1, _FRAME_BLOCK // max(2 * len(layout.factor), N**n))
+    # a row counts the larger of its full frame and twice its box sums
+    block = _block_rows(max(2 * len(layout.factor), N**n))
     for a in range(0, len(rows), block):
         flat = layout.flat[rows[a : a + block]]
         window = values[which[a : a + block, None], flat].reshape(len(flat), *layout.plan.size)

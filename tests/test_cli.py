@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from rieszw import cli
+from rieszw import cli, mesh as mesh_module
 from rieszw.cli import ExperimentConfig
 from rieszw.corona import sigma_decay_check
 from rieszw.operators import compare_pointwise, dyadic_riesz, sparse_riesz
@@ -221,6 +221,35 @@ class TestExitCodes:
         assert cli.main(["constants", "--config", "cfg.json"]) == 2
         assert capsys.readouterr().err.splitlines() == ["config error: out must be a non-empty string; got 5"]
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("out, reason", [("afile", "File exists"), ("afile/sub", "Not a directory")],
+                             ids=["file", "under-file"])
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    def test_out_at_a_file_exits_2(self, tmp_path, monkeypatch, capsys, out, reason, flag):
+        (tmp_path / "afile").write_text("kept")
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(SMALL) if flag else dict(SMALL, out=out)))
+        monkeypatch.chdir(tmp_path)
+        argv = ["constants", "--config", "cfg.json", *(["--out", out] if flag else [])]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: out {out!r} names a file or a path under one ({reason})"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_constants_with_nothing_to_compute_exits_2(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(SMALL, weights=[])))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["constants", "--config", "cfg.json", "--out", "out"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: constants needs at least one weight or pair"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_constants_on_pairs_alone(self, tmp_path, monkeypatch):
+        pairs = [["constant:c=1", "twovalue:a=2,b=1"]]
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(SMALL, weights=[], pairs=pairs)))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["constants", "--config", "cfg.json", "--out", "out"]) == 0
+        records = json.loads((tmp_path / "out" / "constants.json").read_text())["records"]
+        assert [r["constant"] for r in records] == ["twoWeightA_s(p)"]
 
     def test_empty_weight_config_noop(self, tmp_path):
         cfg = dict(SMALL, weights=[], n_random_functions=0)
@@ -652,6 +681,42 @@ class TestOnePassPerStage:
         code = cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
         assert code == 0
         assert calls == [("_testing_sups", count)] * 2 + [("_seed_blocks", count)] * 2
+
+
+class TestOneBlockBudget:
+    """Every block of a run is sized by ``mesh._block_rows`` from
+    ``mesh._FRAME_BLOCK``: at a budget of one entry every site asks for
+    one-row blocks, and ``verify``, ``sandwich`` and ``constants`` write the
+    bytes of the default budget."""
+
+    SITES = {"_testing_sups", "_seed_blocks", "_alpha_frames", "corona_decomposes", "_window_maximal_sums"}
+
+    @pytest.mark.parametrize("mesh", ["n=1,J=0,L=5", "n=2,J=0,L=3"], ids=["1d", "2d"])
+    def test_one_row_blocks_byte_identical(self, tmp_path, monkeypatch, capsys, mesh):
+        (tmp_path / "cfg.json").write_text(json.dumps(SMALL))
+
+        def run(command, budget):
+            out = tmp_path / budget / command
+            code = cli.main([command, "--config", str(tmp_path / "cfg.json"), "--mesh", mesh, "--out", str(out)])
+            return code, capsys.readouterr(), slurp(out)
+
+        commands = ["verify", "sandwich", "constants"]
+        default = [run(command, "default") for command in commands]
+        block_rows, rows, sites = mesh_module._block_rows, [], set()
+
+        def recorded(row_entries):
+            sites.add(sys._getframe(1).f_code.co_name)
+            rows.append(block_rows(row_entries))
+            return rows[-1]
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rieszw") and getattr(module, "_block_rows", None) is block_rows:
+                monkeypatch.setattr(module, "_block_rows", recorded)
+        monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 1)
+        one_row = [run(command, "one-row") for command in commands]
+        assert sites == self.SITES and set(rows) == {1}
+        assert [code for code, _, _ in default] == [0, 0, 0]
+        assert one_row == default
 
 
 class TestParentlessWarning:

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from rieszw import _kernels, calibration, cli, orlicz, weights
+from rieszw import _kernels, calibration, cli, mesh as mesh_module, orlicz, weights
 from rieszw.mesh import DyadicCube, Mesh, StepFunction
 from rieszw.normest import (
     RangeConditionError,
@@ -20,7 +20,8 @@ from rieszw.normest import (
 )
 from rieszw import normest
 from rieszw.normest import NormEstimate
-from rieszw.operators import KernelMode, _sparse_sum, restricted_sparse_riesz, riesz_reference, sparse_riesz
+from rieszw.operators import (KernelMode, _forest_paint, _member_weights, restricted_sparse_riesz, riesz_reference,
+                               sparse_riesz)
 from rieszw.orlicz import YoungFunction, _luxemburg_blocks
 from rieszw.sparse import SparseFamily, build_sparse
 from rieszw.weights import ExponentTuple, _center_mask
@@ -268,7 +269,7 @@ class TestSawyerBatches:
         exps = sobolev_pair(2, 0.5, 1.5)
         u, s = lognormal(mesh, 64, scale=0.7), zero_mass_weight(mesh, 65)
         expect = per_cube_sawyer_testing(u, s, exps)
-        monkeypatch.setattr(normest, "_FRAME_BLOCK", 5 * (2 * mesh.cells_per_axis) ** 2)  # 5 frames
+        monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 5 * (2 * mesh.cells_per_axis) ** 2)  # 5 frames
         assert sawyer_testing(u, s, exps) == expect
         assert expect.skipped_direct > 5
 
@@ -706,7 +707,7 @@ class TestSandwichStagesOracle:
         mesh = Mesh(1, 0, 5)
         fam, _ = build_sparse(lognormal(mesh, 80), (0,), 0.5)
         pairs = oracle_pairs(mesh)
-        monkeypatch.setattr(normest, "_STAGE_BLOCK", rows * mesh.total_cells)
+        monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 2 * rows * mesh.total_cells)
         assert len(fam) + 1 + 8 > 3 and len(fam.roots) > 3
         for u, s in pairs:
             for seed in range(2):
@@ -752,7 +753,7 @@ class TestSandwichStagesOracle:
         monkeypatch.setattr(normest, "_MAX_ITERS", cap)
         got = strong_norm_lower(u, s, E22, fam, extra_seeds=extra)
         assert_same_estimate(got, per_seed_strong_norm_lower(u, s, E22, fam, extra_seeds=extra))
-        assert len(fam) + 1 + 8 + len(extra) <= normest._STAGE_BLOCK // mesh.total_cells
+        assert len(fam) + 1 + 8 + len(extra) <= mesh_module._block_rows(2 * mesh.total_cells)
         label, its, converged = {"f-step": ("e4", 1, False), "converged": ("chi[5,(8,)]", 2, True),
                                  "cap": ("random-7", cap, False)}[winner]
         assert (got.seed_label, got.iterations, got.converged) == (label, its, converged)
@@ -761,7 +762,7 @@ class TestSandwichStagesOracle:
     def test_block_edges_2d(self, monkeypatch):
         mesh = Mesh(2, 0, 3)
         fam, _ = build_sparse(lognormal(mesh, 82, scale=2.0), (0, 0), 0.5)
-        monkeypatch.setattr(normest, "_STAGE_BLOCK", 2 * mesh.total_cells)
+        monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 4 * mesh.total_cells)
         assert len(fam) > 2 and len(fam.roots) > 2
         for u, s in oracle_pairs(mesh):
             assert_sandwich_stages_equal(u, s, exps_for(mesh), fam)
@@ -779,7 +780,7 @@ class TestRowBlocks:
         [(_, labels, F, *_)] = normest._seed_blocks([(u, s)], SOB, fam, 0, [()])
         assert labels[:2] == ["chi[-40,(0,)]", "chi[-38,(0,)]"] and np.array_equal(F[0], F[1])
         X = F * s.values
-        H = _sparse_sum(member_integrals(X, fam), SOB.alpha, fam)
+        H = _forest_paint(_member_weights(member_integrals(X, fam), SOB.alpha, fam), fam)
         assert H.flags.c_contiguous
         norms = normest._norm_rows(H, u.values, SOB.q, mesh.cell_volume)
         for row, h, norm in zip(X, H, norms):
@@ -792,7 +793,7 @@ class TestRowBlocks:
         fam, _ = build_sparse(lognormal(mesh, 84), (1,) * mesh.n, 0.5)
         X = np.stack([lognormal(mesh, 85 + i).values for i in range(5)])
         X[2] = 0.0
-        H = _sparse_sum(member_integrals(X, fam), 0.5, fam)
+        H = _forest_paint(_member_weights(member_integrals(X, fam), 0.5, fam), fam)
         for row, h in zip(X, H):
             single = sparse_riesz(StepFunction(mesh, row), 0.5, fam).values
             assert np.array_equal(h, single) and np.array_equal(np.signbit(h), np.signbit(single))
@@ -815,7 +816,7 @@ def parent_testing_sup(den_w, out_w, family, alpha, den_exp, out_exp):
     cut = np.searchsorted(t.level, table.level[roots[live]])
     starts = np.flatnonzero(np.diff(cut, prepend=-1))
     runs = list(zip(starts.tolist(), [*starts[1:].tolist(), len(live)]))
-    rows = max(1, normest._FRAME_BLOCK // mesh.total_cells)
+    rows = max(1, mesh_module._FRAME_BLOCK // mesh.total_cells)
     best, witness = 0.0, None
     for r in range(0, len(runs), rows):
         W = np.where(np.arange(len(w)) >= cut[starts[r : r + rows], None], w, 0.0)
@@ -1022,9 +1023,9 @@ class TestTestingScanOracle:
             self.assert_both_sides(u, s, exps_for(fam.mesh), fam)
 
     def test_one_row_blocks(self):
-        # N = 4096 > _STAGE_BLOCK / 2: every block holds one root
-        mesh = Mesh(1, 0, 12)
-        assert max(1, normest._STAGE_BLOCK // mesh.total_cells) == 1
+        # the smallest 1-D mesh on which every block holds one root
+        mesh = next(Mesh(1, 0, L) for L in range(21) if mesh_module._block_rows(2 << L) == 1)
+        assert mesh_module._block_rows(2 * mesh.total_cells) == 1
         fam, _ = build_sparse(lognormal(mesh, 94), (0,), 0.5)
         u, z = lognormal(mesh, 95, scale=0.7), zero_mass_weight(mesh, 96)
         for s in (lognormal(mesh, 97, scale=0.7), z):
@@ -1034,7 +1035,7 @@ class TestTestingScanOracle:
     def test_block_edges(self, monkeypatch, rows):
         mesh = Mesh(1, 0, 5)
         fam, _ = build_sparse(lognormal(mesh, 80), (0,), 0.5)
-        monkeypatch.setattr(normest, "_STAGE_BLOCK", rows * mesh.total_cells)
+        monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 2 * rows * mesh.total_cells)
         for u, s in oracle_pairs(mesh):
             self.assert_both_sides(u, s, SOB, fam)
 
@@ -1075,7 +1076,7 @@ def pair_testing_sup(den_w, out_w, family, alpha, den_exp, out_exp):
     cut = np.searchsorted(t.level, table.level[roots[live]])
     new_run = np.diff(cut, prepend=-1) != 0
     starts, run = np.flatnonzero(new_run), np.cumsum(new_run) - 1
-    rows = max(1, normest._FRAME_BLOCK // mesh.total_cells)
+    rows = max(1, mesh_module._FRAME_BLOCK // mesh.total_cells)
     best, witness = 0.0, None
     for r in range(0, len(starts), rows):
         W = np.where(np.arange(len(w)) >= cut[starts[r : r + rows], None], w, 0.0)
@@ -1120,7 +1121,7 @@ def pair_seed_blocks(mesh, sigma, exps, family, rng_seed, extra_seeds):
     rng = np.random.default_rng(rng_seed)
     seeds += [(f"random-{i}", rng.random((mesh.cells_per_axis,) * mesh.n)) for i in range(normest._N_RANDOM)]
     seeds += [(label, f.values) for label, f in extra_seeds]
-    rows = max(1, normest._FRAME_BLOCK // mesh.total_cells)
+    rows = max(1, mesh_module._FRAME_BLOCK // mesh.total_cells)
     for a in range(0, len(seeds), rows):
         labels, values = zip(*seeds[a : a + rows])
         yield list(labels), np.maximum(np.stack(values), 0.0)
@@ -1251,7 +1252,7 @@ class TestPairBatchOracle:
         # straddle the pairs
         mesh, pairs = pair_batch_case("n1-L5-corpus")
         fam, _ = build_sparse(lognormal(mesh, 101), (0,), 0.5)
-        monkeypatch.setattr(normest, "_STAGE_BLOCK", rows * mesh.total_cells)
+        monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 2 * rows * mesh.total_cells)
         self.assert_pairs_equal(pairs, SOB, fam)
 
     def test_one_run_per_pair(self, tight_mesh):

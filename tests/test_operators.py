@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rieszw import _kernels, operators
+from rieszw import _kernels, mesh as mesh_module
 from rieszw.mesh import DyadicCube, Mesh, StepFunction
 from rieszw.operators import (
     KernelMode,
@@ -466,7 +466,7 @@ class TestAlphaBatchOracle:
     @pytest.mark.parametrize("mesh", SWEEP_MESHES, ids=mesh_id)
     def test_batch_equals_parent(self, monkeypatch, mesh, alphas, block):
         if block is not None:
-            monkeypatch.setattr(operators, "_FRAME_BLOCK", block * mesh.total_cells)
+            monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", block * mesh.total_cells)
         for shift in mesh.shifts():
             fam = build_sparse(lognormal(mesh, 60), shift, ALPHA)[0]
             for f in sweep_functions(mesh, 61):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszw import cli, corona as corona_module
+from rieszw import cli, corona as corona_module, mesh as mesh_module
 from rieszw.cli import ExperimentConfig
 from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _prefix_sums, _sweep
 from rieszw.normest import _seed_blocks
@@ -842,8 +842,8 @@ def candidate_roots(family):
 
 def member_integrals(values, family):
     """The integrals of frames of cell values over the family's members,
-    with the values' leading axes in front: what ``_sparse_sum`` and
-    ``_member_weights`` take."""
+    with the values' leading axes in front: what ``_member_weights``
+    takes."""
     return family.plan.sums(values) * family.mesh.cell_volume
 
 
@@ -1707,7 +1707,7 @@ class TestPairBatchOracle:
     @pytest.mark.parametrize("mesh", MESHES, ids=mesh_id)
     def test_batch_equals_parent(self, monkeypatch, mesh, mode, block):
         if block is not None:
-            monkeypatch.setattr(corona_module, "_FRAME_BLOCK", block)
+            monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", block)
         u, half, zero, m5, m6 = _batch_weights(mesh)
         pairs = [(u, half), (m5, m6), (zero, m6), (u, u), (m6, m5), (u, half)]
         exps = ExponentTuple(mesh.n, ALPHA, 4.0 / 3.0, 4.0)

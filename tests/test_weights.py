@@ -25,7 +25,7 @@ from rieszw.weights import (
     range_conditions,
     two_weight_ap,
 )
-from rieszw import _kernels, orlicz, weights
+from rieszw import _kernels, mesh as mesh_module, orlicz, weights
 from rieszw.normest import thm41_bound_checks
 from rieszw.operators import hl_maximal
 from rieszw.orlicz import _conjugate, _luxemburg_blocks, luxemburg_norms
@@ -370,7 +370,7 @@ class TestFujiiWilsonWindows:
         mesh = Mesh(2, 0, 3)
         w = lognormal(mesh, 92, scale=0.7)
         expect = hl_fujii_wilson(w, 2)
-        monkeypatch.setattr(weights, "_FRAME_BLOCK", 3 * mesh.total_cells)
+        monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 3 * mesh.total_cells)
         assert_same_report(fujii_wilson(w, 2), expect)
 
 
@@ -419,7 +419,7 @@ class TestFujiiWilsonLayoutReuse:
         expect = hl_fujii_wilson(w, 2)
         assert_same_report(fujii_wilson(w, 2), expect)
         cached = dict(mesh._window_layouts)
-        monkeypatch.setattr(weights, "_FRAME_BLOCK", 3 * mesh.total_cells)
+        monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 3 * mesh.total_cells)
         assert_same_report(fujii_wilson(w, 2), expect)
         assert all(mesh._window_layouts[s] is layout for s, layout in cached.items())
         for a in cached_arrays(mesh):
@@ -882,7 +882,7 @@ def pair_window_maximal_sums(w, layout, rows):
         np.maximum(out, v.take(box, axis=1), out=out)
     out = out.reshape(count, -1)
     sums = np.empty(count)
-    block = max(1, weights._FRAME_BLOCK // N**n)
+    block = max(1, mesh_module._FRAME_BLOCK // N**n)
     for a in range(0, count, block):
         b = min(a + block, count)
         frame = np.zeros((b - a, N**n))
