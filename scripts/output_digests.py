@@ -16,8 +16,8 @@ n=2,J=0,L=3``, ``verify`` at ``--mesh n=2,J=-1,L=4`` (a box of side 1/2,
 so the coarsest levels' cubes reach past it; the only 2-D run with J < 0), ``constants`` again at ``--mesh n=2,J=1,L=4`` (with the
 default ``fw_max_level`` of 3, the ``fujii_wilson`` windows run from 32
 cells per axis down to 2), ``constants`` at ``--mesh n=2,J=0,L=5`` on four
-different weights with ``fw_max_level`` 4 (every weight reuses the mesh's
-cached window layouts, on windows of up to 32 x 32 cells), then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
+different weights with ``fw_max_level`` 4 (the four weights' windows
+stacked in one batch per segment, of up to 32 x 32 cells), then ``sparse`` at ``--mesh n=2,J=1,L=3`` (every shift of a
 2-D grid with J=1 through the sparse apply) and ``norm`` at ``--mesh
 n=1,J=1,L=5,T=0`` (restricted sparse sums on a mesh with no coarse
 padding), ``verify`` at that mesh (on shift 1 no level holds a single

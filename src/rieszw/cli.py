@@ -5,8 +5,10 @@ exponent-fit.  Configuration is a single JSON document; flags override
 config fields.  All outputs are deterministic: identical config and seed
 produce byte-identical files.
 
-Exit codes: 0 success, 1 exact-assertion or envelope failure, 2 config
-parse failure, 3 success-with-warning (only infinite verdicts produced).
+Exit codes: 0 success, 1 exact-assertion or envelope failure (an
+assertion or a Luxemburg bracket failure prints one ``error:`` line), 2
+config parse failure, 3 success-with-warning (only infinite verdicts
+produced).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .normest import (
     weak_norm_lowers,
 )
 from .operators import compare_pointwise, dyadic_rieszs, sparse_rieszs
+from .orlicz import LuxemburgError
 from .sparse import (
     SparseFamily,
     _overlap_reports,
@@ -392,7 +395,7 @@ def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
     functions = cfg.random_functions(mesh)
     fname, f = functions[0]
     S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
-    root = S.cubes[0]
+    root = S.cube(0)
     rows = []
     records = []
     ok = True
@@ -406,9 +409,10 @@ def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
         # exact c=1 decay against the frozen envelope constant
         decay_ok = all(r.ratio <= 2.0**-r.k * max(envelope, 1.0) + 1e-12 for r in dec.rows if r.k >= 1)
         ok &= decay_ok
+        labels, counts = np.unique(cd.a, return_counts=True)
         records.append({
             "index": idx, "u": uspec, "sigma": sspec, "family": fname,
-            "slices": {str(a): len(qs) for a, qs in cd.slices.items()},
+            "slices": dict(zip(map(str, labels.tolist()), counts.tolist())),
             "skipped": cd.skipped, "gamma": cd.gamma, "certified": cd.certified,
             "decayWorstScaled": dec.worst_scaled, "decayFittedRate": _report(dec.fitted_rate),
             "decayReportedExponent": dec.reported_exponent, "decayOk": decay_ok,
@@ -571,7 +575,11 @@ def main(argv=None) -> int:
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](cfg, outdir, weights)
+    try:
+        return _COMMANDS[args.command](cfg, outdir, weights)
+    except (AssertionError, LuxemburgError) as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

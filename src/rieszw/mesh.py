@@ -339,12 +339,6 @@ class Mesh:
         return BoxPlan(list(c.lo3.T), list(c.hi3.T), (self.cells_per_axis,) * self.n)
 
     @functools.cached_property
-    def _window_layouts(self) -> dict:
-        """Per-segment layouts of the Fujii-Wilson window sweeps, keyed by
-        corpus segment and filled by ``weights`` on first use."""
-        return {}
-
-    @functools.cached_property
     def _factor_tables(self) -> dict:
         return {}
 

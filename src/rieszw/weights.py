@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -209,11 +209,11 @@ def fujii_wilson(w: StepFunction, max_level: int | None = None) -> Characteristi
 
 def fujii_wilsons(ws: Sequence[StepFunction], max_level: int | None = None) -> list[CharacteristicReport]:
     """``fujii_wilson`` of each weight of ``ws`` (one mesh): one batch per
-    corpus segment (shift, level k) over the centre windows of its cubes,
-    those of every weight stacked as rows (``_window_maximal_sums``), on
-    the segment's box layout (``_window_layout``, once per mesh).  A window
-    has 2^(L-k) cells per axis and its sweep starts at Q's level.  Each
-    report equals that of one ``hl_maximal`` per cube."""
+    corpus segment (shift, level k) over the centre windows of its cubes
+    of positive w(Q), those of every weight stacked as rows, on one box
+    layout that the batch builds (``_window_maximal_sums``).  A window has
+    2^(L-k) cells per axis and its sweep starts at Q's level.  Each report
+    equals that of one ``hl_maximal`` per cube."""
     if not ws:
         return []
     mesh = ws[0].mesh
@@ -227,7 +227,7 @@ def fujii_wilsons(ws: Sequence[StepFunction], max_level: int | None = None) -> l
         wq = np.stack([w._corpus_integrals()[a:b] for w in ws])
         which, rows = np.nonzero(wq > 0.0)
         if len(rows):
-            sums = _window_maximal_sums(mesh, values, which, _window_layout(mesh, segment), rows)
+            sums = _window_maximal_sums(mesh, values, which, a + rows)
             parts.append((which, a + rows, sums * mesh.cell_volume / wq[which, rows]))
     which, picked, vals = (np.concatenate(x) for x in zip(*parts))
     # the first strict maximum in scan order; a NaN never improves on it
@@ -244,76 +244,17 @@ def fujii_wilsons(ws: Sequence[StepFunction], max_level: int | None = None) -> l
     return out
 
 
-class _WindowLayout(NamedTuple):
-    """The box geometry of the window sweeps of one corpus segment, for all
-    of its cubes.  Arrays are read-only."""
-
-    plan: BoxPlan  # every step's boxes, window-relative, on (width,) * n frames
-    factor: np.ndarray  # (boxes,) 2^(-j n) for the level j of each box's step
-    offsets: tuple  # per axis, (steps, width): that axis's part of each window cell's box index in v
-    flat: np.ndarray  # (cubes, width^n) full-frame index of each window cell, row-major
-
-
 def _along(x: np.ndarray, axis: int, n: int) -> np.ndarray:
     """Values along one axis (the last of ``x``), shaped to broadcast into a
     window's (width,) * n."""
     return x.reshape(*x.shape[:-1], *(-1 if b == axis else 1 for b in range(n)))
 
 
-def _window_layout(mesh: Mesh, segment: int) -> _WindowLayout:
-    """The ``_WindowLayout`` of one corpus segment, built on first use and
-    cached on the mesh (``Mesh._window_layouts``).
-
-    The windows of a segment differ by multiples of 2^(L-k) cells, which
-    maps every grid at level >= k onto itself, so one box layout, found
-    over the segment's first window with window-relative corners, serves
-    every window of the segment."""
-    layout = mesh._window_layouts.get(segment)
-    if layout is not None:
-        return layout
-    c = mesh.corpus
-    level, a, b = c.segments[segment][1], int(c.starts[segment]), int(c.ends[segment])
-    n, N, L = mesh.n, mesh.cells_per_axis, mesh.finest_exponent
-    width = 1 << (L - level)
-    steps = [(t, j) for t in mesh.shifts() for j in range(level, L + 1)]
-    flags = np.array([t for t, _ in steps], dtype=np.int64)
-    levels = np.array([j for _, j in steps], dtype=np.int64)
-    scale = 1 << (L - levels)
-    offset = (1 - 2 * (levels % 2))[:, None] * flags  # (steps, n) sign times shift flag
-    # per axis: the cells of each window, (cubes, width), and per step the
-    # coordinate of the cube over each cell of the first window, (steps, width)
-    i0 = mesh.center_window(c.lo3[a:b], c.hi3[a:b])[0]
-    cells = [i0[:, axis, None] + np.arange(width) for axis in range(n)]
-    coord = [_containing_coord(ix[0], flags[:, axis, None], levels[:, None], L)
-             for axis, ix in enumerate(cells)]
-    # the boxes of a step run row-major over the cubes it meets per axis,
-    # with corners relative to the window
-    runs = np.stack([m[:, -1] - m[:, 0] + 1 for m in coord], axis=1)
-    step, pos = mesh.window_cells(np.zeros_like(runs), runs)
-    lo = [(3 * (m[step, 0] + pos[axis]) + offset[step, axis]) * scale[step] - 3 * i0[0, axis]
-          for axis, m in enumerate(coord)]
-    hi = [x + 3 * scale[step] for x in lo]
-    factor = np.array([2.0 ** (-j * n) for j in levels.tolist()])[step]
-    # each window cell reads its cube's box, step by step: per axis, the
-    # cube's place in the run times the step's row-major stride
-    boxes = runs.prod(axis=1)
-    stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs
-    offsets = [(m - m[:, :1]) * stride[:, axis, None] for axis, m in enumerate(coord)]
-    offsets[0] += (np.cumsum(boxes) - boxes)[:, None]
-    flat = np.ravel_multi_index(tuple(_along(ix, axis, n) for axis, ix in enumerate(cells)), (N,) * n)
-    layout = _WindowLayout(BoxPlan(lo, hi, (width,) * n), factor, tuple(offsets), flat.reshape(b - a, -1))
-    for x in (factor, *offsets, layout.flat):
-        x.setflags(write=False)
-    mesh._window_layouts[segment] = layout
-    return layout
-
-
-def _window_maximal_sums(mesh: Mesh, values: np.ndarray, which: np.ndarray, layout: _WindowLayout,
-                         rows: np.ndarray) -> np.ndarray:
-    """sum over the cells of M(chi_Q w), for each cube Q at ``rows`` of one
-    corpus segment, laid out in ``layout``, with w the flat cell values
-    ``values[which]`` of that row's weight, equal bit for bit to the full-
-    frame sum of ``hl_maximal(w * mask_Q) * mask_Q``.  Rows are independent.
+def _window_maximal_sums(mesh: Mesh, values: np.ndarray, which: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """sum over the cells of M(chi_Q w), for each corpus cube Q at ``at``
+    (all of one segment), with w the flat cell values ``values[which]`` of
+    that row's weight, equal bit for bit to the full-frame sum of
+    ``hl_maximal(w * mask_Q) * mask_Q``.  Rows are independent.
 
     * Only the centre window of Q matters, and w * chi_Q vanishes outside
       it, so the windows' prefix sums equal the full frame's there, and a
@@ -324,27 +265,61 @@ def _window_maximal_sums(mesh: Mesh, values: np.ndarray, which: np.ndarray, layo
       any grid (volume 2^n |Q|) averages at most (3/4)^n times Q's own
       value, which every window cell sees.  Every grid's
       ``Mesh.maximal_levels`` start is at most -J <= k.
-    * Every window shares the segment's box layout (``_window_layout``),
-      and each box is formed as ``integral_box3`` forms it.
+    * The windows of a segment differ by multiples of 2^(L-k) cells, which
+      maps every grid at level >= k onto itself, so one box layout, found
+      over the first window with window-relative corners, serves every
+      window, and each box is formed as ``integral_box3`` forms it.
     * Each window's maxima go into a zero full-frame row, so the row sum
       adds the terms of the full-frame sum in its order."""
-    n, N = mesh.n, mesh.cells_per_axis
-    steps = sum(_along(x, axis, n) for axis, x in enumerate(layout.offsets))
-    sums = np.empty(len(rows))
+    c = mesh.corpus
+    n, N, L = mesh.n, mesh.cells_per_axis, mesh.finest_exponent
+    level = int(c.level[at[0]])
+    width = 1 << (L - level)
+    steps = [(t, j) for t in mesh.shifts() for j in range(level, L + 1)]
+    flags = np.array([t for t, _ in steps], dtype=np.int64)
+    levels = np.array([j for _, j in steps], dtype=np.int64)
+    scale = 1 << (L - levels)
+    offset = (1 - 2 * (levels % 2))[:, None] * flags  # (steps, n) sign times shift flag
+    # per axis and step, the coordinate of the cube over each cell of the
+    # first window, (steps, width)
+    i0 = mesh.center_window(c.lo3[at], c.hi3[at])[0]
+    coord = [_containing_coord(i0[0, axis] + np.arange(width), flags[:, axis, None], levels[:, None], L)
+             for axis in range(n)]
+    # the boxes of a step run row-major over the cubes it meets per axis,
+    # with corners relative to the window
+    runs = np.stack([m[:, -1] - m[:, 0] + 1 for m in coord], axis=1)
+    step, pos = mesh.window_cells(np.zeros_like(runs), runs)
+    lo = [(3 * (m[step, 0] + pos[axis]) + offset[step, axis]) * scale[step] - 3 * i0[0, axis]
+          for axis, m in enumerate(coord)]
+    plan = BoxPlan(lo, [x + 3 * scale[step] for x in lo], (width,) * n)
+    factor = np.array([2.0 ** (-j * n) for j in levels.tolist()])[step]
+    # each window cell reads its cube's box, step by step: per axis, the
+    # cube's place in the run times the step's row-major stride, plus the
+    # step's first box
+    boxes = runs.prod(axis=1)
+    stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs
+    offsets = [(m - m[:, :1]) * stride[:, axis, None] for axis, m in enumerate(coord)]
+    offsets[0] += (np.cumsum(boxes) - boxes)[:, None]
+    cell_boxes = sum(_along(x, axis, n) for axis, x in enumerate(offsets))
+    # the full-frame index of each window cell, row-major: its window's
+    # first cell's plus its own relative to that
+    within = np.ravel_multi_index(np.indices((width,) * n), (N,) * n).reshape(-1)
+    flat = np.ravel_multi_index(tuple(i0.T), (N,) * n)[:, None] + within
+    sums = np.empty(len(at))
     # a row counts the larger of its full frame and twice its box sums
-    block = _block_rows(max(2 * len(layout.factor), N**n))
-    for a in range(0, len(rows), block):
-        flat = layout.flat[rows[a : a + block]]
-        window = values[which[a : a + block, None], flat].reshape(len(flat), *layout.plan.size)
-        v = layout.plan.sums(window)
-        v = v * mesh.cell_volume / layout.factor
+    block = _block_rows(max(2 * len(factor), N**n))
+    for a in range(0, len(at), block):
+        index = flat[a : a + block]
+        window = values[which[a : a + block, None], index].reshape(len(index), *plan.size)
+        v = plan.sums(window)
+        v = v * mesh.cell_volume / factor
         v = np.where(v > 0.0, v, 0.0)
         out = np.zeros(window.shape)
-        for box in steps:
+        for box in cell_boxes:
             np.maximum(out, v.take(box, axis=1), out=out)
         # each window's maxima in its own zero full-frame row
-        frame = np.zeros((len(flat), N**n))
-        frame[np.arange(len(flat))[:, None], flat] = out.reshape(len(flat), -1)
+        frame = np.zeros((len(index), N**n))
+        frame[np.arange(len(index))[:, None], index] = out.reshape(len(index), -1)
         sums[a : a + block] = np.sum(frame, axis=1)
     return sums
 

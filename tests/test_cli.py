@@ -6,10 +6,11 @@ from collections import Counter
 
 import pytest
 
-from rieszw import cli, mesh as mesh_module
+from rieszw import cli, mesh as mesh_module, normest
 from rieszw.cli import ExperimentConfig
 from rieszw.corona import sigma_decay_check
 from rieszw.operators import compare_pointwise, dyadic_riesz, sparse_riesz
+from rieszw.orlicz import LuxemburgError
 from rieszw.sparse import (
     _overlap_reports,
     build_sparse,
@@ -255,6 +256,34 @@ class TestExitCodes:
         cfg = dict(SMALL, weights=[], n_random_functions=0)
         r = run_cli(tmp_path, "verify", cfg)
         assert r.returncode == 0
+
+
+class TestNumericFailures:
+    """A command that fails an exact assertion or a Luxemburg bracket exits 1
+    with one ``error: <command>: <message>`` line and no traceback."""
+
+    @pytest.mark.parametrize("module, name, exc", [
+        (cli, "lsut_sandwiches", AssertionError("alternating objective decreased (g-step)")),
+        (normest, "bump_constants", LuxemburgError("upper bracket not found")),
+    ], ids=["assertion", "luxemburg"])
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, module, name, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(module, name, fail)
+        (tmp_path / "cfg.json").write_text(json.dumps(SMALL))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sandwich", "--config", "cfg.json", "--out", "out"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: sandwich: {exc}"]
+
+    def test_failed_corona_certificate(self, tmp_path):
+        # a sigma of 1e308 overflows the slice averages (a numeric extreme
+        # the config does not refuse yet)
+        pairs = [["twovalue:a=2,b=1", "constant:c=1e308"]]
+        r = run_cli(tmp_path, "corona", {"pairs": pairs}, extra=["--mesh", "n=1,J=-1,L=4"])
+        assert r.returncode == 1
+        assert r.stderr.splitlines()[-1] == "error: corona: slice membership violated"
+        assert "Traceback" not in r.stderr
 
 
 def test_cli_import_loads_no_fractions():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszw.mesh import DyadicCube, Mesh, StepFunction, _containing_coord
+from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _containing_coord
 from rieszw.orlicz import YoungFunction
 from rieszw.weights import (
     CharacteristicReport,
@@ -375,19 +375,14 @@ class TestFujiiWilsonWindows:
 
 
 def cached_arrays(mesh):
-    """Every array the mesh keeps for ``fujii_wilson``: the corpus plan and
-    the cached window layouts, their plans included."""
-    plans = [mesh.corpus_plan, *(layout.plan for layout in mesh._window_layouts.values())]
-    out = [a for plan in plans for corner in plan.corners for a in corner]
-    for layout in mesh._window_layouts.values():
-        out += [layout.factor, *layout.offsets, layout.flat]
-    return out
+    """Every array the mesh keeps for ``fujii_wilson``: the corpus plan's."""
+    return [a for corner in mesh.corpus_plan.corners for a in corner]
 
 
 class TestFujiiWilsonLayoutReuse:
-    """The corpus plan and the window layouts cached on one mesh serve every
-    later weight and level cap: ``==`` to the full-mesh sweep and to the
-    same call on a fresh mesh."""
+    """The corpus plan cached on one mesh serves every later weight and
+    level cap: ``==`` to the full-mesh sweep and to the same call on a
+    fresh mesh."""
 
     @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(2, 0, 3), Mesh(2, 1, 2, coarse_padding=0)], ids=mesh_id)
     def test_shared_mesh(self, mesh):
@@ -409,7 +404,6 @@ class TestFujiiWilsonLayoutReuse:
             got = fujii_wilson(w, max_level)
             assert_same_report(got, hl_fujii_wilson(w, max_level))
             assert_same_report(got, fujii_wilson(make(fresh()), max_level))
-        assert len(mesh._window_layouts) == len(mesh.corpus.segments)
         for a in cached_arrays(mesh):
             assert not a.flags.writeable
 
@@ -418,12 +412,19 @@ class TestFujiiWilsonLayoutReuse:
         w = lognormal(mesh, 92, scale=0.7)
         expect = hl_fujii_wilson(w, 2)
         assert_same_report(fujii_wilson(w, 2), expect)
-        cached = dict(mesh._window_layouts)
         monkeypatch.setattr(mesh_module, "_FRAME_BLOCK", 3 * mesh.total_cells)
         assert_same_report(fujii_wilson(w, 2), expect)
-        assert all(mesh._window_layouts[s] is layout for s, layout in cached.items())
         for a in cached_arrays(mesh):
             assert not a.flags.writeable
+
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 5), Mesh(2, 1, 2)], ids=mesh_id)
+    def test_mesh_keeps_no_window_state(self, mesh):
+        # a scan leaves on the mesh the corpus, its plan and the level
+        # tables (in 2-D with the line mesh they come from), nothing more
+        ws = [lognormal(mesh, 93, scale=0.7), boundary_cell_weight(mesh, 1)]
+        before = set(vars(mesh))
+        fujii_wilsons(ws)
+        assert set(vars(mesh)) - before <= {"corpus", "corpus_plan", "_tables", "_line"}
 
 
 class TestMixedAndBump:
@@ -867,6 +868,39 @@ class TestPackedBlocks:
                 assert_same_report(g, parent_bump_constant(u, sigma, exps, phi, psi))
 
 
+def pair_window_layout(mesh, segment):
+    """The parent's box layout of one corpus segment's window sweeps, over
+    all of its cubes: the steps' plan on (width,) * n frames, each box's
+    level factor, the per-axis box offsets and each cube's full-frame cell
+    indices."""
+    c = mesh.corpus
+    level, a, b = c.segments[segment][1], int(c.starts[segment]), int(c.ends[segment])
+    n, N, L = mesh.n, mesh.cells_per_axis, mesh.finest_exponent
+    width = 1 << (L - level)
+    steps = [(t, j) for t in mesh.shifts() for j in range(level, L + 1)]
+    flags = np.array([t for t, _ in steps], dtype=np.int64)
+    levels = np.array([j for _, j in steps], dtype=np.int64)
+    scale = 1 << (L - levels)
+    offset = (1 - 2 * (levels % 2))[:, None] * flags
+    i0 = mesh.center_window(c.lo3[a:b], c.hi3[a:b])[0]
+    cells = [i0[:, axis, None] + np.arange(width) for axis in range(n)]
+    coord = [_containing_coord(ix[0], flags[:, axis, None], levels[:, None], L)
+             for axis, ix in enumerate(cells)]
+    runs = np.stack([m[:, -1] - m[:, 0] + 1 for m in coord], axis=1)
+    step, pos = mesh.window_cells(np.zeros_like(runs), runs)
+    lo = [(3 * (m[step, 0] + pos[axis]) + offset[step, axis]) * scale[step] - 3 * i0[0, axis]
+          for axis, m in enumerate(coord)]
+    hi = [x + 3 * scale[step] for x in lo]
+    factor = np.array([2.0 ** (-j * n) for j in levels.tolist()])[step]
+    boxes = runs.prod(axis=1)
+    stride = np.cumprod(runs[:, ::-1], axis=1)[:, ::-1] // runs
+    offsets = [(m - m[:, :1]) * stride[:, axis, None] for axis, m in enumerate(coord)]
+    offsets[0] += (np.cumsum(boxes) - boxes)[:, None]
+    flat = np.ravel_multi_index(tuple(weights._along(ix, axis, n) for axis, ix in enumerate(cells)), (N,) * n)
+    return types.SimpleNamespace(plan=BoxPlan(lo, hi, (width,) * n), factor=factor, offsets=offsets,
+                                 flat=flat.reshape(b - a, -1))
+
+
 def pair_window_maximal_sums(w, layout, rows):
     """The parent's window sums of one weight's cubes at ``rows``."""
     mesh = w.mesh
@@ -902,7 +936,7 @@ def pair_fujii_wilson(w, max_level=None):
     for segment, (a, b) in enumerate(zip(c.starts.tolist(), c.ends.tolist())):
         rows = np.flatnonzero(wq[a:b] > 0.0)
         if len(rows):
-            sums = pair_window_maximal_sums(w, weights._window_layout(mesh, segment), rows)
+            sums = pair_window_maximal_sums(w, pair_window_layout(mesh, segment), rows)
             picked.append(a + rows)
             vals.append(sums * mesh.cell_volume / wq[a + rows])
     if not picked:
