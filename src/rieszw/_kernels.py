@@ -1,5 +1,7 @@
-"""Hot numeric kernels in numpy: Young function evaluation, the batched
-Luxemburg bisection, and the reference Riesz apply.
+"""Hot numeric kernels in numpy: the batched Luxemburg bisection and the
+reference Riesz apply.  The bisection knows no Young function kinds (they
+are ``rieszw.orlicz``'s): it calls each Young function, and reads a closed
+form's exponents (a, c, d) from its ``exponents``.
 
 The reference apply is an exact FFT matvec: its kernel depends only on the
 cell offset, so it costs O(N^n log N) for N cells per axis rather than the
@@ -11,7 +13,7 @@ its rounds.
 
 The bisection certifies each group's root once, then replays its own
 evaluated run bit for bit.  For a group of m cells whose Young function is
-a closed kind with cond = a + |c| + |d| (its exponents of t, log and
+a closed form with cond = a + |c| + |d| (its exponents of t, log and
 loglog), eps_g = (m + 16 (cond + 2)) 2^-53 bounds the relative error of the
 computed average g.  From the evaluation at the group maximum, at most five
 secant steps on log g against log lambda estimate the root r, and g is
@@ -37,16 +39,6 @@ import numpy as np
 # "rieszw does not import".  There is one numpy backend, so it is False.
 NUMBA_ENABLED = False
 
-# Young function kind codes shared with rieszw.orlicz.
-KIND_POWER = 0
-KIND_LOG_BUMP = 1
-KIND_LOGLOG_BUMP = 2
-KIND_DUAL_LOG = 3
-KIND_DUAL_LOGLOG = 4
-
-_E = math.e
-_EE = math.exp(math.e)  # e^e ~ 15.154; loglog(e^e + t) >= 1 at t = 0
-
 KERNEL_LOWER = 0
 KERNEL_MIDPOINT = 1
 KERNEL_UPPER = 2
@@ -54,32 +46,6 @@ KERNEL_UPPER = 2
 
 class LuxemburgError(RuntimeError):
     """Bisection bracket for the Luxemburg norm could not be established."""
-
-
-# ---------------------------------------------------------------------------
-# Young function evaluation
-
-
-def young_eval_np(kind: int, a: float, b: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized Young function evaluation.
-
-    Parameter meaning per kind: power -> a=exponent, b=scale;
-    log/loglog bump and dual kinds -> a=power exponent, b=delta.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if kind == KIND_POWER:
-        return b * t**a
-    lg = np.log(_E + t)
-    if kind == KIND_LOG_BUMP:
-        return t**a * lg ** (a - 1.0 + b)
-    if kind == KIND_DUAL_LOG:
-        return t**a * lg ** (-1.0 - b)
-    llg = np.log(np.log(_EE + t))
-    if kind == KIND_LOGLOG_BUMP:
-        return t**a * lg ** (a - 1.0) * llg ** (a - 1.0 + b)
-    if kind == KIND_DUAL_LOGLOG:
-        return t**a * lg ** (-1.0) * llg ** (-1.0 - b)
-    raise ValueError(f"unknown Young kind {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,20 +85,19 @@ _SECANT_STEPS = 5
 
 
 def _closed_exponents(phi):
-    """(rate, cond) of a closed-kind Young function that the certified
-    bisection can replay, else None.  cond = a + |c| + |d|, and rate = a +
+    """(rate, cond) of a closed form with ``exponents`` (a, c, d) that the
+    certified bisection can replay, else None (a scale b <= 0, which no
+    constructor makes, fails the probes).  cond = a + |c| + |d|, and rate = a +
     min(c, 0)/3 + min(d, 0)/7 bounds d log Phi / d log t = a + c h + d k
     from below, as 0 <= h = t / ((e+t) log(e+t)) < 1/3 and 0 <= k = t /
     ((e^e+t) log(e^e+t) loglog(e^e+t)) < 1/7; rate > 0 makes Phi
     increasing."""
-    kind = getattr(phi, "kind", None)
-    if kind not in (KIND_POWER, KIND_LOG_BUMP, KIND_LOGLOG_BUMP, KIND_DUAL_LOG, KIND_DUAL_LOGLOG):
+    ex = getattr(phi, "exponents", None)
+    if ex is None:
         return None
-    a, b = float(phi.a), float(phi.b)
-    c, d = {KIND_POWER: (0.0, 0.0), KIND_LOG_BUMP: (a - 1.0 + b, 0.0), KIND_DUAL_LOG: (-1.0 - b, 0.0),
-            KIND_LOGLOG_BUMP: (a - 1.0, a - 1.0 + b), KIND_DUAL_LOGLOG: (-1.0, -1.0 - b)}[kind]
+    a, c, d = ex
     rate = a + min(c, 0.0) / 3.0 + min(d, 0.0) / 7.0
-    if kind == KIND_POWER and not b > 0.0 or not (rate > 0.0 and max(a, abs(c), abs(d)) <= 64.0):
+    if not (rate > 0.0 and max(a, abs(c), abs(d)) <= 64.0):
         return None
     return rate, a + abs(c) + abs(d)
 

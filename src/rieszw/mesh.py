@@ -266,6 +266,13 @@ class Mesh:
             self._tables[shift] = table
         return table
 
+    def table_cubes(self, shift: Sequence[int], positions) -> tuple[DyadicCube, ...]:
+        """The cubes at ``positions`` (an index array or a slice) of the
+        level table of ``shift``."""
+        shift, t = tuple(shift), self.level_table(shift)
+        rows = zip(t.level[positions].tolist(), t.coords[positions].tolist())
+        return tuple(DyadicCube(shift, k, tuple(c)) for k, c in rows)
+
     def _line_table(self, flag: int) -> LevelTable:
         """Every level of one 1-D grid at once: per level, the range of
         integer coordinates whose cube meets the box, as arrays, and the

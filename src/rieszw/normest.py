@@ -178,8 +178,7 @@ def _testing_sups(
                 val = num ** (1.0 / out_exp) / den ** (1.0 / den_exp)
                 if val > best[i]:
                     best[i], witness[i] = val, roots[r]
-    cube = [None if p is None else DyadicCube(family.shift, int(table.level[p]), tuple(table.coords[p].tolist()))
-            for p in witness]
+    cube = [None if p is None else mesh.table_cubes(family.shift, [p])[0] for p in witness]
     return list(zip(best, cube, np.count_nonzero(D <= 0.0, axis=1).tolist()))
 
 

@@ -4,7 +4,10 @@ the Orlicz maximal function.
 Closed-form kinds: Power(p) = scale*t^p, LogBump(p, d) = t^p log(e+t)^(p-1+d),
 LogLogBump(p, d) = t^p log(e+t)^(p-1) loglog(e^e+t)^(p-1+d), and the dual
 bump kinds with negative logarithmic exponents.  A NumericTable kind carries
-a sampled monotone graph for validation work.
+a sampled monotone graph for validation work.  The kinds are this module's
+alone: ``YoungFunction.exponents`` is the one table of each closed kind's
+(a, c, d) in t^a log(e+t)^c loglog(e^e+t)^d, read by the evaluation, by
+``bp_check`` and by the bisection's certification.
 
 Luxemburg norms solve avg_Q Phi(f/lambda) = 1 by bisection at relative
 tolerance 1e-12 with a 200-iteration cap; the average is over the full cube
@@ -50,14 +53,15 @@ __all__ = [
     "crv_gap_check",
 ]
 
-_KIND_NAMES = {
-    _kernels.KIND_POWER: "power",
-    _kernels.KIND_LOG_BUMP: "log_bump",
-    _kernels.KIND_LOGLOG_BUMP: "loglog_bump",
-    _kernels.KIND_DUAL_LOG: "dual_log_bump",
-    _kernels.KIND_DUAL_LOGLOG: "dual_loglog_bump",
-}
+# Young function kind codes; the exponents of each closed kind are
+# ``YoungFunction.exponents``
+KIND_POWER, KIND_LOG_BUMP, KIND_LOGLOG_BUMP, KIND_DUAL_LOG, KIND_DUAL_LOGLOG = range(5)
 _KIND_NUMERIC = -1
+_KIND_NAMES = {KIND_POWER: "power", KIND_LOG_BUMP: "log_bump", KIND_LOGLOG_BUMP: "loglog_bump",
+               KIND_DUAL_LOG: "dual_log_bump", KIND_DUAL_LOGLOG: "dual_loglog_bump", _KIND_NUMERIC: "numeric_table"}
+
+_E = math.e
+_EE = math.exp(math.e)  # e^e ~ 15.154; loglog(e^e + t) >= 1 at t = 0
 
 
 _CONJUGATE_CACHE: dict = {}
@@ -88,31 +92,31 @@ class YoungFunction:
     def power(p: float, scale: float = 1.0) -> "YoungFunction":
         if p <= 1.0 or scale <= 0.0:
             raise ValueError("power kind needs p > 1 and scale > 0")
-        return YoungFunction(_kernels.KIND_POWER, p, scale)
+        return YoungFunction(KIND_POWER, p, scale)
 
     @staticmethod
     def log_bump(p: float, delta: float) -> "YoungFunction":
         if p <= 1.0 or delta <= 0.0:
             raise ValueError("log bump needs p > 1 and delta > 0")
-        return YoungFunction(_kernels.KIND_LOG_BUMP, p, delta)
+        return YoungFunction(KIND_LOG_BUMP, p, delta)
 
     @staticmethod
     def loglog_bump(p: float, delta: float) -> "YoungFunction":
         if p <= 1.0 or delta <= 0.0:
             raise ValueError("loglog bump needs p > 1 and delta > 0")
-        return YoungFunction(_kernels.KIND_LOGLOG_BUMP, p, delta)
+        return YoungFunction(KIND_LOGLOG_BUMP, p, delta)
 
     @staticmethod
     def dual_log_bump(qprime: float, deltaprime: float) -> "YoungFunction":
         if qprime <= 1.0 or deltaprime <= 0.0:
             raise ValueError("dual log bump needs q' > 1 and delta' > 0")
-        return YoungFunction(_kernels.KIND_DUAL_LOG, qprime, deltaprime)
+        return YoungFunction(KIND_DUAL_LOG, qprime, deltaprime)
 
     @staticmethod
     def dual_loglog_bump(qprime: float, deltaprime: float) -> "YoungFunction":
         if qprime <= 1.0 or deltaprime <= 0.0:
             raise ValueError("dual loglog bump needs q' > 1 and delta' > 0")
-        return YoungFunction(_kernels.KIND_DUAL_LOGLOG, qprime, deltaprime)
+        return YoungFunction(KIND_DUAL_LOGLOG, qprime, deltaprime)
 
     @staticmethod
     def numeric_table(ts: Sequence[float], ys: Sequence[float]) -> "YoungFunction":
@@ -131,12 +135,20 @@ class YoungFunction:
         """The numeric table's samples as arrays, built on first use."""
         return np.asarray(self.table_t), np.asarray(self.table_y)
 
+    @functools.cached_property
+    def exponents(self) -> tuple[float, float, float] | None:
+        """(a, c, d) of a closed kind, Phi(t) = t^a log(e+t)^c
+        loglog(e^e+t)^d (times the scale b for Power); None for a numeric
+        table.  The one table of the kinds' exponents."""
+        a, b = self.a, self.b
+        return {KIND_POWER: (a, 0.0, 0.0), KIND_LOG_BUMP: (a, a - 1.0 + b, 0.0),
+                KIND_LOGLOG_BUMP: (a, a - 1.0, a - 1.0 + b), KIND_DUAL_LOG: (a, -1.0 - b, 0.0),
+                KIND_DUAL_LOGLOG: (a, -1.0, -1.0 - b), _KIND_NUMERIC: None}[self.kind]
+
     # -- evaluation -------------------------------------------------------
 
     @property
     def name(self) -> str:
-        if self.kind == _KIND_NUMERIC:
-            return "numeric_table"
         return _KIND_NAMES[self.kind]
 
     def __call__(self, t):
@@ -157,7 +169,14 @@ class YoungFunction:
             ly = np.where(lt > hi, np.log(table_y[-1]) + sl_hi * (lt - hi), ly)
             out = np.where(t > 0.0, np.exp(ly), 0.0)
             return out if out.ndim else float(out)
-        out = _kernels.young_eval_np(self.kind, self.a, self.b, t)
+        a, c, d = self.exponents
+        out = t**a
+        if c != 0.0:
+            out = out * np.log(_E + t) ** c
+        if d != 0.0:
+            out = out * np.log(np.log(_EE + t)) ** d
+        if self.kind == KIND_POWER:
+            out = self.b * out
         return out if out.ndim else float(out)
 
     def inverse(self, y: float) -> float:
@@ -169,7 +188,7 @@ class YoungFunction:
             raise ValueError("inverse needs y >= 0")
         if y == 0.0:
             return 0.0
-        if self.kind == _kernels.KIND_POWER:
+        if self.kind == KIND_POWER:
             return (y / self.b) ** (1.0 / self.a)
         lo, hi = 1.0, 1.0
         for _ in range(200):
@@ -221,28 +240,27 @@ class YoungFunction:
         Exact for Power; for the bump kinds this is the standard asymptotic
         dual kind (equivalent, not equal, to the numeric Legendre transform).
         Numeric tables get a tabulated numeric Legendre transform."""
-        if self.kind == _kernels.KIND_POWER:
+        if self.kind == KIND_POWER:
             p, scale = self.a, self.b
             pp = _conjugate(p)
             return YoungFunction.power(pp, (p * scale) ** (-pp / p) / pp)
-        if self.kind == _kernels.KIND_LOG_BUMP:
+        if self.kind == KIND_LOG_BUMP:
             return YoungFunction.dual_log_bump(_conjugate(self.a), self.b / (self.a - 1.0))
-        if self.kind == _kernels.KIND_LOGLOG_BUMP:
+        if self.kind == KIND_LOGLOG_BUMP:
             return YoungFunction.dual_loglog_bump(_conjugate(self.a), self.b / (self.a - 1.0))
-        if self.kind == _kernels.KIND_DUAL_LOG:
+        if self.kind == KIND_DUAL_LOG:
             q = _conjugate(self.a)
             return YoungFunction.log_bump(q, self.b * (q - 1.0))
-        if self.kind == _kernels.KIND_DUAL_LOGLOG:
+        if self.kind == KIND_DUAL_LOGLOG:
             q = _conjugate(self.a)
             return YoungFunction.loglog_bump(q, self.b * (q - 1.0))
-        ts = np.logspace(-8, 12, 600)
-        return YoungFunction.numeric_table(ts, np.maximum(self.legendre(ts), 1e-290))
+        return self.exact_conjugate()
 
     def exact_conjugate(self) -> "YoungFunction":
         """The true Legendre conjugate: closed form for Power, a numeric
         Legendre table otherwise.  Unlike associate(), the Young inequality
         s*t <= Phi(s) + conj(t) holds pointwise, not just asymptotically."""
-        if self.kind == _kernels.KIND_POWER:
+        if self.kind == KIND_POWER:
             return self.associate()
         key = (self.kind, self.a, self.b)
         if self.kind != _KIND_NUMERIC and key in _CONJUGATE_CACHE:
@@ -413,7 +431,7 @@ class BpVerdict:
 def bp_check(phi: YoungFunction, p: float, cutoff: float = 1e12) -> BpVerdict:
     """Whether int^infty Phi(t)/t^p dt/t converges.
 
-    Closed forms are decided analytically from the exponent triple (power,
+    Closed forms are decided analytically from their ``exponents`` (power,
     log, loglog); numeric tables fall back to the fitted tail slope and are
     flagged unreliable."""
     if p <= 1.0:
@@ -428,20 +446,9 @@ def bp_check(phi: YoungFunction, p: float, cutoff: float = 1e12) -> BpVerdict:
     slope = (math.log(float(phi(t2)) / t2**p) - math.log(float(phi(t1)) / t1**p)) / (
         math.log(t2) - math.log(t1)
     )
-    if phi.kind == _KIND_NUMERIC:
+    if phi.exponents is None:
         return BpVerdict(slope < -1e-6, slope, integral, unreliable=True)
-    # exponent triple (power, log, loglog) of Phi
-    if phi.kind == _kernels.KIND_POWER:
-        triple = (phi.a, 0.0, 0.0)
-    elif phi.kind == _kernels.KIND_LOG_BUMP:
-        triple = (phi.a, phi.a - 1.0 + phi.b, 0.0)
-    elif phi.kind == _kernels.KIND_LOGLOG_BUMP:
-        triple = (phi.a, phi.a - 1.0, phi.a - 1.0 + phi.b)
-    elif phi.kind == _kernels.KIND_DUAL_LOG:
-        triple = (phi.a, -1.0 - phi.b, 0.0)
-    else:
-        triple = (phi.a, -1.0, -1.0 - phi.b)
-    a, c, d = triple
+    a, c, d = phi.exponents
     if a != p:
         finite = a < p
     elif c != -1.0:
@@ -530,10 +537,9 @@ def crv_gap_check(
     else:
         raise ValueError("mode must be 'log' or 'loglog'")
     root = u.map(lambda v: v ** (1.0 / q))
-    lo3, hi3 = u.mesh.bounds3(cubes)
-    n0 = luxemburg_norms(root, lo3, hi3, phi0)
-    n1 = luxemburg_norms(root, lo3, hi3, phi)
-    nq = luxemburg_norms(root, lo3, hi3, YoungFunction.power(q))
+    # one packed call: each block's norms are those of its own call
+    n0, n1, nq = _luxemburg_blocks([(root, phi0), (root, phi), (root, YoungFunction.power(q))],
+                                   *u.mesh.bounds3(cubes))
     keep = (n0 > 0.0) & (n1 > 0.0) & (nq > 0.0)
     skipped = int(np.count_nonzero(~keep))
     n0, n1, nq = n0[keep], n1[keep], nq[keep]
@@ -546,7 +552,7 @@ def crv_gap_check(
             g = np.full(len(n0), par)
         else:
             r = np.minimum(nq / n1, 1.0)
-            g = np.log(_kernels._E / r) ** (-par)
+            g = np.log(_E / r) ** (-par)
         ratio = float(np.max(n0 / (n1 ** (1.0 - g) * nq**g)))
         if ratio <= _GAP_CONSTANT:
             # largest parameter still admissible wins

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .mesh import BoxPlan, DyadicCube, LevelTable, Mesh, StepFunction
+from .operators import _check_alpha
 from .weights import ExponentTuple
 
 if TYPE_CHECKING:
@@ -116,9 +117,7 @@ class SparseFamily:
     def _cubes_at(self, idx) -> tuple[DyadicCube, ...]:
         """The members at indices ``idx`` (an index array or a slice) as
         cubes, built from the level table alone."""
-        t, pos = self.mesh.level_table(self.shift), self.positions[idx]
-        rows = zip(t.level[pos].tolist(), t.coords[pos].tolist())
-        return tuple(DyadicCube(self.shift, k, tuple(c)) for k, c in rows)
+        return self.mesh.table_cubes(self.shift, self.positions[idx])
 
     @functools.cached_property
     def cubes(self) -> tuple[DyadicCube, ...]:
@@ -315,8 +314,7 @@ def build_sparse(
     that max at its parent is below its key.  The averages are one box-sum
     call over the table."""
     mesh = f.mesh
-    if not 0.0 < alpha < mesh.n:
-        raise ValueError("alpha must lie in (0, n)")
+    _check_alpha(mesh, alpha)
     if f.total() <= 0.0:
         raise ValueError("f must not vanish identically")
     t = mesh.level_table(shift)
@@ -508,7 +506,7 @@ def carleson_check(
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
-            witness = DyadicCube(shift, int(t.level[idx[i]]), tuple(t.coords[idx[i]].tolist()))
+            witness = mesh.table_cubes(shift, [idx[i]])[0]
     return CarlesonReport(best, witness, None if A is None else best <= A)
 
 

@@ -443,6 +443,25 @@ def direct_level_table(mesh: Mesh, shift: tuple[int, ...]) -> LevelTable:
     return out
 
 
+class TestTableCubes:
+    """``Mesh.table_cubes`` against cubes built one by one from the table,
+    as each caller built them before."""
+
+    @pytest.mark.parametrize("mesh", TABLE_MESHES, ids=str)
+    def test_positions_and_slices(self, mesh):
+        for shift in mesh.shifts():
+            t = mesh.level_table(shift)
+            expect = tuple(DyadicCube(shift, int(t.level[p]), tuple(t.coords[p].tolist()))
+                           for p in range(len(t.level)))
+            assert mesh.table_cubes(shift, slice(None)) == expect
+            assert mesh.table_cubes(list(shift), np.arange(1, len(expect), 3)) == expect[1::3]
+            assert mesh.table_cubes(shift, [len(expect) - 1, 0]) == (expect[-1], expect[0])
+            assert mesh.table_cubes(shift, np.zeros(0, dtype=np.intp)) == ()
+            for q in mesh.table_cubes(shift, slice(None)):
+                assert type(q.shift) is tuple and type(q.level) is int
+                assert all(type(c) is int for c in q.coord)
+
+
 ORACLE_GRID = [(J, L, T) for J in (-3, -1, 0, 1, 2) for L in range(-1, 9) if J + L >= 0 for T in (0, 1, 2, 3, 40)]
 
 

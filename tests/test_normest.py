@@ -985,7 +985,7 @@ class TestBatchedTheoremChecks:
         # each round evaluates every run of Young functions once; certified
         # groups leave about 11 of the 44 rounds that evaluate everything
         evals, rounds = [0], []
-        young, kernel = _kernels.young_eval_np, _kernels.luxemburg_batch
+        young, kernel = orlicz.YoungFunction.__call__, _kernels.luxemburg_batch
 
         def counting_young(*a):
             evals[0] += 1
@@ -997,7 +997,7 @@ class TestBatchedTheoremChecks:
             rounds.append(evals[0] / len(runs))
             return out
 
-        monkeypatch.setattr(_kernels, "young_eval_np", counting_young)
+        monkeypatch.setattr(orlicz.YoungFunction, "__call__", counting_young)
         monkeypatch.setattr(_kernels, "luxemburg_batch", counting_kernel)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"pairs": [list(p) for p in calibration.corpus_pairs()], "fw_max_level": 1}))

@@ -1,11 +1,13 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszw import _kernels
+from rieszw import _kernels, orlicz
 from rieszw.mesh import DyadicCube, Mesh, StepFunction
 from rieszw.orlicz import (
     LuxemburgError,
@@ -20,7 +22,7 @@ from rieszw.orlicz import (
 )
 
 from conftest import in_box_cubes, level_grids, lognormal
-from test_mesh import TABLE_MESHES
+from test_mesh import TABLE_MESHES, _identifiers
 
 ROOT = DyadicCube((0,), 0, (0,))
 
@@ -284,7 +286,7 @@ def oracle_luxemburg_batch(vals, wts, indptr, vols, kind, a, b):
     np.maximum.at(gmax, group_of, vals)
 
     def gval(lam_arr):
-        phi = _kernels.young_eval_np(kind, a, b, vals / lam_arr[group_of])
+        phi = YoungFunction(kind, a, b)(vals / lam_arr[group_of])
         acc = np.zeros(ngroups)
         np.add.at(acc, group_of, phi * wts)
         return acc / vols
@@ -1014,17 +1016,17 @@ class TestCertifiedBisectionOracle:
 
 def longdouble_young(phi, t):
     """``phi`` of the closed kinds in long double, from the same float64
-    parameters and constants as ``_kernels.young_eval_np``."""
+    parameters and constants as ``YoungFunction.__call__``."""
     a, b = np.longdouble(phi.a), np.longdouble(phi.b)
-    if phi.kind == _kernels.KIND_POWER:
+    if phi.kind == orlicz.KIND_POWER:
         return b * t**a
-    lg = np.log(np.longdouble(_kernels._E) + t)
-    if phi.kind == _kernels.KIND_LOG_BUMP:
+    lg = np.log(np.longdouble(orlicz._E) + t)
+    if phi.kind == orlicz.KIND_LOG_BUMP:
         return t**a * lg ** np.longdouble(phi.a - 1.0 + phi.b)
-    if phi.kind == _kernels.KIND_DUAL_LOG:
+    if phi.kind == orlicz.KIND_DUAL_LOG:
         return t**a * lg ** np.longdouble(-1.0 - phi.b)
-    llg = np.log(np.log(np.longdouble(_kernels._EE) + t))
-    if phi.kind == _kernels.KIND_LOGLOG_BUMP:
+    llg = np.log(np.log(np.longdouble(orlicz._EE) + t))
+    if phi.kind == orlicz.KIND_LOGLOG_BUMP:
         return t**a * lg ** np.longdouble(phi.a - 1.0) * llg ** np.longdouble(phi.a - 1.0 + phi.b)
     return t**a / lg * llg ** np.longdouble(-1.0 - phi.b)
 
@@ -1057,3 +1059,184 @@ class TestCertificationErrorModel:
         err = np.abs(computed - exact)[keep] / exact[keep]
         assert keep.sum() >= ngroups - 30
         assert np.all(err <= eps[keep] / 4.0), float(np.max(err / eps[keep]))
+
+
+# ---------------------------------------------------------------------------
+# One exponent table: ``YoungFunction.exponents`` against the three copies
+# of the per-kind exponents that it replaced
+
+
+def parent_young_eval(kind, a, b, t):
+    """The five-branch closed-kind evaluation that ``YoungFunction.__call__``
+    replaced, unchanged."""
+    t = np.asarray(t, dtype=np.float64)
+    if kind == orlicz.KIND_POWER:
+        return b * t**a
+    lg = np.log(orlicz._E + t)
+    if kind == orlicz.KIND_LOG_BUMP:
+        return t**a * lg ** (a - 1.0 + b)
+    if kind == orlicz.KIND_DUAL_LOG:
+        return t**a * lg ** (-1.0 - b)
+    llg = np.log(np.log(orlicz._EE + t))
+    if kind == orlicz.KIND_LOGLOG_BUMP:
+        return t**a * lg ** (a - 1.0) * llg ** (a - 1.0 + b)
+    if kind == orlicz.KIND_DUAL_LOGLOG:
+        return t**a * lg ** (-1.0) * llg ** (-1.0 - b)
+    raise ValueError(f"unknown Young kind {kind}")
+
+
+def parent_bp_triple(phi):
+    """The exponent triple (power, log, loglog) of ``bp_check``'s if-chain."""
+    if phi.kind == orlicz.KIND_POWER:
+        return (phi.a, 0.0, 0.0)
+    if phi.kind == orlicz.KIND_LOG_BUMP:
+        return (phi.a, phi.a - 1.0 + phi.b, 0.0)
+    if phi.kind == orlicz.KIND_LOGLOG_BUMP:
+        return (phi.a, phi.a - 1.0, phi.a - 1.0 + phi.b)
+    if phi.kind == orlicz.KIND_DUAL_LOG:
+        return (phi.a, -1.0 - phi.b, 0.0)
+    return (phi.a, -1.0, -1.0 - phi.b)
+
+
+def parent_bp_check(phi, p, cutoff=1e12):
+    """``bp_check`` with the if-chain it replaced."""
+    ts = np.logspace(0.0, math.log10(cutoff), 4000)
+    integrand = np.asarray(phi(ts)) / ts**p
+    x = np.log(ts)
+    integral = float((np.diff(x) * (integrand[1:] + integrand[:-1]) / 2.0).sum())
+    t1, t2 = cutoff / 1e2, cutoff
+    slope = (math.log(float(phi(t2)) / t2**p) - math.log(float(phi(t1)) / t1**p)) / (
+        math.log(t2) - math.log(t1)
+    )
+    if phi.kind == orlicz._KIND_NUMERIC:
+        return orlicz.BpVerdict(slope < -1e-6, slope, integral, unreliable=True)
+    a, c, d = parent_bp_triple(phi)
+    if a != p:
+        finite = a < p
+    elif c != -1.0:
+        finite = c < -1.0
+    else:
+        finite = d < -1.0
+    return orlicz.BpVerdict(finite, slope, integral)
+
+
+def parent_closed_exponents(phi):
+    """``_kernels._closed_exponents`` with its own dict of (c, d) per kind."""
+    kinds = (orlicz.KIND_POWER, orlicz.KIND_LOG_BUMP, orlicz.KIND_LOGLOG_BUMP, orlicz.KIND_DUAL_LOG,
+             orlicz.KIND_DUAL_LOGLOG)
+    kind = getattr(phi, "kind", None)
+    if kind not in kinds:
+        return None
+    a, b = float(phi.a), float(phi.b)
+    c, d = {orlicz.KIND_POWER: (0.0, 0.0), orlicz.KIND_LOG_BUMP: (a - 1.0 + b, 0.0),
+            orlicz.KIND_DUAL_LOG: (-1.0 - b, 0.0), orlicz.KIND_LOGLOG_BUMP: (a - 1.0, a - 1.0 + b),
+            orlicz.KIND_DUAL_LOGLOG: (-1.0, -1.0 - b)}[kind]
+    rate = a + min(c, 0.0) / 3.0 + min(d, 0.0) / 7.0
+    if kind == orlicz.KIND_POWER and not b > 0.0 or not (rate > 0.0 and max(a, abs(c), abs(d)) <= 64.0):
+        return None
+    return rate, a + abs(c) + abs(d)
+
+
+CONSTRUCTORS = (YoungFunction.power, YoungFunction.log_bump, YoungFunction.loglog_bump,
+                YoungFunction.dual_log_bump, YoungFunction.dual_loglog_bump)
+# an integer exponent, exponents near 1, and past the 64 that certification takes
+TABLE_A = (1.0001, 4.0 / 3.0, 1.5, 2, 2.5, 3.7, 12.0, 64.0, 70.0)
+TABLE_B = (1e-3, 0.5, 1.0, 2.5, 5.0, 63.5)
+TABLE_T = np.array([0.0, 5e-324, 2.2e-308, 1e-300, 1e-8, 0.5, 1.0, math.e, 6.0, 1e8, 1e300, 1.7e308])
+
+
+def table_kinds():
+    return [make(a, b) for make in CONSTRUCTORS for a in TABLE_A for b in TABLE_B]
+
+
+class TestExponentTable:
+    def test_evaluation_is_the_parent_branch(self):
+        for phi in table_kinds():
+            with np.errstate(over="ignore"):
+                expect = parent_young_eval(phi.kind, phi.a, phi.b, TABLE_T)
+                got = phi(TABLE_T)
+                assert got.dtype == expect.dtype and np.array_equal(got, expect), phi
+                assert np.array_equal(phi(TABLE_T.reshape(3, 4)), expect.reshape(3, 4))
+                for t in TABLE_T.tolist():
+                    one = phi(np.float64(t))
+                    assert type(one) is float and one == float(parent_young_eval(phi.kind, phi.a, phi.b, t))
+                    assert phi(t) == one
+
+    def test_bp_check_is_the_parent_chain(self):
+        for phi in table_kinds():
+            assert phi.exponents == parent_bp_triple(phi)
+        # below a = 25 no Phi(t) / t^p overflows up to the cutoff 1e12
+        for phi in (phi for phi in table_kinds() if phi.a <= 12.0):
+            a = phi.a
+            # p = a decides on the log exponent, then on the loglog one
+            for p in (a, 0.5 * (1.0 + a), a + 0.5):
+                with np.errstate(over="ignore"):
+                    assert bp_check(phi, p) == parent_bp_check(phi, p), (phi, p)
+        for p in (1.5, 2.0, 3.0):
+            assert bp_check(NUMERIC_LOG_BUMP, p) == parent_bp_check(NUMERIC_LOG_BUMP, p)
+
+    def test_closed_exponents_are_the_parent_dict(self):
+        kinds = table_kinds()
+        certified = [phi for phi in kinds if _kernels._closed_exponents(phi) is not None]
+        # both sides of rate > 0 and of the exponent bound of 64
+        assert 0 < len(certified) < len(kinds)
+        for phi in (*kinds, NUMERIC_LOG_BUMP, np.square, lambda t: t**2):
+            assert _kernels._closed_exponents(phi) == parent_closed_exponents(phi), phi
+
+    def test_numeric_associate_is_the_exact_conjugate(self, monkeypatch):
+        # the parent's associate() built the table itself: the same 600
+        # points and floor; a cheap stand-in for the Legendre transform
+        # keeps the comparison fast
+        monkeypatch.setattr(YoungFunction, "legendre", lambda self, t: np.asarray(t) ** 2 / 4.0)
+        ts = np.logspace(-8, 12, 600)
+        parent = YoungFunction.numeric_table(ts, np.maximum(NUMERIC_LOG_BUMP.legendre(ts), 1e-290))
+        assoc = NUMERIC_LOG_BUMP.associate()
+        assert assoc == parent == NUMERIC_LOG_BUMP.exact_conjugate() and assoc is not parent
+        assert NUMERIC_LOG_BUMP.exponents is None
+
+
+YOUNG_KIND_NAMES = {"KIND_POWER", "KIND_LOG_BUMP", "KIND_LOGLOG_BUMP", "KIND_DUAL_LOG", "KIND_DUAL_LOGLOG",
+                    "_KIND_NUMERIC", "young_eval_np"}
+
+
+def test_young_kinds_stay_in_orlicz():
+    # the bisection and every other module see a Young function only as a
+    # callable and its exponents
+    src = pathlib.Path(orlicz.__file__).parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "orlicz.py")
+    assert len(modules) > 5
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for name, line in _identifiers(tree) if name in YOUNG_KIND_NAMES]
+    assert not found
+
+
+def parent_crv_gap_norms(u, q, delta, cubes, mode):
+    """The three norms of ``crv_gap_check``, one ``luxemburg_norms`` call each."""
+    make = YoungFunction.log_bump if mode == "log" else YoungFunction.loglog_bump
+    root = u.map(lambda v: v ** (1.0 / q))
+    lo3, hi3 = u.mesh.bounds3(cubes)
+    return [luxemburg_norms(root, lo3, hi3, phi) for phi in (make(q, delta / 2.0), make(q, delta),
+                                                             YoungFunction.power(q))]
+
+
+class TestGapFitPacking:
+    """``crv_gap_check`` takes its three norms from one packed call: each
+    equals the parent's own ``luxemburg_norms`` call, with ``==``."""
+
+    # the three blocks in one call, in three calls, and each block alone
+    # over more than ``_LUX_BATCH_CELLS`` cells
+    @pytest.mark.parametrize("mesh", [Mesh(1, 0, 6), Mesh(1, 0, 8), Mesh(1, 0, 13), Mesh(2, 0, 4)], ids=str)
+    @pytest.mark.parametrize("mode", ["log", "loglog"])
+    def test_norms_equal_three_calls(self, mesh, mode, monkeypatch):
+        u = lognormal(mesh, 91)
+        cubes = list(in_box_cubes(mesh))[:200]
+        packed = []
+        blocks = orlicz._luxemburg_blocks
+        monkeypatch.setattr(orlicz, "_luxemburg_blocks", lambda *a: packed.append(blocks(*a)) or packed[-1])
+        fit = crv_gap_check(u, 2.0, 1.0, cubes, mode=mode)
+        assert len(packed) == 1
+        expect = parent_crv_gap_norms(u, 2.0, 1.0, cubes, mode)
+        assert all(np.array_equal(got, want) for got, want in zip(packed[0], expect, strict=True))
+        assert fit.skipped == 0

@@ -18,7 +18,8 @@ from rieszw import cli, corona as corona_module, mesh as mesh_module
 from rieszw.cli import ExperimentConfig
 from rieszw.mesh import BoxPlan, DyadicCube, Mesh, StepFunction, _prefix_sums, _sweep
 from rieszw.normest import _seed_blocks
-from rieszw.operators import _forest_paint, _member_weights, compare_pointwise, dyadic_riesz, sparse_riesz
+from rieszw.operators import (_forest_paint, _member_weights, compare_pointwise, dyadic_riesz, riesz_reference,
+                              sparse_riesz)
 from rieszw.corona import (
     CoronaDecomposition,
     DecayReport,
@@ -89,6 +90,15 @@ class TestBuild:
     def test_zero_rejected(self, unit_mesh):
         with pytest.raises(ValueError):
             build_sparse(StepFunction.constant(unit_mesh, 0.0), (0,), ALPHA)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_alpha_refused_as_the_operators_refuse_it(self, unit_mesh, alpha):
+        f = lognormal(unit_mesh, 5)
+        with pytest.raises(ValueError, match="alpha must lie in") as got:
+            build_sparse(f, (0,), alpha)
+        with pytest.raises(ValueError) as expect:
+            riesz_reference(f, alpha)
+        assert str(got.value) == str(expect.value)
 
     @given(st.floats(1e-8, 1e8))
     @settings(max_examples=200, deadline=None)
