@@ -6,9 +6,9 @@ config fields.  All outputs are deterministic: identical config and seed
 produce byte-identical files.
 
 Exit codes: 0 success, 1 exact-assertion or envelope failure (an
-assertion or a Luxemburg bracket failure prints one ``error:`` line), 2
-config parse failure, 3 success-with-warning (only infinite verdicts
-produced).
+assertion, a Luxemburg bracket failure or a negative, infinite or nan
+value met during the run prints one ``error:`` line), 2 config parse
+failure, 3 success-with-warning (only infinite verdicts produced).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .calibration import SLACK, load_calibration
 from .corona import corona_decomposes, sigma_decay_check
-from .mesh import DyadicCube, Mesh, StepFunction
+from .mesh import DyadicCube, Mesh, NonFiniteError, StepFunction
 from .normest import (
     RangeConditionError,
     dyadic_testings,
@@ -269,34 +269,37 @@ def _report(v: float):
 
 def cmd_constants(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     exps = cfg.exps()
-    rows = []
-    records = []
-    finite_seen = False
-    pairs = cfg.weight_pairs()
     specs = list(dict.fromkeys(cfg.weights))
     fw = dict(zip(specs, fujii_wilsons([weights[spec] for spec in specs], max_level=cfg.fw_max_level)))
-    for spec in cfg.weights:
-        w = weights[spec]
-        entries = [
-            ("A_p(s(p))", ap_constant(w, exps.s_p)),
-            ("A_inf_exp", ainfty_exp(w)),
-            ("FujiiWilson", fw[spec]),
-        ]
-        for name, rep in entries:
-            finite_seen |= math.isfinite(rep.value)
-            rows.append([spec, name, rep.value])
-            records.append({"weight": spec, "constant": name, "value": _report(rep.value),
-                            "witness": rep.witness, "corpusSize": rep.corpus_size})
-    for uspec, sspec in pairs:
-        rep = two_weight_ap(weights[uspec], weights[sspec], exps.s_p)
-        finite_seen |= math.isfinite(rep.value)
-        rows.append([f"{uspec}|{sspec}", "twoWeightA_s(p)", rep.value])
-        records.append({"weight": f"{uspec}|{sspec}", "constant": "twoWeightA_s(p)",
-                        "value": _report(rep.value), "witness": rep.witness,
-                        "corpusSize": rep.corpus_size})
+    # (label, constant, report): each weight's three constants, then each pair's
+    entries = [(spec, name, rep) for spec in cfg.weights for name, rep in (
+        ("A_p(s(p))", ap_constant(weights[spec], exps.s_p)),
+        ("A_inf_exp", ainfty_exp(weights[spec])),
+        ("FujiiWilson", fw[spec]),
+    )]
+    entries += [(f"{u}|{s}", "twoWeightA_s(p)", two_weight_ap(weights[u], weights[s], exps.s_p))
+                for u, s in cfg.weight_pairs()]
+    records = [{"weight": label, "constant": name, "value": _report(rep.value), "witness": rep.witness,
+                "corpusSize": rep.corpus_size} for label, name, rep in entries]
     _write_json(outdir / "constants.json", {"config": cfg.echo(), "records": records})
-    _write_csv(outdir / "constants.csv", ["weight", "constant", "value"], rows)
-    return 0 if finite_seen else 3
+    _write_csv(outdir / "constants.csv", ["weight", "constant", "value"],
+               [[label, name, rep.value] for label, name, rep in entries])
+    return 0 if any(math.isfinite(rep.value) for _, _, rep in entries) else 3
+
+
+def _write_records(outdir: pathlib.Path, stem: str, records: list) -> None:
+    """One ``<stem>-NNN.json`` per record, numbered in order."""
+    for idx, rec in enumerate(records):
+        _write_json(outdir / f"{stem}-{idx:03d}.json", rec)
+
+
+def _pair_setup(cfg: ExperimentConfig, weights: dict):
+    """The set-up of ``sandwich``, ``corona`` and ``norm``: the first random function's
+    name, its aligned sparse family at ``cfg.alpha``, the pair specs and the pairs' weights."""
+    mesh = cfg.mesh()
+    fname, f = cfg.random_functions(mesh)[0]
+    specs = cfg.weight_pairs()
+    return fname, build_sparse(f, (0,) * mesh.n, cfg.alpha)[0], specs, [(weights[u], weights[s]) for u, s in specs]
 
 
 def _families(cfg: ExperimentConfig, mesh: Mesh, functions: list):
@@ -380,8 +383,7 @@ def cmd_sparse(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
             })
     rows = [[r["index"], r["function"], r["alpha"], r["size"], r["sparsityOk"],
              r["worstUnionRatio"], r["maxDominationRatio"]] for r in results]
-    for r in results:
-        _write_json(outdir / f"sparse-{r['index']:03d}.json", r)
+    _write_records(outdir, "sparse", results)
     _write_csv(outdir / "sparse-summary.csv",
                ["index", "function", "alpha", "size", "ok", "worstUnionRatio", "maxDominationRatio"], rows)
     _warn_parentless(mesh)
@@ -389,22 +391,16 @@ def cmd_sparse(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
 
 
 def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
-    mesh = cfg.mesh()
-    exps = cfg.exps()
     cal = load_calibration()
-    functions = cfg.random_functions(mesh)
-    fname, f = functions[0]
-    S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
-    root = S.cube(0)
+    fname, S, specs, pairs = _pair_setup(cfg, weights)
     rows = []
     records = []
     ok = True
-    pairs = cfg.weight_pairs()
-    cds = corona_decomposes(S, root, [(weights[u], weights[s]) for u, s in pairs], exps)
-    for idx, ((uspec, sspec), cd) in enumerate(zip(pairs, cds)):
+    cds = corona_decomposes(S, S.cube(0), pairs, cfg.exps())
+    for idx, ((uspec, sspec), (_, s), cd) in enumerate(zip(specs, pairs, cds)):
         if isinstance(cd, AssertionError):
             raise cd
-        dec = sigma_decay_check(cd, weights[sspec])
+        dec = sigma_decay_check(cd, s)
         envelope = cal["sigma_decay_c1_max"] * SLACK
         # exact c=1 decay against the frozen envelope constant
         decay_ok = all(r.ratio <= 2.0**-r.k * max(envelope, 1.0) + 1e-12 for r in dec.rows if r.k >= 1)
@@ -419,27 +415,22 @@ def cmd_corona(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> in
         })
         for r in dec.rows:
             rows.append([idx, r.a, r.b, r.P.level, r.k, r.ratio])
-        _write_json(outdir / f"corona-{idx:03d}.json", records[-1])
+    _write_records(outdir, "corona", records)
     _write_csv(outdir / "corona-decay.csv", ["pair", "a", "b", "Plevel", "k", "ratio"], rows)
     _write_json(outdir / "corona.json", {"config": cfg.echo(), "records": records})
     return 0 if ok else 1
 
 
 def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
-    mesh = cfg.mesh()
     exps = cfg.exps()
-    fname, f = cfg.random_functions(mesh)[0]
-    S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
-    specs = cfg.weight_pairs()
-    pairs = [(weights[us], weights[ss]) for us, ss in specs]
+    fname, S, specs, pairs = _pair_setup(cfg, weights)
     testings = dyadic_testings(pairs, exps, S)
     strongs = strong_norm_lowers(pairs, exps, S, rng_seed=cfg.seed)
     weaks = weak_norm_lowers(pairs, exps, S, strongs, rng_seed=cfg.seed)
     results = [{"index": i, "u": us, "sigma": ss, "family": fname, "testing": testing.to_jsonable(),
                 "strong": strong.to_jsonable(), "weak": weak.to_jsonable()}
                for i, ((us, ss), testing, strong, weak) in enumerate(zip(specs, testings, strongs, weaks))]
-    for r in results:
-        _write_json(outdir / f"norm-{r['index']:03d}.json", r)
+    _write_records(outdir, "norm", results)
     _write_csv(outdir / "norm-summary.csv",
                ["index", "u", "sigma", "direct", "dual", "strong", "weak"],
                [[r["index"], r["u"], r["sigma"], r["testing"]["direct"], r["testing"]["dual"],
@@ -447,14 +438,18 @@ def cmd_norm(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
     return 0
 
 
+def _envelope(checks: dict, name: str, reports, bound: float) -> None:
+    """Set ``checks[name]`` to whether every ratio that is not None, of the reports that are
+    not None, is at most ``bound``; with no such ratio the check is left out."""
+    ratios = [r.ratio for r in reports if r is not None and r.ratio is not None]
+    if ratios:
+        checks[name] = all(ratio <= bound for ratio in ratios)
+
+
 def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> int:
-    mesh = cfg.mesh()
     exps = cfg.exps()
     cal = load_calibration()
-    fname, f = cfg.random_functions(mesh)[0]
-    S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
-    specs = cfg.weight_pairs()
-    pairs = [(weights[us], weights[ss]) for us, ss in specs]
+    fname, S, specs, pairs = _pair_setup(cfg, weights)
     sws = lsut_sandwiches(pairs, exps, S, rng_seed=cfg.seed)
     items = [(u, s, sw.testing) for (u, s), sw in zip(pairs, sws)]
     thm31 = thm31_bound_checks(items, exps, cfg.fw_max_level) if exps.sobolev else None
@@ -476,27 +471,20 @@ def cmd_sandwich(cfg: ExperimentConfig, outdir: pathlib.Path, weights: dict) -> 
         if thm31 is not None:
             dual31, direct31 = thm31[idx]
             rec["thm31"] = {"dual": dual31.to_jsonable(), "direct": direct31.to_jsonable()}
-            for r in (dual31, direct31):
-                if r.ratio is not None:
-                    checks.setdefault("thm31Envelope", True)
-                    checks["thm31Envelope"] &= r.ratio <= cal["thm31_ratio_max"] * SLACK
+            _envelope(checks, "thm31Envelope", (dual31, direct31), cal["thm31_ratio_max"] * SLACK)
         if refused is not None:
             rec["thm41"] = {"refused": refused}
         else:
             dual41, direct41 = thm41[idx]
             rec["thm41"] = {"dual": dual41.to_jsonable(),
                             "direct": None if direct41 is None else direct41.to_jsonable()}
-            key = f"thm41_{cfg.bump_kind}_ratio_max"
-            for r in (dual41, direct41):
-                if r is not None and r.ratio is not None:
-                    checks.setdefault("thm41Envelope", True)
-                    checks["thm41Envelope"] &= r.ratio <= cal[key] * SLACK
+            _envelope(checks, "thm41Envelope", (dual41, direct41), cal[f"thm41_{cfg.bump_kind}_ratio_max"] * SLACK)
         rec["checks"] = checks
         bad = [k for k, v in checks.items() if not v]
         failures += len(bad)
         records.append(rec)
         rows.append([idx, uspec, sspec, rec["r1"], rec["r2"], ";".join(bad) or "ok"])
-        _write_json(outdir / f"sandwich-{idx:03d}.json", rec)
+    _write_records(outdir, "sandwich", records)
     _write_csv(outdir / "sandwich-summary.csv", ["index", "u", "sigma", "r1", "r2", "verdict"], rows)
     _write_json(outdir / "sandwich.json", {"config": cfg.echo(), "records": records})
     print(f"sandwich: {len(records)} pairs, {failures} envelope failures")
@@ -577,7 +565,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg, outdir, weights)
-    except (AssertionError, LuxemburgError) as exc:
+    except (AssertionError, LuxemburgError, NonFiniteError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 

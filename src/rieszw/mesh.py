@@ -523,10 +523,14 @@ class StepFunction:
         return float(np.sum(self.values**p * w) * vol) ** (1.0 / p)
 
 
+class NonFiniteError(ValueError):
+    """Raised by ``_checked`` on a negative, infinite or nan value."""
+
+
 def _checked(values: np.ndarray) -> np.ndarray:
     """``values``, if every entry is finite and nonnegative."""
     if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise ValueError("values must be nonnegative and finite")
+        raise NonFiniteError("values must be nonnegative and finite")
     return values
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from rieszw import cli, mesh as mesh_module, normest
@@ -259,8 +261,9 @@ class TestExitCodes:
 
 
 class TestNumericFailures:
-    """A command that fails an exact assertion or a Luxemburg bracket exits 1
-    with one ``error: <command>: <message>`` line and no traceback."""
+    """A command that fails an exact assertion or a Luxemburg bracket, or
+    meets a negative, infinite or nan value, exits 1 with one ``error:
+    <command>: <message>`` line and no traceback."""
 
     @pytest.mark.parametrize("module, name, exc", [
         (cli, "lsut_sandwiches", AssertionError("alternating objective decreased (g-step)")),
@@ -283,6 +286,27 @@ class TestNumericFailures:
         r = run_cli(tmp_path, "corona", {"pairs": pairs}, extra=["--mesh", "n=1,J=-1,L=4"])
         assert r.returncode == 1
         assert r.stderr.splitlines()[-1] == "error: corona: slice membership violated"
+        assert "Traceback" not in r.stderr
+
+    def test_failed_corona_certificate_writes_no_record(self, tmp_path):
+        # the first pair decomposes, the second fails its certificate: the
+        # records are written after the loop, so the run leaves none
+        pairs = [["constant:c=1", "twovalue:a=2,b=1"], ["twovalue:a=2,b=1", "constant:c=1e308"]]
+        r = run_cli(tmp_path, "corona", {"pairs": pairs}, extra=["--mesh", "n=1,J=-1,L=4"])
+        assert r.returncode == 1
+        assert r.stderr.splitlines()[-1] == "error: corona: slice membership violated"
+        assert list((tmp_path / "out").glob("corona-*.json")) == []
+
+    # a subprocess: in-process, the suite's RuntimeWarning filter would turn
+    # the overflow warnings before the failure into the failure
+    @pytest.mark.parametrize("config, mesh", [
+        ({"weights": ["constant:c=1e300"]}, "n=1,J=0,L=5"),
+        ({"weights": ["power:center=2"], "p": 1.0000000001}, "n=1,J=0,L=3"),
+    ], ids=["huge-weight", "p-near-1"])
+    def test_non_finite_value(self, tmp_path, config, mesh):
+        r = run_cli(tmp_path, "sandwich", config, extra=["--mesh", mesh])
+        assert r.returncode == 1
+        assert r.stderr.splitlines()[-1] == "error: sandwich: values must be nonnegative and finite"
         assert "Traceback" not in r.stderr
 
 
@@ -628,6 +652,254 @@ class TestOneBatchPerStage:
                     "sparse": {"dyadic_rieszs": families, "sparse_rieszs": families},
                     "corona": {"corona_decomposes": 1}}
         assert calls == expected[command]
+
+
+def _inline_cmd_constants(cfg, outdir, weights) -> int:
+    """``cmd_constants`` as it was when it kept its records, rows and finite
+    flag in three loops of its own: the oracle of the entry list."""
+    exps = cfg.exps()
+    rows = []
+    records = []
+    finite_seen = False
+    pairs = cfg.weight_pairs()
+    specs = list(dict.fromkeys(cfg.weights))
+    fw = dict(zip(specs, cli.fujii_wilsons([weights[spec] for spec in specs], max_level=cfg.fw_max_level)))
+    for spec in cfg.weights:
+        w = weights[spec]
+        entries = [
+            ("A_p(s(p))", cli.ap_constant(w, exps.s_p)),
+            ("A_inf_exp", cli.ainfty_exp(w)),
+            ("FujiiWilson", fw[spec]),
+        ]
+        for name, rep in entries:
+            finite_seen |= math.isfinite(rep.value)
+            rows.append([spec, name, rep.value])
+            records.append({"weight": spec, "constant": name, "value": cli._report(rep.value),
+                            "witness": rep.witness, "corpusSize": rep.corpus_size})
+    for uspec, sspec in pairs:
+        rep = cli.two_weight_ap(weights[uspec], weights[sspec], exps.s_p)
+        finite_seen |= math.isfinite(rep.value)
+        rows.append([f"{uspec}|{sspec}", "twoWeightA_s(p)", rep.value])
+        records.append({"weight": f"{uspec}|{sspec}", "constant": "twoWeightA_s(p)",
+                        "value": cli._report(rep.value), "witness": rep.witness,
+                        "corpusSize": rep.corpus_size})
+    cli._write_json(outdir / "constants.json", {"config": cfg.echo(), "records": records})
+    cli._write_csv(outdir / "constants.csv", ["weight", "constant", "value"], rows)
+    return 0 if finite_seen else 3
+
+
+def _inline_cmd_corona(cfg, outdir, weights) -> int:
+    """``cmd_corona`` as it was when it built its own set-up and wrote each
+    record in its loop."""
+    mesh = cfg.mesh()
+    exps = cfg.exps()
+    cal = cli.load_calibration()
+    functions = cfg.random_functions(mesh)
+    fname, f = functions[0]
+    S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
+    root = S.cube(0)
+    rows = []
+    records = []
+    ok = True
+    pairs = cfg.weight_pairs()
+    cds = cli.corona_decomposes(S, root, [(weights[u], weights[s]) for u, s in pairs], exps)
+    for idx, ((uspec, sspec), cd) in enumerate(zip(pairs, cds)):
+        if isinstance(cd, AssertionError):
+            raise cd
+        dec = sigma_decay_check(cd, weights[sspec])
+        envelope = cal["sigma_decay_c1_max"] * cli.SLACK
+        # exact c=1 decay against the frozen envelope constant
+        decay_ok = all(r.ratio <= 2.0**-r.k * max(envelope, 1.0) + 1e-12 for r in dec.rows if r.k >= 1)
+        ok &= decay_ok
+        labels, counts = np.unique(cd.a, return_counts=True)
+        records.append({
+            "index": idx, "u": uspec, "sigma": sspec, "family": fname,
+            "slices": dict(zip(map(str, labels.tolist()), counts.tolist())),
+            "skipped": cd.skipped, "gamma": cd.gamma, "certified": cd.certified,
+            "decayWorstScaled": dec.worst_scaled, "decayFittedRate": cli._report(dec.fitted_rate),
+            "decayReportedExponent": dec.reported_exponent, "decayOk": decay_ok,
+        })
+        for r in dec.rows:
+            rows.append([idx, r.a, r.b, r.P.level, r.k, r.ratio])
+        cli._write_json(outdir / f"corona-{idx:03d}.json", records[-1])
+    cli._write_csv(outdir / "corona-decay.csv", ["pair", "a", "b", "Plevel", "k", "ratio"], rows)
+    cli._write_json(outdir / "corona.json", {"config": cfg.echo(), "records": records})
+    return 0 if ok else 1
+
+
+def _inline_cmd_norm(cfg, outdir, weights) -> int:
+    """``cmd_norm`` as it was when it built its own set-up and wrote its records
+    in a loop of its own."""
+    mesh = cfg.mesh()
+    exps = cfg.exps()
+    fname, f = cfg.random_functions(mesh)[0]
+    S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
+    specs = cfg.weight_pairs()
+    pairs = [(weights[us], weights[ss]) for us, ss in specs]
+    testings = normest.dyadic_testings(pairs, exps, S)
+    strongs = normest.strong_norm_lowers(pairs, exps, S, rng_seed=cfg.seed)
+    weaks = normest.weak_norm_lowers(pairs, exps, S, strongs, rng_seed=cfg.seed)
+    results = [{"index": i, "u": us, "sigma": ss, "family": fname, "testing": testing.to_jsonable(),
+                "strong": strong.to_jsonable(), "weak": weak.to_jsonable()}
+               for i, ((us, ss), testing, strong, weak) in enumerate(zip(specs, testings, strongs, weaks))]
+    for r in results:
+        cli._write_json(outdir / f"norm-{r['index']:03d}.json", r)
+    cli._write_csv(outdir / "norm-summary.csv",
+                   ["index", "u", "sigma", "direct", "dual", "strong", "weak"],
+                   [[r["index"], r["u"], r["sigma"], r["testing"]["direct"], r["testing"]["dual"],
+                     r["strong"]["value"], r["weak"]["value"]] for r in results])
+    return 0
+
+
+def _inline_cmd_sandwich(cfg, outdir, weights) -> int:
+    """``cmd_sandwich`` as it was when it built its own set-up, wrote each
+    record in its loop and folded each theorem's envelope with ``setdefault``."""
+    mesh = cfg.mesh()
+    exps = cfg.exps()
+    cal = cli.load_calibration()
+    fname, f = cfg.random_functions(mesh)[0]
+    S, _ = build_sparse(f, (0,) * mesh.n, cfg.alpha)
+    specs = cfg.weight_pairs()
+    pairs = [(weights[us], weights[ss]) for us, ss in specs]
+    sws = cli.lsut_sandwiches(pairs, exps, S, rng_seed=cfg.seed)
+    items = [(u, s, sw.testing) for (u, s), sw in zip(pairs, sws)]
+    thm31 = cli.thm31_bound_checks(items, exps, cfg.fw_max_level) if exps.sobolev else None
+    refused = None
+    try:
+        thm41 = cli.thm41_bound_checks(items, exps, cfg.bump_kind, cfg.bump_delta)
+    except cli.RangeConditionError as exc:
+        refused = str(exc)
+    rows = []
+    records = []
+    failures = 0
+    for idx, ((uspec, sspec), sw) in enumerate(zip(specs, sws)):
+        rec = sw.to_jsonable()
+        rec.update({"index": idx, "u": uspec, "sigma": sspec, "family": fname})
+        checks = {"testingBelowNorm": sw.testing_below_norm,
+                  "r1Ok": bool(sw.r1_ok) if sw.r1_ok is not None else True}
+        if sw.r2 is not None:
+            checks["r2Envelope"] = (cal["lsut_r2_min"] / cli.SLACK <= sw.r2 <= cal["lsut_r2_max"] * cli.SLACK)
+        if thm31 is not None:
+            dual31, direct31 = thm31[idx]
+            rec["thm31"] = {"dual": dual31.to_jsonable(), "direct": direct31.to_jsonable()}
+            for r in (dual31, direct31):
+                if r.ratio is not None:
+                    checks.setdefault("thm31Envelope", True)
+                    checks["thm31Envelope"] &= r.ratio <= cal["thm31_ratio_max"] * cli.SLACK
+        if refused is not None:
+            rec["thm41"] = {"refused": refused}
+        else:
+            dual41, direct41 = thm41[idx]
+            rec["thm41"] = {"dual": dual41.to_jsonable(),
+                            "direct": None if direct41 is None else direct41.to_jsonable()}
+            key = f"thm41_{cfg.bump_kind}_ratio_max"
+            for r in (dual41, direct41):
+                if r is not None and r.ratio is not None:
+                    checks.setdefault("thm41Envelope", True)
+                    checks["thm41Envelope"] &= r.ratio <= cal[key] * cli.SLACK
+        rec["checks"] = checks
+        bad = [k for k, v in checks.items() if not v]
+        failures += len(bad)
+        records.append(rec)
+        rows.append([idx, uspec, sspec, rec["r1"], rec["r2"], ";".join(bad) or "ok"])
+        cli._write_json(outdir / f"sandwich-{idx:03d}.json", rec)
+    cli._write_csv(outdir / "sandwich-summary.csv", ["index", "u", "sigma", "r1", "r2", "verdict"], rows)
+    cli._write_json(outdir / "sandwich.json", {"config": cfg.echo(), "records": records})
+    print(f"sandwich: {len(records)} pairs, {failures} envelope failures")
+    return 0 if failures == 0 else 1
+
+
+class TestSharedSetupOracle:
+    """``constants``, ``corona``, ``norm`` and ``sandwich`` against the
+    commands that built their own set-up, wrote their own records and folded
+    their own envelopes: the same return code, messages and bytes."""
+
+    INLINE = {"constants": _inline_cmd_constants, "corona": _inline_cmd_corona,
+              "norm": _inline_cmd_norm, "sandwich": _inline_cmd_sandwich}
+    CONFIGS = {
+        "1d": dict(L=4),
+        "2d": dict(n=2, L=3),
+        "loglog": dict(L=4, bump_kind="loglog"),
+        # the direct range condition of Theorem 4.1 fails: its form is None
+        "direct-none": dict(L=4, p=1.2, q=1.5, alpha=0.3),
+        "envelopes-fail": dict(L=4),
+    }
+    #: calibration maxima so small that every envelope check fails
+    TINY = {"lsut_r2_max": 1e-300, "thm31_ratio_max": 1e-300, "thm41_log_ratio_max": 1e-300,
+            "thm41_loglog_ratio_max": 1e-300, "sigma_decay_c1_max": 1e-300}
+
+    @pytest.mark.parametrize("command", list(INLINE))
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    def test_outputs_byte_identical(self, tmp_path, monkeypatch, capsys, command, config):
+        if config == "envelopes-fail":
+            cal = cli.load_calibration()
+            monkeypatch.setattr(cli, "load_calibration", lambda: {**cal, **self.TINY})
+        cfg = ExperimentConfig(**self.CONFIGS[config])
+        weights = cfg.validate()
+        runs = []
+        for name, cmd in [("new", cli._COMMANDS[command]), ("inline", self.INLINE[command])]:
+            (tmp_path / name).mkdir()
+            code = cmd(cfg, tmp_path / name, weights)
+            runs.append((code, capsys.readouterr(), slurp(tmp_path / name)))
+        assert runs[0] == runs[1]
+        if command != "sandwich":
+            return
+        records = json.loads(runs[0][2]["sandwich.json"])["records"]
+        if config == "envelopes-fail":
+            # every envelope fails, in the order the checks are made
+            assert runs[0][0] == 1
+            verdicts = [row.split(",")[-1] for row in runs[0][2]["sandwich-summary.csv"].decode().splitlines()[1:]]
+            assert verdicts == ["r2Envelope;thm31Envelope;thm41Envelope"] * len(records)
+        else:
+            assert runs[0][0] == 0
+        if config == "direct-none":
+            assert all(rec["thm41"]["direct"] is None and "thm31" not in rec for rec in records)
+
+    def test_constants_without_a_finite_value(self, tmp_path, monkeypatch, capsys):
+        # every constant reads infinite: the same bytes, and both exit 3
+        def infinite(rep):
+            return dataclasses.replace(rep, value=math.inf)
+
+        for name in ("ap_constant", "ainfty_exp", "two_weight_ap"):
+            monkeypatch.setattr(cli, name, lambda *a, fn=getattr(cli, name): infinite(fn(*a)))
+        fws = cli.fujii_wilsons
+        monkeypatch.setattr(cli, "fujii_wilsons", lambda *a, **k: [infinite(r) for r in fws(*a, **k)])
+        cfg = ExperimentConfig(L=4, pairs=[["constant:c=1", "power:beta=0.3"]])
+        weights = cfg.validate()
+        runs = []
+        for name, cmd in [("new", cli.cmd_constants), ("inline", _inline_cmd_constants)]:
+            (tmp_path / name).mkdir()
+            code = cmd(cfg, tmp_path / name, weights)
+            runs.append((code, capsys.readouterr(), slurp(tmp_path / name)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 3
+        records = json.loads(runs[0][2]["constants.json"])["records"]
+        assert len(records) == 7 and all(rec["value"] is None for rec in records)
+
+
+def _setdefault_envelope(checks, name, reports, bound):
+    """The envelope fold of the inline ``cmd_sandwich``: the oracle of ``cli._envelope``."""
+    for r in reports:
+        if r is not None and r.ratio is not None:
+            checks.setdefault(name, True)
+            checks[name] &= r.ratio <= bound
+
+
+class TestEnvelope:
+    """``_envelope`` sets the check that the ``setdefault`` fold set, in the
+    same place among the checks, and leaves it out when no ratio is there."""
+
+    @pytest.mark.parametrize("ratios", [[1.0, 2.0], [1.0, 3.0], [None, None], [None, 3.0], [math.nan, 1.0],
+                                        [2.0, None], [], [None]])
+    @pytest.mark.parametrize("missing", [False, True], ids=["reports", "missing-report"])
+    def test_same_checks_as_the_fold(self, ratios, missing):
+        reports = [normest.BoundRatio(x, 1.0, 1.0, {}) for x in ratios] + [None] * missing
+        got, expect = {"first": True}, {"first": True}
+        cli._envelope(got, "env", reports, 2.0)
+        _setdefault_envelope(expect, "env", reports, 2.0)
+        got["last"] = expect["last"] = False
+        assert list(got.items()) == list(expect.items())
+        assert ("env" in got) == any(x is not None for x in ratios)
 
 
 class TestSandwichWeights:

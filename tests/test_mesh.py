@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rieszw.mesh import DyadicCube, LevelTable, Mesh, StepFunction
 import rieszw
-from rieszw.mesh import BoxPlan, _containing_coord, _prefix_sums
+from rieszw.mesh import BoxPlan, NonFiniteError, _checked, _containing_coord, _prefix_sums
 from rieszw.operators import dyadic_riesz
 from rieszw.sparse import build_sparse
 
@@ -771,3 +771,10 @@ def test_prefix_table_stays_in_mesh():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} {name}" for name, line in _identifiers(tree) if name in PREFIX_TABLE_NAMES]
     assert not found
+
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+def test_checked_refuses_with_non_finite_error(value):
+    with pytest.raises(NonFiniteError, match="values must be nonnegative and finite"):
+        _checked(np.array([[1.0, 0.0], [2.0, value]]))
